@@ -280,21 +280,19 @@ def cmd_prepare(args, config):
     out_ladder = _get(args, config, "out_ladder", str)
     out_state = _get(args, config, "out_state", str)
 
-    # a zero-length grid still produces the final state; only the recorded
-    # ladder rows are suppressed
-    emit_rows = n_points is None or n_points > 0
-    times, history = ladder_history(
-        N, n_bar, gamma0, t_end, dt, n_records=n_points if emit_rows else None
+    # the bath state is always the one at t_end, however many ladder rows
+    # are recorded (none for a zero-length grid)
+    times, history, final = ladder_history(
+        N, n_bar, gamma0, t_end, dt, n_records=n_points
     )
     header = "t," + ",".join(f"rho_{k}" for k in range(N + 1))
     lines = [header]
-    if emit_rows:
-        for t, row in zip(times, history):
-            lines.append(",".join(fmt_float(x) for x in (t, *row)))
+    for t, row in zip(times, history):
+        lines.append(",".join(fmt_float(x) for x in (t, *row)))
     ladder_csv = "\n".join(lines) + "\n"
 
     transform = dicke_ladder_transform(N)
-    rho = (transform * history[-1]) @ transform.conj().T
+    rho = (transform * final) @ transform.conj().T
     _write(out_ladder, ladder_csv)
     _write(out_state, bath_to_csv(rho, N))
     return 0

@@ -278,12 +278,58 @@ def _record_indices(n_steps, n_records):
     return idx.tolist()
 
 
+def _propagate(step_mat, vec0, record, n_steps):
+    """Apply a constant one-step map ``step_mat`` to ``vec0``.
+
+    Returns ``(recorded, final)``: the states after ``i`` steps for every
+    ``i`` in the sorted ``record``, one row each, and the state after
+    ``n_steps``.  Consecutive records are joined by one cached matrix power
+    per distinct gap, so the cost is O(records log steps), not O(steps).
+    """
+    vec = np.asarray(vec0)
+    recorded = np.empty((len(record), len(vec)), dtype=np.result_type(step_mat, vec))
+    powers = {}
+    done = 0
+    for pos, target in enumerate([*record, n_steps]):
+        gap = target - done
+        if gap:
+            if gap not in powers:
+                powers[gap] = np.linalg.matrix_power(step_mat, gap)
+            vec = powers[gap] @ vec
+            done = target
+        if pos < len(recorded):
+            recorded[pos] = vec
+    return recorded, vec
+
+
+def _rk4_step_matrix(gen, dt):
+    """One classical RK4 step of ``dx/dt = gen @ x``, which for a constant
+    generator is exactly the degree-4 Taylor polynomial of ``exp(dt gen)``."""
+    h = dt * np.asarray(gen)
+    eye = np.eye(len(h), dtype=h.dtype)
+    return eye + h @ (eye + h @ (eye + h @ (eye + h / 4.0) / 3.0) / 2.0)
+
+
+def _lindblad_generator(c):
+    """4x4 generator of :func:`lindblad_rhs` on the row-major vectorized
+    target state, one column per basis matrix."""
+    gen = np.zeros((4, 4), dtype=complex)
+    for col in range(4):
+        basis_mat = np.zeros(4, dtype=complex)
+        basis_mat[col] = 1.0
+        gen[:, col] = lindblad_rhs(basis_mat.reshape(2, 2), c).ravel()
+    return gen
+
+
 def integrate_master(rho0, c, t_end, dt, n_records=None):
     """Fixed-step 4th-order integration of the full master equation.
 
     Unlike the analytic path this supports nonzero drive and squeezing
-    coefficients.  Every recorded state is checked for trace drift beyond
-    1e-8 (the generator is traceless, so drift indicates a numeric problem).
+    coefficients.  The equation is linear and autonomous, so the classical
+    RK4 step is one constant 4x4 map, built once from :func:`lindblad_rhs`
+    and applied through its powers between records.  Every recorded state
+    and the final state are checked for trace drift beyond 1e-8 (the
+    generator is traceless, so drift indicates a numeric problem).
     """
     if dt <= 0.0:
         raise ValidationError(f"dt: must be positive, got {dt}")
@@ -295,27 +341,22 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
             f"dt = {dt:.3g} exceeds t_q/20 = {t_q / 20.0:.3g}; accuracy advisory",
             stacklevel=2,
         )
-    rho = np.asarray(rho0, dtype=complex).copy()
     n_steps = int(math.floor(t_end / dt + 1e-9))
-    record = set(_record_indices(n_steps, n_records))
-    times, states = [], []
-    for step in range(n_steps + 1):
-        if step in record:
-            drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-            if drift > 1e-8:
-                raise NumericError(
-                    f"integrate_master: trace drift {drift:.3e} at step {step}"
-                )
-            times.append(step * dt)
-            states.append(rho.copy())
-        if step == n_steps:
-            break
-        k1 = lindblad_rhs(rho, c)
-        k2 = lindblad_rhs(rho + 0.5 * dt * k1, c)
-        k3 = lindblad_rhs(rho + 0.5 * dt * k2, c)
-        k4 = lindblad_rhs(rho + dt * k3, c)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return Trajectory.from_states(np.array(times), states, c.mu)
+    record = _record_indices(n_steps, n_records)
+    step_mat = _rk4_step_matrix(_lindblad_generator(c), dt)
+    vec0 = np.asarray(rho0, dtype=complex).ravel()
+    recorded, final = _propagate(step_mat, vec0, record, n_steps)
+    traces = np.append(recorded[:, 0] + recorded[:, 3], final[0] + final[3])
+    drift = np.abs(traces.real - 1.0) + np.abs(traces.imag)
+    bad = np.flatnonzero(drift > 1e-8)
+    if bad.size:
+        first = bad[0]
+        step = [*record, n_steps][first]
+        raise NumericError(
+            f"integrate_master: trace drift {drift[first]:.3e} at step {step}"
+        )
+    times = np.array([step * dt for step in record])
+    return Trajectory.from_states(times, recorded.reshape(-1, 2, 2), c.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +375,12 @@ def collision_superoperator(bath, params, mode="exact", max_exact_qubits=MAX_EXA
     mode = mode.replace("-", "_")
     if mode not in ("exact", "second_order"):
         raise ValidationError(f"mode: must be 'exact' or 'second_order', got {mode!r}")
-    rho_b = validate_bath(bath)
     N = bath.N
     if mode == "exact" and N > max_exact_qubits:
         raise ValidationError(
             f"N: exact propagator limited to N <= {max_exact_qubits}, got {N}"
         )
+    rho_b = validate_bath(bath)
     ops = build_collective_ops(N)
     gt = params.g_tau
     V = kron(SIGMA_MINUS, ops.J_plus) + kron(SIGMA_PLUS, ops.J_minus)
@@ -382,6 +423,10 @@ def collision_chain(
     realizations, each driven by a counter-based stream keyed by
     ``(seed, trajectory index)`` so results are reproducible regardless of
     scheduling.
+
+    Both schemes are applied through powers of a constant one-step map: the
+    deterministic step matrix between records, and for each stochastic
+    realization ``Phi^m``, with ``m`` its number of collisions so far.
     """
     if dt <= 0.0:
         raise ValidationError(f"dt: must be positive, got {dt}")
@@ -400,43 +445,33 @@ def collision_chain(
     n_steps = int(math.floor(t_end / dt + 1e-9))
     record = _record_indices(n_steps, n_records)
     times = np.array([dt * i for i in record])
-    vec0 = np.asarray(rho0, dtype=complex).ravel().copy()
+    vec0 = np.asarray(rho0, dtype=complex).ravel()
 
     if scheme == "deterministic":
         step_mat = (1.0 - p_dt) * np.eye(4, dtype=complex) + p_dt * phi
-        recorded = _run_chain(vec0, step_mat=step_mat, n_steps=n_steps, record=record)
+        recorded, _ = _propagate(step_mat, vec0, record, n_steps)
     else:
         if n_trajectories < 1:
             raise ValidationError("n_trajectories: must be >= 1")
+        # a trajectory's state after i steps is Phi^m rho0, m the number of
+        # collisions drawn in its first i steps
+        powers = vec0[None, :]
+        collisions = np.zeros(n_steps + 1, dtype=np.int64)
         total = np.zeros((len(record), 4), dtype=complex)
         for traj in range(n_trajectories):
             key = np.array([int(seed) % 2**64, traj], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=key))
-            collide = rng.random(n_steps) < p_dt
-            total += _run_chain(
-                vec0, phi=phi, collide=collide, n_steps=n_steps, record=record
-            )
+            np.cumsum(rng.random(n_steps) < p_dt, out=collisions[1:])
+            m = collisions[record]
+            extra = m[-1] + 1 - len(powers) if m.size else 0
+            if extra > 0:
+                more, _ = _propagate(phi, powers[-1], range(1, extra + 1), extra)
+                powers = np.concatenate([powers, more])
+            total += powers[m]
         recorded = total / n_trajectories
 
     states = recorded.reshape(len(record), 2, 2)
     return Trajectory.from_states(times, states, params.mu)
-
-
-def _run_chain(vec0, *, n_steps, record, step_mat=None, phi=None, collide=None):
-    recorded = np.zeros((len(record), 4), dtype=complex)
-    record_set = {idx: pos for pos, idx in enumerate(record)}
-    vec = vec0.copy()
-    for step in range(n_steps + 1):
-        pos = record_set.get(step)
-        if pos is not None:
-            recorded[pos] = vec
-        if step == n_steps:
-            break
-        if step_mat is not None:
-            vec = step_mat @ vec
-        elif collide[step]:
-            vec = phi @ vec
-    return recorded
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +526,12 @@ def _ladder_generator(N, n_bar, gamma0):
 def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     """Integrate the ladder rate equations from the collective ground state.
 
-    Returns ``(times, populations)`` with one row per record.  Raises
-    :class:`NumericError` on population negativity (step too large) or
-    normalization drift.
+    Fixed-step classical RK4; the rate equations are linear with a constant
+    generator, so the step is one (N+1)x(N+1) map applied through its
+    powers between records.  Returns ``(times, populations, final)``: one
+    row per record, and the populations at ``t_end`` whichever steps are
+    recorded.  Raises :class:`NumericError` on population negativity (step
+    too large) or normalization drift in any recorded or the final state.
     """
     if N < 1:
         raise ValidationError(f"N: must be >= 1, got {N}")
@@ -505,34 +543,30 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
         raise ValidationError(f"dt: must be positive, got {dt}")
     if t_end < 0.0:
         raise ValidationError(f"t_end: must be >= 0, got {t_end}")
-    gen = _ladder_generator(N, n_bar, gamma0)
-    pops = np.zeros(N + 1)
-    pops[0] = 1.0
+    pops0 = np.zeros(N + 1)
+    pops0[0] = 1.0
     n_steps = int(math.floor(t_end / dt + 1e-9))
-    record = set(_record_indices(n_steps, n_records))
-    times, history = [], []
-    for step in range(n_steps + 1):
-        if step in record:
-            if pops.min() < -1e-10:
-                raise NumericError(
-                    f"ladder integration: population negativity "
-                    f"{pops.min():.3e} at step {step}; reduce dt"
-                )
-            if abs(pops.sum() - 1.0) > 1e-8:
-                raise NumericError(
-                    f"ladder integration: normalization drift "
-                    f"{pops.sum() - 1.0:.3e} at step {step}"
-                )
-            times.append(step * dt)
-            history.append(pops.copy())
-        if step == n_steps:
-            break
-        k1 = gen @ pops
-        k2 = gen @ (pops + 0.5 * dt * k1)
-        k3 = gen @ (pops + 0.5 * dt * k2)
-        k4 = gen @ (pops + dt * k3)
-        pops = pops + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return np.array(times), np.array(history)
+    record = _record_indices(n_steps, n_records)
+    step_mat = _rk4_step_matrix(_ladder_generator(N, n_bar, gamma0), dt)
+    history, final = _propagate(step_mat, pops0, record, n_steps)
+    checked = np.vstack([history, final])
+    lowest = checked.min(axis=1)
+    drift = checked.sum(axis=1) - 1.0
+    bad = np.flatnonzero((lowest < -1e-10) | (np.abs(drift) > 1e-8))
+    if bad.size:
+        first = bad[0]
+        step = [*record, n_steps][first]
+        if lowest[first] < -1e-10:
+            raise NumericError(
+                f"ladder integration: population negativity "
+                f"{lowest[first]:.3e} at step {step}; reduce dt"
+            )
+        raise NumericError(
+            f"ladder integration: normalization drift "
+            f"{drift[first]:.3e} at step {step}"
+        )
+    times = np.array([step * dt for step in record])
+    return times, history, final
 
 
 def prepare_thermal_dicke(N, n_bar, gamma0, t_end, dt):
@@ -546,8 +580,9 @@ def prepare_thermal_dicke(N, n_bar, gamma0, t_end, dt):
 
     Returns ``(LadderState, rho_product)``.
     """
-    _, history = ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None)
-    pops = np.clip(history[-1], 0.0, None)
+    # every step is recorded, so a transient negativity is caught too
+    *_, final = ladder_history(N, n_bar, gamma0, t_end, dt)
+    pops = np.clip(final, 0.0, None)
     ladder = LadderState(N, pops)
     V = dicke_ladder_transform(N)
     rho = (V * ladder.populations) @ V.conj().T

@@ -355,6 +355,23 @@ class TestPrepare:
         _, rho = bath_from_csv(state_path.read_text())
         np.testing.assert_allclose(rho, thermal_hec_state(2, 1.0), atol=1e-6)
 
+    def test_single_point_grid_writes_final_state(self, capsys, tmp_path):
+        # the bath state is the one at t_end even when only t = 0 is recorded
+        states = []
+        for n_points in ("1", "2"):
+            state_path = tmp_path / f"state{n_points}.csv"
+            code, _, _ = run(
+                capsys, "prepare", "--N", "2", "--nbar", "1", "--gamma0", "1",
+                "--t-end", "5", "--dt", "0.01", "--n-points", n_points,
+                "--out-ladder", str(tmp_path / f"ladder{n_points}.csv"),
+                "--out-state", str(state_path),
+            )
+            assert code == 0
+            states.append(state_path.read_text())
+        assert states[0] == states[1]
+        _, rho = bath_from_csv(states[0])
+        assert rho[0, 0].real < 0.6  # not the ground state
+
     def test_zero_time_initial_ladder(self, capsys, tmp_path):
         ladder_path = tmp_path / "ladder.csv"
         state_path = tmp_path / "state.csv"

@@ -35,7 +35,7 @@ from qollide import (
     thermal_hec_state,
     thermalization_time,
 )
-from qollide.dynamics import TRAJECTORY_CSV_HEADER, Trajectory
+from qollide.dynamics import TRAJECTORY_CSV_HEADER, Trajectory, _record_indices
 
 from conftest import cached_ops
 
@@ -428,6 +428,197 @@ class TestCollisionChain:
         assert err_ode < 1e-8 < err_chain
 
 
+# ---------------------------------------------------------------------------
+# step-by-step oracles: the engines apply powers of a one-step map, these
+# apply the same fixed-step schemes one step at a time
+
+
+def _rk4_oracle(rho0, c, t_end, dt, n_records=None):
+    rho = np.asarray(rho0, dtype=complex).copy()
+    n_steps = int(math.floor(t_end / dt + 1e-9))
+    record = set(_record_indices(n_steps, n_records))
+    times, states = [], []
+    for step in range(n_steps + 1):
+        if step in record:
+            times.append(step * dt)
+            states.append(rho.copy())
+        if step == n_steps:
+            break
+        k1 = lindblad_rhs(rho, c)
+        k2 = lindblad_rhs(rho + 0.5 * dt * k1, c)
+        k3 = lindblad_rhs(rho + 0.5 * dt * k2, c)
+        k4 = lindblad_rhs(rho + dt * k3, c)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.array(times), np.array(states).reshape(-1, 2, 2)
+
+
+def _ladder_oracle(gen, t_end, dt, n_records=None):
+    """Recorded populations, the final populations and the first step at
+    which a population drops below -1e-10 (None if never)."""
+    pops = np.zeros(len(gen))
+    pops[0] = 1.0
+    n_steps = int(math.floor(t_end / dt + 1e-9))
+    record = set(_record_indices(n_steps, n_records))
+    history, negative_at = [], None
+    for step in range(n_steps + 1):
+        if negative_at is None and pops.min() < -1e-10:
+            negative_at = step
+        if step in record:
+            history.append(pops.copy())
+        if step == n_steps:
+            break
+        k1 = gen @ pops
+        k2 = gen @ (pops + 0.5 * dt * k1)
+        k3 = gen @ (pops + 0.5 * dt * k2)
+        k4 = gen @ (pops + dt * k3)
+        pops = pops + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.array(history).reshape(-1, len(gen)), pops, negative_at
+
+
+def _chain_oracle(vec0, n_steps, record, step_mat=None, phi=None, collide=None):
+    recorded = np.zeros((len(record), 4), dtype=complex)
+    record_set = {idx: pos for pos, idx in enumerate(record)}
+    vec = vec0.copy()
+    for step in range(n_steps + 1):
+        pos = record_set.get(step)
+        if pos is not None:
+            recorded[pos] = vec
+        if step == n_steps:
+            break
+        if step_mat is not None:
+            vec = step_mat @ vec
+        elif collide[step]:
+            vec = phi @ vec
+    return recorded
+
+
+def _stochastic_oracle(vec0, phi, p_dt, n_steps, record, seed, n_traj):
+    total = np.zeros((len(record), 4), dtype=complex)
+    for traj in range(n_traj):
+        key = np.array([seed % 2**64, traj], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        collide = rng.random(n_steps) < p_dt
+        total += _chain_oracle(
+            vec0, n_steps, record, phi=phi, collide=collide
+        )
+    return total / n_traj
+
+
+# n_records: every step, none, only t = 0, and 4 records over 10 steps,
+# which round to the uneven grid 0, 3, 7, 10
+RECORD_CASES = (None, 0, 1, 4)
+
+
+class TestPropagatorOracles:
+    def test_uneven_record_grid(self):
+        assert _record_indices(10, 4) == [0, 3, 7, 10]
+
+    @pytest.mark.parametrize("n_records", RECORD_CASES)
+    def test_master_equation_matches_step_loop(self, n_records):
+        c = coefficients_dicke(4, 1, PARAMS)
+        traj = integrate_master(ground_state(), c, 0.01, 0.001, n_records)
+        times, states = _rk4_oracle(ground_state(), c, 0.01, 0.001, n_records)
+        assert traj.times.tolist() == times.tolist()
+        assert traj.states.shape == states.shape
+        assert np.max(np.abs(traj.states - states), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("n_records", RECORD_CASES)
+    def test_driven_squeezed_master_equation(self, n_records):
+        c = MeqCoefficients(0.3 - 0.2j, 0.4 + 0.2j, 0.8, 1.2, 1.0, 2.0)
+        rho0 = qubit_state(0.2, 0.1 - 0.05j)
+        traj = integrate_master(rho0, c, 0.1, 0.01, n_records)
+        times, states = _rk4_oracle(rho0, c, 0.1, 0.01, n_records)
+        assert traj.times.tolist() == times.tolist()
+        assert np.max(np.abs(traj.states - states), initial=0.0) <= 1e-12
+
+    def test_master_equation_zero_time(self):
+        c = MeqCoefficients(0.3j, 0.1, 0.8, 1.2, 1.0, 1.0)
+        rho0 = qubit_state(0.2, 0.1)
+        traj = integrate_master(rho0, c, 0.0, 0.01)
+        assert traj.times.tolist() == [0.0]
+        assert np.array_equal(traj.states[0], rho0)
+
+    def test_master_equation_builds_generator_once(self, monkeypatch):
+        import qollide.dynamics as dyn
+
+        calls = []
+
+        def counted(rho, c):
+            calls.append(1)
+            return lindblad_rhs(rho, c)
+
+        monkeypatch.setattr(dyn, "lindblad_rhs", counted)
+        integrate_master(ground_state(), coefficients_dicke(4, 1, PARAMS), 0.1, 0.001)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("n_records", RECORD_CASES)
+    def test_ladder_matches_step_loop(self, n_records):
+        from qollide.dynamics import _ladder_generator
+
+        gen = _ladder_generator(3, 0.7, 1.0)
+        times, history, final = ladder_history(3, 0.7, 1.0, 0.5, 0.05, n_records)
+        want, want_final, _ = _ladder_oracle(gen, 0.5, 0.05, n_records)
+        assert len(times) == len(want)
+        assert np.max(np.abs(history - want), initial=0.0) <= 1e-12
+        assert np.max(np.abs(final - want_final)) <= 1e-12
+
+    def test_ladder_zero_time(self):
+        times, history, final = ladder_history(2, 1.0, 1.0, 0.0, 0.1, n_records=1)
+        assert times.tolist() == [0.0]
+        assert history.tolist() == [[1.0, 0.0, 0.0]] == [final.tolist()]
+
+    def test_ladder_negativity_reported_at_first_recorded_step(self):
+        from qollide.dynamics import _ladder_generator
+
+        _, _, step = _ladder_oracle(_ladder_generator(6, 1.0, 1.0), 10.0, 1.0)
+        assert step is not None
+        with pytest.raises(NumericError, match=f"negativity .* at step {step};"):
+            prepare_thermal_dicke(6, 1.0, 1.0, t_end=10.0, dt=1.0)
+
+    def test_ladder_final_state_checked_without_records(self):
+        with pytest.raises(NumericError, match="at step 10;"):
+            ladder_history(6, 1.0, 1.0, t_end=10.0, dt=1.0, n_records=0)
+
+    @pytest.mark.parametrize("n_records", RECORD_CASES)
+    def test_deterministic_chain_matches_step_loop(self, n_records):
+        from qollide import collision_superoperator
+
+        params = CollisionParams(g=0.2, tau=1.0, p=25.0)
+        bath = BathSpec.thermal_hec(3, 0.8)
+        rho0 = qubit_state(0.3, 0.1j)
+        traj = collision_chain(rho0, bath, params, 0.1, 0.004, n_records=n_records)
+        record = _record_indices(25, n_records)
+        p_dt = params.p * 0.004
+        phi = collision_superoperator(bath, params)
+        step_mat = (1.0 - p_dt) * np.eye(4) + p_dt * phi
+        want = _chain_oracle(rho0.ravel(), 25, record, step_mat=step_mat)
+        assert traj.times.tolist() == [0.004 * i for i in record]
+        assert np.max(np.abs(traj.states.reshape(-1, 4) - want), initial=0.0) <= 1e-12
+
+    def test_deterministic_chain_zero_time(self):
+        rho0 = qubit_state(0.3, 0.1j)
+        traj = collision_chain(rho0, BathSpec.dicke(2, 1), PARAMS, 0.0, 0.001)
+        assert traj.times.tolist() == [0.0]
+        assert np.array_equal(traj.states[0], rho0)
+
+    @pytest.mark.parametrize("seed", (7, 2**40 + 3))
+    @pytest.mark.parametrize("n_records", (None, 4))
+    def test_stochastic_chain_matches_trajectory_loop(self, seed, n_records):
+        from qollide import collision_superoperator
+
+        params = CollisionParams(g=0.2, tau=1.0, p=25.0)
+        bath = BathSpec.dicke(3, 1)
+        rho0 = qubit_state(0.1, 0.2)
+        traj = collision_chain(
+            rho0, bath, params, 0.2, 0.01, scheme="stochastic", seed=seed,
+            n_trajectories=30, n_records=n_records,
+        )
+        record = _record_indices(20, n_records)
+        phi = collision_superoperator(bath, params)
+        want = _stochastic_oracle(rho0.ravel(), phi, 0.25, 20, record, seed, 30)
+        assert np.max(np.abs(traj.states.reshape(-1, 4) - want)) <= 1e-12
+
+
 class TestPrepareThermalDicke:
     def test_pure_decay_reaches_ground(self):
         ladder, rho = prepare_thermal_dicke(4, 0.0, 1.0, t_end=20.0, dt=0.002)
@@ -461,7 +652,7 @@ class TestPrepareThermalDicke:
             prepare_thermal_dicke(6, 1.0, 1.0, t_end=10.0, dt=1.0)
 
     def test_history_short_run(self):
-        times, history = ladder_history(3, 1.0, 1.0, t_end=0.0, dt=0.1)
+        times, history, _ = ladder_history(3, 1.0, 1.0, t_end=0.0, dt=0.1)
         assert times.tolist() == [0.0]
         np.testing.assert_allclose(history[0], [1.0, 0.0, 0.0, 0.0], atol=0)
 
