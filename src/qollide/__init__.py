@@ -60,7 +60,6 @@ from .dynamics import (
 from .errors import NumericError, QollideError, ValidationError
 from .linalg import (
     expectation,
-    kron,
     matrix_exp,
     partial_trace_bath,
     validate_density_matrix,

@@ -17,17 +17,20 @@ Coherence classification
 An off-diagonal entry ``(i, j)`` of a bath state matters to the reduced
 target dynamics only through the first and second moments of the collective
 spin, so each entry is classified *operationally* by which operator has a
-nonzero matrix element at the transposed position: ``J+-`` (displacement,
-entries joining states one excitation apart), ``J+-^2`` (squeezing, two
-excitations apart), ``J+J-``/``J-J+`` (heat exchange, equal excitation),
-otherwise ineffective.
+nonzero matrix element at the transposed position: ``J+-`` (displacement),
+``J+-^2`` (squeezing), ``J+J-``/``J-J+`` (heat exchange), otherwise
+ineffective.  Each of these operators is a sum of one- or two-qubit flips
+with positive weights, so its nonzero pattern is a bit-pattern rule on the
+two product states: displacement when they differ in exactly one qubit,
+squeezing when they differ in two qubits that are both excited in one of
+them, heat exchange when they differ in two qubits and have equal
+excitation.
 
 Note a geometric rule of thumb ("anti-diagonal entries of an equal-excitation
 block are ineffective") holds only when the paired states are more than one
 excitation move apart; for N=2 the central block's anti-diagonal entry
 (|ge>, |eg>) is a single move and does contribute to <J+J->.  The operator
-test used here is the definition that keeps the master-equation coefficients
-exact.
+test is the definition that keeps the master-equation coefficients exact.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ from .collective import basis_ordering
 from .errors import ValidationError
 from .linalg import validate_density_matrix
 from .utils import fmt_complex, parse_complex
-
-#: Operator matrix elements below this magnitude count as zero.  The
-#: collective operators have integer entries, so this only guards rounding.
-EFFECTIVENESS_EPS = 1e-12
 
 BATH_KINDS = ("product", "thermal-hec", "dicke", "explicit")
 
@@ -275,9 +274,11 @@ def classify_coherences(rho, ops):
     """Classify every entry of a bath density matrix by its dynamical role.
 
     The entry ``rho[i, j]`` enters the expectation value ``Tr(O rho)``
-    through the operator element ``O[j, i]``, so the masks test those
-    transposed elements against :data:`EFFECTIVENESS_EPS`.  ``rho`` fixes
-    the dimension only; the classification is positional.
+    through the operator element ``O[j, i]``.  For the collective moments
+    that element is nonzero exactly when the bit patterns of the two basis
+    states satisfy the rule in the module docstring, so the masks follow
+    from the Hamming distance and the excitation difference of each pair.
+    ``rho`` fixes the dimension only; the classification is positional.
     """
     rho = np.asarray(rho)
     dim = 2**ops.N
@@ -286,19 +287,16 @@ def classify_coherences(rho, ops):
             f"classify_coherences: state shape {rho.shape} does not match "
             f"N={ops.N} (expected {dim}x{dim})"
         )
-    eps = EFFECTIVENESS_EPS
-
-    def pair_mask(op):
-        # effective through op or its adjoint; |op^dag[j,i]| == |op[i,j]|
-        return (np.abs(op.T) > eps) | (np.abs(op) > eps)
-
-    displacement = pair_mask(ops.J_minus)
-    squeezing = pair_mask(ops.J_minus_sq)
-    hec = (np.abs(ops.J_plus_J_minus) > eps) | (np.abs(ops.J_minus_J_plus) > eps)
+    order = ops.basis.order
+    exc = ops.basis.excitations
+    flips = np.bitwise_count(order[:, None] ^ order)
+    gap = np.abs(exc[:, None] - exc)
+    displacement = flips == 1
+    squeezing = (flips == 2) & (gap == 2)
+    hec = (flips == 2) & (gap == 0)
     for mask in (displacement, squeezing, hec):
-        np.fill_diagonal(mask, False)
         mask.setflags(write=False)
-    return CoherenceMap(ops.N, ops.basis.excitations, displacement, squeezing, hec)
+    return CoherenceMap(ops.N, exc, displacement, squeezing, hec)
 
 
 BATH_CSV_BASIS = "excitation-sorted"

@@ -7,7 +7,6 @@ Output files are UTF-8 with LF line endings and all floats carry 17
 significant digits, so identical inputs produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric invariant violation.
-``QOLLIDE_THREADS`` caps the sweep worker pool.
 """
 
 from __future__ import annotations
@@ -150,18 +149,6 @@ def _bath_from(args, config):
     return BathSpec.dicke(N, _get(args, config, "k", int, required=True))
 
 
-def _threads():
-    env = os.environ.get("QOLLIDE_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(
-                f"QOLLIDE_THREADS: cannot parse {env!r}"
-            ) from None
-    return min(4, os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -253,7 +240,6 @@ def cmd_sweep(args, config):
         p_e=p_e,
         n_bar=n_bar,
         k_rule=k_rule,
-        threads=_threads(),
     )
     _write(out_path, result.to_csv())
     _write(slopes_path, _json(result.slopes_dict()))
@@ -263,8 +249,8 @@ def cmd_sweep(args, config):
 def cmd_classify(args, config):
     spec = _bath_from(args, config)
     out_path = _get(args, config, "out", str)
+    ops = build_collective_ops(spec.N)  # the size cap, before allocating
     rho = validate_bath(spec)
-    ops = build_collective_ops(spec.N)
     cmap = classify_coherences(rho, ops)
     _write(out_path, _json(cmap.to_json_dict(basis=ops.basis)))
     return 0

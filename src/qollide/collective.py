@@ -19,7 +19,6 @@ The permutation to and from the raw binary ordering is exposed through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -100,72 +99,21 @@ def basis_ordering(N):
     return BasisOrdering(N, order, position, sizes, offsets, excitations)
 
 
+@dataclass(frozen=True, eq=False)
 class CollectiveOps:
     """Collective spin operators of ``N`` bath qubits in the canonical basis.
 
     ``ladder[k - 1]`` is the sub-block of ``J-`` mapping excitation block
-    ``k`` into block ``k - 1`` (shape ``C(N,k-1) x C(N,k)``); iterating over
-    these blocks lets the moment extraction scale with the sum of squared
-    block sizes instead of ``4**N``.  The dense ``2**N x 2**N`` operators
-    are assembled lazily on first access (and then cached), so moment-only
-    workloads at the top of the size range never pay for them.  All arrays
-    are read-only and safe to share across workers.
+    ``k`` into block ``k - 1`` (shape ``C(N,k-1) x C(N,k)``).  These blocks
+    are the only operator storage: ``J+`` blocks are their adjoints, and the
+    second moments ``J+J-``, ``J-J+`` and ``J-^2`` are their products, so
+    moment extraction and the collision map scale with the block sizes
+    instead of ``4**N``.  All arrays are read-only and safe to share.
     """
 
-    def __init__(self, N, basis, ladder):
-        self.N = N
-        self.basis = basis
-        self.ladder = ladder
-
-    def _dense(self, fill):
-        out = np.zeros((self.basis.dim, self.basis.dim), dtype=complex)
-        fill(out, self.basis.offsets)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def J_minus(self):
-        def fill(out, off):
-            for k in range(1, self.N + 1):
-                out[off[k - 1] : off[k], off[k] : off[k + 1]] = self.ladder[k - 1]
-
-        return self._dense(fill)
-
-    @cached_property
-    def J_plus(self):
-        out = self.J_minus.conj().T.copy()
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def J_plus_J_minus(self):
-        def fill(out, off):
-            for k in range(1, self.N + 1):
-                blk = slice(off[k], off[k + 1])
-                L = self.ladder[k - 1]
-                out[blk, blk] = L.conj().T @ L
-
-        return self._dense(fill)
-
-    @cached_property
-    def J_minus_J_plus(self):
-        def fill(out, off):
-            for k in range(0, self.N):
-                blk = slice(off[k], off[k + 1])
-                L = self.ladder[k]  # block k+1 -> k
-                out[blk, blk] = L @ L.conj().T
-
-        return self._dense(fill)
-
-    @cached_property
-    def J_minus_sq(self):
-        def fill(out, off):
-            for k in range(2, self.N + 1):
-                rows = slice(off[k - 2], off[k - 1])
-                cols = slice(off[k], off[k + 1])
-                out[rows, cols] = self.ladder[k - 2] @ self.ladder[k - 1]
-
-        return self._dense(fill)
+    N: int
+    basis: BasisOrdering
+    ladder: tuple
 
 
 def build_collective_ops(N, max_qubits=MAX_QUBITS_DEFAULT):

