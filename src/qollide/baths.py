@@ -35,13 +35,16 @@ test is the definition that keeps the master-equation coefficients exact.
 
 from __future__ import annotations
 
+import io
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .collective import basis_ordering
 from .errors import ValidationError
-from .linalg import validate_density_matrix
+from .linalg import check_unit_trace, validate_density_matrix
 from .utils import fmt_complex, parse_complex
 
 BATH_KINDS = ("product", "thermal-hec", "dicke", "explicit")
@@ -121,6 +124,12 @@ def product_mixed_state(N, p_e):
     return np.diag(diag.astype(complex))
 
 
+def check_n_bar(n_bar):
+    """Reject a mean photon number that is negative or not finite."""
+    if not 0.0 <= n_bar < math.inf:
+        raise ValidationError(f"n_bar: must be finite and >= 0, got {n_bar}")
+
+
 def thermal_hec_state(N, n_bar):
     """Collectively thermalized bath state at mean photon number ``n_bar``.
 
@@ -128,8 +137,7 @@ def thermal_hec_state(N, n_bar):
     ``d_k = (1 - r) r^k / ((1 - r^(N+1)) C(N,k))``, ``r = n_bar/(n_bar+1)``.
     Consecutive block traces are in the Gibbs ratio ``r``.
     """
-    if n_bar < 0.0:
-        raise ValidationError(f"n_bar: must be >= 0, got {n_bar}")
+    check_n_bar(n_bar)
     basis = basis_ordering(N)
     r = n_bar / (n_bar + 1.0)
     # 1 - r = 1/(n_bar + 1) exactly; avoids cancellation at large n_bar
@@ -153,7 +161,24 @@ def dicke_block_state(N, k):
 
 
 def validate_bath(spec):
-    """Materialize a :class:`BathSpec` into a validated density matrix."""
+    """Materialize a :class:`BathSpec` into a validated density matrix.
+
+    The named families are Hermitian with nonnegative weights on diagonal
+    entries or uniformly filled blocks, so they are positive for every
+    parameter their constructors accept; of their invariants only the
+    normalization can be lost to rounding (thermal-hec at very large
+    ``n_bar``), and only the trace is checked.  Explicit matrices get the
+    full :func:`validate_density_matrix` check.
+    """
+    name = f"{spec.kind} bath"
+    if spec.kind == "explicit":
+        if spec.rho is None:
+            raise ValidationError("rho: required for an explicit bath")
+        if spec.rho.shape != (2**spec.N, 2**spec.N):
+            raise ValidationError(
+                f"rho: shape {spec.rho.shape} does not match N={spec.N}"
+            )
+        return validate_density_matrix(np.asarray(spec.rho, dtype=complex), name=name)
     if spec.kind == "product":
         if spec.p_e is None:
             raise ValidationError("p_e: required for a product bath")
@@ -166,17 +191,10 @@ def validate_bath(spec):
         if spec.k is None:
             raise ValidationError("k: required for a dicke bath")
         rho = dicke_block_state(spec.N, spec.k)
-    elif spec.kind == "explicit":
-        if spec.rho is None:
-            raise ValidationError("rho: required for an explicit bath")
-        if spec.rho.shape != (2**spec.N, 2**spec.N):
-            raise ValidationError(
-                f"rho: shape {spec.rho.shape} does not match N={spec.N}"
-            )
-        rho = np.asarray(spec.rho, dtype=complex)
     else:  # unreachable, kinds checked in __post_init__
         raise ValidationError(f"bath kind: unknown {spec.kind!r}")
-    return validate_density_matrix(rho, name=f"{spec.kind} bath")
+    check_unit_trace(rho, name=name)
+    return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,35 +321,45 @@ BATH_CSV_BASIS = "excitation-sorted"
 
 
 def bath_to_csv(rho, N):
-    """Serialize a bath matrix in canonical order to the CSV wire format."""
-    lines = [f"N={N},basis={BATH_CSV_BASIS}"]
-    for row in np.asarray(rho, dtype=complex):
-        lines.append(",".join(fmt_complex(z) for z in row))
+    """Serialize a bath matrix in canonical order to the CSV wire format.
+
+    Each distinct value is formatted once: bath states repeat few values
+    (a ladder state has ``N + 2`` of them, counting zero).  Values that
+    compare equal format identically, ``-0.0`` included, and NaNs are kept
+    apart, so the text is the same as entry by entry.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    values, inverse = np.unique(rho.ravel(), return_inverse=True, equal_nan=False)
+    cells = np.array([fmt_complex(z) for z in values], dtype=object)
+    rows = cells[inverse].reshape(rho.shape).tolist()
+    lines = [f"N={N},basis={BATH_CSV_BASIS}", *(",".join(row) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
-def bath_from_csv(text):
-    """Parse the CSV wire format; returns ``(N, rho)`` without validation."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValidationError("bath csv: empty input")
-    header = lines[0].replace(" ", "")
+def _parse_header(line):
+    header = line.replace(" ", "")
     if not header.startswith("N=") or f",basis={BATH_CSV_BASIS}" not in header:
         raise ValidationError(
             f"bath csv: header must be 'N=<n>,basis={BATH_CSV_BASIS}', "
-            f"got {lines[0]!r}"
+            f"got {line!r}"
         )
     try:
-        N = int(header[2:].split(",")[0])
+        return int(header[2:].split(",")[0])
     except ValueError as exc:
-        raise ValidationError(f"bath csv: cannot parse N from {lines[0]!r}") from exc
+        raise ValidationError(f"bath csv: cannot parse N from {line!r}") from exc
+
+
+def _parse_rows(text, N):
+    """Entry-by-entry parse of the rows after the header: accepts every form
+    :func:`parse_complex` does and names the first offending row."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     dim = 2**N
-    if len(lines) - 1 != dim:
+    if len(lines) != dim:
         raise ValidationError(
-            f"bath csv: expected {dim} rows for N={N}, got {len(lines) - 1}"
+            f"bath csv: expected {dim} rows for N={N}, got {len(lines)}"
         )
     rho = np.zeros((dim, dim), dtype=complex)
-    for i, line in enumerate(lines[1:]):
+    for i, line in enumerate(lines):
         tokens = line.split(",")
         if len(tokens) != dim:
             raise ValidationError(
@@ -341,7 +369,41 @@ def bath_from_csv(text):
             rho[i] = [parse_complex(t) for t in tokens]
         except ValueError as exc:
             raise ValidationError(f"bath csv: bad entry in row {i}: {exc}") from exc
-    return N, rho
+    return rho
+
+
+def _read_bath(fh):
+    """Read the CSV wire format from a seekable text stream.
+
+    The rows are streamed into one ``np.loadtxt``; only when that fails or
+    gives the wrong shape are they parsed again entry by entry, which
+    accepts the spaced or upper-case forms ``complex()`` takes (``1 + 2j``,
+    ``1+2J``), skips whitespace-only lines and reports what is wrong.
+    """
+    for line in iter(fh.readline, ""):
+        if line.strip():
+            break
+    else:
+        raise ValidationError("bath csv: empty input")
+    N = _parse_header(line.rstrip("\n"))
+    dim = 2**N
+    start = fh.tell()
+    try:
+        with warnings.catch_warnings():
+            # an empty body is reported as a row-count error below
+            warnings.simplefilter("ignore", UserWarning)
+            rho = np.loadtxt(fh, dtype=complex, delimiter=",", ndmin=2, comments=None)
+        if rho.shape == (dim, dim):
+            return N, rho
+    except ValueError:
+        pass
+    fh.seek(start)
+    return N, _parse_rows(fh.read(), N)
+
+
+def bath_from_csv(text):
+    """Parse the CSV wire format; returns ``(N, rho)`` without validation."""
+    return _read_bath(io.StringIO(text, newline=None))
 
 
 def save_bath_csv(path, rho, N):
@@ -350,5 +412,6 @@ def save_bath_csv(path, rho, N):
 
 
 def load_bath_csv(path):
+    """Read a bath CSV file; returns ``(N, rho)`` without validation."""
     with open(path, "r", encoding="utf-8") as fh:
-        return bath_from_csv(fh.read())
+        return _read_bath(fh)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import validate_bath
+from .baths import check_n_bar, validate_bath
 from .collective import build_collective_ops, dicke_ladder_transform
 from .errors import NumericError, ValidationError
 from .linalg import validate_density_matrix
@@ -544,8 +544,7 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     """
     if N < 1:
         raise ValidationError(f"N: must be >= 1, got {N}")
-    if n_bar < 0.0:
-        raise ValidationError(f"n_bar: must be >= 0, got {n_bar}")
+    check_n_bar(n_bar)
     if gamma0 <= 0.0:
         raise ValidationError(f"gamma0: must be positive, got {gamma0}")
     if dt <= 0.0:

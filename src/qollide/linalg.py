@@ -1,9 +1,11 @@
 """Dense complex linear algebra primitives.
 
 Everything operates on plain ``numpy`` arrays of ``complex128``.  Density
-matrices are Hermitian, unit-trace, positive-semidefinite square matrices;
-validation is opt-in (:func:`validate_density_matrix`) so that inner loops
-stay cheap.  Bath states are stored densely, which is adequate at the
+matrices are finite, Hermitian, unit-trace, positive-semidefinite square
+matrices; validation is opt-in (:func:`validate_density_matrix`) so that
+inner loops stay cheap.  Positivity is decided by one Cholesky factorization
+of the shifted Hermitian part; an eigendecomposition runs only to confirm and
+report a failure.  Bath states are stored densely, which is adequate at the
 documented limit of N <= 12 bath qubits, but the engines work on their
 excitation blocks and never assemble a ``2**N x 2**N`` operator.
 :func:`matrix_exp` and :func:`partial_trace_bath` are kept as the dense
@@ -110,6 +112,16 @@ def expectation(op, rho):
     return complex(np.einsum("ij,ji->", op, rho))
 
 
+def check_unit_trace(rho, *, tol_trace=TOL_TRACE, name="rho"):
+    """Raise :class:`ValidationError` unless ``|Tr(rho) - 1| <= tol_trace``."""
+    trace_dev = abs(np.trace(rho) - 1.0)
+    if trace_dev > tol_trace:
+        raise ValidationError(
+            f"{name}: trace check failed (|Tr(rho) - 1| = {trace_dev:.3e}, "
+            f"tol {tol_trace:.1e})"
+        )
+
+
 def validate_density_matrix(
     rho,
     *,
@@ -120,11 +132,20 @@ def validate_density_matrix(
 ):
     """Check the density-matrix invariants and return the validated array.
 
-    Checks, in order: square shape, hermiticity (``tol_herm``), unit trace
-    (``tol_trace``) and positivity (smallest eigenvalue >= ``-tol_psd``).
+    Checks, in order: finite entries, square shape, hermiticity
+    (``tol_herm``), unit trace (``tol_trace``) and positivity (smallest
+    eigenvalue >= ``-tol_psd``).  Positivity is accepted when the Hermitian
+    part shifted by ``tol_psd`` has a Cholesky factorization; only if it has
+    none is the smallest eigenvalue computed, to confirm and report it.
     Raises :class:`ValidationError` naming the failing check.
     """
     rho = as_complex_matrix(rho)
+    finite = np.isfinite(rho)
+    if not finite.all():
+        raise ValidationError(
+            f"{name}: finiteness check failed "
+            f"({rho.size - np.count_nonzero(finite)} non-finite entries)"
+        )
     n, m = rho.shape
     if n != m:
         raise ValidationError(f"{name}: shape check failed, matrix is {n}x{m}")
@@ -134,16 +155,19 @@ def validate_density_matrix(
             f"{name}: hermiticity check failed (max |rho - rho^dag| = "
             f"{herm_dev:.3e}, tol {tol_herm:.1e})"
         )
-    trace_dev = abs(np.trace(rho) - 1.0)
-    if trace_dev > tol_trace:
-        raise ValidationError(
-            f"{name}: trace check failed (|Tr(rho) - 1| = {trace_dev:.3e}, "
-            f"tol {tol_trace:.1e})"
-        )
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
-    if min_eig < -tol_psd:
-        raise ValidationError(
-            f"{name}: positivity check failed (min eigenvalue = {min_eig:.3e}, "
-            f"tol {tol_psd:.1e})"
-        )
+    check_unit_trace(rho, tol_trace=tol_trace, name=name)
+    shifted = (rho + rho.conj().T) / 2.0
+    shifted[np.diag_indices(n)] += tol_psd
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        # the factorization can fail by rounding when the smallest
+        # eigenvalue sits at -tol_psd, so the eigenvalue decides and is
+        # reported
+        min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+        if min_eig < -tol_psd:
+            raise ValidationError(
+                f"{name}: positivity check failed (min eigenvalue = "
+                f"{min_eig:.3e}, tol {tol_psd:.1e})"
+            ) from None
     return rho

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import BathSpec, validate_bath
+from .baths import BathSpec, check_n_bar, validate_bath
 from .collective import build_collective_ops, j_z_diagonal
 from .errors import NumericError, ValidationError
 
@@ -203,8 +203,7 @@ def coefficients_thermal_hec(N, n_bar, params):
     ``r_e = sum_{k=1..N} (1-r) r^k k (N-k+1) / (1 - r^(N+1))`` and ``r_d``
     the same sum with ``r^(k-1)``, so ``r_e / r_d = r`` exactly.
     """
-    if n_bar < 0.0:
-        raise ValidationError(f"n_bar: must be >= 0, got {n_bar}")
+    check_n_bar(n_bar)
     r = n_bar / (n_bar + 1.0)
     # 1 - r = 1/(n_bar + 1) exactly; avoids cancellation at large n_bar
     norm = (1.0 / (n_bar + 1.0)) / (1.0 - r ** (N + 1))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qollide import CollisionParams, build_collective_ops
+from qollide.linalg import TOL_HERM, TOL_PSD, TOL_TRACE
 
 
 @functools.lru_cache(maxsize=None)
@@ -26,6 +27,17 @@ def params():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240517)
+
+
+def eigvalsh_oracle_accepts(rho):
+    """The dense density-matrix check by a full eigendecomposition:
+    hermiticity, unit trace and smallest eigenvalue >= -TOL_PSD."""
+    herm = (rho + rho.conj().T) / 2.0
+    return bool(
+        np.max(np.abs(rho - rho.conj().T)) <= TOL_HERM
+        and abs(np.trace(rho) - 1.0) <= TOL_TRACE
+        and np.linalg.eigvalsh(herm)[0] >= -TOL_PSD
+    )
 
 
 def random_density_matrix(rng, dim):

@@ -13,6 +13,7 @@ from qollide import (
     coefficients_from_state,
     dicke_block_state,
     load_bath_csv,
+    prepare_thermal_dicke,
     product_mixed_state,
     save_bath_csv,
     symmetric_dicke_vector,
@@ -21,7 +22,14 @@ from qollide import (
     validate_density_matrix,
 )
 
-from conftest import cached_ops, dense_ops
+from qollide.utils import fmt_complex
+
+from conftest import (
+    cached_ops,
+    dense_ops,
+    eigvalsh_oracle_accepts,
+    random_density_matrix,
+)
 from test_collective import canonical_index
 
 
@@ -142,6 +150,63 @@ class TestValidateBath:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError, match="kind"):
             BathSpec(N=2, kind="squeezed")
+
+    @pytest.mark.parametrize("n_bar", [np.inf, -np.inf, np.nan])
+    def test_non_finite_n_bar(self, n_bar):
+        with pytest.raises(ValidationError, match="n_bar: must be finite"):
+            validate_bath(BathSpec.thermal_hec(3, n_bar))
+
+
+def _named_specs(N, rng):
+    yield BathSpec.product_mixed(N, float(rng.uniform()))
+    yield BathSpec.product_mixed(N, 0.0)
+    yield BathSpec.product_mixed(N, 1.0)
+    yield BathSpec.thermal_hec(N, float(rng.exponential(2.0)))
+    yield BathSpec.thermal_hec(N, 0.0)
+    yield BathSpec.dicke(N, int(rng.integers(0, N + 1)))
+    yield BathSpec.dicke(N, 0)
+    yield BathSpec.dicke(N, N)
+
+
+class TestNamedFamiliesCheckedFromParameters:
+    """``validate_bath`` skips the dense positivity check for the named
+    families; the states it returns must be the constructors' and pass it."""
+
+    CONSTRUCTORS = {
+        "product": lambda s: product_mixed_state(s.N, s.p_e),
+        "thermal-hec": lambda s: thermal_hec_state(s.N, s.n_bar),
+        "dicke": lambda s: dicke_block_state(s.N, s.k),
+    }
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_constructor_output_passes_dense_oracle(self, N):
+        rng = np.random.default_rng(1000 + N)
+        for spec in _named_specs(N, rng):
+            rho = validate_bath(spec)
+            expected = self.CONSTRUCTORS[spec.kind](spec)
+            assert np.array_equal(rho, expected)
+            assert eigvalsh_oracle_accepts(rho), spec.describe()
+
+    def test_no_dense_factorization(self, monkeypatch):
+        def dense(a):
+            raise AssertionError("dense check run on a named family")
+
+        monkeypatch.setattr(np.linalg, "cholesky", dense)
+        monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+        for spec in _named_specs(6, np.random.default_rng(6)):
+            validate_bath(spec)
+
+    @pytest.mark.parametrize("n_bar", [1e6, 1e8, 1e12])
+    def test_large_n_bar_decision_matches_dense_check(self, n_bar):
+        # the block weights lose their normalization at large n_bar; the
+        # trace check still rejects exactly what the full check rejects
+        spec = BathSpec.thermal_hec(4, n_bar)
+        accepted = eigvalsh_oracle_accepts(thermal_hec_state(4, n_bar))
+        if accepted:
+            validate_bath(spec)
+        else:
+            with pytest.raises(ValidationError, match="trace check failed"):
+                validate_bath(spec)
 
 
 class TestClassification:
@@ -297,3 +362,98 @@ class TestBathCsv:
         rho = np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.5]], dtype=complex)
         n, back = bath_from_csv(bath_to_csv(rho, 1))
         np.testing.assert_allclose(back, rho, atol=0)
+
+    @staticmethod
+    def _per_entry_csv(rho, N):
+        """Reference writer: one ``fmt_complex`` call per entry."""
+        lines = [f"N={N},basis=excitation-sorted"]
+        for row in np.asarray(rho, dtype=complex):
+            lines.append(",".join(fmt_complex(z) for z in row))
+        return "\n".join(lines) + "\n"
+
+    def test_writer_matches_per_entry_full_rank(self, rng):
+        rho = random_density_matrix(rng, 2**5)
+        assert bath_to_csv(rho, 5) == self._per_entry_csv(rho, 5)
+
+    def test_writer_matches_per_entry_ladder_state(self):
+        _, rho = prepare_thermal_dicke(8, 0.5, 1.0, t_end=5.0, dt=0.01)
+        assert len(np.unique(rho)) < 20
+        assert bath_to_csv(rho, 8) == self._per_entry_csv(rho, 8)
+
+    def test_writer_matches_per_entry_signed_zeros_and_non_finite(self):
+        z = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
+             complex(-0.0, -0.0), np.nan, complex(0.0, np.nan),
+             complex(np.nan, 1.0), complex(np.inf, -np.inf), 0.25, -0.25j,
+             complex(-0.0, 0.25), complex(0.25, -0.0)]
+        rho = np.array(z + z[:3], dtype=complex).reshape(4, 4)
+        text = bath_to_csv(rho, 2)
+        assert text == self._per_entry_csv(rho, 2)
+        assert "-0j" not in text and ",-0+" not in text
+
+    def test_file_and_text_readers_bit_identical(self, rng, tmp_path):
+        rho = random_density_matrix(rng, 2**6)
+        path = tmp_path / "rho.csv"
+        save_bath_csv(path, rho, 6)
+        n_file, from_file = load_bath_csv(path)
+        n_text, from_text = bath_from_csv(path.read_text())
+        assert n_file == n_text == 6
+        assert from_file.tobytes() == from_text.tobytes() == rho.tobytes()
+
+    def test_write_read_write_identical_bytes(self, rng, tmp_path):
+        rho = random_density_matrix(rng, 2**4)
+        first = bath_to_csv(rho, 4)
+        path = tmp_path / "rho.csv"
+        path.write_text(first)
+        n, back = load_bath_csv(path)
+        assert bath_to_csv(back, n) == first
+
+    @pytest.mark.parametrize("token", ["1 + 2j", "1+2J", "(1+2j)", " 1+2j ", "1_0+2j"])
+    def test_lenient_entries_accepted(self, token):
+        text = f"N=1,basis=excitation-sorted\n{token},0\n0,{token}\n"
+        n, rho = bath_from_csv(text)
+        expected = complex(token.strip().replace(" ", ""))
+        assert rho[0, 0] == rho[1, 1] == expected
+        assert rho[0, 1] == rho[1, 0] == 0.0
+
+    @pytest.mark.parametrize("blank", ["", "   ", "\t"])
+    def test_blank_lines_skipped(self, blank, tmp_path):
+        text = (
+            f"{blank}\nN=1,basis=excitation-sorted\n{blank}\n"
+            f"0.5+0j,0.25j\n{blank}\n-0.25j,0.5+0j\n{blank}\n"
+        )
+        expected = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+        path = tmp_path / "rho.csv"
+        path.write_text(text)
+        for n, rho in (bath_from_csv(text), load_bath_csv(path)):
+            assert n == 1
+            assert np.array_equal(rho, expected)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1+0j,0+0j\n0+0j\n", "bath csv: row 1 has 1 entries, expected 2"),
+            (
+                "1+0j,0+0j\n0+0j,abc\n",
+                "bath csv: bad entry in row 1: complex() arg is a malformed string",
+            ),
+            (
+                "1+0j,0+0j\n0+0j,1+0j # note\n",
+                "bath csv: bad entry in row 1: complex() arg is a malformed string",
+            ),
+            ("1+0j,0+0j\n0+0j,0+0j\n0+0j,0+0j\n", "bath csv: expected 2 rows for N=1, got 3"),
+            ("", "bath csv: expected 2 rows for N=1, got 0"),
+        ],
+        ids=["ragged", "bad-token", "no-comments", "row-count", "no-rows"],
+    )
+    def test_malformed_body_messages(self, body, message, tmp_path):
+        text = "N=1,basis=excitation-sorted\n" + body
+        path = tmp_path / "rho.csv"
+        path.write_text(text)
+        for read in (lambda: bath_from_csv(text), lambda: load_bath_csv(path)):
+            with pytest.raises(ValidationError) as info:
+                read()
+            assert str(info.value) == message
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValidationError, match="empty input"):
+            bath_from_csv(" \n\n")

@@ -17,6 +17,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_config_error(result, *fragments):
+    """Exit 2 with a one-line ``error:`` message and nothing written."""
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
 class TestParseNRange:
     def test_colon_range(self):
         assert parse_n_range("4:64:4") == list(range(4, 65, 4))
@@ -68,6 +78,19 @@ class TestCoeffs:
         payload = json.loads(out)
         assert payload["coefficients"]["r_e"] == pytest.approx(1.0, abs=1e-12)
         assert payload["coefficients"]["r_d"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_nan_entry_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "rho.csv"
+        path.write_text("N=1,basis=excitation-sorted\nnan+0j,0+0j\n0+0j,1+0j\n")
+        result = run(capsys, "coeffs", "--bath", "explicit", "--file", str(path))
+        assert_config_error(result, "finiteness check failed")
+
+    @pytest.mark.parametrize("n_bar", ["inf", "nan"])
+    def test_non_finite_nbar_exit_2(self, capsys, n_bar):
+        result = run(
+            capsys, "coeffs", "--bath", "thermal-hec", "--N", "4", "--nbar", n_bar
+        )
+        assert_config_error(result, "n_bar: must be finite")
 
     def test_missing_field_exit_2(self, capsys):
         code, _, err = run(capsys, "coeffs", "--bath", "dicke", "--N", "8")
@@ -187,6 +210,15 @@ class TestEvolve:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "N=20" in err
 
+    @pytest.mark.parametrize("n_bar", ["inf", "nan"])
+    def test_collisions_non_finite_nbar_exit_2(self, capsys, n_bar):
+        result = run(
+            capsys, "evolve", "--engine", "collisions",
+            "--bath", "thermal-hec", "--N", "4", "--nbar", n_bar,
+            "--t-end", "0.01", "--dt", "0.001",
+        )
+        assert_config_error(result, "n_bar: must be finite")
+
     def test_stochastic_seeded_reruns_identical(self, capsys, tmp_path):
         args = [
             "evolve", "--engine", "collisions", "--scheme", "stochastic",
@@ -259,6 +291,13 @@ class TestSweep:
             assert code == 0
             outputs.append(csv_path.read_bytes() + slopes_path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("n_bar", ["inf", "nan"])
+    def test_thermal_hec_non_finite_nbar_exit_2(self, capsys, n_bar):
+        result = run(
+            capsys, "sweep", "--family", "thermal-hec", "--N", "4:8", "--nbar", n_bar
+        )
+        assert_config_error(result, "n_bar: must be finite")
 
     def test_missing_krule_exit_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "dicke", "--N", "4:8:4")
@@ -413,6 +452,16 @@ class TestPrepare:
         assert code == 0
         _, rho = bath_from_csv(state_path.read_text())
         np.testing.assert_allclose(rho, thermal_hec_state(2, 1.0), atol=1e-6)
+
+    @pytest.mark.parametrize("n_bar", ["inf", "nan"])
+    def test_non_finite_nbar_exit_2(self, capsys, tmp_path, n_bar):
+        state = tmp_path / "state.csv"
+        result = run(
+            capsys, "prepare", "--N", "4", "--nbar", n_bar, "--gamma0", "1",
+            "--t-end", "1", "--dt", "0.1", "--out-state", str(state),
+        )
+        assert_config_error(result, "n_bar: must be finite")
+        assert not state.exists()
 
     def test_numeric_failure_exit_3(self, capsys, tmp_path):
         code, _, err = run(

@@ -12,8 +12,9 @@ from qollide import (
     validate_density_matrix,
 )
 from qollide.errors import NumericError
+from qollide.linalg import TOL_PSD
 
-from conftest import dense_ops, random_density_matrix
+from conftest import dense_ops, eigvalsh_oracle_accepts, random_density_matrix
 
 I2 = np.eye(2, dtype=complex)
 
@@ -143,3 +144,68 @@ class TestValidateDensityMatrix:
     def test_non_square_named(self):
         with pytest.raises(ValidationError):
             validate_density_matrix(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_named(self, bad):
+        rho = np.eye(2, dtype=complex) / 2.0
+        rho[0, 0] = bad
+        with pytest.raises(ValidationError, match="finiteness"):
+            validate_density_matrix(rho)
+
+
+def _with_spectrum(rng, eigenvalues):
+    """Hermitian matrix with the given eigenvalues in a random eigenbasis."""
+    dim = len(eigenvalues)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(g)
+    return (q * np.asarray(eigenvalues)) @ q.conj().T
+
+
+class TestCholeskyPositivity:
+    """The Cholesky decision of :func:`validate_density_matrix` against an
+    ``eigvalsh`` oracle, around the ``-tol_psd`` threshold and at zero."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 31, 64])
+    @pytest.mark.parametrize(
+        "min_eig",
+        [-TOL_PSD * (1 + 1e-3), -TOL_PSD * (1 - 1e-3), 0.0, 1e-3],
+        ids=["below-tol", "above-tol", "zero", "positive"],
+    )
+    def test_decision_matches_eigvalsh(self, rng, dim, min_eig):
+        rest = rng.uniform(0.5, 1.5, size=dim - 1)
+        rest *= (1.0 - min_eig) / rest.sum()
+        rho = _with_spectrum(rng, [min_eig, *rest])
+        expected = eigvalsh_oracle_accepts(rho)
+        assert expected == (min_eig >= -TOL_PSD)
+        if expected:
+            assert validate_density_matrix(rho) is not None
+        else:
+            with pytest.raises(ValidationError, match="positivity") as info:
+                validate_density_matrix(rho)
+            assert "min eigenvalue = -1.001e-08" in str(info.value)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 31, 64])
+    def test_rank_deficient_pure_states_accepted(self, rng, dim):
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        rho = np.outer(psi, psi.conj())
+        assert eigvalsh_oracle_accepts(rho)
+        validate_density_matrix(rho)
+
+    def test_accepted_states_need_no_eigendecomposition(self, rng, monkeypatch):
+        def no_eigvalsh(a):
+            raise AssertionError("eigvalsh called on an accepted state")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        psi = np.zeros(16, dtype=complex)
+        psi[3] = 1.0
+        for rho in (random_density_matrix(rng, 16), np.outer(psi, psi)):
+            validate_density_matrix(rho)
+
+    def test_zero_tolerance_confirmed_by_eigvalsh(self):
+        # no shift: the factorization of a singular matrix fails, and the
+        # eigenvalue decides (and reports) as before
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        validate_density_matrix(rho, tol_psd=0.0)
+        with pytest.raises(ValidationError, match="positivity"):
+            validate_density_matrix(np.diag([1.0 + 1e-12, -1e-12]), tol_psd=0.0)

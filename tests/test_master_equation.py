@@ -129,6 +129,11 @@ class TestClosedFormsAgainstBruteForce:
         assert c.r_e == 0.0
         assert c.r_d == pytest.approx(5.0, abs=1e-14)
 
+    @pytest.mark.parametrize("n_bar", [math.inf, -math.inf, math.nan, -0.5])
+    def test_thermal_rejects_non_finite_or_negative_n_bar(self, n_bar):
+        with pytest.raises(ValidationError, match="n_bar: must be finite and >= 0"):
+            coefficients_thermal_hec(4, n_bar, PARAMS)
+
     @given(n_bar=st.floats(0.0, 50.0), N=st.integers(1, 10))
     @settings(max_examples=60, deadline=None)
     def test_thermal_ratio_is_gibbs_factor(self, n_bar, N):
