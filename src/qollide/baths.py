@@ -130,6 +130,25 @@ def check_n_bar(n_bar):
         raise ValidationError(f"n_bar: must be finite and >= 0, got {n_bar}")
 
 
+def thermal_hec_weights(N, n_bar):
+    """Gibbs ratio ``r = n_bar/(n_bar+1)`` and normalization
+    ``(1 - r) / (1 - r^(N+1))`` of the thermal-hec block traces ``norm r^k``.
+
+    Raises :class:`ValidationError` when ``n_bar`` is so large that ``r``
+    rounds close enough to 1 for ``1 - r^(N+1)`` to be 0.
+    """
+    check_n_bar(n_bar)
+    r = n_bar / (n_bar + 1.0)
+    denom = 1.0 - r ** (N + 1)
+    if denom == 0.0:
+        raise ValidationError(
+            f"n_bar: {n_bar} is too large for N={N}; the thermal-hec "
+            "normalization 1 - r^(N+1) rounds to 0"
+        )
+    # 1 - r = 1/(n_bar + 1) exactly; avoids cancellation at large n_bar
+    return r, (1.0 / (n_bar + 1.0)) / denom
+
+
 def thermal_hec_state(N, n_bar):
     """Collectively thermalized bath state at mean photon number ``n_bar``.
 
@@ -137,11 +156,8 @@ def thermal_hec_state(N, n_bar):
     ``d_k = (1 - r) r^k / ((1 - r^(N+1)) C(N,k))``, ``r = n_bar/(n_bar+1)``.
     Consecutive block traces are in the Gibbs ratio ``r``.
     """
-    check_n_bar(n_bar)
+    r, norm = thermal_hec_weights(N, n_bar)
     basis = basis_ordering(N)
-    r = n_bar / (n_bar + 1.0)
-    # 1 - r = 1/(n_bar + 1) exactly; avoids cancellation at large n_bar
-    norm = (1.0 / (n_bar + 1.0)) / (1.0 - r ** (N + 1))
     rho = np.zeros((basis.dim, basis.dim), dtype=complex)
     for k in range(N + 1):
         blk = basis.block_slice(k)

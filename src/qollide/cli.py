@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -177,9 +178,11 @@ def cmd_evolve(args, config):
     spec = _bath_from(args, config)
     params = _params_from(args, config)
     t_end = _get(args, config, "t_end", float, required=True)
-    if t_end < 0.0:
-        raise ValidationError(f"t_end: must be >= 0, got {t_end}")
+    if not 0.0 <= t_end < math.inf:
+        raise ValidationError(f"t_end: must be finite and >= 0, got {t_end}")
     dt = _get(args, config, "dt", float)
+    if dt is not None and not math.isfinite(dt):
+        raise ValidationError(f"dt: must be finite, got {dt}")
     n_points = _get(args, config, "n_points", int, 101 if engine == "analytic" else None)
     mode = _get(args, config, "mode", str, "exact", choices=MODES)
     scheme = _get(args, config, "scheme", str, "deterministic", choices=SCHEMES)

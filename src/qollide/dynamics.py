@@ -39,6 +39,10 @@ MAX_EXACT_QUBITS = 10
 TRAJECTORY_CSV_HEADER = "t,mu_t,rho_ee,rho_gg,re_rho_eg,im_rho_eg,temperature,entropy"
 SWEEP_CSV_HEADER = "N,k,r_e,r_d,t_q,T_q"
 
+_CSV_ROW = ",".join(["%.17g"] * len(TRAJECTORY_CSV_HEADER.split(","))) + "\n"
+#: Trajectory CSV rows per formatting call; bounds the Python floats alive at once.
+_CSV_CHUNK = 512
+
 
 # ---------------------------------------------------------------------------
 # qubit states
@@ -140,25 +144,41 @@ def _require_thermal_only(c):
         )
 
 
-def evolve_analytic(rho0, c, t):
-    """Closed-form target state at time ``t`` for the thermal-only channel.
+def _exp_each(x):
+    """``math.exp`` of every entry of the 1-D ``x``; ``np.exp`` can round
+    differently, and the closed forms below keep the scalar bits."""
+    return np.fromiter(map(math.exp, x.tolist()), dtype=float, count=len(x))
+
+
+def _temperatures(ee, gg):
+    """:func:`temperature_from_populations` of every pair of 1-D populations."""
+    temps = map(temperature_from_populations, ee.tolist(), gg.tolist())
+    return np.fromiter(temps, dtype=float, count=len(ee))
+
+
+def _analytic_states(rho0, c, times):
+    """Closed-form target states at the 1-D ``times``, stacked ``(n, 2, 2)``.
 
     ``rho_ee(t) = (r_e + c0 exp(-t/t_q)) / (r_e + r_d)`` with
     ``c0 = r_d rho_ee(0) - r_e rho_gg(0)``; the coherence decays with twice
-    the thermalization time.
+    the thermalization time.  Without coupling every state is ``rho0``.
     """
     _require_thermal_only(c)
     rho0 = np.asarray(rho0, dtype=complex)
     total = c.r_e + c.r_d
     if c.mu * total <= 0.0:
-        return rho0.copy()
+        return np.repeat(rho0[None], len(times), axis=0)
     t_q = 1.0 / (c.mu * total)
-    ee0 = rho0[0, 0].real
-    gg0 = rho0[1, 1].real
-    c0 = c.r_d * ee0 - c.r_e * gg0
-    ee = (c.r_e + c0 * math.exp(-t / t_q)) / total
-    eg = rho0[0, 1] * math.exp(-t / (2.0 * t_q))
-    return np.array([[ee, eg], [np.conj(eg), 1.0 - ee]], dtype=complex)
+    c0 = c.r_d * rho0[0, 0].real - c.r_e * rho0[1, 1].real
+    ee = (c.r_e + c0 * _exp_each(-times / t_q)) / total
+    eg = rho0[0, 1] * _exp_each(-times / (2.0 * t_q))
+    return np.stack((ee, eg, np.conj(eg), 1.0 - ee), axis=1).reshape(-1, 2, 2)
+
+
+def evolve_analytic(rho0, c, t):
+    """Closed-form target state at time ``t`` for the thermal-only channel
+    (the one-time case of :func:`analytic_trajectory`)."""
+    return _analytic_states(rho0, c, np.array([t], dtype=float))[0]
 
 
 def temperature_trajectory(c, t_grid):
@@ -172,15 +192,12 @@ def temperature_trajectory(c, t_grid):
     if c.r_e <= 0.0:
         raise ValidationError("temperature_trajectory: r_e must be positive")
     total = c.r_e + c.r_d
-    if c.mu <= 0.0:
-        return np.zeros(np.asarray(t_grid, dtype=float).shape)
-    t_q = 1.0 / (c.mu * total)
     t_grid = np.asarray(t_grid, dtype=float)
-    out = np.empty(t_grid.shape, dtype=float)
-    for idx, t in np.ndenumerate(t_grid):
-        ee = c.r_e * (1.0 - math.exp(-t / t_q)) / total
-        out[idx] = temperature_from_populations(ee, 1.0 - ee)
-    return out
+    if c.mu <= 0.0:
+        return np.zeros(t_grid.shape)
+    t_q = 1.0 / (c.mu * total)
+    ee = c.r_e * (1.0 - _exp_each(-t_grid.ravel() / t_q)) / total
+    return _temperatures(ee, 1.0 - ee).reshape(t_grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +210,9 @@ class Trajectory:
 
     ``temperature`` is computed from the populations only; records with
     residual coherence above :data:`COHERENCE_FLAG_TOL` set
-    ``has_coherence``.
+    ``has_coherence``.  All records are post-processed at once: one stacked
+    ``eigvalsh`` gives every entropy, and the temperatures map
+    :func:`temperature_from_populations` over the populations.
     """
 
     times: np.ndarray
@@ -219,10 +238,11 @@ class Trajectory:
             raise ValidationError("Trajectory: times must be strictly increasing")
         ee = states[:, 0, 0].real
         gg = states[:, 1, 1].real
-        temps = np.array(
-            [temperature_from_populations(e, g) for e, g in zip(ee, gg)]
-        )
-        ents = np.array([entropy(s) for s in states])
+        temps = _temperatures(ee, gg)
+        # the same sum as :func:`entropy`, with 0 ln 0 := 0
+        w = np.clip(np.linalg.eigvalsh(states), 0.0, 1.0)
+        terms = np.where(w > 0.0, w * np.log(np.where(w > 0.0, w, 1.0)), 0.0)
+        ents = -(terms[:, 0] + terms[:, 1])
         flagged = bool(np.any(np.abs(states[:, 0, 1]) > COHERENCE_FLAG_TOL))
         return cls(times, float(mu), states, ee, temps, ents, flagged)
 
@@ -234,33 +254,38 @@ class Trajectory:
         return len(self.times)
 
     def to_csv(self):
-        lines = [TRAJECTORY_CSV_HEADER]
-        for t, state, temp, ent in zip(
-            self.times, self.states, self.temperature, self.entropy
-        ):
-            eg = state[0, 1]
-            lines.append(
-                ",".join(
-                    fmt_float(x)
-                    for x in (
-                        t,
-                        self.mu * t,
-                        state[0, 0].real,
-                        state[1, 1].real,
-                        eg.real,
-                        eg.imag,
-                        temp,
-                        ent,
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
+        """CSV text, one row per record with every float as ``%.17g``.
+
+        Rows are formatted :data:`_CSV_CHUNK` at a time from a column stack;
+        adding ``0.0`` writes ``-0.0`` as ``0``, as :func:`fmt_float` does.
+        """
+        ee, eg, gg = self.states[:, 0, 0], self.states[:, 0, 1], self.states[:, 1, 1]
+        cols = np.column_stack(
+            (self.times, self.mu * self.times, ee.real, gg.real, eg.real, eg.imag,
+             self.temperature, self.entropy)
+        ) + 0.0
+        parts = [TRAJECTORY_CSV_HEADER + "\n"]
+        for start in range(0, len(cols), _CSV_CHUNK):
+            chunk = cols[start : start + _CSV_CHUNK]
+            parts.append(_CSV_ROW * len(chunk) % tuple(chunk.ravel().tolist()))
+        return "".join(parts)
 
 
 def analytic_trajectory(rho0, c, times):
-    """Trajectory of :func:`evolve_analytic` states on the given grid."""
-    states = [evolve_analytic(rho0, c, t) for t in np.asarray(times, dtype=float)]
-    return Trajectory.from_states(times, states, c.mu)
+    """Trajectory of the closed-form states (see :func:`evolve_analytic`)
+    on the given grid, built as one ``(n, 2, 2)`` stack."""
+    times = np.asarray(times, dtype=float)
+    return Trajectory.from_states(times, _analytic_states(rho0, c, times), c.mu)
+
+
+def _step_count(t_end, dt):
+    """Number of whole steps ``dt`` up to ``t_end``, after checking that
+    ``dt`` is finite and positive and ``t_end`` finite and nonnegative."""
+    if not 0.0 < dt < math.inf:
+        raise ValidationError(f"dt: must be finite and positive, got {dt}")
+    if not 0.0 <= t_end < math.inf:
+        raise ValidationError(f"t_end: must be finite and >= 0, got {t_end}")
+    return int(math.floor(t_end / dt + 1e-9))
 
 
 def _record_indices(n_steps, n_records):
@@ -327,17 +352,13 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
     and the final state are checked for trace drift beyond 1e-8 (the
     generator is traceless, so drift indicates a numeric problem).
     """
-    if dt <= 0.0:
-        raise ValidationError(f"dt: must be positive, got {dt}")
-    if t_end < 0.0:
-        raise ValidationError(f"t_end: must be >= 0, got {t_end}")
+    n_steps = _step_count(t_end, dt)
     t_q = thermalization_time(c)
     if math.isfinite(t_q) and dt > t_q / 20.0:
         warnings.warn(
             f"dt = {dt:.3g} exceeds t_q/20 = {t_q / 20.0:.3g}; accuracy advisory",
             stacklevel=2,
         )
-    n_steps = int(math.floor(t_end / dt + 1e-9))
     record = _record_indices(n_steps, n_records)
     step_mat = _rk4_step_matrix(_lindblad_generator(c), dt)
     vec0 = np.asarray(rho0, dtype=complex).ravel()
@@ -437,10 +458,7 @@ def collision_chain(
     deterministic step matrix between records, and for each stochastic
     realization ``Phi^m``, with ``m`` its number of collisions so far.
     """
-    if dt <= 0.0:
-        raise ValidationError(f"dt: must be positive, got {dt}")
-    if t_end < 0.0:
-        raise ValidationError(f"t_end: must be >= 0, got {t_end}")
+    n_steps = _step_count(t_end, dt)
     p_dt = params.p * dt
     if p_dt > 1.0:
         raise ValidationError(
@@ -451,7 +469,6 @@ def collision_chain(
             f"scheme: must be 'deterministic' or 'stochastic', got {scheme!r}"
         )
     phi = collision_superoperator(bath, params, mode=mode)
-    n_steps = int(math.floor(t_end / dt + 1e-9))
     record = _record_indices(n_steps, n_records)
     times = np.array([dt * i for i in record])
     vec0 = np.asarray(rho0, dtype=complex).ravel()
@@ -545,15 +562,11 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     if N < 1:
         raise ValidationError(f"N: must be >= 1, got {N}")
     check_n_bar(n_bar)
-    if gamma0 <= 0.0:
-        raise ValidationError(f"gamma0: must be positive, got {gamma0}")
-    if dt <= 0.0:
-        raise ValidationError(f"dt: must be positive, got {dt}")
-    if t_end < 0.0:
-        raise ValidationError(f"t_end: must be >= 0, got {t_end}")
+    if not 0.0 < gamma0 < math.inf:
+        raise ValidationError(f"gamma0: must be finite and positive, got {gamma0}")
+    n_steps = _step_count(t_end, dt)
     pops0 = np.zeros(N + 1)
     pops0[0] = 1.0
-    n_steps = int(math.floor(t_end / dt + 1e-9))
     record = _record_indices(n_steps, n_records)
     step_mat = _rk4_step_matrix(_ladder_generator(N, n_bar, gamma0), dt)
     history, final = _propagate(step_mat, pops0, record, n_steps)

@@ -24,12 +24,13 @@ of a qubit density matrix is the excited population.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import BathSpec, check_n_bar, validate_bath
+from .baths import BathSpec, thermal_hec_weights, validate_bath
 from .collective import build_collective_ops, j_z_diagonal
 from .errors import NumericError, ValidationError
 
@@ -63,12 +64,14 @@ class CollisionParams:
     omega0: float = 1.0
 
     def __post_init__(self):
-        if self.g < 0.0:
-            raise ValidationError(f"g: must be >= 0, got {self.g}")
+        if not 0.0 <= self.g < math.inf:
+            raise ValidationError(f"g: must be finite and >= 0, got {self.g}")
         for field in ("tau", "p", "omega0"):
             value = getattr(self, field)
-            if not value > 0.0:
-                raise ValidationError(f"{field}: must be positive, got {value}")
+            if not 0.0 < value < math.inf:
+                raise ValidationError(
+                    f"{field}: must be finite and positive, got {value}"
+                )
         if self.g * self.tau > GT_ADVISORY:
             warnings.warn(
                 f"g*tau = {self.g * self.tau:.3g} exceeds {GT_ADVISORY}; the "
@@ -203,10 +206,7 @@ def coefficients_thermal_hec(N, n_bar, params):
     ``r_e = sum_{k=1..N} (1-r) r^k k (N-k+1) / (1 - r^(N+1))`` and ``r_d``
     the same sum with ``r^(k-1)``, so ``r_e / r_d = r`` exactly.
     """
-    check_n_bar(n_bar)
-    r = n_bar / (n_bar + 1.0)
-    # 1 - r = 1/(n_bar + 1) exactly; avoids cancellation at large n_bar
-    norm = (1.0 / (n_bar + 1.0)) / (1.0 - r ** (N + 1))
+    r, norm = thermal_hec_weights(N, n_bar)
     r_e = 0.0
     r_d = 0.0
     for k in range(1, N + 1):

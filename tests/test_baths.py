@@ -85,6 +85,25 @@ class TestThermalHec:
         for k in range(N):
             assert traces[k + 1] / traces[k] == pytest.approx(r, abs=1e-12)
 
+    @pytest.mark.parametrize("n_bar", [0.0, 0.7, 1e8, 1e15])
+    def test_block_weights_unchanged(self, n_bar):
+        # the weights as written before the shared normalization helper
+        N = 5
+        r = n_bar / (n_bar + 1.0)
+        norm = (1.0 / (n_bar + 1.0)) / (1.0 - r ** (N + 1))
+        rho = thermal_hec_state(N, n_bar)
+        basis = cached_ops(N).basis
+        for k in range(N + 1):
+            blk = rho[basis.block_slice(k), basis.block_slice(k)]
+            assert np.all(blk == norm * r**k / basis.sizes[k])
+
+    def test_normalization_rounding_to_zero_rejected(self):
+        # r = n_bar/(n_bar+1) rounds to 1, so 1 - r^(N+1) is 0
+        with pytest.raises(ValidationError, match="n_bar: 1e\\+16 is too large"):
+            thermal_hec_state(4, 1e16)
+        with pytest.raises(ValidationError, match="too large"):
+            validate_bath(BathSpec.thermal_hec(4, 1e16))
+
     def test_uniform_within_block(self):
         rho = thermal_hec_state(4, 1.3)
         basis = cached_ops(4).basis

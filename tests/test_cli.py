@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,22 @@ class TestCoeffs:
             capsys, "coeffs", "--bath", "thermal-hec", "--N", "4", "--nbar", n_bar
         )
         assert_config_error(result, "n_bar: must be finite")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("g", "nan"), ("g", "inf"), ("tau", "inf"), ("tau", "nan"), ("p", "inf"), ("omega0", "nan")],
+    )
+    def test_non_finite_collision_parameter_exit_2(self, capsys, flag, value):
+        result = run(
+            capsys, "coeffs", "--bath", "dicke", "--N", "4", "--k", "1", f"--{flag}", value
+        )
+        assert_config_error(result, f"{flag}: must be finite")
+
+    def test_nbar_too_large_for_normalization_exit_2(self, capsys):
+        result = run(
+            capsys, "coeffs", "--bath", "thermal-hec", "--N", "4", "--nbar", "1e16"
+        )
+        assert_config_error(result, "n_bar: 1e+16 is too large for N=4")
 
     def test_missing_field_exit_2(self, capsys):
         code, _, err = run(capsys, "coeffs", "--bath", "dicke", "--N", "8")
@@ -219,6 +236,33 @@ class TestEvolve:
         )
         assert_config_error(result, "n_bar: must be finite")
 
+    @pytest.mark.parametrize(
+        "engine, t_end, dt, fragment",
+        [
+            ("ode", "nan", "0.1", "t_end: must be finite"),
+            ("ode", "1", "inf", "dt: must be finite"),
+            ("collisions", "1", "nan", "dt: must be finite"),
+            ("collisions", "inf", "0.1", "t_end: must be finite"),
+            ("analytic", "inf", None, "t_end: must be finite"),
+            ("analytic", "1", "nan", "dt: must be finite"),
+        ],
+    )
+    def test_non_finite_time_grid_exit_2(self, capsys, engine, t_end, dt, fragment):
+        argv = ["evolve", "--engine", engine, "--bath", "dicke", "--N", "4", "--k", "1"]
+        argv += ["--t-end", t_end] + (["--dt", dt] if dt else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            result = run(capsys, *argv)
+        assert_config_error(result, fragment)
+
+    def test_collisions_nbar_too_large_exit_2(self, capsys):
+        result = run(
+            capsys, "evolve", "--engine", "collisions",
+            "--bath", "thermal-hec", "--N", "4", "--nbar", "1e16",
+            "--t-end", "0.01", "--dt", "0.001",
+        )
+        assert_config_error(result, "too large")
+
     def test_stochastic_seeded_reruns_identical(self, capsys, tmp_path):
         args = [
             "evolve", "--engine", "collisions", "--scheme", "stochastic",
@@ -291,6 +335,12 @@ class TestSweep:
             assert code == 0
             outputs.append(csv_path.read_bytes() + slopes_path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_thermal_hec_nbar_too_large_exit_2(self, capsys):
+        result = run(
+            capsys, "sweep", "--family", "thermal-hec", "--N", "4:8", "--nbar", "1e16"
+        )
+        assert_config_error(result, "too large")
 
     @pytest.mark.parametrize("n_bar", ["inf", "nan"])
     def test_thermal_hec_non_finite_nbar_exit_2(self, capsys, n_bar):
@@ -461,6 +511,24 @@ class TestPrepare:
             "--t-end", "1", "--dt", "0.1", "--out-state", str(state),
         )
         assert_config_error(result, "n_bar: must be finite")
+        assert not state.exists()
+
+    @pytest.mark.parametrize(
+        "gamma0, t_end, dt, fragment",
+        [
+            ("nan", "1", "0.1", "gamma0: must be finite"),
+            ("inf", "1", "0.1", "gamma0: must be finite"),
+            ("1", "nan", "0.1", "t_end: must be finite"),
+            ("1", "1", "inf", "dt: must be finite"),
+        ],
+    )
+    def test_non_finite_rate_or_grid_exit_2(self, capsys, tmp_path, gamma0, t_end, dt, fragment):
+        state = tmp_path / "state.csv"
+        result = run(
+            capsys, "prepare", "--N", "3", "--nbar", "1", "--gamma0", gamma0,
+            "--t-end", t_end, "--dt", dt, "--out-state", str(state),
+        )
+        assert_config_error(result, fragment)
         assert not state.exists()
 
     def test_numeric_failure_exit_3(self, capsys, tmp_path):

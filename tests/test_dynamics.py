@@ -37,6 +37,7 @@ from qollide import (
     thermalization_time,
 )
 from qollide.dynamics import TRAJECTORY_CSV_HEADER, Trajectory, _record_indices
+from qollide.utils import fmt_float
 
 from conftest import cached_ops, dense_ops, random_density_matrix
 
@@ -261,6 +262,29 @@ class TestIntegrateMaster:
         c = coefficients_dicke(4, 1, PARAMS)
         with pytest.raises(ValidationError):
             integrate_master(ground_state(), c, 1.0, -0.1)
+
+    @pytest.mark.parametrize(
+        "t_end, dt, fragment",
+        [
+            (math.nan, 0.1, "t_end: must be finite"),
+            (math.inf, 0.1, "t_end: must be finite"),
+            (1.0, math.nan, "dt: must be finite"),
+            (1.0, math.inf, "dt: must be finite"),
+        ],
+    )
+    def test_non_finite_grid_rejected_by_every_engine(self, t_end, dt, fragment):
+        c = coefficients_dicke(4, 1, PARAMS)
+        with pytest.raises(ValidationError, match=fragment):
+            integrate_master(ground_state(), c, t_end, dt)
+        with pytest.raises(ValidationError, match=fragment):
+            collision_chain(ground_state(), BathSpec.dicke(2, 1), PARAMS, t_end, dt)
+        with pytest.raises(ValidationError, match=fragment):
+            ladder_history(3, 1.0, 1.0, t_end, dt)
+
+    @pytest.mark.parametrize("gamma0", [math.nan, math.inf])
+    def test_non_finite_ladder_rate_rejected(self, gamma0):
+        with pytest.raises(ValidationError, match="gamma0: must be finite"):
+            ladder_history(3, 1.0, gamma0, 1.0, 0.1)
 
     def test_advisory_on_coarse_step(self):
         c = coefficients_dicke(4, 1, PARAMS)
@@ -827,3 +851,171 @@ class TestTrajectory:
             Trajectory.from_states(
                 [0.0, 0.0], [ground_state(), ground_state()], 1.0
             )
+
+
+# ---------------------------------------------------------------------------
+# per-record post-processing oracles: the trajectory code before it became
+# array operations, kept to prove the stacked version bit-identical
+
+
+def _per_record_oracle(times, states, mu):
+    """``(temperature, entropy, csv)`` computed one record at a time."""
+    times = np.asarray(times, dtype=float)
+    states = np.asarray(states, dtype=complex).reshape(len(times), 2, 2)
+    temps, ents, lines = [], [], [TRAJECTORY_CSV_HEADER]
+    for t, state in zip(times, states):
+        temp = temperature_from_populations(state[0, 0].real, state[1, 1].real)
+        w = np.clip(np.linalg.eigvalsh(state).real, 0.0, 1.0)
+        w = w[w > 0.0]
+        ent = float(-np.sum(w * np.log(w)))
+        eg = state[0, 1]
+        row = (t, mu * t, state[0, 0].real, state[1, 1].real, eg.real, eg.imag, temp, ent)
+        lines.append(",".join(fmt_float(x) for x in row))
+        temps.append(temp)
+        ents.append(ent)
+    return np.array(temps), np.array(ents), "\n".join(lines) + "\n"
+
+
+def _analytic_oracle(rho0, c, t):
+    """One closed-form state, as :func:`evolve_analytic` computed it alone."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    total = c.r_e + c.r_d
+    if c.mu * total <= 0.0:
+        return rho0.copy()
+    t_q = 1.0 / (c.mu * total)
+    c0 = c.r_d * rho0[0, 0].real - c.r_e * rho0[1, 1].real
+    ee = (c.r_e + c0 * math.exp(-t / t_q)) / total
+    eg = rho0[0, 1] * math.exp(-t / (2.0 * t_q))
+    return np.array([[ee, eg], [np.conj(eg), 1.0 - ee]], dtype=complex)
+
+
+def assert_same_bits(actual, expected):
+    """Equal values, NaNs in the same places and the same zero signs."""
+    actual = np.asarray(actual)
+    expected = np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    for part in (np.real, np.imag):
+        a, e = part(actual), part(expected)
+        assert np.array_equal(a, e, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(e))
+
+
+NAMED_STATES = {
+    "diagonal": np.diag([0.3, 0.7]).astype(complex),
+    "coherent": np.array([[0.4, 0.1 - 0.2j], [0.1 + 0.2j, 0.6]]),
+    "pure": np.diag([0.0, 1.0]).astype(complex),
+    "coherent-pure": np.full((2, 2), 0.5, dtype=complex),
+    "p_e = p_g": np.eye(2, dtype=complex) / 2.0,
+    "p_e = 0": np.diag([0.0, 1.0]).astype(complex),
+    "p_g = 0": np.diag([1.0, 0.0]).astype(complex),
+    "negative-zero coherence": np.array(
+        [[0.25, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 0.75]]
+    ),
+    "tiny excited population": np.diag([1e-300, 1.0]).astype(complex),
+}
+
+
+def _random_states(rng, n):
+    """Random full-rank, pure and named states in random order."""
+    named = list(NAMED_STATES.values())
+    out = []
+    for i in range(n):
+        kind = rng.integers(3)
+        if kind == 0:
+            out.append(random_density_matrix(rng, 2))
+        elif kind == 1:
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            v /= np.linalg.norm(v)
+            out.append(np.outer(v, v.conj()))
+        else:
+            out.append(named[rng.integers(len(named))])
+    return np.array(out, dtype=complex).reshape(n, 2, 2)
+
+
+class TestPostProcessingOracles:
+    def check(self, times, states, mu):
+        traj = Trajectory.from_states(times, states, mu)
+        temps, ents, csv = _per_record_oracle(times, states, mu)
+        assert_same_bits(traj.temperature, temps)
+        assert_same_bits(traj.entropy, ents)
+        assert traj.to_csv() == csv
+        return traj
+
+    @pytest.mark.parametrize("name", sorted(NAMED_STATES))
+    def test_named_state(self, name):
+        state = NAMED_STATES[name]
+        traj = self.check([0.0, 0.5, 1.25], [state] * 3, 2.5)
+        if name == "p_e = p_g":
+            assert np.all(traj.temperature == math.inf)
+        if name == "p_g = 0":
+            assert np.all(np.signbit(traj.temperature))  # the -0.0 sentinel
+            assert traj.to_csv().splitlines()[1].split(",")[6] == "0"
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 511, 512, 513, 1100])
+    def test_record_counts_across_csv_chunks(self, rng, n):
+        times = np.cumsum(rng.random(n) + 1e-3) - 0.5
+        self.check(times, _random_states(rng, n), float(rng.random() * 10))
+
+    def test_random_trajectories(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            times = np.cumsum(rng.random(n) + 1e-3)
+            mu = 0.0 if rng.random() < 0.2 else float(rng.exponential(3.0))
+            self.check(times, _random_states(rng, n), mu)
+
+    def test_negative_zero_columns_written_as_zero(self):
+        traj = self.check([-0.0], [NAMED_STATES["negative-zero coherence"]], 1.0)
+        fields = traj.to_csv().splitlines()[1].split(",")
+        assert fields[:2] == ["0", "0"] and fields[4:6] == ["0", "0"]
+
+    def test_one_eigvalsh_call_per_trajectory(self, monkeypatch, rng):
+        calls = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        Trajectory.from_states(np.arange(50.0), _random_states(rng, 50), 1.0)
+        assert calls == [(50, 2, 2)]
+
+    @pytest.mark.parametrize(
+        "r_e, r_d, mu",
+        [(4.0, 6.0, 1.0), (0.0, 6.0, 1.0), (4.0, 0.0, 2.0), (0.0, 0.0, 1.0), (4.0, 6.0, 0.0)],
+    )
+    @pytest.mark.parametrize(
+        "rho0",
+        [ground_state(), excited_state(), NAMED_STATES["coherent"], NAMED_STATES["negative-zero coherence"]],
+        ids=["ground", "excited", "coherent", "negative-zero"],
+    )
+    def test_analytic_trajectory(self, r_e, r_d, mu, rho0):
+        c = MeqCoefficients(0.0j, 0.0j, r_e, r_d, mu, 1.0)
+        times = np.linspace(0.0, 3.0, 700)
+        traj = analytic_trajectory(rho0, c, times)
+        expected = np.array([_analytic_oracle(rho0, c, t) for t in times])
+        assert_same_bits(traj.states, expected)
+        temps, ents, csv = _per_record_oracle(times, expected, mu)
+        assert_same_bits(traj.temperature, temps)
+        assert_same_bits(traj.entropy, ents)
+        assert traj.to_csv() == csv
+        for t in (0, 0.0, 0.37, -0.2, 50.0):
+            assert_same_bits(evolve_analytic(rho0, c, t), _analytic_oracle(rho0, c, t))
+
+    def test_analytic_zero_and_one_record(self):
+        c = coefficients_dicke(4, 1, PARAMS)
+        for times in ([], [0.25]):
+            traj = analytic_trajectory(qubit_state(0.5, 0.2j), c, times)
+            expected = [_analytic_oracle(qubit_state(0.5, 0.2j), c, t) for t in times]
+            assert_same_bits(traj.states, np.array(expected, dtype=complex).reshape(-1, 2, 2))
+            assert traj.to_csv() == _per_record_oracle(times, expected, c.mu)[2]
+
+    def test_temperature_trajectory_matches_pointwise_loop(self):
+        c = coefficients_dicke(8, 3, PARAMS)
+        t_q = thermalization_time(c)
+        grid = np.linspace(0.0, 5.0 * t_q, 60).reshape(3, 4, 5)
+        expected = np.empty(grid.shape)
+        for idx, t in np.ndenumerate(grid):
+            ee = c.r_e * (1.0 - math.exp(-t / t_q)) / (c.r_e + c.r_d)
+            expected[idx] = temperature_from_populations(ee, 1.0 - ee)
+        assert_same_bits(temperature_trajectory(c, grid), expected)

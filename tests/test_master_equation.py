@@ -42,6 +42,13 @@ class TestCollisionParams:
         with pytest.raises(ValidationError, match="p"):
             CollisionParams(g=0.1, tau=1.0, p=0.0)
 
+    @pytest.mark.parametrize("field", ["g", "tau", "p", "omega0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"g": 0.1, "tau": 1.0, "p": 1.0, "omega0": 1.0, field: value}
+        with pytest.raises(ValidationError, match=f"{field}: must be finite"):
+            CollisionParams(**kwargs)
+
     def test_zero_coupling_allowed(self):
         assert CollisionParams(g=0.0, tau=1.0, p=1.0).mu == 0.0
 
@@ -133,6 +140,24 @@ class TestClosedFormsAgainstBruteForce:
     def test_thermal_rejects_non_finite_or_negative_n_bar(self, n_bar):
         with pytest.raises(ValidationError, match="n_bar: must be finite and >= 0"):
             coefficients_thermal_hec(4, n_bar, PARAMS)
+
+    @pytest.mark.parametrize("n_bar", [0.0, 0.3, 7.0, 1e4, 1e8, 1e12, 1e15])
+    @pytest.mark.parametrize("N", [1, 4, 64, 512])
+    def test_thermal_sums_unchanged(self, N, n_bar):
+        # the rate sums as written before the shared normalization helper
+        r = n_bar / (n_bar + 1.0)
+        norm = (1.0 / (n_bar + 1.0)) / (1.0 - r ** (N + 1))
+        r_e = r_d = 0.0
+        for k in range(1, N + 1):
+            r_e += norm * r**k * (k * (N - k + 1))
+            r_d += norm * r ** (k - 1) * (k * (N - k + 1))
+        c = coefficients_thermal_hec(N, n_bar, PARAMS)
+        assert (c.r_e, c.r_d) == (r_e, r_d)
+
+    @pytest.mark.parametrize("N", [1, 4, 64])
+    def test_thermal_normalization_rounding_to_zero_rejected(self, N):
+        with pytest.raises(ValidationError, match=f"too large for N={N}"):
+            coefficients_thermal_hec(N, 1e16, PARAMS)
 
     @given(n_bar=st.floats(0.0, 50.0), N=st.integers(1, 10))
     @settings(max_examples=60, deadline=None)
