@@ -6,7 +6,10 @@ config file (``--config``); command-line flags win over config entries.
 Output files are UTF-8 with LF line endings and all floats carry 17
 significant digits, so identical inputs produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric invariant violation.
+Exit codes: 0 success; 2 configuration error, or a run too large for the
+available memory; 3 numeric invariant violation, or a failed linear-algebra
+routine.  Each failure prints one ``error:`` or ``numeric error:`` line to
+stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -422,6 +425,10 @@ def build_parser():
     return parser
 
 
+def _one_line(exc):
+    return " ".join(str(exc).split()) or type(exc).__name__
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -434,6 +441,12 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except np.linalg.LinAlgError as exc:
+        print(f"numeric error: linear algebra failed: {_one_line(exc)}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {_one_line(exc)}", file=sys.stderr)
+        return 2
 
 
 def console_main():

@@ -15,6 +15,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,13 +23,7 @@ from .baths import check_n_bar, validate_bath
 from .collective import build_collective_ops, dicke_ladder_transform
 from .errors import NumericError, ValidationError
 from .linalg import validate_density_matrix
-from .master_equation import (
-    coefficients_dicke,
-    coefficients_product_mixed,
-    coefficients_thermal_hec,
-    lindblad_rhs,
-)
-from .utils import fmt_float
+from .master_equation import dicke_rates, lindblad_rhs, product_mixed_rates, thermal_hec_rates
 
 #: Residual coherence above which trajectory temperatures are flagged.
 COHERENCE_FLAG_TOL = 1e-6
@@ -36,12 +31,34 @@ COHERENCE_FLAG_TOL = 1e-6
 #: Exact-propagator collision chains are limited to this many bath qubits.
 MAX_EXACT_QUBITS = 10
 
+#: Time grids are limited to fewer steps than this (float steps stay exact).
+MAX_STEPS = 2**53
+
+#: Trajectories and ladder histories hold at most this many records.
+MAX_RECORDS = 10**6
+
 TRAJECTORY_CSV_HEADER = "t,mu_t,rho_ee,rho_gg,re_rho_eg,im_rho_eg,temperature,entropy"
 SWEEP_CSV_HEADER = "N,k,r_e,r_d,t_q,T_q"
 
 _CSV_ROW = ",".join(["%.17g"] * len(TRAJECTORY_CSV_HEADER.split(","))) + "\n"
-#: Trajectory CSV rows per formatting call; bounds the Python floats alive at once.
+#: CSV rows per formatting call; bounds the Python floats alive at once.
 _CSV_CHUNK = 512
+
+
+def _csv_text(header, row, cols):
+    """CSV text: ``header``, then one line per row of the 2-D float array
+    ``cols``, formatted by the ``%`` template ``row``.
+
+    Rows are formatted :data:`_CSV_CHUNK` at a time, one ``%`` operation per
+    chunk; adding ``0.0`` writes ``-0.0`` as ``0``, as :func:`fmt_float`
+    does.
+    """
+    cols = cols + 0.0
+    parts = [header + "\n"]
+    for start in range(0, len(cols), _CSV_CHUNK):
+        chunk = cols[start : start + _CSV_CHUNK]
+        parts.append(row * len(chunk) % tuple(chunk.ravel().tolist()))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -254,21 +271,14 @@ class Trajectory:
         return len(self.times)
 
     def to_csv(self):
-        """CSV text, one row per record with every float as ``%.17g``.
-
-        Rows are formatted :data:`_CSV_CHUNK` at a time from a column stack;
-        adding ``0.0`` writes ``-0.0`` as ``0``, as :func:`fmt_float` does.
-        """
+        """CSV text, one row per record with every float as ``%.17g`` (see
+        :func:`_csv_text`)."""
         ee, eg, gg = self.states[:, 0, 0], self.states[:, 0, 1], self.states[:, 1, 1]
         cols = np.column_stack(
             (self.times, self.mu * self.times, ee.real, gg.real, eg.real, eg.imag,
              self.temperature, self.entropy)
-        ) + 0.0
-        parts = [TRAJECTORY_CSV_HEADER + "\n"]
-        for start in range(0, len(cols), _CSV_CHUNK):
-            chunk = cols[start : start + _CSV_CHUNK]
-            parts.append(_CSV_ROW * len(chunk) % tuple(chunk.ravel().tolist()))
-        return "".join(parts)
+        )
+        return _csv_text(TRAJECTORY_CSV_HEADER, _CSV_ROW, cols)
 
 
 def analytic_trajectory(rho0, c, times):
@@ -280,21 +290,35 @@ def analytic_trajectory(rho0, c, times):
 
 def _step_count(t_end, dt):
     """Number of whole steps ``dt`` up to ``t_end``, after checking that
-    ``dt`` is finite and positive and ``t_end`` finite and nonnegative."""
+    ``dt`` is finite and positive, ``t_end`` finite and nonnegative, and
+    their ratio below :data:`MAX_STEPS`."""
     if not 0.0 < dt < math.inf:
         raise ValidationError(f"dt: must be finite and positive, got {dt}")
     if not 0.0 <= t_end < math.inf:
         raise ValidationError(f"t_end: must be finite and >= 0, got {t_end}")
+    if not t_end / dt < MAX_STEPS:
+        raise ValidationError(
+            f"t_end/dt: {t_end / dt:.3g} steps exceed the limit of 2**53; increase dt"
+        )
     return int(math.floor(t_end / dt + 1e-9))
 
 
 def _record_indices(n_steps, n_records):
-    if n_records is None:
-        return list(range(n_steps + 1))
-    if n_records <= 0:
+    """Sorted steps to record: all ``n_steps + 1`` of them for ``n_records``
+    None, else ``n_records`` evenly spaced ones (all of them again once
+    ``n_records`` exceeds ``n_steps``).  At most :data:`MAX_RECORDS`."""
+    if n_records is not None and n_records <= 0:
         return []
     if n_records == 1:
         return [0]
+    count = n_steps + 1 if n_records is None else min(n_records, n_steps + 1)
+    if count > MAX_RECORDS:
+        raise ValidationError(
+            f"n_records: {count} records exceed the limit of {MAX_RECORDS}; "
+            "record fewer points"
+        )
+    if count == n_steps + 1:
+        return list(range(count))
     idx = np.unique(np.round(np.linspace(0, n_steps, n_records)).astype(int))
     return idx.tolist()
 
@@ -549,6 +573,17 @@ def _ladder_generator(N, n_bar, gamma0):
     return gen
 
 
+def _ladder_step(N, n_bar, gamma0, t_end, dt):
+    """Checked ladder parameters: the step count and the RK4 step map."""
+    if N < 1:
+        raise ValidationError(f"N: must be >= 1, got {N}")
+    check_n_bar(n_bar)
+    if not 0.0 < gamma0 < math.inf:
+        raise ValidationError(f"gamma0: must be finite and positive, got {gamma0}")
+    n_steps = _step_count(t_end, dt)
+    return n_steps, _rk4_step_matrix(_ladder_generator(N, n_bar, gamma0), dt)
+
+
 def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     """Integrate the ladder rate equations from the collective ground state.
 
@@ -559,16 +594,10 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     recorded.  Raises :class:`NumericError` on population negativity (step
     too large) or normalization drift in any recorded or the final state.
     """
-    if N < 1:
-        raise ValidationError(f"N: must be >= 1, got {N}")
-    check_n_bar(n_bar)
-    if not 0.0 < gamma0 < math.inf:
-        raise ValidationError(f"gamma0: must be finite and positive, got {gamma0}")
-    n_steps = _step_count(t_end, dt)
+    n_steps, step_mat = _ladder_step(N, n_bar, gamma0, t_end, dt)
     pops0 = np.zeros(N + 1)
     pops0[0] = 1.0
     record = _record_indices(n_steps, n_records)
-    step_mat = _rk4_step_matrix(_ladder_generator(N, n_bar, gamma0), dt)
     history, final = _propagate(step_mat, pops0, record, n_steps)
     checked = np.vstack([history, final])
     lowest = checked.min(axis=1)
@@ -601,8 +630,12 @@ def prepare_thermal_dicke(N, n_bar, gamma0, t_end, dt):
 
     Returns ``(LadderState, rho_product)``.
     """
-    # every step is recorded, so a transient negativity is caught too
-    *_, final = ladder_history(N, n_bar, gamma0, t_end, dt)
+    # an entrywise nonnegative step map keeps every population nonnegative,
+    # so the final state is checked alone; otherwise every step is checked,
+    # so that a transient negativity is caught too
+    _, step_mat = _ladder_step(N, n_bar, gamma0, t_end, dt)
+    n_records = None if np.any(step_mat < 0.0) else 0
+    *_, final = ladder_history(N, n_bar, gamma0, t_end, dt, n_records=n_records)
     pops = np.clip(final, 0.0, None)
     ladder = LadderState(N, pops)
     V = dicke_ladder_transform(N)
@@ -612,6 +645,9 @@ def prepare_thermal_dicke(N, n_bar, gamma0, t_end, dt):
 
 # ---------------------------------------------------------------------------
 # scaling sweeps
+
+#: Largest N of a sweep: every N, k and k(N-k+1) factor is then an exact float.
+MAX_SWEEP_N = 2**53
 
 
 @dataclass(frozen=True)
@@ -626,29 +662,34 @@ class SweepRow:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
+    """Sweep columns, one entry per N in input order; ``k`` is None for
+    families without a block index."""
+
     family: str
     k_rule: str
-    rows: tuple
+    N: np.ndarray
+    k: np.ndarray
+    r_e: np.ndarray
+    r_d: np.ndarray
+    t_q: np.ndarray
+    T_q: np.ndarray
     slope_t_q: float
     slope_T_q: float
 
+    @cached_property
+    def rows(self):
+        """The columns as one :class:`SweepRow` per N."""
+        ks = [None] * len(self.N) if self.k is None else self.k.tolist()
+        cols = (self.r_e, self.r_d, self.t_q, self.T_q)
+        return tuple(map(SweepRow, self.N.tolist(), ks, *(c.tolist() for c in cols)))
+
     def to_csv(self):
-        lines = [SWEEP_CSV_HEADER]
-        for row in self.rows:
-            k_field = "" if row.k is None else str(row.k)
-            lines.append(
-                ",".join(
-                    (
-                        str(row.N),
-                        k_field,
-                        fmt_float(row.r_e),
-                        fmt_float(row.r_d),
-                        fmt_float(row.t_q),
-                        fmt_float(row.T_q),
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
+        """CSV text, one row per N with every float as ``%.17g`` (see
+        :func:`_csv_text`); the ``k`` field is empty without a block index."""
+        k_field = [] if self.k is None else [self.k]
+        cols = np.column_stack((self.N, *k_field, self.r_e, self.r_d, self.t_q, self.T_q))
+        row = "%d," + ("" if self.k is None else "%d") + ",%.17g" * 4 + "\n"
+        return _csv_text(SWEEP_CSV_HEADER, row, cols)
 
     def slopes_dict(self):
         # non-finite slopes (undefined fits) serialize as null, not NaN
@@ -658,9 +699,9 @@ class SweepResult:
         return {
             "family": self.family,
             "k_rule": self.k_rule,
-            "n_min": self.rows[0].N if self.rows else None,
-            "n_max": self.rows[-1].N if self.rows else None,
-            "points": len(self.rows),
+            "n_min": int(self.N[0]) if len(self.N) else None,
+            "n_max": int(self.N[-1]) if len(self.N) else None,
+            "points": len(self.N),
             "slope_t_q": fin(self.slope_t_q),
             "slope_T_q": fin(self.slope_T_q),
         }
@@ -670,16 +711,15 @@ def fit_loglog_slope(xs, ys):
     """Least-squares slope of ``ln(y)`` against ``ln(x)``."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if len(xs) < 2:
-        raise ValidationError("fit_loglog_slope: need at least two points")
+    if len(xs) < 2 or np.all(xs == xs[0]):
+        raise ValidationError("fit_loglog_slope: need at least two distinct x values")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0) or not np.all(np.isfinite(ys)):
         raise ValidationError("fit_loglog_slope: values must be finite and positive")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def _sweep_k(family, k_rule, N):
-    if family != "dicke":
-        return None
+def _sweep_k(k_rule, N):
+    """Dicke block index of every N (an int or an integer array)."""
     if k_rule == "quarter":
         return N // 4
     if k_rule == "half-minus-one":
@@ -695,51 +735,47 @@ def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None):
     Families: ``product`` (requires ``p_e``), ``thermal-hec`` (requires
     ``n_bar``) and ``dicke`` (requires ``k_rule``; for N not divisible by 4
     the quarter rule takes ``floor(N/4)``, the half-minus-one rule takes the
-    largest non-inverted block).  Rows follow the input order.
+    largest non-inverted block).  Rows follow the input order.  Every column
+    is computed for all N at once, with the bits of the one-N closed forms
+    (:func:`thermalization_time`, :func:`steady_temperature`).
     """
     N_list = [int(N) for N in N_list]
     if not N_list:
         raise ValidationError("N_list: must not be empty")
     if any(N < 1 for N in N_list):
         raise ValidationError("N_list: all N must be >= 1")
+    if any(N > MAX_SWEEP_N for N in N_list):
+        raise ValidationError("N_list: all N must be <= 2**53")
+    Ns = np.array(N_list, dtype=np.int64)
+    k = None
     if family == "product":
         if p_e is None:
             raise ValidationError("p_e: required for the product family")
-        make = lambda N: (None, coefficients_product_mixed(N, p_e, params))
+        r_e, r_d = product_mixed_rates(Ns.astype(float), p_e)
     elif family == "thermal-hec":
         if n_bar is None:
             raise ValidationError("n_bar: required for the thermal-hec family")
-        make = lambda N: (None, coefficients_thermal_hec(N, n_bar, params))
+        r_e, r_d = thermal_hec_rates(N_list, n_bar)
     elif family == "dicke":
         if k_rule is None:
             raise ValidationError("k_rule: required for the dicke family")
-        _sweep_k(family, k_rule, N_list[0])  # fail fast on a bad rule
-
-        def make(N):
-            k = _sweep_k("dicke", k_rule, N)
-            return k, coefficients_dicke(N, k, params)
-
+        k = _sweep_k(k_rule, Ns)
+        # products of exact float factors, rounded once as float() of the ints
+        r_e, r_d = dicke_rates(Ns.astype(float), k.astype(float))
     else:
         raise ValidationError(
             f"family: must be 'product', 'thermal-hec' or 'dicke', got {family!r}"
         )
 
-    def row(N):
-        k, c = make(N)
-        return SweepRow(N, k, c.r_e, c.r_d, thermalization_time(c), steady_temperature(c))
+    rate = params.mu * (r_e + r_d)
+    t_q = np.full(len(Ns), math.inf)
+    np.divide(1.0, rate, out=t_q, where=rate > 0.0)
+    T_q = _temperatures(r_e, r_d)
 
-    rows = tuple(row(N) for N in N_list)
-
-    slope_t_q = math.nan
-    slope_T_q = math.nan
-    if len(rows) >= 2:
-        Ns = [r.N for r in rows]
+    slopes = []
+    for ys in (t_q, T_q):
         try:
-            slope_t_q = fit_loglog_slope(Ns, [r.t_q for r in rows])
+            slopes.append(fit_loglog_slope(Ns, ys))
         except ValidationError:
-            pass
-        try:
-            slope_T_q = fit_loglog_slope(Ns, [r.T_q for r in rows])
-        except ValidationError:
-            pass
-    return SweepResult(family, k_rule, rows, slope_t_q, slope_T_q)
+            slopes.append(math.nan)
+    return SweepResult(family, k_rule, Ns, k, r_e, r_d, t_q, T_q, *slopes)

@@ -47,6 +47,9 @@ GT_ADVISORY = 0.3
 
 _RATE_TOL = 1e-9
 
+#: Terms per block of the thermal-hec rate sums; bounds their temporaries.
+_SUM_BLOCK = 1 << 13
+
 
 @dataclass(frozen=True)
 class CollisionParams:
@@ -191,29 +194,71 @@ def coefficients_from_state(rho_b, ops, params):
     return MeqCoefficients(lam, eps, r_e, r_d, params.mu, params.pg_tau)
 
 
-def coefficients_product_mixed(N, p_e, params):
-    """Closed form for a product bath: ``r_e = N p_e``, ``r_d = N (1-p_e)``."""
+def product_mixed_rates(N, p_e):
+    """``(r_e, r_d) = (N p_e, N (1-p_e))`` for an int N or an array of N."""
     if not 0.0 <= p_e <= 1.0:
         raise ValidationError(f"p_e: must be in [0, 1], got {p_e}")
-    return MeqCoefficients(
-        0.0j, 0.0j, N * p_e, N * (1.0 - p_e), params.mu, params.pg_tau
-    )
+    return N * p_e + 0.0, N * (1.0 - p_e)  # + 0.0: rate 0.0 for p_e = -0.0
+
+
+def coefficients_product_mixed(N, p_e, params):
+    """Closed form for a product bath: ``r_e = N p_e``, ``r_d = N (1-p_e)``."""
+    r_e, r_d = product_mixed_rates(N, p_e)
+    return MeqCoefficients(0.0j, 0.0j, r_e, r_d, params.mu, params.pg_tau)
+
+
+def thermal_hec_rates(N_list, n_bar):
+    """Rate sums ``(r_e, r_d)`` of :func:`coefficients_thermal_hec` for every
+    N of ``N_list``, as two arrays in input order.
+
+    Each sum adds its terms ``norm r^k k(N-k+1)`` (``r^(k-1)`` for ``r_d``)
+    one at a time in ascending ``k`` (``np.add.accumulate``; ``np.sum``
+    would add pairwise), with ``r^k`` from Python's float pow, so every sum
+    has the bits of the scalar loop.  Rows are summed longest first, a
+    block of ``k`` at a time with zero terms past each row's N: at most
+    :data:`_SUM_BLOCK` terms are held, and the work is O(sum of N).  A too
+    large ``n_bar`` names the first N in input order that it fails for.
+    """
+    weights = [thermal_hec_weights(N, n_bar) for N in N_list]
+    r = weights[0][0]
+    order = np.argsort(N_list)[::-1]
+    Ns = np.asarray(N_list, dtype=float)[order]
+    norm = np.array([w[1] for w in weights])[order]
+    sums = np.zeros((2, len(Ns)))
+    k0 = 1
+    while k0 <= Ns[0]:
+        rows = np.count_nonzero(Ns >= k0)
+        k1 = min(int(Ns[0]), k0 + max(1, _SUM_BLOCK // rows) - 1)
+        powers = np.fromiter(map(r.__pow__, range(k0 - 1, k1 + 1)), dtype=float)
+        k = np.arange(k0, k1 + 1, dtype=float)[:, None]
+        weight = np.maximum(k * (Ns[:rows] - k + 1.0), 0.0)
+        for total, pw in zip(sums, (powers[1:], powers[:-1])):
+            terms = np.empty((len(k) + 1, rows))
+            terms[0] = total[:rows]
+            terms[1:] = norm[:rows] * pw[:, None] * weight
+            total[:rows] = np.add.accumulate(terms, axis=0)[-1]
+        k0 = k1 + 1
+    out = np.empty_like(sums)
+    out[:, order] = sums
+    return out[0], out[1]
 
 
 def coefficients_thermal_hec(N, n_bar, params):
     """Closed-form rate sums for the collectively thermalized bath.
 
     ``r_e = sum_{k=1..N} (1-r) r^k k (N-k+1) / (1 - r^(N+1))`` and ``r_d``
-    the same sum with ``r^(k-1)``, so ``r_e / r_d = r`` exactly.
+    the same sum with ``r^(k-1)``, so ``r_e / r_d = r`` exactly (the one-N
+    case of :func:`thermal_hec_rates`).
     """
-    r, norm = thermal_hec_weights(N, n_bar)
-    r_e = 0.0
-    r_d = 0.0
-    for k in range(1, N + 1):
-        weight = k * (N - k + 1)
-        r_e += norm * r**k * weight
-        r_d += norm * r ** (k - 1) * weight
+    (r_e,), (r_d,) = thermal_hec_rates([N], n_bar)
     return MeqCoefficients(0.0j, 0.0j, r_e, r_d, params.mu, params.pg_tau)
+
+
+def dicke_rates(N, k):
+    """``(k(N-k+1), (k+1)(N-k))`` for ints or arrays of N and k.  Exact for
+    ints; float arrays of integers below 2**53 give the same bits, one
+    rounding of the exact product."""
+    return k * (N - k + 1), (k + 1) * (N - k)
 
 
 def coefficients_dicke(N, k, params):
@@ -221,14 +266,8 @@ def coefficients_dicke(N, k, params):
     ``r_e = k(N-k+1)``, ``r_d = (k+1)(N-k)``."""
     if not 0 <= k <= N:
         raise ValidationError(f"k: must be in 0..{N}, got {k}")
-    return MeqCoefficients(
-        0.0j,
-        0.0j,
-        float(k * (N - k + 1)),
-        float((k + 1) * (N - k)),
-        params.mu,
-        params.pg_tau,
-    )
+    r_e, r_d = dicke_rates(N, k)
+    return MeqCoefficients(0.0j, 0.0j, float(r_e), float(r_d), params.mu, params.pg_tau)
 
 
 def coefficients_for(spec, params, ops=None):

@@ -255,6 +255,21 @@ class TestEvolve:
             result = run(capsys, *argv)
         assert_config_error(result, fragment)
 
+    @pytest.mark.parametrize("engine", ["ode", "collisions"])
+    def test_step_count_overflow_exit_2(self, capsys, engine):
+        result = run(
+            capsys, "evolve", "--engine", engine, "--bath", "dicke", "--N", "4", "--k", "1",
+            "--t-end", "1e300", "--dt", "1e-300", "--n-points", "3",
+        )
+        assert_config_error(result, "t_end/dt: inf steps exceed the limit of 2**53")
+
+    def test_every_step_over_record_limit_exit_2(self, capsys):
+        result = run(
+            capsys, "evolve", "--engine", "ode", "--bath", "dicke", "--N", "4", "--k", "1",
+            "--t-end", "1e6", "--dt", "1e-3",
+        )
+        assert_config_error(result, "1000000001 records exceed the limit of 1000000")
+
     def test_collisions_nbar_too_large_exit_2(self, capsys):
         result = run(
             capsys, "evolve", "--engine", "collisions",
@@ -367,6 +382,29 @@ class TestSweep:
         assert slopes["slope_T_q"] is None
         assert slopes["slope_t_q"] is not None
 
+    @pytest.mark.parametrize(
+        "family, extra, n_list",
+        [
+            ("product", ["--pe", "0.2"], "1,1"),
+            ("product", ["--pe", "0.2"], "4,4"),
+            ("dicke", ["--krule", "quarter"], "8,8,8"),
+            ("thermal-hec", ["--nbar", "1"], "5"),
+        ],
+    )
+    def test_fewer_than_two_distinct_n_null_slopes(self, capfd, tmp_path, family, extra, n_list):
+        # capfd also sees what LAPACK would print on the C level
+        slopes_path = tmp_path / "slopes.json"
+        argv = ["sweep", "--family", family, *extra, "--N", n_list,
+                "--out", str(tmp_path / "s.csv"), "--slopes-out", str(slopes_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RankWarning either
+            code = main(argv)
+        captured = capfd.readouterr()
+        assert (code, captured.out, captured.err) == (0, "", "")
+        slopes = json.loads(slopes_path.read_text())
+        assert slopes["slope_t_q"] is None and slopes["slope_T_q"] is None
+        assert slopes["points"] == len(n_list.split(","))
+
 
 class TestClassify:
     def test_n2_block_map(self, capsys):
@@ -416,6 +454,13 @@ class TestClassify:
 
 
 class TestPrepare:
+    def test_step_count_overflow_exit_2(self, capsys):
+        result = run(
+            capsys, "prepare", "--N", "2", "--nbar", "1", "--gamma0", "1",
+            "--t-end", "1e300", "--dt", "1e-300", "--n-points", "2",
+        )
+        assert_config_error(result, "t_end/dt")
+
     def test_long_run_block_ratios(self, capsys, tmp_path):
         ladder_path = tmp_path / "ladder.csv"
         state_path = tmp_path / "state.csv"
@@ -586,3 +631,24 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coefficients"]["r_e"] == 4.0
+
+
+class TestUnexpectedFailures:
+    @pytest.mark.parametrize(
+        "exc, code, line",
+        [
+            (np.linalg.LinAlgError("SVD did not\nconverge"), 3,
+             "numeric error: linear algebra failed: SVD did not converge\n"),
+            (MemoryError("Unable to allocate 16.0 TiB"), 2,
+             "error: out of memory: Unable to allocate 16.0 TiB\n"),
+            (MemoryError(), 2, "error: out of memory: MemoryError\n"),
+        ],
+    )
+    def test_mapped_to_exit_code_without_traceback(self, capsys, monkeypatch, exc, code, line):
+        import qollide.cli as cli
+
+        def fail(args, config):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_coeffs", fail)
+        assert run(capsys, "coeffs", "--bath", "dicke", "--N", "4", "--k", "1") == (code, "", line)

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +38,17 @@ from qollide import (
     thermal_hec_state,
     thermalization_time,
 )
-from qollide.dynamics import TRAJECTORY_CSV_HEADER, Trajectory, _record_indices
+from qollide import dynamics, master_equation
+from qollide.baths import thermal_hec_weights
+from qollide.dynamics import (
+    MAX_RECORDS,
+    SWEEP_CSV_HEADER,
+    TRAJECTORY_CSV_HEADER,
+    SweepRow,
+    Trajectory,
+    _record_indices,
+    _step_count,
+)
 from qollide.utils import fmt_float
 
 from conftest import cached_ops, dense_ops, random_density_matrix
@@ -1019,3 +1031,270 @@ class TestPostProcessingOracles:
             ee = c.r_e * (1.0 - math.exp(-t / t_q)) / (c.r_e + c.r_d)
             expected[idx] = temperature_from_populations(ee, 1.0 - ee)
         assert_same_bits(temperature_trajectory(c, grid), expected)
+
+
+# ---------------------------------------------------------------------------
+# per-row sweep oracle: the scaling sweep before it became column arrays,
+# kept to prove the array version bit-identical
+
+
+def _sweep_row_oracle(family, N, params, p_e, n_bar, k_rule):
+    """One :class:`SweepRow` from the one-N closed forms, as the per-row
+    sweep built it (the thermal-hec sum is the scalar loop)."""
+    k = None
+    if family == "product":
+        if not 0.0 <= p_e <= 1.0:
+            raise ValidationError(f"p_e: must be in [0, 1], got {p_e}")
+        r_e, r_d = N * p_e, N * (1.0 - p_e)
+    elif family == "thermal-hec":
+        r, norm = thermal_hec_weights(N, n_bar)
+        r_e = r_d = 0.0
+        for j in range(1, N + 1):
+            weight = j * (N - j + 1)
+            r_e += norm * r**j * weight
+            r_d += norm * r ** (j - 1) * weight
+    else:
+        k = N // 4 if k_rule == "quarter" else (N - 1) // 2
+        r_e, r_d = float(k * (N - k + 1)), float((k + 1) * (N - k))
+    c = MeqCoefficients(0.0j, 0.0j, r_e, r_d, params.mu, params.pg_tau)
+    return SweepRow(N, k, c.r_e, c.r_d, thermalization_time(c), steady_temperature(c))
+
+
+def _sweep_oracle(family, N_list, params, p_e=None, n_bar=None, k_rule=None):
+    """``(rows, csv, slopes JSON)`` computed one row at a time.  A fit needs
+    two distinct N; with fewer, both slopes are null."""
+    rows = [_sweep_row_oracle(family, N, params, p_e, n_bar, k_rule) for N in N_list]
+    lines = [SWEEP_CSV_HEADER]
+    for row in rows:
+        k_field = "" if row.k is None else str(row.k)
+        floats = (row.r_e, row.r_d, row.t_q, row.T_q)
+        lines.append(",".join((str(row.N), k_field, *map(fmt_float, floats))))
+    slopes = {}
+    for name in ("t_q", "T_q"):
+        xs = np.array([row.N for row in rows], dtype=float)
+        ys = np.array([getattr(row, name) for row in rows])
+        ok = len(set(xs.tolist())) >= 2 and np.all(ys > 0.0) and np.all(np.isfinite(ys))
+        slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0]) if ok else None
+        slopes[f"slope_{name}"] = slope
+    meta = {
+        "family": family,
+        "k_rule": k_rule,
+        "n_min": rows[0].N,
+        "n_max": rows[-1].N,
+        "points": len(rows),
+        **slopes,
+    }
+    return rows, "\n".join(lines) + "\n", json.dumps(meta)
+
+
+SWEEP_N_LISTS = {
+    "sorted": list(range(1, 301)),
+    "unsorted": [9, 3, 1, 2, 77],
+    "repeated": [7, 3, 3, 1, 7],
+    "singleton 1": [1],
+    "singleton 64": [64],
+    "same N twice": [4, 4],
+}
+
+SWEEP_FAMILIES = [
+    ("product", {"p_e": 0.0}),
+    ("product", {"p_e": -0.0}),
+    ("product", {"p_e": 0.237}),
+    ("product", {"p_e": 1.0}),
+    ("thermal-hec", {"n_bar": 0.0}),
+    ("thermal-hec", {"n_bar": 0.731}),
+    ("thermal-hec", {"n_bar": 1e6}),
+    ("thermal-hec", {"n_bar": 1e9}),
+    ("thermal-hec", {"n_bar": 1e15}),
+    ("dicke", {"k_rule": "quarter"}),
+    ("dicke", {"k_rule": "half-minus-one"}),
+]
+
+
+class TestSweepOracle:
+    def check(self, family, N_list, params=PARAMS, **kwargs):
+        result = scaling_sweep(family, N_list, params, **kwargs)
+        rows, csv, slopes = _sweep_oracle(family, N_list, params, **kwargs)
+        assert result.to_csv() == csv
+        assert json.dumps(result.slopes_dict()) == slopes
+        assert [(r.N, r.k) for r in result.rows] == [(r.N, r.k) for r in rows]
+        assert all(type(r.N) is int for r in result.rows)
+        for name in ("r_e", "r_d", "t_q", "T_q"):
+            got = np.array([getattr(r, name) for r in result.rows])
+            assert_same_bits(got, np.array([getattr(r, name) for r in rows]))
+            assert_same_bits(getattr(result, name), got)
+        return result
+
+    @pytest.mark.parametrize("lists", sorted(SWEEP_N_LISTS))
+    @pytest.mark.parametrize(
+        "family, kwargs",
+        SWEEP_FAMILIES,
+        ids=[f"{f}-{v}" for f, d in SWEEP_FAMILIES for v in d.values()],
+    )
+    def test_grid(self, family, kwargs, lists):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RankWarning or numpy warning
+            self.check(family, SWEEP_N_LISTS[lists], **kwargs)
+
+    @pytest.mark.parametrize(
+        "family, N_list, kwargs",
+        [
+            ("dicke", range(4, 4097, 4), {"k_rule": "half-minus-one"}),
+            ("dicke", range(1, 2049), {"k_rule": "quarter"}),
+            ("product", range(2, 2049, 2), {"p_e": 0.3141}),
+            ("thermal-hec", range(1, 513), {"n_bar": 0.731}),
+            ("thermal-hec", range(1, 513), {"n_bar": 3.3}),
+            ("thermal-hec", [600, 3, 40, 1], {"n_bar": 1e6}),
+            ("thermal-hec", range(1, 65), {"n_bar": 1e9}),
+        ],
+    )
+    def test_benchmark_sized_sweeps(self, family, N_list, kwargs):
+        self.check(family, list(N_list), **kwargs)
+
+    def test_other_collision_parameters(self):
+        params = CollisionParams(g=0.037, tau=0.61, p=3.3)
+        self.check("dicke", [5, 17, 2, 2], params, k_rule="quarter")
+        self.check("thermal-hec", [5, 17, 2, 2], params, n_bar=2.5)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_thermal_sum_blocks(self, monkeypatch, block):
+        # every block split adds the same terms in the same order
+        monkeypatch.setattr(master_equation, "_SUM_BLOCK", block)
+        self.check("thermal-hec", [30, 1, 12, 12, 45, 2], n_bar=0.4)
+
+    def test_thermal_sum_longer_than_a_block(self):
+        N_list = [master_equation._SUM_BLOCK + 5, 3, 40]
+        self.check("thermal-hec", N_list, n_bar=0.9)
+
+    def test_coefficients_thermal_hec_is_the_one_n_case(self):
+        for N in (1, 2, 7, 64, 300):
+            for n_bar in (0.0, 0.5, 12.0):
+                c = coefficients_thermal_hec(N, n_bar, PARAMS)
+                row = _sweep_row_oracle("thermal-hec", N, PARAMS, None, n_bar, None)
+                assert (c.r_e, c.r_d) == (row.r_e, row.r_d)
+
+    def test_thermal_rejection_names_first_n_in_input_order(self):
+        N_list = [3, 40, 1]
+        with pytest.raises(ValidationError) as expected:
+            _sweep_oracle("thermal-hec", N_list, PARAMS, n_bar=1e16)
+        with pytest.raises(ValidationError) as got:
+            scaling_sweep("thermal-hec", N_list, PARAMS, n_bar=1e16)
+        assert str(got.value) == str(expected.value)
+        assert "too large for N=3;" in str(got.value)
+
+    @pytest.mark.parametrize(
+        "family, kwargs, fragment",
+        [
+            ("product", {"p_e": 1.5}, "p_e: must be in [0, 1], got 1.5"),
+            ("product", {"p_e": math.nan}, "p_e: must be in [0, 1], got nan"),
+            ("thermal-hec", {"n_bar": -1.0}, "n_bar: must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_rejections_match_per_row_sweep(self, family, kwargs, fragment):
+        with pytest.raises(ValidationError) as expected:
+            _sweep_oracle(family, [4, 2], PARAMS, **kwargs)
+        with pytest.raises(ValidationError) as got:
+            scaling_sweep(family, [4, 2], PARAMS, **kwargs)
+        assert str(got.value) == str(expected.value) == fragment
+
+    def test_n_above_exact_float_range_rejected(self):
+        with pytest.raises(ValidationError, match=r"N_list: all N must be <= 2\*\*53"):
+            scaling_sweep("product", [4, 2**53 + 1], PARAMS, p_e=0.5)
+        row = scaling_sweep("dicke", [2**53], PARAMS, k_rule="quarter").rows[0]
+        assert row == _sweep_row_oracle("dicke", 2**53, PARAMS, None, None, "quarter")
+
+
+class TestFitNeedsTwoDistinctN:
+    @pytest.mark.parametrize("xs", [[4.0], [4.0, 4.0], [1.0, 1.0, 1.0]])
+    def test_rejected(self, xs):
+        with pytest.raises(ValidationError, match="two distinct x values"):
+            fit_loglog_slope(xs, np.arange(1.0, len(xs) + 1.0))
+
+
+class TestTimeGridLimits:
+    def test_step_count_overflow_rejected(self):
+        limit = r"t_end/dt: inf steps exceed the limit of 2\*\*53"
+        with pytest.raises(ValidationError, match=limit):
+            _step_count(1e300, 1e-300)
+        with pytest.raises(ValidationError, match="exceed the limit"):
+            _step_count(2.0**53, 1.0)
+        assert _step_count(2.0**53 - 1.0, 1.0) == 2**53 - 1
+
+    def test_every_engine_checks_the_step_limit(self):
+        c = coefficients_dicke(4, 1, PARAMS)
+        with pytest.raises(ValidationError, match="t_end/dt"):
+            integrate_master(ground_state(), c, 1e300, 1e-300, n_records=3)
+        with pytest.raises(ValidationError, match="t_end/dt"):
+            collision_chain(ground_state(), BathSpec.dicke(2, 1), PARAMS, 1e300, 1e-300)
+        with pytest.raises(ValidationError, match="t_end/dt"):
+            ladder_history(3, 1.0, 1.0, 1e300, 1e-300)
+
+    def test_record_limit(self, monkeypatch):
+        assert MAX_RECORDS == 10**6
+        with pytest.raises(ValidationError, match=f"{MAX_RECORDS + 1} records exceed"):
+            _record_indices(MAX_RECORDS, None)
+        with pytest.raises(ValidationError, match="records exceed"):
+            _record_indices(10**12, 10**7)
+        monkeypatch.setattr(dynamics, "MAX_RECORDS", 10)
+        assert _record_indices(9, None) == list(range(10))
+        assert len(_record_indices(100, 10)) == 10
+        with pytest.raises(ValidationError, match="11 records exceed the limit of 10;"):
+            _record_indices(10, None)
+        with pytest.raises(ValidationError, match="11 records exceed the limit of 10;"):
+            _record_indices(100, 11)
+        # a huge step count is fine when few records are asked for
+        assert _record_indices(10**12, 3) == [0, 500000000000, 1000000000000]
+
+    def test_more_records_than_steps_records_every_step(self):
+        def linspace_rule(n_steps, n_records):
+            idx = np.round(np.linspace(0, n_steps, n_records)).astype(int)
+            return np.unique(idx).tolist()
+
+        for n_steps in range(0, 60):
+            for n_records in range(2, n_steps + 30):
+                assert _record_indices(n_steps, n_records) == linspace_rule(n_steps, n_records)
+        assert _record_indices(5, 10**9) == [0, 1, 2, 3, 4, 5]
+
+    def test_every_step_recorded_over_the_limit_rejected(self):
+        c = coefficients_dicke(4, 1, PARAMS)
+        with pytest.raises(ValidationError, match="records exceed"):
+            integrate_master(ground_state(), c, 1e3, 1e-4)
+
+
+class TestPrepareChecksStepMapOnce:
+    def test_nonnegative_step_map_records_no_steps(self, monkeypatch):
+        seen = []
+        real = dynamics._record_indices
+
+        def spy(n_steps, n_records):
+            seen.append(n_records)
+            return real(n_steps, n_records)
+
+        monkeypatch.setattr(dynamics, "_record_indices", spy)
+        ladder, _ = prepare_thermal_dicke(1, 0.5, 1.0, t_end=30.0, dt=0.001)
+        assert seen == [0]
+        *_, final = ladder_history(1, 0.5, 1.0, t_end=30.0, dt=0.001, n_records=0)
+        assert np.array_equal(ladder.populations, np.clip(final, 0.0, None))
+
+    def test_negative_step_map_checks_every_step(self, monkeypatch):
+        seen = []
+        real = dynamics._record_indices
+
+        def spy(n_steps, n_records):
+            seen.append(n_records)
+            return real(n_steps, n_records)
+
+        monkeypatch.setattr(dynamics, "_record_indices", spy)
+        with pytest.raises(NumericError):
+            prepare_thermal_dicke(6, 1.0, 1.0, t_end=10.0, dt=1.0)
+        assert seen == [None]
+
+    @pytest.mark.parametrize(
+        "N, n_bar, t_end, dt", [(1, 0.5, 30.0, 0.001), (4, 1.3, 10.0, 0.002), (8, 0.5, 5.0, 0.01)]
+    )
+    def test_agrees_with_every_step_history(self, N, n_bar, t_end, dt):
+        # the one matrix power agrees with the step-by-step products to rounding
+        ladder, _ = prepare_thermal_dicke(N, n_bar, 1.0, t_end=t_end, dt=dt)
+        _, history, _ = ladder_history(N, n_bar, 1.0, t_end=t_end, dt=dt)
+        assert np.all(history >= -1e-10)
+        np.testing.assert_allclose(ladder.populations, history[-1], rtol=0, atol=1e-12)
