@@ -29,7 +29,6 @@ from .collective import (
     build_collective_ops,
     dicke_ladder_transform,
     j_z_diagonal,
-    symmetric_dicke_vector,
 )
 from .dynamics import (
     LadderState,
@@ -59,7 +58,6 @@ from .dynamics import (
 )
 from .errors import NumericError, QollideError, ValidationError
 from .linalg import (
-    expectation,
     matrix_exp,
     partial_trace_bath,
     validate_density_matrix,

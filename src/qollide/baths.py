@@ -49,6 +49,9 @@ from .utils import fmt_complex, parse_complex
 
 BATH_KINDS = ("product", "thermal-hec", "dicke", "explicit")
 
+#: The parameter each bath kind requires.
+_REQUIRED = {"product": "p_e", "thermal-hec": "n_bar", "dicke": "k", "explicit": "rho"}
+
 LABEL_POPULATION = "population"
 LABEL_DISPLACEMENT = "displacement"
 LABEL_SQUEEZING = "squeezing"
@@ -58,7 +61,12 @@ LABEL_INEFFECTIVE = "ineffective"
 
 @dataclass(frozen=True, eq=False)
 class BathSpec:
-    """Declarative description of a bath state (kind plus parameters)."""
+    """Declarative description of a bath state (kind plus parameters).
+
+    The parameter the kind needs is required: ``p_e`` (product), ``n_bar``
+    (thermal-hec), ``k`` (dicke) or a ``2^N x 2^N`` ``rho`` (explicit).
+    Their ranges are checked where the state or its coefficients are built.
+    """
 
     N: int
     kind: str
@@ -74,6 +82,14 @@ class BathSpec:
             )
         if self.N < 1:
             raise ValidationError(f"N: must be >= 1, got {self.N}")
+        field = _REQUIRED[self.kind]
+        if getattr(self, field) is None:
+            article = "an" if self.kind == "explicit" else "a"
+            raise ValidationError(f"{field}: required for {article} {self.kind} bath")
+        if self.kind == "explicit" and np.shape(self.rho) != (2**self.N, 2**self.N):
+            raise ValidationError(
+                f"rho: shape {np.shape(self.rho)} does not match N={self.N}"
+            )
 
     @classmethod
     def product_mixed(cls, N, p_e):
@@ -188,27 +204,13 @@ def validate_bath(spec):
     """
     name = f"{spec.kind} bath"
     if spec.kind == "explicit":
-        if spec.rho is None:
-            raise ValidationError("rho: required for an explicit bath")
-        if spec.rho.shape != (2**spec.N, 2**spec.N):
-            raise ValidationError(
-                f"rho: shape {spec.rho.shape} does not match N={spec.N}"
-            )
         return validate_density_matrix(np.asarray(spec.rho, dtype=complex), name=name)
     if spec.kind == "product":
-        if spec.p_e is None:
-            raise ValidationError("p_e: required for a product bath")
         rho = product_mixed_state(spec.N, spec.p_e)
     elif spec.kind == "thermal-hec":
-        if spec.n_bar is None:
-            raise ValidationError("n_bar: required for a thermal-hec bath")
         rho = thermal_hec_state(spec.N, spec.n_bar)
-    elif spec.kind == "dicke":
-        if spec.k is None:
-            raise ValidationError("k: required for a dicke bath")
+    else:
         rho = dicke_block_state(spec.N, spec.k)
-    else:  # unreachable, kinds checked in __post_init__
-        raise ValidationError(f"bath kind: unknown {spec.kind!r}")
     check_unit_trace(rho, name=name)
     return rho
 
@@ -270,12 +272,10 @@ class CoherenceMap:
             LABEL_INEFFECTIVE: dim * dim - dim - n_disp - n_sq - n_hec,
         }
 
-    def to_json_dict(self, basis=None, include_entries=None):
-        """JSON-ready dict: block sizes, label counts and (for small N) the
+    def to_json_dict(self, basis=None):
+        """JSON-ready dict: block sizes, label counts and (for N <= 6) the
         upper-triangle entry list.  Labels are symmetric, so each unordered
         pair appears once."""
-        if include_entries is None:
-            include_entries = self.N <= 6
         if basis is None:
             basis = basis_ordering(self.N)
         out = {
@@ -283,7 +283,7 @@ class CoherenceMap:
             "block_sizes": list(basis.sizes),
             "counts": self.counts(),
         }
-        if include_entries:
+        if self.N <= 6:
             entries = []
             for i in range(self.dim):
                 for j in range(i + 1, self.dim):

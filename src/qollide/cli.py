@@ -5,6 +5,9 @@ Subcommands: ``coeffs``, ``evolve``, ``sweep``, ``classify``, ``prepare`` and
 config file (``--config``); command-line flags win over config entries.
 Output files are UTF-8 with LF line endings and all floats carry 17
 significant digits, so identical inputs produce byte-identical files.
+An ``--n-points`` of zero or less records nothing: the trajectory or
+ladder CSV is its header alone, written after the same checks as any other
+run, and ``prepare`` still writes the bath state at ``--t-end``.
 
 Exit codes: 0 success; 2 configuration error, or a run too large for the
 available memory; 3 numeric invariant violation, or a failed linear-algebra
@@ -23,9 +26,10 @@ import sys
 import numpy as np
 
 from .baths import BATH_KINDS, BathSpec, bath_to_csv, classify_coherences, load_bath_csv, validate_bath
-from .collective import build_collective_ops, dicke_ladder_transform
+from .collective import build_collective_ops
 from .dynamics import (
-    TRAJECTORY_CSV_HEADER,
+    _csv_text,
+    _ladder_bath,
     analytic_trajectory,
     collision_chain,
     integrate_master,
@@ -34,8 +38,7 @@ from .dynamics import (
     scaling_sweep,
 )
 from .errors import NumericError, ValidationError
-from .master_equation import CollisionParams, coefficients_for
-from .utils import fmt_float
+from .master_equation import CollisionParams, coefficients_for, dicke_rates
 
 DEFAULT_PARAMS = {"g": 0.1, "tau": 1.0, "p": 100.0, "omega0": 1.0}
 
@@ -202,13 +205,10 @@ def cmd_evolve(args, config):
     if engine in ("ode", "collisions") and dt is None:
         raise ValidationError(f"dt: required for the {engine} engine")
 
-    if n_points is not None and n_points <= 0:
-        _write(out_path, TRAJECTORY_CSV_HEADER + "\n")
-        return 0
-
     if engine == "analytic":
         coeffs = coefficients_for(spec, params)
-        times = np.linspace(0.0, t_end, n_points)
+        # a negative count records nothing, as on the stepped engines
+        times = np.linspace(0.0, t_end, max(n_points, 0))
         traj = analytic_trajectory(rho0, coeffs, times)
     elif engine == "ode":
         coeffs = coefficients_for(spec, params)
@@ -278,13 +278,9 @@ def cmd_prepare(args, config):
         N, n_bar, gamma0, t_end, dt, n_records=n_points
     )
     header = "t," + ",".join(f"rho_{k}" for k in range(N + 1))
-    lines = [header]
-    for t, row in zip(times, history):
-        lines.append(",".join(fmt_float(x) for x in (t, *row)))
-    ladder_csv = "\n".join(lines) + "\n"
-
-    transform = dicke_ladder_transform(N)
-    rho = (transform * final) @ transform.conj().T
+    row = ",".join(["%.17g"] * (N + 2)) + "\n"
+    ladder_csv = _csv_text(header, row, np.column_stack((times, history)))
+    _, rho = _ladder_bath(N, final)
     _write(out_ladder, ladder_csv)
     _write(out_state, bath_to_csv(rho, N))
     return 0
@@ -305,8 +301,7 @@ def _temperature_curves():
     curves = []
     for N in (4, 8, 12):
         k = N // 2 - 1
-        r_e = k * (N - k + 1)
-        r_d = (k + 1) * (N - k)
+        r_e, r_d = dicke_rates(N, k)
         curves.append((f"temperature_dicke_N{N}_k{k}.csv", BathSpec.dicke(N, k)))
         # incoherent bath tuned to the same steady temperature
         curves.append(

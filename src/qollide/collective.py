@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ValidationError
 
 #: Largest N accepted for collective-operator construction.
-MAX_QUBITS_DEFAULT = 12
+MAX_QUBITS = 12
 
 
 def block_sizes(N):
@@ -116,11 +116,11 @@ class CollectiveOps:
     ladder: tuple
 
 
-def build_collective_ops(N, max_qubits=MAX_QUBITS_DEFAULT):
-    """Construct :class:`CollectiveOps` for ``N`` qubits (``N <= max_qubits``)."""
-    if not 1 <= N <= max_qubits:
+def build_collective_ops(N):
+    """Construct :class:`CollectiveOps` for ``N`` qubits (``N <= MAX_QUBITS``)."""
+    if not 1 <= N <= MAX_QUBITS:
         raise ValidationError(
-            f"build_collective_ops: N={N} outside allowed range 1..{max_qubits}"
+            f"build_collective_ops: N={N} outside allowed range 1..{MAX_QUBITS}"
         )
     basis = basis_ordering(N)
     sizes, offsets = basis.sizes, basis.offsets
@@ -137,16 +137,6 @@ def build_collective_ops(N, max_qubits=MAX_QUBITS_DEFAULT):
         L.setflags(write=False)
         ladder.append(L)
     return CollectiveOps(N, basis, tuple(ladder))
-
-
-def symmetric_dicke_vector(N, k):
-    """Normalized equal-amplitude state over all ``C(N,k)`` k-excitation states."""
-    basis = basis_ordering(N)
-    if not 0 <= k <= N:
-        raise ValidationError(f"symmetric_dicke_vector: k={k} out of range 0..{N}")
-    v = np.zeros(basis.dim, dtype=complex)
-    v[basis.block_slice(k)] = 1.0 / np.sqrt(basis.sizes[k])
-    return v
 
 
 def dicke_ladder_transform(N):

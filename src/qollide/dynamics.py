@@ -11,6 +11,7 @@ coherence decays with ``2 t_q``.  Temperatures are reported in units of
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import warnings
@@ -28,14 +29,14 @@ from .master_equation import dicke_rates, lindblad_rhs, product_mixed_rates, the
 #: Residual coherence above which trajectory temperatures are flagged.
 COHERENCE_FLAG_TOL = 1e-6
 
-#: Exact-propagator collision chains are limited to this many bath qubits.
-MAX_EXACT_QUBITS = 10
-
 #: Time grids are limited to fewer steps than this (float steps stay exact).
 MAX_STEPS = 2**53
 
 #: Trajectories and ladder histories hold at most this many records.
 MAX_RECORDS = 10**6
+
+#: Bernoulli draws per chunk of a stochastic collision stream.
+_DRAW_CHUNK = 1 << 16
 
 TRAJECTORY_CSV_HEADER = "t,mu_t,rho_ee,rho_gg,re_rho_eg,im_rho_eg,temperature,entropy"
 SWEEP_CSV_HEADER = "N,k,r_e,r_d,t_q,T_q"
@@ -50,8 +51,7 @@ def _csv_text(header, row, cols):
     ``cols``, formatted by the ``%`` template ``row``.
 
     Rows are formatted :data:`_CSV_CHUNK` at a time, one ``%`` operation per
-    chunk; adding ``0.0`` writes ``-0.0`` as ``0``, as :func:`fmt_float`
-    does.
+    chunk; adding ``0.0`` writes ``-0.0`` as ``0``.
     """
     cols = cols + 0.0
     parts = [header + "\n"]
@@ -133,7 +133,8 @@ def dicke_temperature(N, k):
     """
     if not 0 <= k <= N:
         raise ValidationError(f"k: must be in 0..{N}, got {k}")
-    return temperature_from_populations(float(k * (N - k + 1)), float((k + 1) * (N - k)))
+    r_e, r_d = dicke_rates(N, k)
+    return temperature_from_populations(float(r_e), float(r_d))
 
 
 def dicke_max_noninverted_k(N):
@@ -404,7 +405,7 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
 # exact repeated collisions
 
 
-def collision_superoperator(bath, params, mode="exact", max_exact_qubits=MAX_EXACT_QUBITS):
+def collision_superoperator(bath, params, mode="exact"):
     """4x4 superoperator of one collision, acting on the row-major vectorized
     target state: ``vec(rho') = Phi @ vec(rho)``.
 
@@ -422,10 +423,6 @@ def collision_superoperator(bath, params, mode="exact", max_exact_qubits=MAX_EXA
     if mode not in ("exact", "second_order"):
         raise ValidationError(f"mode: must be 'exact' or 'second_order', got {mode!r}")
     N = bath.N
-    if mode == "exact" and N > max_exact_qubits:
-        raise ValidationError(
-            f"N: exact propagator limited to N <= {max_exact_qubits}, got {N}"
-        )
     ops = build_collective_ops(N)  # the size cap, before allocating the bath
     rho_b = validate_bath(bath)
     off = ops.basis.offsets
@@ -504,15 +501,25 @@ def collision_chain(
         if n_trajectories < 1:
             raise ValidationError("n_trajectories: must be >= 1")
         # a trajectory's state after i steps is Phi^m rho0, m the number of
-        # collisions drawn in its first i steps
+        # collisions drawn in its first i steps; the draws stop at the last
+        # record and come _DRAW_CHUNK at a time, so memory is O(records)
+        # whatever the step count
+        last = record[-1] if record else 0
+        ends = np.array(record, dtype=np.int64) - 1  # each record's last draw
         powers = vec0[None, :]
-        collisions = np.zeros(n_steps + 1, dtype=np.int64)
         total = np.zeros((len(record), 4), dtype=complex)
         for traj in range(n_trajectories):
             key = np.array([int(seed) % 2**64, traj], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=key))
-            np.cumsum(rng.random(n_steps) < p_dt, out=collisions[1:])
-            m = collisions[record]
+            m = np.zeros(len(record), dtype=np.int64)
+            count = 0
+            for start in range(0, last, _DRAW_CHUNK):
+                # hits[j]: collisions in steps start+1 .. start+j+1
+                hits = np.cumsum(rng.random(min(_DRAW_CHUNK, last - start)) < p_dt)
+                lo = bisect.bisect_right(record, start)
+                hi = bisect.bisect_right(record, start + len(hits))
+                m[lo:hi] = count + hits[ends[lo:hi] - start]
+                count += hits[-1]
             extra = m[-1] + 1 - len(powers) if m.size else 0
             if extra > 0:
                 more, _ = _propagate(phi, powers[-1], range(1, extra + 1), extra)
@@ -573,17 +580,6 @@ def _ladder_generator(N, n_bar, gamma0):
     return gen
 
 
-def _ladder_step(N, n_bar, gamma0, t_end, dt):
-    """Checked ladder parameters: the step count and the RK4 step map."""
-    if N < 1:
-        raise ValidationError(f"N: must be >= 1, got {N}")
-    check_n_bar(n_bar)
-    if not 0.0 < gamma0 < math.inf:
-        raise ValidationError(f"gamma0: must be finite and positive, got {gamma0}")
-    n_steps = _step_count(t_end, dt)
-    return n_steps, _rk4_step_matrix(_ladder_generator(N, n_bar, gamma0), dt)
-
-
 def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     """Integrate the ladder rate equations from the collective ground state.
 
@@ -592,20 +588,31 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     powers between records.  Returns ``(times, populations, final)``: one
     row per record, and the populations at ``t_end`` whichever steps are
     recorded.  Raises :class:`NumericError` on population negativity (step
-    too large) or normalization drift in any recorded or the final state.
+    too large) or normalization drift.  An entrywise nonnegative step map
+    keeps every population nonnegative, so only the recorded and the final
+    states are checked; otherwise every step is checked, so that a
+    transient negativity is caught too, and the records are taken from
+    those steps.
     """
-    n_steps, step_mat = _ladder_step(N, n_bar, gamma0, t_end, dt)
+    if N < 1:
+        raise ValidationError(f"N: must be >= 1, got {N}")
+    check_n_bar(n_bar)
+    if not 0.0 < gamma0 < math.inf:
+        raise ValidationError(f"gamma0: must be finite and positive, got {gamma0}")
+    n_steps = _step_count(t_end, dt)
+    step_mat = _rk4_step_matrix(_ladder_generator(N, n_bar, gamma0), dt)
     pops0 = np.zeros(N + 1)
     pops0[0] = 1.0
     record = _record_indices(n_steps, n_records)
-    history, final = _propagate(step_mat, pops0, record, n_steps)
-    checked = np.vstack([history, final])
-    lowest = checked.min(axis=1)
-    drift = checked.sum(axis=1) - 1.0
+    checked = _record_indices(n_steps, None) if np.any(step_mat < 0.0) else record
+    states, final = _propagate(step_mat, pops0, checked, n_steps)
+    rows = np.vstack([states, final])
+    lowest = rows.min(axis=1)
+    drift = rows.sum(axis=1) - 1.0
     bad = np.flatnonzero((lowest < -1e-10) | (np.abs(drift) > 1e-8))
     if bad.size:
         first = bad[0]
-        step = [*record, n_steps][first]
+        step = [*checked, n_steps][first]
         if lowest[first] < -1e-10:
             raise NumericError(
                 f"ladder integration: population negativity "
@@ -615,8 +622,19 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
             f"ladder integration: normalization drift "
             f"{drift[first]:.3e} at step {step}"
         )
+    # every step checked: row i holds step i
+    history = states if checked is record else states[record]
     times = np.array([step * dt for step in record])
     return times, history, final
+
+
+def _ladder_bath(N, pops):
+    """``(LadderState, rho_product)`` of checked ladder populations: slight
+    rounding negatives are clipped to 0, then the populations are mapped
+    to the product basis by :func:`dicke_ladder_transform`."""
+    ladder = LadderState(N, np.clip(pops, 0.0, None))
+    V = dicke_ladder_transform(N)
+    return ladder, (V * ladder.populations) @ V.conj().T
 
 
 def prepare_thermal_dicke(N, n_bar, gamma0, t_end, dt):
@@ -630,17 +648,8 @@ def prepare_thermal_dicke(N, n_bar, gamma0, t_end, dt):
 
     Returns ``(LadderState, rho_product)``.
     """
-    # an entrywise nonnegative step map keeps every population nonnegative,
-    # so the final state is checked alone; otherwise every step is checked,
-    # so that a transient negativity is caught too
-    _, step_mat = _ladder_step(N, n_bar, gamma0, t_end, dt)
-    n_records = None if np.any(step_mat < 0.0) else 0
-    *_, final = ladder_history(N, n_bar, gamma0, t_end, dt, n_records=n_records)
-    pops = np.clip(final, 0.0, None)
-    ladder = LadderState(N, pops)
-    V = dicke_ladder_transform(N)
-    rho = (V * ladder.populations) @ V.conj().T
-    return ladder, rho
+    *_, final = ladder_history(N, n_bar, gamma0, t_end, dt, n_records=0)
+    return _ladder_bath(N, final)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 
-# Defaults for density-matrix validation with dense double precision.
+# Density-matrix validation tolerances for dense double precision.
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-8
@@ -101,42 +101,25 @@ def matrix_exp(a, tol=1e-12, max_terms=64):
     return total
 
 
-def expectation(op, rho):
-    """Expectation value Tr(op @ rho); real within tolerance for Hermitian op."""
-    op = as_complex_matrix(op)
-    rho = as_complex_matrix(rho)
-    if op.shape != rho.shape or op.shape[0] != op.shape[1]:
-        raise ValidationError(
-            f"expectation: incompatible shapes {op.shape} and {rho.shape}"
-        )
-    return complex(np.einsum("ij,ji->", op, rho))
-
-
-def check_unit_trace(rho, *, tol_trace=TOL_TRACE, name="rho"):
-    """Raise :class:`ValidationError` unless ``|Tr(rho) - 1| <= tol_trace``."""
+def check_unit_trace(rho, *, name="rho"):
+    """Raise :class:`ValidationError` unless ``|Tr(rho) - 1| <= TOL_TRACE``."""
     trace_dev = abs(np.trace(rho) - 1.0)
-    if trace_dev > tol_trace:
+    if trace_dev > TOL_TRACE:
         raise ValidationError(
             f"{name}: trace check failed (|Tr(rho) - 1| = {trace_dev:.3e}, "
-            f"tol {tol_trace:.1e})"
+            f"tol {TOL_TRACE:.1e})"
         )
 
 
-def validate_density_matrix(
-    rho,
-    *,
-    tol_herm=TOL_HERM,
-    tol_trace=TOL_TRACE,
-    tol_psd=TOL_PSD,
-    name="rho",
-):
+def validate_density_matrix(rho, *, tol_psd=TOL_PSD, name="rho"):
     """Check the density-matrix invariants and return the validated array.
 
     Checks, in order: finite entries, square shape, hermiticity
-    (``tol_herm``), unit trace (``tol_trace``) and positivity (smallest
-    eigenvalue >= ``-tol_psd``).  Positivity is accepted when the Hermitian
-    part shifted by ``tol_psd`` has a Cholesky factorization; only if it has
-    none is the smallest eigenvalue computed, to confirm and report it.
+    (:data:`TOL_HERM`), unit trace (:data:`TOL_TRACE`) and positivity
+    (smallest eigenvalue >= ``-tol_psd``).  Positivity is accepted when the
+    Hermitian part shifted by ``tol_psd`` has a Cholesky factorization; only
+    if it has none is the smallest eigenvalue computed, to confirm and
+    report it.
     Raises :class:`ValidationError` naming the failing check.
     """
     rho = as_complex_matrix(rho)
@@ -150,12 +133,12 @@ def validate_density_matrix(
     if n != m:
         raise ValidationError(f"{name}: shape check failed, matrix is {n}x{m}")
     herm_dev = np.max(np.abs(rho - rho.conj().T))
-    if herm_dev > tol_herm:
+    if herm_dev > TOL_HERM:
         raise ValidationError(
             f"{name}: hermiticity check failed (max |rho - rho^dag| = "
-            f"{herm_dev:.3e}, tol {tol_herm:.1e})"
+            f"{herm_dev:.3e}, tol {TOL_HERM:.1e})"
         )
-    check_unit_trace(rho, tol_trace=tol_trace, name=name)
+    check_unit_trace(rho, name=name)
     shifted = (rho + rho.conj().T) / 2.0
     shifted[np.diag_indices(n)] += tol_psd
     try:

@@ -270,27 +270,19 @@ def coefficients_dicke(N, k, params):
     return MeqCoefficients(0.0j, 0.0j, float(r_e), float(r_d), params.mu, params.pg_tau)
 
 
-def coefficients_for(spec, params, ops=None):
+def coefficients_for(spec, params):
     """Coefficients for a :class:`BathSpec`: closed forms for the named
     families, the block-structured trace for explicit matrices."""
     if not isinstance(spec, BathSpec):
         raise ValidationError("coefficients_for: expected a BathSpec")
     if spec.kind == "product":
-        if spec.p_e is None:
-            raise ValidationError("p_e: required for a product bath")
         return coefficients_product_mixed(spec.N, spec.p_e, params)
     if spec.kind == "thermal-hec":
-        if spec.n_bar is None:
-            raise ValidationError("n_bar: required for a thermal-hec bath")
         return coefficients_thermal_hec(spec.N, spec.n_bar, params)
     if spec.kind == "dicke":
-        if spec.k is None:
-            raise ValidationError("k: required for a dicke bath")
         return coefficients_dicke(spec.N, spec.k, params)
     rho = validate_bath(spec)
-    if ops is None:
-        ops = build_collective_ops(spec.N)
-    return coefficients_from_state(rho, ops, params)
+    return coefficients_from_state(rho, build_collective_ops(spec.N), params)
 
 
 def lindblad_rhs(rho_q, c):

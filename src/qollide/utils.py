@@ -3,14 +3,6 @@
 from __future__ import annotations
 
 
-def fmt_float(x):
-    """Format a float with 17 significant digits, normalizing negative zero."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.17g}"
-
-
 def fmt_complex(z):
     """Format a complex number as ``a+bj`` parseable by ``complex()``."""
     z = complex(z)

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from qollide import CollisionParams, build_collective_ops
+from qollide import CollisionParams, ValidationError, basis_ordering, build_collective_ops
 from qollide.linalg import TOL_HERM, TOL_PSD, TOL_TRACE
 
 
@@ -38,6 +38,36 @@ def eigvalsh_oracle_accepts(rho):
         and abs(np.trace(rho) - 1.0) <= TOL_TRACE
         and np.linalg.eigvalsh(herm)[0] >= -TOL_PSD
     )
+
+
+def fmt_float(x):
+    """Oracle float formatting: 17 significant digits, ``-0.0`` as ``0``."""
+    x = float(x)
+    if x == 0.0:
+        x = 0.0
+    return f"{x:.17g}"
+
+
+def expectation(op, rho):
+    """Oracle expectation value ``Tr(op @ rho)`` of two dense square matrices."""
+    op = np.asarray(op, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    if op.ndim != 2 or op.shape != rho.shape or op.shape[0] != op.shape[1]:
+        raise ValidationError(
+            f"expectation: incompatible shapes {op.shape} and {rho.shape}"
+        )
+    return complex(np.einsum("ij,ji->", op, rho))
+
+
+def symmetric_dicke_vector(N, k):
+    """Normalized equal-amplitude state over all ``C(N,k)`` k-excitation
+    states, in the canonical basis."""
+    basis = basis_ordering(N)
+    if not 0 <= k <= N:
+        raise ValidationError(f"symmetric_dicke_vector: k={k} out of range 0..{N}")
+    v = np.zeros(basis.dim, dtype=complex)
+    v[basis.block_slice(k)] = 1.0 / np.sqrt(basis.sizes[k])
+    return v
 
 
 def random_density_matrix(rng, dim):

@@ -16,7 +16,6 @@ from qollide import (
     prepare_thermal_dicke,
     product_mixed_state,
     save_bath_csv,
-    symmetric_dicke_vector,
     thermal_hec_state,
     validate_bath,
     validate_density_matrix,
@@ -29,6 +28,7 @@ from conftest import (
     dense_ops,
     eigvalsh_oracle_accepts,
     random_density_matrix,
+    symmetric_dicke_vector,
 )
 from test_collective import canonical_index
 
@@ -165,6 +165,25 @@ class TestValidateBath:
     def test_missing_parameter(self):
         with pytest.raises(ValidationError, match="n_bar"):
             validate_bath(BathSpec(N=2, kind="thermal-hec"))
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("product", "p_e: required for a product bath"),
+            ("thermal-hec", "n_bar: required for a thermal-hec bath"),
+            ("dicke", "k: required for a dicke bath"),
+            ("explicit", "rho: required for an explicit bath"),
+        ],
+    )
+    def test_missing_parameter_refused_at_construction(self, kind, message):
+        with pytest.raises(ValidationError) as info:
+            BathSpec(N=2, kind=kind)
+        assert str(info.value) == message
+
+    def test_explicit_shape_refused_at_construction(self):
+        with pytest.raises(ValidationError) as info:
+            BathSpec(N=3, kind="explicit", rho=np.eye(4) / 4.0)
+        assert str(info.value) == "rho: shape (4, 4) does not match N=3"
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError, match="kind"):

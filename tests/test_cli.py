@@ -8,8 +8,20 @@ import warnings
 import numpy as np
 import pytest
 
-from qollide import bath_from_csv, basis_ordering, thermal_hec_state
+from qollide import (
+    NumericError,
+    bath_from_csv,
+    bath_to_csv,
+    basis_ordering,
+    ladder_history,
+    prepare_thermal_dicke,
+    thermal_hec_state,
+)
 from qollide.cli import main, parse_n_range
+
+from conftest import fmt_float
+
+TRAJECTORY_HEADER = "t,mu_t,rho_ee,rho_gg,re_rho_eg,im_rho_eg,temperature,entropy\n"
 
 
 def run(capsys, *argv):
@@ -185,6 +197,53 @@ class TestEvolve:
         assert out_path.read_text() == (
             "t,mu_t,rho_ee,rho_gg,re_rho_eg,im_rho_eg,temperature,entropy\n"
         )
+
+    @pytest.mark.parametrize("engine", ["analytic", "ode", "collisions"])
+    def test_negative_grid_header_only(self, capsys, tmp_path, engine):
+        out_path = tmp_path / "traj.csv"
+        code, _, _ = run(
+            capsys, "evolve", "--engine", engine, "--bath", "dicke", "--N", "4",
+            "--k", "1", "--t-end", "0.01", "--dt", "0.001", "--n-points", "-1",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert out_path.read_text() == TRAJECTORY_HEADER
+
+    @pytest.mark.parametrize(
+        "engine", ["analytic", "ode", "collisions", "collisions-second-order"]
+    )
+    @pytest.mark.parametrize(
+        "bath, fragment",
+        [
+            (["--bath", "dicke", "--N", "4", "--k", "99"], "k: must be in 0..4"),
+            (["--bath", "product", "--N", "4", "--pe", "7"], "p_e: must be in [0, 1]"),
+        ],
+        ids=["k", "pe"],
+    )
+    @pytest.mark.parametrize("n_points", ["0", "1"])
+    def test_zero_grid_checks_bath(self, capsys, tmp_path, engine, bath, fragment, n_points):
+        # an empty grid is refused for the same configurations as a
+        # one-point grid, and writes nothing
+        engine, _, mode = engine.partition("-")
+        out_path = tmp_path / "traj.csv"
+        result = run(
+            capsys, "evolve", "--engine", engine, *bath,
+            *(["--mode", mode] if mode else []),
+            "--t-end", "0.01", "--dt", "0.001", "--n-points", n_points,
+            "--out", str(out_path),
+        )
+        assert_config_error(result, fragment)
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("mode", ["exact", "second-order"])
+    @pytest.mark.parametrize("n_points", ["0", "1"])
+    def test_zero_grid_checks_qubit_cap(self, capsys, mode, n_points):
+        result = run(
+            capsys, "evolve", "--engine", "collisions", "--mode", mode,
+            "--bath", "dicke", "--N", "30", "--k", "1",
+            "--t-end", "0.01", "--dt", "0.001", "--n-points", n_points,
+        )
+        assert_config_error(result, "build_collective_ops: N=30 outside allowed range 1..12")
 
     def test_engines_agree(self, capsys, tmp_path):
         common = [
@@ -575,6 +634,68 @@ class TestPrepare:
         )
         assert_config_error(result, fragment)
         assert not state.exists()
+
+    def test_transient_negativity_exit_3_with_any_grid(self, capsys, tmp_path):
+        # the RK4 step map of this run has negative entries, so every step
+        # is checked, as in prepare_thermal_dicke, however few are recorded
+        with pytest.raises(NumericError) as info:
+            prepare_thermal_dicke(3, 0.2, 1.0, t_end=12.0, dt=0.3)
+        assert "population negativity -6.480e-05 at step 1;" in str(info.value)
+        for n_points in (["--n-points", "2"], ["--n-points", "0"], []):
+            state = tmp_path / "state.csv"
+            code, out, err = run(
+                capsys, "prepare", "--N", "3", "--nbar", "0.2", "--gamma0", "1",
+                "--t-end", "12", "--dt", "0.3", *n_points, "--out-state", str(state),
+            )
+            assert (code, out) == (3, "")
+            assert err == f"numeric error: {info.value}\n"
+            assert not state.exists()
+
+    @pytest.mark.parametrize("N", [2, 3, 6])
+    @pytest.mark.parametrize("n_bar", [0.2, 1.0])
+    @pytest.mark.parametrize("dt", [0.05, 0.3, 1.0])
+    def test_verdict_and_state_match_library(self, capsys, tmp_path, N, n_bar, dt):
+        try:
+            _, rho = prepare_thermal_dicke(N, n_bar, 1.0, t_end=6.0, dt=dt)
+        except NumericError as exc:
+            rho, failure = None, f"numeric error: {exc}\n"
+        n_steps = int(6.0 / dt + 1e-9)
+        for n_points in (None, -1, 0, 1, 2, 5, n_steps + 1, n_steps + 7):
+            state = tmp_path / "state.csv"
+            grid = [] if n_points is None else ["--n-points", str(n_points)]
+            code, _, err = run(
+                capsys, "prepare", "--N", str(N), "--nbar", repr(n_bar),
+                "--gamma0", "1", "--t-end", "6", "--dt", repr(dt), *grid,
+                "--out-ladder", str(tmp_path / "ladder.csv"), "--out-state", str(state),
+            )
+            if rho is None:
+                assert (code, err) == (3, failure)
+                continue
+            assert code == 0
+            text = state.read_text()
+            state.unlink()
+            if n_points is not None and n_points <= 0:
+                # the library's own grid: bit for bit the same state
+                assert text == bath_to_csv(rho, N)
+            else:
+                # other grids reach t_end through other matrix powers
+                np.testing.assert_allclose(bath_from_csv(text)[1], rho, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_points", [None, 0, 1, 4])
+    def test_ladder_csv_matches_per_value_format(self, capsys, tmp_path, n_points):
+        ladder_path = tmp_path / "ladder.csv"
+        grid = [] if n_points is None else ["--n-points", str(n_points)]
+        code, _, _ = run(
+            capsys, "prepare", "--N", "3", "--nbar", "0.7", "--gamma0", "1",
+            "--t-end", "0.5", "--dt", "0.05", *grid, "--out-ladder", str(ladder_path),
+            "--out-state", str(tmp_path / "state.csv"),
+        )
+        assert code == 0
+        times, history, _ = ladder_history(3, 0.7, 1.0, 0.5, 0.05, n_records=n_points)
+        lines = ["t,rho_0,rho_1,rho_2,rho_3"]
+        for t, row in zip(times, history):
+            lines.append(",".join(fmt_float(x) for x in (t, *row)))
+        assert ladder_path.read_text() == "\n".join(lines) + "\n"
 
     def test_numeric_failure_exit_3(self, capsys, tmp_path):
         code, _, err = run(

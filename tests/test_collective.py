@@ -8,12 +8,10 @@ from qollide import (
     build_collective_ops,
     dicke_block_state,
     dicke_ladder_transform,
-    expectation,
     j_z_diagonal,
-    symmetric_dicke_vector,
 )
 
-from conftest import cached_ops, dense_ops
+from conftest import cached_ops, dense_ops, expectation, symmetric_dicke_vector
 
 
 def canonical_index(basis, label):

@@ -49,9 +49,8 @@ from qollide.dynamics import (
     _record_indices,
     _step_count,
 )
-from qollide.utils import fmt_float
 
-from conftest import cached_ops, dense_ops, random_density_matrix
+from conftest import cached_ops, dense_ops, fmt_float, random_density_matrix
 
 PARAMS = CollisionParams(g=0.1, tau=1.0, p=100.0)  # mu = 1
 
@@ -439,12 +438,25 @@ class TestCollisionChain:
         with pytest.raises(ValidationError, match="p\\*dt"):
             collision_chain(ground_state(), BathSpec.dicke(2, 1), params, 1.0, 0.5)
 
-    def test_exact_mode_qubit_limit(self):
+    def test_one_qubit_cap_for_both_modes(self, monkeypatch):
+        # both modes share the operator cap N <= 12, checked before the
+        # bath is materialized
+        def refuse(spec):
+            raise AssertionError(f"bath materialized for N={spec.N}")
+
+        monkeypatch.setattr(dynamics, "validate_bath", refuse)
         params = CollisionParams(g=0.01, tau=1.0, p=1.0)
-        with pytest.raises(ValidationError, match="N"):
-            collision_chain(
-                ground_state(), BathSpec.dicke(11, 1), params, 0.1, 0.1
-            )
+        for mode in ("exact", "second_order"):
+            with pytest.raises(
+                ValidationError,
+                match=r"^build_collective_ops: N=13 outside allowed range 1\.\.12$",
+            ):
+                collision_chain(
+                    ground_state(), BathSpec.dicke(13, 1), params, 0.1, 0.1, mode=mode
+                )
+            # N = 11 passes the cap and reaches the bath
+            with pytest.raises(AssertionError, match="N=11"):
+                collision_superoperator(BathSpec.dicke(11, 1), params, mode=mode)
 
     def test_engine_ordering_against_analytic(self):
         # truncation errors: collisions (g*tau)^2 are far above the
@@ -665,9 +677,47 @@ class TestPropagatorOracles:
         with pytest.raises(NumericError, match=f"negativity .* at step {step};"):
             prepare_thermal_dicke(6, 1.0, 1.0, t_end=10.0, dt=1.0)
 
-    def test_ladder_final_state_checked_without_records(self):
-        with pytest.raises(NumericError, match="at step 10;"):
-            ladder_history(6, 1.0, 1.0, t_end=10.0, dt=1.0, n_records=0)
+    def test_ladder_final_state_checked_without_records(self, monkeypatch):
+        # a nonnegative step map: only the records and the final state are
+        # checked, so a drifted final state is caught with no records
+        real = dynamics._propagate
+
+        def drifted(step_mat, vec0, record, n_steps):
+            recorded, final = real(step_mat, vec0, record, n_steps)
+            return recorded, final + np.eye(len(final))[0] * 1e-6
+
+        monkeypatch.setattr(dynamics, "_propagate", drifted)
+        with pytest.raises(NumericError, match="normalization drift .* at step 10$"):
+            ladder_history(3, 0.7, 1.0, t_end=0.5, dt=0.05, n_records=0)
+
+    @pytest.mark.parametrize("n_records", RECORD_CASES)
+    def test_ladder_negative_step_map_checked_at_every_step(self, n_records):
+        from qollide.dynamics import _ladder_generator
+
+        _, _, step = _ladder_oracle(_ladder_generator(6, 1.0, 1.0), 10.0, 1.0)
+        assert step is not None and step < 10
+        with pytest.raises(NumericError, match=f"negativity .* at step {step};"):
+            ladder_history(6, 1.0, 1.0, t_end=10.0, dt=1.0, n_records=n_records)
+
+    @pytest.mark.parametrize("n_records", RECORD_CASES)
+    def test_ladder_negative_step_map_records_from_every_step(self, n_records):
+        # this step map has a negative entry, yet keeps the populations
+        # nonnegative: the records are rows of the every-step history
+        from qollide.dynamics import _ladder_generator, _rk4_step_matrix
+
+        assert np.any(_rk4_step_matrix(_ladder_generator(2, 1.0, 1.0), 0.3) < 0.0)
+        _, every, every_final = ladder_history(2, 1.0, 1.0, 6.0, 0.3)
+        times, history, final = ladder_history(2, 1.0, 1.0, 6.0, 0.3, n_records)
+        record = _record_indices(20, n_records)
+        assert times.tolist() == [0.3 * i for i in record]
+        assert np.array_equal(history, every[record])
+        assert np.array_equal(final, every_final)
+        want, want_final, negative_at = _ladder_oracle(
+            _ladder_generator(2, 1.0, 1.0), 6.0, 0.3, n_records
+        )
+        assert negative_at is None
+        assert np.max(np.abs(history - want), initial=0.0) <= 1e-12
+        assert np.max(np.abs(final - want_final)) <= 1e-12
 
     @pytest.mark.parametrize("n_records", RECORD_CASES)
     def test_deterministic_chain_matches_step_loop(self, n_records):
@@ -691,11 +741,14 @@ class TestPropagatorOracles:
         assert traj.times.tolist() == [0.0]
         assert np.array_equal(traj.states[0], rho0)
 
+    @pytest.mark.parametrize("chunk", (1, 3, 7, 1 << 16))
     @pytest.mark.parametrize("seed", (7, 2**40 + 3))
-    @pytest.mark.parametrize("n_records", (None, 4))
-    def test_stochastic_chain_matches_trajectory_loop(self, seed, n_records):
+    @pytest.mark.parametrize("n_records", (None, 4, 2))
+    def test_stochastic_chain_matches_trajectory_loop(self, monkeypatch, seed, n_records, chunk):
+        # small chunks put records on and across draw-chunk boundaries
         from qollide import collision_superoperator
 
+        monkeypatch.setattr(dynamics, "_DRAW_CHUNK", chunk)
         params = CollisionParams(g=0.2, tau=1.0, p=25.0)
         bath = BathSpec.dicke(3, 1)
         rho0 = qubit_state(0.1, 0.2)
@@ -707,6 +760,49 @@ class TestPropagatorOracles:
         phi = collision_superoperator(bath, params)
         want = _stochastic_oracle(rho0.ravel(), phi, 0.25, 20, record, seed, 30)
         assert np.max(np.abs(traj.states.reshape(-1, 4) - want)) <= 1e-12
+
+
+class TestStochasticDraws:
+    def test_chunked_draws_equal_one_draw(self):
+        def stream():
+            key = np.array([5, 3], dtype=np.uint64)
+            return np.random.Generator(np.random.Philox(key=key))
+
+        rng = stream()
+        chunks = [rng.random(n) for n in (1, 4095, 4096, 3, 91_808)]
+        assert np.array_equal(np.concatenate(chunks), stream().random(100_003))
+
+    def test_memory_bounded_by_records(self):
+        import tracemalloc
+
+        params = CollisionParams(g=0.1, tau=1.0, p=100.0)
+
+        def run(t_end):
+            return collision_chain(
+                ground_state(), BathSpec.dicke(2, 1), params, t_end, 1e-6,
+                scheme="stochastic", n_trajectories=1, n_records=3,
+            )
+
+        run(1e-3)  # first-call imports and caches are not the run's memory
+        tracemalloc.start()
+        try:
+            traj = run(1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 3
+        # one draw of all 10^6 steps would hold 8 MB of doubles alone
+        assert peak < 4 * 2**20
+
+    def test_no_draws_past_last_record(self):
+        # only t = 0 is recorded, so none of the 10^12 steps is drawn
+        params = CollisionParams(g=0.1, tau=1.0, p=100.0)
+        traj = collision_chain(
+            ground_state(), BathSpec.dicke(2, 1), params, 1e6, 1e-6,
+            scheme="stochastic", n_trajectories=3, n_records=1,
+        )
+        assert traj.times.tolist() == [0.0]
+        assert np.array_equal(traj.states[0], ground_state())
 
 
 class TestPrepareThermalDicke:
@@ -1287,7 +1383,8 @@ class TestPrepareChecksStepMapOnce:
         monkeypatch.setattr(dynamics, "_record_indices", spy)
         with pytest.raises(NumericError):
             prepare_thermal_dicke(6, 1.0, 1.0, t_end=10.0, dt=1.0)
-        assert seen == [None]
+        # the requested (no) records, then every step for the check
+        assert seen == [0, None]
 
     @pytest.mark.parametrize(
         "N, n_bar, t_end, dt", [(1, 0.5, 30.0, 0.001), (4, 1.3, 10.0, 0.002), (8, 0.5, 5.0, 0.01)]

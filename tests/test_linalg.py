@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qollide import (
     ValidationError,
     dicke_block_state,
-    expectation,
     matrix_exp,
     partial_trace_bath,
     validate_density_matrix,
@@ -14,7 +13,7 @@ from qollide import (
 from qollide.errors import NumericError
 from qollide.linalg import TOL_PSD
 
-from conftest import dense_ops, eigvalsh_oracle_accepts, random_density_matrix
+from conftest import dense_ops, eigvalsh_oracle_accepts, expectation, random_density_matrix
 
 I2 = np.eye(2, dtype=complex)
 

@@ -15,7 +15,6 @@ from qollide import (
     coefficients_product_mixed,
     coefficients_thermal_hec,
     dicke_block_state,
-    expectation,
     j_z_diagonal,
     lindblad_rhs,
     product_mixed_state,
@@ -24,7 +23,7 @@ from qollide import (
 )
 from qollide.baths import BathSpec
 
-from conftest import cached_ops, dense_ops, random_density_matrix
+from conftest import cached_ops, dense_ops, expectation, random_density_matrix
 
 PARAMS = CollisionParams(g=0.1, tau=1.0, p=100.0)
 
