@@ -132,8 +132,7 @@ def product_mixed_state(N, p_e):
     Diagonal in the canonical basis with weight ``p_e**k (1-p_e)**(N-k)`` on
     every k-excitation state.
     """
-    if not 0.0 <= p_e <= 1.0:
-        raise ValidationError(f"p_e: must be in [0, 1], got {p_e}")
+    _check_p_e(p_e)
     basis = basis_ordering(N)
     exc = basis.excitations.astype(float)
     diag = p_e**exc * (1.0 - p_e) ** (N - exc)
@@ -144,6 +143,18 @@ def check_n_bar(n_bar):
     """Reject a mean photon number that is negative or not finite."""
     if not 0.0 <= n_bar < math.inf:
         raise ValidationError(f"n_bar: must be finite and >= 0, got {n_bar}")
+
+
+def _check_p_e(p_e):
+    """Reject an excited probability outside [0, 1] (NaN included)."""
+    if not 0.0 <= p_e <= 1.0:
+        raise ValidationError(f"p_e: must be in [0, 1], got {p_e}")
+
+
+def _check_k(N, k):
+    """Reject an excitation count outside ``0..N``."""
+    if not 0 <= k <= N:
+        raise ValidationError(f"k: must be in 0..{N}, got {k}")
 
 
 def thermal_hec_weights(N, n_bar):
@@ -165,6 +176,16 @@ def thermal_hec_weights(N, n_bar):
     return r, (1.0 / (n_bar + 1.0)) / denom
 
 
+def _symmetric_state(basis, weights):
+    """The mixture ``sum_k w_k |D_k><D_k|`` of symmetric Dicke states: each
+    excitation block ``k`` uniformly filled with ``weights[k] / C(N,k)``."""
+    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for k, w in enumerate(weights):
+        blk = basis.block_slice(k)
+        rho[blk, blk] = w / basis.sizes[k]
+    return rho
+
+
 def thermal_hec_state(N, n_bar):
     """Collectively thermalized bath state at mean photon number ``n_bar``.
 
@@ -173,23 +194,13 @@ def thermal_hec_state(N, n_bar):
     Consecutive block traces are in the Gibbs ratio ``r``.
     """
     r, norm = thermal_hec_weights(N, n_bar)
-    basis = basis_ordering(N)
-    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for k in range(N + 1):
-        blk = basis.block_slice(k)
-        rho[blk, blk] = norm * r**k / basis.sizes[k]
-    return rho
+    return _symmetric_state(basis_ordering(N), [norm * r**k for k in range(N + 1)])
 
 
 def dicke_block_state(N, k):
     """Pure fully symmetric state with exactly ``k`` excited bath qubits."""
-    basis = basis_ordering(N)
-    if not 0 <= k <= N:
-        raise ValidationError(f"k: must be in 0..{N}, got {k}")
-    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
-    blk = basis.block_slice(k)
-    rho[blk, blk] = 1.0 / basis.sizes[k]
-    return rho
+    _check_k(N, k)
+    return _symmetric_state(basis_ordering(N), np.eye(N + 1)[k])
 
 
 def validate_bath(spec):
@@ -234,10 +245,6 @@ class CoherenceMap:
     @property
     def dim(self):
         return 2**self.N
-
-    def block_index(self, i, j):
-        """Excitation numbers ``(k_i, k_j)`` of the two basis states."""
-        return int(self.excitations[i]), int(self.excitations[j])
 
     def labels(self, i, j):
         """All labels carried by entry ``(i, j)``."""
@@ -287,15 +294,14 @@ class CoherenceMap:
             entries = []
             for i in range(self.dim):
                 for j in range(i + 1, self.dim):
-                    k_i, k_j = self.block_index(i, j)
                     entries.append(
                         {
                             "i": i,
                             "j": j,
                             "state_i": basis.state_label(i),
                             "state_j": basis.state_label(j),
-                            "k_i": k_i,
-                            "k_j": k_j,
+                            "k_i": int(self.excitations[i]),
+                            "k_j": int(self.excitations[j]),
                             "labels": list(self.labels(i, j)),
                             "primary": self.primary(i, j),
                         }

@@ -7,7 +7,9 @@ Output files are UTF-8 with LF line endings and all floats carry 17
 significant digits, so identical inputs produce byte-identical files.
 An ``--n-points`` of zero or less records nothing: the trajectory or
 ladder CSV is its header alone, written after the same checks as any other
-run, and ``prepare`` still writes the bath state at ``--t-end``.
+run, and ``prepare`` still writes the bath state at ``--t-end``.  A failing
+``prepare`` writes neither file.  Every ``2**N``-sized structure, the
+``prepare`` state included, is capped at ``N <= 12`` before it is built.
 
 Exit codes: 0 success; 2 configuration error, or a run too large for the
 available memory; 3 numeric invariant violation, or a failed linear-algebra
@@ -18,6 +20,7 @@ stderr and no traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -26,7 +29,7 @@ import sys
 import numpy as np
 
 from .baths import BATH_KINDS, BathSpec, bath_to_csv, classify_coherences, load_bath_csv, validate_bath
-from .collective import build_collective_ops
+from .collective import basis_ordering, build_collective_ops
 from .dynamics import (
     _csv_text,
     _ladder_bath,
@@ -167,12 +170,7 @@ def cmd_coeffs(args, config):
     coeffs = coefficients_for(spec, params)
     payload = {
         "bath": spec.describe(),
-        "params": {
-            "g": params.g,
-            "tau": params.tau,
-            "p": params.p,
-            "omega0": params.omega0,
-        },
+        "params": dataclasses.asdict(params),
         "coefficients": coeffs.to_json_dict(),
     }
     _write(out_path, _json(payload))
@@ -205,13 +203,13 @@ def cmd_evolve(args, config):
     if engine in ("ode", "collisions") and dt is None:
         raise ValidationError(f"dt: required for the {engine} engine")
 
-    if engine == "analytic":
+    if engine != "collisions":
         coeffs = coefficients_for(spec, params)
+    if engine == "analytic":
         # a negative count records nothing, as on the stepped engines
         times = np.linspace(0.0, t_end, max(n_points, 0))
         traj = analytic_trajectory(rho0, coeffs, times)
     elif engine == "ode":
-        coeffs = coefficients_for(spec, params)
         traj = integrate_master(rho0, coeffs, t_end, dt, n_records=n_points)
     else:
         traj = collision_chain(
@@ -272,6 +270,7 @@ def cmd_prepare(args, config):
     out_ladder = _get(args, config, "out_ladder", str)
     out_state = _get(args, config, "out_state", str)
 
+    basis = basis_ordering(N)  # the qubit cap, before integrating
     # the bath state is always the one at t_end, however many ladder rows
     # are recorded (none for a zero-length grid)
     times, history, final = ladder_history(
@@ -280,9 +279,9 @@ def cmd_prepare(args, config):
     header = "t," + ",".join(f"rho_{k}" for k in range(N + 1))
     row = ",".join(["%.17g"] * (N + 2)) + "\n"
     ladder_csv = _csv_text(header, row, np.column_stack((times, history)))
-    _, rho = _ladder_bath(N, final)
+    state_csv = bath_to_csv(_ladder_bath(basis, final)[1], N)  # before writing either
     _write(out_ladder, ladder_csv)
-    _write(out_state, bath_to_csv(rho, N))
+    _write(out_state, state_csv)
     return 0
 
 

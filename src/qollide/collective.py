@@ -25,8 +25,14 @@ import numpy as np
 
 from .errors import ValidationError
 
-#: Largest N accepted for collective-operator construction.
+#: Largest N of any ``2**N``-sized basis, state or operator.
 MAX_QUBITS = 12
+
+
+def _check_qubits(N, name):
+    """Reject an ``N`` outside ``1..MAX_QUBITS``, naming the caller."""
+    if not 1 <= N <= MAX_QUBITS:
+        raise ValidationError(f"{name}: N={N} outside allowed range 1..{MAX_QUBITS}")
 
 
 def block_sizes(N):
@@ -83,10 +89,9 @@ class BasisOrdering:
 
 
 def basis_ordering(N):
-    """Build the :class:`BasisOrdering` for ``N`` qubits."""
-    if N < 1:
-        raise ValidationError(f"basis_ordering: N must be >= 1, got {N}")
-    sizes = tuple(comb(N, k) for k in range(N + 1))
+    """Build the :class:`BasisOrdering` for ``1 <= N <= MAX_QUBITS`` qubits."""
+    _check_qubits(N, "basis_ordering")
+    sizes = tuple(block_sizes(N))
     order = np.array(
         sorted(range(2**N), key=lambda b: (bin(b).count("1"), b)), dtype=np.intp
     )
@@ -118,10 +123,7 @@ class CollectiveOps:
 
 def build_collective_ops(N):
     """Construct :class:`CollectiveOps` for ``N`` qubits (``N <= MAX_QUBITS``)."""
-    if not 1 <= N <= MAX_QUBITS:
-        raise ValidationError(
-            f"build_collective_ops: N={N} outside allowed range 1..{MAX_QUBITS}"
-        )
+    _check_qubits(N, "build_collective_ops")
     basis = basis_ordering(N)
     sizes, offsets = basis.sizes, basis.offsets
 
@@ -141,7 +143,7 @@ def build_collective_ops(N):
 
 def dicke_ladder_transform(N):
     """Isometry (``2**N x (N+1)``) whose k-th column is the symmetric state
-    with ``k`` excitations; maps ladder populations to the product basis."""
+    with ``k`` excitations; ``(V * w) @ V^dag`` is the bath constructors' block fill."""
     basis = basis_ordering(N)
     V = np.zeros((basis.dim, N + 1), dtype=complex)
     for k in range(N + 1):

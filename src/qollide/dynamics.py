@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .baths import check_n_bar, validate_bath
-from .collective import build_collective_ops, dicke_ladder_transform
+from .baths import _check_k, _symmetric_state, check_n_bar, validate_bath
+from .collective import basis_ordering, build_collective_ops
 from .errors import NumericError, ValidationError
 from .linalg import validate_density_matrix
 from .master_equation import dicke_rates, lindblad_rhs, product_mixed_rates, thermal_hec_rates
@@ -131,8 +131,7 @@ def dicke_temperature(N, k):
     bath qubits in the ground state); see :func:`dicke_max_noninverted_k`.
     Returns +inf at the balanced point and negative values when inverted.
     """
-    if not 0 <= k <= N:
-        raise ValidationError(f"k: must be in 0..{N}, got {k}")
+    _check_k(N, k)
     r_e, r_d = dicke_rates(N, k)
     return temperature_from_populations(float(r_e), float(r_d))
 
@@ -142,12 +141,17 @@ def dicke_max_noninverted_k(N):
     return (N + 1) // 2 - 1
 
 
+def _entropies(w):
+    """``-sum w ln w`` over the last axis of eigenvalues ``w``, clipped to
+    [0, 1], with the 0 ln 0 := 0 convention."""
+    w = np.clip(w, 0.0, 1.0)
+    terms = np.where(w > 0.0, w * np.log(np.where(w > 0.0, w, 1.0)), 0.0)
+    return -terms.sum(axis=-1)
+
+
 def entropy(rho):
     """Von Neumann entropy (units k_B) with the 0 ln 0 := 0 convention."""
-    w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    w = np.clip(w.real, 0.0, 1.0)
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w)))
+    return float(_entropies(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))))
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +261,9 @@ class Trajectory:
         ee = states[:, 0, 0].real
         gg = states[:, 1, 1].real
         temps = _temperatures(ee, gg)
-        # the same sum as :func:`entropy`, with 0 ln 0 := 0
-        w = np.clip(np.linalg.eigvalsh(states), 0.0, 1.0)
-        terms = np.where(w > 0.0, w * np.log(np.where(w > 0.0, w, 1.0)), 0.0)
-        ents = -(terms[:, 0] + terms[:, 1])
+        ents = _entropies(np.linalg.eigvalsh(states))
         flagged = bool(np.any(np.abs(states[:, 0, 1]) > COHERENCE_FLAG_TOL))
         return cls(times, float(mu), states, ee, temps, ents, flagged)
-
-    @property
-    def scaled_times(self):
-        return self.mu * self.times
 
     def __len__(self):
         return len(self.times)
@@ -310,8 +307,6 @@ def _record_indices(n_steps, n_records):
     ``n_records`` exceeds ``n_steps``).  At most :data:`MAX_RECORDS`."""
     if n_records is not None and n_records <= 0:
         return []
-    if n_records == 1:
-        return [0]
     count = n_steps + 1 if n_records is None else min(n_records, n_steps + 1)
     if count > MAX_RECORDS:
         raise ValidationError(
@@ -592,7 +587,8 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     keeps every population nonnegative, so only the recorded and the final
     states are checked; otherwise every step is checked, so that a
     transient negativity is caught too, and the records are taken from
-    those steps.
+    those steps.  Such a grid of more than :data:`MAX_RECORDS` steps is
+    refused before it is propagated.
     """
     if N < 1:
         raise ValidationError(f"N: must be >= 1, got {N}")
@@ -603,8 +599,14 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     step_mat = _rk4_step_matrix(_ladder_generator(N, n_bar, gamma0), dt)
     pops0 = np.zeros(N + 1)
     pops0[0] = 1.0
+    negative = bool(np.any(step_mat < 0.0))
+    if negative and n_steps >= MAX_RECORDS:
+        raise ValidationError(
+            f"dt: the ladder step map at dt={dt:.3g} has a negative entry, so all {n_steps + 1}"
+            f" steps would be checked, over the limit of {MAX_RECORDS}; reduce dt"
+        )
     record = _record_indices(n_steps, n_records)
-    checked = _record_indices(n_steps, None) if np.any(step_mat < 0.0) else record
+    checked = _record_indices(n_steps, None) if negative else record
     states, final = _propagate(step_mat, pops0, checked, n_steps)
     rows = np.vstack([states, final])
     lowest = rows.min(axis=1)
@@ -628,13 +630,12 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     return times, history, final
 
 
-def _ladder_bath(N, pops):
+def _ladder_bath(basis, pops):
     """``(LadderState, rho_product)`` of checked ladder populations: slight
-    rounding negatives are clipped to 0, then the populations are mapped
-    to the product basis by :func:`dicke_ladder_transform`."""
-    ladder = LadderState(N, np.clip(pops, 0.0, None))
-    V = dicke_ladder_transform(N)
-    return ladder, (V * ladder.populations) @ V.conj().T
+    rounding negatives are clipped to 0, then block ``k`` of the product
+    basis ``basis`` is filled with population ``k`` over ``C(N,k)``."""
+    ladder = LadderState(basis.N, np.clip(pops, 0.0, None))
+    return ladder, _symmetric_state(basis, ladder.populations)
 
 
 def prepare_thermal_dicke(N, n_bar, gamma0, t_end, dt):
@@ -644,12 +645,13 @@ def prepare_thermal_dicke(N, n_bar, gamma0, t_end, dt):
     ladder, so an (N+1)-dimensional rate equation suffices.  For
     ``t_end >> 1/gamma0`` consecutive populations approach the Gibbs ratio
     ``n_bar/(n_bar+1)`` and the product-basis image coincides with
-    :func:`qollide.baths.thermal_hec_state`.
+    :func:`qollide.baths.thermal_hec_state`.  The qubit cap comes first.
 
     Returns ``(LadderState, rho_product)``.
     """
+    basis = basis_ordering(N)
     *_, final = ladder_history(N, n_bar, gamma0, t_end, dt, n_records=0)
-    return _ladder_bath(N, final)
+    return _ladder_bath(basis, final)
 
 
 # ---------------------------------------------------------------------------

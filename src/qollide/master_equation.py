@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import BathSpec, thermal_hec_weights, validate_bath
+from .baths import BathSpec, _check_k, _check_p_e, thermal_hec_weights, validate_bath
 from .collective import build_collective_ops, j_z_diagonal
 from .errors import NumericError, ValidationError
 
@@ -196,8 +196,7 @@ def coefficients_from_state(rho_b, ops, params):
 
 def product_mixed_rates(N, p_e):
     """``(r_e, r_d) = (N p_e, N (1-p_e))`` for an int N or an array of N."""
-    if not 0.0 <= p_e <= 1.0:
-        raise ValidationError(f"p_e: must be in [0, 1], got {p_e}")
+    _check_p_e(p_e)
     return N * p_e + 0.0, N * (1.0 - p_e)  # + 0.0: rate 0.0 for p_e = -0.0
 
 
@@ -264,8 +263,7 @@ def dicke_rates(N, k):
 def coefficients_dicke(N, k, params):
     """Closed form for a symmetric k-excitation bath:
     ``r_e = k(N-k+1)``, ``r_d = (k+1)(N-k)``."""
-    if not 0 <= k <= N:
-        raise ValidationError(f"k: must be in 0..{N}, got {k}")
+    _check_k(N, k)
     r_e, r_d = dicke_rates(N, k)
     return MeqCoefficients(0.0j, 0.0j, float(r_e), float(r_d), params.mu, params.pg_tau)
 

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +11,12 @@ from qollide import (
     CollisionParams,
     ValidationError,
     bath_from_csv,
+    basis_ordering,
     bath_to_csv,
     classify_coherences,
     coefficients_from_state,
     dicke_block_state,
+    dicke_ladder_transform,
     load_bath_csv,
     prepare_thermal_dicke,
     product_mixed_state,
@@ -21,6 +26,7 @@ from qollide import (
     validate_density_matrix,
 )
 
+from qollide.dynamics import _ladder_bath
 from qollide.utils import fmt_complex
 
 from conftest import (
@@ -143,6 +149,80 @@ def test_constructors_are_valid_density_matrices(N):
     validate_density_matrix(product_mixed_state(N, 0.3))
     validate_density_matrix(thermal_hec_state(N, 0.8))
     validate_density_matrix(dicke_block_state(N, N // 2))
+
+
+def _block_fill(N, weights):
+    """Oracle: excitation block ``k`` uniformly filled with
+    ``weights[k] / C(N,k)``, block by block in ascending ``k``."""
+    rho = np.zeros((2**N, 2**N), dtype=complex)
+    start = 0
+    for k, w in enumerate(weights):
+        size = math.comb(N, k)
+        rho[start : start + size, start : start + size] = w / size
+        start += size
+    return rho
+
+
+def assert_same_state(rho, want):
+    assert rho.shape == want.shape
+    assert np.array_equal(rho.view(np.uint64), want.view(np.uint64))
+
+
+class TestSymmetricMixtures:
+    """Every symmetric bath is ``sum_k w_k |D_k><D_k|``: one block fill,
+    equal to the isometry product ``(V * w) @ V^dag`` up to rounding."""
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_prepared_state(self, N):
+        ladder, rho = prepare_thermal_dicke(N, 0.7, 1.0, t_end=1.0, dt=0.001)
+        w = ladder.populations
+        assert_same_state(rho, _block_fill(N, w))
+        V = dicke_ladder_transform(N)
+        np.testing.assert_allclose(rho, (V * w) @ V.conj().T, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("N", [4, 6, 8])
+    def test_random_ladder_populations(self, N, rng):
+        w = rng.random(N + 1)
+        w /= w.sum()
+        ladder, rho = _ladder_bath(basis_ordering(N), w)
+        assert_same_state(rho, _block_fill(N, ladder.populations))
+        V = dicke_ladder_transform(N)
+        np.testing.assert_allclose(rho, (V * w) @ V.conj().T, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("N", [1, 5, 8])
+    def test_named_families(self, N):
+        r = 0.7 / 1.7
+        norm = (1.0 / 1.7) / (1.0 - r ** (N + 1))
+        weights = [norm * r**k for k in range(N + 1)]
+        assert_same_state(thermal_hec_state(N, 0.7), _block_fill(N, weights))
+        for k in range(N + 1):
+            assert_same_state(dicke_block_state(N, k), _block_fill(N, np.eye(N + 1)[k]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: basis_ordering(13),
+        lambda: product_mixed_state(13, 0.2),
+        lambda: thermal_hec_state(13, 1.0),
+        lambda: thermal_hec_state(30, 1.0),
+        lambda: dicke_block_state(13, 3),
+        lambda: dicke_ladder_transform(13),
+        lambda: prepare_thermal_dicke(13, 0.2, 1.0, 6.0, 0.05),
+    ],
+    ids=["basis", "product", "thermal-hec", "thermal-hec-30", "dicke", "ladder-transform",
+         "prepare"],
+)
+def test_qubit_cap_checked_before_allocation(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"N=(13|30) outside allowed range 1\.\.12$"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the N=13 basis sort alone holds about 1 MB of keys, the state 1 GiB
+    assert peak < 64 * 2**10
 
 
 class TestValidateBath:

@@ -681,6 +681,48 @@ class TestPrepare:
                 # other grids reach t_end through other matrix powers
                 np.testing.assert_allclose(bath_from_csv(text)[1], rho, rtol=0, atol=1e-12)
 
+    def test_negative_step_map_over_record_limit_exit_2(self, capsys, tmp_path):
+        # every step of a negative step map is checked, so recording fewer
+        # points cannot help: the message names the step map and dt
+        ladder, state = tmp_path / "ladder.csv", tmp_path / "state.csv"
+        result = run(
+            capsys, "prepare", "--N", "3", "--nbar", "0.2", "--gamma0", "1",
+            "--t-end", "600000", "--dt", "0.3", "--n-points", "5",
+            "--out-ladder", str(ladder), "--out-state", str(state),
+        )
+        assert_config_error(
+            result, "dt: the ladder step map at dt=0.3 has a negative entry",
+            "2000001 steps", "reduce dt",
+        )
+        assert "record fewer points" not in result[2]
+        assert not ladder.exists() and not state.exists()
+
+    def test_over_cap_n_exit_2_writes_nothing(self, capsys, tmp_path):
+        ladder, state = tmp_path / "ladder.csv", tmp_path / "state.csv"
+        result = run(
+            capsys, "prepare", "--N", "13", "--nbar", "0.2", "--gamma0", "1",
+            "--t-end", "6", "--dt", "0.05",
+            "--out-ladder", str(ladder), "--out-state", str(state),
+        )
+        assert_config_error(result, "basis_ordering: N=13 outside allowed range 1..12")
+        assert not ladder.exists() and not state.exists()
+
+    def test_failed_state_writes_no_file(self, capsys, monkeypatch, tmp_path):
+        import qollide.cli as cli
+
+        def fail(rho, N):
+            raise MemoryError("Unable to allocate 1.00 GiB")
+
+        monkeypatch.setattr(cli, "bath_to_csv", fail)
+        ladder, state = tmp_path / "ladder.csv", tmp_path / "state.csv"
+        result = run(
+            capsys, "prepare", "--N", "4", "--nbar", "1", "--gamma0", "1",
+            "--t-end", "1", "--dt", "0.01",
+            "--out-ladder", str(ladder), "--out-state", str(state),
+        )
+        assert result == (2, "", "error: out of memory: Unable to allocate 1.00 GiB\n")
+        assert not ladder.exists() and not state.exists()
+
     @pytest.mark.parametrize("n_points", [None, 0, 1, 4])
     def test_ladder_csv_matches_per_value_format(self, capsys, tmp_path, n_points):
         ladder_path = tmp_path / "ladder.csv"

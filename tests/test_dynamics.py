@@ -224,6 +224,14 @@ class TestEntropy:
             0.6730116670092565, abs=1e-15
         )
 
+    def test_same_bits_as_filtered_sum(self, rng):
+        # the shared stacked sum keeps the bits of -sum over w > 0 alone
+        states = [excited_state(), ground_state(), np.eye(2) / 2.0, np.diag([0.4, 0.6])]
+        states += [random_density_matrix(rng, 2) for _ in range(50)]
+        for state in states:
+            _, want, _ = _per_record_oracle([0.0], [state], 1.0)
+            assert_same_bits(np.array([entropy(state)]), want)
+
     def test_steady_entropy_bounded_by_ln2(self):
         prev = 0.0
         for k in (0, 1, 2, 3):
@@ -698,6 +706,30 @@ class TestPropagatorOracles:
         assert step is not None and step < 10
         with pytest.raises(NumericError, match=f"negativity .* at step {step};"):
             ladder_history(6, 1.0, 1.0, t_end=10.0, dt=1.0, n_records=n_records)
+
+    @pytest.mark.parametrize("n_records", [None, 0, 3])
+    def test_ladder_negative_step_map_over_limit_refused_before_propagation(
+        self, monkeypatch, n_records
+    ):
+        real = dynamics._propagate
+
+        def unreachable(*args):
+            raise AssertionError("propagated")
+
+        monkeypatch.setattr(dynamics, "MAX_RECORDS", 10)
+        monkeypatch.setattr(dynamics, "_propagate", unreachable)
+        # 20 steps of a step map with a negative entry
+        with pytest.raises(
+            ValidationError,
+            match=r"^dt: the ladder step map at dt=0\.3 has a negative entry, so all 21 "
+            r"steps would be checked, over the limit of 10; reduce dt$",
+        ):
+            ladder_history(2, 1.0, 1.0, 6.0, 0.3, n_records)
+        # a nonnegative step map is held only to the records it keeps
+        monkeypatch.setattr(dynamics, "_propagate", real)
+        if n_records is not None:
+            times, _, _ = ladder_history(2, 1.0, 1.0, 0.2, 0.01, n_records)
+            assert len(times) == n_records
 
     @pytest.mark.parametrize("n_records", RECORD_CASES)
     def test_ladder_negative_step_map_records_from_every_step(self, n_records):
