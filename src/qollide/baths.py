@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import basis_ordering
+from .collective import _check_qubits, basis_ordering
 from .errors import ValidationError
 from .linalg import check_unit_trace, validate_density_matrix
 from .utils import fmt_complex, parse_complex
@@ -115,14 +115,12 @@ class BathSpec:
         return cls(N=N, kind="explicit", rho=rho)
 
     def describe(self):
-        """Provenance dict for JSON output."""
+        """Provenance dict for JSON output: kind, N and the kind's parameter
+        (none for an explicit matrix)."""
         d = {"kind": self.kind, "N": self.N}
-        if self.p_e is not None:
-            d["p_e"] = self.p_e
-        if self.n_bar is not None:
-            d["n_bar"] = self.n_bar
-        if self.k is not None:
-            d["k"] = self.k
+        if self.kind != "explicit":
+            field = _REQUIRED[self.kind]
+            d[field] = getattr(self, field)
         return d
 
 
@@ -203,6 +201,10 @@ def dicke_block_state(N, k):
     return _symmetric_state(basis_ordering(N), np.eye(N + 1)[k])
 
 
+#: The constructor of each named family, called with N and the kind's parameter.
+_FAMILIES = {"product": product_mixed_state, "thermal-hec": thermal_hec_state, "dicke": dicke_block_state}
+
+
 def validate_bath(spec):
     """Materialize a :class:`BathSpec` into a validated density matrix.
 
@@ -216,12 +218,7 @@ def validate_bath(spec):
     name = f"{spec.kind} bath"
     if spec.kind == "explicit":
         return validate_density_matrix(np.asarray(spec.rho, dtype=complex), name=name)
-    if spec.kind == "product":
-        rho = product_mixed_state(spec.N, spec.p_e)
-    elif spec.kind == "thermal-hec":
-        rho = thermal_hec_state(spec.N, spec.n_bar)
-    else:
-        rho = dicke_block_state(spec.N, spec.k)
+    rho = _FAMILIES[spec.kind](spec.N, getattr(spec, _REQUIRED[spec.kind]))
     check_unit_trace(rho, name=name)
     return rho
 
@@ -279,12 +276,11 @@ class CoherenceMap:
             LABEL_INEFFECTIVE: dim * dim - dim - n_disp - n_sq - n_hec,
         }
 
-    def to_json_dict(self, basis=None):
+    def to_json_dict(self):
         """JSON-ready dict: block sizes, label counts and (for N <= 6) the
         upper-triangle entry list.  Labels are symmetric, so each unordered
         pair appears once."""
-        if basis is None:
-            basis = basis_ordering(self.N)
+        basis = basis_ordering(self.N)
         out = {
             "N": self.N,
             "block_sizes": list(basis.sizes),
@@ -408,6 +404,7 @@ def _read_bath(fh):
     else:
         raise ValidationError("bath csv: empty input")
     N = _parse_header(line.rstrip("\n"))
+    _check_qubits(N, "bath csv")  # before the body is read
     dim = 2**N
     start = fh.tell()
     try:

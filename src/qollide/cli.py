@@ -9,17 +9,22 @@ An ``--n-points`` of zero or less records nothing: the trajectory or
 ladder CSV is its header alone, written after the same checks as any other
 run, and ``prepare`` still writes the bath state at ``--t-end``.  A failing
 ``prepare`` writes neither file.  Every ``2**N``-sized structure, the
-``prepare`` state included, is capped at ``N <= 12`` before it is built.
+``prepare`` state included, is capped at ``N <= 12`` before it is built;
+a bath CSV's header ``N`` is held to that cap before its rows are read.
+Every engine, the analytic one included, keeps at most 1,000,000 records.
 
-Exit codes: 0 success; 2 configuration error, or a run too large for the
-available memory; 3 numeric invariant violation, or a failed linear-algebra
-routine.  Each failure prints one ``error:`` or ``numeric error:`` line to
-stderr and no traceback.
+Exit codes: 0 success; 2 configuration error, an output that cannot be
+written, or a run too large for the available memory; 3 numeric invariant
+violation, or a failed linear-algebra routine.  Each failure prints one
+``error:`` or ``numeric error:`` line to stderr and no traceback.  A
+command whose output cannot be written prints nothing and removes the
+files it wrote before, so it leaves no partial output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -31,6 +36,7 @@ import numpy as np
 from .baths import BATH_KINDS, BathSpec, bath_to_csv, classify_coherences, load_bath_csv, validate_bath
 from .collective import basis_ordering, build_collective_ops
 from .dynamics import (
+    _check_record_count,
     _csv_text,
     _ladder_bath,
     analytic_trajectory,
@@ -91,12 +97,27 @@ def _get(args, config, name, conv=str, default=None, required=False, choices=Non
     return value
 
 
-def _write(path, text):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _write(*outputs):
+    """Write each ``(path, text)`` pair: the files in turn, then the texts
+    whose path is None to stdout.  A file that cannot be written is a
+    configuration error, and every file this call opened is removed, so a
+    failing command leaves no partial output."""
+    written = []
+    for path, text in outputs:
+        if path is None:
+            continue
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                written.append(path)
+                fh.write(text)
+        except OSError as exc:
+            for done in written:
+                with contextlib.suppress(OSError):  # a path given twice is gone already
+                    os.remove(done)
+            raise ValidationError(f"output: cannot write {path}: {exc.strerror or exc}") from exc
+    for path, text in outputs:
+        if path is None:
+            sys.stdout.write(text)
 
 
 def _json(obj):
@@ -173,7 +194,7 @@ def cmd_coeffs(args, config):
         "params": dataclasses.asdict(params),
         "coefficients": coeffs.to_json_dict(),
     }
-    _write(out_path, _json(payload))
+    _write((out_path, _json(payload)))
     return 0
 
 
@@ -207,7 +228,9 @@ def cmd_evolve(args, config):
         coeffs = coefficients_for(spec, params)
     if engine == "analytic":
         # a negative count records nothing, as on the stepped engines
-        times = np.linspace(0.0, t_end, max(n_points, 0))
+        n_points = max(n_points, 0)
+        _check_record_count(n_points)
+        times = np.linspace(0.0, t_end, n_points)
         traj = analytic_trajectory(rho0, coeffs, times)
     elif engine == "ode":
         traj = integrate_master(rho0, coeffs, t_end, dt, n_records=n_points)
@@ -224,7 +247,7 @@ def cmd_evolve(args, config):
             n_trajectories=n_traj,
             n_records=n_points,
         )
-    _write(out_path, traj.to_csv())
+    _write((out_path, traj.to_csv()))
     return 0
 
 
@@ -245,8 +268,7 @@ def cmd_sweep(args, config):
         n_bar=n_bar,
         k_rule=k_rule,
     )
-    _write(out_path, result.to_csv())
-    _write(slopes_path, _json(result.slopes_dict()))
+    _write((out_path, result.to_csv()), (slopes_path, _json(result.slopes_dict())))
     return 0
 
 
@@ -256,7 +278,7 @@ def cmd_classify(args, config):
     ops = build_collective_ops(spec.N)  # the size cap, before allocating
     rho = validate_bath(spec)
     cmap = classify_coherences(rho, ops)
-    _write(out_path, _json(cmap.to_json_dict(basis=ops.basis)))
+    _write((out_path, _json(cmap.to_json_dict())))
     return 0
 
 
@@ -280,8 +302,7 @@ def cmd_prepare(args, config):
     row = ",".join(["%.17g"] * (N + 2)) + "\n"
     ladder_csv = _csv_text(header, row, np.column_stack((times, history)))
     state_csv = bath_to_csv(_ladder_bath(basis, final)[1], N)  # before writing either
-    _write(out_ladder, ladder_csv)
-    _write(out_state, state_csv)
+    _write((out_ladder, ladder_csv), (out_state, state_csv))
     return 0
 
 
@@ -311,7 +332,10 @@ def _temperature_curves():
 
 def cmd_figures(args, config):
     out_dir = _get(args, config, "out_dir", str, required=True)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"output: cannot create {out_dir}: {exc.strerror or exc}") from exc
     params = CollisionParams(**DEFAULT_PARAMS)  # mu = 1
     rho0 = qubit_state(0.0)
     jobs = [(name, spec, np.linspace(0.0, 0.5, 201)) for name, spec in DECAY_CURVES]
@@ -323,7 +347,7 @@ def cmd_figures(args, config):
         coeffs = coefficients_for(spec, params)
         traj = analytic_trajectory(rho0, coeffs, times)
         path = os.path.join(out_dir, name)
-        _write(path, traj.to_csv())
+        _write((path, traj.to_csv()))
         print(path)
     return 0
 

@@ -301,6 +301,16 @@ def _step_count(t_end, dt):
     return int(math.floor(t_end / dt + 1e-9))
 
 
+def _check_record_count(count):
+    """Refuse a grid of more than :data:`MAX_RECORDS` records, before it is
+    allocated; every engine's grid is held to this one limit."""
+    if count > MAX_RECORDS:
+        raise ValidationError(
+            f"n_records: {count} records exceed the limit of {MAX_RECORDS}; "
+            "record fewer points"
+        )
+
+
 def _record_indices(n_steps, n_records):
     """Sorted steps to record: all ``n_steps + 1`` of them for ``n_records``
     None, else ``n_records`` evenly spaced ones (all of them again once
@@ -308,39 +318,34 @@ def _record_indices(n_steps, n_records):
     if n_records is not None and n_records <= 0:
         return []
     count = n_steps + 1 if n_records is None else min(n_records, n_steps + 1)
-    if count > MAX_RECORDS:
-        raise ValidationError(
-            f"n_records: {count} records exceed the limit of {MAX_RECORDS}; "
-            "record fewer points"
-        )
+    _check_record_count(count)
     if count == n_steps + 1:
         return list(range(count))
     idx = np.unique(np.round(np.linspace(0, n_steps, n_records)).astype(int))
     return idx.tolist()
 
 
-def _propagate(step_mat, vec0, record, n_steps):
+def _propagate(step_mat, vec0, steps):
     """Apply a constant one-step map ``step_mat`` to ``vec0``.
 
-    Returns ``(recorded, final)``: the states after ``i`` steps for every
-    ``i`` in the sorted ``record``, one row each, and the state after
-    ``n_steps``.  Consecutive records are joined by one cached matrix power
-    per distinct gap, so the cost is O(records log steps), not O(steps).
+    Returns the states after ``i`` steps for every ``i`` in the sorted
+    ``steps``, one row each.  Consecutive steps are joined by one cached
+    matrix power per distinct gap, so the cost is O(len(steps) log steps),
+    not O(steps).
     """
     vec = np.asarray(vec0)
-    recorded = np.empty((len(record), len(vec)), dtype=np.result_type(step_mat, vec))
+    rows = np.empty((len(steps), len(vec)), dtype=np.result_type(step_mat, vec))
     powers = {}
     done = 0
-    for pos, target in enumerate([*record, n_steps]):
+    for pos, target in enumerate(steps):
         gap = target - done
         if gap:
             if gap not in powers:
                 powers[gap] = np.linalg.matrix_power(step_mat, gap)
             vec = powers[gap] @ vec
             done = target
-        if pos < len(recorded):
-            recorded[pos] = vec
-    return recorded, vec
+        rows[pos] = vec
+    return rows
 
 
 def _rk4_step_matrix(gen, dt):
@@ -382,18 +387,18 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
     record = _record_indices(n_steps, n_records)
     step_mat = _rk4_step_matrix(_lindblad_generator(c), dt)
     vec0 = np.asarray(rho0, dtype=complex).ravel()
-    recorded, final = _propagate(step_mat, vec0, record, n_steps)
-    traces = np.append(recorded[:, 0] + recorded[:, 3], final[0] + final[3])
+    steps = [*record, n_steps]
+    rows = _propagate(step_mat, vec0, steps)
+    traces = rows[:, 0] + rows[:, 3]
     drift = np.abs(traces.real - 1.0) + np.abs(traces.imag)
     bad = np.flatnonzero(drift > 1e-8)
     if bad.size:
         first = bad[0]
-        step = [*record, n_steps][first]
         raise NumericError(
-            f"integrate_master: trace drift {drift[first]:.3e} at step {step}"
+            f"integrate_master: trace drift {drift[first]:.3e} at step {steps[first]}"
         )
     times = np.array([step * dt for step in record])
-    return Trajectory.from_states(times, recorded.reshape(-1, 2, 2), c.mu)
+    return Trajectory.from_states(times, rows[:-1].reshape(-1, 2, 2), c.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +496,7 @@ def collision_chain(
 
     if scheme == "deterministic":
         step_mat = (1.0 - p_dt) * np.eye(4, dtype=complex) + p_dt * phi
-        recorded, _ = _propagate(step_mat, vec0, record, n_steps)
+        recorded = _propagate(step_mat, vec0, record)
     else:
         if n_trajectories < 1:
             raise ValidationError("n_trajectories: must be >= 1")
@@ -517,7 +522,7 @@ def collision_chain(
                 count += hits[-1]
             extra = m[-1] + 1 - len(powers) if m.size else 0
             if extra > 0:
-                more, _ = _propagate(phi, powers[-1], range(1, extra + 1), extra)
+                more = _propagate(phi, powers[-1], range(1, extra + 1))
                 powers = np.concatenate([powers, more])
             total += powers[m]
         recorded = total / n_trajectories
@@ -607,27 +612,26 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
         )
     record = _record_indices(n_steps, n_records)
     checked = _record_indices(n_steps, None) if negative else record
-    states, final = _propagate(step_mat, pops0, checked, n_steps)
-    rows = np.vstack([states, final])
+    steps = [*checked, n_steps]
+    rows = _propagate(step_mat, pops0, steps)
     lowest = rows.min(axis=1)
     drift = rows.sum(axis=1) - 1.0
     bad = np.flatnonzero((lowest < -1e-10) | (np.abs(drift) > 1e-8))
     if bad.size:
         first = bad[0]
-        step = [*checked, n_steps][first]
         if lowest[first] < -1e-10:
             raise NumericError(
                 f"ladder integration: population negativity "
-                f"{lowest[first]:.3e} at step {step}; reduce dt"
+                f"{lowest[first]:.3e} at step {steps[first]}; reduce dt"
             )
         raise NumericError(
             f"ladder integration: normalization drift "
-            f"{drift[first]:.3e} at step {step}"
+            f"{drift[first]:.3e} at step {steps[first]}"
         )
     # every step checked: row i holds step i
-    history = states if checked is record else states[record]
+    history = rows[record] if negative else rows[:-1]
     times = np.array([step * dt for step in record])
-    return times, history, final
+    return times, history, rows[-1]
 
 
 def _ladder_bath(basis, pops):

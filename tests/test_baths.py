@@ -269,6 +269,17 @@ class TestValidateBath:
         with pytest.raises(ValidationError, match="kind"):
             BathSpec(N=2, kind="squeezed")
 
+    def test_describe_lists_only_the_kind_parameter(self):
+        assert BathSpec(N=2, kind="dicke", k=1, p_e=0.3).describe() == {
+            "kind": "dicke", "N": 2, "k": 1,
+        }
+        assert BathSpec(N=2, kind="product", p_e=0.3, n_bar=1.0, k=1).describe() == {
+            "kind": "product", "N": 2, "p_e": 0.3,
+        }
+        assert BathSpec(N=1, kind="explicit", rho=np.eye(2) / 2.0, k=1).describe() == {
+            "kind": "explicit", "N": 1,
+        }
+
     @pytest.mark.parametrize("n_bar", [np.inf, -np.inf, np.nan])
     def test_non_finite_n_bar(self, n_bar):
         with pytest.raises(ValidationError, match="n_bar: must be finite"):
@@ -471,6 +482,29 @@ class TestBathCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ValidationError, match="header"):
             bath_from_csv("N=2\n1,0,0,0\n")
+
+    @pytest.mark.parametrize("N", [-1, 0, 2000])
+    def test_header_n_outside_cap_rejected(self, N, tmp_path):
+        text = f"N={N},basis=excitation-sorted\n1+0j\n"
+        path = tmp_path / "rho.csv"
+        path.write_text(text)
+        for read in (lambda: bath_from_csv(text), lambda: load_bath_csv(path)):
+            with pytest.raises(ValidationError) as info:
+                read()
+            assert str(info.value) == f"bath csv: N={N} outside allowed range 1..12"
+
+    def test_header_cap_checked_before_the_body(self, monkeypatch, tmp_path):
+        from qollide import collective
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("body read before the header cap")
+
+        path = tmp_path / "rho.csv"
+        save_bath_csv(path, np.eye(8) / 8.0, 3)
+        monkeypatch.setattr(collective, "MAX_QUBITS", 2)
+        monkeypatch.setattr(np, "loadtxt", unreachable)
+        with pytest.raises(ValidationError, match=r"^bath csv: N=3 outside allowed range 1\.\.2$"):
+            load_bath_csv(path)
 
     def test_wrong_row_count_rejected(self):
         with pytest.raises(ValidationError, match="rows"):

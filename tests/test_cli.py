@@ -92,6 +92,14 @@ class TestCoeffs:
         assert payload["coefficients"]["r_e"] == pytest.approx(1.0, abs=1e-12)
         assert payload["coefficients"]["r_d"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("N", [-1, 0, 2000])
+    def test_bath_csv_header_outside_cap_exit_2(self, capsys, tmp_path, N):
+        path = tmp_path / "rho.csv"
+        path.write_text(f"N={N},basis=excitation-sorted\n1+0j\n")
+        for command in ("coeffs", "classify"):
+            result = run(capsys, command, "--bath", "explicit", "--file", str(path))
+            assert_config_error(result, f"bath csv: N={N} outside allowed range 1..12")
+
     def test_nan_entry_exit_2(self, capsys, tmp_path):
         path = tmp_path / "rho.csv"
         path.write_text("N=1,basis=excitation-sorted\nnan+0j,0+0j\n0+0j,1+0j\n")
@@ -328,6 +336,30 @@ class TestEvolve:
             "--t-end", "1e6", "--dt", "1e-3",
         )
         assert_config_error(result, "1000000001 records exceed the limit of 1000000")
+
+    def test_every_engine_held_to_the_record_limit(self, capsys, monkeypatch):
+        import qollide.dynamics as dynamics
+
+        real = np.linspace
+
+        def no_over_limit_grid(start, stop, num, *args, **kwargs):
+            assert num <= 10, "grid allocated before the record limit"
+            return real(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "MAX_RECORDS", 10)
+        monkeypatch.setattr(np, "linspace", no_over_limit_grid)
+        bath = ["--bath", "dicke", "--N", "4", "--k", "1", "--t-end", "1"]
+        for engine in ("analytic", "ode", "collisions"):
+            argv = ["evolve", "--engine", engine, *bath, "--dt", "0.001"]
+            result = run(capsys, *argv, "--n-points", "11")
+            assert_config_error(
+                result, "n_records: 11 records exceed the limit of 10; record fewer points"
+            )
+            code, out, _ = run(capsys, *argv, "--n-points", "10")
+            assert code == 0 and out.count("\n") == 11
+        # the analytic default of 101 points is over this limit too
+        result = run(capsys, "evolve", *bath)
+        assert_config_error(result, "n_records: 101 records exceed the limit of 10")
 
     def test_collisions_nbar_too_large_exit_2(self, capsys):
         result = run(
@@ -780,6 +812,39 @@ class TestFigures:
         lines = (tmp_path / "temperature_dicke_N12_k5.csv").read_text().splitlines()
         last_T = float(lines[-1].split(",")[6])
         assert last_T == pytest.approx(-1.0 / math.log(40.0 / 42.0), abs=1e-9)
+
+
+class TestUnwritableOutputs:
+    """An output that cannot be written exits 2 with one ``error:`` line,
+    prints nothing, and leaves none of the command's files behind."""
+
+    def test_every_output_flag(self, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        bad = blocker / "x"  # a path under a regular file
+        good = tmp_path / "good"
+        dicke = ["--bath", "dicke", "--N", "4", "--k", "1"]
+        prepare = ["prepare", "--N", "3", "--nbar", "0.5", "--gamma0", "1",
+                   "--t-end", "0.5", "--dt", "0.05"]
+        sweep = ["sweep", "--family", "product", "--pe", "0.2", "--N", "2:8:2"]
+        cases = [
+            (["coeffs", *dicke, "--out", str(bad)], bad),
+            (["evolve", *dicke, "--t-end", "1", "--out", str(bad)], bad),
+            (["classify", *dicke, "--out", str(bad)], bad),
+            ([*sweep, "--out", str(bad), "--slopes-out", str(good)], bad),
+            ([*sweep, "--out", str(good), "--slopes-out", str(bad)], bad),
+            ([*sweep, "--slopes-out", str(bad)], bad),
+            ([*prepare, "--out-ladder", str(bad), "--out-state", str(good)], bad),
+            ([*prepare, "--out-ladder", str(good), "--out-state", str(bad)], bad),
+            ([*prepare, "--out-state", str(bad)], bad),
+        ]
+        for argv, path in cases:
+            result = run(capsys, *argv)
+            assert_config_error(result, f"output: cannot write {path}: Not a directory")
+            assert not good.exists(), argv
+        result = run(capsys, "figures", "--out-dir", str(bad))
+        assert_config_error(result, f"output: cannot create {bad}: Not a directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
 
 def test_module_entry_point(tmp_path):

@@ -690,9 +690,10 @@ class TestPropagatorOracles:
         # checked, so a drifted final state is caught with no records
         real = dynamics._propagate
 
-        def drifted(step_mat, vec0, record, n_steps):
-            recorded, final = real(step_mat, vec0, record, n_steps)
-            return recorded, final + np.eye(len(final))[0] * 1e-6
+        def drifted(step_mat, vec0, steps):
+            rows = real(step_mat, vec0, steps)
+            rows[-1, 0] += 1e-6  # the final state, asked for last
+            return rows
 
         monkeypatch.setattr(dynamics, "_propagate", drifted)
         with pytest.raises(NumericError, match="normalization drift .* at step 10$"):
@@ -792,6 +793,78 @@ class TestPropagatorOracles:
         phi = collision_superoperator(bath, params)
         want = _stochastic_oracle(rho0.ravel(), phi, 0.25, 20, record, seed, 30)
         assert np.max(np.abs(traj.states.reshape(-1, 4) - want)) <= 1e-12
+
+
+def _gap_power_oracle(step_mat, vec0, steps):
+    """The state at each of the sorted ``steps``, reached from the previous
+    one by ``matrix_power`` of the gap, with no cache."""
+    rows, vec, done = [], np.asarray(vec0), 0
+    for target in steps:
+        if target > done:
+            vec = np.linalg.matrix_power(step_mat, target - done) @ vec
+            done = target
+        rows.append(vec)
+    return np.array(rows).reshape(len(steps), len(vec))
+
+
+class TestPropagateRows:
+    # record grids without and with the final step appended, as the
+    # collision chain and the checked engines ask for them
+    GRIDS = ([], [0], [0, 3, 7, 10], [2, 5, 8], [0, 3, 7, 10, 10], [2, 5, 8, 12], [0, 12])
+
+    @pytest.mark.parametrize("steps", GRIDS)
+    def test_integer_map_equals_step_by_step(self, steps):
+        # integer entries keep every product exact, so one step at a time
+        # must give the very same bits as the cached gap powers
+        step_mat = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        vec = np.array([1.0, -2.0, 3.0])
+        want = []
+        for step in range(max(steps, default=0) + 1):
+            want += [vec] * steps.count(step)
+            vec = step_mat @ vec
+        rows = dynamics._propagate(step_mat, np.array([1.0, -2.0, 3.0]), steps)
+        assert rows.shape == (len(steps), 3)
+        assert rows.tobytes() == np.array(want).reshape(len(steps), 3).tobytes()
+
+    @pytest.mark.parametrize("steps", GRIDS)
+    def test_complex_map_equals_gap_powers(self, rng, steps):
+        step_mat = np.eye(4) + 0.05 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        vec0 = rng.standard_normal(4) + 0j
+        rows = dynamics._propagate(step_mat, vec0, steps)
+        assert rows.tobytes() == _gap_power_oracle(step_mat, vec0, steps).tobytes()
+
+    def test_gap_powers_cached(self, monkeypatch):
+        calls = []
+        real = np.linalg.matrix_power
+
+        def counted(mat, n):
+            calls.append(n)
+            return real(mat, n)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counted)
+        dynamics._propagate(np.eye(2), np.ones(2), [0, 3, 6, 9, 10, 10])
+        assert calls == [3, 1]
+
+    @pytest.mark.parametrize("scheme", ["deterministic", "stochastic"])
+    def test_no_records_no_matrix_power(self, monkeypatch, scheme):
+        def unreachable(mat, n):
+            raise AssertionError("matrix_power called")
+
+        monkeypatch.setattr(np.linalg, "matrix_power", unreachable)
+        traj = collision_chain(
+            ground_state(), BathSpec.dicke(2, 1), PARAMS, 1.0, 0.001,
+            scheme=scheme, n_trajectories=3, n_records=0,
+        )
+        assert len(traj) == 0
+
+    def test_integrate_master_rows_and_final(self):
+        # the records are the rows of the grid without the final step
+        c = MeqCoefficients(0.3 - 0.2j, 0.4 + 0.2j, 0.8, 1.2, 1.0, 2.0)
+        rho0 = qubit_state(0.2, 0.1 - 0.05j)
+        traj = integrate_master(rho0, c, 0.1, 0.01, n_records=4)
+        step_mat = dynamics._rk4_step_matrix(dynamics._lindblad_generator(c), 0.01)
+        want = _gap_power_oracle(step_mat, rho0.ravel(), [0, 3, 7, 10])
+        assert traj.states.reshape(-1, 4).tobytes() == want.tobytes()
 
 
 class TestStochasticDraws:

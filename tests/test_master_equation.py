@@ -248,6 +248,23 @@ class TestClosedFormsAgainstBruteForce:
         ref = coefficients_thermal_hec(3, 1.0, PARAMS)
         assert c.r_e == pytest.approx(ref.r_e, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [("coefficients_for", "coefficients_for"), ("collision_superoperator", "build_collective_ops")],
+    )
+    def test_qubit_cap_before_explicit_validation(self, monkeypatch, call, name):
+        from qollide import baths, collective, dynamics
+
+        def unreachable(rho, name="density matrix"):
+            raise AssertionError("validated before the qubit cap")
+
+        monkeypatch.setattr(collective, "MAX_QUBITS", 2)
+        monkeypatch.setattr(baths, "validate_density_matrix", unreachable)
+        run = {"coefficients_for": coefficients_for, "collision_superoperator": dynamics.collision_superoperator}
+        with pytest.raises(ValidationError) as info:
+            run[call](BathSpec.explicit(np.eye(8) / 8.0), PARAMS)
+        assert str(info.value) == f"{name}: N=3 outside allowed range 1..2"
+
 
 class TestLindbladRhs:
     @pytest.mark.parametrize("N", range(1, 9))
