@@ -213,10 +213,13 @@ def validate_bath(spec):
     parameter their constructors accept; of their invariants only the
     normalization can be lost to rounding (thermal-hec at very large
     ``n_bar``), and only the trace is checked.  Explicit matrices get the
-    full :func:`validate_density_matrix` check.
+    full :func:`validate_density_matrix` check.  Every kind is held to the
+    qubit cap first: the named families by their basis, an explicit matrix
+    here, so callers validate before building the collective operators.
     """
     name = f"{spec.kind} bath"
     if spec.kind == "explicit":
+        _check_qubits(spec.N, name)  # before the validation temporaries
         return validate_density_matrix(np.asarray(spec.rho, dtype=complex), name=name)
     rho = _FAMILIES[spec.kind](spec.N, getattr(spec, _REQUIRED[spec.kind]))
     check_unit_trace(rho, name=name)

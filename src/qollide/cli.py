@@ -17,8 +17,9 @@ Exit codes: 0 success; 2 configuration error, an output that cannot be
 written, or a run too large for the available memory; 3 numeric invariant
 violation, or a failed linear-algebra routine.  Each failure prints one
 ``error:`` or ``numeric error:`` line to stderr and no traceback.  A
-command whose output cannot be written prints nothing and removes the
-files it wrote before, so it leaves no partial output.
+command opens every output file before it writes any, so one that cannot
+be opened prints nothing and changes no file; a write that fails later
+removes only the files the command created.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -98,23 +100,32 @@ def _get(args, config, name, conv=str, default=None, required=False, choices=Non
 
 
 def _write(*outputs):
-    """Write each ``(path, text)`` pair: the files in turn, then the texts
-    whose path is None to stdout.  A file that cannot be written is a
-    configuration error, and every file this call opened is removed, so a
-    failing command leaves no partial output."""
-    written = []
-    for path, text in outputs:
-        if path is None:
-            continue
-        try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                written.append(path)
-                fh.write(text)
-        except OSError as exc:
-            for done in written:
-                with contextlib.suppress(OSError):  # a path given twice is gone already
-                    os.remove(done)
-            raise ValidationError(f"output: cannot write {path}: {exc.strerror or exc}") from exc
+    """Write each ``(path, text)`` pair: the files, then the texts whose path
+    is None to stdout.  Every file is opened before any is written, so an
+    output that cannot be opened leaves every file as it was; that, or a
+    later failed write, is a configuration error.  On failure the regular
+    files this call created are removed, and nothing else."""
+    files = [(path, text) for path, text in outputs if path is not None]
+    handles, created = [], []
+    try:
+        for path, _ in files:
+            new = not os.path.lexists(path)
+            handles.append(open(path, "a", encoding="utf-8", newline="\n"))
+            if new:  # so a regular file, made by this open
+                created.append(path)
+        for fh, (path, text) in zip(handles, files):
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # "a" kept its bytes
+                fh.truncate(0)
+            fh.write(text)
+            fh.close()
+    except OSError as exc:
+        for fh in handles:
+            with contextlib.suppress(OSError):
+                fh.close()
+        for done in created:
+            with contextlib.suppress(OSError):  # the error below is the one to report
+                os.remove(done)
+        raise ValidationError(f"output: cannot write {path}: {exc.strerror or exc}") from exc
     for path, text in outputs:
         if path is None:
             sys.stdout.write(text)
@@ -275,9 +286,8 @@ def cmd_sweep(args, config):
 def cmd_classify(args, config):
     spec = _bath_from(args, config)
     out_path = _get(args, config, "out", str)
-    ops = build_collective_ops(spec.N)  # the size cap, before allocating
     rho = validate_bath(spec)
-    cmap = classify_coherences(rho, ops)
+    cmap = classify_coherences(rho, build_collective_ops(spec.N))
     _write((out_path, _json(cmap.to_json_dict())))
     return 0
 
@@ -343,11 +353,13 @@ def cmd_figures(args, config):
         (name, spec, np.linspace(0.0, 1.5, 301))
         for name, spec in _temperature_curves()
     ]
-    for name, spec, times in jobs:
-        coeffs = coefficients_for(spec, params)
-        traj = analytic_trajectory(rho0, coeffs, times)
-        path = os.path.join(out_dir, name)
-        _write((path, traj.to_csv()))
+    outputs = [
+        (os.path.join(out_dir, name),
+         analytic_trajectory(rho0, coefficients_for(spec, params), times).to_csv())
+        for name, spec, times in jobs
+    ]
+    _write(*outputs)
+    for path, _ in outputs:
         print(path)
     return 0
 

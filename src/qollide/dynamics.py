@@ -423,8 +423,8 @@ def collision_superoperator(bath, params, mode="exact"):
     if mode not in ("exact", "second_order"):
         raise ValidationError(f"mode: must be 'exact' or 'second_order', got {mode!r}")
     N = bath.N
-    ops = build_collective_ops(N)  # the size cap, before allocating the bath
     rho_b = validate_bath(bath)
+    ops = build_collective_ops(N)
     off = ops.basis.offsets
     # blocks[c][a][r] = (s, block of <c|U|a> from bath block s to block r);
     # target index 0 is |e>, 1 is |g>

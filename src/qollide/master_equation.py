@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baths import BathSpec, _check_k, _check_p_e, thermal_hec_weights, validate_bath
-from .collective import _check_qubits, build_collective_ops, j_z_diagonal
+from .collective import build_collective_ops, j_z_diagonal
 from .errors import NumericError, ValidationError
 
 # Target-qubit operators in the (|e>, |g>) basis.
@@ -279,9 +279,6 @@ def coefficients_for(spec, params):
         return coefficients_thermal_hec(spec.N, spec.n_bar, params)
     if spec.kind == "dicke":
         return coefficients_dicke(spec.N, spec.k, params)
-    # the qubit cap before validating; the operators are built after it, so
-    # they are not alive beside the validation temporaries
-    _check_qubits(spec.N, "coefficients_for")
     rho = validate_bath(spec)
     return coefficients_from_state(rho, build_collective_ops(spec.N), params)
 

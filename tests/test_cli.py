@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -251,7 +252,7 @@ class TestEvolve:
             "--bath", "dicke", "--N", "30", "--k", "1",
             "--t-end", "0.01", "--dt", "0.001", "--n-points", n_points,
         )
-        assert_config_error(result, "build_collective_ops: N=30 outside allowed range 1..12")
+        assert_config_error(result, "basis_ordering: N=30 outside allowed range 1..12")
 
     def test_engines_agree(self, capsys, tmp_path):
         common = [
@@ -845,6 +846,58 @@ class TestUnwritableOutputs:
         result = run(capsys, "figures", "--out-dir", str(bad))
         assert_config_error(result, f"output: cannot create {bad}: Not a directory")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+        # the last figure's target is a directory: the ten before it are
+        # removed and no path is printed
+        figures = tmp_path / "figures"
+        (figures / "temperature_mixed_N12.csv").mkdir(parents=True)
+        result = run(capsys, "figures", "--out-dir", str(figures))
+        assert_config_error(
+            result,
+            f"output: cannot write {figures / 'temperature_mixed_N12.csv'}: Is a directory",
+        )
+        assert [p.name for p in figures.iterdir()] == ["temperature_mixed_N12.csv"]
+
+    def test_only_created_regular_files_removed(self, capsys, tmp_path):
+        # a symlink, a FIFO or an existing file given as an output is left
+        # as it was when a later output cannot be opened
+        bad = tmp_path / "missing" / "x"
+        link = tmp_path / "null"
+        link.symlink_to(os.devnull)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not block
+        old = tmp_path / "old.csv"
+        old.write_text("old\n")
+        sweep = ["sweep", "--family", "product", "--pe", "0.2", "--N", "2:8:2"]
+        prepare = ["prepare", "--N", "3", "--nbar", "0.5", "--gamma0", "1",
+                   "--t-end", "0.5", "--dt", "0.05"]
+        try:
+            for first in (link, fifo):
+                result = run(capsys, *sweep, "--out", str(first), "--slopes-out", str(bad))
+                assert_config_error(result, f"output: cannot write {bad}: No such file or directory")
+            result = run(capsys, *prepare, "--out-ladder", str(old), "--out-state", str(bad))
+            assert_config_error(result, f"output: cannot write {bad}: No such file or directory")
+            assert os.read(reader, 1) == b""
+        finally:
+            os.close(reader)
+        assert os.readlink(link) == os.devnull
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert old.read_text() == "old\n"
+        # a run that succeeds replaces the existing file's bytes
+        coeffs = ["coeffs", "--bath", "dicke", "--N", "4", "--k", "1"]
+        assert run(capsys, *coeffs, "--out", str(old))[0] == 0
+        assert old.read_text() == run(capsys, *coeffs)[1]
+
+    def test_failed_write_removes_created_files(self, capsys, tmp_path):
+        # every output opens; the write to a full device fails afterwards
+        full = tmp_path / "full"
+        full.symlink_to("/dev/full")
+        ladder = tmp_path / "ladder.csv"
+        result = run(capsys, "prepare", "--N", "3", "--nbar", "0.5", "--gamma0", "1",
+                     "--t-end", "0.5", "--dt", "0.05",
+                     "--out-ladder", str(ladder), "--out-state", str(full))
+        assert_config_error(result, f"output: cannot write {full}: No space left on device")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["full"]
 
 
 def test_module_entry_point(tmp_path):

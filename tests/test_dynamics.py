@@ -447,24 +447,30 @@ class TestCollisionChain:
             collision_chain(ground_state(), BathSpec.dicke(2, 1), params, 1.0, 0.5)
 
     def test_one_qubit_cap_for_both_modes(self, monkeypatch):
-        # both modes share the operator cap N <= 12, checked before the
-        # bath is materialized
-        def refuse(spec):
-            raise AssertionError(f"bath materialized for N={spec.N}")
+        # both modes share the qubit cap N <= 12, applied when the bath is
+        # validated, before the collective operators are built
+        from qollide import collective
 
-        monkeypatch.setattr(dynamics, "validate_bath", refuse)
+        def refuse(N):
+            raise AssertionError(f"operators built for N={N}")
+
+        monkeypatch.setattr(dynamics, "build_collective_ops", refuse)
         params = CollisionParams(g=0.01, tau=1.0, p=1.0)
         for mode in ("exact", "second_order"):
             with pytest.raises(
                 ValidationError,
-                match=r"^build_collective_ops: N=13 outside allowed range 1\.\.12$",
+                match=r"^basis_ordering: N=13 outside allowed range 1\.\.12$",
             ):
                 collision_chain(
                     ground_state(), BathSpec.dicke(13, 1), params, 0.1, 0.1, mode=mode
                 )
-            # N = 11 passes the cap and reaches the bath
-            with pytest.raises(AssertionError, match="N=11"):
-                collision_superoperator(BathSpec.dicke(11, 1), params, mode=mode)
+        monkeypatch.setattr(collective, "MAX_QUBITS", 2)
+        for mode in ("exact", "second_order"):
+            with pytest.raises(ValidationError, match=r"^basis_ordering: N=3 outside allowed range 1\.\.2$"):
+                collision_superoperator(BathSpec.dicke(3, 1), params, mode=mode)
+            # N = 2 passes the cap and reaches the operators
+            with pytest.raises(AssertionError, match="N=2"):
+                collision_superoperator(BathSpec.dicke(2, 1), params, mode=mode)
 
     def test_engine_ordering_against_analytic(self):
         # truncation errors: collisions (g*tau)^2 are far above the
