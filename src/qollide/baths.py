@@ -316,7 +316,8 @@ def classify_coherences(rho, ops):
     through the operator element ``O[j, i]``.  For the collective moments
     that element is nonzero exactly when the bit patterns of the two basis
     states satisfy the rule in the module docstring, so the masks follow
-    from the Hamming distance and the excitation difference of each pair.
+    from the Hamming distance and the excitation difference of each pair,
+    taken on ``uint16`` bit patterns and ``int8`` excitations (``N <= 12``).
     ``rho`` fixes the dimension only; the classification is positional.
     """
     rho = np.asarray(rho)
@@ -326,8 +327,8 @@ def classify_coherences(rho, ops):
             f"classify_coherences: state shape {rho.shape} does not match "
             f"N={ops.N} (expected {dim}x{dim})"
         )
-    order = ops.basis.order
-    exc = ops.basis.excitations
+    order = ops.basis.order.astype(np.uint16)
+    exc = ops.basis.excitations.astype(np.int8)
     flips = np.bitwise_count(order[:, None] ^ order)
     gap = np.abs(exc[:, None] - exc)
     displacement = flips == 1
@@ -335,7 +336,7 @@ def classify_coherences(rho, ops):
     hec = (flips == 2) & (gap == 0)
     for mask in (displacement, squeezing, hec):
         mask.setflags(write=False)
-    return CoherenceMap(ops.N, exc, displacement, squeezing, hec)
+    return CoherenceMap(ops.N, ops.basis.excitations, displacement, squeezing, hec)
 
 
 BATH_CSV_BASIS = "excitation-sorted"

@@ -11,7 +11,11 @@ run, and ``prepare`` still writes the bath state at ``--t-end``.  A failing
 ``prepare`` writes neither file.  Every ``2**N``-sized structure, the
 ``prepare`` state included, is capped at ``N <= 12`` before it is built;
 a bath CSV's header ``N`` is held to that cap before its rows are read.
-Every engine, the analytic one included, keeps at most 1,000,000 records.
+Every engine, the analytic one included, keeps at most 1,000,000 records,
+and at ``--t-end 0`` every engine writes the one row at ``t = 0``.  The
+closed forms (``coeffs`` for a named family, ``sweep``) take ``N`` in
+``1..2**53``, and a sweep at most 1,000,000 values of N, counted before
+its list is built.  Collision rates that overflow a float are refused.
 
 Exit codes: 0 success; 2 configuration error, an output that cannot be
 written, or a run too large for the available memory; 3 numeric invariant
@@ -39,6 +43,7 @@ from .baths import BATH_KINDS, BathSpec, bath_to_csv, classify_coherences, load_
 from .collective import basis_ordering, build_collective_ops
 from .dynamics import (
     _check_record_count,
+    _check_sweep_points,
     _csv_text,
     _ladder_bath,
     analytic_trajectory,
@@ -137,7 +142,8 @@ def _json(obj):
 
 def parse_n_range(text):
     """Parse an N list: ``4:64:4`` (inclusive, default step 1), ``4,8,12``
-    or a single integer."""
+    or a single integer.  More points than a sweep takes are refused
+    before the list is built."""
     s = str(text).strip()
     try:
         if ":" in s:
@@ -150,10 +156,15 @@ def parse_n_range(text):
                 raise ValueError
             if step < 1 or stop < start:
                 raise ValueError
-            return list(range(start, stop + 1, step))
-        if "," in s:
-            return [int(p) for p in s.split(",")]
-        return [int(s)]
+            values = range(start, stop + 1, step)
+            count = (stop - start) // step + 1  # len() overflows past sys.maxsize
+        else:
+            values = s.split(",")
+            count = len(values)
+        _check_sweep_points(count)
+        return [int(v) for v in values]
+    except ValidationError:
+        raise
     except ValueError:
         raise ValidationError(
             f"N: cannot parse range {text!r} (use start:stop[:step] or a comma list)"
@@ -238,10 +249,11 @@ def cmd_evolve(args, config):
     if engine != "collisions":
         coeffs = coefficients_for(spec, params)
     if engine == "analytic":
-        # a negative count records nothing, as on the stepped engines
+        # a negative count records nothing, and a repeated time (t_end = 0)
+        # is recorded once, as on the stepped engines
         n_points = max(n_points, 0)
         _check_record_count(n_points)
-        times = np.linspace(0.0, t_end, n_points)
+        times = np.unique(np.linspace(0.0, t_end, n_points))
         traj = analytic_trajectory(rho0, coeffs, times)
     elif engine == "ode":
         traj = integrate_master(rho0, coeffs, t_end, dt, n_records=n_points)

@@ -92,13 +92,13 @@ def basis_ordering(N):
     """Build the :class:`BasisOrdering` for ``1 <= N <= MAX_QUBITS`` qubits."""
     _check_qubits(N, "basis_ordering")
     sizes = tuple(block_sizes(N))
-    order = np.array(
-        sorted(range(2**N), key=lambda b: (bin(b).count("1"), b)), dtype=np.intp
-    )
+    binary = np.arange(2**N, dtype=np.intp)
+    count = np.bitwise_count(binary).astype(np.intp)
+    order = np.lexsort((binary, count))  # by excitation, then bit pattern
     position = np.empty_like(order)
-    position[order] = np.arange(2**N, dtype=np.intp)
+    position[order] = binary
     offsets = (0, *np.cumsum(sizes).tolist())
-    excitations = np.array([bin(int(b)).count("1") for b in order], dtype=np.intp)
+    excitations = count[order]
     for arr in (order, position, excitations):
         arr.setflags(write=False)
     return BasisOrdering(N, order, position, sizes, offsets, excitations)
@@ -126,16 +126,15 @@ def build_collective_ops(N):
     _check_qubits(N, "build_collective_ops")
     basis = basis_ordering(N)
     sizes, offsets = basis.sizes, basis.offsets
+    bits = 1 << np.arange(N, dtype=np.intp)
 
     ladder = []
     for k in range(1, N + 1):
+        states = basis.order[offsets[k] : offsets[k + 1]]
+        col, bit = np.nonzero(states[:, None] & bits)
+        lowered = states[col] ^ bits[bit]  # one set bit cleared: block k - 1
         L = np.zeros((sizes[k - 1], sizes[k]), dtype=complex)
-        for col in range(sizes[k]):
-            b = int(basis.order[offsets[k] + col])
-            for bit in range(N):
-                if (b >> bit) & 1:
-                    row = basis.position[b & ~(1 << bit)] - offsets[k - 1]
-                    L[row, col] = 1.0
+        L[basis.position[lowered] - offsets[k - 1], col] = 1
         L.setflags(write=False)
         ladder.append(L)
     return CollectiveOps(N, basis, tuple(ladder))

@@ -24,7 +24,8 @@ from .baths import _check_k, _symmetric_state, check_n_bar, validate_bath
 from .collective import basis_ordering, build_collective_ops
 from .errors import NumericError, ValidationError
 from .linalg import validate_density_matrix
-from .master_equation import dicke_rates, lindblad_rhs, product_mixed_rates, thermal_hec_rates
+from .master_equation import MAX_SWEEP_N, _check_closed_form_n, dicke_rates, lindblad_rhs
+from .master_equation import product_mixed_rates, thermal_hec_rates
 
 #: Residual coherence above which trajectory temperatures are flagged.
 COHERENCE_FLAG_TOL = 1e-6
@@ -131,6 +132,7 @@ def dicke_temperature(N, k):
     bath qubits in the ground state); see :func:`dicke_max_noninverted_k`.
     Returns +inf at the balanced point and negative values when inverted.
     """
+    _check_closed_form_n([N])
     _check_k(N, k)
     r_e, r_d = dicke_rates(N, k)
     return temperature_from_populations(float(r_e), float(r_d))
@@ -566,18 +568,13 @@ class LadderState:
 def _ladder_generator(N, n_bar, gamma0):
     """Rate matrix of the ladder populations under collective emission and
     absorption: down rate ``gamma0 (n+1) k(N-k+1)``, up rate
-    ``gamma0 n (k+1)(N-k)``."""
-    gen = np.zeros((N + 1, N + 1))
-    for k in range(N + 1):
-        if k >= 1:
-            down = gamma0 * (n_bar + 1.0) * k * (N - k + 1)
-            gen[k - 1, k] += down
-            gen[k, k] -= down
-        if k <= N - 1:
-            up = gamma0 * n_bar * (k + 1) * (N - k)
-            gen[k + 1, k] += up
-            gen[k, k] -= up
-    return gen
+    ``gamma0 n (k+1)(N-k)``.  Each column loses what it passes on; adding
+    the three diagonals leaves every zero entry ``+0.0``."""
+    k = np.arange(N + 1.0)  # floats: products of integer inputs cannot wrap
+    down = gamma0 * (n_bar + 1.0) * k[1:] * (N - k[1:] + 1)
+    up = gamma0 * n_bar * (k[:-1] + 1) * (N - k[:-1])
+    loss = -np.append(0.0, down) - np.append(up, 0.0)
+    return np.diag(loss) + np.diag(down, 1) + np.diag(up, -1)
 
 
 def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
@@ -661,8 +658,14 @@ def prepare_thermal_dicke(N, n_bar, gamma0, t_end, dt):
 # ---------------------------------------------------------------------------
 # scaling sweeps
 
-#: Largest N of a sweep: every N, k and k(N-k+1) factor is then an exact float.
-MAX_SWEEP_N = 2**53
+
+def _check_sweep_points(count):
+    """Refuse a sweep of more than :data:`MAX_RECORDS` values of N, before
+    its N list is built."""
+    if count > MAX_RECORDS:
+        raise ValidationError(
+            f"N: {count} points exceed the limit of {MAX_RECORDS}; sweep fewer N"
+        )
 
 
 @dataclass(frozen=True)
@@ -752,15 +755,14 @@ def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None):
     the quarter rule takes ``floor(N/4)``, the half-minus-one rule takes the
     largest non-inverted block).  Rows follow the input order.  Every column
     is computed for all N at once, with the bits of the one-N closed forms
-    (:func:`thermalization_time`, :func:`steady_temperature`).
+    (:func:`thermalization_time`, :func:`steady_temperature`).  ``N_list``
+    is a sequence of at most :data:`MAX_RECORDS` values in ``1..MAX_SWEEP_N``.
     """
+    _check_sweep_points(len(N_list))
     N_list = [int(N) for N in N_list]
     if not N_list:
         raise ValidationError("N_list: must not be empty")
-    if any(N < 1 for N in N_list):
-        raise ValidationError("N_list: all N must be >= 1")
-    if any(N > MAX_SWEEP_N for N in N_list):
-        raise ValidationError("N_list: all N must be <= 2**53")
+    _check_closed_form_n(N_list, "N_list")
     Ns = np.array(N_list, dtype=np.int64)
     k = None
     if family == "product":

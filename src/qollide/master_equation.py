@@ -50,6 +50,19 @@ _RATE_TOL = 1e-9
 #: Terms per block of the thermal-hec rate sums; bounds their temporaries.
 _SUM_BLOCK = 1 << 13
 
+#: Largest N of a closed form or a sweep: every N, k and k(N-k+1) factor is
+#: then an exact float.
+MAX_SWEEP_N = 2**53
+
+
+def _check_closed_form_n(Ns, name="N"):
+    """Hold every N of a closed form to ``1..MAX_SWEEP_N``, before any of
+    them is turned into a float."""
+    if min(Ns) < 1:
+        raise ValidationError(f"{name}: all N must be >= 1")
+    if max(Ns) > MAX_SWEEP_N:
+        raise ValidationError(f"{name}: all N must be <= 2**53")
+
 
 @dataclass(frozen=True)
 class CollisionParams:
@@ -75,6 +88,15 @@ class CollisionParams:
                 raise ValidationError(
                     f"{field}: must be finite and positive, got {value}"
                 )
+        try:
+            finite = math.isfinite(self.mu) and math.isfinite(self.pg_tau)
+        except OverflowError:  # float ** raises where * gives inf
+            finite = False
+        if not finite:
+            raise ValidationError(
+                f"g, tau, p: the collision rates mu = p*(g*tau)**2 and pg_tau = "
+                f"p*g*tau must be finite, got g={self.g}, tau={self.tau}, p={self.p}"
+            )
         if self.g * self.tau > GT_ADVISORY:
             warnings.warn(
                 f"g*tau = {self.g * self.tau:.3g} exceeds {GT_ADVISORY}; the "
@@ -150,7 +172,7 @@ def coefficients_from_state(rho_b, ops, params):
     * ``lam  = sum_k Tr(L_k rho[k, k-1])``
     * ``eps  = sum_k Tr(L_{k-1} L_k rho[k, k-2])``
     * ``r_e  = sum_k Tr(L_k rho[k, k] L_k^dag)``  (= Tr(J- rho J+))
-    * ``r_d  = sum_k Tr(L_{k+1}^dag rho[k, k] L_{k+1})``  (= Tr(J+ rho J-))
+    * ``r_d  = sum_k Tr(L_k^dag rho[k-1, k-1] L_k)``  (= Tr(J+ rho J-))
 
     so the cost scales with the squared block sizes rather than ``4**N``.
     """
@@ -174,15 +196,11 @@ def coefficients_from_state(rho_b, ops, params):
     for k in range(1, N + 1):
         L = ops.ladder[k - 1]
         lam += np.einsum("ij,ji->", L, block(k, k - 1))
-        # Tr(L B L^dag) as one matmul plus an elementwise contraction
+        # Tr(L B L^dag) and Tr(L^dag B L), each a matmul and a contraction
         r_e += float(np.sum((L @ block(k, k)) * L.conj()).real)
-    for k in range(2, N + 1):
-        L2 = ops.ladder[k - 2] @ ops.ladder[k - 1]
-        eps += np.einsum("ij,ji->", L2, block(k, k - 2))
-    for k in range(0, N):
-        L = ops.ladder[k]  # block k+1 -> k
-        # Tr(L^dag B L)
-        r_d += float(np.sum(L.conj() * (block(k, k) @ L)).real)
+        r_d += float(np.sum(L.conj() * (block(k - 1, k - 1) @ L)).real)
+        if k >= 2:
+            eps += np.einsum("ij,ji->", ops.ladder[k - 2] @ L, block(k, k - 2))
 
     # consistency: r_d - r_e must equal -2<J_z> for any valid state
     jz = float(np.real(np.sum(j_z_diagonal(ops.basis) * np.diag(rho_b))))
@@ -202,6 +220,7 @@ def product_mixed_rates(N, p_e):
 
 def coefficients_product_mixed(N, p_e, params):
     """Closed form for a product bath: ``r_e = N p_e``, ``r_d = N (1-p_e)``."""
+    _check_closed_form_n([N])
     r_e, r_d = product_mixed_rates(N, p_e)
     return MeqCoefficients(0.0j, 0.0j, r_e, r_d, params.mu, params.pg_tau)
 
@@ -249,6 +268,7 @@ def coefficients_thermal_hec(N, n_bar, params):
     the same sum with ``r^(k-1)``, so ``r_e / r_d = r`` exactly (the one-N
     case of :func:`thermal_hec_rates`).
     """
+    _check_closed_form_n([N])
     (r_e,), (r_d,) = thermal_hec_rates([N], n_bar)
     return MeqCoefficients(0.0j, 0.0j, r_e, r_d, params.mu, params.pg_tau)
 
@@ -263,6 +283,7 @@ def dicke_rates(N, k):
 def coefficients_dicke(N, k, params):
     """Closed form for a symmetric k-excitation bath:
     ``r_e = k(N-k+1)``, ``r_d = (k+1)(N-k)``."""
+    _check_closed_form_n([N])
     _check_k(N, k)
     r_e, r_d = dicke_rates(N, k)
     return MeqCoefficients(0.0j, 0.0j, float(r_e), float(r_d), params.mu, params.pg_tau)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qollide import (
@@ -396,7 +396,8 @@ class TestClassification:
             assert np.array_equal(mask, mask.T)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=1, max_value=8))
+    @given(st.integers(min_value=1, max_value=9))
+    @example(9)  # bit patterns past 255: the classifier's uint16 is needed
     def test_bit_patterns_match_operator_elements(self, N):
         # the operator definition: an entry is effective when the operator
         # or its adjoint has a nonzero element at that position

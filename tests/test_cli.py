@@ -933,3 +933,145 @@ class TestUnexpectedFailures:
 
         monkeypatch.setattr(cli, "cmd_coeffs", fail)
         assert run(capsys, "coeffs", "--bath", "dicke", "--N", "4", "--k", "1") == (code, "", line)
+
+
+DICKE_4_1 = ["--bath", "dicke", "--N", "4", "--k", "1"]
+
+
+class TestOverflowingRates:
+    """Collision rates that overflow a float are refused by every command
+    that takes them, with one error line (satellite of the rate check)."""
+
+    COMMANDS = {
+        "coeffs": ["coeffs", *DICKE_4_1],
+        "analytic": ["evolve", "--engine", "analytic", *DICKE_4_1, "--t-end", "1"],
+        "ode": ["evolve", "--engine", "ode", *DICKE_4_1, "--t-end", "1", "--dt", "0.001"],
+        "collisions": [
+            "evolve", "--engine", "collisions", *DICKE_4_1, "--t-end", "1", "--dt", "1e-12"
+        ],
+        "sweep": ["sweep", "--family", "product", "--pe", "0.2", "--N", "2:8:2"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        "rates", [["--g", "1e200"], ["--g", "1e150", "--p", "1e10"]], ids=["pow", "mu-inf"]
+    )
+    def test_exit_2(self, capsys, command, rates):
+        result = run(capsys, *self.COMMANDS[command], *rates)
+        assert_config_error(result, "collision rates", "must be finite")
+
+
+class TestClosedFormNRange:
+    @pytest.mark.parametrize(
+        "bath",
+        [["product", "--pe", "0.2"], ["dicke", "--k", "1"], ["thermal-hec", "--nbar", "1"]],
+        ids=["product", "dicke", "thermal-hec"],
+    )
+    @pytest.mark.parametrize("N", [str(2**53 + 1), "1" + "0" * 400])
+    def test_coeffs_above_2_pow_53_exit_2(self, capsys, bath, N):
+        result = run(capsys, "coeffs", "--bath", *bath, "--N", N)
+        assert_config_error(result, "N: all N must be <= 2**53")
+
+    def test_coeffs_at_2_pow_53_answers(self, capsys):
+        code, out, _ = run(capsys, "coeffs", "--bath", "dicke", "--k", "1", "--N", str(2**53))
+        assert code == 0
+        assert json.loads(out)["coefficients"]["r_e"] == 2.0**53
+
+
+class TestSweepPointCap:
+    def test_refused_before_the_list_is_built(self, capsys):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            result = run(capsys, "sweep", "--family", "product", "--pe", "0.2", "--N", "1:100000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_config_error(result, "N: 100000000 points exceed the limit of 1000000; sweep fewer N")
+        assert peak < 2**20  # a list of 10^8 ints would be GBs
+
+    def test_range_past_sys_maxsize_refused(self, capsys):
+        result = run(capsys, "sweep", "--family", "dicke", "--krule", "quarter", "--N", f"1:{10**30}")
+        assert_config_error(result, f"N: {10**30} points exceed the limit")
+
+    def test_limit_shared_with_library(self, capsys, monkeypatch):
+        import qollide.dynamics as dynamics
+        from qollide import CollisionParams, ValidationError, scaling_sweep
+
+        monkeypatch.setattr(dynamics, "MAX_RECORDS", 3)
+        params = CollisionParams(g=0.1, tau=1.0, p=100.0)
+        assert len(scaling_sweep("product", range(1, 4), params, p_e=0.2).N) == 3
+        for N_list in (range(1, 5), [4, 3, 2, 1]):
+            with pytest.raises(ValidationError, match="^N: 4 points exceed the limit of 3;"):
+                scaling_sweep("product", N_list, params, p_e=0.2)
+        assert parse_n_range("2:6:2") == [2, 4, 6]
+        for text in ("1:4", "1,2,3,4"):
+            result = run(capsys, "sweep", "--family", "product", "--pe", "0.2", "--N", text)
+            assert_config_error(result, "N: 4 points exceed the limit of 3")
+
+
+class TestZeroTimeGrid:
+    ENGINES = [
+        ["--engine", "analytic"],
+        ["--engine", "ode", "--dt", "0.001"],
+        ["--engine", "collisions", "--dt", "0.001"],
+        ["--engine", "collisions", "--dt", "0.001", "--scheme", "stochastic", "--trajectories", "3"],
+    ]
+
+    @pytest.mark.parametrize("n_points", [[], ["--n-points", "5"], ["--n-points", "1"]])
+    def test_every_engine_writes_one_row(self, capsys, n_points):
+        outputs = set()
+        for engine in self.ENGINES:
+            code, out, err = run(capsys, "evolve", *engine, *DICKE_4_1, "--t-end", "0", *n_points)
+            assert (code, err) == (0, "")
+            outputs.add(out)
+        assert outputs == {TRAJECTORY_HEADER + "0,0,0,1,0,0,0,0\n"}
+
+    def test_increasing_grid_unchanged(self, capsys):
+        from qollide import CollisionParams, analytic_trajectory, coefficients_dicke, ground_state
+
+        code, out, _ = run(capsys, "evolve", *DICKE_4_1, "--t-end", "0.3", "--n-points", "7")
+        c = coefficients_dicke(4, 1, CollisionParams(g=0.1, tau=1.0, p=100.0))
+        want = analytic_trajectory(ground_state(), c, np.linspace(0.0, 0.3, 7)).to_csv()
+        assert code == 0 and out == want
+
+
+class TestConfigValues:
+    def config(self, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        return ["--config", str(path)]
+
+    def test_unparsable_value(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "bath = dicke\nN = 4\nk = abc\n")
+        assert_config_error(run(capsys, "coeffs", *cfg), "k: cannot parse config value 'abc'")
+
+    def test_value_outside_choices(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "engine = warp\nbath = dicke\nN = 4\nk = 1\nt_end = 1\n")
+        assert_config_error(
+            run(capsys, "evolve", *cfg),
+            "engine: must be one of ('analytic', 'ode', 'collisions'), got 'warp'",
+        )
+
+    def test_missing_required_value(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "bath = thermal-hec\nN = 4\n")
+        assert_config_error(run(capsys, "coeffs", *cfg), "nbar: missing required value")
+
+    def test_hyphenated_keys(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "bath = dicke\nN = 4\nk = 1\nt-end = 0.5\nn-points = 3\n")
+        code, out, _ = run(capsys, "evolve", *cfg)
+        flags = run(capsys, "evolve", *DICKE_4_1, "--t-end", "0.5", "--n-points", "3")
+        assert code == 0 and out.count("\n") == 4
+        assert (code, out) == flags[:2]
+
+    def test_flag_beats_typed_config_value(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "bath = dicke\nN = 4\nk = 1\ng = 0.1\n")
+        code, out, _ = run(capsys, "coeffs", *cfg, "--g", "0.2")
+        assert code == 0
+        assert json.loads(out)["params"]["g"] == 0.2
+
+    def test_unreadable_config(self, capsys, tmp_path):
+        for path in (tmp_path / "missing.cfg", tmp_path):
+            result = run(capsys, "coeffs", "--config", str(path), *DICKE_4_1)
+            assert_config_error(result, f"config: cannot read {path}")

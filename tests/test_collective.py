@@ -182,3 +182,54 @@ class TestLadderTransform:
     def test_isometry(self, N):
         V = dicke_ladder_transform(N)
         np.testing.assert_allclose(V.conj().T @ V, np.eye(N + 1), atol=1e-12)
+
+
+def _basis_loop_oracle(N):
+    """The basis arrays by one Python sort key per state."""
+    order = np.array(
+        sorted(range(2**N), key=lambda b: (bin(b).count("1"), b)), dtype=np.intp
+    )
+    position = np.empty_like(order)
+    position[order] = np.arange(2**N, dtype=np.intp)
+    excitations = np.array([bin(int(b)).count("1") for b in order], dtype=np.intp)
+    return order, position, excitations
+
+
+def _ladder_loop_oracle(basis):
+    """The ``J-`` blocks by one Python step per (state, set bit)."""
+    N, sizes, offsets = basis.N, basis.sizes, basis.offsets
+    ladder = []
+    for k in range(1, N + 1):
+        L = np.zeros((sizes[k - 1], sizes[k]), dtype=complex)
+        for col in range(sizes[k]):
+            b = int(basis.order[offsets[k] + col])
+            for bit in range(N):
+                if (b >> bit) & 1:
+                    L[basis.position[b & ~(1 << bit)] - offsets[k - 1], col] = 1.0
+        ladder.append(L)
+    return ladder
+
+
+def assert_same_array(actual, expected):
+    """Equal dtype, shape and bytes, and read-only."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+    assert not actual.flags.writeable
+
+
+class TestArrayRulesMatchLoops:
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_basis_arrays(self, N):
+        basis = basis_ordering(N)
+        for actual, expected in zip(
+            (basis.order, basis.position, basis.excitations), _basis_loop_oracle(N)
+        ):
+            assert_same_array(actual, expected)
+
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_ladder_blocks(self, N):
+        ops = build_collective_ops(N)
+        expected = _ladder_loop_oracle(ops.basis)
+        assert len(ops.ladder) == len(expected) == N
+        for actual, want in zip(ops.ladder, expected):
+            assert_same_array(actual, want)

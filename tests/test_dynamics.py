@@ -801,6 +801,36 @@ class TestPropagatorOracles:
         assert np.max(np.abs(traj.states.reshape(-1, 4) - want)) <= 1e-12
 
 
+def _ladder_generator_oracle(N, n_bar, gamma0):
+    """The ladder rate matrix, one excitation count at a time."""
+    gen = np.zeros((N + 1, N + 1))
+    for k in range(N + 1):
+        if k >= 1:
+            down = gamma0 * (n_bar + 1.0) * k * (N - k + 1)
+            gen[k - 1, k] += down
+            gen[k, k] -= down
+        if k <= N - 1:
+            up = gamma0 * n_bar * (k + 1) * (N - k)
+            gen[k + 1, k] += up
+            gen[k, k] -= up
+    return gen
+
+
+class TestLadderGeneratorOracle:
+    @pytest.mark.parametrize("N", range(1, 13))
+    @pytest.mark.parametrize("n_bar", [0.0, -0.0, 0.3, 2.0, 1])
+    @pytest.mark.parametrize("gamma0", [1.0, 0.37, 3])
+    def test_same_bits_as_loop(self, N, n_bar, gamma0):
+        from qollide.dynamics import _ladder_generator
+
+        gen = _ladder_generator(N, n_bar, gamma0)
+        want = _ladder_generator_oracle(N, n_bar, gamma0)
+        assert gen.dtype == want.dtype and gen.shape == want.shape
+        # tobytes tells -0.0 from 0.0, which == does not
+        assert gen.tobytes() == want.tobytes()
+        assert not np.any(np.signbit(gen) & (gen == 0.0))
+
+
 def _gap_power_oracle(step_mat, vec0, steps):
     """The state at each of the sorted ``steps``, reached from the previous
     one by ``matrix_power`` of the gap, with no cache."""

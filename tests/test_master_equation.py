@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qollide import (
     coefficients_product_mixed,
     coefficients_thermal_hec,
     dicke_block_state,
+    dicke_temperature,
     j_z_diagonal,
     lindblad_rhs,
     product_mixed_state,
@@ -54,6 +56,27 @@ class TestCollisionParams:
     def test_perturbative_advisory(self):
         with pytest.warns(UserWarning, match="g\\*tau"):
             CollisionParams(g=0.5, tau=1.0, p=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"g": 1e200, "tau": 1.0, "p": 100.0},  # float ** raises OverflowError
+            {"g": 1e150, "tau": 1.0, "p": 1e10},  # mu is inf, pg_tau finite
+            {"g": 1e200, "tau": 1e200, "p": 1.0},  # g*tau is inf
+            {"g": 1e10, "tau": 1e-20, "p": 1e300},  # p*g is inf, mu finite
+        ],
+    )
+    def test_overflowing_rates_rejected_before_the_advisory(self, kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="collision rates .* must be finite"):
+                CollisionParams(**kwargs)
+
+    def test_largest_finite_rates_keep_their_bits(self):
+        with pytest.warns(UserWarning, match="g\\*tau"):
+            p = CollisionParams(g=1e150, tau=1.0, p=1e7)
+        assert p.mu == 1e7 * (1e150 * 1.0) ** 2 < math.inf
+        assert p.pg_tau == 1e7 * 1e150 * 1.0
 
 
 class TestMeqCoefficients:
@@ -315,3 +338,58 @@ class TestLindbladRhs:
         c = coefficients_dicke(2, 1, PARAMS)
         with pytest.raises(ValidationError):
             lindblad_rhs(np.eye(3) / 3.0, c)
+
+
+def _three_pass_moments(rho, ops):
+    """``(lam, eps, r_e, r_d)`` summed one moment at a time over the blocks."""
+    off, N = ops.basis.offsets, ops.N
+
+    def block(i, j):
+        return rho[off[i] : off[i + 1], off[j] : off[j + 1]]
+
+    lam, eps, r_e, r_d = 0.0j, 0.0j, 0.0, 0.0
+    for k in range(1, N + 1):
+        L = ops.ladder[k - 1]
+        lam += np.einsum("ij,ji->", L, block(k, k - 1))
+        r_e += float(np.sum((L @ block(k, k)) * L.conj()).real)
+    for k in range(2, N + 1):
+        eps += np.einsum("ij,ji->", ops.ladder[k - 2] @ ops.ladder[k - 1], block(k, k - 2))
+    for k in range(N):
+        L = ops.ladder[k]
+        r_d += float(np.sum(L.conj() * (block(k, k) @ L)).real)
+    return complex(lam), complex(eps), max(0.0, r_e), max(0.0, r_d)
+
+
+class TestMomentsInOnePass:
+    @pytest.mark.parametrize("N", range(1, 8))
+    def test_same_bits_as_one_pass_per_moment(self, N, rng):
+        for _ in range(3):
+            rho = random_density_matrix(rng, 2**N)
+            c = coefficients_from_state(rho, cached_ops(N), PARAMS)
+            assert (c.lam, c.eps, c.r_e, c.r_d) == _three_pass_moments(rho, cached_ops(N))
+
+
+class TestClosedFormNRange:
+    """Every closed form takes the sweep's N range, 1..2**53."""
+
+    @pytest.mark.parametrize("N", [0, 2**53 + 1, 10**400])
+    @pytest.mark.parametrize(
+        "closed_form",
+        [
+            lambda N: coefficients_product_mixed(N, 0.2, PARAMS),
+            lambda N: coefficients_thermal_hec(N, 1.0, PARAMS),
+            lambda N: coefficients_dicke(N, 0, PARAMS),
+            lambda N: dicke_temperature(N, 0),
+        ],
+        ids=["product", "thermal-hec", "dicke", "dicke-temperature"],
+    )
+    def test_outside_rejected(self, N, closed_form):
+        bound = ">= 1" if N < 1 else "<= 2\\*\\*53"
+        with pytest.raises(ValidationError, match=f"^N: all N must be {bound}$"):
+            closed_form(N)
+
+    def test_largest_n_answered(self):
+        c = coefficients_dicke(2**53, 1, PARAMS)
+        assert (c.r_e, c.r_d) == (float(2**53), float(2 * (2**53 - 1)))
+        assert coefficients_product_mixed(2**53, 0.5, PARAMS).r_e == 2.0**52
+        assert math.isfinite(dicke_temperature(2**53, 1))
