@@ -155,23 +155,21 @@ def _check_k(N, k):
         raise ValidationError(f"k: must be in 0..{N}, got {k}")
 
 
-def thermal_hec_weights(N, n_bar):
-    """Gibbs ratio ``r = n_bar/(n_bar+1)`` and normalization
-    ``(1 - r) / (1 - r^(N+1))`` of the thermal-hec block traces ``norm r^k``.
-
-    Raises :class:`ValidationError` when ``n_bar`` is so large that ``r``
-    rounds close enough to 1 for ``1 - r^(N+1)`` to be 0.
-    """
+def _gibbs_exponent(n_bar):
+    """``x = log1p(1/n_bar)``, so ``r = n_bar/(n_bar+1) = exp(-x)``; ``+inf``
+    at ``n_bar = 0`` (or ``-0``) and wherever ``1/n_bar`` overflows."""
     check_n_bar(n_bar)
-    r = n_bar / (n_bar + 1.0)
-    denom = 1.0 - r ** (N + 1)
-    if denom == 0.0:
-        raise ValidationError(
-            f"n_bar: {n_bar} is too large for N={N}; the thermal-hec "
-            "normalization 1 - r^(N+1) rounds to 0"
-        )
-    # 1 - r = 1/(n_bar + 1) exactly; avoids cancellation at large n_bar
-    return r, (1.0 / (n_bar + 1.0)) / denom
+    return math.log1p(1.0 / n_bar) if n_bar else math.inf
+
+
+def thermal_hec_weights(N, n_bar):
+    """Block traces ``w_k = norm r^k``, ``k = 0..N``, of the thermal-hec state,
+    with ``r^k = exp(-k x)`` and ``norm = expm1(-x)/expm1(-(N+1)x)`` from one
+    Gibbs exponent ``x``, so they sum to 1 to rounding at every ``n_bar``."""
+    x = _gibbs_exponent(n_bar)
+    weights = np.full(N + 1, math.expm1(-x) / math.expm1(-(N + 1) * x))
+    weights[1:] *= np.exp(-x * np.arange(1, N + 1))  # k = 0 apart: inf * 0
+    return weights
 
 
 def _symmetric_state(basis, weights):
@@ -188,11 +186,11 @@ def thermal_hec_state(N, n_bar):
     """Collectively thermalized bath state at mean photon number ``n_bar``.
 
     Block-diagonal with every excitation block ``k`` uniformly filled with
-    ``d_k = (1 - r) r^k / ((1 - r^(N+1)) C(N,k))``, ``r = n_bar/(n_bar+1)``.
-    Consecutive block traces are in the Gibbs ratio ``r``.
+    ``d_k = w_k / C(N,k)``, ``w_k`` from :func:`thermal_hec_weights`.
+    Consecutive block traces are in the Gibbs ratio ``r = n_bar/(n_bar+1)``.
     """
-    r, norm = thermal_hec_weights(N, n_bar)
-    return _symmetric_state(basis_ordering(N), [norm * r**k for k in range(N + 1)])
+    basis = basis_ordering(N)  # the qubit cap, before the weights
+    return _symmetric_state(basis, thermal_hec_weights(N, n_bar))
 
 
 def dicke_block_state(N, k):
@@ -210,9 +208,8 @@ def validate_bath(spec):
 
     The named families are Hermitian with nonnegative weights on diagonal
     entries or uniformly filled blocks, so they are positive for every
-    parameter their constructors accept; of their invariants only the
-    normalization can be lost to rounding (thermal-hec at very large
-    ``n_bar``), and only the trace is checked.  Explicit matrices get the
+    parameter their constructors accept, and their weights sum to 1 to
+    rounding; only the trace is checked.  Explicit matrices get the
     full :func:`validate_density_matrix` check.  Every kind is held to the
     qubit cap first: the named families by their basis, an explicit matrix
     here, so callers validate before building the collective operators.

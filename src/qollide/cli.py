@@ -22,8 +22,8 @@ written, or a run too large for the available memory; 3 numeric invariant
 violation, or a failed linear-algebra routine.  Each failure prints one
 ``error:`` or ``numeric error:`` line to stderr and no traceback.  A
 command opens every output file before it writes any, so one that cannot
-be opened prints nothing and changes no file; a write that fails later
-removes only the files the command created.
+be opened, or two that reach one regular file, print nothing and change
+no file; a write that fails later removes only the files it created.
 """
 
 from __future__ import annotations
@@ -107,10 +107,22 @@ def _get(args, config, name, conv=str, default=None, required=False, choices=Non
 def _write(*outputs):
     """Write each ``(path, text)`` pair: the files, then the texts whose path
     is None to stdout.  Every file is opened before any is written, so an
-    output that cannot be opened leaves every file as it was; that, or a
-    later failed write, is a configuration error.  On failure the regular
-    files this call created are removed, and nothing else."""
+    output that cannot be opened leaves every file as it was; that, a later
+    failed write, or two outputs that reach one regular file (refused before
+    any is opened) is a configuration error.  On failure the regular files
+    this call created are removed, and nothing else."""
     files = [(path, text) for path, text in outputs if path is not None]
+    seen = {}
+    for path, _ in files:
+        try:  # a regular file by its inode; a path to be created, resolved
+            st = os.stat(path)
+            key = (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+        except OSError:
+            key = os.path.realpath(path)
+        if key in seen:
+            raise ValidationError(f"output: {seen[key]} and {path} are the same file")
+        if key is not None:
+            seen[key] = path
     handles, created = [], []
     try:
         for path, _ in files:
@@ -198,7 +210,8 @@ def _bath_from(args, config):
     if kind == "product":
         return BathSpec.product_mixed(N, _get(args, config, "pe", float, required=True))
     if kind == "thermal-hec":
-        return BathSpec.thermal_hec(N, _get(args, config, "nbar", float, required=True))
+        # + 0.0: the echoed n_bar of -0 is 0.0, as its rates are
+        return BathSpec.thermal_hec(N, _get(args, config, "nbar", float, required=True) + 0.0)
     return BathSpec.dicke(N, _get(args, config, "k", int, required=True))
 
 

@@ -754,9 +754,10 @@ def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None):
     ``n_bar``) and ``dicke`` (requires ``k_rule``; for N not divisible by 4
     the quarter rule takes ``floor(N/4)``, the half-minus-one rule takes the
     largest non-inverted block).  Rows follow the input order.  Every column
-    is computed for all N at once, with the bits of the one-N closed forms
-    (:func:`thermalization_time`, :func:`steady_temperature`).  ``N_list``
-    is a sequence of at most :data:`MAX_RECORDS` values in ``1..MAX_SWEEP_N``.
+    is computed for all N at once, O(1) per N, with the bits of the one-N
+    closed forms (the family's rates, :func:`thermalization_time`,
+    :func:`steady_temperature`).  ``N_list`` is a sequence of at most
+    :data:`MAX_RECORDS` values in ``1..MAX_SWEEP_N``.
     """
     _check_sweep_points(len(N_list))
     N_list = [int(N) for N in N_list]
@@ -772,7 +773,7 @@ def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None):
     elif family == "thermal-hec":
         if n_bar is None:
             raise ValidationError("n_bar: required for the thermal-hec family")
-        r_e, r_d = thermal_hec_rates(N_list, n_bar)
+        r_e, r_d = thermal_hec_rates(Ns, n_bar)
     elif family == "dicke":
         if k_rule is None:
             raise ValidationError("k_rule: required for the dicke family")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import BathSpec, _check_k, _check_p_e, thermal_hec_weights, validate_bath
+from .baths import BathSpec, _check_k, _check_p_e, _gibbs_exponent, validate_bath
 from .collective import build_collective_ops, j_z_diagonal
 from .errors import NumericError, ValidationError
 
@@ -46,9 +46,6 @@ for _op in (SIGMA_PLUS, SIGMA_MINUS, PROJ_E, PROJ_G):
 GT_ADVISORY = 0.3
 
 _RATE_TOL = 1e-9
-
-#: Terms per block of the thermal-hec rate sums; bounds their temporaries.
-_SUM_BLOCK = 1 << 13
 
 #: Largest N of a closed form or a sweep: every N, k and k(N-k+1) factor is
 #: then an exact float.
@@ -225,52 +222,41 @@ def coefficients_product_mixed(N, p_e, params):
     return MeqCoefficients(0.0j, 0.0j, r_e, r_d, params.mu, params.pg_tau)
 
 
-def thermal_hec_rates(N_list, n_bar):
-    """Rate sums ``(r_e, r_d)`` of :func:`coefficients_thermal_hec` for every
-    N of ``N_list``, as two arrays in input order.
+def _langevin(y):
+    """``coth(y) - 1/y`` elementwise for ``y >= 0`` (``inf`` included), from
+    nonnegative terms only: below 1, ``y (y / sinh y) sum_n 2n y^(2n-2) /
+    (2n+1)!`` by Horner; above, ``(1 - 1/y) + 2q/(1 - q)``, ``q = exp(-2y)``."""
+    small = np.minimum(y, 1.0)
+    big = np.maximum(y, 1.0)
+    series = np.zeros_like(small)
+    for n in range(9, 0, -1):
+        series = series * small * small + 2 * n / math.factorial(2 * n + 1)
+    q = np.exp(-2.0 * big)
+    above = (1.0 - 1.0 / big) + 2.0 * q / (1.0 - q)
+    return np.where(y < 1.0, small * series * (small / np.sinh(small)), above)
 
-    Each sum adds its terms ``norm r^k k(N-k+1)`` (``r^(k-1)`` for ``r_d``)
-    one at a time in ascending ``k`` (``np.add.accumulate``; ``np.sum``
-    would add pairwise), with ``r^k`` from Python's float pow, so every sum
-    has the bits of the scalar loop.  Rows are summed longest first, a
-    block of ``k`` at a time with zero terms past each row's N: at most
-    :data:`_SUM_BLOCK` terms are held, and the work is O(sum of N).  A too
-    large ``n_bar`` names the first N in input order that it fails for.
+
+def thermal_hec_rates(N, n_bar):
+    """Rates ``(r_e, r_d)`` of :func:`coefficients_thermal_hec` for an int N
+    or an array of N, in O(1) per N: ``r_d - r_e = -2<J_z>`` and
+    ``r_e = r r_d`` close the sums to ``r_d = (n_bar+1) D``, ``r_e = n_bar D``
+    with ``D = (N+1) L((N+1)x/2) - L(x/2)``, ``L(y) = coth(y) - 1/y`` and the
+    Gibbs exponent ``x = log1p(1/n_bar)`` (``D = N`` at ``n_bar = 0``).
     """
-    weights = [thermal_hec_weights(N, n_bar) for N in N_list]
-    r = weights[0][0]
-    order = np.argsort(N_list)[::-1]
-    Ns = np.asarray(N_list, dtype=float)[order]
-    norm = np.array([w[1] for w in weights])[order]
-    sums = np.zeros((2, len(Ns)))
-    k0 = 1
-    while k0 <= Ns[0]:
-        rows = np.count_nonzero(Ns >= k0)
-        k1 = min(int(Ns[0]), k0 + max(1, _SUM_BLOCK // rows) - 1)
-        powers = np.fromiter(map(r.__pow__, range(k0 - 1, k1 + 1)), dtype=float)
-        k = np.arange(k0, k1 + 1, dtype=float)[:, None]
-        weight = np.maximum(k * (Ns[:rows] - k + 1.0), 0.0)
-        for total, pw in zip(sums, (powers[1:], powers[:-1])):
-            terms = np.empty((len(k) + 1, rows))
-            terms[0] = total[:rows]
-            terms[1:] = norm[:rows] * pw[:, None] * weight
-            total[:rows] = np.add.accumulate(terms, axis=0)[-1]
-        k0 = k1 + 1
-    out = np.empty_like(sums)
-    out[:, order] = sums
-    return out[0], out[1]
+    x = _gibbs_exponent(n_bar)
+    n_bar = n_bar + 0.0  # rate 0.0, not -0.0, for n_bar = -0.0
+    N = np.asarray(N, dtype=float)
+    D = (N + 1.0) * _langevin((N + 1.0) * (x / 2.0)) - _langevin(x / 2.0)
+    D = np.minimum(D, N)  # D < N exactly; (N+1) L near 1 can round above
+    return n_bar * D, (n_bar + 1.0) * D
 
 
 def coefficients_thermal_hec(N, n_bar, params):
-    """Closed-form rate sums for the collectively thermalized bath.
-
-    ``r_e = sum_{k=1..N} (1-r) r^k k (N-k+1) / (1 - r^(N+1))`` and ``r_d``
-    the same sum with ``r^(k-1)``, so ``r_e / r_d = r`` exactly (the one-N
-    case of :func:`thermal_hec_rates`).
-    """
+    """Closed form for the collectively thermalized bath: ``r_e = sum_{k=1..N}
+    (1-r) r^k k (N-k+1) / (1 - r^(N+1))``, ``r_d`` the same sum with
+    ``r^(k-1)`` (the one-N case of :func:`thermal_hec_rates`)."""
     _check_closed_form_n([N])
-    (r_e,), (r_d,) = thermal_hec_rates([N], n_bar)
-    return MeqCoefficients(0.0j, 0.0j, r_e, r_d, params.mu, params.pg_tau)
+    return MeqCoefficients(0.0j, 0.0j, *thermal_hec_rates(N, n_bar), params.mu, params.pg_tau)
 
 
 def dicke_rates(N, k):

@@ -1,4 +1,5 @@
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,38 @@ def eigvalsh_oracle_accepts(rho):
         and abs(np.trace(rho) - 1.0) <= TOL_TRACE
         and np.linalg.eigvalsh(herm)[0] >= -TOL_PSD
     )
+
+
+#: The exact-rational thermal-hec grid: every N with every n_bar, plus one
+#: N = 512 case at a moderate n_bar (at large n_bar its integers are long).
+THERMAL_EXACT_N = (1, 2, 3, 4, 7, 30, 64)
+THERMAL_EXACT_N_BAR = (
+    0.0, 1e-300, 1e-3, 0.2, 0.731, 1.0, 2.0, 37.0, 1e3, 1e6, 1e8, 1e12, 1e14,
+    1e16, 1e100, 1e300,
+)
+THERMAL_EXACT_CASES = [(N, n_bar) for N in THERMAL_EXACT_N for n_bar in THERMAL_EXACT_N_BAR]
+THERMAL_EXACT_CASES.append((512, 0.731))
+
+
+@functools.lru_cache(maxsize=None)
+def thermal_hec_exact(N, n_bar):
+    """``(r_e, r_d, [w_0..w_N])`` of the thermal-hec bath at the float
+    ``n_bar`` in exact rational arithmetic, each rounded once to the nearest
+    float.  With ``n_bar = a/b`` exactly, ``r = a/s`` for ``s = a + b``, and
+    every term is an integer over the one denominator ``s^(N+1) - a^(N+1)``:
+    ``w_k = b a^k s^(N-k) / (s^(N+1) - a^(N+1))``, ``r_e = sum_k k(N-k+1) w_k``
+    and ``r_d`` the same sum with ``r^(k-1)``.  The quotient of two ints is
+    rounded once, so no gcd of the long integers is ever taken."""
+    a, b = Fraction(n_bar).as_integer_ratio()
+    s = a + b
+    pa = [a**k for k in range(N + 2)]
+    ps = [s**k for k in range(N + 2)]
+    den = ps[N + 1] - pa[N + 1]
+    ks = range(1, N + 1)
+    r_e = sum(k * (N - k + 1) * pa[k] * ps[N - k] for k in ks)
+    r_d = sum(k * (N - k + 1) * pa[k - 1] * ps[N - k + 1] for k in ks)
+    weights = [b * pa[k] * ps[N - k] / den for k in range(N + 1)]
+    return b * r_e / den, b * r_d / den, weights
 
 
 def fmt_float(x):

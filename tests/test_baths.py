@@ -26,15 +26,18 @@ from qollide import (
     validate_density_matrix,
 )
 
+from qollide.baths import thermal_hec_weights
 from qollide.dynamics import _ladder_bath
 from qollide.utils import fmt_complex
 
 from conftest import (
+    THERMAL_EXACT_CASES,
     cached_ops,
     dense_ops,
     eigvalsh_oracle_accepts,
     random_density_matrix,
     symmetric_dicke_vector,
+    thermal_hec_exact,
 )
 from test_collective import canonical_index
 
@@ -91,24 +94,15 @@ class TestThermalHec:
         for k in range(N):
             assert traces[k + 1] / traces[k] == pytest.approx(r, abs=1e-12)
 
-    @pytest.mark.parametrize("n_bar", [0.0, 0.7, 1e8, 1e15])
-    def test_block_weights_unchanged(self, n_bar):
-        # the weights as written before the shared normalization helper
-        N = 5
-        r = n_bar / (n_bar + 1.0)
-        norm = (1.0 / (n_bar + 1.0)) / (1.0 - r ** (N + 1))
-        rho = thermal_hec_state(N, n_bar)
-        basis = cached_ops(N).basis
-        for k in range(N + 1):
-            blk = rho[basis.block_slice(k), basis.block_slice(k)]
-            assert np.all(blk == norm * r**k / basis.sizes[k])
-
-    def test_normalization_rounding_to_zero_rejected(self):
-        # r = n_bar/(n_bar+1) rounds to 1, so 1 - r^(N+1) is 0
-        with pytest.raises(ValidationError, match="n_bar: 1e\\+16 is too large"):
-            thermal_hec_state(4, 1e16)
-        with pytest.raises(ValidationError, match="too large"):
-            validate_bath(BathSpec.thermal_hec(4, 1e16))
+    @pytest.mark.parametrize("N, n_bar", THERMAL_EXACT_CASES)
+    def test_block_weights_match_exact_weights(self, N, n_bar):
+        # exact rational weights at the float n_bar.  The error is taken
+        # against the largest weight: a tail weight r^k = exp(-k x) carries
+        # about k x ulp of its own, and below ~1e-308 it underflows
+        exact = np.array(thermal_hec_exact(N, n_bar)[2])
+        got = thermal_hec_weights(N, n_bar)
+        assert np.max(np.abs(got - exact)) <= 4e-15 * np.max(exact)
+        assert abs(math.fsum(got) - 1.0) <= 4e-15
 
     def test_uniform_within_block(self):
         rho = thermal_hec_state(4, 1.3)
@@ -191,9 +185,7 @@ class TestSymmetricMixtures:
 
     @pytest.mark.parametrize("N", [1, 5, 8])
     def test_named_families(self, N):
-        r = 0.7 / 1.7
-        norm = (1.0 / 1.7) / (1.0 - r ** (N + 1))
-        weights = [norm * r**k for k in range(N + 1)]
+        weights = thermal_hec_weights(N, 0.7)
         assert_same_state(thermal_hec_state(N, 0.7), _block_fill(N, weights))
         for k in range(N + 1):
             assert_same_state(dicke_block_state(N, k), _block_fill(N, np.eye(N + 1)[k]))
@@ -325,17 +317,15 @@ class TestNamedFamiliesCheckedFromParameters:
         for spec in _named_specs(6, np.random.default_rng(6)):
             validate_bath(spec)
 
-    @pytest.mark.parametrize("n_bar", [1e6, 1e8, 1e12])
+    @pytest.mark.parametrize("n_bar", [1e6, 1e8, 1e9, 1e12, 1e16, 1e300])
     def test_large_n_bar_decision_matches_dense_check(self, n_bar):
-        # the block weights lose their normalization at large n_bar; the
-        # trace check still rejects exactly what the full check rejects
-        spec = BathSpec.thermal_hec(4, n_bar)
-        accepted = eigvalsh_oracle_accepts(thermal_hec_state(4, n_bar))
-        if accepted:
-            validate_bath(spec)
-        else:
-            with pytest.raises(ValidationError, match="trace check failed"):
-                validate_bath(spec)
+        # the block weights keep their normalization at every n_bar, so the
+        # full check accepts these states, and the trace check, all that a
+        # named family gets, agrees
+        rho = thermal_hec_state(4, n_bar)
+        assert abs(np.trace(rho).real - 1.0) <= 1e-15
+        assert eigvalsh_oracle_accepts(rho)
+        validate_bath(BathSpec.thermal_hec(4, n_bar))
 
 
 class TestClassification:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -38,8 +39,8 @@ from qollide import (
     thermal_hec_state,
     thermalization_time,
 )
-from qollide import dynamics, master_equation
-from qollide.baths import thermal_hec_weights
+from qollide import dynamics
+from qollide.master_equation import thermal_hec_rates
 from qollide.dynamics import (
     MAX_RECORDS,
     SWEEP_CSV_HEADER,
@@ -1277,19 +1278,15 @@ class TestPostProcessingOracles:
 
 def _sweep_row_oracle(family, N, params, p_e, n_bar, k_rule):
     """One :class:`SweepRow` from the one-N closed forms, as the per-row
-    sweep built it (the thermal-hec sum is the scalar loop)."""
+    sweep built it."""
     k = None
     if family == "product":
         if not 0.0 <= p_e <= 1.0:
             raise ValidationError(f"p_e: must be in [0, 1], got {p_e}")
         r_e, r_d = N * p_e, N * (1.0 - p_e)
     elif family == "thermal-hec":
-        r, norm = thermal_hec_weights(N, n_bar)
-        r_e = r_d = 0.0
-        for j in range(1, N + 1):
-            weight = j * (N - j + 1)
-            r_e += norm * r**j * weight
-            r_d += norm * r ** (j - 1) * weight
+        c = coefficients_thermal_hec(N, n_bar, params)
+        r_e, r_d = c.r_e, c.r_d
     else:
         k = N // 4 if k_rule == "quarter" else (N - 1) // 2
         r_e, r_d = float(k * (N - k + 1)), float((k + 1) * (N - k))
@@ -1393,31 +1390,25 @@ class TestSweepOracle:
         self.check("dicke", [5, 17, 2, 2], params, k_rule="quarter")
         self.check("thermal-hec", [5, 17, 2, 2], params, n_bar=2.5)
 
-    @pytest.mark.parametrize("block", [1, 7, 100])
-    def test_thermal_sum_blocks(self, monkeypatch, block):
-        # every block split adds the same terms in the same order
-        monkeypatch.setattr(master_equation, "_SUM_BLOCK", block)
-        self.check("thermal-hec", [30, 1, 12, 12, 45, 2], n_bar=0.4)
-
-    def test_thermal_sum_longer_than_a_block(self):
-        N_list = [master_equation._SUM_BLOCK + 5, 3, 40]
-        self.check("thermal-hec", N_list, n_bar=0.9)
-
     def test_coefficients_thermal_hec_is_the_one_n_case(self):
-        for N in (1, 2, 7, 64, 300):
-            for n_bar in (0.0, 0.5, 12.0):
+        # the closed form on one int N has the bits of the same N in an array
+        Ns = np.array([1, 2, 7, 64, 300, 2**40, 2**53])
+        for n_bar in (0.0, 0.5, 12.0, 1e9, 1e300):
+            r_e, r_d = thermal_hec_rates(Ns, n_bar)
+            for i, N in enumerate(Ns.tolist()):
                 c = coefficients_thermal_hec(N, n_bar, PARAMS)
-                row = _sweep_row_oracle("thermal-hec", N, PARAMS, None, n_bar, None)
-                assert (c.r_e, c.r_d) == (row.r_e, row.r_d)
+                assert_same_bits(np.array([c.r_e, c.r_d]), np.array([r_e[i], r_d[i]]))
 
-    def test_thermal_rejection_names_first_n_in_input_order(self):
-        N_list = [3, 40, 1]
-        with pytest.raises(ValidationError) as expected:
-            _sweep_oracle("thermal-hec", N_list, PARAMS, n_bar=1e16)
-        with pytest.raises(ValidationError) as got:
-            scaling_sweep("thermal-hec", N_list, PARAMS, n_bar=1e16)
-        assert str(got.value) == str(expected.value)
-        assert "too large for N=3;" in str(got.value)
+    def test_thermal_rates_are_o1_per_n(self):
+        # a million N, the sweep's limit, in array arithmetic (about 0.2 s).
+        # At n_bar = 1, D = (N+1) coth((N+1) ln2 / 2) - 3, which is N - 2
+        # once 2^-N is below rounding
+        Ns = np.arange(1, 10**6 + 1)
+        start = time.process_time()
+        r_e, r_d = thermal_hec_rates(Ns, 1.0)
+        assert time.process_time() - start < 2.0
+        np.testing.assert_allclose(r_e[63:], Ns[63:] - 2.0, rtol=4e-15, atol=0.0)
+        assert_same_bits(r_d, 2.0 * r_e)
 
     @pytest.mark.parametrize(
         "family, kwargs, fragment",

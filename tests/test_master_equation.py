@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qollide import (
@@ -23,9 +23,17 @@ from qollide import (
     steady_state,
     thermal_hec_state,
 )
-from qollide.baths import BathSpec
+from qollide.baths import BathSpec, _gibbs_exponent, thermal_hec_weights
+from qollide.master_equation import thermal_hec_rates
 
-from conftest import cached_ops, dense_ops, expectation, random_density_matrix
+from conftest import (
+    THERMAL_EXACT_CASES,
+    cached_ops,
+    dense_ops,
+    expectation,
+    random_density_matrix,
+    thermal_hec_exact,
+)
 
 PARAMS = CollisionParams(g=0.1, tau=1.0, p=100.0)
 
@@ -127,6 +135,18 @@ class TestClosedFormsAgainstBruteForce:
         assert closed.r_e == pytest.approx(brute.r_e, abs=1e-12)
         assert closed.r_d == pytest.approx(brute.r_d, abs=1e-12)
 
+    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("n_bar", [1e6, 1e9, 1e12, 1e16, 1e300])
+    def test_thermal_hec_large_n_bar(self, N, n_bar):
+        # the state's weights and the closed form share one Gibbs exponent,
+        # so the two paths agree even where 1 - r^(N+1) rounds to 0
+        closed = coefficients_thermal_hec(N, n_bar, PARAMS)
+        brute = coefficients_from_state(
+            thermal_hec_state(N, n_bar), cached_ops(N), PARAMS
+        )
+        assert brute.r_e == pytest.approx(closed.r_e, rel=1e-12, abs=0.0)
+        assert brute.r_d == pytest.approx(closed.r_d, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("N", range(1, 7))
     def test_dicke_all_k(self, N):
         for k in range(N + 1):
@@ -163,23 +183,42 @@ class TestClosedFormsAgainstBruteForce:
         with pytest.raises(ValidationError, match="n_bar: must be finite and >= 0"):
             coefficients_thermal_hec(4, n_bar, PARAMS)
 
-    @pytest.mark.parametrize("n_bar", [0.0, 0.3, 7.0, 1e4, 1e8, 1e12, 1e15])
-    @pytest.mark.parametrize("N", [1, 4, 64, 512])
-    def test_thermal_sums_unchanged(self, N, n_bar):
-        # the rate sums as written before the shared normalization helper
-        r = n_bar / (n_bar + 1.0)
-        norm = (1.0 / (n_bar + 1.0)) / (1.0 - r ** (N + 1))
-        r_e = r_d = 0.0
-        for k in range(1, N + 1):
-            r_e += norm * r**k * (k * (N - k + 1))
-            r_d += norm * r ** (k - 1) * (k * (N - k + 1))
+    @pytest.mark.parametrize("N, n_bar", THERMAL_EXACT_CASES)
+    def test_thermal_rates_match_exact_sums(self, N, n_bar):
+        # the rate sums in exact rational arithmetic at the float n_bar, to
+        # a few ulp (a term-by-term float sum is off by 3.3e-14 at
+        # n_bar = 1e3 and by 8e-4 at 1e14)
+        r_e, r_d, _ = thermal_hec_exact(N, n_bar)
         c = coefficients_thermal_hec(N, n_bar, PARAMS)
-        assert (c.r_e, c.r_d) == (r_e, r_d)
+        for got, exact in ((c.r_e, r_e), (c.r_d, r_d)):
+            assert abs(got - exact) <= 4e-15 * exact  # so exactly 0 where exact is
 
-    @pytest.mark.parametrize("N", [1, 4, 64])
-    def test_thermal_normalization_rounding_to_zero_rejected(self, N):
-        with pytest.raises(ValidationError, match=f"too large for N={N}"):
-            coefficients_thermal_hec(N, 1e16, PARAMS)
+    @pytest.mark.parametrize("n_bar", [0.0, -0.0, 5e-324, 1e-310])
+    @pytest.mark.parametrize("N", [1, 4, 2**53 - 1])
+    def test_thermal_ground_limit_of_the_exponent(self, N, n_bar):
+        # 1/n_bar is infinite or overflows: x = inf, the ground-state
+        # weights (1, 0, ...), D = N, and no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _gibbs_exponent(n_bar) == math.inf
+            r_e, r_d = thermal_hec_rates(N, n_bar)
+            if N <= 4:
+                assert list(thermal_hec_weights(N, n_bar)) == [1.0] + [0.0] * N
+        assert (r_e, r_d) == (n_bar * N + 0.0, float(N))
+        assert math.copysign(1.0, r_e) == 1.0
+
+    @given(n_bar=st.floats(0.0, 1e300), N=st.integers(1, 2**53))
+    @example(n_bar=-0.0, N=1)
+    @example(n_bar=1e300, N=2**53)
+    @example(n_bar=2.2250738585072014e-308, N=2**53)
+    @settings(max_examples=300, deadline=None)
+    def test_thermal_rates_bounded_in_the_gibbs_ratio(self, n_bar, N):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r_e, r_d = thermal_hec_rates(N, n_bar)
+        assert math.isfinite(r_e) and math.isfinite(r_d)
+        assert 0.0 <= r_e <= r_d <= (n_bar + 1.0) * N
+        assert r_e / r_d == pytest.approx(n_bar / (n_bar + 1.0), rel=1e-14, abs=0.0)
 
     @given(n_bar=st.floats(0.0, 50.0), N=st.integers(1, 10))
     @settings(max_examples=60, deadline=None)
