@@ -203,6 +203,18 @@ def dicke_block_state(N, k):
 _FAMILIES = {"product": product_mixed_state, "thermal-hec": thermal_hec_state, "dicke": dicke_block_state}
 
 
+def check_named_bath(spec):
+    """Check a named family's parameter and the qubit cap without building
+    its state, in the order its constructor checks them."""
+    if spec.kind == "product":
+        _check_p_e(spec.p_e)
+    elif spec.kind == "dicke":
+        _check_k(spec.N, spec.k)
+    basis_ordering(spec.N)
+    if spec.kind == "thermal-hec":
+        check_n_bar(spec.n_bar)
+
+
 def validate_bath(spec):
     """Materialize a :class:`BathSpec` into a validated density matrix.
 
@@ -315,13 +327,13 @@ def classify_coherences(rho, ops):
     states satisfy the rule in the module docstring, so the masks follow
     from the Hamming distance and the excitation difference of each pair,
     taken on ``uint16`` bit patterns and ``int8`` excitations (``N <= 12``).
-    ``rho`` fixes the dimension only; the classification is positional.
+    The classification is positional: ``rho`` only has its shape checked,
+    and may be None for a bath known by its ``N``.
     """
-    rho = np.asarray(rho)
     dim = 2**ops.N
-    if rho.shape != (dim, dim):
+    if rho is not None and np.shape(rho) != (dim, dim):
         raise ValidationError(
-            f"classify_coherences: state shape {rho.shape} does not match "
+            f"classify_coherences: state shape {np.shape(rho)} does not match "
             f"N={ops.N} (expected {dim}x{dim})"
         )
     order = ops.basis.order.astype(np.uint16)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -39,7 +40,8 @@ import sys
 
 import numpy as np
 
-from .baths import BATH_KINDS, BathSpec, bath_to_csv, classify_coherences, load_bath_csv, validate_bath
+from .baths import BATH_KINDS, BathSpec, bath_to_csv, check_named_bath, classify_coherences
+from .baths import load_bath_csv, validate_bath
 from .collective import basis_ordering, build_collective_ops
 from .dynamics import (
     _check_record_count,
@@ -311,8 +313,11 @@ def cmd_sweep(args, config):
 def cmd_classify(args, config):
     spec = _bath_from(args, config)
     out_path = _get(args, config, "out", str)
-    rho = validate_bath(spec)
-    cmap = classify_coherences(rho, build_collective_ops(spec.N))
+    if spec.kind == "explicit":
+        validate_bath(spec)
+    else:  # classified by N alone: its 2^N x 2^N state is never built
+        check_named_bath(spec)
+    cmap = classify_coherences(None, build_collective_ops(spec.N))
     _write((out_path, _json(cmap.to_json_dict())))
     return 0
 
@@ -409,7 +414,10 @@ def _add_params_args(sub):
     sub.add_argument("--omega0", type=float, help="qubit frequency")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; :func:`main` dispatches
+    on the subcommand name, so a parser holds no handler."""
     parser = argparse.ArgumentParser(
         prog="qollide",
         description="Collision-model thermalization of a target qubit by "
@@ -422,7 +430,6 @@ def build_parser():
     _add_bath_args(sub)
     _add_params_args(sub)
     sub.add_argument("--out", help="output path (default stdout)")
-    sub.set_defaults(func=cmd_coeffs)
 
     sub = subs.add_parser("evolve", help="target-qubit trajectory as CSV")
     sub.add_argument("--config")
@@ -440,7 +447,6 @@ def build_parser():
     sub.add_argument("--seed", type=int, help="stochastic stream seed")
     sub.add_argument("--trajectories", type=int, help="stochastic averages")
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_evolve)
 
     sub = subs.add_parser("sweep", help="scaling sweep CSV plus fitted slopes JSON")
     sub.add_argument("--config")
@@ -452,13 +458,11 @@ def build_parser():
     _add_params_args(sub)
     sub.add_argument("--out", help="sweep CSV path (default stdout)")
     sub.add_argument("--slopes-out", dest="slopes_out", help="slopes JSON path")
-    sub.set_defaults(func=cmd_sweep)
 
     sub = subs.add_parser("classify", help="coherence block map as JSON")
     sub.add_argument("--config")
     _add_bath_args(sub)
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_classify)
 
     sub = subs.add_parser("prepare", help="thermal ladder preparation CSVs")
     sub.add_argument("--config")
@@ -470,12 +474,10 @@ def build_parser():
     sub.add_argument("--n-points", dest="n_points", type=int)
     sub.add_argument("--out-ladder", dest="out_ladder")
     sub.add_argument("--out-state", dest="out_state")
-    sub.set_defaults(func=cmd_prepare)
 
     sub = subs.add_parser("figures", help="regenerate decay and temperature datasets")
     sub.add_argument("--config")
     sub.add_argument("--out-dir", dest="out_dir")
-    sub.set_defaults(func=cmd_figures)
 
     return parser
 
@@ -489,7 +491,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config) if getattr(args, "config", None) else {}
-        return args.func(args, config)
+        return globals()[f"cmd_{args.command}"](args, config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,6 @@ coherence decays with ``2 t_q``.  Temperatures are reported in units of
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import warnings
@@ -175,9 +174,19 @@ def _exp_each(x):
 
 
 def _temperatures(ee, gg):
-    """:func:`temperature_from_populations` of every pair of 1-D populations."""
-    temps = map(temperature_from_populations, ee.tolist(), gg.tolist())
-    return np.fromiter(temps, dtype=float, count=len(ee))
+    """:func:`temperature_from_populations` of every pair of 1-D populations,
+    with its bits: the ratios and ``1 / log`` are IEEE operations either
+    way, ``math.log`` is mapped over the ratios that are not sentinels (so
+    it raises where the scalar form does), and the sentinels are selected in
+    the scalar form's order."""
+    sentinels = (ee <= 0.0, gg <= 0.0, ee == gg)
+    live = ~(sentinels[0] | sentinels[1] | sentinels[2])
+    with np.errstate(all="ignore"):  # the sentinels' ratios are not used
+        ratios = (gg / ee)[live]
+    logs = np.fromiter(map(math.log, ratios.tolist()), dtype=float, count=len(ratios))
+    temps = np.empty(len(ee))
+    temps[live] = 1.0 / logs
+    return np.select(sentinels, (0.0, -0.0, math.inf), temps)
 
 
 def _analytic_states(rho0, c, times):
@@ -455,6 +464,59 @@ def collision_superoperator(bath, params, mode="exact"):
     return phi
 
 
+def _trajectory_streams(seed):
+    """``(rng, reset)``: one Philox ``Generator``, and ``reset(i)``, which
+    sets it to trajectory ``i``'s stream, keyed by ``(seed mod 2**64, i)``
+    at counter 0.  Assigning a fresh state costs a fifth of building
+    ``Philox(key=...)``, which gathers OS entropy for a seed sequence it
+    then discards."""
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    key = np.array([int(seed) % 2**64, 0], dtype=np.uint64)
+    fresh = {**bitgen.state, "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key}}
+
+    def reset(i):
+        key[1] = i
+        bitgen.state = fresh  # the setter copies the values
+
+    return np.random.Generator(bitgen), reset
+
+
+def _collision_counts(seed, n_trajectories, record, p_dt):
+    """Yield the collision counts of the stochastic scheme, one block of
+    trajectories at a time: ``m[t, r]`` counts the collisions of the
+    block's ``t``-th trajectory in its first ``record[r]`` steps.
+
+    Step ``j + 1`` of a trajectory collides when its ``j``-th uniform draw
+    is below ``p_dt``; the draws stop at the last record.  Only the hits are
+    located, each at the first record after it, so the cost is the draws.
+    The draws buffer and a block's states (four per count) hold at most
+    :data:`_DRAW_CHUNK` entries, read at call time, unless one trajectory's
+    records alone hold more; a trajectory with more draws than that has a
+    block to itself and is drawn a chunk at a time.  Memory is O(records)
+    whatever the step count.
+    """
+    chunk = _DRAW_CHUNK
+    marks = np.asarray(record, dtype=np.int64)
+    last = record[-1] if record else 0
+    width = max(1, min(last, chunk))  # draws per trajectory and chunk
+    block = max(1, chunk // max(width, 4 * len(record)))
+    buf = np.empty(block * width)
+    rng, reset = _trajectory_streams(seed)
+    for first in range(0, n_trajectories, block):
+        size = min(block, n_trajectories - first)
+        counts = np.zeros(size * len(record), dtype=np.int64)
+        for start in range(0, last, width):  # one chunk, unless size is 1
+            draws = buf[: size * min(width, last - start)].reshape(size, -1)
+            for t, row in enumerate(draws):
+                if start == 0:
+                    reset(first + t)
+                rng.random(out=row)
+            traj, step = np.divmod(np.flatnonzero(draws < p_dt), draws.shape[1])
+            at = traj * len(record) + marks.searchsorted(step + start, "right")
+            counts += np.bincount(at, minlength=len(counts))
+        yield np.cumsum(counts.reshape(size, len(record)), axis=1)
+
+
 def collision_chain(
     rho0,
     bath,
@@ -503,30 +565,16 @@ def collision_chain(
         if n_trajectories < 1:
             raise ValidationError("n_trajectories: must be >= 1")
         # a trajectory's state after i steps is Phi^m rho0, m the number of
-        # collisions drawn in its first i steps; the draws stop at the last
-        # record and come _DRAW_CHUNK at a time, so memory is O(records)
-        # whatever the step count
-        last = record[-1] if record else 0
-        ends = np.array(record, dtype=np.int64) - 1  # each record's last draw
+        # collisions drawn in its first i steps
         powers = vec0[None, :]
         total = np.zeros((len(record), 4), dtype=complex)
-        for traj in range(n_trajectories):
-            key = np.array([int(seed) % 2**64, traj], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            m = np.zeros(len(record), dtype=np.int64)
-            count = 0
-            for start in range(0, last, _DRAW_CHUNK):
-                # hits[j]: collisions in steps start+1 .. start+j+1
-                hits = np.cumsum(rng.random(min(_DRAW_CHUNK, last - start)) < p_dt)
-                lo = bisect.bisect_right(record, start)
-                hi = bisect.bisect_right(record, start + len(hits))
-                m[lo:hi] = count + hits[ends[lo:hi] - start]
-                count += hits[-1]
-            extra = m[-1] + 1 - len(powers) if m.size else 0
+        for m in _collision_counts(seed, n_trajectories, record, p_dt):
+            extra = m[:, -1].max() + 1 - len(powers) if len(record) else 0
             if extra > 0:
                 more = _propagate(phi, powers[-1], range(1, extra + 1))
                 powers = np.concatenate([powers, more])
-            total += powers[m]
+            for states in powers[m]:  # one trajectory at a time: the sum rounds in order
+                total += states
         recorded = total / n_trajectories
 
     states = recorded.reshape(len(record), 2, 2)

@@ -11,13 +11,17 @@ import numpy as np
 import pytest
 
 from qollide import (
+    BathSpec,
     NumericError,
     bath_from_csv,
     bath_to_csv,
     basis_ordering,
+    build_collective_ops,
+    classify_coherences,
     ladder_history,
     prepare_thermal_dicke,
     thermal_hec_state,
+    validate_bath,
 )
 from qollide.cli import main, parse_n_range
 
@@ -537,6 +541,51 @@ class TestClassify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "N=20" in err
 
+    FAMILIES = (
+        ("product", "--pe", "0.3", lambda N: BathSpec.product_mixed(N, 0.3)),
+        ("thermal-hec", "--nbar", "0.7", lambda N: BathSpec.thermal_hec(N, 0.7)),
+        ("dicke", "--k", "1", lambda N: BathSpec.dicke(N, 1)),
+    )
+
+    @pytest.mark.parametrize("N", range(1, 11))
+    def test_named_family_bytes_unchanged_without_its_state(self, capsys, monkeypatch, N):
+        # want: the map made from the validated state, as before; got: the
+        # command, which must not build that state at all
+        import qollide.cli as cli
+
+        wants = {}
+        for kind, flag, value, spec in self.FAMILIES:
+            rho = validate_bath(spec(N))
+            cmap = classify_coherences(rho, build_collective_ops(N))
+            wants[kind] = json.dumps(cmap.to_json_dict(), indent=2) + "\n"
+
+        def unreachable(spec):
+            raise AssertionError("bath state built")
+
+        monkeypatch.setattr(cli, "validate_bath", unreachable)
+        for kind, flag, value, _ in self.FAMILIES:
+            argv = ("classify", "--bath", kind, "--N", str(N), flag, value)
+            assert run(capsys, *argv) == (0, wants[kind], "")
+
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (["dicke", "--N", "3", "--k", "9"], "k: must be in 0..3, got 9"),
+            (["dicke", "--N", "3", "--k", "-1"], "k: must be in 0..3, got -1"),
+            (["product", "--N", "3", "--pe", "1.5"], "p_e: must be in [0, 1], got 1.5"),
+            (["product", "--N", "3", "--pe", "nan"], "p_e: must be in [0, 1], got nan"),
+            (["thermal-hec", "--N", "3", "--nbar", "-1"], "n_bar: must be finite and >= 0, got -1.0"),
+            (["thermal-hec", "--N", "3", "--nbar", "inf"], "n_bar: must be finite and >= 0, got inf"),
+            # over the qubit cap too: each family's first check is reported
+            (["dicke", "--N", "13", "--k", "99"], "k: must be in 0..13, got 99"),
+            (["product", "--N", "13", "--pe", "2"], "p_e: must be in [0, 1], got 2.0"),
+            (["thermal-hec", "--N", "13", "--nbar", "-1"],
+             "basis_ordering: N=13 outside allowed range 1..12"),
+        ],
+    )
+    def test_out_of_range_parameter_exit_2(self, capsys, flags, line):
+        assert run(capsys, "classify", "--bath", *flags) == (2, "", f"error: {line}\n")
+
 
 class TestPrepare:
     def test_step_count_overflow_exit_2(self, capsys):
@@ -949,6 +998,22 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coefficients"]["r_e"] == 4.0
+
+
+def test_parser_built_once_and_reused(capsys):
+    import qollide.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith("usage: qollide evolve")
+    first = run(capsys, "coeffs", "--bath", "dicke", "--N", "4", "--k", "1")
+    assert run(capsys, "classify", "--bath", "dicke", "--N", "2", "--k", "1")[0] == 0
+    assert run(capsys, "coeffs", "--bath", "dicke", "--N", "4", "--k", "1") == first
 
 
 class TestUnexpectedFailures:

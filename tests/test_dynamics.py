@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 import time
@@ -129,6 +130,44 @@ class TestClosedFormLaws:
         assert temperature_from_populations(0.0, 1.0) == 0.0
         assert temperature_from_populations(0.5, 0.5) == math.inf
         assert temperature_from_populations(0.6, 0.4) < 0
+
+
+class TestTemperatureArrayForm:
+    """``_temperatures`` against ``temperature_from_populations``, bit for
+    bit: every sentinel, NaN, infinities, subnormal ratios, adjacent and
+    equal populations."""
+
+    VALUES = (
+        0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+        0.1, 0.25, 0.49999999999999994, 0.5, 0.5000000000000001, 1.0, 2.0,
+        1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan, -1.0,
+    )
+
+    @staticmethod
+    def scalar(p_e, p_g):
+        try:
+            return temperature_from_populations(p_e, p_g)
+        except ValueError:  # math.log of a ratio that underflowed to 0
+            return None
+
+    def test_same_bits_as_scalar(self):
+        pairs = [(a, b) for a in self.VALUES for b in self.VALUES if self.scalar(a, b) is not None]
+        ee, gg = np.array(pairs).T
+        want = np.array([self.scalar(a, b) for a, b in pairs])
+        got = dynamics._temperatures(ee, gg)
+        assert got.tobytes() == want.tobytes()
+        assert {0.0, math.inf} <= set(got.tolist()) and np.isnan(got).any()
+        assert np.signbit(got[(got == 0.0) & (gg <= 0.0) & (ee > 0.0)]).all()
+
+    def test_raises_where_scalar_raises(self):
+        raising = [(a, b) for a in self.VALUES for b in self.VALUES if self.scalar(a, b) is None]
+        assert raising  # e.g. 1e300 over 5e-324
+        for a, b in raising:
+            with pytest.raises(ValueError):
+                dynamics._temperatures(np.array([0.1, a]), np.array([0.2, b]))
+
+    def test_empty(self):
+        assert dynamics._temperatures(np.array([]), np.array([])).shape == (0,)
 
 
 class TestEvolveAnalytic:
@@ -945,6 +984,105 @@ class TestStochasticDraws:
         )
         assert traj.times.tolist() == [0.0]
         assert np.array_equal(traj.states[0], ground_state())
+
+
+def _per_trajectory_chain(vec0, phi, p_dt, record, seed, n_traj, chunk):
+    """The stochastic engine as one loop over trajectories: a fresh
+    ``Philox(key=...)`` per trajectory, drawn ``chunk`` uniforms at a time,
+    its collision counts read off a cumulative sum of every draw at each
+    record.  Test-only oracle of the blocked engine, bit for bit."""
+    last = record[-1] if record else 0
+    ends = np.array(record, dtype=np.int64) - 1  # each record's last draw
+    powers = vec0[None, :]
+    total = np.zeros((len(record), 4), dtype=complex)
+    for traj in range(n_traj):
+        key = np.array([int(seed) % 2**64, traj], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        m = np.zeros(len(record), dtype=np.int64)
+        count = 0
+        for start in range(0, last, chunk):
+            # hits[j]: collisions in steps start+1 .. start+j+1
+            hits = np.cumsum(rng.random(min(chunk, last - start)) < p_dt)
+            lo = bisect.bisect_right(record, start)
+            hi = bisect.bisect_right(record, start + len(hits))
+            m[lo:hi] = count + hits[ends[lo:hi] - start]
+            count += hits[-1]
+        extra = m[-1] + 1 - len(powers) if m.size else 0
+        if extra > 0:
+            more = dynamics._propagate(phi, powers[-1], range(1, extra + 1))
+            powers = np.concatenate([powers, more])
+        total += powers[m]
+    return total / n_traj
+
+
+class TestBlockedStochasticEngine:
+    """The blocked engine (one reset stream, sparse hits, trajectories in
+    blocks) against the per-trajectory loop it replaced."""
+
+    PARAMS = CollisionParams(g=0.2, tau=1.0, p=25.0)
+    BATH = BathSpec.dicke(3, 1)
+    N_STEPS = 60  # t_end 0.6 at dt 0.01
+
+    @staticmethod
+    def block(chunk, record):
+        # the engine's rule: the draws buffer, and four states per count,
+        # within chunk entries
+        last = record[-1] if record else 0
+        return max(1, chunk // max(1, min(last, chunk), 4 * len(record)))
+
+    @pytest.mark.parametrize("chunk", (1, 3, 7, 1 << 16))
+    @pytest.mark.parametrize("n_records", (None, 0, 1, 4, 101))
+    @pytest.mark.parametrize("seed", (7, 2**40 + 3, 2**64 + 5))
+    def test_equals_per_trajectory_loop(self, monkeypatch, chunk, n_records, seed):
+        from qollide import collision_superoperator
+
+        monkeypatch.setattr(dynamics, "_DRAW_CHUNK", chunk)
+        rho0 = qubit_state(0.1, 0.2)
+        record = _record_indices(self.N_STEPS, n_records)
+        phi = collision_superoperator(self.BATH, self.PARAMS)
+        b = self.block(chunk, record)
+        # one trajectory, a block and one either side, and several blocks
+        counts = sorted({n for n in (1, b - 1, b, b + 1, 2 * b + 1) if 1 <= n <= 2500})
+        for n_traj in counts:
+            traj = collision_chain(
+                rho0, self.BATH, self.PARAMS, 0.6, 0.01, scheme="stochastic",
+                seed=seed, n_trajectories=n_traj, n_records=n_records,
+            )
+            want = _per_trajectory_chain(
+                rho0.ravel(), phi, self.PARAMS.p * 0.01, record, seed, n_traj, chunk
+            )
+            got = traj.states.reshape(-1, 4)
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    def test_chunk_crossing_run_of_several_blocks(self, monkeypatch):
+        # 150 steps in chunks of 64: each trajectory has its own block and
+        # three chunks, records fall on and across chunk ends
+        monkeypatch.setattr(dynamics, "_DRAW_CHUNK", 64)
+        from qollide import collision_superoperator
+
+        rho0 = qubit_state(0.3, 0.1j)
+        traj = collision_chain(
+            rho0, self.BATH, self.PARAMS, 1.5, 0.01, scheme="stochastic",
+            seed=11, n_trajectories=9, n_records=11,
+        )
+        record = _record_indices(150, 11)
+        phi = collision_superoperator(self.BATH, self.PARAMS)
+        want = _per_trajectory_chain(rho0.ravel(), phi, self.PARAMS.p * 0.01, record, 11, 9, 64)
+        assert traj.states.reshape(-1, 4).tobytes() == want.tobytes()
+
+    def test_reset_stream_equals_fresh_philox(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            seed = int(rng.integers(0, 2**64, dtype=np.uint64)) + 2**64 * int(rng.integers(0, 3))
+            gen, reset = dynamics._trajectory_streams(seed)
+            for i in rng.integers(0, 2**64, size=4, dtype=np.uint64).tolist():
+                gen.integers(0, 2**31, size=3, dtype=np.uint32)  # leaves half a word buffered
+                gen.random(5)
+                reset(i)
+                key = np.array([seed % 2**64, i], dtype=np.uint64)
+                fresh = np.random.Generator(np.random.Philox(key=key))
+                assert np.array_equal(gen.random(1000), fresh.random(1000))
+                assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state)
 
 
 class TestPrepareThermalDicke:
