@@ -5,6 +5,7 @@ Subcommands: ``coeffs``, ``evolve``, ``sweep``, ``classify``, ``prepare`` and
 config file (``--config``); command-line flags win over config entries.
 Output files are UTF-8 with LF line endings and all floats carry 17
 significant digits, so identical inputs produce byte-identical files.
+Every float option reads ``-0`` as ``0`` (a refused one echoes ``0.0``).
 An ``--n-points`` of zero or less records nothing: the trajectory or
 ladder CSV is its header alone, written after the same checks as any other
 run, and ``prepare`` still writes the bath state at ``--t-end``.  A failing
@@ -101,6 +102,8 @@ def _get(args, config, name, conv=str, default=None, required=False, choices=Non
         if required:
             raise ValidationError(f"{name}: missing required value")
         value = default
+    if conv is float and value is not None:
+        value += 0.0  # -0 reads as 0
     if choices is not None and value is not None and value not in choices:
         raise ValidationError(f"{name}: must be one of {choices}, got {value!r}")
     return value
@@ -212,8 +215,7 @@ def _bath_from(args, config):
     if kind == "product":
         return BathSpec.product_mixed(N, _get(args, config, "pe", float, required=True))
     if kind == "thermal-hec":
-        # + 0.0: the echoed n_bar of -0 is 0.0, as its rates are
-        return BathSpec.thermal_hec(N, _get(args, config, "nbar", float, required=True) + 0.0)
+        return BathSpec.thermal_hec(N, _get(args, config, "nbar", float, required=True))
     return BathSpec.dicke(N, _get(args, config, "k", int, required=True))
 
 

@@ -423,12 +423,13 @@ def collision_superoperator(bath, params, mode="exact"):
     ``mode='exact'`` uses the full propagator ``U = exp(-i g tau V)`` with
     ``V = s- J+ + s+ J-``; ``mode='second_order'`` uses its (non-unitary)
     truncation ``1 - i g tau V - (g tau)^2 V^2 / 2``.  ``V`` conserves the
-    total excitation, so ``U`` is built one sector ``{|e> block k, |g> block
-    k+1}`` at a time, from one ``eigh`` of ``V_k = [[0, L_k], [L_k^dag, 0]]``
-    (``L_k = ops.ladder[k]``); ``|g> block 0`` and ``|e> block N`` are left
-    unchanged.  With ``M_ca = <c|U|a>`` the entry ``Phi[(c,d), (a,b)] =
-    Tr(M_ca rho_B M_db^dag)`` is then a sum over bath blocks, since every
-    block of ``M_ca`` maps one bath excitation block to another.
+    total excitation, so ``U`` is built per sector ``k = -1..N``, ``{|e>
+    block k, |g> block k+1}`` (bath blocks -1 and N+1 are empty), from one
+    ``eigh`` of ``V_k = [[0, L_k], [L_k^dag, 0]]`` (``L_k = ops.ladder[k]``);
+    the edge sectors -1 and N are 1x1 with ``L_k = 0``, so their ``U`` is
+    ``[[1]]``.  ``<c|U|a>`` of sector ``k`` maps bath block ``k+a`` to block
+    ``k+c``, so ``Phi[(c,d), (a,b)] = Tr(<c|U|a> rho_B <d|U|b>^dag)`` is a
+    sum over the output bath block.
     """
     mode = mode.replace("-", "_")
     if mode not in ("exact", "second_order"):
@@ -436,30 +437,23 @@ def collision_superoperator(bath, params, mode="exact"):
     N = bath.N
     rho_b = validate_bath(bath)
     ops = build_collective_ops(N)
-    off = ops.basis.offsets
-    # blocks[c][a][r] = (s, block of <c|U|a> from bath block s to block r);
-    # target index 0 is |e>, 1 is |g>
-    blocks = [[[None] * (N + 1) for _ in range(2)] for _ in range(2)]
-    blocks[0][0][N] = (N, np.eye(1))
-    blocks[1][1][0] = (0, np.eye(1))
-    for k, L in enumerate(ops.ladder):
+    # bath block s (-1..N+1) is rows pad[s+1]:pad[s+2]
+    pad = [0, *ops.basis.offsets, 2**N]
+    sectors = []  # sectors[k+1][c][a] = <c|U|a> of sector k
+    for L in [np.zeros((0, 1)), *ops.ladder, np.zeros((1, 0))]:
         n, m = L.shape
         V = np.block([[np.zeros((n, n)), L], [L.conj().T, np.zeros((m, m))]])
         w, Q = np.linalg.eigh(V)
         x = params.g_tau * w
         f = np.exp(-1j * x) if mode == "exact" else 1.0 - 1j * x - 0.5 * x**2
         U = (Q * f) @ Q.conj().T
-        blocks[0][0][k] = (k, U[:n, :n])
-        blocks[0][1][k] = (k + 1, U[:n, n:])
-        blocks[1][0][k + 1] = (k, U[n:, :n])
-        blocks[1][1][k + 1] = (k + 1, U[n:, n:])
+        sectors.append([[U[:n, :n], U[:n, n:]], [U[n:, :n], U[n:, n:]]])
     phi = np.zeros((4, 4), dtype=complex)
     for c, d, a, b in itertools.product(range(2), repeat=4):
-        for left, right in zip(blocks[c][a], blocks[d][b]):
-            if left is None or right is None:
-                continue
-            (i, A), (j, B) = left, right
-            rho_ij = rho_b[off[i] : off[i + 1], off[j] : off[j + 1]]
+        for r in range(N + 1):
+            i, j = r - c + a, r - d + b
+            rho_ij = rho_b[pad[i + 1] : pad[i + 2], pad[j + 1] : pad[j + 2]]
+            A, B = sectors[r - c + 1][c][a], sectors[r - d + 1][d][b]
             phi[2 * c + d, 2 * a + b] += np.sum((A @ rho_ij) * B.conj())
     return phi
 
@@ -541,7 +535,8 @@ def collision_chain(
 
     Both schemes are applied through powers of a constant one-step map: the
     deterministic step matrix between records, and for each stochastic
-    realization ``Phi^m``, with ``m`` its number of collisions so far.
+    realization ``Phi^m``, with ``m`` its number of collisions so far.  The
+    run is checked before ``Phi`` is built.
     """
     n_steps = _step_count(t_end, dt)
     p_dt = params.p * dt
@@ -553,8 +548,10 @@ def collision_chain(
         raise ValidationError(
             f"scheme: must be 'deterministic' or 'stochastic', got {scheme!r}"
         )
-    phi = collision_superoperator(bath, params, mode=mode)
+    if scheme == "stochastic" and n_trajectories < 1:
+        raise ValidationError("n_trajectories: must be >= 1")
     record = _record_indices(n_steps, n_records)
+    phi = collision_superoperator(bath, params, mode=mode)
     times = np.array([dt * i for i in record])
     vec0 = np.asarray(rho0, dtype=complex).ravel()
 
@@ -562,14 +559,12 @@ def collision_chain(
         step_mat = (1.0 - p_dt) * np.eye(4, dtype=complex) + p_dt * phi
         recorded = _propagate(step_mat, vec0, record)
     else:
-        if n_trajectories < 1:
-            raise ValidationError("n_trajectories: must be >= 1")
         # a trajectory's state after i steps is Phi^m rho0, m the number of
         # collisions drawn in its first i steps
         powers = vec0[None, :]
         total = np.zeros((len(record), 4), dtype=complex)
         for m in _collision_counts(seed, n_trajectories, record, p_dt):
-            extra = m[:, -1].max() + 1 - len(powers) if len(record) else 0
+            extra = m.max(initial=0) + 1 - len(powers)  # counts are cumulative
             if extra > 0:
                 more = _propagate(phi, powers[-1], range(1, extra + 1))
                 powers = np.concatenate([powers, more])
@@ -808,10 +803,9 @@ def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None):
     :data:`MAX_RECORDS` values in ``1..MAX_SWEEP_N``.
     """
     _check_sweep_points(len(N_list))
-    N_list = [int(N) for N in N_list]
-    if not N_list:
+    if not len(N_list):
         raise ValidationError("N_list: must not be empty")
-    _check_closed_form_n(N_list, "N_list")
+    _check_closed_form_n(N_list, "N_list")  # before a value can overflow int64
     Ns = np.array(N_list, dtype=np.int64)
     k = None
     if family == "product":

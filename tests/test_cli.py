@@ -361,6 +361,23 @@ class TestEvolve:
         result = run(capsys, "evolve", *bath)
         assert_config_error(result, "n_records: 101 records exceed the limit of 10")
 
+    @pytest.mark.parametrize("scheme", ["deterministic", "stochastic"])
+    def test_collisions_grid_refused_before_the_map(self, capsys, monkeypatch, scheme):
+        import qollide.dynamics as dynamics
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("collision map built")
+
+        # the N = 12 map alone takes tens of seconds
+        monkeypatch.setattr(dynamics, "collision_superoperator", unreachable)
+        result = run(
+            capsys, "evolve", "--engine", "collisions", "--scheme", scheme,
+            "--bath", "dicke", "--N", "12", "--k", "6", "--t-end", "1", "--dt", "1e-7",
+        )
+        assert_config_error(
+            result, "n_records: 10000001 records exceed the limit of 1000000; record fewer points"
+        )
+
     @pytest.mark.parametrize("n_bar", ["1e9", "1e16"])
     def test_collisions_large_nbar_answers(self, capsys, n_bar):
         # the state's weights share the closed form's exponent, so its trace
@@ -1064,25 +1081,28 @@ class TestOverflowingRates:
 
 
 class TestNegativeZeroNbar:
-    """``--nbar -0`` is ``--nbar 0``: x = inf, and the same bytes."""
+    """A float option of ``-0`` is that option at ``0``: ``--nbar -0`` has
+    x = inf, and every such run the same bytes."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, flag",
         [
-            ["coeffs", "--bath", "thermal-hec", "--N", "4"],
-            ["sweep", "--family", "thermal-hec", "--N", "1:6"],
-            ["evolve", "--bath", "thermal-hec", "--N", "3", "--t-end", "0.1",
-             "--n-points", "5"],
-            ["evolve", "--engine", "collisions", "--bath", "thermal-hec", "--N", "3",
-             "--t-end", "0.01", "--dt", "0.001"],
+            (["coeffs", "--bath", "thermal-hec", "--N", "4"], "--nbar"),
+            (["sweep", "--family", "thermal-hec", "--N", "1:6"], "--nbar"),
+            (["evolve", "--bath", "thermal-hec", "--N", "3", "--t-end", "0.1",
+              "--n-points", "5"], "--nbar"),
+            (["evolve", "--engine", "collisions", "--bath", "thermal-hec", "--N", "3",
+              "--t-end", "0.01", "--dt", "0.001"], "--nbar"),
+            (["coeffs", "--bath", "product", "--N", "4"], "--pe"),
+            (["coeffs", "--bath", "dicke", "--N", "4", "--k", "1"], "--g"),
         ],
-        ids=["coeffs", "sweep", "evolve-analytic", "evolve-collisions"],
+        ids=["coeffs", "sweep", "evolve-analytic", "evolve-collisions", "product-pe", "dicke-g"],
     )
-    def test_same_bytes_as_zero(self, capsys, argv):
+    def test_same_bytes_as_zero(self, capsys, argv, flag):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            zero = run(capsys, *argv, "--nbar", "0")
-            negative = run(capsys, *argv, "--nbar", "-0")
+            zero = run(capsys, *argv, flag, "0")
+            negative = run(capsys, *argv, flag, "-0")
         assert zero[0] == 0 and zero[2] == ""
         assert negative == zero
         assert "-0.0" not in zero[1]

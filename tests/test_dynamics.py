@@ -1,6 +1,7 @@
 import bisect
 import json
 import math
+import re
 import time
 import warnings
 
@@ -636,10 +637,68 @@ def dense_collision_map(spec, params, mode):
     return phi
 
 
+def _table_collision_map(spec, params, mode):
+    """The sector map as a table of ``(source block, matrix)`` entries per
+    target pair and output bath block, the two edge states placed by hand as
+    ``eye(1)`` and missing entries skipped.  Test-only oracle of
+    :func:`collision_superoperator`, bit for bit."""
+    import itertools
+
+    from qollide import validate_bath
+
+    N = spec.N
+    rho_b = validate_bath(spec)
+    ops = cached_ops(N)
+    off = ops.basis.offsets
+    blocks = [[[None] * (N + 1) for _ in range(2)] for _ in range(2)]
+    blocks[0][0][N] = (N, np.eye(1))
+    blocks[1][1][0] = (0, np.eye(1))
+    for k, L in enumerate(ops.ladder):
+        n, m = L.shape
+        V = np.block([[np.zeros((n, n)), L], [L.conj().T, np.zeros((m, m))]])
+        w, Q = np.linalg.eigh(V)
+        x = params.g_tau * w
+        f = np.exp(-1j * x) if mode == "exact" else 1.0 - 1j * x - 0.5 * x**2
+        U = (Q * f) @ Q.conj().T
+        blocks[0][0][k] = (k, U[:n, :n])
+        blocks[0][1][k] = (k + 1, U[:n, n:])
+        blocks[1][0][k + 1] = (k, U[n:, :n])
+        blocks[1][1][k + 1] = (k + 1, U[n:, n:])
+    phi = np.zeros((4, 4), dtype=complex)
+    for c, d, a, b in itertools.product(range(2), repeat=4):
+        for left, right in zip(blocks[c][a], blocks[d][b]):
+            if left is None or right is None:
+                continue
+            (i, A), (j, B) = left, right
+            rho_ij = rho_b[off[i] : off[i + 1], off[j] : off[j + 1]]
+            phi[2 * c + d, 2 * a + b] += np.sum((A @ rho_ij) * B.conj())
+    return phi
+
+
 class TestSectorCollisionMap:
-    """The sector-wise map against the dense propagator it replaced."""
+    """The sector-wise map against the dense propagator it replaced, and
+    against the table-based sector map, bit for bit."""
 
     PARAMS = CollisionParams(g=0.25, tau=1.0, p=1.0)
+
+    @pytest.mark.parametrize("g_tau", [0.0, 0.25, 1.3])
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_same_bits_as_table(self, N, g_tau):
+        if g_tau > 0.3:
+            with pytest.warns(UserWarning, match="second-order collision expansion"):
+                params = CollisionParams(g=g_tau, tau=1.0, p=1.0)
+        else:
+            params = CollisionParams(g=g_tau, tau=1.0, p=1.0)
+        specs = [BathSpec.dicke(N, k) for k in range(N + 1)]
+        specs += [
+            BathSpec.thermal_hec(N, 0.7),
+            BathSpec.product_mixed(N, 0.3),
+            BathSpec.explicit(random_density_matrix(np.random.default_rng(200 + N), 2**N)),
+        ]
+        for spec in specs:
+            for mode in ("exact", "second_order"):
+                got = collision_superoperator(spec, params, mode=mode)
+                assert got.tobytes() == _table_collision_map(spec, params, mode).tobytes()
 
     @pytest.mark.parametrize("mode", ["exact", "second_order"])
     @pytest.mark.parametrize("N", range(1, 7))
@@ -1013,6 +1072,57 @@ def _per_trajectory_chain(vec0, phi, p_dt, record, seed, n_traj, chunk):
             powers = np.concatenate([powers, more])
         total += powers[m]
     return total / n_traj
+
+
+class TestRunCheckedBeforeMap:
+    """``collision_chain`` refuses a run before it builds the collision map."""
+
+    BATH = BathSpec.dicke(3, 1)
+    PARAMS = CollisionParams(g=0.2, tau=1.0, p=25.0)
+
+    @pytest.fixture(autouse=True)
+    def no_map(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("collision map built")
+
+        monkeypatch.setattr(dynamics, "collision_superoperator", unreachable)
+
+    @pytest.mark.parametrize("scheme", ["deterministic", "stochastic"])
+    @pytest.mark.parametrize("n_records", [None, 20])
+    def test_record_grid(self, monkeypatch, scheme, n_records):
+        monkeypatch.setattr(dynamics, "MAX_RECORDS", 10)
+        with pytest.raises(ValidationError, match="^n_records: 11 records exceed the limit of 10;"):
+            collision_chain(
+                ground_state(), self.BATH, self.PARAMS, 0.1, 0.01, scheme=scheme,
+                n_trajectories=2, n_records=n_records,
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"scheme": "stochastic", "n_trajectories": 0}, "n_trajectories: must be >= 1"),
+            ({"scheme": "stochastic", "n_trajectories": -3}, "n_trajectories: must be >= 1"),
+            ({"scheme": "bogus"}, "scheme: must be 'deterministic' or 'stochastic'"),
+            ({"dt": 0.1}, "p*dt: collision probability per step is 2.5 > 1"),
+        ],
+        ids=["zero-trajectories", "negative-trajectories", "scheme", "p-dt"],
+    )
+    def test_run_parameters(self, kwargs, message):
+        kwargs = {"dt": 0.01, **kwargs}
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            collision_chain(ground_state(), self.BATH, self.PARAMS, 0.1, **kwargs)
+
+    def test_grid_reported_before_bath(self, monkeypatch):
+        # with the real map: a bath that fails its check is reported only
+        # once the grid passes
+        monkeypatch.setattr(dynamics, "collision_superoperator", collision_superoperator)
+        bad = BathSpec.explicit(np.eye(2))  # trace 2
+        monkeypatch.setattr(dynamics, "MAX_RECORDS", 10)
+        with pytest.raises(ValidationError, match="^n_records: 11 records exceed"):
+            collision_chain(ground_state(), bad, self.PARAMS, 0.1, 0.01)
+        monkeypatch.setattr(dynamics, "MAX_RECORDS", 11)
+        with pytest.raises(ValidationError, match="^explicit bath: trace check failed"):
+            collision_chain(ground_state(), bad, self.PARAMS, 0.1, 0.01)
 
 
 class TestBlockedStochasticEngine:
@@ -1562,6 +1672,31 @@ class TestSweepOracle:
         with pytest.raises(ValidationError) as got:
             scaling_sweep(family, [4, 2], PARAMS, **kwargs)
         assert str(got.value) == str(expected.value) == fragment
+
+    @pytest.mark.parametrize(
+        "form",
+        [list, np.array, lambda Ns: np.array(Ns, dtype=np.int64), lambda Ns: range(4, 4097, 4)],
+        ids=["list", "array", "int64", "range"],
+    )
+    def test_n_list_forms(self, form):
+        Ns = list(range(4, 4097, 4))
+        want = self.check("dicke", Ns, k_rule="half-minus-one")
+        got = scaling_sweep("dicke", form(Ns), PARAMS, k_rule="half-minus-one")
+        assert got.to_csv() == want.to_csv()
+        assert got.slopes_dict() == want.slopes_dict()
+        assert all(type(r.N) is int for r in got.rows)
+
+    @pytest.mark.parametrize(
+        "N_list", [[], range(5, 5), np.array([], dtype=np.int64)], ids=["list", "range", "array"]
+    )
+    def test_empty_n_list_rejected(self, N_list):
+        with pytest.raises(ValidationError, match="^N_list: must not be empty$"):
+            scaling_sweep("product", N_list, PARAMS, p_e=0.5)
+
+    @pytest.mark.parametrize("big", [2**63, 2**64 + 1, 10**30])
+    def test_n_above_int64_rejected_before_conversion(self, big):
+        with pytest.raises(ValidationError, match=r"^N_list: all N must be <= 2\*\*53$"):
+            scaling_sweep("thermal-hec", [4, big, 8], PARAMS, n_bar=0.5)
 
     def test_n_above_exact_float_range_rejected(self):
         with pytest.raises(ValidationError, match=r"N_list: all N must be <= 2\*\*53"):
