@@ -1675,8 +1675,8 @@ class TestSweepOracle:
 
     @pytest.mark.parametrize(
         "form",
-        [list, np.array, lambda Ns: np.array(Ns, dtype=np.int64), lambda Ns: range(4, 4097, 4)],
-        ids=["list", "array", "int64", "range"],
+        [lambda Ns: np.array(Ns, dtype=np.int64), lambda Ns: range(4, 4097, 4)],
+        ids=["int64", "range"],
     )
     def test_n_list_forms(self, form):
         Ns = list(range(4, 4097, 4))
