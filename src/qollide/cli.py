@@ -41,8 +41,8 @@ import sys
 
 import numpy as np
 
-from .baths import BATH_KINDS, BathSpec, bath_to_csv, check_named_bath, classify_coherences
-from .baths import load_bath_csv, validate_bath
+from .baths import _REQUIRED, BATH_KINDS, BathSpec, bath_to_csv, check_named_bath
+from .baths import classify_coherences, load_bath_csv, validate_bath
 from .collective import basis_ordering, build_collective_ops
 from .dynamics import (
     _check_record_count,
@@ -57,15 +57,18 @@ from .dynamics import (
     scaling_sweep,
 )
 from .errors import NumericError, ValidationError
-from .master_equation import CollisionParams, coefficients_for, dicke_rates
+from .master_equation import _FAMILY_FORMS, CollisionParams, coefficients_for, dicke_rates
 
 DEFAULT_PARAMS = {"g": 0.1, "tau": 1.0, "p": 100.0, "omega0": 1.0}
 
 ENGINES = ("analytic", "ode", "collisions")
 MODES = ("exact", "second-order")
 SCHEMES = ("deterministic", "stochastic")
-FAMILIES = ("product", "thermal-hec", "dicke")
+FAMILIES = tuple(_FAMILY_FORMS)
 K_RULES = ("quarter", "half-minus-one")
+
+#: The flag, and its type, that gives each named family its parameter.
+_FAMILY_FLAGS = {"product": ("pe", float), "thermal-hec": ("nbar", float), "dicke": ("k", int)}
 
 
 def load_config(path):
@@ -173,12 +176,10 @@ def parse_n_range(text):
                 raise ValueError
             if step < 1 or stop < start:
                 raise ValueError
-            values = range(start, stop + 1, step)
-            count = (stop - start) // step + 1  # len() overflows past sys.maxsize
-        else:
-            values = s.split(",")
-            count = len(values)
-        _check_sweep_points(count)
+            _check_sweep_points((stop - start) // step + 1)  # len() overflows past sys.maxsize
+            return list(range(start, stop + 1, step))
+        values = s.split(",")
+        _check_sweep_points(len(values))
         return [int(v) for v in values]
     except ValidationError:
         raise
@@ -212,11 +213,9 @@ def _bath_from(args, config):
             )
         return BathSpec.explicit(rho)
     N = _get(args, config, "N", int, required=True)
-    if kind == "product":
-        return BathSpec.product_mixed(N, _get(args, config, "pe", float, required=True))
-    if kind == "thermal-hec":
-        return BathSpec.thermal_hec(N, _get(args, config, "nbar", float, required=True))
-    return BathSpec.dicke(N, _get(args, config, "k", int, required=True))
+    flag, conv = _FAMILY_FLAGS[kind]
+    value = _get(args, config, flag, conv, required=True)
+    return BathSpec(N=N, kind=kind, **{_REQUIRED[kind]: value})
 
 
 # ---------------------------------------------------------------------------

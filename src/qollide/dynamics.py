@@ -23,8 +23,8 @@ from .baths import _check_k, _symmetric_state, check_n_bar, validate_bath
 from .collective import basis_ordering, build_collective_ops
 from .errors import NumericError, ValidationError
 from .linalg import validate_density_matrix
-from .master_equation import MAX_SWEEP_N, _check_closed_form_n, dicke_rates, lindblad_rhs
-from .master_equation import product_mixed_rates, thermal_hec_rates
+from .master_equation import _FAMILY_FORMS, MAX_SWEEP_N, _check_closed_form_n, dicke_rates
+from .master_equation import lindblad_rhs
 
 #: Residual coherence above which trajectory temperatures are flagged.
 COHERENCE_FLAG_TOL = 1e-6
@@ -87,7 +87,8 @@ def excited_state():
 
 def thermalization_time(c):
     """Characteristic relaxation time 1 / (mu (r_e + r_d)); infinite when the
-    bath does not couple (both rates zero, or zero coupling strength)."""
+    bath does not couple (both rates zero, or zero coupling strength) or the
+    rate is too small for its inverse to be a float."""
     rate = c.mu * (c.r_e + c.r_d)
     if rate <= 0.0:
         return math.inf
@@ -102,20 +103,29 @@ def steady_state(c):
     return np.diag([c.r_e / total, c.r_d / total]).astype(complex)
 
 
-def temperature_from_populations(p_e, p_g):
-    """Temperature (units hbar*omega0/k_B) of a diagonal two-level state.
+def _temperatures(ee, gg):
+    """Temperatures ``1 / ln(gg / ee)`` of every pair of 1-D populations.
 
-    Sentinels: 0 for an unpopulated excited level, -0.0 for an unpopulated
-    ground level (fully inverted) and +inf at equal populations.  Negative
-    values signal population inversion.
+    Sentinels, selected in this order: 0 for an unpopulated excited level,
+    -0.0 for an unpopulated ground level (fully inverted) and +inf at equal
+    populations.  ``math.log`` is mapped over the other ratios (``np.log``
+    can round differently), so it raises where a ratio underflowed to 0.
     """
-    if p_e <= 0.0:
-        return 0.0
-    if p_g <= 0.0:
-        return -0.0
-    if p_e == p_g:
-        return math.inf
-    return 1.0 / math.log(p_g / p_e)
+    sentinels = (ee <= 0.0, gg <= 0.0, ee == gg)
+    live = ~(sentinels[0] | sentinels[1] | sentinels[2])
+    with np.errstate(all="ignore"):  # the sentinels' ratios are not used
+        ratios = (gg / ee)[live]
+    logs = np.fromiter(map(math.log, ratios.tolist()), dtype=float, count=len(ratios))
+    temps = np.empty(len(ee))
+    temps[live] = 1.0 / logs
+    return np.select(sentinels, (0.0, -0.0, math.inf), temps)
+
+
+def temperature_from_populations(p_e, p_g):
+    """Temperature (units hbar*omega0/k_B) of a diagonal two-level state, the
+    one-pair case of :func:`_temperatures`.  Negative values signal
+    population inversion."""
+    return float(_temperatures(np.array([p_e]), np.array([p_g]))[0])
 
 
 def steady_temperature(c):
@@ -173,22 +183,6 @@ def _exp_each(x):
     return np.fromiter(map(math.exp, x.tolist()), dtype=float, count=len(x))
 
 
-def _temperatures(ee, gg):
-    """:func:`temperature_from_populations` of every pair of 1-D populations,
-    with its bits: the ratios and ``1 / log`` are IEEE operations either
-    way, ``math.log`` is mapped over the ratios that are not sentinels (so
-    it raises where the scalar form does), and the sentinels are selected in
-    the scalar form's order."""
-    sentinels = (ee <= 0.0, gg <= 0.0, ee == gg)
-    live = ~(sentinels[0] | sentinels[1] | sentinels[2])
-    with np.errstate(all="ignore"):  # the sentinels' ratios are not used
-        ratios = (gg / ee)[live]
-    logs = np.fromiter(map(math.log, ratios.tolist()), dtype=float, count=len(ratios))
-    temps = np.empty(len(ee))
-    temps[live] = 1.0 / logs
-    return np.select(sentinels, (0.0, -0.0, math.inf), temps)
-
-
 def _analytic_states(rho0, c, times):
     """Closed-form target states at the 1-D ``times``, stacked ``(n, 2, 2)``.
 
@@ -198,12 +192,11 @@ def _analytic_states(rho0, c, times):
     """
     _require_thermal_only(c)
     rho0 = np.asarray(rho0, dtype=complex)
-    total = c.r_e + c.r_d
-    if c.mu * total <= 0.0:
+    t_q = thermalization_time(c)
+    if t_q == math.inf:
         return np.repeat(rho0[None], len(times), axis=0)
-    t_q = 1.0 / (c.mu * total)
     c0 = c.r_d * rho0[0, 0].real - c.r_e * rho0[1, 1].real
-    ee = (c.r_e + c0 * _exp_each(-times / t_q)) / total
+    ee = (c.r_e + c0 * _exp_each(-times / t_q)) / (c.r_e + c.r_d)
     eg = rho0[0, 1] * _exp_each(-times / (2.0 * t_q))
     return np.stack((ee, eg, np.conj(eg), 1.0 - ee), axis=1).reshape(-1, 2, 2)
 
@@ -224,12 +217,11 @@ def temperature_trajectory(c, t_grid):
     _require_thermal_only(c)
     if c.r_e <= 0.0:
         raise ValidationError("temperature_trajectory: r_e must be positive")
-    total = c.r_e + c.r_d
     t_grid = np.asarray(t_grid, dtype=float)
-    if c.mu <= 0.0:
+    t_q = thermalization_time(c)
+    if t_q == math.inf:
         return np.zeros(t_grid.shape)
-    t_q = 1.0 / (c.mu * total)
-    ee = c.r_e * (1.0 - _exp_each(-t_grid.ravel() / t_q)) / total
+    ee = c.r_e * (1.0 - _exp_each(-t_grid.ravel() / t_q)) / (c.r_e + c.r_d)
     return _temperatures(ee, 1.0 - ee).reshape(t_grid.shape)
 
 
@@ -244,8 +236,8 @@ class Trajectory:
     ``temperature`` is computed from the populations only; records with
     residual coherence above :data:`COHERENCE_FLAG_TOL` set
     ``has_coherence``.  All records are post-processed at once: one stacked
-    ``eigvalsh`` gives every entropy, and the temperatures map
-    :func:`temperature_from_populations` over the populations.
+    ``eigvalsh`` gives every entropy, and one :func:`_temperatures` call
+    every temperature.
     """
 
     times: np.ndarray
@@ -422,7 +414,9 @@ def collision_superoperator(bath, params, mode="exact"):
 
     ``mode='exact'`` uses the full propagator ``U = exp(-i g tau V)`` with
     ``V = s- J+ + s+ J-``; ``mode='second_order'`` uses its (non-unitary)
-    truncation ``1 - i g tau V - (g tau)^2 V^2 / 2``.  ``V`` conserves the
+    truncation ``1 - i g tau V - (g tau)^2 V^2 / 2``, whose ``U^dag U = 1 +
+    (g tau V)^4 / 4``: each second-order collision adds ``(g tau)^4 <V^4> /
+    4`` to the trace, and nothing checks it.  ``V`` conserves the
     total excitation, so ``U`` is built per sector ``k = -1..N``, ``{|e>
     block k, |g> block k+1}`` (bath blocks -1 and N+1 are empty), from one
     ``eigh`` of ``V_k = [[0, L_k], [L_k^dag, 0]]`` (``L_k = ops.ladder[k]``);
@@ -784,7 +778,7 @@ def _sweep_k(k_rule, N):
     if k_rule == "quarter":
         return N // 4
     if k_rule == "half-minus-one":
-        return (N - 1) // 2
+        return dicke_max_noninverted_k(N)
     raise ValidationError(
         f"k_rule: must be 'quarter' or 'half-minus-one', got {k_rule!r}"
     )
@@ -807,25 +801,18 @@ def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None):
         raise ValidationError("N_list: must not be empty")
     _check_closed_form_n(N_list, "N_list")  # before a value can overflow int64
     Ns = np.array(N_list, dtype=np.int64)
-    k = None
-    if family == "product":
-        if p_e is None:
-            raise ValidationError("p_e: required for the product family")
-        r_e, r_d = product_mixed_rates(Ns.astype(float), p_e)
-    elif family == "thermal-hec":
-        if n_bar is None:
-            raise ValidationError("n_bar: required for the thermal-hec family")
-        r_e, r_d = thermal_hec_rates(Ns, n_bar)
-    elif family == "dicke":
-        if k_rule is None:
-            raise ValidationError("k_rule: required for the dicke family")
-        k = _sweep_k(k_rule, Ns)
-        # products of exact float factors, rounded once as float() of the ints
-        r_e, r_d = dicke_rates(Ns.astype(float), k.astype(float))
-    else:
+    if family not in _FAMILY_FORMS:
         raise ValidationError(
             f"family: must be 'product', 'thermal-hec' or 'dicke', got {family!r}"
         )
+    name, value = {"product": ("p_e", p_e), "thermal-hec": ("n_bar", n_bar),
+                   "dicke": ("k_rule", k_rule)}[family]
+    if value is None:
+        raise ValidationError(f"{name}: required for the {family} family")
+    k = _sweep_k(k_rule, Ns) if family == "dicke" else None
+    _, rates = _FAMILY_FORMS[family]
+    # dicke: products of exact float factors, rounded once as float() of the ints
+    r_e, r_d = rates(Ns.astype(float), value if k is None else k.astype(float))
 
     rate = params.mu * (r_e + r_d)
     t_q = np.full(len(Ns), math.inf)

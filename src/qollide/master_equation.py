@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import BathSpec, _check_k, _check_p_e, _gibbs_exponent, validate_bath
+from .baths import _REQUIRED, BathSpec, _check_k, _check_p_e, _gibbs_exponent, validate_bath
 from .collective import build_collective_ops, j_z_diagonal
 from .errors import NumericError, ValidationError
 
@@ -54,10 +54,12 @@ MAX_SWEEP_N = 2**53
 
 def _check_closed_form_n(Ns, name="N"):
     """Hold every N of a closed form to ``1..MAX_SWEEP_N``, before any of
-    them is turned into a float."""
-    if min(Ns) < 1:
+    them is turned into a float; an array's ends are read without
+    iterating it."""
+    low, high = (Ns.min(), Ns.max()) if isinstance(Ns, np.ndarray) else (min(Ns), max(Ns))
+    if low < 1:
         raise ValidationError(f"{name}: all N must be >= 1")
-    if max(Ns) > MAX_SWEEP_N:
+    if high > MAX_SWEEP_N:
         raise ValidationError(f"{name}: all N must be <= 2**53")
 
 
@@ -275,17 +277,23 @@ def coefficients_dicke(N, k, params):
     return MeqCoefficients(0.0j, 0.0j, float(r_e), float(r_d), params.mu, params.pg_tau)
 
 
+#: Each named family's one-N closed form ``(N, value, params)`` and its rates
+#: ``(N, value)`` for an int N or an array of N; ``value`` is ``p_e``, ``n_bar`` or ``k``.
+_FAMILY_FORMS = {
+    "product": (coefficients_product_mixed, product_mixed_rates),
+    "thermal-hec": (coefficients_thermal_hec, thermal_hec_rates),
+    "dicke": (coefficients_dicke, dicke_rates),
+}
+
+
 def coefficients_for(spec, params):
     """Coefficients for a :class:`BathSpec`: closed forms for the named
     families, the block-structured trace for explicit matrices."""
     if not isinstance(spec, BathSpec):
         raise ValidationError("coefficients_for: expected a BathSpec")
-    if spec.kind == "product":
-        return coefficients_product_mixed(spec.N, spec.p_e, params)
-    if spec.kind == "thermal-hec":
-        return coefficients_thermal_hec(spec.N, spec.n_bar, params)
-    if spec.kind == "dicke":
-        return coefficients_dicke(spec.N, spec.k, params)
+    if spec.kind in _FAMILY_FORMS:
+        closed_form, _ = _FAMILY_FORMS[spec.kind]
+        return closed_form(spec.N, getattr(spec, _REQUIRED[spec.kind]), params)
     rho = validate_bath(spec)
     return coefficients_from_state(rho, build_collective_ops(spec.N), params)
 

@@ -283,6 +283,27 @@ class TestEvolve:
             paths["analytic"][:, 2], paths["collisions"][:, 2], atol=1e-2
         )
 
+    @pytest.mark.parametrize("engine", ["ode", "collisions"])
+    def test_stepped_engine_needs_dt(self, capsys, engine):
+        result = run(capsys, "evolve", *DICKE_4_1, "--engine", engine, "--t-end", "1")
+        assert result == (2, "", f"error: dt: required for the {engine} engine\n")
+
+    def test_ode_trace_drift_exit_3(self, capsys, monkeypatch):
+        from qollide import dynamics
+
+        real = dynamics._propagate
+
+        def drifted(step_mat, vec0, steps):
+            rows = real(step_mat, vec0, steps)
+            rows[-1, 3] -= 1e-6  # the final state
+            return rows
+
+        monkeypatch.setattr(dynamics, "_propagate", drifted)
+        argv = ("evolve", *DICKE_4_1, "--engine", "ode", "--t-end", "0.01", "--dt", "0.001")
+        assert run(capsys, *argv) == (
+            3, "", "numeric error: integrate_master: trace drift 1.000e-06 at step 10\n"
+        )
+
     def test_second_order_collisions_over_cap_exit_2(self, capsys):
         code, out, err = run(
             capsys, "evolve", "--engine", "collisions", "--mode", "second-order",
@@ -470,6 +491,15 @@ class TestSweep:
         )
         assert_config_error(result, "n_bar: must be finite")
 
+    @pytest.mark.parametrize("n_range", ["1:2:3:4", "1:", ":", "4:2", "1:9:0", "1,,2", "2.5"])
+    def test_unparsable_range_exit_2(self, capsys, n_range):
+        result = run(capsys, "sweep", "--family", "product", "--pe", "0.2", "--N", n_range)
+        assert result == (
+            2,
+            "",
+            f"error: N: cannot parse range {n_range!r} (use start:stop[:step] or a comma list)\n",
+        )
+
     def test_missing_krule_exit_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "dicke", "--N", "4:8:4")
         assert code == 2
@@ -549,6 +579,26 @@ class TestClassify:
         assert counts["squeezing"] == 0
         assert counts["hec"] == 0
         assert counts["displacement"] == 2
+
+    def test_explicit_file_same_map_as_named_bath(self, capsys, tmp_path):
+        from qollide import product_mixed_state
+
+        path = tmp_path / "rho.csv"
+        path.write_text(bath_to_csv(product_mixed_state(3, 0.3), 3))
+        named = run(capsys, "classify", "--bath", "product", "--N", "3", "--pe", "0.3")
+        assert named[0] == 0
+        assert run(capsys, "classify", "--bath", "explicit", "--file", str(path)) == named
+
+    def test_explicit_file_not_positive_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "rho.csv"
+        path.write_text(bath_to_csv(np.diag([1.5, -0.5]), 1))
+        result = run(capsys, "classify", "--bath", "explicit", "--file", str(path))
+        assert result == (
+            2,
+            "",
+            "error: explicit bath: positivity check failed "
+            "(min eigenvalue = -5.000e-01, tol 1.0e-08)\n",
+        )
 
     def test_over_cap_n_exit_2(self, capsys):
         # rejected by the operator size cap before the 2^20 bath is built
@@ -1195,6 +1245,68 @@ class TestZeroTimeGrid:
         c = coefficients_dicke(4, 1, CollisionParams(g=0.1, tau=1.0, p=100.0))
         want = analytic_trajectory(ground_state(), c, np.linspace(0.0, 0.3, 7)).to_csv()
         assert code == 0 and out == want
+
+
+class TestBathFlags:
+    """``--bath`` and the flag each kind reads, with their refusals in the
+    order they are checked."""
+
+    @pytest.mark.parametrize(
+        "flags, spec",
+        [
+            (["product", "--N", "5", "--pe", "0.3"], BathSpec.product_mixed(5, 0.3)),
+            (["product", "--N", "5", "--pe", "-0"], BathSpec.product_mixed(5, 0.0)),
+            (["thermal-hec", "--N", "5", "--nbar", "0.7"], BathSpec.thermal_hec(5, 0.7)),
+            (["dicke", "--N", "5", "--k", "2"], BathSpec.dicke(5, 2)),
+        ],
+    )
+    def test_named_kind_reads_its_flag(self, capsys, flags, spec):
+        import dataclasses
+
+        from qollide import CollisionParams, coefficients_for
+
+        params = CollisionParams(g=0.1, tau=1.0, p=100.0)
+        want = {
+            "bath": spec.describe(),
+            "params": dataclasses.asdict(params),
+            "coefficients": coefficients_for(spec, params).to_json_dict(),
+        }
+        code, out, err = run(capsys, "coeffs", "--bath", *flags)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(want, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            ([], "bath: missing required value"),
+            (["--bath", "dicke"], "N: missing required value"),
+            (["--bath", "dicke", "--pe", "0.3", "--nbar", "1"], "N: missing required value"),
+            (["--bath", "product", "--N", "3", "--k", "1"], "pe: missing required value"),
+            (["--bath", "thermal-hec", "--N", "3", "--pe", "0.3"], "nbar: missing required value"),
+            (["--bath", "dicke", "--N", "3", "--nbar", "1"], "k: missing required value"),
+            (["--bath", "explicit", "--N", "3"], "file: missing required value"),
+            (["--bath", "qutrit", "--N", "3"],
+             "bath: must be one of ('product', 'thermal-hec', 'dicke', 'explicit'), got 'qutrit'"),
+        ],
+    )
+    def test_missing_or_unknown_exit_2(self, capsys, flags, line):
+        assert run(capsys, "coeffs", *flags) == (2, "", f"error: {line}\n")
+
+    def test_unreadable_file_exit_2(self, capsys, tmp_path):
+        for path in (tmp_path / "missing.csv", tmp_path):
+            for command in ("coeffs", "classify"):
+                result = run(capsys, command, "--bath", "explicit", "--file", str(path))
+                assert_config_error(result, f"error: file: cannot read {path}: ")
+
+    def test_n_flag_checked_against_csv_header(self, capsys, tmp_path):
+        path = tmp_path / "rho.csv"
+        path.write_text(bath_to_csv(np.eye(4) / 4.0, 2))
+        argv = ["--bath", "explicit", "--file", str(path)]
+        for command in ("coeffs", "classify"):
+            result = run(capsys, command, *argv, "--N", "3")
+            assert result == (2, "", "error: N: flag value 3 conflicts with csv header N=2\n")
+            assert run(capsys, command, *argv, "--N", "2") == run(capsys, command, *argv)
+            assert run(capsys, command, *argv)[0] == 0
 
 
 class TestConfigValues:

@@ -133,10 +133,26 @@ class TestClosedFormLaws:
         assert temperature_from_populations(0.6, 0.4) < 0
 
 
+def _temperature_oracle(p_e, p_g):
+    """The scalar temperature law as a branch chain, as
+    ``temperature_from_populations`` computed it alone; None where
+    ``math.log`` of a ratio that underflowed to 0 raises."""
+    if p_e <= 0.0:
+        return 0.0
+    if p_g <= 0.0:
+        return -0.0
+    if p_e == p_g:
+        return math.inf
+    try:
+        return 1.0 / math.log(p_g / p_e)
+    except ValueError:
+        return None
+
+
 class TestTemperatureArrayForm:
-    """``_temperatures`` against ``temperature_from_populations``, bit for
-    bit: every sentinel, NaN, infinities, subnormal ratios, adjacent and
-    equal populations."""
+    """``_temperatures`` and ``temperature_from_populations`` against the
+    scalar branch chain, bit for bit: every sentinel, NaN, infinities,
+    subnormal ratios, adjacent and equal populations."""
 
     VALUES = (
         0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
@@ -144,28 +160,32 @@ class TestTemperatureArrayForm:
         1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan, -1.0,
     )
 
-    @staticmethod
-    def scalar(p_e, p_g):
-        try:
-            return temperature_from_populations(p_e, p_g)
-        except ValueError:  # math.log of a ratio that underflowed to 0
-            return None
+    def pairs(self, raising):
+        return [
+            (a, b) for a in self.VALUES for b in self.VALUES
+            if (_temperature_oracle(a, b) is None) == raising
+        ]
 
     def test_same_bits_as_scalar(self):
-        pairs = [(a, b) for a in self.VALUES for b in self.VALUES if self.scalar(a, b) is not None]
+        pairs = self.pairs(raising=False)
         ee, gg = np.array(pairs).T
-        want = np.array([self.scalar(a, b) for a, b in pairs])
+        want = np.array([_temperature_oracle(a, b) for a, b in pairs])
         got = dynamics._temperatures(ee, gg)
         assert got.tobytes() == want.tobytes()
+        one_pair = np.array([temperature_from_populations(a, b) for a, b in pairs])
+        assert one_pair.tobytes() == want.tobytes()
+        assert all(type(temperature_from_populations(a, b)) is float for a, b in pairs)
         assert {0.0, math.inf} <= set(got.tolist()) and np.isnan(got).any()
         assert np.signbit(got[(got == 0.0) & (gg <= 0.0) & (ee > 0.0)]).all()
 
     def test_raises_where_scalar_raises(self):
-        raising = [(a, b) for a in self.VALUES for b in self.VALUES if self.scalar(a, b) is None]
+        raising = self.pairs(raising=True)
         assert raising  # e.g. 1e300 over 5e-324
         for a, b in raising:
             with pytest.raises(ValueError):
                 dynamics._temperatures(np.array([0.1, a]), np.array([0.2, b]))
+            with pytest.raises(ValueError):
+                temperature_from_populations(a, b)
 
     def test_empty(self):
         assert dynamics._temperatures(np.array([]), np.array([])).shape == (0,)
@@ -195,6 +215,21 @@ class TestEvolveAnalytic:
         rho0 = qubit_state(0.5, 0.25j)
         out = evolve_analytic(rho0, c, 2.0 * t_q)
         assert out[0, 1] == pytest.approx(0.25j * math.exp(-1.0), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            MeqCoefficients(0j, 0j, 1.0, 2.0, 0.0, 0.0),  # mu = 0
+            MeqCoefficients(0j, 0j, 0.0, 0.0, 1.0, 1.0),  # r_e = r_d = 0
+            MeqCoefficients(0j, 0j, 0.5, 0.5, 5e-324, 0.0),  # 1 / rate overflows
+        ],
+        ids=["no-mu", "no-rates", "t_q-inf"],
+    )
+    def test_no_coupling_keeps_initial_state(self, c):
+        rho0 = qubit_state(0.3, 0.1 + 0.05j)
+        times = np.array([0.0, 1.0, 1e300, math.inf])
+        states = analytic_trajectory(rho0, c, times).states
+        assert states.tobytes() == np.repeat(rho0[None], 4, axis=0).tobytes()
 
     def test_nonthermal_coefficients_rejected(self):
         c = MeqCoefficients(0.1, 0j, 1.0, 2.0, 1.0, 1.0)
@@ -251,6 +286,20 @@ class TestTemperatureTrajectory:
         c = MeqCoefficients(0j, 0j, 0.0, 3.0, 1.0, 1.0)
         with pytest.raises(ValidationError):
             temperature_trajectory(c, [1.0])
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            MeqCoefficients(0j, 0j, 1.0, 3.0, 0.0, 0.0),  # mu = 0
+            MeqCoefficients(0j, 0j, 1e-200, 2e-200, 1e-200, 0.0),  # rate underflows to 0
+            MeqCoefficients(0j, 0j, 0.5, 0.5, 5e-324, 0.0),  # 1 / rate overflows
+        ],
+        ids=["no-mu", "rate-zero", "t_q-inf"],
+    )
+    def test_no_coupling_stays_at_zero(self, c):
+        # an infinite t_q: the qubit never heats, at every time of any grid shape
+        out = temperature_trajectory(c, [[0.0, 1.0], [1e300, math.inf]])
+        assert out.tobytes() == np.zeros((2, 2)).tobytes()
 
 
 class TestEntropy:
@@ -351,8 +400,30 @@ class TestIntegrateMaster:
         with pytest.warns(UserWarning, match="t_q/20"):
             integrate_master(ground_state(), c, 0.2, 0.05)
 
+    @pytest.mark.parametrize("row, step", [(0, 0), (2, 10), (-1, 10)])
+    def test_trace_drift_refused(self, monkeypatch, row, step):
+        # rows: the records (steps 0, 5 and 10), then the final state
+        real = dynamics._propagate
+
+        def drifted(step_mat, vec0, steps):
+            rows = real(step_mat, vec0, steps)
+            rows[row, 0] += 2e-8
+            return rows
+
+        monkeypatch.setattr(dynamics, "_propagate", drifted)
+        c = coefficients_dicke(4, 1, PARAMS)
+        with pytest.raises(NumericError, match=f"^integrate_master: trace drift 2.000e-08 at step {step}$"):
+            integrate_master(ground_state(), c, 0.01, 0.001, n_records=3)
+
 
 class TestCollisionChain:
+    @pytest.mark.parametrize("mode", ["bogus", "Exact", ""])
+    def test_unknown_mode_refused(self, mode):
+        shown = mode.replace("-", "_")
+        with pytest.raises(ValidationError) as info:
+            collision_superoperator(BathSpec.dicke(2, 1), PARAMS, mode=mode)
+        assert str(info.value) == f"mode: must be 'exact' or 'second_order', got {shown!r}"
+
     def test_zero_coupling_is_constant(self):
         params = CollisionParams(g=0.0, tau=1.0, p=10.0)
         rho0 = qubit_state(0.3, 0.05)
@@ -1291,9 +1362,42 @@ class TestScalingSweep:
         res = scaling_sweep("dicke", [5], PARAMS, k_rule="half-minus-one")
         assert res.rows[0].k == 2  # largest non-inverted block
 
+    def test_half_rule_is_the_largest_noninverted_block(self):
+        Ns = list(range(-3, 40)) + [2**53 - 1, 2**53]
+        want = [(N - 1) // 2 for N in Ns]
+        assert [dynamics._sweep_k("half-minus-one", N) for N in Ns] == want
+        assert [dicke_max_noninverted_k(N) for N in Ns] == want
+        got = dynamics._sweep_k("half-minus-one", np.array(Ns, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == want
+
     def test_missing_family_parameter(self):
         with pytest.raises(ValidationError, match="p_e"):
             scaling_sweep("product", [2, 4], PARAMS)
+        # each refusal's text, and the check order: count, empty list, N
+        # range, family, the family's parameter present, then its value
+        cases = [
+            ("product", [2, 4], {}, "p_e: required for the product family"),
+            ("thermal-hec", [2, 4], {}, "n_bar: required for the thermal-hec family"),
+            ("dicke", [2, 4], {}, "k_rule: required for the dicke family"),
+            ("thermal-hec", [2], {"p_e": 0.2, "k_rule": "quarter"},
+             "n_bar: required for the thermal-hec family"),
+            ("dicke", [2, 4], {"k_rule": "third"},
+             "k_rule: must be 'quarter' or 'half-minus-one', got 'third'"),
+            ("bogus", [2, 4], {"p_e": 0.2, "n_bar": 1.0, "k_rule": "quarter"},
+             "family: must be 'product', 'thermal-hec' or 'dicke', got 'bogus'"),
+            ("product", [2], {"p_e": 2.0}, "p_e: must be in [0, 1], got 2.0"),
+            ("thermal-hec", [2], {"n_bar": -1.0}, "n_bar: must be finite and >= 0, got -1.0"),
+            ("bogus", [0], {}, "N_list: all N must be >= 1"),
+            ("bogus", [2**53 + 1], {}, "N_list: all N must be <= 2**53"),
+            ("dicke", [0], {"k_rule": "third"}, "N_list: all N must be >= 1"),
+            ("bogus", [], {}, "N_list: must not be empty"),
+            ("bogus", range(MAX_RECORDS + 1), {},
+             f"N: {MAX_RECORDS + 1} points exceed the limit of {MAX_RECORDS}; sweep fewer N"),
+        ]
+        for family, N_list, kwargs, message in cases:
+            with pytest.raises(ValidationError) as info:
+                scaling_sweep(family, N_list, PARAMS, **kwargs)
+            assert str(info.value) == message
 
     def test_csv_shape(self):
         res = scaling_sweep("product", [2, 4], PARAMS, p_e=0.2)

@@ -20,6 +20,7 @@ from qollide import (
     j_z_diagonal,
     lindblad_rhs,
     product_mixed_state,
+    scaling_sweep,
     steady_state,
     thermal_hec_state,
 )
@@ -310,6 +311,42 @@ class TestClosedFormsAgainstBruteForce:
         ref = coefficients_thermal_hec(3, 1.0, PARAMS)
         assert c.r_e == pytest.approx(ref.r_e, abs=1e-12)
 
+    @pytest.mark.parametrize("spec", [None, "dicke", ("dicke", 6, 2), {"kind": "dicke"}])
+    def test_dispatcher_refuses_other_objects(self, spec):
+        with pytest.raises(ValidationError) as info:
+            coefficients_for(spec, PARAMS)
+        assert str(info.value) == "coefficients_for: expected a BathSpec"
+
+    @pytest.mark.parametrize(
+        "spec, closed_form",
+        [
+            (BathSpec.product_mixed(7, 0.3), lambda: coefficients_product_mixed(7, 0.3, PARAMS)),
+            (BathSpec.product_mixed(7, -0.0), lambda: coefficients_product_mixed(7, -0.0, PARAMS)),
+            (BathSpec.thermal_hec(7, 0.731), lambda: coefficients_thermal_hec(7, 0.731, PARAMS)),
+            (BathSpec.dicke(7, 3), lambda: coefficients_dicke(7, 3, PARAMS)),
+            (BathSpec.dicke(2**53, 5), lambda: coefficients_dicke(2**53, 5, PARAMS)),
+        ],
+    )
+    def test_named_kinds_are_their_closed_forms(self, spec, closed_form):
+        got, want = coefficients_for(spec, PARAMS), closed_form()
+        assert got.to_json_dict() == want.to_json_dict()
+        assert [math.copysign(1.0, v) for v in (got.r_e, got.r_d)] == [1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (BathSpec.product_mixed(13, 1.5), "p_e: must be in [0, 1], got 1.5"),
+            (BathSpec.thermal_hec(2**60, -1.0), "N: all N must be <= 2**53"),
+            (BathSpec.thermal_hec(3, -1.0), "n_bar: must be finite and >= 0, got -1.0"),
+            (BathSpec.dicke(2**53 + 1, -1), "N: all N must be <= 2**53"),
+            (BathSpec.dicke(4, 5), "k: must be in 0..4, got 5"),
+        ],
+    )
+    def test_named_kinds_refused_by_their_closed_forms(self, spec, message):
+        with pytest.raises(ValidationError) as info:
+            coefficients_for(spec, PARAMS)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("call", ["coefficients_for", "collision_superoperator"])
     def test_qubit_cap_before_explicit_validation(self, monkeypatch, call):
         from qollide import baths, collective, dynamics
@@ -426,6 +463,32 @@ class TestClosedFormNRange:
         bound = ">= 1" if N < 1 else "<= 2\\*\\*53"
         with pytest.raises(ValidationError, match=f"^N: all N must be {bound}$"):
             closed_form(N)
+
+    def test_array_ends_read_without_iterating(self):
+        from qollide.master_equation import _check_closed_form_n
+
+        class NoIter(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("iterated")
+
+        Ns = np.arange(1, 10**6 + 1).view(NoIter)
+        _check_closed_form_n(Ns, "N_list")
+        for bad, bound in ((0, ">= 1"), (2**53 + 1, "<= 2**53")):
+            Ns[5] = bad
+            with pytest.raises(ValidationError) as info:
+                _check_closed_form_n(Ns, "N_list")
+            assert str(info.value) == f"N_list: all N must be {bound}"
+
+    @pytest.mark.parametrize("big", [2**63, 2**64 + 1, 10**400])
+    def test_list_beyond_int64_refused(self, big):
+        from qollide.master_equation import _check_closed_form_n
+
+        with pytest.raises(ValidationError) as info:
+            _check_closed_form_n([3, big, 1], "N_list")
+        assert str(info.value) == "N_list: all N must be <= 2**53"
+        with pytest.raises(ValidationError) as info:
+            scaling_sweep("dicke", [3, big, 1], PARAMS, k_rule="quarter")
+        assert str(info.value) == "N_list: all N must be <= 2**53"
 
     def test_largest_n_answered(self):
         c = coefficients_dicke(2**53, 1, PARAMS)
