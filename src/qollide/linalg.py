@@ -3,11 +3,14 @@
 Everything operates on plain ``numpy`` arrays of ``complex128``.  Density
 matrices are finite, Hermitian, unit-trace, positive-semidefinite square
 matrices; validation is opt-in (:func:`validate_density_matrix`) so that
-inner loops stay cheap.  Positivity is decided by one Cholesky factorization
-of the shifted Hermitian part; an eigendecomposition runs only to confirm and
-report a failure.  Bath states are stored densely, which is adequate at the
-documented limit of N <= 12 bath qubits, but the engines work on their
-excitation blocks and never assemble a ``2**N x 2**N`` operator.
+inner loops stay cheap.  Positivity is decided by a Cholesky factorization
+of the shifted Hermitian part, blocked and in place: the Hermitian part is
+built once, 128 rows at a time, into one buffer that the factorization
+overwrites, so validating holds one extra copy of the state plus 128-row
+stripes.  An eigendecomposition runs only to confirm and report a failure.
+Bath states are stored densely, which is adequate at the documented limit of
+N <= 12 bath qubits, but the engines work on their excitation blocks and
+never assemble a ``2**N x 2**N`` operator.
 :func:`matrix_exp` and :func:`partial_trace_bath` are kept as the dense
 reference that the block-structured collision map is checked against.
 """
@@ -119,7 +122,11 @@ def validate_density_matrix(rho, *, tol_psd=TOL_PSD, name="rho"):
     (smallest eigenvalue >= ``-tol_psd``).  Positivity is accepted when the
     Hermitian part shifted by ``tol_psd`` has a Cholesky factorization; only
     if it has none is the smallest eigenvalue computed, to confirm and
-    report it.
+    report it.  The Hermitian part is built once, a stripe of
+    :data:`_BLOCK` (128) rows at a time, into one buffer that a blocked
+    Cholesky factorization then overwrites, so the check holds one extra
+    copy of ``rho`` plus 128-row stripes; ``rho`` itself is not written.  A
+    matrix of at most 128 rows is one ``np.linalg.cholesky`` call.
     Raises :class:`ValidationError` naming the failing check.
     """
     rho = as_complex_matrix(rho)
@@ -129,28 +136,70 @@ def validate_density_matrix(rho, *, tol_psd=TOL_PSD, name="rho"):
             f"{name}: finiteness check failed "
             f"({rho.size - np.count_nonzero(finite)} non-finite entries)"
         )
+    del finite  # one byte per entry, freed before the Hermitian buffer
     n, m = rho.shape
     if n != m:
         raise ValidationError(f"{name}: shape check failed, matrix is {n}x{m}")
-    herm_dev = np.max(np.abs(rho - rho.conj().T))
+    herm, herm_dev = _hermitian_sum(rho)
     if herm_dev > TOL_HERM:
         raise ValidationError(
             f"{name}: hermiticity check failed (max |rho - rho^dag| = "
             f"{herm_dev:.3e}, tol {TOL_HERM:.1e})"
         )
     check_unit_trace(rho, name=name)
-    shifted = (rho + rho.conj().T) / 2.0
-    shifted[np.diag_indices(n)] += tol_psd
+    herm /= 2.0
+    herm[np.diag_indices(n)] += tol_psd
     try:
-        np.linalg.cholesky(shifted)
+        _cholesky_in_place(herm)
     except np.linalg.LinAlgError:
         # the factorization can fail by rounding when the smallest
         # eigenvalue sits at -tol_psd, so the eigenvalue decides and is
         # reported
-        min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+        herm, _ = _hermitian_sum(rho, out=herm)
+        herm /= 2.0
+        min_eig = float(np.linalg.eigvalsh(herm)[0])
         if min_eig < -tol_psd:
             raise ValidationError(
                 f"{name}: positivity check failed (min eigenvalue = "
                 f"{min_eig:.3e}, tol {tol_psd:.1e})"
             ) from None
     return rho
+
+
+# Rows per stripe of the Hermitian check and per block of the factorization.
+_BLOCK = 128
+
+
+def _hermitian_sum(rho, out=None):
+    """``(rho + rho^dag, max |rho - rho^dag|)``, built a stripe of
+    :data:`_BLOCK` rows at a time into ``out`` (a new array if None).
+    Entry for entry the same values as the whole-matrix expressions."""
+    herm = np.empty_like(rho) if out is None else out
+    herm_dev = 0.0
+    for i in range(0, len(rho), _BLOCK):
+        rows, cols = rho[i : i + _BLOCK], rho[:, i : i + _BLOCK].conj().T
+        herm_dev = max(herm_dev, np.max(np.abs(rows - cols)))
+        np.add(rows, cols, out=herm[i : i + _BLOCK])
+    return herm, herm_dev
+
+
+def _cholesky_in_place(a):
+    """Right-looking blocked Cholesky of the Hermitian ``a`` (Golub & Van
+    Loan, *Matrix Computations*, section 4.2), kept only for its decision:
+    raises ``np.linalg.LinAlgError`` where a diagonal block is not positive
+    definite.  Each diagonal block is factored by ``np.linalg.cholesky``,
+    the panel below it is multiplied by ``inv(L_kk)^dag``, and the lower
+    block triangle of the trailing matrix is overwritten with its Schur
+    complement, one block column at a time.  A matrix of at most
+    :data:`_BLOCK` rows is one ``np.linalg.cholesky`` call."""
+    n = len(a)
+    for k in range(0, n, _BLOCK):
+        end = min(k + _BLOCK, n)
+        factor = np.linalg.cholesky(a[k:end, k:end])
+        if end == n:
+            return
+        panel = a[end:, k:end] @ np.linalg.inv(factor).conj().T
+        for j in range(0, n - end, _BLOCK):
+            a[end + j :, end + j : end + j + _BLOCK] -= (
+                panel[j:] @ panel[j : j + _BLOCK].conj().T
+            )

@@ -23,6 +23,7 @@ from qollide import (
     thermal_hec_state,
     validate_bath,
 )
+from qollide import dynamics
 from qollide.cli import main, parse_n_range
 
 from conftest import fmt_float
@@ -433,6 +434,34 @@ class TestEvolve:
         assert run(capsys, *args, "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
         assert b"\r" not in a.read_bytes()
+
+    def test_second_order_trace_growth_advised(self, capsys, tmp_path):
+        # the output is written as before, with one advisory on its trace
+        out_path = tmp_path / "traj.csv"
+        with pytest.warns(UserWarning, match="^second-order collisions moved the trace by 1.45, more than 1%"):
+            code, out, _ = run(
+                capsys, "evolve", "--engine", "collisions", "--mode", "second-order",
+                "--bath", "dicke", "--N", "8", "--k", "3", "--t-end", "1", "--dt", "1e-3",
+                "--out", str(out_path),
+            )
+        assert (code, out) == (0, "")
+        assert out_path.read_text().splitlines()[-1] == (
+            "1,1.0000000000000002,1.165171459439722,1.2881771153017294,0,0,9.964141204538036,0"
+        )
+
+    def test_exact_collision_trace_drift_exit_3(self, capsys, tmp_path, monkeypatch):
+        real = dynamics.collision_superoperator
+        monkeypatch.setattr(
+            dynamics, "collision_superoperator", lambda *a, **k: 1.001 * real(*a, **k)
+        )
+        out_path = tmp_path / "traj.csv"
+        code, out, err = run(
+            capsys, "evolve", "--engine", "collisions", "--bath", "dicke", "--N", "4",
+            "--k", "1", "--t-end", "0.01", "--dt", "0.001", "--out", str(out_path),
+        )
+        assert (code, out) == (3, "")
+        assert "collision_chain: trace drift" in err and "at step 1" in err
+        assert not out_path.exists()
 
 
 class TestSweep:

@@ -1196,6 +1196,56 @@ class TestRunCheckedBeforeMap:
             collision_chain(ground_state(), bad, self.PARAMS, 0.1, 0.01)
 
 
+class TestCollisionTraceCheck:
+    """``collision_chain`` checks the traces it records: exact collisions to
+    1e-8, as :func:`integrate_master`; second-order collisions, which do
+    not preserve the trace, with one advisory once it leaves 1 by 1%."""
+
+    @pytest.mark.parametrize("scheme", ["deterministic", "stochastic"])
+    def test_exact_drift_refused(self, scheme):
+        rho0 = ground_state() + np.diag([0.0, 2e-8])
+        with pytest.raises(NumericError, match="^collision_chain: trace drift 2.000e-08 at step 0$"):
+            collision_chain(
+                rho0, BathSpec.dicke(2, 1), PARAMS, 0.01, 0.001, scheme=scheme,
+                n_trajectories=3,
+            )
+
+    @pytest.mark.parametrize("row, step", [(1, 5), (-1, 10)])
+    def test_exact_drift_reported_at_its_step(self, monkeypatch, row, step):
+        real = dynamics._propagate
+
+        def drifted(step_mat, vec0, steps):
+            rows = real(step_mat, vec0, steps)
+            rows[row, 3] -= 2e-8
+            return rows
+
+        monkeypatch.setattr(dynamics, "_propagate", drifted)
+        with pytest.raises(NumericError, match=f"^collision_chain: trace drift 2.000e-08 at step {step}$"):
+            collision_chain(ground_state(), BathSpec.dicke(2, 1), PARAMS, 0.01, 0.001, n_records=3)
+
+    def test_second_order_growth_advised_once(self):
+        # the second-order trace grows by (g tau)^4 <V^4> / 4 per collision
+        with pytest.warns(UserWarning) as record:
+            traj = collision_chain(
+                ground_state(), BathSpec.dicke(8, 3), PARAMS, 1.0, 1e-3, mode="second-order"
+            )
+        assert [str(w.message) for w in record] == [
+            "second-order collisions moved the trace by 1.45, more than 1%; the "
+            "truncated collision map is not trace-preserving; accuracy advisory"
+        ]
+        assert np.trace(traj.states[-1]).real == 2.4533485747414514
+
+    def test_second_order_small_growth_silent(self):
+        # a short run on a product bath grows the trace by about 2e-4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = collision_chain(
+                ground_state(), BathSpec.product_mixed(8, 0.25), PARAMS, 0.005, 1e-4,
+                mode="second_order",
+            )
+        assert 1e-4 < np.trace(traj.states[-1]).real - 1.0 < 1e-2
+
+
 class TestBlockedStochasticEngine:
     """The blocked engine (one reset stream, sparse hits, trajectories in
     blocks) against the per-trajectory loop it replaced."""

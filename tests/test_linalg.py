@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,7 +166,7 @@ class TestCholeskyPositivity:
     """The Cholesky decision of :func:`validate_density_matrix` against an
     ``eigvalsh`` oracle, around the ``-tol_psd`` threshold and at zero."""
 
-    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 31, 64])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 31, 64, 129, 300, 1024])
     @pytest.mark.parametrize(
         "min_eig",
         [-TOL_PSD * (1 + 1e-3), -TOL_PSD * (1 - 1e-3), 0.0, 1e-3],
@@ -183,7 +185,7 @@ class TestCholeskyPositivity:
                 validate_density_matrix(rho)
             assert "min eigenvalue = -1.001e-08" in str(info.value)
 
-    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 31, 64])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 31, 64, 129, 300, 1024])
     def test_rank_deficient_pure_states_accepted(self, rng, dim):
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
@@ -208,3 +210,77 @@ class TestCholeskyPositivity:
         validate_density_matrix(rho, tol_psd=0.0)
         with pytest.raises(ValidationError, match="positivity"):
             validate_density_matrix(np.diag([1.0 + 1e-12, -1e-12]), tol_psd=0.0)
+
+
+def _whole_matrix_shift(rho, tol_psd=TOL_PSD):
+    """The shifted Hermitian part as one whole-matrix expression."""
+    shifted = (rho + rho.conj().T) / 2.0
+    shifted[np.diag_indices(len(rho))] += tol_psd
+    return shifted
+
+
+class TestBlockedValidation:
+    """The striped Hermitian part and the in-place blocked factorization of
+    :func:`validate_density_matrix` against whole-matrix expressions."""
+
+    def test_hermiticity_message_from_whole_matrix(self, rng):
+        rho = random_density_matrix(rng, 300)
+        rho[250, 3] += 3e-10  # in the second stripe, below the diagonal
+        herm_dev = np.max(np.abs(rho - rho.conj().T))
+        with pytest.raises(ValidationError) as info:
+            validate_density_matrix(rho)
+        assert str(info.value) == (
+            f"rho: hermiticity check failed (max |rho - rho^dag| = {herm_dev:.3e}, "
+            "tol 1.0e-10)"
+        )
+
+    @pytest.mark.parametrize("dim", [2, 64, 128])
+    def test_one_block_is_one_cholesky_of_the_whole_shift(self, rng, monkeypatch, dim):
+        calls = []
+        real = np.linalg.cholesky
+
+        def recorded(a):
+            calls.append(a.copy())
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        rho = random_density_matrix(rng, dim)
+        validate_density_matrix(rho)
+        assert len(calls) == 1
+        assert calls[0].tobytes() == _whole_matrix_shift(rho).tobytes()
+
+    @pytest.mark.parametrize("dim", [5, 300])
+    def test_failure_decided_on_the_whole_hermitian_part(self, rng, monkeypatch, dim):
+        seen = []
+        real = np.linalg.eigvalsh
+
+        def recorded(a):
+            seen.append(a.copy())
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        rest = rng.uniform(0.5, 1.5, size=dim - 1)
+        rest *= (1.0 + 1e-3) / rest.sum()
+        rho = _with_spectrum(rng, [-1e-3, *rest])
+        with pytest.raises(ValidationError, match="positivity"):
+            validate_density_matrix(rho)
+        assert len(seen) == 1
+        assert seen[0].tobytes() == ((rho + rho.conj().T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize("dim", [16, 300])
+    def test_read_only_input_accepted_unchanged(self, rng, dim):
+        rho = random_density_matrix(rng, dim)
+        before = rho.copy()
+        rho.setflags(write=False)
+        assert validate_density_matrix(rho) is rho
+        assert rho.tobytes() == before.tobytes()
+
+    def test_peak_memory_one_extra_state(self, rng):
+        rho = random_density_matrix(rng, 1024)
+        tracemalloc.start()
+        try:
+            validate_density_matrix(rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * rho.nbytes
