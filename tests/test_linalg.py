@@ -212,13 +212,6 @@ class TestCholeskyPositivity:
             validate_density_matrix(np.diag([1.0 + 1e-12, -1e-12]), tol_psd=0.0)
 
 
-def _whole_matrix_shift(rho, tol_psd=TOL_PSD):
-    """The shifted Hermitian part as one whole-matrix expression."""
-    shifted = (rho + rho.conj().T) / 2.0
-    shifted[np.diag_indices(len(rho))] += tol_psd
-    return shifted
-
-
 class TestBlockedValidation:
     """The striped Hermitian part and the in-place blocked factorization of
     :func:`validate_density_matrix` against whole-matrix expressions."""
@@ -246,8 +239,10 @@ class TestBlockedValidation:
         monkeypatch.setattr(np.linalg, "cholesky", recorded)
         rho = random_density_matrix(rng, dim)
         validate_density_matrix(rho)
+        shifted = (rho + rho.conj().T) / 2.0
+        shifted[np.diag_indices(dim)] += TOL_PSD
         assert len(calls) == 1
-        assert calls[0].tobytes() == _whole_matrix_shift(rho).tobytes()
+        assert calls[0].tobytes() == shifted.tobytes()
 
     @pytest.mark.parametrize("dim", [5, 300])
     def test_failure_decided_on_the_whole_hermitian_part(self, rng, monkeypatch, dim):
