@@ -140,7 +140,8 @@ def validate_density_matrix(rho, *, tol_psd=TOL_PSD, name="rho"):
     n, m = rho.shape
     if n != m:
         raise ValidationError(f"{name}: shape check failed, matrix is {n}x{m}")
-    herm, herm_dev = _hermitian_sum(rho)
+    herm = np.empty_like(rho)
+    herm_dev = _hermitian_sum(rho, herm)
     if herm_dev > TOL_HERM:
         raise ValidationError(
             f"{name}: hermiticity check failed (max |rho - rho^dag| = "
@@ -155,7 +156,7 @@ def validate_density_matrix(rho, *, tol_psd=TOL_PSD, name="rho"):
         # the factorization can fail by rounding when the smallest
         # eigenvalue sits at -tol_psd, so the eigenvalue decides and is
         # reported
-        herm, _ = _hermitian_sum(rho, out=herm)
+        _hermitian_sum(rho, herm)
         herm /= 2.0
         min_eig = float(np.linalg.eigvalsh(herm)[0])
         if min_eig < -tol_psd:
@@ -170,17 +171,16 @@ def validate_density_matrix(rho, *, tol_psd=TOL_PSD, name="rho"):
 _BLOCK = 128
 
 
-def _hermitian_sum(rho, out=None):
-    """``(rho + rho^dag, max |rho - rho^dag|)``, built a stripe of
-    :data:`_BLOCK` rows at a time into ``out`` (a new array if None).
-    Entry for entry the same values as the whole-matrix expressions."""
-    herm = np.empty_like(rho) if out is None else out
+def _hermitian_sum(rho, out):
+    """Write ``rho + rho^dag`` into ``out`` a stripe of :data:`_BLOCK` rows
+    at a time and return ``max |rho - rho^dag|``: entry for entry the same
+    values as the whole-matrix expressions."""
     herm_dev = 0.0
     for i in range(0, len(rho), _BLOCK):
         rows, cols = rho[i : i + _BLOCK], rho[:, i : i + _BLOCK].conj().T
         herm_dev = max(herm_dev, np.max(np.abs(rows - cols)))
-        np.add(rows, cols, out=herm[i : i + _BLOCK])
-    return herm, herm_dev
+        np.add(rows, cols, out=out[i : i + _BLOCK])
+    return herm_dev
 
 
 def _cholesky_in_place(a):
