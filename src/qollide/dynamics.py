@@ -397,17 +397,17 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
     return Trajectory.from_states(times, rows[:-1].reshape(-1, 2, 2), c.mu)
 
 
-def _trace_drift(rows):
-    """``|Re Tr rho - 1| + |Im Tr rho|`` of each row-major vectorized
-    qubit state in ``rows``."""
+def _trace_drift(rows, expected=1.0):
+    """``|Re Tr rho - expected| + |Im Tr rho|`` of each row-major
+    vectorized qubit state in ``rows``."""
     traces = rows[:, 0] + rows[:, 3]
-    return np.abs(traces.real - 1.0) + np.abs(traces.imag)
+    return np.abs(traces.real - expected) + np.abs(traces.imag)
 
 
-def _check_trace(rows, steps, name):
+def _check_trace(rows, steps, name, expected=1.0):
     """Raise :class:`NumericError` at the first state of ``rows`` (taken
-    at ``steps``) whose trace drifts beyond 1e-8."""
-    drift = _trace_drift(rows)
+    at ``steps``) whose trace drifts beyond 1e-8 from ``expected``."""
+    drift = _trace_drift(rows, expected)
     bad = np.flatnonzero(drift > 1e-8)
     if bad.size:
         first = bad[0]
@@ -463,6 +463,15 @@ def collision_superoperator(bath, params, mode="exact"):
             A, B = sectors[r - c + 1][c][a], sectors[r - d + 1][d][b]
             phi[2 * c + d, 2 * a + b] += np.sum((A @ rho_ij) * B.conj())
     return phi
+
+
+def _bath_trace(bath):
+    """``Tr(rho_B)`` of a bath that passed :func:`validate_bath`, without
+    building it again: an explicit matrix's trace may miss 1 by up to
+    ``TOL_TRACE``; the named families' weights sum to 1 to rounding."""
+    if bath.kind == "explicit":
+        return float(np.trace(np.asarray(bath.rho)).real)
+    return 1.0
 
 
 def _trajectory_streams(seed):
@@ -544,9 +553,15 @@ def collision_chain(
     deterministic step matrix between records, and for each stochastic
     realization ``Phi^m``, with ``m`` its number of collisions so far.  The
     run is checked before ``Phi`` is built.  The recorded states are checked
-    after: exact collisions preserve the trace, so a drift beyond 1e-8
-    raises :class:`NumericError`, as in :func:`integrate_master`;
-    second-order collisions do not, so a trace more than 1% from 1 gives
+    after, against the trace the bath predicts: an exact collision
+    multiplies the target's trace by ``Tr(rho_B)``, which a validated bath
+    may miss 1 by up to ``TOL_TRACE``, so record ``i`` should have trace
+    ``(1 + p dt (Tr(rho_B) - 1))^i`` (deterministic) or ``Tr(rho_B)`` to
+    the mean collision count (stochastic; the mean of ``Tr(rho_B)^m``
+    differs by about ``Var(m) log(Tr(rho_B))^2 / 2``, below 1e-11 for any
+    count a run can reach).  In exact mode a drift beyond 1e-8
+    from it raises :class:`NumericError`, as in :func:`integrate_master`;
+    second-order collisions add to the trace, so a drift beyond 1% gives
     one accuracy advisory.
     """
     n_steps = _step_count(t_end, dt)
@@ -566,14 +581,18 @@ def collision_chain(
     times = np.array([dt * i for i in record])
     vec0 = np.asarray(rho0, dtype=complex).ravel()
 
+    bath_trace = _bath_trace(bath)
+
     if scheme == "deterministic":
         step_mat = (1.0 - p_dt) * np.eye(4, dtype=complex) + p_dt * phi
         recorded = _propagate(step_mat, vec0, record)
+        expected = (1.0 + p_dt * (bath_trace - 1.0)) ** np.array(record, dtype=float)
     else:
         # a trajectory's state after i steps is Phi^m rho0, m the number of
         # collisions drawn in its first i steps
         powers = vec0[None, :]
         total = np.zeros((len(record), 4), dtype=complex)
+        counted = np.zeros(len(record), dtype=np.int64)
         for m in _collision_counts(seed, n_trajectories, record, p_dt):
             extra = m.max(initial=0) + 1 - len(powers)  # counts are cumulative
             if extra > 0:
@@ -581,12 +600,14 @@ def collision_chain(
                 powers = np.concatenate([powers, more])
             for states in powers[m]:  # one trajectory at a time: the sum rounds in order
                 total += states
+            counted += m.sum(axis=0)
         recorded = total / n_trajectories
+        expected = bath_trace ** (counted / n_trajectories)
 
     if mode.replace("-", "_") == "exact":
-        _check_trace(recorded, record, "collision_chain")
+        _check_trace(recorded, record, "collision_chain", expected)
     else:
-        worst = _trace_drift(recorded).max(initial=0.0)
+        worst = _trace_drift(recorded, expected).max(initial=0.0)
         if worst > 1e-2:
             warnings.warn(
                 f"second-order collisions moved the trace by {worst:.3g}, more "

@@ -463,6 +463,22 @@ class TestEvolve:
         assert "collision_chain: trace drift" in err and "at step 1" in err
         assert not out_path.exists()
 
+    def test_exact_collisions_follow_the_bath_trace(self, capsys, tmp_path):
+        # a bath accepted with trace 1 + 9e-11: 1000 collisions move the
+        # target's trace by 9e-8, as the bath says, so the run is written
+        from qollide import product_mixed_state
+
+        path = tmp_path / "rho.csv"
+        path.write_text(bath_to_csv(product_mixed_state(2, 0.5) * (1.0 + 9e-11), 2))
+        out_path = tmp_path / "traj.csv"
+        code, out, err = run(
+            capsys, "evolve", "--engine", "collisions", "--bath", "explicit",
+            "--file", str(path), "--t-end", "10", "--dt", "1e-3", "--n-points", "3",
+            "--out", str(out_path),
+        )
+        assert (code, out, err) == (0, "", "")
+        assert len(out_path.read_text().splitlines()) == 4
+
 
 class TestSweep:
     def test_product_slope_json(self, capsys, tmp_path):

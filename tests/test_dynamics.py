@@ -1223,6 +1223,36 @@ class TestCollisionTraceCheck:
         with pytest.raises(NumericError, match=f"^collision_chain: trace drift 2.000e-08 at step {step}$"):
             collision_chain(ground_state(), BathSpec.dicke(2, 1), PARAMS, 0.01, 0.001, n_records=3)
 
+    @pytest.mark.parametrize("scheme", ["deterministic", "stochastic"])
+    def test_bath_trace_within_tolerance_accepted(self, scheme):
+        # an accepted bath with trace 1 + 9e-11 multiplies the target's trace
+        # by that much per collision: about 1000 collisions move it by 9e-8,
+        # which is the input's trace, not a numeric fault
+        rho_b = random_density_matrix(np.random.default_rng(7), 4)
+        rho_b *= (1.0 + 9e-11) / np.trace(rho_b).real
+        traj = collision_chain(
+            ground_state(), BathSpec.explicit(rho_b), PARAMS, 10.0, 1e-3,
+            scheme=scheme, n_trajectories=2, n_records=3,
+        )
+        assert 5e-8 < np.trace(traj.states[-1]).real - 1.0 < 1.5e-7
+
+    def test_drift_from_the_bath_trace_refused(self, monkeypatch):
+        # the check follows Tr(rho_B), so a fault on top of it still shows
+        rho_b = random_density_matrix(np.random.default_rng(7), 4)
+        rho_b *= (1.0 + 9e-11) / np.trace(rho_b).real
+        real = dynamics._propagate
+
+        def drifted(step_mat, vec0, steps):
+            rows = real(step_mat, vec0, steps)
+            rows[-1, 3] += 2e-8
+            return rows
+
+        monkeypatch.setattr(dynamics, "_propagate", drifted)
+        with pytest.raises(NumericError, match="^collision_chain: trace drift 2.000e-08 at step 10000$"):
+            collision_chain(
+                ground_state(), BathSpec.explicit(rho_b), PARAMS, 10.0, 1e-3, n_records=3
+            )
+
     def test_second_order_growth_advised_once(self):
         # the second-order trace grows by (g tau)^4 <V^4> / 4 per collision
         with pytest.warns(UserWarning) as record:
