@@ -1,22 +1,30 @@
 """Command-line front end.
 
 Subcommands: ``coeffs``, ``evolve``, ``sweep``, ``classify``, ``prepare`` and
-``figures``.  Every option can also be supplied through a flat key-value
-config file (``--config``); command-line flags win over config entries.
+``figures``, each built from one table of options.  Every option can also
+be supplied through a flat key-value config file (``--config``);
+command-line flags win over config entries.  A config key must name an
+option of some subcommand (another subcommand's key is accepted, unused).
+Flag and config values are text until the run reads them, so a malformed
+one of either is one ``error:`` line, as is a parser failure (an unknown
+flag, a missing value or subcommand).
 Output files are UTF-8 with LF line endings and all floats carry 17
 significant digits, so identical inputs produce byte-identical files.
 Every float option reads ``-0`` as ``0`` (a refused one echoes ``0.0``).
 An ``--n-points`` of zero or less records nothing: the trajectory or
 ladder CSV is its header alone, written after the same checks as any other
-run, and ``prepare`` still writes the bath state at ``--t-end``.  A failing
-``prepare`` writes neither file.  Every ``2**N``-sized structure, the
-``prepare`` state included, is capped at ``N <= 12`` before it is built;
-a bath CSV's header ``N`` is held to that cap before its rows are read.
+run, and ``prepare`` still writes the bath state at ``--t-end``, the same
+bytes for any ``--n-points``.  A failing ``prepare`` writes neither file.
+Every ``2**N``-sized structure, the ``prepare`` state included, is capped
+at ``N <= 12`` before it is built; a bath CSV's header ``N`` is held to
+that cap before its rows are read.
 Every engine, the analytic one included, keeps at most 1,000,000 records,
 and at ``--t-end 0`` every engine writes the one row at ``t = 0``.  The
 closed forms (``coeffs`` for a named family, ``sweep``) take ``N`` in
 ``1..2**53``, and a sweep at most 1,000,000 values of N, counted before
-its list is built.  Collision rates that overflow a float are refused.
+its list is built.  Collision rates that overflow a float are refused.  A
+stochastic run is held to 4e9 Bernoulli draws, each trajectory counted as
+720 more, about a minute of work; a state that overflows exits 3.
 
 Exit codes: 0 success; 2 configuration error, an output that cannot be
 written, or a run too large for the available memory; 3 numeric invariant
@@ -85,25 +93,29 @@ def load_config(path):
                         f"config: line {lineno} is not 'key = value': {raw.rstrip()!r}"
                     )
                 key, value = line.split("=", 1)
-                config[key.strip().replace("-", "_")] = value.strip()
+                name = key.strip().replace("-", "_")
+                if name not in _OPTIONS:  # another subcommand's key is fine
+                    raise ValidationError(f"config: line {lineno}: unknown key {key.strip()!r}")
+                config[name] = value.strip()
     except OSError as exc:
         raise ValidationError(f"config: cannot read {path}: {exc}") from exc
     return config
 
 
 def _get(args, config, name, conv=str, default=None, required=False, choices=None):
-    value = getattr(args, name, None)
-    if value is None and name in config:
-        raw = config[name]
+    """``name``'s value from its flag, else its config entry, else
+    ``default``; flag and config text alike are converted by ``conv``."""
+    raw, source = getattr(args, name, None), "flag"
+    if raw is None and name in config:
+        raw, source = config[name], "config"
+    if raw is not None:
         try:
             value = conv(raw)
         except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"{name}: cannot parse config value {raw!r}"
-            ) from exc
-    if value is None:
-        if required:
-            raise ValidationError(f"{name}: missing required value")
+            raise ValidationError(f"{name}: cannot parse {source} value {raw!r}") from exc
+    elif required:
+        raise ValidationError(f"{name}: missing required value")
+    else:
         value = default
     if conv is float and value is not None:
         value += 0.0  # -0 reads as 0
@@ -191,10 +203,7 @@ def parse_n_range(text):
 
 def _params_from(args, config):
     return CollisionParams(
-        g=_get(args, config, "g", float, DEFAULT_PARAMS["g"]),
-        tau=_get(args, config, "tau", float, DEFAULT_PARAMS["tau"]),
-        p=_get(args, config, "p", float, DEFAULT_PARAMS["p"]),
-        omega0=_get(args, config, "omega0", float, DEFAULT_PARAMS["omega0"]),
+        **{name: _get(args, config, name, float, value) for name, value in DEFAULT_PARAMS.items()}
     )
 
 
@@ -398,88 +407,78 @@ def cmd_figures(args, config):
 # ---------------------------------------------------------------------------
 # parser
 
+#: Every option, once, with its help: the name is its config key, and its
+#: flag is ``--`` and the name with each ``_`` as ``-``.  Values stay text
+#: until :func:`_get` converts them, whether from a flag or a config file.
+_OPTIONS = {
+    "config": "flat key=value config file",
+    "bath": f"bath kind: {', '.join(BATH_KINDS)}",
+    "N": "number of bath qubits; sweep takes a list, e.g. 4:64:4 or 4,8,12",
+    "pe": "excited probability (product bath)",
+    "nbar": "mean photon number (thermal-hec bath)",
+    "k": "excitation count (dicke bath)",
+    "file": "explicit bath matrix CSV",
+    "g": "coupling rate",
+    "tau": "collision duration",
+    "p": "collision rate",
+    "omega0": "qubit frequency",
+    "engine": f"one of {', '.join(ENGINES)}",
+    "family": f"one of {', '.join(FAMILIES)}",
+    "krule": "quarter or half-minus-one",
+    "gamma0": "single-qubit emission rate",
+    "t_end": "final time",
+    "dt": "time step (evolve's ode and collisions engines, prepare)",
+    "n_points": "records on the grid",
+    "init_ee": "initial excited population",
+    "init_eg_re": "initial coherence, real part",
+    "init_eg_im": "initial coherence, imaginary part",
+    "mode": "collision propagator: exact or second-order",
+    "scheme": "deterministic or stochastic",
+    "seed": "stochastic stream seed",
+    "trajectories": "stochastic averages",
+    "out": "output path (default stdout)",
+    "slopes_out": "slopes JSON path",
+    "out_ladder": "ladder CSV path",
+    "out_state": "bath state CSV path",
+    "out_dir": "output directory",
+}
 
-def _add_bath_args(sub):
-    sub.add_argument("--bath", help=f"bath kind: {', '.join(BATH_KINDS)}")
-    sub.add_argument("--N", dest="N", type=int, help="number of bath qubits")
-    sub.add_argument("--pe", type=float, help="excited probability (product bath)")
-    sub.add_argument("--nbar", type=float, help="mean photon number (thermal-hec bath)")
-    sub.add_argument("--k", type=int, help="excitation count (dicke bath)")
-    sub.add_argument("--file", help="explicit bath matrix CSV")
+_BATH = ("bath", "N", "pe", "nbar", "k", "file")
+
+#: Each subcommand's help and its options, in ``--help`` order.
+_COMMANDS = {
+    "coeffs": ("master-equation coefficients as JSON", (*_BATH, *DEFAULT_PARAMS, "out")),
+    "evolve": ("target-qubit trajectory as CSV", (
+        *_BATH, *DEFAULT_PARAMS, "engine", "t_end", "dt", "n_points", "init_ee", "init_eg_re",
+        "init_eg_im", "mode", "scheme", "seed", "trajectories", "out")),
+    "sweep": ("scaling sweep CSV plus fitted slopes JSON",
+              ("family", "N", "pe", "nbar", "krule", *DEFAULT_PARAMS, "out", "slopes_out")),
+    "classify": ("coherence block map as JSON", (*_BATH, "out")),
+    "prepare": ("thermal ladder preparation CSVs", (
+        "N", "nbar", "gamma0", "t_end", "dt", "n_points", "out_ladder", "out_state")),
+    "figures": ("regenerate decay and temperature datasets", ("out_dir",)),
+}
 
 
-def _add_params_args(sub):
-    sub.add_argument("--g", type=float, help="coupling rate")
-    sub.add_argument("--tau", type=float, help="collision duration")
-    sub.add_argument("--p", type=float, help="collision rate")
-    sub.add_argument("--omega0", type=float, help="qubit frequency")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one ``error:`` line and exit 2, from main
+        raise ValidationError(message)
 
 
 @functools.cache
 def build_parser():
     """The argument parser, built once per process; :func:`main` dispatches
     on the subcommand name, so a parser holds no handler."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qollide",
         description="Collision-model thermalization of a target qubit by "
         "N-qubit bath clusters",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("coeffs", help="master-equation coefficients as JSON")
-    sub.add_argument("--config", help="flat key=value config file")
-    _add_bath_args(sub)
-    _add_params_args(sub)
-    sub.add_argument("--out", help="output path (default stdout)")
-
-    sub = subs.add_parser("evolve", help="target-qubit trajectory as CSV")
-    sub.add_argument("--config")
-    _add_bath_args(sub)
-    _add_params_args(sub)
-    sub.add_argument("--engine", help=f"one of {', '.join(ENGINES)}")
-    sub.add_argument("--t-end", dest="t_end", type=float, help="final time")
-    sub.add_argument("--dt", type=float, help="time step (ode/collisions)")
-    sub.add_argument("--n-points", dest="n_points", type=int, help="records on the grid")
-    sub.add_argument("--init-ee", dest="init_ee", type=float, help="initial excited population")
-    sub.add_argument("--init-eg-re", dest="init_eg_re", type=float)
-    sub.add_argument("--init-eg-im", dest="init_eg_im", type=float)
-    sub.add_argument("--mode", help="collision propagator: exact or second-order")
-    sub.add_argument("--scheme", help="deterministic or stochastic")
-    sub.add_argument("--seed", type=int, help="stochastic stream seed")
-    sub.add_argument("--trajectories", type=int, help="stochastic averages")
-    sub.add_argument("--out")
-
-    sub = subs.add_parser("sweep", help="scaling sweep CSV plus fitted slopes JSON")
-    sub.add_argument("--config")
-    sub.add_argument("--family", help=f"one of {', '.join(FAMILIES)}")
-    sub.add_argument("--N", dest="N", help="N list, e.g. 4:64:4 or 4,8,12")
-    sub.add_argument("--pe", type=float)
-    sub.add_argument("--nbar", type=float)
-    sub.add_argument("--krule", help="quarter or half-minus-one")
-    _add_params_args(sub)
-    sub.add_argument("--out", help="sweep CSV path (default stdout)")
-    sub.add_argument("--slopes-out", dest="slopes_out", help="slopes JSON path")
-
-    sub = subs.add_parser("classify", help="coherence block map as JSON")
-    sub.add_argument("--config")
-    _add_bath_args(sub)
-    sub.add_argument("--out")
-
-    sub = subs.add_parser("prepare", help="thermal ladder preparation CSVs")
-    sub.add_argument("--config")
-    sub.add_argument("--N", dest="N", type=int)
-    sub.add_argument("--nbar", type=float)
-    sub.add_argument("--gamma0", type=float, help="single-qubit emission rate")
-    sub.add_argument("--t-end", dest="t_end", type=float)
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--n-points", dest="n_points", type=int)
-    sub.add_argument("--out-ladder", dest="out_ladder")
-    sub.add_argument("--out-state", dest="out_state")
-
-    sub = subs.add_parser("figures", help="regenerate decay and temperature datasets")
-    sub.add_argument("--config")
-    sub.add_argument("--out-dir", dest="out_dir")
-
+    for command, (text, names) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=text)
+        for name in ("config", *names):
+            sub.add_argument("--" + name.replace("_", "-"), help=_OPTIONS[name])
     return parser
 
 
@@ -488,10 +487,9 @@ def _one_line(exc):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = load_config(args.config) if getattr(args, "config", None) else {}
+        args = build_parser().parse_args(argv)
+        config = load_config(args.config) if args.config else {}
         return globals()[f"cmd_{args.command}"](args, config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

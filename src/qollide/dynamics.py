@@ -35,6 +35,11 @@ MAX_STEPS = 2**53
 #: Trajectories and ladder histories hold at most this many records.
 MAX_RECORDS = 10**6
 
+#: Work limit of a stochastic collision run, in Bernoulli draws, with each
+#: trajectory counted as 720 draws more: at about 12.5 ns a draw and 9 us a
+#: trajectory (2-vCPU machine) an accepted run takes under a minute.
+_MAX_DRAWS = 4 * 10**9
+
 #: Bernoulli draws per chunk of a stochastic collision stream.
 _DRAW_CHUNK = 1 << 16
 
@@ -328,6 +333,7 @@ def _record_indices(n_steps, n_records):
     return idx.tolist()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused as nan, below
 def _propagate(step_mat, vec0, steps):
     """Apply a constant one-step map ``step_mat`` to ``vec0``.
 
@@ -348,9 +354,12 @@ def _propagate(step_mat, vec0, steps):
             vec = powers[gap] @ vec
             done = target
         rows[pos] = vec
+    # a state that overflowed is all nan, which every caller's check refuses
+    rows[~np.isfinite(rows).all(axis=1)] = np.nan
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused once propagated
 def _rk4_step_matrix(gen, dt):
     """One classical RK4 step of ``dx/dt = gen @ x``, which for a constant
     generator is exactly the degree-4 Taylor polynomial of ``exp(dt gen)``."""
@@ -404,11 +413,12 @@ def _trace_drift(rows, expected=1.0):
     return np.abs(traces.real - expected) + np.abs(traces.imag)
 
 
-def _check_trace(rows, steps, name, expected=1.0):
+def _check_trace(rows, steps, name, expected=1.0, tol=1e-8):
     """Raise :class:`NumericError` at the first state of ``rows`` (taken
-    at ``steps``) whose trace drifts beyond 1e-8 from ``expected``."""
+    at ``steps``) whose trace is nan or drifts beyond ``tol`` from
+    ``expected``."""
     drift = _trace_drift(rows, expected)
-    bad = np.flatnonzero(drift > 1e-8)
+    bad = np.flatnonzero(~(drift <= tol))
     if bad.size:
         first = bad[0]
         raise NumericError(
@@ -552,7 +562,9 @@ def collision_chain(
     Both schemes are applied through powers of a constant one-step map: the
     deterministic step matrix between records, and for each stochastic
     realization ``Phi^m``, with ``m`` its number of collisions so far.  The
-    run is checked before ``Phi`` is built.  The recorded states are checked
+    run is checked before ``Phi`` is built; a stochastic run whose
+    trajectories times (draws per trajectory + 720) exceed ``_MAX_DRAWS`` is
+    refused there.  The recorded states are checked
     after, against the trace the bath predicts: an exact collision
     multiplies the target's trace by ``Tr(rho_B)``, which a validated bath
     may miss 1 by up to ``TOL_TRACE``, so record ``i`` should have trace
@@ -562,7 +574,8 @@ def collision_chain(
     count a run can reach).  In exact mode a drift beyond 1e-8
     from it raises :class:`NumericError`, as in :func:`integrate_master`;
     second-order collisions add to the trace, so a drift beyond 1% gives
-    one accuracy advisory.
+    one accuracy advisory.  A state that overflowed is refused in either
+    mode.
     """
     n_steps = _step_count(t_end, dt)
     p_dt = params.p * dt
@@ -577,6 +590,12 @@ def collision_chain(
     if scheme == "stochastic" and n_trajectories < 1:
         raise ValidationError("n_trajectories: must be >= 1")
     record = _record_indices(n_steps, n_records)
+    last = record[-1] if record else 0  # draws per stochastic trajectory
+    if scheme == "stochastic" and n_trajectories * (last + 720) > _MAX_DRAWS:
+        raise ValidationError(
+            f"n_trajectories: {n_trajectories} trajectories x ({last} draws + 720 per trajectory)"
+            f" exceed the limit of {_MAX_DRAWS:.3g} draws; reduce the trajectories or t_end/dt"
+        )
     phi = collision_superoperator(bath, params, mode=mode)
     times = np.array([dt * i for i in record])
     vec0 = np.asarray(rho0, dtype=complex).ravel()
@@ -604,17 +623,18 @@ def collision_chain(
         recorded = total / n_trajectories
         expected = bath_trace ** (counted / n_trajectories)
 
-    if mode.replace("-", "_") == "exact":
-        _check_trace(recorded, record, "collision_chain", expected)
-    else:
-        worst = _trace_drift(recorded, expected).max(initial=0.0)
-        if worst > 1e-2:
-            warnings.warn(
-                f"second-order collisions moved the trace by {worst:.3g}, more "
-                "than 1%; the truncated collision map is not trace-preserving; "
-                "accuracy advisory",
-                stacklevel=2,
-            )
+    exact = mode.replace("-", "_") == "exact"
+    # second-order collisions add to the trace: only a state that is not
+    # finite is refused, and a drift beyond 1% is an advisory
+    _check_trace(recorded, record, "collision_chain", expected, 1e-8 if exact else math.inf)
+    worst = _trace_drift(recorded, expected).max(initial=0.0)
+    if not exact and worst > 1e-2:
+        warnings.warn(
+            f"second-order collisions moved the trace by {worst:.3g}, more "
+            "than 1%; the truncated collision map is not trace-preserving; "
+            "accuracy advisory",
+            stacklevel=2,
+        )
     states = recorded.reshape(len(record), 2, 2)
     return Trajectory.from_states(times, states, params.mu)
 
@@ -669,8 +689,9 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     Fixed-step classical RK4; the rate equations are linear with a constant
     generator, so the step is one (N+1)x(N+1) map applied through its
     powers between records.  Returns ``(times, populations, final)``: one
-    row per record, and the populations at ``t_end`` whichever steps are
-    recorded.  Raises :class:`NumericError` on population negativity (step
+    row per record, and the populations at ``t_end``, one power of the whole
+    step count whichever steps are recorded (a record at ``t_end`` is that
+    same state).  Raises :class:`NumericError` on population negativity (step
     too large) or normalization drift.  An entrywise nonnegative step map
     keeps every population nonnegative, so only the recorded and the final
     states are checked; otherwise every step is checked, so that a
@@ -695,11 +716,14 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
         )
     record = _record_indices(n_steps, n_records)
     checked = _record_indices(n_steps, None) if negative else record
-    steps = [*checked, n_steps]
+    steps = [*(step for step in checked if step < n_steps), n_steps]
     rows = _propagate(step_mat, pops0, steps)
+    # the state at t_end is one power of the whole step count, whichever
+    # steps are recorded; a record at n_steps is that same state
+    rows[-1] = _propagate(step_mat, pops0, [n_steps])[0]
     lowest = rows.min(axis=1)
     drift = rows.sum(axis=1) - 1.0
-    bad = np.flatnonzero((lowest < -1e-10) | (np.abs(drift) > 1e-8))
+    bad = np.flatnonzero((lowest < -1e-10) | ~(np.abs(drift) <= 1e-8))  # nan included
     if bad.size:
         first = bad[0]
         if lowest[first] < -1e-10:
@@ -711,8 +735,9 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
             f"ladder integration: normalization drift "
             f"{drift[first]:.3e} at step {steps[first]}"
         )
-    # every step checked: row i holds step i
-    history = rows[record] if negative else rows[:-1]
+    # every step checked: row i holds step i; else the records are the rows
+    # up to the final state, which is the last of them when it is recorded
+    history = rows[record] if negative else rows[: len(record)]
     times = np.array([step * dt for step in record])
     return times, history, rows[-1]
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qollide import (
     BathSpec,
@@ -1392,3 +1395,299 @@ class TestConfigValues:
         for path in (tmp_path / "missing.cfg", tmp_path):
             result = run(capsys, "coeffs", "--config", str(path), *DICKE_4_1)
             assert_config_error(result, f"config: cannot read {path}")
+
+
+#: Each subcommand's usage line, as the parser printed it before its options
+#: were declared in one table (COLUMNS=80).
+USAGE = {
+    "coeffs": """\
+usage: qollide coeffs [-h] [--config CONFIG] [--bath BATH] [--N N] [--pe PE]
+                      [--nbar NBAR] [--k K] [--file FILE] [--g G] [--tau TAU]
+                      [--p P] [--omega0 OMEGA0] [--out OUT]
+""",
+    "evolve": """\
+usage: qollide evolve [-h] [--config CONFIG] [--bath BATH] [--N N] [--pe PE]
+                      [--nbar NBAR] [--k K] [--file FILE] [--g G] [--tau TAU]
+                      [--p P] [--omega0 OMEGA0] [--engine ENGINE]
+                      [--t-end T_END] [--dt DT] [--n-points N_POINTS]
+                      [--init-ee INIT_EE] [--init-eg-re INIT_EG_RE]
+                      [--init-eg-im INIT_EG_IM] [--mode MODE]
+                      [--scheme SCHEME] [--seed SEED]
+                      [--trajectories TRAJECTORIES] [--out OUT]
+""",
+    "sweep": """\
+usage: qollide sweep [-h] [--config CONFIG] [--family FAMILY] [--N N]
+                     [--pe PE] [--nbar NBAR] [--krule KRULE] [--g G]
+                     [--tau TAU] [--p P] [--omega0 OMEGA0] [--out OUT]
+                     [--slopes-out SLOPES_OUT]
+""",
+    "classify": """\
+usage: qollide classify [-h] [--config CONFIG] [--bath BATH] [--N N] [--pe PE]
+                        [--nbar NBAR] [--k K] [--file FILE] [--out OUT]
+""",
+    "prepare": """\
+usage: qollide prepare [-h] [--config CONFIG] [--N N] [--nbar NBAR]
+                       [--gamma0 GAMMA0] [--t-end T_END] [--dt DT]
+                       [--n-points N_POINTS] [--out-ladder OUT_LADDER]
+                       [--out-state OUT_STATE]
+""",
+    "figures": """\
+usage: qollide figures [-h] [--config CONFIG] [--out-dir OUT_DIR]
+""",
+}
+
+
+class TestOptionTable:
+    """Every option is declared once; flag and config values are read alike,
+    and a parser failure is one ``error:`` line."""
+
+    def help_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", USAGE)
+    def test_usage_line_unchanged(self, capsys, monkeypatch, command):
+        usage = self.help_text(capsys, monkeypatch, command).split("\n\n")[0] + "\n"
+        assert usage == USAGE[command]
+
+    def test_shared_help_fits_every_subcommand(self, capsys, monkeypatch):
+        sweep = " ".join(self.help_text(capsys, monkeypatch, "sweep").split())
+        assert "--N N number of bath qubits; sweep takes a list, e.g. 4:64:4 or 4,8,12" in sweep
+        for command in ("evolve", "prepare"):
+            text = " ".join(self.help_text(capsys, monkeypatch, command).split())
+            assert "--dt DT time step (evolve's ode and collisions engines, prepare)" in text
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["coeffs", "--bath", "dicke", "--N", "abc", "--k", "1"],
+             "N: cannot parse flag value 'abc'"),
+            (["evolve", *DICKE_4_1, "--t-end", "1", "--trajectories", "1e3"],
+             "trajectories: cannot parse flag value '1e3'"),
+            (["coeffs", *DICKE_4_1, "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            (["coeffs", *DICKE_4_1, "--k"], "argument --k: expected one argument"),
+            ([], "the following arguments are required: command"),
+            (["cooefs"], "argument command: invalid choice: 'cooefs' (choose from 'coeffs', "
+             "'evolve', 'sweep', 'classify', 'prepare', 'figures')"),
+        ],
+        ids=["bad-int", "bad-count", "unknown-flag", "missing-value", "no-command", "bad-command"],
+    )
+    def test_parser_failure_is_one_line(self, capsys, argv, line):
+        assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+    def test_malformed_flag_reported_in_read_order(self, capsys):
+        # the bath kind is read before N, so its refusal comes first
+        result = run(capsys, "coeffs", "--bath", "qutrit", "--N", "abc")
+        assert_config_error(result, "error: bath: must be one of")
+
+    @pytest.mark.parametrize("flag, value", [("k", "abc"), ("N", "4.0"), ("g", "0.1.2")])
+    def test_flag_and_config_value_refused_alike(self, capsys, tmp_path, flag, value):
+        base = {"bath": "dicke", "N": "4", "k": "1", flag: value}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {text}\n" for key, text in base.items()))
+        from_flags = [arg for key, text in base.items() for arg in (f"--{key}", text)]
+        flag_result = run(capsys, "coeffs", *from_flags)
+        config_result = run(capsys, "coeffs", "--config", str(cfg))
+        assert_config_error(flag_result, f"error: {flag}: cannot parse flag value {value!r}\n")
+        assert_config_error(config_result, f"error: {flag}: cannot parse config value {value!r}\n")
+
+    def test_config_typo_refused_and_named(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("engin = ode\nsed = 5\n")
+        result = run(capsys, "evolve", "--config", str(cfg), *DICKE_4_1, "--t-end", "0.1")
+        assert result == (2, "", "error: config: line 1: unknown key 'engin'\n")
+        cfg.write_text("# a run\nbath = dicke\n t-ned = 1 \n")
+        result = run(capsys, "coeffs", "--config", str(cfg))
+        assert result == (2, "", "error: config: line 3: unknown key 't-ned'\n")
+
+    def test_key_of_another_subcommand_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bath = dicke\nN = 4\nk = 1\nengine = ode\nt-end = 0.5\nout-dir = x\n")
+        assert run(capsys, "coeffs", "--config", str(cfg)) == run(capsys, "coeffs", *DICKE_4_1)
+        assert run(capsys, "coeffs", "--config", str(cfg))[0] == 0
+
+    def test_negative_zero_flag_reads_as_zero(self, capsys):
+        argv = ["evolve", *DICKE_4_1, "--t-end", "0.1", "--n-points", "3", "--init-eg-im"]
+        code, out, err = run(capsys, *argv, "-0")
+        assert (code, out, err) == (*run(capsys, *argv, "0")[:2], "")
+        assert ",-0," not in out and code == 0
+
+
+class TestStochasticWorkLimit:
+    """A stochastic run whose draws and trajectories would take more than
+    about a minute is refused before the collision map is built."""
+
+    BASE = [
+        "evolve", "--engine", "collisions", "--scheme", "stochastic",
+        "--bath", "product", "--N", "3", "--pe", "0.2",
+    ]
+
+    @pytest.mark.parametrize(
+        "flags, last, count",
+        [
+            (["--trajectories", "100000000000", "--t-end", "0.05", "--dt", "0.001"],
+             50, 100000000000),
+            (["--trajectories", "100000000000", "--t-end", "0", "--dt", "0.001"],
+             0, 100000000000),
+            (["--trajectories", "1", "--t-end", "1e9", "--dt", "1e-3", "--n-points", "3"],
+             1000000000000, 1),
+        ],
+        ids=["draws", "no-draws", "long-grid"],
+    )
+    def test_refused_at_once(self, capsys, flags, last, count):
+        start = time.perf_counter()
+        result = run(capsys, *self.BASE, *flags)
+        assert time.perf_counter() - start < 1.0
+        assert result == (2, "", (
+            f"error: n_trajectories: {count} trajectories x ({last} draws + 720 per trajectory) "
+            "exceed the limit of 4e+09 draws; reduce the trajectories or t_end/dt\n"
+        ))
+
+
+class TestPrepareStateIndependentOfGrid:
+    def test_state_bytes_same_for_every_grid(self, capsys, tmp_path):
+        # the state at t_end is one power of the whole step count
+        states = set()
+        for n_points in ("0", "5", "7", "121"):
+            state = tmp_path / f"state{n_points}.csv"
+            code, _, err = run(
+                capsys, "prepare", "--N", "2", "--nbar", "0.2", "--gamma0", "1",
+                "--t-end", "6", "--dt", "0.05", "--n-points", n_points,
+                "--out-ladder", str(tmp_path / "ladder.csv"), "--out-state", str(state),
+            )
+            assert (code, err) == (0, "")
+            assert state.read_text().splitlines()[1].startswith("0.8372112879032696+0j,")
+            states.add(state.read_bytes())
+            # a recorded last step is that same state
+            if n_points != "0":
+                last = (tmp_path / "ladder.csv").read_text().splitlines()[-1]
+                assert last.startswith("6,0.8372112879032696,")
+        assert len(states) == 1
+
+
+class TestArgumentVectors:
+    """Generated argument vectors over every subcommand: odd numbers and
+    text, unknown flags and config files with a mistyped key.  Every run
+    exits 0, 2 or 3, a failure prints exactly one line, nothing raises (a
+    numpy ``RuntimeWarning`` included), and no accepted run takes more than
+    a few seconds."""
+
+    #: Small accepted runs (``N <= 6`` wherever a ``2**N`` structure is built).
+    BASES = [
+        ["coeffs", "--bath", "dicke", "--N", "6", "--k", "2"],
+        ["coeffs", "--bath", "thermal-hec", "--N", "40", "--nbar", "0.5"],
+        ["evolve", "--bath", "product", "--N", "3", "--pe", "0.2", "--t-end", "0.5"],
+        ["evolve", "--engine", "ode", "--bath", "dicke", "--N", "4", "--k", "1",
+         "--t-end", "0.5", "--dt", "0.01", "--init-ee", "0.5", "--init-eg-re", "0.1"],
+        ["evolve", "--engine", "collisions", "--mode", "second-order", "--bath", "dicke",
+         "--N", "5", "--k", "2", "--t-end", "0.05", "--dt", "0.001", "--n-points", "5"],
+        ["evolve", "--engine", "collisions", "--scheme", "stochastic", "--trajectories", "20",
+         "--seed", "3", "--bath", "product", "--N", "3", "--pe", "0.2", "--t-end", "0.05",
+         "--dt", "0.001", "--n-points", "5"],
+        ["sweep", "--family", "dicke", "--krule", "quarter", "--N", "4:64:4"],
+        ["sweep", "--family", "product", "--pe", "0.2", "--N", "2,4,8"],
+        ["classify", "--bath", "thermal-hec", "--N", "3", "--nbar", "1"],
+        ["prepare", "--N", "3", "--nbar", "0.2", "--gamma0", "1", "--t-end", "2", "--dt", "0.05",
+         "--n-points", "5"],
+        ["figures"],
+    ]
+    OUTPUTS = {
+        "coeffs": ["--out", "out.json"],
+        "evolve": ["--out", "out.csv"],
+        "sweep": ["--out", "out.csv", "--slopes-out", "slopes.json"],
+        "classify": ["--out", "out.json"],
+        "prepare": ["--out-ladder", "ladder.csv", "--out-state", "state.csv"],
+        "figures": ["--out-dir", "figures"],
+    }
+    #: The value options of each subcommand (its paths and config excluded).
+    OPTIONS = {
+        "coeffs": ["bath", "N", "pe", "nbar", "k", "g", "tau", "p", "omega0"],
+        "evolve": ["bath", "N", "pe", "nbar", "k", "g", "tau", "p", "omega0", "engine",
+                   "t-end", "dt", "n-points", "init-ee", "init-eg-re", "init-eg-im", "mode",
+                   "scheme", "seed", "trajectories"],
+        "sweep": ["family", "N", "pe", "nbar", "krule", "g", "tau", "p", "omega0"],
+        "classify": ["bath", "N", "pe", "nbar", "k"],
+        "prepare": ["N", "nbar", "gamma0", "t-end", "dt", "n-points"],
+        "figures": [],
+    }
+    ODD_VALUES = [
+        "-1", "0", "-0", "-0.0", "1e-300", "1e300", "100000000000", "9007199254740993",
+        "1e400", "nan", "-nan", "inf", "-inf", "abc", "", "4.5", "0x10", "1:", "6",
+        "1", "2", "0.5",
+    ]
+    UNKNOWN_FLAGS = [["--bogus"], ["--bogus", "1"], ["--t_end", "1"], ["-x"], ["--nn", "3"]]
+    CONFIG_TYPOS = ["engin = ode", "sed = 5", "t_ned = 1", "N_ = 4", "out dir = x"]
+
+    #: A base run and up to three edits of it.
+    VECTORS = st.tuples(
+        st.sampled_from(BASES),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("value"), st.integers(0, 19), st.sampled_from(ODD_VALUES)),
+                st.tuples(st.just("flag"), st.sampled_from(UNKNOWN_FLAGS)),
+                st.tuples(st.just("typo"), st.sampled_from(CONFIG_TYPOS)),
+            ),
+            max_size=3,
+        ),
+    )
+
+    @staticmethod
+    def apply(base, edits):
+        """``(argv, config lines, refusal expected)`` of ``base`` with
+        ``edits`` applied: a value edit sets one of the command's options
+        (the ``i``-th modulo their number), the other two add an unknown
+        flag or a mistyped config key."""
+        argv, config, refused = list(base), [], False
+        options = TestArgumentVectors.OPTIONS[base[0]]
+        for edit in edits:
+            if edit[0] == "value" and options:
+                flag = "--" + options[edit[1] % len(options)]
+                if flag in argv:
+                    argv[argv.index(flag) + 1] = edit[2]
+                else:
+                    argv += [flag, edit[2]]
+            elif edit[0] == "flag":
+                argv += edit[1]
+                refused = True
+            elif edit[0] == "typo":
+                config.append(edit[1])
+                refused = True
+        return argv, config, refused
+
+    def test_exit_codes_and_one_line_errors(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+        def timeout(signum, frame):
+            raise AssertionError("accepted run did not finish in 5 s")
+
+        @settings(
+            max_examples=300, derandomize=True, database=None, deadline=None,
+            suppress_health_check=[HealthCheck.function_scoped_fixture],
+        )
+        @given(self.VECTORS)
+        def check(case):
+            argv, config, refused = self.apply(*case)
+            argv += self.OUTPUTS[argv[0]]
+            if config:
+                (tmp_path / "run.cfg").write_text("\n".join(config) + "\n")
+                argv += ["--config", "run.cfg"]
+            previous = signal.signal(signal.SIGALRM, timeout)
+            signal.alarm(5)
+            try:
+                with warnings.catch_warnings():  # accuracy advisories are not errors
+                    warnings.simplefilter("ignore", UserWarning)
+                    code, out, err = run(capsys, *argv)
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+            assert code in (0, 2, 3), (argv, err)
+            if code:
+                assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+                assert err.startswith("numeric error: " if code == 3 else "error: "), (argv, err)
+                assert out == ""
+            assert not refused or code == 2, (argv, config, err)
+
+        check()

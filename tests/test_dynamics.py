@@ -1,4 +1,5 @@
 import bisect
+import functools
 import json
 import math
 import re
@@ -1073,6 +1074,40 @@ class TestPropagateRows:
         assert traj.states.reshape(-1, 4).tobytes() == want.tobytes()
 
 
+class TestOverflowRefused:
+    """A propagated state that overflows is all nan, which every engine's
+    check refuses as a numeric error, with no numpy warning on the way."""
+
+    def test_overflowed_row_is_nan(self):
+        rows = dynamics._propagate(np.array([[1e200, 0.0], [0.0, 0.5]]), np.ones(2), [0, 1, 2])
+        assert rows[:2].tolist() == [[1.0, 1.0], [1e200, 0.5]]
+        assert np.isnan(rows[2]).all()
+
+    def test_integrate_master(self):
+        from qollide import coefficients_for
+
+        c = coefficients_for(BathSpec.dicke(4, 1), CollisionParams(g=0.1, tau=1.0, p=1e300))
+        with pytest.warns(UserWarning, match="accuracy advisory"):
+            with pytest.raises(NumericError, match="^integrate_master: trace drift nan at step 1$"):
+                integrate_master(ground_state(), c, 0.5, 0.01)
+
+    @pytest.mark.parametrize("scheme", ["deterministic", "stochastic"])
+    def test_second_order_collisions(self, scheme):
+        # a drift of the trace is only an advisory in second order; nan is not
+        with pytest.warns(UserWarning, match=r"g\*tau = 1e\+11 exceeds 0.3"):
+            params = CollisionParams(g=1e11, tau=1.0, p=100.0)
+        with pytest.raises(NumericError, match="^collision_chain: trace drift nan at step"):
+            collision_chain(
+                ground_state(), BathSpec.dicke(5, 2), params, 0.05, 0.001,
+                mode="second-order", scheme=scheme, n_trajectories=20, n_records=5,
+            )
+
+    def test_ladder(self):
+        # the step map is nan: not negative, so the records are the states checked
+        with pytest.raises(NumericError, match="^ladder integration: normalization drift nan at step 10$"):
+            ladder_history(3, 0.2, 1e300, 2.0, 0.05, n_records=5)
+
+
 class TestStochasticDraws:
     def test_chunked_draws_equal_one_draw(self):
         def stream():
@@ -1182,6 +1217,44 @@ class TestRunCheckedBeforeMap:
         kwargs = {"dt": 0.01, **kwargs}
         with pytest.raises(ValidationError, match=re.escape(message)):
             collision_chain(ground_state(), self.BATH, self.PARAMS, 0.1, **kwargs)
+
+    #: ``(t_end, dt, n_trajectories, n_records)`` of stochastic runs that
+    #: would each take hours: draws, trajectories alone, and a long grid
+    #: recorded at three points.
+    UNBOUNDED = {
+        "draws": (0.05, 0.001, 10**11, None),
+        "no-draws": (0.0, 0.001, 10**11, None),
+        "long-grid": (1e9, 1e-3, 1, 3),
+    }
+
+    @pytest.mark.parametrize("probe", UNBOUNDED)
+    def test_stochastic_work_limit(self, probe):
+        t_end, dt, n_trajectories, n_records = self.UNBOUNDED[probe]
+        last = {"draws": 50, "no-draws": 0, "long-grid": 10**12}[probe]
+        message = (
+            f"n_trajectories: {n_trajectories} trajectories x ({last} draws + 720 per trajectory) "
+            "exceed the limit of 4e+09 draws; reduce the trajectories or t_end/dt"
+        )
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            collision_chain(
+                ground_state(), self.BATH, self.PARAMS, t_end, dt, scheme="stochastic",
+                n_trajectories=n_trajectories, n_records=n_records,
+            )
+        assert time.perf_counter() - start < 1.0
+
+    def test_stochastic_work_limit_edge(self, monkeypatch):
+        # 10 steps recorded to the last: a trajectory counts as 10 + 720 draws
+        monkeypatch.setattr(dynamics, "collision_superoperator", collision_superoperator)
+        monkeypatch.setattr(dynamics, "_MAX_DRAWS", 2 * 730)
+        run = functools.partial(
+            collision_chain, ground_state(), self.BATH, self.PARAMS, 0.1, 0.01, n_records=3
+        )
+        assert len(run(scheme="stochastic", n_trajectories=2)) == 3
+        with pytest.raises(ValidationError, match=r"^n_trajectories: 3 trajectories x \(10 draws "):
+            run(scheme="stochastic", n_trajectories=3)
+        # the deterministic scheme draws nothing, whatever the count
+        assert len(run(n_trajectories=10**11)) == 3
 
     def test_grid_reported_before_bath(self, monkeypatch):
         # with the real map: a bath that fails its check is reported only
