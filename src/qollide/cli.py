@@ -29,7 +29,8 @@ stochastic run is held to 4e9 Bernoulli draws, each trajectory counted as
 Exit codes: 0 success; 2 configuration error, an output that cannot be
 written, or a run too large for the available memory; 3 numeric invariant
 violation, or a failed linear-algebra routine.  Each failure prints one
-``error:`` or ``numeric error:`` line to stderr and no traceback.  A
+``error:`` or ``numeric error:`` line to stderr and no traceback; each
+accuracy advisory, a Python warning, is printed as one ``warning:`` line.  A
 command opens every output file before it writes any, so one that cannot
 be opened, or two that reach one regular file, print nothing and change
 no file; a write that fails later removes only the files it created.
@@ -46,6 +47,7 @@ import math
 import os
 import stat
 import sys
+import warnings
 
 import numpy as np
 
@@ -486,7 +488,20 @@ def _one_line(exc):
     return " ".join(str(exc).split()) or type(exc).__name__
 
 
+def _advisory_line(message, category, filename, lineno, line=None):
+    """Format a warning as the CLI prints it: ``warning: <message>``."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None):
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _advisory_line
+    try:
+        return _run(argv)
+    finally:
+        warnings.formatwarning = formatwarning
+
+
+def _run(argv):
     try:
         args = build_parser().parse_args(argv)
         config = load_config(args.config) if args.config else {}

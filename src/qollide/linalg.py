@@ -3,11 +3,11 @@
 Everything operates on plain ``numpy`` arrays of ``complex128``.  Density
 matrices are finite, Hermitian, unit-trace, positive-semidefinite square
 matrices; validation is opt-in (:func:`validate_density_matrix`) so that
-inner loops stay cheap.  Positivity is decided by a Cholesky factorization
-of the shifted Hermitian part, blocked and in place: the Hermitian part is
-built once, 128 rows at a time, into one buffer that the factorization
-overwrites, so validating holds one extra copy of the state plus 128-row
-stripes.  An eigendecomposition runs only to confirm and report a failure.
+inner loops stay cheap.  Positivity is decided by a blocked Cholesky
+factorization of the shifted Hermitian part, which reads only its lower
+block triangle: that part is built as its lower block columns, 64 columns
+wide, and factored in place, so validating holds about half a copy of the
+state.  An eigendecomposition runs only to confirm and report a failure.
 Bath states are stored densely, which is adequate at the documented limit of
 N <= 12 bath qubits, but the engines work on their excitation blocks and
 never assemble a ``2**N x 2**N`` operator.
@@ -122,12 +122,13 @@ def validate_density_matrix(rho, *, tol_psd=TOL_PSD, name="rho"):
     (smallest eigenvalue >= ``-tol_psd``).  Positivity is accepted when the
     Hermitian part shifted by ``tol_psd`` has a Cholesky factorization; only
     if it has none is the smallest eigenvalue computed, to confirm and
-    report it.  The Hermitian part is built once, a stripe of
-    :data:`_BLOCK` (128) rows at a time, into one buffer that a blocked
-    Cholesky factorization then overwrites, so the check holds one extra
-    copy of ``rho`` plus 128-row stripes; ``rho`` itself is not written.  A
-    matrix of at most 128 rows is one ``np.linalg.cholesky`` call.
-    Raises :class:`ValidationError` naming the failing check.
+    report it.  The hermiticity deviation is taken one block column of
+    :data:`_BLOCK` (64) columns at a time.  The shifted Hermitian part is
+    built only as its lower block columns, ``n(n + 64)/2`` entries, which a
+    blocked Cholesky factorization overwrites and frees column by column,
+    so the check holds about half a copy of ``rho``; ``rho`` itself is not
+    written.  A matrix of at most 64 rows is one ``np.linalg.cholesky``
+    call.  Raises :class:`ValidationError` naming the failing check.
     """
     rho = as_complex_matrix(rho)
     finite = np.isfinite(rho)
@@ -136,27 +137,31 @@ def validate_density_matrix(rho, *, tol_psd=TOL_PSD, name="rho"):
             f"{name}: finiteness check failed "
             f"({rho.size - np.count_nonzero(finite)} non-finite entries)"
         )
-    del finite  # one byte per entry, freed before the Hermitian buffer
+    del finite  # one byte per entry, freed before the Hermitian part
     n, m = rho.shape
     if n != m:
         raise ValidationError(f"{name}: shape check failed, matrix is {n}x{m}")
-    herm = np.empty_like(rho)
-    herm_dev = _hermitian_sum(rho, herm)
+    # |rho - rho^dag| is symmetric, so its lower block columns hold its max
+    herm_dev = max((np.max(np.abs(a - b)) for a, b in _lower_columns(rho)), default=0.0)
     if herm_dev > TOL_HERM:
         raise ValidationError(
             f"{name}: hermiticity check failed (max |rho - rho^dag| = "
             f"{herm_dev:.3e}, tol {TOL_HERM:.1e})"
         )
     check_unit_trace(rho, name=name)
-    herm /= 2.0
-    herm[np.diag_indices(n)] += tol_psd
-    try:
-        _cholesky_in_place(herm)
-    except np.linalg.LinAlgError:
+    columns = []
+    for a, b in _lower_columns(rho):
+        column = a + b
+        column /= 2.0
+        column[np.diag_indices(column.shape[1])] += tol_psd
+        columns.append(column)
+    if not _positive_definite(columns):
         # the factorization can fail by rounding when the smallest
         # eigenvalue sits at -tol_psd, so the eigenvalue decides and is
         # reported
-        _hermitian_sum(rho, herm)
+        herm = np.empty_like(rho)
+        for i in range(0, n, _BLOCK):
+            np.add(rho[i : i + _BLOCK], rho[:, i : i + _BLOCK].conj().T, out=herm[i : i + _BLOCK])
         herm /= 2.0
         min_eig = float(np.linalg.eigvalsh(herm)[0])
         if min_eig < -tol_psd:
@@ -167,39 +172,37 @@ def validate_density_matrix(rho, *, tol_psd=TOL_PSD, name="rho"):
     return rho
 
 
-# Rows per stripe of the Hermitian check and per block of the factorization.
-_BLOCK = 128
+# Columns per block of the Hermitian check and of the factorization.
+_BLOCK = 64
 
 
-def _hermitian_sum(rho, out):
-    """Write ``rho + rho^dag`` into ``out`` a stripe of :data:`_BLOCK` rows
-    at a time and return ``max |rho - rho^dag|``: entry for entry the same
-    values as the whole-matrix expressions."""
-    herm_dev = 0.0
-    for i in range(0, len(rho), _BLOCK):
-        rows, cols = rho[i : i + _BLOCK], rho[:, i : i + _BLOCK].conj().T
-        herm_dev = max(herm_dev, np.max(np.abs(rows - cols)))
-        np.add(rows, cols, out=out[i : i + _BLOCK])
-    return herm_dev
+def _lower_columns(rho):
+    """Yield ``rho[k:, k:k+B]`` and ``rho[k:k+B, k:]^dag`` for each block
+    column ``k`` of :data:`_BLOCK` (``B``) columns: the lower block triangle
+    of ``rho`` and of ``rho^dag``, diagonal blocks whole."""
+    for k in range(0, len(rho), _BLOCK):
+        yield rho[k:, k : k + _BLOCK], rho[k : k + _BLOCK, k:].conj().T
 
 
-def _cholesky_in_place(a):
-    """Right-looking blocked Cholesky of the Hermitian ``a`` (Golub & Van
-    Loan, *Matrix Computations*, section 4.2), kept only for its decision:
-    raises ``np.linalg.LinAlgError`` where a diagonal block is not positive
-    definite.  Each diagonal block is factored by ``np.linalg.cholesky``,
-    the panel below it is multiplied by ``inv(L_kk)^dag``, and the lower
-    block triangle of the trailing matrix is overwritten with its Schur
-    complement, one block column at a time.  A matrix of at most
-    :data:`_BLOCK` rows is one ``np.linalg.cholesky`` call."""
-    n = len(a)
-    for k in range(0, n, _BLOCK):
-        end = min(k + _BLOCK, n)
-        factor = np.linalg.cholesky(a[k:end, k:end])
-        if end == n:
-            return
-        panel = a[end:, k:end] @ np.linalg.inv(factor).conj().T
-        for j in range(0, n - end, _BLOCK):
-            a[end + j :, end + j : end + j + _BLOCK] -= (
-                panel[j:] @ panel[j : j + _BLOCK].conj().T
-            )
+def _positive_definite(columns):
+    """Whether the Hermitian matrix given as its lower block columns has a
+    Cholesky factorization, decided by a right-looking blocked Cholesky
+    (Golub & Van Loan, *Matrix Computations*, section 4.2).  Each column's
+    diagonal block is factored by ``np.linalg.cholesky``, the panel below
+    it is multiplied by ``inv(L_kk)^dag``, the column is freed, and each
+    later column is overwritten with its Schur complement.  ``columns`` is
+    emptied either way.  One column is one ``np.linalg.cholesky`` call."""
+    try:
+        while columns:
+            column = columns.pop(0)
+            width = column.shape[1]
+            factor = np.linalg.cholesky(column[:width])
+            panel = column[width:] @ np.linalg.inv(factor).conj().T
+            del column
+            for j, later in enumerate(columns):
+                rows = panel[j * _BLOCK :]
+                later -= rows @ rows[:_BLOCK].conj().T
+    except np.linalg.LinAlgError:
+        columns.clear()
+        return False
+    return True

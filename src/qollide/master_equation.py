@@ -100,7 +100,7 @@ class CollisionParams:
             warnings.warn(
                 f"g*tau = {self.g * self.tau:.3g} exceeds {GT_ADVISORY}; the "
                 "second-order collision expansion may be inaccurate",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__ to its caller
             )
 
     @property

@@ -1088,31 +1088,52 @@ class TestUnwritableOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["full"]
 
 
-def test_import_loads_no_slow_optional_modules():
-    # numpy.polynomial alone costs ~19 ms of every process start; the CLI
-    # module is what every command imports
+def _module_env():
+    """The environment of a child Python that imports qollide from ``src``."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_import_loads_no_slow_optional_modules():
+    # numpy.polynomial alone costs ~19 ms of every process start; the CLI
+    # module is what every command imports
     code = "import sys, qollide.cli; print(' '.join(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_module_env()
+    )
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert not loaded & {"numpy.polynomial", "fractions", "decimal"}
 
 
 def test_module_entry_point(tmp_path):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "qollide", "coeffs", "--bath", "dicke", "--N", "4", "--k", "1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_module_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coefficients"]["r_e"] == 4.0
+
+
+def test_advisory_is_one_warning_line():
+    # pytest records warnings before they are printed, so only a child
+    # process shows the stderr a user sees
+    proc = subprocess.run(
+        [sys.executable, "-m", "qollide", "evolve", "--engine", "ode", "--bath", "dicke",
+         "--N", "4", "--k", "1", "--t-end", "0.5", "--dt", "0.01", "--p", "1e300"],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "warning: dt = 0.01 exceeds t_q/20 = 5e-301; accuracy advisory\n"
+        "numeric error: integrate_master: trace drift nan at step 1\n"
+    )
 
 
 def test_parser_built_once_and_reused(capsys):

@@ -13,6 +13,7 @@ from qollide import (
     validate_density_matrix,
 )
 from qollide.errors import NumericError
+from qollide import linalg
 from qollide.linalg import TOL_PSD
 
 from conftest import dense_ops, eigvalsh_oracle_accepts, expectation, random_density_matrix
@@ -162,11 +163,16 @@ def _with_spectrum(rng, eigenvalues):
     return (q * np.asarray(eigenvalues)) @ q.conj().T
 
 
+B = linalg._BLOCK
+# one block column, its edges (B - 1, B, B + 1) and two columns plus one row
+DIMS = sorted({2, 3, 5, 8, 16, 31, 64, 129, 300, 1024, B - 1, B, B + 1, 2 * B + 1})
+
+
 class TestCholeskyPositivity:
     """The Cholesky decision of :func:`validate_density_matrix` against an
     ``eigvalsh`` oracle, around the ``-tol_psd`` threshold and at zero."""
 
-    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 31, 64, 129, 300, 1024])
+    @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize(
         "min_eig",
         [-TOL_PSD * (1 + 1e-3), -TOL_PSD * (1 - 1e-3), 0.0, 1e-3],
@@ -185,7 +191,7 @@ class TestCholeskyPositivity:
                 validate_density_matrix(rho)
             assert "min eigenvalue = -1.001e-08" in str(info.value)
 
-    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 31, 64, 129, 300, 1024])
+    @pytest.mark.parametrize("dim", DIMS)
     def test_rank_deficient_pure_states_accepted(self, rng, dim):
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
@@ -213,21 +219,23 @@ class TestCholeskyPositivity:
 
 
 class TestBlockedValidation:
-    """The striped Hermitian part and the in-place blocked factorization of
+    """The block-column Hermitian part and its blocked factorization in
     :func:`validate_density_matrix` against whole-matrix expressions."""
 
     def test_hermiticity_message_from_whole_matrix(self, rng):
-        rho = random_density_matrix(rng, 300)
-        rho[250, 3] += 3e-10  # in the second stripe, below the diagonal
-        herm_dev = np.max(np.abs(rho - rho.conj().T))
-        with pytest.raises(ValidationError) as info:
-            validate_density_matrix(rho)
-        assert str(info.value) == (
-            f"rho: hermiticity check failed (max |rho - rho^dag| = {herm_dev:.3e}, "
-            "tol 1.0e-10)"
-        )
+        # below the diagonal, then above it: the lower block columns see both
+        for row, col in ((250, 3), (3, 250)):
+            rho = random_density_matrix(rng, 300)
+            rho[row, col] += 3e-10
+            herm_dev = np.max(np.abs(rho - rho.conj().T))
+            with pytest.raises(ValidationError) as info:
+                validate_density_matrix(rho)
+            assert str(info.value) == (
+                f"rho: hermiticity check failed (max |rho - rho^dag| = {herm_dev:.3e}, "
+                "tol 1.0e-10)"
+            )
 
-    @pytest.mark.parametrize("dim", [2, 64, 128])
+    @pytest.mark.parametrize("dim", [2, B // 2, B])
     def test_one_block_is_one_cholesky_of_the_whole_shift(self, rng, monkeypatch, dim):
         calls = []
         real = np.linalg.cholesky
@@ -270,7 +278,25 @@ class TestBlockedValidation:
         assert validate_density_matrix(rho) is rho
         assert rho.tobytes() == before.tobytes()
 
-    def test_peak_memory_one_extra_state(self, rng):
+    @pytest.mark.parametrize("dim", [B + 1, 300])
+    def test_one_cholesky_per_block_column(self, rng, monkeypatch, dim):
+        # each diagonal block is factored once, the first one unchanged
+        calls = []
+        real = np.linalg.cholesky
+
+        def recorded(a):
+            calls.append(a.copy())
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        rho = random_density_matrix(rng, dim)
+        validate_density_matrix(rho)
+        shifted = (rho[:B, :B] + rho[:B, :B].conj().T) / 2.0
+        shifted[np.diag_indices(B)] += TOL_PSD
+        assert [len(a) for a in calls] == [min(B, dim - k) for k in range(0, dim, B)]
+        assert calls[0].tobytes() == shifted.tobytes()
+
+    def test_peak_memory_half_a_state(self, rng):
         rho = random_density_matrix(rng, 1024)
         tracemalloc.start()
         try:
@@ -278,4 +304,4 @@ class TestBlockedValidation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.75 * rho.nbytes
+        assert peak < 0.75 * rho.nbytes
