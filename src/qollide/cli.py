@@ -496,13 +496,6 @@ def _advisory_line(message, category, filename, lineno, line=None):
 def main(argv=None):
     formatwarning, warnings.formatwarning = warnings.formatwarning, _advisory_line
     try:
-        return _run(argv)
-    finally:
-        warnings.formatwarning = formatwarning
-
-
-def _run(argv):
-    try:
         args = build_parser().parse_args(argv)
         config = load_config(args.config) if args.config else {}
         return globals()[f"cmd_{args.command}"](args, config)
@@ -518,6 +511,8 @@ def _run(argv):
     except MemoryError as exc:
         print(f"error: out of memory: {_one_line(exc)}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 def console_main():

@@ -1136,6 +1136,12 @@ def test_advisory_is_one_warning_line():
     )
 
 
+def test_main_restores_warning_format(capsys):
+    before = warnings.formatwarning
+    assert run(capsys, "coeffs", "--bath", "dicke", "--N", "4", "--k", "1")[0] == 0
+    assert warnings.formatwarning is before
+
+
 def test_parser_built_once_and_reused(capsys):
     import qollide.cli as cli
 
