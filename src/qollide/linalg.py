@@ -190,13 +190,17 @@ def _positive_definite(columns):
     (Golub & Van Loan, *Matrix Computations*, section 4.2).  Each column's
     diagonal block is factored by ``np.linalg.cholesky``, the panel below
     it is multiplied by ``inv(L_kk)^dag``, the column is freed, and each
-    later column is overwritten with its Schur complement.  ``columns`` is
-    emptied either way.  One column is one ``np.linalg.cholesky`` call."""
+    later column is overwritten with its Schur complement.  The last
+    column has no panel, so a matrix of one column is one
+    ``np.linalg.cholesky`` call and no inverse.  ``columns`` is emptied
+    either way."""
     try:
         while columns:
             column = columns.pop(0)
             width = column.shape[1]
             factor = np.linalg.cholesky(column[:width])
+            if not columns:
+                return True
             panel = column[width:] @ np.linalg.inv(factor).conj().T
             del column
             for j, later in enumerate(columns):

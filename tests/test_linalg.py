@@ -245,6 +245,7 @@ class TestBlockedValidation:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        monkeypatch.setattr(np.linalg, "inv", None)  # no panel, no inverse
         rho = random_density_matrix(rng, dim)
         validate_density_matrix(rho)
         shifted = (rho + rho.conj().T) / 2.0
