@@ -124,11 +124,12 @@ def validate_density_matrix(rho, *, tol_psd=TOL_PSD, name="rho"):
     if it has none is the smallest eigenvalue computed, to confirm and
     report it.  The hermiticity deviation is taken one block column of
     :data:`_BLOCK` (64) columns at a time.  The shifted Hermitian part is
-    built only as its lower block columns, ``n(n + 64)/2`` entries, which a
-    blocked Cholesky factorization overwrites and frees column by column,
-    so the check holds about half a copy of ``rho``; ``rho`` itself is not
-    written.  A matrix of at most 64 rows is one ``np.linalg.cholesky``
-    call.  Raises :class:`ValidationError` naming the failing check.
+    built only as its lower block columns, about ``n(n + 64)/2`` entries,
+    which a blocked Cholesky factorization overwrites and frees column by
+    column, so the check holds about half a copy of ``rho``; ``rho`` itself
+    is not written.  A matrix of at most 64 rows is one
+    ``np.linalg.cholesky`` call.  Raises :class:`ValidationError` naming
+    the failing check.
     """
     rho = as_complex_matrix(rho)
     finite = np.isfinite(rho)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from qollide import (
     ValidationError,
     dicke_block_state,
+    linalg,
     matrix_exp,
     partial_trace_bath,
     validate_density_matrix,
 )
 from qollide.errors import NumericError
-from qollide import linalg
 from qollide.linalg import TOL_PSD
 
 from conftest import dense_ops, eigvalsh_oracle_accepts, expectation, random_density_matrix
@@ -218,6 +218,20 @@ class TestCholeskyPositivity:
             validate_density_matrix(np.diag([1.0 + 1e-12, -1e-12]), tol_psd=0.0)
 
 
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Copies of the matrices passed to ``np.linalg.cholesky``, in order."""
+    calls = []
+    real = np.linalg.cholesky
+
+    def recorded(a):
+        calls.append(a.copy())
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    return calls
+
+
 class TestBlockedValidation:
     """The block-column Hermitian part and its blocked factorization in
     :func:`validate_density_matrix` against whole-matrix expressions."""
@@ -236,22 +250,16 @@ class TestBlockedValidation:
             )
 
     @pytest.mark.parametrize("dim", [2, B // 2, B])
-    def test_one_block_is_one_cholesky_of_the_whole_shift(self, rng, monkeypatch, dim):
-        calls = []
-        real = np.linalg.cholesky
-
-        def recorded(a):
-            calls.append(a.copy())
-            return real(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    def test_one_block_is_one_cholesky_of_the_whole_shift(
+        self, rng, monkeypatch, cholesky_calls, dim
+    ):
         monkeypatch.setattr(np.linalg, "inv", None)  # no panel, no inverse
         rho = random_density_matrix(rng, dim)
         validate_density_matrix(rho)
         shifted = (rho + rho.conj().T) / 2.0
         shifted[np.diag_indices(dim)] += TOL_PSD
-        assert len(calls) == 1
-        assert calls[0].tobytes() == shifted.tobytes()
+        assert len(cholesky_calls) == 1
+        assert cholesky_calls[0].tobytes() == shifted.tobytes()
 
     @pytest.mark.parametrize("dim", [5, 300])
     def test_failure_decided_on_the_whole_hermitian_part(self, rng, monkeypatch, dim):
@@ -280,22 +288,14 @@ class TestBlockedValidation:
         assert rho.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("dim", [B + 1, 300])
-    def test_one_cholesky_per_block_column(self, rng, monkeypatch, dim):
+    def test_one_cholesky_per_block_column(self, rng, cholesky_calls, dim):
         # each diagonal block is factored once, the first one unchanged
-        calls = []
-        real = np.linalg.cholesky
-
-        def recorded(a):
-            calls.append(a.copy())
-            return real(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", recorded)
         rho = random_density_matrix(rng, dim)
         validate_density_matrix(rho)
         shifted = (rho[:B, :B] + rho[:B, :B].conj().T) / 2.0
         shifted[np.diag_indices(B)] += TOL_PSD
-        assert [len(a) for a in calls] == [min(B, dim - k) for k in range(0, dim, B)]
-        assert calls[0].tobytes() == shifted.tobytes()
+        assert [len(a) for a in cholesky_calls] == [min(B, dim - k) for k in range(0, dim, B)]
+        assert cholesky_calls[0].tobytes() == shifted.tobytes()
 
     def test_peak_memory_half_a_state(self, rng):
         rho = random_density_matrix(rng, 1024)
