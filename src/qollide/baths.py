@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import _check_qubits, basis_ordering
+from .collective import _check_qubits, basis_ordering, block_sizes
 from .errors import ValidationError
 from .linalg import check_unit_trace, validate_density_matrix
 from .utils import fmt_complex, parse_complex
@@ -205,14 +205,42 @@ _FAMILIES = {"product": product_mixed_state, "thermal-hec": thermal_hec_state, "
 
 def check_named_bath(spec):
     """Check a named family's parameter and the qubit cap without building
-    its state, in the order its constructor checks them."""
+    its state or its basis, in the order (and with the messages) of its
+    constructor."""
     if spec.kind == "product":
         _check_p_e(spec.p_e)
     elif spec.kind == "dicke":
         _check_k(spec.N, spec.k)
-    basis_ordering(spec.N)
+    _check_qubits(spec.N, "basis_ordering")
     if spec.kind == "thermal-hec":
         check_n_bar(spec.n_bar)
+
+
+def ladder_weights(spec):
+    """Spin-ladder weights ``(two_j, two_m, w)`` of a named family, checked
+    by :func:`check_named_bath`: the state is ``sum w |j,m><j,m|`` over
+    ladder states, a ladder of multiplicity ``d_j`` counted ``d_j`` times.
+
+    Dicke and thermal-hec states are symmetric (``j = N/2``, ``m = k -
+    N/2``).  A product state fills excitation block ``k`` with ``p^k
+    (1-p)^(N-k)``, so it weighs each ``(j, m)`` of the triangle ``|m| <= j``
+    by that times ``d_j = C(N, N/2-j) - C(N, N/2-j-1)`` (Schur-Weyl), the
+    multiplicities taken from exact ints; its weights are normalized by
+    their sum.  Nothing ``2^N``-sized is built.
+    """
+    check_named_bath(spec)
+    N = spec.N
+    k = np.arange(N + 1)
+    if spec.kind == "dicke":
+        return np.array([N]), np.array([2 * spec.k - N]), np.ones(1)
+    if spec.kind == "thermal-hec":
+        return np.full(N + 1, N), 2 * k - N, thermal_hec_weights(N, spec.n_bar)
+    row = block_sizes(N)
+    d_j = np.array([float(a - b) for a, b in zip(row[: N // 2 + 1], [0, *row])])
+    # ladder j = N/2 - l holds m = k - N/2 for l <= k <= N - l
+    l, k = np.nonzero(np.abs(2 * k - N) <= N - 2 * np.arange(N // 2 + 1)[:, None])
+    w = d_j[l] * spec.p_e**k * (1.0 - spec.p_e) ** (N - k)
+    return N - 2 * l, 2 * k - N, w / w.sum()
 
 
 def validate_bath(spec):

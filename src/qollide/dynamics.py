@@ -7,6 +7,12 @@ channels off, the populations relax exponentially with characteristic time
 ``t_q = 1 / (mu (r_e + r_d))`` towards ``diag(r_e, r_d) / (r_e + r_d)``; the
 coherence decays with ``2 t_q``.  Temperatures are reported in units of
 ``hbar*omega0/k_B`` and entropies in units of ``k_B``.
+
+The one-collision map takes one of two paths: a named family (product,
+thermal-hec, dicke) is a mixture of spin-ladder states, and its map is six
+weighted sums of ``cos``/``sin`` of the ladder angles ``g tau c_m``, with
+no ``2^N`` state; an explicit matrix goes through the sector engine, one
+``eigh`` per excitation sector of its collective operators.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .baths import _check_k, _symmetric_state, check_n_bar, validate_bath
+from .baths import _check_k, _symmetric_state, check_n_bar, ladder_weights, validate_bath
 from .collective import basis_ordering, build_collective_ops
 from .errors import NumericError, ValidationError
 from .linalg import validate_density_matrix
@@ -439,9 +445,21 @@ def collision_superoperator(bath, params, mode="exact"):
     truncation ``1 - i g tau V - (g tau)^2 V^2 / 2``, whose ``U^dag U = 1 +
     (g tau V)^4 / 4``: each second-order collision adds ``(g tau)^4 <V^4> /
     4`` to the trace, which :func:`collision_chain` reports once it passes
-    1%.  ``V`` conserves the total excitation, so ``U`` is built per sector
-    ``k = -1..N``, ``{|e> block k, |g> block k+1}`` (bath blocks -1 and N+1
-    are empty), from one
+    1%.  There are two paths.
+
+    A named family is a mixture of spin-ladder states (see
+    :func:`~qollide.baths.ladder_weights`), and ``V`` couples ``|e,m>`` to
+    ``|g,m+1>`` alone, by ``c_m = sqrt((j-m)(j+m+1))``: each pair is a 2x2
+    rotation by ``x = g tau c_m``, with ``cos x -> 1 - x^2/2`` and ``sin x
+    -> x`` in second order.  So ``Phi`` has six nonzero entries, weighted
+    sums over the ladder states: ``Phi[ee,ee] = sum w cos^2 x_m``,
+    ``Phi[gg,ee] = sum w sin^2 x_m``, ``Phi[gg,gg] = sum w cos^2 x_{m-1}``,
+    ``Phi[ee,gg] = sum w sin^2 x_{m-1}`` and ``Phi[eg,eg] = Phi[ge,ge] =
+    sum w cos x_m cos x_{m-1}``; no ``2^N`` state is built.
+
+    An explicit matrix goes through the sector engine.  ``V`` conserves the
+    total excitation, so ``U`` is built per sector ``k = -1..N``, ``{|e>
+    block k, |g> block k+1}`` (bath blocks -1 and N+1 are empty), from one
     ``eigh`` of ``V_k = [[0, L_k], [L_k^dag, 0]]`` (``L_k = ops.ladder[k]``);
     the edge sectors -1 and N are 1x1 with ``L_k = 0``, so their ``U`` is
     ``[[1]]``.  ``<c|U|a>`` of sector ``k`` maps bath block ``k+a`` to block
@@ -451,6 +469,18 @@ def collision_superoperator(bath, params, mode="exact"):
     mode = mode.replace("-", "_")
     if mode not in ("exact", "second_order"):
         raise ValidationError(f"mode: must be 'exact' or 'second_order', got {mode!r}")
+    if bath.kind in _FAMILY_FORMS:
+        two_j, two_m, w = ladder_weights(bath)
+        # 4 c_m^2 and 4 c_{m-1}^2, exact in integers
+        x = 0.5 * params.g_tau * np.sqrt(
+            [(two_j - two_m) * (two_j + two_m + 2), (two_j - two_m + 2) * (two_j + two_m)]
+        )
+        cos, sin = (np.cos(x), np.sin(x)) if mode == "exact" else (1.0 - 0.5 * x**2, x)
+        phi = np.zeros((4, 4), dtype=complex)
+        phi[[0, 3], [0, 3]] = cos**2 @ w
+        phi[[3, 0], [0, 3]] = sin**2 @ w
+        phi[[1, 2], [1, 2]] = cos[0] * cos[1] @ w
+        return phi
     N = bath.N
     rho_b = validate_bath(bath)
     ops = build_collective_ops(N)

@@ -448,8 +448,9 @@ class TestEvolve:
                 "--out", str(out_path),
             )
         assert (code, out) == (0, "")
+        # trace 2.453348574741912; a 50-digit replay gives 2.45334857474170787
         assert out_path.read_text().splitlines()[-1] == (
-            "1,1.0000000000000002,1.165171459439722,1.2881771153017294,0,0,9.964141204538036,0"
+            "1,1.0000000000000002,1.1651714594399392,1.2881771153019728,0,0,9.9641412045377979,0"
         )
 
     def test_exact_collision_trace_drift_exit_3(self, capsys, tmp_path, monkeypatch):

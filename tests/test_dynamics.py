@@ -41,6 +41,7 @@ from qollide import (
     temperature_trajectory,
     thermal_hec_state,
     thermalization_time,
+    validate_bath,
 )
 from qollide import dynamics
 from qollide.master_equation import thermal_hec_rates
@@ -578,12 +579,13 @@ class TestCollisionChain:
                     ground_state(), BathSpec.dicke(13, 1), params, 0.1, 0.1, mode=mode
                 )
         monkeypatch.setattr(collective, "MAX_QUBITS", 2)
+        explicit = BathSpec.explicit(np.diag([1.0, 0.0, 0.0, 0.0]))
         for mode in ("exact", "second_order"):
             with pytest.raises(ValidationError, match=r"^basis_ordering: N=3 outside allowed range 1\.\.2$"):
                 collision_superoperator(BathSpec.dicke(3, 1), params, mode=mode)
-            # N = 2 passes the cap and reaches the operators
+            # N = 2 passes the cap; an explicit bath reaches the operators
             with pytest.raises(AssertionError, match="N=2"):
-                collision_superoperator(BathSpec.dicke(2, 1), params, mode=mode)
+                collision_superoperator(explicit, params, mode=mode)
 
     def test_engine_ordering_against_analytic(self):
         # truncation errors: collisions (g*tau)^2 are far above the
@@ -749,7 +751,9 @@ def _table_collision_map(spec, params, mode):
 
 class TestSectorCollisionMap:
     """The sector-wise map against the dense propagator it replaced, and
-    against the table-based sector map, bit for bit."""
+    against the table-based sector map: bit for bit for an explicit bath,
+    which takes the sector engine, and to 1e-14 of ``max(1, max|Phi|)`` for
+    the named families, whose map is summed over spin ladders."""
 
     PARAMS = CollisionParams(g=0.25, tau=1.0, p=1.0)
 
@@ -770,7 +774,12 @@ class TestSectorCollisionMap:
         for spec in specs:
             for mode in ("exact", "second_order"):
                 got = collision_superoperator(spec, params, mode=mode)
-                assert got.tobytes() == _table_collision_map(spec, params, mode).tobytes()
+                table = _table_collision_map(spec, params, mode)
+                if spec.kind == "explicit":
+                    assert got.tobytes() == table.tobytes()
+                else:
+                    bound = 1e-14 * max(1.0, np.abs(table).max())
+                    np.testing.assert_allclose(got, table, rtol=0, atol=bound)
 
     @pytest.mark.parametrize("mode", ["exact", "second_order"])
     @pytest.mark.parametrize("N", range(1, 7))
@@ -794,6 +803,145 @@ class TestSectorCollisionMap:
         np.testing.assert_allclose(
             phi, dense_collision_map(spec, self.PARAMS, mode), rtol=0, atol=1e-12
         )
+
+
+def _named_specs(N):
+    """Every dicke ``k`` and three thermal-hec and four product baths of N."""
+    return [
+        *(BathSpec.dicke(N, k) for k in range(N + 1)),
+        *(BathSpec.thermal_hec(N, n_bar) for n_bar in (0.0, 0.3, 2.0)),
+        *(BathSpec.product_mixed(N, p_e) for p_e in (0.0, 0.2, 0.7, 1.0)),
+    ]
+
+
+def _params(g_tau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the g*tau advisory
+        return CollisionParams(g=g_tau, tau=1.0, p=1.0)
+
+
+class TestLadderCollisionMap:
+    """A named family's map, summed over spin ladders, against the sector
+    engine on its materialized state and against the closed-form rates."""
+
+    @pytest.fixture
+    def shared_eigh(self, monkeypatch):
+        # the sector engine decomposes the same V_k for every g*tau and
+        # mode; one eigh per distinct matrix gives the same bits, faster
+        real, seen = np.linalg.eigh, {}
+
+        def eigh(a):
+            key = (a.shape, a.tobytes())
+            if key not in seen:
+                seen[key] = real(a)
+            return seen[key]
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+    @staticmethod
+    def assert_sector_engine_agrees(spec, g_taus, modes):
+        explicit = BathSpec.explicit(validate_bath(spec))
+        for g_tau in g_taus:
+            for mode in modes:
+                want = collision_superoperator(explicit, _params(g_tau), mode=mode)
+                got = collision_superoperator(spec, _params(g_tau), mode=mode)
+                bound = 1e-14 * max(1.0, np.abs(want).max())
+                np.testing.assert_allclose(got, want, rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_sector_engine(self, shared_eigh, N):
+        for spec in _named_specs(N):
+            self.assert_sector_engine_agrees(spec, (0.1, 0.3, 1.3), ("exact", "second_order"))
+
+    @pytest.mark.parametrize(
+        "spec, g_tau, mode",
+        [
+            (BathSpec.dicke(10, 4), 1.3, "second_order"),
+            (BathSpec.thermal_hec(10, 0.3), 0.3, "exact"),
+            (BathSpec.product_mixed(10, 0.2), 0.1, "second_order"),
+        ],
+        ids=["dicke", "thermal-hec", "product"],
+    )
+    def test_sector_engine_at_n10(self, spec, g_tau, mode):
+        self.assert_sector_engine_agrees(spec, (g_tau,), (mode,))
+
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_second_order_rates(self, N):
+        # Phi[gg,ee] = (g tau)^2 r_d and Phi[ee,gg] = (g tau)^2 r_e
+        from qollide.master_equation import _FAMILY_FORMS
+
+        for spec in _named_specs(N):
+            _, rates = _FAMILY_FORMS[spec.kind]
+            r_e, r_d = rates(N, getattr(spec, {"product": "p_e", "thermal-hec": "n_bar", "dicke": "k"}[spec.kind]))
+            for g_tau in (0.1, 1.3):
+                phi = collision_superoperator(spec, _params(g_tau), mode="second_order")
+                np.testing.assert_allclose(
+                    [phi[3, 0].real, phi[0, 3].real], np.multiply(g_tau**2, [r_d, r_e]),
+                    rtol=1e-14, atol=1e-14 * g_tau**2 * N,
+                )
+                assert np.count_nonzero(phi) <= 6 and not phi.imag.any()
+
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_exact_map_preserves_trace(self, N):
+        for spec in _named_specs(N):
+            for g_tau in (0.1, 0.3, 1.3):
+                phi = collision_superoperator(spec, _params(g_tau), mode="exact")
+                # the trace of the output of |e><e| and of |g><g|
+                traces = phi[0, [0, 3]] + phi[3, [0, 3]]
+                np.testing.assert_allclose(traces, 1.0, rtol=0, atol=1e-15)
+
+
+class TestNamedBathStructure:
+    """A named bath reaches no ``2^N`` state, basis, ladder block or
+    eigensolver, and is refused as before."""
+
+    @pytest.fixture
+    def no_dense_path(self, monkeypatch):
+        from qollide import baths
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense path reached")
+
+        for module, name in [(dynamics, "validate_bath"), (dynamics, "build_collective_ops"),
+                             (baths, "basis_ordering"), (np.linalg, "eigh")]:
+            monkeypatch.setattr(module, name, refuse)
+
+    @pytest.mark.parametrize("scheme", ["deterministic", "stochastic"])
+    @pytest.mark.parametrize("mode", ["exact", "second_order"])
+    @pytest.mark.parametrize(
+        "spec",
+        [BathSpec.dicke(12, 5), BathSpec.thermal_hec(12, 0.4), BathSpec.product_mixed(12, 0.3)],
+        ids=["dicke", "thermal-hec", "product"],
+    )
+    @pytest.mark.filterwarnings("ignore:second-order collisions moved the trace")
+    def test_chain_runs(self, no_dense_path, spec, mode, scheme):
+        traj = collision_chain(
+            ground_state(), spec, PARAMS, 0.05, 1e-3, mode=mode, scheme=scheme,
+            n_trajectories=20, n_records=5,
+        )
+        assert len(traj) == 5 and np.all(traj.excited_pop[1:] > 0.0)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (BathSpec.product_mixed(13, 1.5), "p_e: must be in [0, 1], got 1.5"),
+            (BathSpec.product_mixed(13, 0.5), "basis_ordering: N=13 outside allowed range 1..12"),
+            (BathSpec.product_mixed(3, 1.5), "p_e: must be in [0, 1], got 1.5"),
+            (BathSpec.dicke(13, 99), "k: must be in 0..13, got 99"),
+            (BathSpec.dicke(13, 1), "basis_ordering: N=13 outside allowed range 1..12"),
+            (BathSpec.dicke(3, 99), "k: must be in 0..3, got 99"),
+            (BathSpec.thermal_hec(13, -1), "basis_ordering: N=13 outside allowed range 1..12"),
+            (BathSpec.thermal_hec(3, -1), "n_bar: must be finite and >= 0, got -1"),
+        ],
+    )
+    def test_refusals_keep_their_order(self, no_dense_path, spec, message):
+        for mode in ("exact", "second_order"):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                collision_superoperator(spec, PARAMS, mode=mode)
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                collision_chain(ground_state(), spec, PARAMS, 0.01, 1e-3, mode=mode)
+        with pytest.raises(ValidationError, match="^mode: must be 'exact' or 'second_order'"):
+            collision_superoperator(spec, PARAMS, mode="bogus")
 
 
 class TestPropagatorOracles:
@@ -1269,6 +1417,24 @@ class TestRunCheckedBeforeMap:
             collision_chain(ground_state(), bad, self.PARAMS, 0.1, 0.01)
 
 
+def _second_order_trace_replay(r_e=18, r_d=20, g_tau="0.1", p_dt="0.1", steps=1000):
+    """Final trace of a deterministic second-order chain from the ground
+    state, replayed step by step in 50 digits: the populations alone, with
+    ``x^2 = (g tau)^2 r`` for the decay (``r_d``) and excitation (``r_e``)
+    sectors of a symmetric bath.  Defaults: dicke N=8, k=3."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        gt2, p_dt = mpmath.mpf(g_tau) ** 2, mpmath.mpf(p_dt)
+        xe, xd = gt2 * r_e, gt2 * r_d
+        ee, gg = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(steps):
+            ee, gg = (
+                (1 - p_dt) * ee + p_dt * ((1 - xd / 2) ** 2 * ee + xe * gg),
+                (1 - p_dt) * gg + p_dt * (xd * ee + (1 - xe / 2) ** 2 * gg),
+            )
+        return float(ee + gg)
+
+
 class TestCollisionTraceCheck:
     """``collision_chain`` checks the traces it records: exact collisions to
     1e-8, as :func:`integrate_master`; second-order collisions, which do
@@ -1336,7 +1502,9 @@ class TestCollisionTraceCheck:
             "second-order collisions moved the trace by 1.45, more than 1%; the "
             "truncated collision map is not trace-preserving; accuracy advisory"
         ]
-        assert np.trace(traj.states[-1]).real == 2.4533485747414514
+        trace = np.trace(traj.states[-1]).real
+        assert trace == 2.453348574741912
+        assert abs(trace / _second_order_trace_replay() - 1.0) < 1.1e-13
 
     def test_second_order_small_growth_silent(self):
         # a short run on a product bath grows the trace by about 2e-4

@@ -1,6 +1,12 @@
+import importlib.util
+import math
 import os
+import re
+import shutil
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -13,6 +19,69 @@ def test_same_outputs_on_the_checkout_itself():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "6 commands, 0 with a difference or a failed check\n"
+
+
+@pytest.fixture(scope="module")
+def same_outputs():
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", os.path.join(ROOT, "tools", "same_outputs.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "change, found",
+    [
+        (b"t,x\n0,1\n1,2\n", (0.0, 0.0)),
+        (b"t,x\n0,1.5\n1,-2\n", (4.0, 2.0)),
+        (b"t,x\n1e-16,1\n1,2\n", (1e-16, 1.0)),
+        (b"t,x\n0,nan\n1,2\n", (math.inf, math.inf)),
+        (b"t,x\n0,1\n", None),
+        (b"t,x\n0,1,0\n1,2\n", None),
+        (b"t,y\n0,1\n1,2\n", None),
+    ],
+    ids=["same", "numbers", "from-zero", "nan", "rows", "fields", "text"],
+)
+def test_csv_difference(same_outputs, change, found):
+    assert same_outputs.csv_difference(b"t,x\n0,1\n1,2\n", change) == found
+
+
+def test_csv_report_one_line_per_differing_csv(same_outputs):
+    parent = {"a.csv": b"1,2\n", "b.csv": b"1\n", "c.json": b"{}", "d.csv": None}
+    change = {"a.csv": b"1,2.5\n", "b.csv": b"1\n", "c.json": b"[]", "d.csv": b"1\n"}
+    assert same_outputs.csv_report(parent, change) == [
+        "  a.csv: largest difference 0.5 absolute, 0.2 relative"
+    ]
+    assert same_outputs.csv_report({"a.csv": b"1\n"}, {"a.csv": b"1,2\n"}) == [
+        "  a.csv: layout differs"
+    ]
+
+
+def test_same_outputs_reports_each_differing_csv(tmp_path):
+    # a tree that writes trajectories with 16 significant digits, not 17
+    shutil.copytree(os.path.join(ROOT, "src", "qollide"), tmp_path / "src" / "qollide",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "qollide" / "dynamics.py"
+    source = path.read_text()
+    assert source.count('["%.17g"] * len(TRAJECTORY_CSV_HEADER') == 1
+    path.write_text(source.replace('["%.17g"] * len(TRAJECTORY', '["%.16g"] * len(TRAJECTORY'))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "same_outputs.py"), ROOT, str(tmp_path),
+         "--seeds", "1", "--workload", "closed-form"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    at = lines.index("seed 1 closed-form/analytic-dicke-64: analytic-dicke-64.csv")
+    found = re.fullmatch(
+        r"  analytic-dicke-64\.csv: largest difference (\S+) absolute, (\S+) relative", lines[at + 1]
+    )
+    assert found and 0.0 < float(found[2]) < 1e-15, lines[at + 1]
+    # the figures' golden check fails; each of their CSV files has its line
+    assert sum(line.startswith("  figures/") for line in lines) == 11
+    assert lines[-1] == "6 commands, 2 with a difference or a failed check"
 
 
 def test_src_lines_kinds_sum_to_each_line_count():

@@ -9,11 +9,15 @@ workload of ``perfbench/workloads.py`` (read from this checkout, with its
 thread, and its own reference check is run on each tree's outputs.  The
 exit code, stdout (the output directory replaced by ``{out}``) and the bytes
 of every output file must match.  Each command that differs, or fails its
-check, is printed; the exit code is 1 if any did, else 0.
+check, is printed, followed by one line per CSV output that differs: the
+largest absolute and relative difference over its numeric fields, or
+``layout differs`` when a row, a field count or a text field does.  The exit
+code is 1 if any command differed, else 0.
 """
 
 import argparse
 import contextlib
+import math
 import os
 import shutil
 import subprocess
@@ -60,6 +64,49 @@ def differences(parent, change):
     return found
 
 
+def csv_difference(parent, change):
+    """``(largest absolute, largest relative difference)`` over the fields of
+    two CSV outputs (bytes) that differ as numbers, or None when their rows,
+    field counts or text fields differ.  A nan, or an inf against another
+    value, counts as an infinite difference."""
+    rows = [text.decode().splitlines() for text in (parent, change)]
+    if len(rows[0]) != len(rows[1]):
+        return None
+    largest = [0.0, 0.0]
+    for row_a, row_b in zip(*rows):
+        fields = row_a.split(","), row_b.split(",")
+        if len(fields[0]) != len(fields[1]):
+            return None
+        for a, b in zip(*fields):
+            if a == b:
+                continue
+            try:
+                a, b = float(a), float(b)
+            except ValueError:
+                return None
+            diff = abs(a - b)
+            if not diff < math.inf:  # nan or inf
+                diff = rel = math.inf
+            else:
+                rel = diff / max(abs(a), abs(b))
+            largest = [max(largest[0], diff), max(largest[1], rel)]
+    return tuple(largest)
+
+
+def csv_report(parent_files, change_files):
+    """One line per CSV output present in both trees whose bytes differ."""
+    lines = []
+    for name, data in parent_files.items():
+        other = change_files[name]
+        if name.endswith(".csv") and None not in (data, other) and data != other:
+            found = csv_difference(data, other)
+            lines.append(
+                f"  {name}: layout differs" if found is None
+                else f"  {name}: largest difference {found[0]:.3g} absolute, {found[1]:.3g} relative"
+            )
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="root of the parent checkout")
@@ -96,6 +143,8 @@ def main(argv=None):
                     if problems:
                         bad += 1
                         print(f"seed {seed} {workload}/{cmd.name}: " + "; ".join(problems))
+                        for line in csv_report(results["parent"][2], results["change"][2]):
+                            print(line)
                 shutil.rmtree(base)
     finally:
         shutil.rmtree(work, ignore_errors=True)
