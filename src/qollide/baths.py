@@ -237,10 +237,10 @@ def ladder_weights(spec):
         return np.full(N + 1, N), 2 * k - N, thermal_hec_weights(N, spec.n_bar)
     row = block_sizes(N)
     d_j = np.array([float(a - b) for a, b in zip(row[: N // 2 + 1], [0, *row])])
-    # ladder j = N/2 - l holds m = k - N/2 for l <= k <= N - l
-    l, k = np.nonzero(np.abs(2 * k - N) <= N - 2 * np.arange(N // 2 + 1)[:, None])
-    w = d_j[l] * spec.p_e**k * (1.0 - spec.p_e) ** (N - k)
-    return N - 2 * l, 2 * k - N, w / w.sum()
+    # ladder j = N/2 - depth holds m = k - N/2 for depth <= k <= N - depth
+    depth, k = np.nonzero(np.abs(2 * k - N) <= N - 2 * np.arange(N // 2 + 1)[:, None])
+    w = d_j[depth] * spec.p_e**k * (1.0 - spec.p_e) ** (N - k)
+    return N - 2 * depth, 2 * k - N, w / w.sum()
 
 
 def validate_bath(spec):

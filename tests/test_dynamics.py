@@ -868,11 +868,12 @@ class TestLadderCollisionMap:
     @pytest.mark.parametrize("N", range(1, 13))
     def test_second_order_rates(self, N):
         # Phi[gg,ee] = (g tau)^2 r_d and Phi[ee,gg] = (g tau)^2 r_e
+        from qollide.baths import _REQUIRED
         from qollide.master_equation import _FAMILY_FORMS
 
         for spec in _named_specs(N):
             _, rates = _FAMILY_FORMS[spec.kind]
-            r_e, r_d = rates(N, getattr(spec, {"product": "p_e", "thermal-hec": "n_bar", "dicke": "k"}[spec.kind]))
+            r_e, r_d = rates(N, getattr(spec, _REQUIRED[spec.kind]))
             for g_tau in (0.1, 1.3):
                 phi = collision_superoperator(spec, _params(g_tau), mode="second_order")
                 np.testing.assert_allclose(

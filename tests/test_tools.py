@@ -38,11 +38,12 @@ def same_outputs():
         (b"t,x\n0,1.5\n1,-2\n", (4.0, 2.0)),
         (b"t,x\n1e-16,1\n1,2\n", (1e-16, 1.0)),
         (b"t,x\n0,nan\n1,2\n", (math.inf, math.inf)),
+        (b"t,x\n-0,1.0\n1,2\n", (0.0, 0.0)),
         (b"t,x\n0,1\n", None),
         (b"t,x\n0,1,0\n1,2\n", None),
         (b"t,y\n0,1\n1,2\n", None),
     ],
-    ids=["same", "numbers", "from-zero", "nan", "rows", "fields", "text"],
+    ids=["same", "numbers", "from-zero", "nan", "spelling", "rows", "fields", "text"],
 )
 def test_csv_difference(same_outputs, change, found):
     assert same_outputs.csv_difference(b"t,x\n0,1\n1,2\n", change) == found

@@ -87,8 +87,8 @@ def csv_difference(parent, change):
             diff = abs(a - b)
             if not diff < math.inf:  # nan or inf
                 diff = rel = math.inf
-            else:
-                rel = diff / max(abs(a), abs(b))
+            else:  # equal numbers written differently, such as 0 and -0, differ by 0
+                rel = diff and diff / max(abs(a), abs(b))
             largest = [max(largest[0], diff), max(largest[1], rel)]
     return tuple(largest)
 
