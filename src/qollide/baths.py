@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import _check_qubits, basis_ordering, block_sizes
+from .collective import BasisOrdering, _check_qubits, basis_ordering, block_sizes
 from .errors import ValidationError
 from .linalg import check_unit_trace, validate_density_matrix
 from .utils import fmt_complex, parse_complex
@@ -265,89 +265,82 @@ def validate_bath(spec):
 
 @dataclass(frozen=True, eq=False)
 class CoherenceMap:
-    """Per-entry classification of a bath density matrix.
+    """Per-entry classification of an N-qubit bath state in the canonical
+    ``basis``.
 
-    Boolean masks mark which positions feed each master-equation channel;
-    labels are symmetric and diagonal entries are populations.  An entry may
-    in principle carry several labels (all are retained); the primary label
-    follows the precedence displacement > squeezing > heat exchange.
+    Boolean masks mark which positions feed each master-equation channel.
+    They are disjoint by construction (one flip; two flips with excitation
+    gap 2; two flips with gap 0), so every off-diagonal entry carries one
+    label, and diagonal entries are populations.
     """
 
-    N: int
-    excitations: np.ndarray
+    basis: BasisOrdering
     displacement: np.ndarray
     squeezing: np.ndarray
     hec: np.ndarray
 
-    @property
-    def dim(self):
-        return 2**self.N
+    def primary(self, i, j):
+        """The label of entry ``(i, j)``."""
+        if i == j:
+            return LABEL_POPULATION
+        for label, mask in self._masks():
+            if mask[i, j]:
+                return label
+        return LABEL_INEFFECTIVE
 
     def labels(self, i, j):
-        """All labels carried by entry ``(i, j)``."""
-        if i == j:
-            return (LABEL_POPULATION,)
-        found = []
-        if self.displacement[i, j]:
-            found.append(LABEL_DISPLACEMENT)
-        if self.squeezing[i, j]:
-            found.append(LABEL_SQUEEZING)
-        if self.hec[i, j]:
-            found.append(LABEL_HEC)
-        return tuple(found) if found else (LABEL_INEFFECTIVE,)
+        """The labels of entry ``(i, j)``: its one label, as a tuple."""
+        return (self.primary(i, j),)
 
-    def primary(self, i, j):
-        """Primary label of entry ``(i, j)`` (precedence as documented)."""
-        return self.labels(i, j)[0]
+    def _masks(self):
+        return (
+            (LABEL_DISPLACEMENT, self.displacement),
+            (LABEL_SQUEEZING, self.squeezing),
+            (LABEL_HEC, self.hec),
+        )
 
     def counts(self):
-        """Number of ordered entries per primary label."""
-        dim = self.dim
-        n_disp = int(self.displacement.sum())
-        n_sq = int(np.count_nonzero(self.squeezing & ~self.displacement))
-        n_hec = int(
-            np.count_nonzero(self.hec & ~self.squeezing & ~self.displacement)
-        )
-        return {
-            LABEL_POPULATION: dim,
-            LABEL_DISPLACEMENT: n_disp,
-            LABEL_SQUEEZING: n_sq,
-            LABEL_HEC: n_hec,
-            LABEL_INEFFECTIVE: dim * dim - dim - n_disp - n_sq - n_hec,
-        }
+        """Number of ordered entries per label."""
+        dim = self.basis.dim
+        counts = {LABEL_POPULATION: dim}
+        for label, mask in self._masks():
+            counts[label] = int(np.count_nonzero(mask))
+        counts[LABEL_INEFFECTIVE] = dim * dim - sum(counts.values())
+        return counts
 
     def to_json_dict(self):
         """JSON-ready dict: block sizes, label counts and (for N <= 6) the
         upper-triangle entry list.  Labels are symmetric, so each unordered
         pair appears once."""
-        basis = basis_ordering(self.N)
+        basis = self.basis
         out = {
-            "N": self.N,
+            "N": basis.N,
             "block_sizes": list(basis.sizes),
             "counts": self.counts(),
         }
-        if self.N <= 6:
+        if basis.N <= 6:
             entries = []
-            for i in range(self.dim):
-                for j in range(i + 1, self.dim):
+            for i in range(basis.dim):
+                for j in range(i + 1, basis.dim):
+                    label = self.primary(i, j)
                     entries.append(
                         {
                             "i": i,
                             "j": j,
                             "state_i": basis.state_label(i),
                             "state_j": basis.state_label(j),
-                            "k_i": int(self.excitations[i]),
-                            "k_j": int(self.excitations[j]),
-                            "labels": list(self.labels(i, j)),
-                            "primary": self.primary(i, j),
+                            "k_i": int(basis.excitations[i]),
+                            "k_j": int(basis.excitations[j]),
+                            "labels": [label],
+                            "primary": label,
                         }
                     )
             out["entries"] = entries
         return out
 
 
-def classify_coherences(rho, ops):
-    """Classify every entry of a bath density matrix by its dynamical role.
+def classify_coherences(N):
+    """Classify every entry of an N-qubit bath state by its dynamical role.
 
     The entry ``rho[i, j]`` enters the expectation value ``Tr(O rho)``
     through the operator element ``O[j, i]``.  For the collective moments
@@ -355,17 +348,11 @@ def classify_coherences(rho, ops):
     states satisfy the rule in the module docstring, so the masks follow
     from the Hamming distance and the excitation difference of each pair,
     taken on ``uint16`` bit patterns and ``int8`` excitations (``N <= 12``).
-    The classification is positional: ``rho`` only has its shape checked,
-    and may be None for a bath known by its ``N``.
+    The classification is positional: it depends on ``N`` alone.
     """
-    dim = 2**ops.N
-    if rho is not None and np.shape(rho) != (dim, dim):
-        raise ValidationError(
-            f"classify_coherences: state shape {np.shape(rho)} does not match "
-            f"N={ops.N} (expected {dim}x{dim})"
-        )
-    order = ops.basis.order.astype(np.uint16)
-    exc = ops.basis.excitations.astype(np.int8)
+    basis = basis_ordering(N)
+    order = basis.order.astype(np.uint16)
+    exc = basis.excitations.astype(np.int8)
     flips = np.bitwise_count(order[:, None] ^ order)
     gap = np.abs(exc[:, None] - exc)
     displacement = flips == 1
@@ -373,7 +360,7 @@ def classify_coherences(rho, ops):
     hec = (flips == 2) & (gap == 0)
     for mask in (displacement, squeezing, hec):
         mask.setflags(write=False)
-    return CoherenceMap(ops.N, ops.basis.excitations, displacement, squeezing, hec)
+    return CoherenceMap(basis, displacement, squeezing, hec)
 
 
 BATH_CSV_BASIS = "excitation-sorted"

@@ -53,7 +53,7 @@ import numpy as np
 
 from .baths import _REQUIRED, BATH_KINDS, BathSpec, bath_to_csv, check_named_bath
 from .baths import classify_coherences, load_bath_csv, validate_bath
-from .collective import basis_ordering, build_collective_ops
+from .collective import basis_ordering
 from .dynamics import (
     _check_record_count,
     _check_sweep_points,
@@ -329,7 +329,7 @@ def cmd_classify(args, config):
         validate_bath(spec)
     else:  # classified by N alone: its 2^N x 2^N state is never built
         check_named_bath(spec)
-    cmap = classify_coherences(None, build_collective_ops(spec.N))
+    cmap = classify_coherences(spec.N)
     _write((out_path, _json(cmap.to_json_dict())))
     return 0
 

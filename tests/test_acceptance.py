@@ -286,7 +286,7 @@ def test_criterion_8_classification_properties():
     label_ok = True
     for N in range(1, 6):
         ops = cached_ops(N)
-        cmap = classify_coherences(np.eye(2**N) / 2**N, ops)
+        cmap = classify_coherences(N)
         exc = ops.basis.excitations
         for i in range(2**N):
             for j in range(2**N):
@@ -307,7 +307,7 @@ def test_criterion_8_classification_properties():
     for N in range(3, 6):
         ops = cached_ops(N)
         base = 0.7 * thermal_hec_state(N, 1.0) + 0.3 * np.eye(2**N) / 2**N
-        cmap = classify_coherences(base, ops)
+        cmap = classify_coherences(N)
         ineffective = ~(cmap.displacement | cmap.squeezing | cmap.hec)
         np.fill_diagonal(ineffective, False)
         rng = np.random.default_rng(1000 + N)

@@ -331,7 +331,7 @@ class TestNamedFamiliesCheckedFromParameters:
 class TestClassification:
     def test_n2_equal_excitation_pair_is_effective(self):
         ops = cached_ops(2)
-        cmap = classify_coherences(thermal_hec_state(2, 1.0), ops)
+        cmap = classify_coherences(2)
         i = canonical_index(ops.basis, "ge")
         j = canonical_index(ops.basis, "eg")
         assert cmap.primary(i, j) == "hec"
@@ -339,7 +339,7 @@ class TestClassification:
 
     def test_n2_two_excitation_pair_is_squeezing(self):
         ops = cached_ops(2)
-        cmap = classify_coherences(np.eye(4) / 4.0, ops)
+        cmap = classify_coherences(2)
         i = canonical_index(ops.basis, "gg")
         j = canonical_index(ops.basis, "ee")
         assert cmap.primary(i, j) == "squeezing"
@@ -347,7 +347,7 @@ class TestClassification:
     def test_n4_central_complement_pair_is_ineffective(self):
         # moving two excitations is beyond any first- or second-moment operator
         ops = cached_ops(4)
-        cmap = classify_coherences(np.eye(16) / 16.0, ops)
+        cmap = classify_coherences(4)
         i = canonical_index(ops.basis, "eegg")
         j = canonical_index(ops.basis, "ggee")
         assert cmap.primary(i, j) == "ineffective"
@@ -355,13 +355,13 @@ class TestClassification:
 
     def test_diagonal_is_population(self):
         ops = cached_ops(3)
-        cmap = classify_coherences(np.eye(8) / 8.0, ops)
+        cmap = classify_coherences(3)
         assert all(cmap.primary(i, i) == "population" for i in range(8))
 
     @pytest.mark.parametrize("N", range(1, 6))
     def test_excitation_difference_rules_exhaustive(self, N):
         ops = cached_ops(N)
-        cmap = classify_coherences(np.eye(2**N) / 2**N, ops)
+        cmap = classify_coherences(N)
         exc = ops.basis.excitations
         for i in range(2**N):
             for j in range(2**N):
@@ -381,7 +381,7 @@ class TestClassification:
     @pytest.mark.parametrize("N", range(1, 6))
     def test_labels_symmetric(self, N):
         ops = cached_ops(N)
-        cmap = classify_coherences(np.eye(2**N) / 2**N, ops)
+        cmap = classify_coherences(N)
         for mask in (cmap.displacement, cmap.squeezing, cmap.hec):
             assert np.array_equal(mask, mask.T)
 
@@ -400,7 +400,7 @@ class TestClassification:
             np.fill_diagonal(mask, False)
             return mask
 
-        cmap = classify_coherences(np.eye(2**N) / 2**N, cached_ops(N))
+        cmap = classify_coherences(N)
         assert np.array_equal(cmap.displacement, nonzero(dense.J_minus))
         assert np.array_equal(cmap.squeezing, nonzero(dense.J_minus_sq))
         assert np.array_equal(
@@ -409,7 +409,7 @@ class TestClassification:
 
     def test_counts_n2(self):
         ops = cached_ops(2)
-        counts = classify_coherences(np.eye(4) / 4.0, ops).counts()
+        counts = classify_coherences(2).counts()
         assert counts == {
             "population": 4,
             "displacement": 8,
@@ -418,14 +418,21 @@ class TestClassification:
             "ineffective": 0,
         }
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            classify_coherences(np.eye(8) / 8.0, cached_ops(2))
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_masks_pairwise_disjoint(self, N):
+        # one flip; two flips with excitation gap 2; two flips with gap 0
+        cmap = classify_coherences(N)
+        masks = (cmap.displacement, cmap.squeezing, cmap.hec)
+        for a in range(3):
+            for b in range(a + 1, 3):
+                assert not np.any(masks[a] & masks[b])
+        total = sum(int(np.count_nonzero(m)) for m in masks)
+        assert int(np.count_nonzero(masks[0] | masks[1] | masks[2])) == total
 
     def test_json_entry_list_only_for_small_n(self):
-        small = classify_coherences(np.eye(4) / 4.0, cached_ops(2))
+        small = classify_coherences(2)
         assert "entries" in small.to_json_dict()
-        large = classify_coherences(np.eye(2**7) / 2**7, cached_ops(7))
+        large = classify_coherences(7)
         assert "entries" not in large.to_json_dict()
 
     @pytest.mark.parametrize("N", range(2, 6))
@@ -435,7 +442,7 @@ class TestClassification:
         ops = cached_ops(N)
         params = CollisionParams(g=0.1, tau=1.0, p=100.0)
         base = 0.7 * thermal_hec_state(N, 1.0) + 0.3 * np.eye(2**N) / 2**N
-        cmap = classify_coherences(base, ops)
+        cmap = classify_coherences(N)
         ineffective = ~(cmap.displacement | cmap.squeezing | cmap.hec)
         np.fill_diagonal(ineffective, False)
         if not ineffective.any():

@@ -19,7 +19,6 @@ from qollide import (
     bath_from_csv,
     bath_to_csv,
     basis_ordering,
-    build_collective_ops,
     classify_coherences,
     ladder_history,
     prepare_thermal_dicke,
@@ -671,8 +670,7 @@ class TestClassify:
 
         wants = {}
         for kind, flag, value, spec in self.FAMILIES:
-            rho = validate_bath(spec(N))
-            cmap = classify_coherences(rho, build_collective_ops(N))
+            cmap = classify_coherences(N)
             wants[kind] = json.dumps(cmap.to_json_dict(), indent=2) + "\n"
 
         def unreachable(spec):
@@ -682,6 +680,45 @@ class TestClassify:
         for kind, flag, value, _ in self.FAMILIES:
             argv = ("classify", "--bath", kind, "--N", str(N), flag, value)
             assert run(capsys, *argv) == (0, wants[kind], "")
+
+    def test_no_collective_operators_built(self, capsys, monkeypatch, tmp_path):
+        # the map depends on N alone: with the ladder blocks out of reach,
+        # a named family at the cap and an explicit bath, which is still
+        # validated, write the JSON they wrote before
+        from qollide import cli, collective, master_equation
+
+        path = tmp_path / "rho.csv"
+        path.write_text(bath_to_csv(validate_bath(BathSpec.thermal_hec(3, 0.4)), 3))
+        runs = (
+            ("classify", "--bath", "dicke", "--N", "12", "--k", "3"),
+            ("classify", "--bath", "explicit", "--file", str(path)),
+        )
+        wants = [run(capsys, *argv) for argv in runs]
+
+        def unreachable(N):
+            raise AssertionError("collective operators built")
+
+        for module in (cli, collective, dynamics, master_equation):
+            monkeypatch.setattr(module, "build_collective_ops", unreachable, raising=False)
+        assert [run(capsys, *argv) for argv in runs] == wants
+        assert [code for code, _, _ in wants] == [0, 0]
+        # ordered pairs: N one-qubit flips of each state; k(N-k) equal-
+        # excitation and C(k,2) + C(N-k,2) gap-2 two-qubit flips of a
+        # k-excitation state, each summing to N(N-1) 2^(N-2)
+        dim, two_flips = 2**12, 12 * 11 * 2**10
+        assert json.loads(wants[0][1])["counts"] == {
+            "population": dim,
+            "displacement": 12 * dim,
+            "squeezing": two_flips,
+            "hec": two_flips,
+            "ineffective": dim * dim - 13 * dim - 2 * two_flips,
+        }
+        assert json.loads(wants[1][1]) == classify_coherences(3).to_json_dict()
+
+        path.write_text(bath_to_csv(np.diag([0.5, 0.5, 0.5, 0.5, -1.0, 0, 0, 0]), 3))
+        code, out, err = run(capsys, *runs[1])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: explicit bath: positivity check failed")
 
     @pytest.mark.parametrize(
         "flags, line",
