@@ -96,11 +96,25 @@ def excited_state():
 # closed-form laws
 
 
+def _relaxation_rate(mu, r_e, r_d):
+    """The populations' relaxation rate ``mu (r_e + r_d)``, of float rates or
+    of arrays of them; refused where it overflows a float."""
+    with np.errstate(over="ignore"):
+        rate = mu * (r_e + r_d)
+    if not np.all(rate < math.inf):
+        raise ValidationError(
+            f"mu*(r_e + r_d): the relaxation rate overflows a float at mu = {mu:.3g}; "
+            "lower p or g*tau"
+        )
+    return rate
+
+
 def thermalization_time(c):
     """Characteristic relaxation time 1 / (mu (r_e + r_d)); infinite when the
     bath does not couple (both rates zero, or zero coupling strength) or the
-    rate is too small for its inverse to be a float."""
-    rate = c.mu * (c.r_e + c.r_d)
+    rate is too small for its inverse to be a float.  A rate that overflows
+    a float is refused."""
+    rate = _relaxation_rate(c.mu, c.r_e, c.r_d)
     if rate <= 0.0:
         return math.inf
     return 1.0 / rate
@@ -207,8 +221,10 @@ def _analytic_states(rho0, c, times):
     if t_q == math.inf:
         return np.repeat(rho0[None], len(times), axis=0)
     c0 = c.r_d * rho0[0, 0].real - c.r_e * rho0[1, 1].real
-    ee = (c.r_e + c0 * _exp_each(-times / t_q)) / (c.r_e + c.r_d)
-    eg = rho0[0, 1] * _exp_each(-times / (2.0 * t_q))
+    with np.errstate(over="ignore"):  # -inf past the float range: exp gives 0
+        decay, half_decay = -times / t_q, -times / (2.0 * t_q)
+    ee = (c.r_e + c0 * _exp_each(decay)) / (c.r_e + c.r_d)
+    eg = rho0[0, 1] * _exp_each(half_decay)
     return np.stack((ee, eg, np.conj(eg), 1.0 - ee), axis=1).reshape(-1, 2, 2)
 
 
@@ -232,7 +248,9 @@ def temperature_trajectory(c, t_grid):
     t_q = thermalization_time(c)
     if t_q == math.inf:
         return np.zeros(t_grid.shape)
-    ee = c.r_e * (1.0 - _exp_each(-t_grid.ravel() / t_q)) / (c.r_e + c.r_d)
+    with np.errstate(over="ignore"):  # -inf past the float range: exp gives 0
+        decay = -t_grid.ravel() / t_q
+    ee = c.r_e * (1.0 - _exp_each(decay)) / (c.r_e + c.r_d)
     return _temperatures(ee, 1.0 - ee).reshape(t_grid.shape)
 
 
@@ -286,8 +304,10 @@ class Trajectory:
         """CSV text, one row per record with every float as ``%.17g`` (see
         :func:`_csv_text`)."""
         ee, eg, gg = self.states[:, 0, 0], self.states[:, 0, 1], self.states[:, 1, 1]
+        with np.errstate(over="ignore"):  # mu t past the float range is written as inf
+            mu_t = self.mu * self.times
         cols = np.column_stack(
-            (self.times, self.mu * self.times, ee.real, gg.real, eg.real, eg.imag,
+            (self.times, mu_t, ee.real, gg.real, eg.real, eg.imag,
              self.temperature, self.entropy)
         )
         return _csv_text(TRAJECTORY_CSV_HEADER, _CSV_ROW, cols)
@@ -393,7 +413,8 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
     RK4 step is one constant 4x4 map, built once from :func:`lindblad_rhs`
     and applied through its powers between records.  Every recorded state
     and the final state are checked for trace drift beyond 1e-8 (the
-    generator is traceless, so drift indicates a numeric problem).
+    generator is traceless, so drift indicates a numeric problem), then for
+    a population below -1e-10 (a step too long for the rates).
     """
     n_steps = _step_count(t_end, dt)
     t_q = thermalization_time(c)
@@ -408,6 +429,13 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
     steps = [*record, n_steps]
     rows = _propagate(step_mat, vec0, steps)
     _check_trace(rows, steps, "integrate_master")
+    lowest = np.minimum(rows[:, 0].real, rows[:, 3].real)
+    bad = np.flatnonzero(lowest < -1e-10)  # the ladder integration's bound
+    if bad.size:
+        raise NumericError(
+            f"integrate_master: population negativity {lowest[bad[0]]:.3e} "
+            f"at step {steps[bad[0]]}; reduce dt"
+        )
     times = np.array([step * dt for step in record])
     return Trajectory.from_states(times, rows[:-1].reshape(-1, 2, 2), c.mu)
 
@@ -918,7 +946,7 @@ def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None):
     # dicke: products of exact float factors, rounded once as float() of the ints
     r_e, r_d = rates(Ns.astype(float), value if k is None else k.astype(float))
 
-    rate = params.mu * (r_e + r_d)
+    rate = _relaxation_rate(params.mu, r_e, r_d)
     t_q = np.full(len(Ns), math.inf)
     np.divide(1.0, rate, out=t_q, where=rate > 0.0)
     T_q = _temperatures(r_e, r_d)

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qollide import (
@@ -1174,6 +1174,53 @@ def test_advisory_is_one_warning_line():
     )
 
 
+_OVERFLOW = ["--bath", "product", "--pe", "0.5", "--N", "9007199254740992", "--p", "1e302"]
+_RATE_REFUSED = (
+    "error: mu*(r_e + r_d): the relaxation rate overflows a float at mu = 1e+300; "
+    "lower p or g*tau\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout, stderr",
+    [
+        (["evolve", *_OVERFLOW, "--t-end", "1", "--n-points", "2"], 2, "", _RATE_REFUSED),
+        (["evolve", *_OVERFLOW, "--t-end", "1", "--engine", "ode", "--dt", "0.5"], 2, "",
+         _RATE_REFUSED),
+        (["sweep", "--family", "product", "--pe", "0.5", "--N", "9007199254740992",
+          "--p", "1e302"], 2, "", _RATE_REFUSED),
+        (["evolve", "--engine", "analytic", "--bath", "dicke", "--N", "2", "--k", "1",
+          "--t-end", "1e308", "--n-points", "3"], 0,
+         TRAJECTORY_HEADER + "0,0,0,1,0,0,0,0\n"
+         "5.0000000000000001e+307,5.0000000000000011e+307,0.5,0.5,0,0,inf,0.69314718055994529\n"
+         "1e+308,1.0000000000000002e+308,0.5,0.5,0,0,inf,0.69314718055994529\n", ""),
+        (["evolve", "--engine", "analytic", "--bath", "dicke", "--N", "2", "--k", "1",
+          "--t-end", "1e300", "--p", "1e20", "--n-points", "2"], 0,
+         TRAJECTORY_HEADER + "0,0,0,1,0,0,0,0\n"
+         "1.0000000000000001e+300,inf,0.5,0.5,0,0,inf,0.69314718055994529\n", ""),
+        (["evolve", "--engine", "ode", "--bath", "dicke", "--N", "4", "--k", "1",
+          "--t-end", "1", "--dt", "0.5", "--p", "1e3"], 3, "",
+         "warning: dt = 0.5 exceeds t_q/20 = 0.0005; accuracy advisory\n"
+         "numeric error: integrate_master: population negativity -9.631e+04 at step 1; "
+         "reduce dt\n"),
+    ],
+    ids=["analytic-rate", "ode-rate", "sweep-rate", "long-time", "long-mu-t", "ode-negative"],
+)
+def test_module_output_pinned(argv, code, stdout, stderr):
+    # the stderr a user sees, numpy warnings included, shows only in a child
+    proc = subprocess.run(
+        [sys.executable, "-m", "qollide", *argv], capture_output=True, text=True,
+        env=_module_env(),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+
+
+def test_coeffs_forms_no_relaxation_rate(capsys):
+    code, out, err = run(capsys, "coeffs", *_OVERFLOW)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["coefficients"]["mu"] == 1.0000000000000002e300
+
+
 def test_main_restores_warning_format(capsys):
     before = warnings.formatwarning
     assert run(capsys, "coeffs", "--bath", "dicke", "--N", "4", "--k", "1")[0] == 0
@@ -1733,6 +1780,17 @@ class TestArgumentVectors:
             suppress_health_check=[HealthCheck.function_scoped_fixture],
         )
         @given(self.VECTORS)
+        # a relaxation rate that overflows; closed forms past the float
+        # range of t/t_q; an ode step that drives a population negative
+        @example((["evolve", *_OVERFLOW, "--t-end", "1", "--n-points", "2"], []))
+        @example((["evolve", *_OVERFLOW, "--t-end", "1", "--engine", "ode", "--dt", "0.5"], []))
+        @example((["sweep", "--family", "product", *_OVERFLOW[2:]], []))
+        @example((["evolve", "--bath", "dicke", "--N", "2", "--k", "1", "--t-end", "1e308",
+                   "--n-points", "3"], []))
+        @example((["evolve", "--bath", "dicke", "--N", "2", "--k", "1", "--t-end", "1e300",
+                   "--p", "1e20", "--n-points", "2"], []))
+        @example((["evolve", "--engine", "ode", "--bath", "dicke", "--N", "4", "--k", "1",
+                   "--t-end", "1", "--dt", "0.5", "--p", "1e3"], []))
         def check(case):
             argv, config, refused = self.apply(*case)
             argv += self.OUTPUTS[argv[0]]
@@ -1754,5 +1812,11 @@ class TestArgumentVectors:
                 assert err.startswith("numeric error: " if code == 3 else "error: "), (argv, err)
                 assert out == ""
             assert not refused or code == 2, (argv, config, err)
+            engine = argv[argv.index("--engine") + 1] if "--engine" in argv else None
+            if code == 0 and engine == "ode":
+                # an accepted ode run has no population below the checked bound
+                with open("out.csv", encoding="utf-8") as fh:
+                    rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+                assert all(float(p) >= -1e-10 for row in rows for p in row[2:4]), argv
 
         check()

@@ -18,6 +18,7 @@ from qollide import (
     ValidationError,
     analytic_trajectory,
     coefficients_dicke,
+    coefficients_for,
     coefficients_product_mixed,
     coefficients_thermal_hec,
     collision_chain,
@@ -401,6 +402,66 @@ class TestIntegrateMaster:
         c = coefficients_dicke(4, 1, PARAMS)
         with pytest.warns(UserWarning, match="t_q/20"):
             integrate_master(ground_state(), c, 0.2, 0.05)
+
+    def test_population_negativity_refused(self):
+        # a step far too long for the rates keeps the trace but not the populations
+        c = coefficients_dicke(4, 1, CollisionParams(g=0.1, tau=1.0, p=1e3))
+        with pytest.warns(UserWarning, match="t_q/20"):
+            with pytest.raises(
+                NumericError,
+                match=r"^integrate_master: population negativity -9\.631e\+04 at step 1; reduce dt$",
+            ):
+                integrate_master(ground_state(), c, 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "row, entry, step",
+        [(0, 0, 0), (1, 3, 5), (2, 0, 10), (-1, 3, 10)],
+    )
+    def test_negativity_of_each_checked_state(self, monkeypatch, row, entry, step):
+        # rows: the records (steps 0, 5 and 10), then the final state; the
+        # trace is kept, so only the population check sees the change
+        real = dynamics._propagate
+
+        def negative(step_mat, vec0, steps):
+            rows = real(step_mat, vec0, steps)
+            rows[row, entry], rows[row, 3 - entry] = -1.5e-10, 1.0 + 1.5e-10
+            return rows
+
+        monkeypatch.setattr(dynamics, "_propagate", negative)
+        c = coefficients_dicke(4, 1, PARAMS)
+        with pytest.raises(
+            NumericError,
+            match=f"^integrate_master: population negativity -1.500e-10 at step {step}; reduce dt$",
+        ):
+            integrate_master(ground_state(), c, 0.01, 0.001, n_records=3)
+
+    def test_nan_trace_reported_before_negativity(self, monkeypatch):
+        real = dynamics._propagate
+
+        def broken(step_mat, vec0, steps):
+            rows = real(step_mat, vec0, steps)
+            rows[0] = [-1.0, 0.0, 0.0, 2.0]  # negative, trace kept
+            rows[2] = np.nan
+            return rows
+
+        monkeypatch.setattr(dynamics, "_propagate", broken)
+        c = coefficients_dicke(4, 1, PARAMS)
+        with pytest.raises(NumericError, match="^integrate_master: trace drift nan at step 10$"):
+            integrate_master(ground_state(), c, 0.01, 0.001, n_records=3)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_driven_baths_at_the_advised_step_pass(self, seed):
+        # random full-rank explicit baths drive and squeeze the target; at
+        # dt = t_q/20 from a pure state no population comes near the bound
+        rng = np.random.default_rng(seed)
+        N = 1 + seed % 4
+        c = coefficients_for(BathSpec.explicit(random_density_matrix(rng, 2**N)), PARAMS)
+        assert c.lam != 0.0
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v /= np.linalg.norm(v)
+        t_q = thermalization_time(c)
+        traj = integrate_master(np.outer(v, v.conj()), c, 5.0 * t_q, t_q / 20.0)
+        assert traj.states[:, 0, 0].real.min() > 0.0 < traj.states[:, 1, 1].real.min()
 
     @pytest.mark.parametrize("row, step", [(0, 0), (2, 10), (-1, 10)])
     def test_trace_drift_refused(self, monkeypatch, row, step):
@@ -1233,8 +1294,6 @@ class TestOverflowRefused:
         assert np.isnan(rows[2]).all()
 
     def test_integrate_master(self):
-        from qollide import coefficients_for
-
         c = coefficients_for(BathSpec.dicke(4, 1), CollisionParams(g=0.1, tau=1.0, p=1e300))
         with pytest.warns(UserWarning, match="accuracy advisory"):
             with pytest.raises(NumericError, match="^integrate_master: trace drift nan at step 1$"):
@@ -1255,6 +1314,73 @@ class TestOverflowRefused:
         # the step map is nan: not negative, so the records are the states checked
         with pytest.raises(NumericError, match="^ladder integration: normalization drift nan at step 10$"):
             ladder_history(3, 0.2, 1e300, 2.0, 0.05, n_records=5)
+
+
+class TestRelaxationRateOverflow:
+    """``mu (r_e + r_d)`` is formed once; where it overflows a float every
+    user of the relaxation time refuses it before any state or row."""
+
+    MESSAGE = (
+        "^mu\\*\\(r_e \\+ r_d\\): the relaxation rate overflows a float at "
+        "mu = 1e\\+300; lower p or g\\*tau$"
+    )
+    PARAMS = CollisionParams(g=0.1, tau=1.0, p=1e302)  # mu = 1e300
+    #: product N = 2**53 at p_e = 1/2: r_e = r_d = 2**52, so mu (r_e + r_d) = inf
+    COEFFS = MeqCoefficients(0j, 0j, 2.0**52, 2.0**52, 1.0000000000000002e300, 1e301)
+
+    def test_thermalization_time(self):
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            thermalization_time(self.COEFFS)
+        # the largest finite rate still gives its inverse
+        c = MeqCoefficients(0j, 0j, 1.0, 1.0, 2.0**1022, 1.0)
+        assert thermalization_time(c) == 2.0**-1023
+
+    def test_analytic_trajectory(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_exp_each", None)  # no state is computed
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            analytic_trajectory(ground_state(), self.COEFFS, np.array([0.0, 1.0]))
+
+    def test_temperature_trajectory(self):
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            temperature_trajectory(self.COEFFS, [0.0, 1.0])
+
+    def test_integrate_master(self):
+        # refused before the t_q/20 advisory and before the step map
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=self.MESSAGE):
+                integrate_master(ground_state(), self.COEFFS, 1.0, 0.5)
+
+    def test_scaling_sweep(self):
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            scaling_sweep("product", [4, 2**53], self.PARAMS, p_e=0.5)
+        rows = scaling_sweep("product", [4, 2**20], self.PARAMS, p_e=0.5).rows
+        mu = self.PARAMS.mu
+        assert [row.t_q for row in rows] == [1.0 / (mu * 4.0), 1.0 / (mu * 2.0**20)]
+
+
+class TestLongTimes:
+    """Times past the float range of ``t/t_q`` decay exactly to 0, with no
+    numpy warning (the suite turns a ``RuntimeWarning`` into an error)."""
+
+    def test_analytic_states_reach_the_fixed_point(self):
+        c = coefficients_dicke(2, 1, PARAMS)
+        far = 1e4 * thermalization_time(c)  # exp(-1e4) underflows to 0 already
+        rho0 = qubit_state(0.3, 0.1 + 0.05j)
+        states = analytic_trajectory(rho0, c, [0.0, far, 5e307, 1e308]).states
+        assert states[2].tobytes() == states[1].tobytes() == states[3].tobytes()
+        assert states[3, 0, 0] == c.r_e / (c.r_e + c.r_d) and states[3, 0, 1] == 0.0
+
+    def test_temperature_trajectory(self):
+        c = coefficients_dicke(2, 1, PARAMS)
+        far = 1e4 * thermalization_time(c)
+        out = temperature_trajectory(c, [far, 1e308])
+        assert out[1] == out[0] == temperature_trajectory(c, [far])[0]
+
+    def test_scaled_time_overflow_written_as_inf(self):
+        c = coefficients_dicke(2, 1, CollisionParams(g=0.1, tau=1.0, p=1e20))
+        rows = analytic_trajectory(ground_state(), c, [0.0, 1e300]).to_csv().splitlines()
+        assert rows[2].split(",")[:2] == ["1.0000000000000001e+300", "inf"]
 
 
 class TestStochasticDraws:
