@@ -22,7 +22,10 @@ Every engine, the analytic one included, keeps at most 1,000,000 records,
 and at ``--t-end 0`` every engine writes the one row at ``t = 0``.  The
 closed forms (``coeffs`` for a named family, ``sweep``) take ``N`` in
 ``1..2**53``, and a sweep at most 1,000,000 values of N, counted before
-its list is built.  Collision rates that overflow a float are refused.  A
+its list is built.  Collision rates that overflow a float are refused, and
+so is a relaxation rate ``mu (r_e + r_d)`` that overflows, before any state
+or row is computed.  ``classify`` maps a bath by its ``N`` alone, after
+checking a named family's parameter or validating an explicit matrix.  A
 stochastic run is held to 4e9 Bernoulli draws, each trajectory counted as
 720 more, about a minute of work; a state that overflows exits 3.
 

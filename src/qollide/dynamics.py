@@ -35,6 +35,9 @@ from .master_equation import lindblad_rhs
 #: Residual coherence above which trajectory temperatures are flagged.
 COHERENCE_FLAG_TOL = 1e-6
 
+#: Lowest population an integrated state may hold (ode engine and ladder).
+MIN_POPULATION = -1e-10
+
 #: Time grids are limited to fewer steps than this (float steps stay exact).
 MAX_STEPS = 2**53
 
@@ -430,7 +433,7 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
     rows = _propagate(step_mat, vec0, steps)
     _check_trace(rows, steps, "integrate_master")
     lowest = np.minimum(rows[:, 0].real, rows[:, 3].real)
-    bad = np.flatnonzero(lowest < -1e-10)  # the ladder integration's bound
+    bad = np.flatnonzero(lowest < MIN_POPULATION)
     if bad.size:
         raise NumericError(
             f"integrate_master: population negativity {lowest[bad[0]]:.3e} "
@@ -781,10 +784,10 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     rows[-1] = _propagate(step_mat, pops0, [n_steps])[0]
     lowest = rows.min(axis=1)
     drift = rows.sum(axis=1) - 1.0
-    bad = np.flatnonzero((lowest < -1e-10) | ~(np.abs(drift) <= 1e-8))  # nan included
+    bad = np.flatnonzero((lowest < MIN_POPULATION) | ~(np.abs(drift) <= 1e-8))  # nan included
     if bad.size:
         first = bad[0]
-        if lowest[first] < -1e-10:
+        if lowest[first] < MIN_POPULATION:
             raise NumericError(
                 f"ladder integration: population negativity "
                 f"{lowest[first]:.3e} at step {steps[first]}; reduce dt"

@@ -426,8 +426,6 @@ class TestClassification:
         for a in range(3):
             for b in range(a + 1, 3):
                 assert not np.any(masks[a] & masks[b])
-        total = sum(int(np.count_nonzero(m)) for m in masks)
-        assert int(np.count_nonzero(masks[0] | masks[1] | masks[2])) == total
 
     def test_json_entry_list_only_for_small_n(self):
         small = classify_coherences(2)
