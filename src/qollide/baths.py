@@ -346,18 +346,22 @@ def classify_coherences(N):
     through the operator element ``O[j, i]``.  For the collective moments
     that element is nonzero exactly when the bit patterns of the two basis
     states satisfy the rule in the module docstring, so the masks follow
-    from the Hamming distance and the excitation difference of each pair,
-    taken on ``uint16`` bit patterns and ``int8`` excitations (``N <= 12``).
-    The classification is positional: it depends on ``N`` alone.
+    from the Hamming distance of each pair's ``uint16`` bit patterns
+    (``N <= 12``) and whether their excitations are equal: two flips change
+    the excitation by 0 or 2.  The classification is positional: it
+    depends on ``N`` alone.
     """
     basis = basis_ordering(N)
     order = basis.order.astype(np.uint16)
-    exc = basis.excitations.astype(np.int8)
+    exc = basis.excitations
     flips = np.bitwise_count(order[:, None] ^ order)
-    gap = np.abs(exc[:, None] - exc)
     displacement = flips == 1
-    squeezing = (flips == 2) & (gap == 2)
-    hec = (flips == 2) & (gap == 0)
+    hec = flips == 2  # narrowed below to the pairs of equal excitation
+    del flips  # the 4^N popcounts are not needed past here
+    same = exc[:, None] == exc
+    squeezing = ~same
+    squeezing &= hec
+    hec &= same
     for mask in (displacement, squeezing, hec):
         mask.setflags(write=False)
     return CoherenceMap(basis, displacement, squeezing, hec)

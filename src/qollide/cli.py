@@ -61,6 +61,7 @@ from .dynamics import (
     _check_record_count,
     _check_sweep_points,
     _csv_text,
+    _distinct_sorted,
     _ladder_bath,
     analytic_trajectory,
     collision_chain,
@@ -283,7 +284,7 @@ def cmd_evolve(args, config):
         # is recorded once, as on the stepped engines
         n_points = max(n_points, 0)
         _check_record_count(n_points)
-        times = np.unique(np.linspace(0.0, t_end, n_points))
+        times = _distinct_sorted(np.linspace(0.0, t_end, n_points))
         traj = analytic_trajectory(rho0, coeffs, times)
     elif engine == "ode":
         traj = integrate_master(rho0, coeffs, t_end, dt, n_records=n_points)

@@ -358,8 +358,20 @@ def _record_indices(n_steps, n_records):
     _check_record_count(count)
     if count == n_steps + 1:
         return list(range(count))
-    idx = np.unique(np.round(np.linspace(0, n_steps, n_records)).astype(int))
+    idx = _distinct_sorted(np.round(np.linspace(0, n_steps, n_records)).astype(int))
     return idx.tolist()
+
+
+def _distinct_sorted(values):
+    """The distinct entries of the non-decreasing 1-D ``values``: each entry
+    is kept where it differs from the one before it.  Equal to
+    ``np.unique`` on such input, without its sort (and without the masked
+    array check through which ``np.unique`` imports ``numpy.ma``)."""
+    values = np.asarray(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused as nan, below
@@ -414,16 +426,25 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
     Unlike the analytic path this supports nonzero drive and squeezing
     coefficients.  The equation is linear and autonomous, so the classical
     RK4 step is one constant 4x4 map, built once from :func:`lindblad_rhs`
-    and applied through its powers between records.  Every recorded state
-    and the final state are checked for trace drift beyond 1e-8 (the
-    generator is traceless, so drift indicates a numeric problem), then for
-    a population below -1e-10 (a step too long for the rates).
+    and applied through its powers between records.  A step longer than
+    ``t_q/20``, or than ``1/(20 pg_tau |lam|)`` for the drive, gives an
+    accuracy advisory, one for each.  Every recorded state and the final
+    state are checked for trace drift beyond 1e-8 (the generator is
+    traceless, so drift indicates a numeric problem), then for a population
+    below -1e-10 (a step too long for the rates).
     """
     n_steps = _step_count(t_end, dt)
     t_q = thermalization_time(c)
     if math.isfinite(t_q) and dt > t_q / 20.0:
         warnings.warn(
             f"dt = {dt:.3g} exceeds t_q/20 = {t_q / 20.0:.3g}; accuracy advisory",
+            stacklevel=2,
+        )
+    drive = c.pg_tau * abs(c.lam)
+    if dt * drive > 1.0 / 20.0:
+        warnings.warn(
+            f"dt = {dt:.3g} exceeds 1/(20 pg_tau |lam|) = {1.0 / (20.0 * drive):.3g} "
+            "for the drive; accuracy advisory",
             stacklevel=2,
         )
     record = _record_indices(n_steps, n_records)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -460,6 +462,52 @@ class TestClassification:
         assert abs(c1.eps - c0.eps) <= 1e-12
         assert abs(c1.r_e - c0.r_e) <= 1e-12
         assert abs(c1.r_d - c0.r_d) <= 1e-12
+
+
+    # sha256 of each classify JSON (``to_json_dict``, indent 2, newline) as
+    # written before the masks were built with fewer temporaries
+    JSON_SHA256 = {
+        1: "83d69f4b345cd3eed5847a9db2b877d74c39975d819314ef8c66991886fdfdea",
+        2: "4220ff6d3d5f0e9c3eef7f92a49f30119b81079f0465263ba9a262d773899bba",
+        3: "ea03e37e90f032c618306f6ccc703e62655867feed387f077c05bbc511d4c7de",
+        4: "eaced6509f128680089c12b9b9f4e5d63b8ee2a6358cb76e2a1600b9b674bc57",
+        5: "1ca42725ebd3b4d85b65fbc3877b04312724cb801f15d0f8937431d6e1955cb0",
+        6: "a9583495c2955b100732f84b6d6542d0ba02211c7fb3569a092577c44020dfe3",
+        7: "78c88e29451cf4a1cc775aa48a55afa7c1bfb0cff5bd2dd9f74447d6d3cb3490",
+        8: "99d12c467ef0218a1380ea8416d2f45491553927ee0afb6cf81c4d773f3f769d",
+        9: "9c25f9f1da1d3c21c9c4a0bc5603373d4ae15c4400c40a9abd9e04a54479d4d1",
+        10: "8ebda669d68e1ee4cf9f5c4a8b90c76441d4ef9f132c42ef5c1256985a0abe13",
+        11: "8c5aeed8b84cde4ce78149e8478a90c5dae24feddd98ea63d8413ec1d7dbead3",
+        12: "5326cda4b5f0f44467898afde98fca7600e2db1f1b3e20fa12c56abf2b3f72f7",
+    }
+
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_json_bytes_pinned(self, N):
+        text = json.dumps(classify_coherences(N).to_json_dict(), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.JSON_SHA256[N]
+
+    @pytest.mark.parametrize("N", range(1, 11))
+    def test_masks_follow_the_excitation_gap_rule(self, N):
+        # the rule written out: one flip, or two flips with gap 2 or gap 0
+        basis = basis_ordering(N)
+        flips = np.array([[bin(a ^ b).count("1") for b in basis.order] for a in basis.order])
+        gap = np.abs(np.subtract.outer(basis.excitations, basis.excitations))
+        cmap = classify_coherences(N)
+        assert np.array_equal(cmap.displacement, flips == 1)
+        assert np.array_equal(cmap.squeezing, (flips == 2) & (gap == 2))
+        assert np.array_equal(cmap.hec, (flips == 2) & (gap == 0))
+
+    def test_peak_memory_at_the_cap(self):
+        # three 4^12 bool masks (48 MiB) and at most one full-size temporary
+        # beside them; the int8 excitation gaps took it to 96 MiB
+        tracemalloc.start()
+        try:
+            cmap = classify_coherences(12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cmap.hec.shape == (4096, 4096)
+        assert peak < 4 * 4**12 + 2**20
 
 
 class TestBathCsv:

@@ -1146,6 +1146,45 @@ def test_import_loads_no_slow_optional_modules():
     assert not loaded & {"numpy.polynomial", "fractions", "decimal"}
 
 
+_EVOLVE_DICKE = ["evolve", "--bath", "dicke", "--N", "4", "--k", "1", "--t-end", "0.01"]
+
+
+@pytest.mark.parametrize(
+    "argv, loads_random",
+    [
+        ([*_EVOLVE_DICKE, "--engine", "analytic", "--n-points", "7"], False),
+        ([*_EVOLVE_DICKE, "--engine", "ode", "--dt", "1e-4", "--n-points", "7"], False),
+        ([*_EVOLVE_DICKE, "--engine", "collisions", "--dt", "1e-4", "--n-points", "7"], False),
+        ([*_EVOLVE_DICKE, "--engine", "collisions", "--scheme", "stochastic",
+          "--trajectories", "3", "--dt", "1e-4", "--n-points", "7"], True),
+        (["prepare", "--N", "4", "--nbar", "0.5", "--gamma0", "1", "--t-end", "0.1",
+          "--dt", "1e-3", "--n-points", "7", "--out-ladder", "ladder.csv",
+          "--out-state", "state.csv"], False),
+        (["sweep", "--family", "dicke", "--N", "4:64:4", "--krule", "half-minus-one",
+          "--slopes-out", "slopes.json"], False),
+        (["figures", "--out-dir", "figures"], False),
+    ],
+    ids=["analytic", "ode", "collisions", "stochastic", "prepare", "sweep", "figures"],
+)
+def test_cli_run_imports_no_masked_arrays(tmp_path, argv, loads_random):
+    # np.unique imports numpy.ma (about 30 ms and 1.2 MiB of every process
+    # that calls it); no command uses masked arrays, and only the stochastic
+    # scheme draws random numbers.  -X importtime lists every import.
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qollide", *argv],
+        capture_output=True, text=True, env=_module_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "qollide.cli" in loaded
+    assert "numpy.ma" not in loaded
+    assert ("numpy.random" in loaded) == loads_random
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "qollide", "coeffs", "--bath", "dicke", "--N", "4", "--k", "1"],

@@ -1,13 +1,17 @@
 import bisect
 import functools
+import importlib.util
 import json
 import math
+import os
 import re
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qollide import (
     BathSpec,
@@ -52,6 +56,7 @@ from qollide.dynamics import (
     TRAJECTORY_CSV_HEADER,
     SweepRow,
     Trajectory,
+    _distinct_sorted,
     _record_indices,
     _step_count,
 )
@@ -462,6 +467,51 @@ class TestIntegrateMaster:
         t_q = thermalization_time(c)
         traj = integrate_master(np.outer(v, v.conj()), c, 5.0 * t_q, t_q / 20.0)
         assert traj.states[:, 0, 0].real.min() > 0.0 < traj.states[:, 1, 1].real.min()
+
+    def test_drive_advisory(self):
+        # drive pg_tau |lam| = 100 limits the step to 5e-4; t_q/20 = 1/60 does not
+        c = MeqCoefficients(1.0 + 0.0j, 0.0j, 1.0, 2.0, 1.0, 100.0)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            integrate_master(ground_state(), c, 0.01, 0.001)
+        assert [str(w.message) for w in seen] == [
+            "dt = 0.001 exceeds 1/(20 pg_tau |lam|) = 0.0005 for the drive; accuracy advisory"
+        ]
+
+    def test_drive_advisory_before_each_driven_failure(self):
+        # g tau = 0.01 at p = 1e4: mu = 1 but pg_tau = 100, so at dt = t_q/25,
+        # inside the t_q/20 advisory, the drive makes some runs drift
+        params = CollisionParams(g=0.01, tau=1.0, p=1e4)
+        failures = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            bath = _random_pure_state(rng, 2 ** (1 + seed % 4))
+            c = coefficients_for(BathSpec.explicit(bath), params)
+            t_q = thermalization_time(c)
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                try:
+                    integrate_master(_random_pure_state(rng, 2), c, 5.0 * t_q, t_q / 25.0)
+                except NumericError as exc:
+                    failures += 1
+                    assert str(exc).startswith("integrate_master: trace drift")
+                    assert [str(w.message).endswith("for the drive; accuracy advisory")
+                            for w in seen] == [True]
+        assert failures >= 3  # six of the 40 drift on a 2-vCPU x86 machine
+
+    def test_default_parameter_runs_silent(self):
+        # named baths have no drive; the benchmark's ode-explicit run on its
+        # seeded N=4 bath has dt pg_tau |lam| <= 4e-4
+        reference = _perfbench_reference()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            integrate_master(ground_state(), coefficients_dicke(8, 3, PARAMS), 0.18, 3e-5)
+            integrate_master(ground_state(), coefficients_dicke(4, 1, PARAMS), 1.0, 0.001)
+            for seed in (1, 2, 4242):
+                rho4 = reference.random_bath(np.random.default_rng([seed, 0]), 4)
+                c = coefficients_for(BathSpec.explicit(rho4), PARAMS)
+                assert 2e-5 * c.pg_tau * abs(c.lam) <= 4e-4
+                integrate_master(ground_state(), c, 1500 * 2e-5, 2e-5)
 
     @pytest.mark.parametrize("row, step", [(0, 0), (2, 10), (-1, 10)])
     def test_trace_drift_refused(self, monkeypatch, row, step):
@@ -1004,6 +1054,55 @@ class TestNamedBathStructure:
                 collision_chain(ground_state(), spec, PARAMS, 0.01, 1e-3, mode=mode)
         with pytest.raises(ValidationError, match="^mode: must be 'exact' or 'second_order'"):
             collision_superoperator(spec, PARAMS, mode="bogus")
+
+
+def _random_pure_state(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def _perfbench_reference():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.py")
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDistinctSorted:
+    """The record grids are non-decreasing, so keeping each entry that
+    differs from the one before it gives exactly ``np.unique``."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(0, 10**7), st.integers(1, 3000))
+    @example(0, 1)
+    @example(0, 5)
+    @example(1, 3000)
+    @example(10**7, 2)
+    def test_record_grids(self, n_steps, n_records):
+        grid = np.round(np.linspace(0, n_steps, n_records)).astype(int)
+        self.assert_same(_distinct_sorted(grid), np.unique(grid))
+        assert _record_indices(n_steps, n_records) == np.unique(grid).tolist()
+
+    @given(
+        st.sampled_from([0, 1, 2, 3, 7, 5001, 100_001]),
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=5e-324, max_value=2.2250738585072009e-308),
+            st.floats(min_value=2.2250738585072014e-308, max_value=1e308),
+        ),
+    )
+    @example(5001, 5e-324)
+    @example(100_001, 1e-320)
+    @example(2, 0.0)
+    def test_time_grids(self, n, t_end):
+        grid = np.linspace(0.0, t_end, n)
+        self.assert_same(_distinct_sorted(grid), np.unique(grid))
 
 
 class TestPropagatorOracles:
