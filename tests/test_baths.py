@@ -464,8 +464,8 @@ class TestClassification:
         assert abs(c1.r_d - c0.r_d) <= 1e-12
 
 
-    # sha256 of each classify JSON (``to_json_dict``, indent 2, newline) as
-    # written before the masks were built with fewer temporaries
+    # sha256 of each classify JSON (``to_json_dict``, indent 2, newline):
+    # however the masks are built, the output keeps its bytes
     JSON_SHA256 = {
         1: "83d69f4b345cd3eed5847a9db2b877d74c39975d819314ef8c66991886fdfdea",
         2: "4220ff6d3d5f0e9c3eef7f92a49f30119b81079f0465263ba9a262d773899bba",
@@ -499,7 +499,7 @@ class TestClassification:
 
     def test_peak_memory_at_the_cap(self):
         # three 4^12 bool masks (48 MiB) and at most one full-size temporary
-        # beside them; the int8 excitation gaps took it to 96 MiB
+        # beside them
         tracemalloc.start()
         try:
             cmap = classify_coherences(12)
