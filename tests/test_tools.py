@@ -109,7 +109,7 @@ def test_command_costs_refuses_an_unknown_command():
          "--workload", "closed-form", "--command", "no-such-command", "--reps", "1"],
         capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 2
+    assert (proc.returncode, proc.stdout) == (2, "")
     assert "no command 'no-such-command' in closed-form" in proc.stderr
 
 

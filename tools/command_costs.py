@@ -113,7 +113,6 @@ def main(argv=None):
     golden = os.path.join(ROOT, "tests", "golden")
     names = [args.workload] if args.workload else list(workloads.WORKLOADS)
 
-    print(HEADER, flush=True)
     found = failed = 0
     work = tempfile.mkdtemp(prefix="command_costs_")
     try:
@@ -122,6 +121,8 @@ def main(argv=None):
             for cmd in workloads.build(workload, args.seed, in_dir, golden):
                 if args.command not in (None, cmd.name):
                     continue
+                if not found:
+                    print(HEADER, flush=True)
                 found += 1
                 samples, failure = measure(
                     trees, cmd, in_dir, os.path.join(work, workload, "out"), args.reps
