@@ -356,12 +356,11 @@ def classify_coherences(N):
     exc = basis.excitations
     flips = np.bitwise_count(order[:, None] ^ order)
     displacement = flips == 1
-    hec = flips == 2  # narrowed below to the pairs of equal excitation
+    squeezing = flips == 2  # narrowed below to the pairs with gap 2
     del flips  # the 4^N popcounts are not needed past here
-    same = exc[:, None] == exc
-    squeezing = ~same
-    squeezing &= hec
-    hec &= same
+    hec = exc[:, None] == exc
+    hec &= squeezing
+    squeezing ^= hec
     for mask in (displacement, squeezing, hec):
         mask.setflags(write=False)
     return CoherenceMap(basis, displacement, squeezing, hec)

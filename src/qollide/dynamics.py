@@ -427,11 +427,14 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
     coefficients.  The equation is linear and autonomous, so the classical
     RK4 step is one constant 4x4 map, built once from :func:`lindblad_rhs`
     and applied through its powers between records.  A step longer than
-    ``t_q/20``, or than ``1/(20 pg_tau |lam|)`` for the drive, gives an
-    accuracy advisory, one for each.  Every recorded state and the final
-    state are checked for trace drift beyond 1e-8 (the generator is
-    traceless, so drift indicates a numeric problem), then for a population
-    below -1e-10 (a step too long for the rates).
+    ``t_q/20``, or than ``1/(2 pg_tau |lam|)`` for the drive, gives an
+    accuracy advisory, one for each.  The drive's generator eigenvalues are
+    ``+-2i pg_tau |lam|``, so the RK4 step leaves its stability region near
+    ``dt pg_tau |lam| = sqrt(2)``; the advisory keeps a margin of about 3
+    below that edge.  Every recorded state and the final state are checked
+    for trace drift beyond 1e-8 (the generator is traceless, so drift
+    indicates a numeric problem), then for a population below -1e-10 (a
+    step too long for the rates).
     """
     n_steps = _step_count(t_end, dt)
     t_q = thermalization_time(c)
@@ -441,9 +444,9 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
             stacklevel=2,
         )
     drive = c.pg_tau * abs(c.lam)
-    if dt * drive > 1.0 / 20.0:
+    if dt * drive > 0.5:
         warnings.warn(
-            f"dt = {dt:.3g} exceeds 1/(20 pg_tau |lam|) = {1.0 / (20.0 * drive):.3g} "
+            f"dt = {dt:.3g} exceeds 1/(2 pg_tau |lam|) = {0.5 / drive:.3g} "
             "for the drive; accuracy advisory",
             stacklevel=2,
         )

@@ -457,7 +457,9 @@ class TestIntegrateMaster:
     @pytest.mark.parametrize("seed", range(8))
     def test_driven_baths_at_the_advised_step_pass(self, seed):
         # random full-rank explicit baths drive and squeeze the target; at
-        # dt = t_q/20 from a pure state no population comes near the bound
+        # dt = t_q/20 from a pure state no population comes near the bound,
+        # and dt pg_tau |lam| (0.05 to 0.23 here) stays inside the drive
+        # advisory
         rng = np.random.default_rng(seed)
         N = 1 + seed % 4
         c = coefficients_for(BathSpec.explicit(random_density_matrix(rng, 2**N)), PARAMS)
@@ -465,17 +467,23 @@ class TestIntegrateMaster:
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
         t_q = thermalization_time(c)
-        traj = integrate_master(np.outer(v, v.conj()), c, 5.0 * t_q, t_q / 20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate_master(np.outer(v, v.conj()), c, 5.0 * t_q, t_q / 20.0)
         assert traj.states[:, 0, 0].real.min() > 0.0 < traj.states[:, 1, 1].real.min()
 
     def test_drive_advisory(self):
-        # drive pg_tau |lam| = 100 limits the step to 5e-4; t_q/20 = 1/60 does not
+        # drive pg_tau |lam| = 100 limits the step to 5e-3; t_q/20 = 1/60 does
+        # not, and a step of 5e-3 is silent
         c = MeqCoefficients(1.0 + 0.0j, 0.0j, 1.0, 2.0, 1.0, 100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            integrate_master(ground_state(), c, 0.1, 0.005)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            integrate_master(ground_state(), c, 0.01, 0.001)
+            integrate_master(ground_state(), c, 0.1, 0.01)
         assert [str(w.message) for w in seen] == [
-            "dt = 0.001 exceeds 1/(20 pg_tau |lam|) = 0.0005 for the drive; accuracy advisory"
+            "dt = 0.01 exceeds 1/(2 pg_tau |lam|) = 0.005 for the drive; accuracy advisory"
         ]
 
     def test_drive_advisory_before_each_driven_failure(self):

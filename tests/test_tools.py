@@ -85,32 +85,22 @@ def test_same_outputs_reports_each_differing_csv(tmp_path):
     assert lines[-1] == "6 commands, 2 with a difference or a failed check"
 
 
-def test_command_costs_on_one_cheap_command():
+def test_command_costs_on_the_cheap_workload():
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "command_costs.py"), ROOT, ROOT,
-         "--workload", "closed-form", "--command", "coeffs-thermal-hec-64", "--reps", "2"],
+         "--workload", "closed-form", "--reps", "1"],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    header, units, line = proc.stdout.splitlines()
+    header, units, *lines = proc.stdout.splitlines()
     assert header.split() == ["command", "cpu_ms", "cpu_ms", "diff", "rss_mb", "rss_mb", "diff"]
     assert units.split() == ["parent", "change", "parent", "change"]
-    name, *values = line.split()
-    assert name == "closed-form/coeffs-thermal-hec-64"
-    cpu_p, cpu_c, cpu_d, rss_p, rss_c, rss_d = map(float, values)
+    assert len(lines) == 6  # the workload's commands, none failed
+    (line,) = [line for line in lines if line.startswith("closed-form/coeffs-thermal-hec-64 ")]
+    cpu_p, cpu_c, cpu_d, rss_p, rss_c, rss_d = map(float, line.split()[1:])
     # a cold CLI process takes tens of milliseconds and tens of megabytes
     assert 10.0 < min(cpu_p, cpu_c) and 10.0 < min(rss_p, rss_c) < 1000.0
     assert abs(cpu_d - (cpu_c - cpu_p)) <= 0.1 and abs(rss_d - (rss_c - rss_p)) <= 0.01
-
-
-def test_command_costs_refuses_an_unknown_command():
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "command_costs.py"), ROOT, ROOT,
-         "--workload", "closed-form", "--command", "no-such-command", "--reps", "1"],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert "no command 'no-such-command' in closed-form" in proc.stderr
 
 
 def test_src_lines_kinds_sum_to_each_line_count():

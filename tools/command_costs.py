@@ -1,13 +1,11 @@
 """Per-command CPU time and peak RSS of the benchmark's commands on two trees.
 
-    python3 tools/command_costs.py PARENT CHANGE [--seed S] [--reps K]
-                                   [--workload NAME] [--command NAME]
+    python3 tools/command_costs.py PARENT CHANGE [--seed S] [--reps K] [--workload NAME]
 
 PARENT and CHANGE are roots of qollide checkouts.  For each workload of
-``perfbench/workloads.py`` (read from this checkout, with its
-``tests/golden/``) the inputs are built once for the seed; then each
-command runs ``K`` times on each tree as ``python -m qollide`` against that
-tree's ``src/``, with BLAS pinned to one thread.  The two trees alternate
+``perfbench/workloads.py`` the inputs are built once for the seed; then
+each command runs ``K`` times on each tree as ``python -m qollide``, set up
+by ``bench_trees.py`` as for ``same_outputs.py``.  The two trees alternate
 command by command, and their order flips each repetition.  Every run is a
 fresh process started by the small ``perfbench/spawn.py``, which takes its
 CPU time (user + system) and max RSS from ``os.wait4``, so a child's peak is
@@ -28,16 +26,12 @@ import subprocess
 import sys
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PERFBENCH = os.path.join(ROOT, "perfbench")
-sys.path.insert(0, PERFBENCH)
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-import workloads  # noqa: E402
+import bench_trees  # noqa: E402
 
-SPAWN = os.path.join(PERFBENCH, "spawn.py")
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SPAWN = os.path.join(bench_trees.PERFBENCH, "spawn.py")
 TIMEOUT = 120  # seconds per command
-LABELS = ("parent", "change")
 
 
 def run_once(src, argv, out_dir):
@@ -45,14 +39,13 @@ def run_once(src, argv, out_dir):
     ``python -m qollide`` run against the package in ``src``."""
     shutil.rmtree(out_dir, ignore_errors=True)
     os.makedirs(out_dir)
-    env = {**os.environ, "PYTHONPATH": src, **{var: "1" for var in BLAS_VARS}}
     job = json.dumps({
         "commands": [[sys.executable, "-m", "qollide", *argv]], "cwd": out_dir,
         "timeout": TIMEOUT,
     })
     proc = subprocess.run(
-        [sys.executable, SPAWN], input=job, env=env, capture_output=True, text=True,
-        check=True, timeout=TIMEOUT + 60,
+        [sys.executable, SPAWN], input=job, env=bench_trees.environment(src),
+        capture_output=True, text=True, check=True, timeout=TIMEOUT + 60,
     )
     (result,) = json.loads(proc.stdout)
     return result["seconds"], result["maxrss_kb"], result["code"], result["stderr"]
@@ -64,7 +57,7 @@ def measure(trees, cmd, in_dir, out_dir, reps):
     samples = {label: [] for label in trees}
     failure = None
     for rep in range(reps):
-        order = LABELS if rep % 2 == 0 else LABELS[::-1]
+        order = bench_trees.LABELS if rep % 2 == 0 else bench_trees.LABELS[::-1]
         for label in order:
             seconds, rss_kb, code, stderr = run_once(
                 trees[label], cmd.expand(in_dir, out_dir), out_dir
@@ -95,48 +88,24 @@ HEADER = (
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", help="root of the parent checkout")
-    parser.add_argument("change", help="root of the changed checkout")
+    bench_trees.add_arguments(parser)
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     parser.add_argument("--reps", type=int, default=5, help="runs of each command per tree")
-    parser.add_argument("--workload", choices=workloads.WORKLOADS, help="one workload only")
-    parser.add_argument("--command", help="one command (by its benchmark name) only")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps: must be >= 1")
-    trees = {}
-    for label in LABELS:
-        src = os.path.join(os.path.abspath(getattr(args, label)), "src")
-        if not os.path.isdir(os.path.join(src, "qollide")):
-            parser.error(f"{label}: no src/qollide under {getattr(args, label)}")
-        trees[label] = src
-    golden = os.path.join(ROOT, "tests", "golden")
-    names = [args.workload] if args.workload else list(workloads.WORKLOADS)
+    trees = bench_trees.sources(parser, args)
 
-    found = failed = 0
-    work = tempfile.mkdtemp(prefix="command_costs_")
-    try:
-        for workload in names:
-            in_dir = os.path.join(work, workload, "in")
-            for cmd in workloads.build(workload, args.seed, in_dir, golden):
-                if args.command not in (None, cmd.name):
-                    continue
-                if not found:
-                    print(HEADER, flush=True)
-                found += 1
-                samples, failure = measure(
-                    trees, cmd, in_dir, os.path.join(work, workload, "out"), args.reps
-                )
-                print(row(f"{workload}/{cmd.name}", samples), flush=True)
-                if failure:
-                    failed += 1
-                    print(f"  {failure}")
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
-    if not found:
-        parser.error(f"--command: no command {args.command!r} in {', '.join(names)}")
+    print(HEADER, flush=True)
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="command_costs_") as work:
+        for _, workload, cmd, in_dir, base in bench_trees.commands(work, [args.seed], args.workload):
+            samples, failure = measure(trees, cmd, in_dir, os.path.join(base, "out"), args.reps)
+            print(row(f"{workload}/{cmd.name}", samples), flush=True)
+            if failure:
+                failed += 1
+                print(f"  {failure}")
     return 1 if failed else 0
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

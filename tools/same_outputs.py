@@ -19,27 +19,22 @@ import argparse
 import contextlib
 import math
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-import workloads  # noqa: E402
-
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+import bench_trees  # noqa: E402
 
 
 def run_tree(src, cmd, in_dir, out_dir):
     """``(exit code, stdout, {output: bytes or None}, check error or None)``
     of one command against the package in ``src``."""
     os.makedirs(out_dir)
-    env = {**os.environ, "PYTHONPATH": src, **{var: "1" for var in BLAS_VARS}}
     proc = subprocess.run(
         [sys.executable, "-m", "qollide", *cmd.expand(in_dir, out_dir)],
-        env=env, cwd=out_dir, capture_output=True, text=True,
+        env=bench_trees.environment(src), cwd=out_dir, capture_output=True, text=True,
     )
     files = dict.fromkeys(cmd.outputs)
     for name in cmd.outputs:
@@ -109,48 +104,29 @@ def csv_report(parent_files, change_files):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", help="root of the parent checkout")
-    parser.add_argument("change", help="root of the changed checkout")
+    bench_trees.add_arguments(parser)
     parser.add_argument("--seeds", default="1,2", help="comma list of workload seeds")
-    parser.add_argument("--workload", choices=workloads.WORKLOADS, help="one workload only")
     args = parser.parse_args(argv)
-    trees = {}
-    for label in ("parent", "change"):
-        src = os.path.join(os.path.abspath(getattr(args, label)), "src")
-        if not os.path.isdir(os.path.join(src, "qollide")):
-            parser.error(f"{label}: no src/qollide under {getattr(args, label)}")
-        trees[label] = src
-    golden = os.path.join(ROOT, "tests", "golden")
-    names = [args.workload] if args.workload else list(workloads.WORKLOADS)
+    trees = bench_trees.sources(parser, args)
+    seeds = [int(s) for s in args.seeds.split(",")]
 
     bad = total = 0
-    work = tempfile.mkdtemp(prefix="same_outputs_")
-    try:
-        for seed in [int(s) for s in args.seeds.split(",")]:
-            for workload in names:
-                base = os.path.join(work, f"{seed}-{workload}")
-                in_dir = os.path.join(base, "in")
-                for cmd in workloads.build(workload, seed, in_dir, golden):
-                    results = {
-                        label: run_tree(src, cmd, in_dir, os.path.join(base, label, cmd.name))
-                        for label, src in trees.items()
-                    }
-                    problems = differences(results["parent"], results["change"])
-                    problems += [
-                        f"{label} check: {res[3]}" for label, res in results.items() if res[3]
-                    ]
-                    total += 1
-                    if problems:
-                        bad += 1
-                        print(f"seed {seed} {workload}/{cmd.name}: " + "; ".join(problems))
-                        for line in csv_report(results["parent"][2], results["change"][2]):
-                            print(line)
-                shutil.rmtree(base)
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as work:
+        for seed, workload, cmd, in_dir, base in bench_trees.commands(work, seeds, args.workload):
+            results = {
+                label: run_tree(src, cmd, in_dir, os.path.join(base, label, cmd.name))
+                for label, src in trees.items()
+            }
+            problems = differences(results["parent"], results["change"])
+            problems += [f"{label} check: {res[3]}" for label, res in results.items() if res[3]]
+            total += 1
+            if problems:
+                bad += 1
+                print(f"seed {seed} {workload}/{cmd.name}: " + "; ".join(problems))
+                for line in csv_report(results["parent"][2], results["change"][2]):
+                    print(line)
     print(f"{total} commands, {bad} with a difference or a failed check")
     return 1 if bad else 0
-
 
 if __name__ == "__main__":
     raise SystemExit(main())
