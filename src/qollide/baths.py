@@ -266,47 +266,40 @@ def validate_bath(spec):
 @dataclass(frozen=True, eq=False)
 class CoherenceMap:
     """Per-entry classification of an N-qubit bath state in the canonical
-    ``basis``.
+    ``basis``, by the bit-pattern rule of the module docstring.
 
-    Boolean masks mark which positions feed each master-equation channel.
-    They are disjoint by construction (one flip; two flips with excitation
-    gap 2; two flips with gap 0), so every off-diagonal entry carries one
-    label, and diagonal entries are populations.
+    Diagonal entries are populations.  Off the diagonal, one flipped qubit
+    is displacement, and two flipped qubits are squeezing when the
+    excitations differ (by 2) and heat exchange when they are equal.  The
+    three operator patterns are disjoint, so every entry carries one label.
+    Labels are computed entry by entry and the counts in closed form, so
+    nothing ``4^N``-sized is built.
     """
 
     basis: BasisOrdering
-    displacement: np.ndarray
-    squeezing: np.ndarray
-    hec: np.ndarray
 
     def primary(self, i, j):
         """The label of entry ``(i, j)``."""
-        if i == j:
-            return LABEL_POPULATION
-        for label, mask in self._masks():
-            if mask[i, j]:
-                return label
-        return LABEL_INEFFECTIVE
-
-    def labels(self, i, j):
-        """The labels of entry ``(i, j)``: its one label, as a tuple."""
-        return (self.primary(i, j),)
-
-    def _masks(self):
-        return (
-            (LABEL_DISPLACEMENT, self.displacement),
-            (LABEL_SQUEEZING, self.squeezing),
-            (LABEL_HEC, self.hec),
-        )
+        order, exc = self.basis.order, self.basis.excitations
+        flips = int(order[i] ^ order[j]).bit_count()  # 0 only on the diagonal
+        if flips == 2:
+            return LABEL_HEC if exc[i] == exc[j] else LABEL_SQUEEZING
+        return {0: LABEL_POPULATION, 1: LABEL_DISPLACEMENT}.get(flips, LABEL_INEFFECTIVE)
 
     def counts(self):
-        """Number of ordered entries per label."""
-        dim = self.basis.dim
-        counts = {LABEL_POPULATION: dim}
-        for label, mask in self._masks():
-            counts[label] = int(np.count_nonzero(mask))
-        counts[LABEL_INEFFECTIVE] = dim * dim - sum(counts.values())
-        return counts
+        """Number of ordered entries per label.  Each of the ``2^N`` states
+        has ``N`` one-flip partners and ``C(N, 2)`` two-flip ones; a state
+        with ``k`` excitations keeps its excitation in ``k(N-k)`` of the
+        latter, and ``sum_k C(N,k) k(N-k) = N(N-1) 2^(N-2)``."""
+        N, dim = self.basis.N, self.basis.dim
+        two_flips = N * (N - 1) * dim // 4
+        return {
+            LABEL_POPULATION: dim,
+            LABEL_DISPLACEMENT: N * dim,
+            LABEL_SQUEEZING: two_flips,
+            LABEL_HEC: two_flips,
+            LABEL_INEFFECTIVE: dim * (dim - 1 - N) - 2 * two_flips,
+        }
 
     def to_json_dict(self):
         """JSON-ready dict: block sizes, label counts and (for N <= 6) the
@@ -345,25 +338,11 @@ def classify_coherences(N):
     The entry ``rho[i, j]`` enters the expectation value ``Tr(O rho)``
     through the operator element ``O[j, i]``.  For the collective moments
     that element is nonzero exactly when the bit patterns of the two basis
-    states satisfy the rule in the module docstring, so the masks follow
-    from the Hamming distance of each pair's ``uint16`` bit patterns
-    (``N <= 12``) and whether their excitations are equal: two flips change
-    the excitation by 0 or 2.  The classification is positional: it
-    depends on ``N`` alone.
+    states satisfy the rule in the module docstring, so the classification
+    is positional: it depends on ``N`` alone, and the map holds only the
+    basis (O(2^N) memory).
     """
-    basis = basis_ordering(N)
-    order = basis.order.astype(np.uint16)
-    exc = basis.excitations
-    flips = np.bitwise_count(order[:, None] ^ order)
-    displacement = flips == 1
-    squeezing = flips == 2  # narrowed below to the pairs with gap 2
-    del flips  # the 4^N popcounts are not needed past here
-    hec = exc[:, None] == exc
-    hec &= squeezing
-    squeezing ^= hec
-    for mask in (displacement, squeezing, hec):
-        mask.setflags(write=False)
-    return CoherenceMap(basis, displacement, squeezing, hec)
+    return CoherenceMap(basis_ordering(N))
 
 
 BATH_CSV_BASIS = "excitation-sorted"
@@ -445,6 +424,8 @@ def _read_bath(fh):
             rho = np.loadtxt(fh, dtype=complex, delimiter=",", ndmin=2, comments=None)
         if rho.shape == (dim, dim):
             return N, rho
+    except UnicodeDecodeError:
+        raise  # the entry-by-entry parse would only read the same bytes again
     except ValueError:
         pass
     fh.seek(start)

@@ -85,6 +85,14 @@ K_RULES = ("quarter", "half-minus-one")
 _FAMILY_FLAGS = {"product": ("pe", float), "thermal-hec": ("nbar", float), "dicke": ("k", int)}
 
 
+def _unreadable(name, path, exc):
+    """The configuration error for a file that cannot be read or is not
+    UTF-8 text.  A decode error's byte position counts from the chunk the
+    stream was decoding, not from the start of the file, so it is left out."""
+    reason = f"not UTF-8 text ({exc.reason})" if isinstance(exc, UnicodeDecodeError) else exc
+    return ValidationError(f"{name}: cannot read {path}: {reason}")
+
+
 def load_config(path):
     """Parse a flat ``key = value`` config file ('#' starts a comment)."""
     config = {}
@@ -103,8 +111,8 @@ def load_config(path):
                 if name not in _OPTIONS:  # another subcommand's key is fine
                     raise ValidationError(f"config: line {lineno}: unknown key {key.strip()!r}")
                 config[name] = value.strip()
-    except OSError as exc:
-        raise ValidationError(f"config: cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable("config", path, exc) from exc
     return config
 
 
@@ -132,11 +140,12 @@ def _get(args, config, name, conv=str, default=None, required=False, choices=Non
 
 def _write(*outputs):
     """Write each ``(path, text)`` pair: the files, then the texts whose path
-    is None to stdout.  Every file is opened before any is written, so an
-    output that cannot be opened leaves every file as it was; that, a later
-    failed write, or two outputs that reach one regular file (refused before
-    any is opened) is a configuration error.  On failure the regular files
-    this call created are removed, and nothing else."""
+    is None to stdout, which is flushed.  Every file is opened before any is
+    written, so an output that cannot be opened leaves every file as it was;
+    that, a later failed write (stdout's included), or two outputs that
+    reach one regular file (refused before any is opened) is a configuration
+    error.  On failure the regular files this call created are removed, and
+    nothing else."""
     files = [(path, text) for path, text in outputs if path is not None]
     seen = {}
     for path, _ in files:
@@ -161,6 +170,9 @@ def _write(*outputs):
                 fh.truncate(0)
             fh.write(text)
             fh.close()
+        path = "<stdout>"
+        sys.stdout.writelines(text for target, text in outputs if target is None)
+        sys.stdout.flush()
     except OSError as exc:
         for fh in handles:
             with contextlib.suppress(OSError):
@@ -169,9 +181,6 @@ def _write(*outputs):
             with contextlib.suppress(OSError):  # the error below is the one to report
                 os.remove(done)
         raise ValidationError(f"output: cannot write {path}: {exc.strerror or exc}") from exc
-    for path, text in outputs:
-        if path is None:
-            sys.stdout.write(text)
 
 
 def _json(obj):
@@ -219,8 +228,8 @@ def _bath_from(args, config):
         path = _get(args, config, "file", str, required=True)
         try:
             n_csv, rho = load_bath_csv(path)
-        except OSError as exc:
-            raise ValidationError(f"file: cannot read {path}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _unreadable("file", path, exc) from exc
         n_flag = _get(args, config, "N", int)
         if n_flag is not None and n_flag != n_csv:
             raise ValidationError(

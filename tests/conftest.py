@@ -4,7 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qollide import CollisionParams, ValidationError, basis_ordering, build_collective_ops
+from qollide import (
+    CollisionParams,
+    ValidationError,
+    basis_ordering,
+    build_collective_ops,
+    classify_coherences,
+)
 from qollide.linalg import TOL_HERM, TOL_PSD, TOL_TRACE
 
 
@@ -141,3 +147,15 @@ class DenseOps:
 def dense_ops(N):
     """Cached :class:`DenseOps` for ``N`` bath qubits."""
     return DenseOps(cached_ops(N))
+
+
+@functools.lru_cache(maxsize=None)
+def label_table(N):
+    """The label of every entry of ``classify_coherences(N)``, read through
+    ``primary``: a read-only ``2^N x 2^N`` object array of label strings."""
+    cmap = classify_coherences(N)
+    table = np.array(
+        [[cmap.primary(i, j) for j in range(2**N)] for i in range(2**N)], dtype=object
+    )
+    table.setflags(write=False)
+    return table

@@ -38,7 +38,7 @@ from qollide import (
 )
 from qollide.cli import main as cli_main
 
-from conftest import cached_ops
+from conftest import cached_ops, label_table
 
 PARAMS = CollisionParams(g=0.1, tau=1.0, p=100.0)  # mu = 1
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -307,9 +307,7 @@ def test_criterion_8_classification_properties():
     for N in range(3, 6):
         ops = cached_ops(N)
         base = 0.7 * thermal_hec_state(N, 1.0) + 0.3 * np.eye(2**N) / 2**N
-        cmap = classify_coherences(N)
-        ineffective = ~(cmap.displacement | cmap.squeezing | cmap.hec)
-        np.fill_diagonal(ineffective, False)
+        ineffective = label_table(N) == "ineffective"
         rng = np.random.default_rng(1000 + N)
         noise = rng.normal(size=ineffective.shape) + 1j * rng.normal(
             size=ineffective.shape

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -28,7 +29,7 @@ from qollide import (
     validate_density_matrix,
 )
 
-from qollide.baths import thermal_hec_weights
+from qollide.baths import BATH_CSV_BASIS, _read_bath, thermal_hec_weights
 from qollide.dynamics import _ladder_bath
 from qollide.utils import fmt_complex
 
@@ -37,6 +38,7 @@ from conftest import (
     cached_ops,
     dense_ops,
     eigvalsh_oracle_accepts,
+    label_table,
     random_density_matrix,
     symmetric_dicke_vector,
     thermal_hec_exact,
@@ -330,6 +332,25 @@ class TestNamedFamiliesCheckedFromParameters:
         validate_bath(BathSpec.thermal_hec(4, n_bar))
 
 
+def operator_patterns(N):
+    """``{label: mask}`` of the off-diagonal entries where the label's
+    operators, or their adjoints, have a nonzero dense element."""
+    dense = dense_ops(N)
+
+    def nonzero(*operators):
+        mask = np.zeros((2**N, 2**N), dtype=bool)
+        for op in operators:
+            mask |= (np.abs(op) > 1e-12) | (np.abs(op.T) > 1e-12)
+        np.fill_diagonal(mask, False)
+        return mask
+
+    return {
+        "displacement": nonzero(dense.J_minus),
+        "squeezing": nonzero(dense.J_minus_sq),
+        "hec": nonzero(dense.J_plus_J_minus, dense.J_minus_J_plus),
+    }
+
+
 class TestClassification:
     def test_n2_equal_excitation_pair_is_effective(self):
         ops = cached_ops(2)
@@ -353,7 +374,6 @@ class TestClassification:
         i = canonical_index(ops.basis, "eegg")
         j = canonical_index(ops.basis, "ggee")
         assert cmap.primary(i, j) == "ineffective"
-        assert cmap.labels(i, j) == ("ineffective",)
 
     def test_diagonal_is_population(self):
         ops = cached_ops(3)
@@ -382,32 +402,19 @@ class TestClassification:
 
     @pytest.mark.parametrize("N", range(1, 6))
     def test_labels_symmetric(self, N):
-        ops = cached_ops(N)
-        cmap = classify_coherences(N)
-        for mask in (cmap.displacement, cmap.squeezing, cmap.hec):
-            assert np.array_equal(mask, mask.T)
+        # primary(i, j) == primary(j, i) for every pair
+        table = label_table(N)
+        assert np.array_equal(table, table.T)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=9))
-    @example(9)  # bit patterns past 255: the classifier's uint16 is needed
+    @example(9)  # bit patterns past 255
     def test_bit_patterns_match_operator_elements(self, N):
         # the operator definition: an entry is effective when the operator
         # or its adjoint has a nonzero element at that position
-        dense = dense_ops(N)
-
-        def nonzero(*operators):
-            mask = np.zeros((2**N, 2**N), dtype=bool)
-            for op in operators:
-                mask |= (np.abs(op) > 1e-12) | (np.abs(op.T) > 1e-12)
-            np.fill_diagonal(mask, False)
-            return mask
-
-        cmap = classify_coherences(N)
-        assert np.array_equal(cmap.displacement, nonzero(dense.J_minus))
-        assert np.array_equal(cmap.squeezing, nonzero(dense.J_minus_sq))
-        assert np.array_equal(
-            cmap.hec, nonzero(dense.J_plus_J_minus, dense.J_minus_J_plus)
-        )
+        table = label_table(N)
+        for label, pattern in operator_patterns(N).items():
+            assert np.array_equal(table == label, pattern)
 
     def test_counts_n2(self):
         ops = cached_ops(2)
@@ -421,13 +428,19 @@ class TestClassification:
         }
 
     @pytest.mark.parametrize("N", range(1, 9))
-    def test_masks_pairwise_disjoint(self, N):
-        # one flip; two flips with excitation gap 2; two flips with gap 0
-        cmap = classify_coherences(N)
-        masks = (cmap.displacement, cmap.squeezing, cmap.hec)
+    def test_operator_patterns_pairwise_disjoint(self, N):
+        # no entry feeds two channels, so one label per entry is exact
+        patterns = list(operator_patterns(N).values())
         for a in range(3):
             for b in range(a + 1, 3):
-                assert not np.any(masks[a] & masks[b])
+                assert not np.any(patterns[a] & patterns[b])
+
+    @pytest.mark.parametrize("N", range(1, 11))
+    def test_counts_tally_the_labels(self, N):
+        tally = collections.Counter(label_table(N).ravel().tolist())
+        counts = classify_coherences(N).counts()
+        assert set(tally) <= set(counts)
+        assert counts == {label: tally[label] for label in counts}
 
     def test_json_entry_list_only_for_small_n(self):
         small = classify_coherences(2)
@@ -442,9 +455,7 @@ class TestClassification:
         ops = cached_ops(N)
         params = CollisionParams(g=0.1, tau=1.0, p=100.0)
         base = 0.7 * thermal_hec_state(N, 1.0) + 0.3 * np.eye(2**N) / 2**N
-        cmap = classify_coherences(N)
-        ineffective = ~(cmap.displacement | cmap.squeezing | cmap.hec)
-        np.fill_diagonal(ineffective, False)
+        ineffective = label_table(N) == "ineffective"
         if not ineffective.any():
             pytest.skip("no ineffective entries at this N")
         rng = np.random.default_rng(N)
@@ -465,7 +476,7 @@ class TestClassification:
 
 
     # sha256 of each classify JSON (``to_json_dict``, indent 2, newline):
-    # however the masks are built, the output keeps its bytes
+    # however the labels and counts are computed, the output keeps its bytes
     JSON_SHA256 = {
         1: "83d69f4b345cd3eed5847a9db2b877d74c39975d819314ef8c66991886fdfdea",
         2: "4220ff6d3d5f0e9c3eef7f92a49f30119b81079f0465263ba9a262d773899bba",
@@ -492,25 +503,41 @@ class TestClassification:
         basis = basis_ordering(N)
         flips = np.array([[bin(a ^ b).count("1") for b in basis.order] for a in basis.order])
         gap = np.abs(np.subtract.outer(basis.excitations, basis.excitations))
-        cmap = classify_coherences(N)
-        assert np.array_equal(cmap.displacement, flips == 1)
-        assert np.array_equal(cmap.squeezing, (flips == 2) & (gap == 2))
-        assert np.array_equal(cmap.hec, (flips == 2) & (gap == 0))
+        table = label_table(N)
+        assert np.array_equal(table == "population", np.eye(2**N, dtype=bool))
+        assert np.array_equal(table == "displacement", flips == 1)
+        assert np.array_equal(table == "squeezing", (flips == 2) & (gap == 2))
+        assert np.array_equal(table == "hec", (flips == 2) & (gap == 0))
 
     def test_peak_memory_at_the_cap(self):
-        # three 4^12 bool masks (48 MiB), split in place; the uint16 XOR and
-        # its uint8 popcount before them take as much
+        # the basis and the closed-form counts: nothing 4^12-sized
         tracemalloc.start()
         try:
-            cmap = classify_coherences(12)
+            counts = classify_coherences(12).to_json_dict()["counts"]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cmap.hec.shape == (4096, 4096)
-        assert peak < 3 * 4**12 + 2**20
+        assert sum(counts.values()) == 4**12
+        assert peak < 2**20
 
 
 class TestBathCsv:
+    def test_undecodable_rows_read_once(self, tmp_path):
+        # np.loadtxt's decode error is a ValueError; the entry-by-entry
+        # parse, which seeks back to read the same bytes again, never runs
+        path = tmp_path / "bad.csv"
+        row = ",".join(["0"] * 256) + "\n"
+        # past the first chunk, which the header's readline decodes
+        path.write_bytes(f"N=8,basis={BATH_CSV_BASIS}\n{row * 255}".encode() + b"\xff\n")
+
+        def unreachable(*args):
+            raise AssertionError("rows read again")
+
+        with open(path, encoding="utf-8") as fh:
+            fh.seek = unreachable
+            with pytest.raises(UnicodeDecodeError):
+                _read_bath(fh)
+
     def test_round_trip(self, tmp_path):
         rho = thermal_hec_state(3, 0.5)
         path = tmp_path / "rho.csv"

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import math
 import os
@@ -1125,6 +1127,41 @@ class TestUnwritableOutputs:
         assert_config_error(result, f"output: cannot write {full}: No space left on device")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["full"]
 
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    def test_failed_stdout_exit_2(self, capsys, monkeypatch, tmp_path, method):
+        # stdout is written and flushed inside the same error handling: the
+        # file written beside it is removed
+        def fail(self, *args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", type("Full", (io.StringIO,), {method: fail})())
+        slopes = tmp_path / "slopes.json"
+        for argv in (
+            ["coeffs", *DICKE_4_1],
+            ["sweep", "--family", "product", "--pe", "0.2", "--N", "2:8:2",
+             "--slopes-out", str(slopes)],
+        ):
+            result = run(capsys, *argv)
+            assert result == (2, "", "error: output: cannot write <stdout>: No space left on device\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_as_stdout_exit_2(self):
+        # a short JSON and a CSV longer than the stream's buffer: one line,
+        # and no second failure when the interpreter flushes at exit
+        for argv in (
+            ["coeffs", *DICKE_4_1],
+            ["evolve", "--engine", "analytic", *DICKE_4_1, "--t-end", "5", "--dt", "0.001"],
+        ):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "qollide", *argv], stdout=full,
+                    stderr=subprocess.PIPE, text=True, env=_module_env(), timeout=60,
+                )
+            assert (proc.returncode, proc.stderr) == (
+                2, "error: output: cannot write <stdout>: No space left on device\n"
+            )
+
 
 def _module_env():
     """The environment of a child Python that imports qollide from ``src``."""
@@ -1497,6 +1534,19 @@ class TestBathFlags:
                 result = run(capsys, command, "--bath", "explicit", "--file", str(path))
                 assert_config_error(result, f"error: file: cannot read {path}: ")
 
+    def test_undecodable_file_exit_2(self, capsys, tmp_path):
+        # a bad byte in the header, in the first chunk the header's read
+        # decodes, or past it, in the rows np.loadtxt reads
+        path = tmp_path / "bad.csv"
+        header = b"N=8,basis=excitation-sorted\n"
+        rows = (",".join(["0"] * 256) + "\n").encode() * 255
+        for data in (b"\xff=4\n", header + b"\xff\n", header + rows + b"\xff\n"):
+            path.write_bytes(data)
+            for command in ("coeffs", "classify"):
+                result = run(capsys, command, "--bath", "explicit", "--file", str(path))
+                line = f"error: file: cannot read {path}: not UTF-8 text (invalid start byte)\n"
+                assert result == (2, "", line)
+
     def test_n_flag_checked_against_csv_header(self, capsys, tmp_path):
         path = tmp_path / "rho.csv"
         path.write_text(bath_to_csv(np.eye(4) / 4.0, 2))
@@ -1546,6 +1596,13 @@ class TestConfigValues:
         for path in (tmp_path / "missing.cfg", tmp_path):
             result = run(capsys, "coeffs", "--config", str(path), *DICKE_4_1)
             assert_config_error(result, f"config: cannot read {path}")
+
+    def test_undecodable_config(self, capsys, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"N = 4\xff\n")
+        result = run(capsys, "coeffs", "--config", str(path), "--bath", "dicke", "--k", "1")
+        line = f"error: config: cannot read {path}: not UTF-8 text (invalid start byte)\n"
+        assert result == (2, "", line)
 
 
 #: Each subcommand's usage line, as the parser printed it before its options

@@ -70,9 +70,10 @@ def measure(trees, cmd, in_dir, out_dir, reps):
 
 def row(name, samples):
     """One table line: median CPU ms and max RSS MB of each tree and the
-    change minus the parent."""
-    cpu = {k: 1e3 * statistics.median(s for s, _ in v) for k, v in samples.items()}
-    rss = {k: statistics.median(r for _, r in v) / 1024.0 for k, v in samples.items()}
+    change minus the parent.  The medians are rounded to the printed digits
+    before they are subtracted, so the printed columns add up."""
+    cpu = {k: round(1e3 * statistics.median(s for s, _ in v), 1) for k, v in samples.items()}
+    rss = {k: round(statistics.median(r for _, r in v) / 1024.0, 2) for k, v in samples.items()}
     return (
         f"{name:<40} {cpu['parent']:9.1f} {cpu['change']:9.1f} "
         f"{cpu['change'] - cpu['parent']:+8.1f} {rss['parent']:9.2f} {rss['change']:9.2f} "
