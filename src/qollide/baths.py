@@ -424,8 +424,6 @@ def _read_bath(fh):
             rho = np.loadtxt(fh, dtype=complex, delimiter=",", ndmin=2, comments=None)
         if rho.shape == (dim, dim):
             return N, rho
-    except UnicodeDecodeError:
-        raise  # the entry-by-entry parse would only read the same bytes again
     except ValueError:
         pass
     fh.seek(start)

@@ -180,6 +180,9 @@ def _write(*outputs):
         for done in created:
             with contextlib.suppress(OSError):  # the error below is the one to report
                 os.remove(done)
+        if path == "<stdout>":  # its unwritten bytes go nowhere when Python exits
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())  # no descriptor: left as is
         raise ValidationError(f"output: cannot write {path}: {exc.strerror or exc}") from exc
 
 

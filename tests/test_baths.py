@@ -29,7 +29,7 @@ from qollide import (
     validate_density_matrix,
 )
 
-from qollide.baths import BATH_CSV_BASIS, _read_bath, thermal_hec_weights
+from qollide.baths import thermal_hec_weights
 from qollide.dynamics import _ladder_bath
 from qollide.utils import fmt_complex
 
@@ -522,22 +522,6 @@ class TestClassification:
 
 
 class TestBathCsv:
-    def test_undecodable_rows_read_once(self, tmp_path):
-        # np.loadtxt's decode error is a ValueError; the entry-by-entry
-        # parse, which seeks back to read the same bytes again, never runs
-        path = tmp_path / "bad.csv"
-        row = ",".join(["0"] * 256) + "\n"
-        # past the first chunk, which the header's readline decodes
-        path.write_bytes(f"N=8,basis={BATH_CSV_BASIS}\n{row * 255}".encode() + b"\xff\n")
-
-        def unreachable(*args):
-            raise AssertionError("rows read again")
-
-        with open(path, encoding="utf-8") as fh:
-            fh.seek = unreachable
-            with pytest.raises(UnicodeDecodeError):
-                _read_bath(fh)
-
     def test_round_trip(self, tmp_path):
         rho = thermal_hec_state(3, 0.5)
         path = tmp_path / "rho.csv"

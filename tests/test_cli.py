@@ -1147,20 +1147,23 @@ class TestUnwritableOutputs:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_device_as_stdout_exit_2(self):
-        # a short JSON and a CSV longer than the stream's buffer: one line,
-        # and no second failure when the interpreter flushes at exit
-        for argv in (
-            ["coeffs", *DICKE_4_1],
-            ["evolve", "--engine", "analytic", *DICKE_4_1, "--t-end", "5", "--dt", "0.001"],
-        ):
-            with open("/dev/full", "w") as full:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "qollide", *argv], stdout=full,
-                    stderr=subprocess.PIPE, text=True, env=_module_env(), timeout=60,
+        # a short JSON and a CSV longer than the stream's buffer, with stdout
+        # buffered and unbuffered: one line, and no second failure when the
+        # interpreter flushes the buffered bytes at exit
+        buffered = {k: v for k, v in _module_env().items() if k != "PYTHONUNBUFFERED"}
+        for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+            for argv in (
+                ["coeffs", *DICKE_4_1],
+                ["evolve", "--engine", "analytic", *DICKE_4_1, "--t-end", "5", "--dt", "0.001"],
+            ):
+                with open("/dev/full", "w") as full:
+                    proc = subprocess.run(
+                        [sys.executable, "-m", "qollide", *argv], stdout=full,
+                        stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+                    )
+                assert (proc.returncode, proc.stderr) == (
+                    2, "error: output: cannot write <stdout>: No space left on device\n"
                 )
-            assert (proc.returncode, proc.stderr) == (
-                2, "error: output: cannot write <stdout>: No space left on device\n"
-            )
 
 
 def _module_env():
