@@ -45,7 +45,7 @@ import numpy as np
 from .collective import BasisOrdering, _check_qubits, basis_ordering, block_sizes
 from .errors import ValidationError
 from .linalg import check_unit_trace, validate_density_matrix
-from .utils import fmt_complex, parse_complex
+from .utils import fmt_complex
 
 BATH_KINDS = ("product", "thermal-hec", "dicke", "explicit")
 
@@ -365,48 +365,27 @@ def bath_to_csv(rho, N):
 
 
 def _parse_header(line):
-    header = line.replace(" ", "")
-    if not header.startswith("N=") or f",basis={BATH_CSV_BASIS}" not in header:
+    n_field, _, basis_field = line.replace(" ", "").strip().partition(",")
+    if not n_field.startswith("N=") or basis_field != f"basis={BATH_CSV_BASIS}":
         raise ValidationError(
             f"bath csv: header must be 'N=<n>,basis={BATH_CSV_BASIS}', "
             f"got {line!r}"
         )
     try:
-        return int(header[2:].split(",")[0])
+        return int(n_field[2:])
     except ValueError as exc:
         raise ValidationError(f"bath csv: cannot parse N from {line!r}") from exc
-
-
-def _parse_rows(text, N):
-    """Entry-by-entry parse of the rows after the header: accepts every form
-    :func:`parse_complex` does and names the first offending row."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    dim = 2**N
-    if len(lines) != dim:
-        raise ValidationError(
-            f"bath csv: expected {dim} rows for N={N}, got {len(lines)}"
-        )
-    rho = np.zeros((dim, dim), dtype=complex)
-    for i, line in enumerate(lines):
-        tokens = line.split(",")
-        if len(tokens) != dim:
-            raise ValidationError(
-                f"bath csv: row {i} has {len(tokens)} entries, expected {dim}"
-            )
-        try:
-            rho[i] = [parse_complex(t) for t in tokens]
-        except ValueError as exc:
-            raise ValidationError(f"bath csv: bad entry in row {i}: {exc}") from exc
-    return rho
 
 
 def _read_bath(fh):
     """Read the CSV wire format from a seekable text stream.
 
-    The rows are streamed into one ``np.loadtxt``; only when that fails or
-    gives the wrong shape are they parsed again entry by entry, which
-    accepts the spaced or upper-case forms ``complex()`` takes (``1 + 2j``,
-    ``1+2J``), skips whitespace-only lines and reports what is wrong.
+    Every entry goes through one streamed ``np.loadtxt``, fed the body's
+    lines with whitespace-only lines skipped, spaces removed and ``J`` read
+    as ``j``: an entry reads as numpy's complex parse of it without its
+    spaces, whatever the other lines hold.  Only when that fails or gives
+    the wrong shape is the body read again, counting commas, to say which
+    row is wrong.
     """
     for line in iter(fh.readline, ""):
         if line.strip():
@@ -417,21 +396,36 @@ def _read_bath(fh):
     _check_qubits(N, "bath csv")  # before the body is read
     dim = 2**N
     start = fh.tell()
+    rows = (
+        ln.replace(" ", "").replace("J", "j") if " " in ln or "J" in ln else ln
+        for ln in fh
+        if not ln.isspace()
+    )
+    error = None
     try:
         with warnings.catch_warnings():
             # an empty body is reported as a row-count error below
             warnings.simplefilter("ignore", UserWarning)
-            rho = np.loadtxt(fh, dtype=complex, delimiter=",", ndmin=2, comments=None)
+            rho = np.loadtxt(rows, dtype=complex, delimiter=",", ndmin=2, comments=None)
         if rho.shape == (dim, dim):
             return N, rho
-    except ValueError:
-        pass
+    except ValueError as exc:
+        error = exc
+    # a UnicodeDecodeError, which is a ValueError, is raised again by this read
     fh.seek(start)
-    return N, _parse_rows(fh.read(), N)
+    widths = [ln.count(",") + 1 for ln in fh if not ln.isspace()]
+    if len(widths) != dim:
+        raise ValidationError(f"bath csv: expected {dim} rows for N={N}, got {len(widths)}")
+    for i, width in enumerate(widths):
+        if width != dim:
+            raise ValidationError(f"bath csv: row {i} has {width} entries, expected {dim}")
+    raise ValidationError(f"bath csv: bad entry: {error}") from error
 
 
 def bath_from_csv(text):
-    """Parse the CSV wire format; returns ``(N, rho)`` without validation."""
+    """Parse the CSV wire format; returns ``(N, rho)`` without validation.
+
+    Reads exactly as :func:`load_bath_csv`: one streamed ``np.loadtxt``."""
     return _read_bath(io.StringIO(text, newline=None))
 
 
@@ -441,6 +435,10 @@ def save_bath_csv(path, rho, N):
 
 
 def load_bath_csv(path):
-    """Read a bath CSV file; returns ``(N, rho)`` without validation."""
+    """Read a bath CSV file; returns ``(N, rho)`` without validation.
+
+    Every entry is read by one streamed ``np.loadtxt`` (see
+    :func:`_read_bath`).  A file that is not UTF-8 raises its
+    ``UnicodeDecodeError``; a malformed one, a :class:`ValidationError`."""
     with open(path, "r", encoding="utf-8") as fh:
         return _read_bath(fh)

@@ -29,7 +29,7 @@ from .baths import _check_k, _symmetric_state, check_n_bar, ladder_weights, vali
 from .collective import basis_ordering, build_collective_ops
 from .errors import NumericError, ValidationError
 from .linalg import validate_density_matrix
-from .master_equation import _FAMILY_FORMS, MAX_SWEEP_N, _check_closed_form_n, dicke_rates
+from .master_equation import _FAMILY_FORMS, _check_closed_form_n, dicke_rates
 from .master_equation import lindblad_rhs
 
 #: Residual coherence above which trajectory temperatures are flagged.

@@ -111,6 +111,13 @@ class TestCoeffs:
             result = run(capsys, command, "--bath", "explicit", "--file", str(path))
             assert_config_error(result, f"bath csv: N={N} outside allowed range 1..12")
 
+    @pytest.mark.parametrize("token", ["1_0+2j", "j", "1+j"])
+    def test_entry_numpy_does_not_parse_exit_2(self, capsys, tmp_path, token):
+        path = tmp_path / "rho.csv"
+        path.write_text(f"N=1,basis=excitation-sorted\n{token},0\n0,1+0j\n")
+        result = run(capsys, "coeffs", "--bath", "explicit", "--file", str(path))
+        assert_config_error(result, "bath csv: bad entry: ", repr(token))
+
     def test_nan_entry_exit_2(self, capsys, tmp_path):
         path = tmp_path / "rho.csv"
         path.write_text("N=1,basis=excitation-sorted\nnan+0j,0+0j\n0+0j,1+0j\n")

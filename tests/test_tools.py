@@ -103,6 +103,20 @@ def test_command_costs_on_the_cheap_workload():
     assert abs(cpu_d - (cpu_c - cpu_p)) <= 0.1 and abs(rss_d - (rss_c - rss_p)) <= 0.01
 
 
+def test_command_costs_rescales_cpu_by_the_probe():
+    spec = importlib.util.spec_from_file_location(
+        "command_costs", os.path.join(ROOT, "tools", "command_costs.py")
+    )
+    command_costs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(command_costs)
+    reference = command_costs.speed.REFERENCE_S
+    # a spawn.py result whose probe slices ran at half the reference speed
+    result = {"seconds": 0.25, "probe": [2 * reference] * 3, "maxrss_kb": 1, "code": 0}
+    assert command_costs.reference_cpu(result) == 0.125
+    result["probe"] = [reference, 3 * reference]
+    assert command_costs.reference_cpu(result) == 0.125
+
+
 def test_src_lines_kinds_sum_to_each_line_count():
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "src_lines.py"), ROOT],

@@ -1,4 +1,5 @@
-"""Per-command CPU time and peak RSS of the benchmark's commands on two trees.
+"""Per-command CPU time, rescaled to the reference speed, and peak RSS of
+the benchmark's commands on two trees.
 
     python3 tools/command_costs.py PARENT CHANGE [--seed S] [--reps K] [--workload NAME]
 
@@ -9,11 +10,14 @@ by ``bench_trees.py`` as for ``same_outputs.py``.  The two trees alternate
 command by command, and their order flips each repetition.  Every run is a
 fresh process started by the small ``perfbench/spawn.py``, which takes its
 CPU time (user + system) and max RSS from ``os.wait4``, so a child's peak is
-its own and not that of the process it was forked from.
+its own and not that of the process it was forked from.  Each run's CPU
+time is rescaled by ``speed.REFERENCE_S`` over the mean of the speed-probe
+slices ``spawn.py`` times just after it, as ``perfbench/run.py`` rescales
+each pass, so a neighbour's load on a shared host moves the columns less.
 
-One line per command gives the median CPU milliseconds and the median max
-RSS (KiB / 1024, the unit of the benchmark's ``peak_rss_mb``) of each tree,
-and the change minus the parent.  Outputs are not checked (see
+One line per command gives the median rescaled CPU milliseconds and the
+median max RSS (KiB / 1024, the unit of the benchmark's ``peak_rss_mb``) of
+each tree, and the change minus the parent.  Outputs are not checked (see
 ``same_outputs.py``); the exit code is 1 if any run exited non-zero.
 """
 
@@ -29,14 +33,21 @@ import tempfile
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import bench_trees  # noqa: E402
+import speed  # noqa: E402  (from perfbench/, put on the path by bench_trees)
 
 SPAWN = os.path.join(bench_trees.PERFBENCH, "spawn.py")
 TIMEOUT = 120  # seconds per command
 
 
+def reference_cpu(result):
+    """The CPU seconds of one ``spawn.py`` result at the reference speed:
+    times ``speed.REFERENCE_S`` over the mean of its probe slices."""
+    return result["seconds"] * speed.REFERENCE_S / statistics.fmean(result["probe"])
+
+
 def run_once(src, argv, out_dir):
-    """``(cpu seconds, max RSS KiB, exit code, stderr tail)`` of one
-    ``python -m qollide`` run against the package in ``src``."""
+    """``(cpu seconds at the reference speed, max RSS KiB, exit code, stderr
+    tail)`` of one ``python -m qollide`` run against the package in ``src``."""
     shutil.rmtree(out_dir, ignore_errors=True)
     os.makedirs(out_dir)
     job = json.dumps({
@@ -48,7 +59,7 @@ def run_once(src, argv, out_dir):
         capture_output=True, text=True, check=True, timeout=TIMEOUT + 60,
     )
     (result,) = json.loads(proc.stdout)
-    return result["seconds"], result["maxrss_kb"], result["code"], result["stderr"]
+    return reference_cpu(result), result["maxrss_kb"], result["code"], result["stderr"]
 
 
 def measure(trees, cmd, in_dir, out_dir, reps):
