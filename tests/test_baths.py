@@ -521,8 +521,8 @@ class TestClassification:
         assert peak < 2**20
 
 
-#: Entries the writer must carry bit for bit: NaN, infinities, negative
-#: zeros, the smallest and largest subnormals and the largest float.
+#: Edge values for the bath CSV: NaN, infinities, negative zeros, the
+#: smallest and largest subnormals and the largest float.
 SPECIAL_ENTRIES = [
     np.nan, np.inf, -np.inf, -0.0, complex(-0.0, -0.0), complex(np.nan, -np.inf),
     5e-324, -5e-324, complex(2.225073858507201e-308, -1e-310), 1.7976931348623157e308,
@@ -533,7 +533,8 @@ def _entry_tokens():
     """Bath-CSV entries: ``fmt_complex`` of any complex value, plain, spaced,
     upper-case or parenthesized, and doubled signs."""
     parts = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-    written = st.builds(fmt_complex, st.builds(complex, parts, parts) | st.sampled_from(SPECIAL_ENTRIES))
+    values = st.builds(complex, parts, parts) | st.sampled_from(SPECIAL_ENTRIES)
+    written = st.builds(fmt_complex, values)
     forms = {
         "plain": lambda t: t,
         "spaced": lambda t: f" {t.replace('+', ' + ').replace('-', ' - ')} ",
@@ -692,7 +693,7 @@ class TestBathCsv:
         assert _first_entry(alone) == _first_entry(beside)
 
     def test_body_with_blank_lines_and_spaced_entries(self, rng, tmp_path):
-        # 128 rows of 128 entries: more than the reader's first chunk of text
+        # 128 rows of 128 entries (740 kB), with blank and spaced rows throughout
         rho = random_density_matrix(rng, 2**7)
         header, *rows = bath_to_csv(rho, 7).splitlines()
         messy = [header, "  "]
