@@ -365,7 +365,7 @@ def bath_to_csv(rho, N):
 
 
 def _parse_header(line):
-    n_field, _, basis_field = line.replace(" ", "").strip().partition(",")
+    n_field, _, basis_field = line.replace(" ", "").partition(",")
     if not n_field.startswith("N=") or basis_field != f"basis={BATH_CSV_BASIS}":
         raise ValidationError(
             f"bath csv: header must be 'N=<n>,basis={BATH_CSV_BASIS}', "
