@@ -14,11 +14,8 @@ from .baths import (
     bath_from_csv,
     bath_to_csv,
     classify_coherences,
-    dicke_block_state,
     load_bath_csv,
-    product_mixed_state,
     save_bath_csv,
-    thermal_hec_state,
     validate_bath,
 )
 from .collective import (

@@ -1,4 +1,4 @@
-"""Bath-cluster state constructors and coherence classification.
+"""Bath-cluster states, their validation and coherence classification.
 
 Three families of N-qubit bath states drive qualitatively different target
 dynamics:
@@ -124,19 +124,6 @@ class BathSpec:
         return d
 
 
-def product_mixed_state(N, p_e):
-    """Bath of N independent qubits, each excited with probability ``p_e``.
-
-    Diagonal in the canonical basis with weight ``p_e**k (1-p_e)**(N-k)`` on
-    every k-excitation state.
-    """
-    _check_p_e(p_e)
-    basis = basis_ordering(N)
-    exc = basis.excitations.astype(float)
-    diag = p_e**exc * (1.0 - p_e) ** (N - exc)
-    return np.diag(diag.astype(complex))
-
-
 def check_n_bar(n_bar):
     """Reject a mean photon number that is negative or not finite."""
     if not 0.0 <= n_bar < math.inf:
@@ -182,31 +169,11 @@ def _symmetric_state(basis, weights):
     return rho
 
 
-def thermal_hec_state(N, n_bar):
-    """Collectively thermalized bath state at mean photon number ``n_bar``.
-
-    Block-diagonal with every excitation block ``k`` uniformly filled with
-    ``d_k = w_k / C(N,k)``, ``w_k`` from :func:`thermal_hec_weights`.
-    Consecutive block traces are in the Gibbs ratio ``r = n_bar/(n_bar+1)``.
-    """
-    basis = basis_ordering(N)  # the qubit cap, before the weights
-    return _symmetric_state(basis, thermal_hec_weights(N, n_bar))
-
-
-def dicke_block_state(N, k):
-    """Pure fully symmetric state with exactly ``k`` excited bath qubits."""
-    _check_k(N, k)
-    return _symmetric_state(basis_ordering(N), np.eye(N + 1)[k])
-
-
-#: The constructor of each named family, called with N and the kind's parameter.
-_FAMILIES = {"product": product_mixed_state, "thermal-hec": thermal_hec_state, "dicke": dicke_block_state}
-
-
 def check_named_bath(spec):
     """Check a named family's parameter and the qubit cap without building
-    its state or its basis, in the order (and with the messages) of its
-    constructor."""
+    its state or its basis: a product's ``p_e`` or a dicke ``k`` first,
+    then the cap, then a thermal-hec ``n_bar``.  Every named bath is
+    checked here and only here."""
     if spec.kind == "product":
         _check_p_e(spec.p_e)
     elif spec.kind == "dicke":
@@ -246,19 +213,31 @@ def ladder_weights(spec):
 def validate_bath(spec):
     """Materialize a :class:`BathSpec` into a validated density matrix.
 
-    The named families are Hermitian with nonnegative weights on diagonal
-    entries or uniformly filled blocks, so they are positive for every
-    parameter their constructors accept, and their weights sum to 1 to
-    rounding; only the trace is checked.  Explicit matrices get the
-    full :func:`validate_density_matrix` check.  Every kind is held to the
-    qubit cap first: the named families by their basis, an explicit matrix
-    here, so callers validate before building the collective operators.
+    A named family is checked by :func:`check_named_bath`, then filled in
+    the canonical basis: a product bath is diagonal with ``p_e^k
+    (1-p_e)^(N-k)`` on every k-excitation state, and a thermal-hec or dicke
+    bath is the symmetric mixture of its :func:`thermal_hec_weights` or of
+    the one block ``k``.  These are Hermitian with nonnegative weights on
+    diagonal entries or uniformly filled blocks, so they are positive for
+    every parameter the checks accept, and their weights sum to 1 to
+    rounding; only the trace is checked.  Explicit matrices get the full
+    :func:`validate_density_matrix` check.  Every kind is held to the
+    qubit cap first, so callers validate before building the collective
+    operators.  This is the one way to a named bath's ``2^N x 2^N`` matrix.
     """
     name = f"{spec.kind} bath"
     if spec.kind == "explicit":
         _check_qubits(spec.N, name)  # before the validation temporaries
         return validate_density_matrix(np.asarray(spec.rho, dtype=complex), name=name)
-    rho = _FAMILIES[spec.kind](spec.N, getattr(spec, _REQUIRED[spec.kind]))
+    check_named_bath(spec)
+    N, basis = spec.N, basis_ordering(spec.N)
+    if spec.kind == "product":
+        exc = basis.excitations.astype(float)
+        rho = np.diag((spec.p_e**exc * (1.0 - spec.p_e) ** (N - exc)).astype(complex))
+    elif spec.kind == "thermal-hec":
+        rho = _symmetric_state(basis, thermal_hec_weights(N, spec.n_bar))
+    else:
+        rho = _symmetric_state(basis, np.eye(N + 1)[spec.k])
     check_unit_trace(rho, name=name)
     return rho
 

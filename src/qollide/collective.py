@@ -142,7 +142,8 @@ def build_collective_ops(N):
 
 def dicke_ladder_transform(N):
     """Isometry (``2**N x (N+1)``) whose k-th column is the symmetric state
-    with ``k`` excitations; ``(V * w) @ V^dag`` is the bath constructors' block fill."""
+    with ``k`` excitations; ``(V * w) @ V^dag`` is the block fill of a symmetric
+    bath in :func:`~qollide.baths.validate_bath`."""
     basis = basis_ordering(N)
     V = np.zeros((basis.dim, N + 1), dtype=complex)
     for k in range(N + 1):

@@ -841,8 +841,9 @@ def prepare_thermal_dicke(N, n_bar, gamma0, t_end, dt):
     Starting from ``|g...g>`` the dynamics stays inside the fully symmetric
     ladder, so an (N+1)-dimensional rate equation suffices.  For
     ``t_end >> 1/gamma0`` consecutive populations approach the Gibbs ratio
-    ``n_bar/(n_bar+1)`` and the product-basis image coincides with
-    :func:`qollide.baths.thermal_hec_state`.  The qubit cap comes first.
+    ``n_bar/(n_bar+1)`` and the product-basis image coincides with the
+    thermal-hec bath, ``validate_bath(BathSpec.thermal_hec(N, n_bar))``.
+    The qubit cap comes first.
 
     Returns ``(LadderState, rho_product)``.
     """

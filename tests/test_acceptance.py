@@ -23,17 +23,15 @@ from qollide import (
     coefficients_product_mixed,
     coefficients_thermal_hec,
     collision_chain,
-    dicke_block_state,
     evolve_analytic,
     ground_state,
     prepare_thermal_dicke,
-    product_mixed_state,
     scaling_sweep,
     steady_state,
     steady_temperature,
     temperature_trajectory,
-    thermal_hec_state,
     thermalization_time,
+    validate_bath,
     validate_density_matrix,
 )
 from qollide.cli import main as cli_main
@@ -59,7 +57,8 @@ def test_criterion_1_coefficient_oracle_equivalence():
         ops = cached_ops(N)
         for p_e in (0.0, 0.2, 0.5):
             closed = coefficients_product_mixed(N, p_e, PARAMS)
-            brute = coefficients_from_state(product_mixed_state(N, p_e), ops, PARAMS)
+            rho = validate_bath(BathSpec.product_mixed(N, p_e))
+            brute = coefficients_from_state(rho, ops, PARAMS)
             worst = max(
                 worst,
                 abs(closed.r_e - brute.r_e),
@@ -70,7 +69,8 @@ def test_criterion_1_coefficient_oracle_equivalence():
             cases += 1
         for n_bar in (0.0, 0.5, 1.0, 2.0):
             closed = coefficients_thermal_hec(N, n_bar, PARAMS)
-            brute = coefficients_from_state(thermal_hec_state(N, n_bar), ops, PARAMS)
+            rho = validate_bath(BathSpec.thermal_hec(N, n_bar))
+            brute = coefficients_from_state(rho, ops, PARAMS)
             worst = max(
                 worst,
                 abs(closed.r_e - brute.r_e),
@@ -81,7 +81,8 @@ def test_criterion_1_coefficient_oracle_equivalence():
             cases += 1
         for k in range(N + 1):
             closed = coefficients_dicke(N, k, PARAMS)
-            brute = coefficients_from_state(dicke_block_state(N, k), ops, PARAMS)
+            rho = validate_bath(BathSpec.dicke(N, k))
+            brute = coefficients_from_state(rho, ops, PARAMS)
             worst = max(
                 worst,
                 abs(closed.r_e - brute.r_e),
@@ -265,7 +266,7 @@ def test_criterion_7_preparation_oracle():
             )
             worst_entry = max(
                 worst_entry,
-                float(np.max(np.abs(rho - thermal_hec_state(N, n_bar)))),
+                float(np.max(np.abs(rho - validate_bath(BathSpec.thermal_hec(N, n_bar))))),
             )
             r = n_bar / (n_bar + 1.0)
             pops = ladder.populations
@@ -306,7 +307,7 @@ def test_criterion_8_classification_properties():
     worst = 0.0
     for N in range(3, 6):
         ops = cached_ops(N)
-        base = 0.7 * thermal_hec_state(N, 1.0) + 0.3 * np.eye(2**N) / 2**N
+        base = 0.7 * validate_bath(BathSpec.thermal_hec(N, 1.0)) + 0.3 * np.eye(2**N) / 2**N
         ineffective = label_table(N) == "ineffective"
         rng = np.random.default_rng(1000 + N)
         noise = rng.normal(size=ineffective.shape) + 1j * rng.normal(

@@ -18,13 +18,10 @@ from qollide import (
     bath_to_csv,
     classify_coherences,
     coefficients_from_state,
-    dicke_block_state,
     dicke_ladder_transform,
     load_bath_csv,
     prepare_thermal_dicke,
-    product_mixed_state,
     save_bath_csv,
-    thermal_hec_state,
     validate_bath,
     validate_density_matrix,
 )
@@ -46,19 +43,30 @@ from conftest import (
 from test_collective import canonical_index
 
 
+def _kron_product_state(N, p_e):
+    """Oracle: the Kronecker product of ``N`` single-qubit states
+    ``diag(1 - p_e, p_e)`` (qubit 1 most significant, excited as bit 1),
+    permuted from binary to canonical order."""
+    rho = np.ones((1, 1))
+    for _ in range(N):
+        rho = np.kron(rho, np.diag([1.0 - p_e, p_e]))
+    order = basis_ordering(N).order
+    return rho[np.ix_(order, order)].astype(complex)
+
+
 class TestProductMixed:
     def test_ground(self):
         np.testing.assert_allclose(
-            product_mixed_state(1, 0.0), np.diag([1.0, 0.0]), atol=0
+            validate_bath(BathSpec.product_mixed(1, 0.0)), np.diag([1.0, 0.0]), atol=0
         )
 
     def test_maximally_mixed(self):
         np.testing.assert_allclose(
-            product_mixed_state(2, 0.5), np.eye(4) / 4.0, atol=1e-15
+            validate_bath(BathSpec.product_mixed(2, 0.5)), np.eye(4) / 4.0, atol=1e-15
         )
 
     def test_binomial_weights(self):
-        rho = product_mixed_state(3, 0.2)
+        rho = validate_bath(BathSpec.product_mixed(3, 0.2))
         basis = cached_ops(3).basis
         diag = np.diag(rho).real
         ones = basis.block_slice(1)
@@ -66,19 +74,27 @@ class TestProductMixed:
 
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
-            product_mixed_state(2, 1.2)
+            validate_bath(BathSpec.product_mixed(2, 1.2))
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("p_e", [0.0, 0.2, 1 / 3, 0.5, 0.9, 1.0])
+    def test_kronecker_product_of_qubits(self, N, p_e):
+        np.testing.assert_allclose(
+            validate_bath(BathSpec.product_mixed(N, p_e)), _kron_product_state(N, p_e),
+            rtol=1e-14, atol=0,
+        )
 
 
 class TestThermalHec:
     def test_zero_temperature(self):
-        rho = thermal_hec_state(3, 0.0)
+        rho = validate_bath(BathSpec.thermal_hec(3, 0.0))
         expected = np.zeros((8, 8), dtype=complex)
         expected[0, 0] = 1.0
         np.testing.assert_allclose(rho, expected, atol=0)
 
     def test_n2_nbar1_coefficients(self):
         # d_k = (1-r) r^k / ((1-r^3) C(2,k)) at r = 1/2: 4/7, 1/7, 1/7
-        rho = thermal_hec_state(2, 1.0)
+        rho = validate_bath(BathSpec.thermal_hec(2, 1.0))
         basis = cached_ops(2).basis
         for k, d_k in ((0, 4.0 / 7.0), (1, 1.0 / 7.0), (2, 1.0 / 7.0)):
             blk = rho[basis.block_slice(k), basis.block_slice(k)]
@@ -89,7 +105,7 @@ class TestThermalHec:
     def test_consecutive_block_trace_ratio(self, N):
         n_bar = 0.7
         r = n_bar / (n_bar + 1.0)
-        rho = thermal_hec_state(N, n_bar)
+        rho = validate_bath(BathSpec.thermal_hec(N, n_bar))
         basis = cached_ops(N).basis
         traces = [
             np.trace(rho[basis.block_slice(k), basis.block_slice(k)]).real
@@ -109,7 +125,7 @@ class TestThermalHec:
         assert abs(math.fsum(got) - 1.0) <= 4e-15
 
     def test_uniform_within_block(self):
-        rho = thermal_hec_state(4, 1.3)
+        rho = validate_bath(BathSpec.thermal_hec(4, 1.3))
         basis = cached_ops(4).basis
         for k in range(5):
             blk = rho[basis.block_slice(k), basis.block_slice(k)]
@@ -118,13 +134,13 @@ class TestThermalHec:
 
 class TestDickeBlock:
     def test_ground(self):
-        rho = dicke_block_state(4, 0)
+        rho = validate_bath(BathSpec.dicke(4, 0))
         expected = np.zeros((16, 16), dtype=complex)
         expected[0, 0] = 1.0
         np.testing.assert_allclose(rho, expected, atol=0)
 
     def test_middle_block_n2(self):
-        rho = dicke_block_state(2, 1)
+        rho = validate_bath(BathSpec.dicke(2, 1))
         expected = np.zeros((4, 4), dtype=complex)
         expected[1:3, 1:3] = 0.5
         np.testing.assert_allclose(rho, expected, atol=1e-15)
@@ -132,21 +148,21 @@ class TestDickeBlock:
     @pytest.mark.parametrize("N", range(1, 9))
     def test_purity(self, N):
         for k in range(N + 1):
-            rho = dicke_block_state(N, k)
+            rho = validate_bath(BathSpec.dicke(N, k))
             assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
     def test_outer_product_of_vector(self):
         v = symmetric_dicke_vector(3, 2)
         np.testing.assert_allclose(
-            dicke_block_state(3, 2), np.outer(v, v.conj()), atol=1e-15
+            validate_bath(BathSpec.dicke(3, 2)), np.outer(v, v.conj()), atol=1e-15
         )
 
 
 @pytest.mark.parametrize("N", range(1, 9))
-def test_constructors_are_valid_density_matrices(N):
-    validate_density_matrix(product_mixed_state(N, 0.3))
-    validate_density_matrix(thermal_hec_state(N, 0.8))
-    validate_density_matrix(dicke_block_state(N, N // 2))
+def test_named_states_are_valid_density_matrices(N):
+    validate_density_matrix(validate_bath(BathSpec.product_mixed(N, 0.3)))
+    validate_density_matrix(validate_bath(BathSpec.thermal_hec(N, 0.8)))
+    validate_density_matrix(validate_bath(BathSpec.dicke(N, N // 2)))
 
 
 def _block_fill(N, weights):
@@ -190,19 +206,19 @@ class TestSymmetricMixtures:
     @pytest.mark.parametrize("N", [1, 5, 8])
     def test_named_families(self, N):
         weights = thermal_hec_weights(N, 0.7)
-        assert_same_state(thermal_hec_state(N, 0.7), _block_fill(N, weights))
+        assert_same_state(validate_bath(BathSpec.thermal_hec(N, 0.7)), _block_fill(N, weights))
         for k in range(N + 1):
-            assert_same_state(dicke_block_state(N, k), _block_fill(N, np.eye(N + 1)[k]))
+            assert_same_state(validate_bath(BathSpec.dicke(N, k)), _block_fill(N, np.eye(N + 1)[k]))
 
 
 @pytest.mark.parametrize(
     "build",
     [
         lambda: basis_ordering(13),
-        lambda: product_mixed_state(13, 0.2),
-        lambda: thermal_hec_state(13, 1.0),
-        lambda: thermal_hec_state(30, 1.0),
-        lambda: dicke_block_state(13, 3),
+        lambda: validate_bath(BathSpec.product_mixed(13, 0.2)),
+        lambda: validate_bath(BathSpec.thermal_hec(13, 1.0)),
+        lambda: validate_bath(BathSpec.thermal_hec(30, 1.0)),
+        lambda: validate_bath(BathSpec.dicke(13, 3)),
         lambda: dicke_ladder_transform(13),
         lambda: prepare_thermal_dicke(13, 0.2, 1.0, 6.0, 0.05),
     ],
@@ -295,21 +311,22 @@ def _named_specs(N, rng):
 
 class TestNamedFamiliesCheckedFromParameters:
     """``validate_bath`` skips the dense positivity check for the named
-    families; the states it returns must be the constructors' and pass it."""
+    families; the states it returns must match independent oracles and
+    pass it."""
 
-    CONSTRUCTORS = {
-        "product": lambda s: product_mixed_state(s.N, s.p_e),
-        "thermal-hec": lambda s: thermal_hec_state(s.N, s.n_bar),
-        "dicke": lambda s: dicke_block_state(s.N, s.k),
+    ORACLES = {
+        "product": lambda s: _kron_product_state(s.N, s.p_e),
+        "thermal-hec": lambda s: _block_fill(s.N, thermal_hec_weights(s.N, s.n_bar)),
+        "dicke": lambda s: _block_fill(s.N, np.eye(s.N + 1)[s.k]),
     }
 
     @pytest.mark.parametrize("N", range(1, 9))
-    def test_constructor_output_passes_dense_oracle(self, N):
+    def test_state_matches_oracle_and_passes_dense_check(self, N):
         rng = np.random.default_rng(1000 + N)
         for spec in _named_specs(N, rng):
             rho = validate_bath(spec)
-            expected = self.CONSTRUCTORS[spec.kind](spec)
-            assert np.array_equal(rho, expected)
+            want = self.ORACLES[spec.kind](spec)
+            np.testing.assert_allclose(rho, want, rtol=1e-14, atol=0, err_msg=str(spec.describe()))
             assert eigvalsh_oracle_accepts(rho), spec.describe()
 
     def test_no_dense_factorization(self, monkeypatch):
@@ -326,10 +343,9 @@ class TestNamedFamiliesCheckedFromParameters:
         # the block weights keep their normalization at every n_bar, so the
         # full check accepts these states, and the trace check, all that a
         # named family gets, agrees
-        rho = thermal_hec_state(4, n_bar)
+        rho = validate_bath(BathSpec.thermal_hec(4, n_bar))
         assert abs(np.trace(rho).real - 1.0) <= 1e-15
         assert eigvalsh_oracle_accepts(rho)
-        validate_bath(BathSpec.thermal_hec(4, n_bar))
 
 
 def operator_patterns(N):
@@ -454,7 +470,7 @@ class TestClassification:
         # master-equation coefficients unchanged (up to rounding)
         ops = cached_ops(N)
         params = CollisionParams(g=0.1, tau=1.0, p=100.0)
-        base = 0.7 * thermal_hec_state(N, 1.0) + 0.3 * np.eye(2**N) / 2**N
+        base = 0.7 * validate_bath(BathSpec.thermal_hec(N, 1.0)) + 0.3 * np.eye(2**N) / 2**N
         ineffective = label_table(N) == "ineffective"
         if not ineffective.any():
             pytest.skip("no ineffective entries at this N")
@@ -555,7 +571,7 @@ def _first_entry(text):
 
 class TestBathCsv:
     def test_round_trip(self, tmp_path):
-        rho = thermal_hec_state(3, 0.5)
+        rho = validate_bath(BathSpec.thermal_hec(3, 0.5))
         path = tmp_path / "rho.csv"
         save_bath_csv(path, rho, 3)
         n, back = load_bath_csv(path)

@@ -24,7 +24,6 @@ from qollide import (
     classify_coherences,
     ladder_history,
     prepare_thermal_dicke,
-    thermal_hec_state,
     validate_bath,
 )
 from qollide import dynamics
@@ -478,10 +477,9 @@ class TestEvolve:
     def test_exact_collisions_follow_the_bath_trace(self, capsys, tmp_path):
         # a bath accepted with trace 1 + 9e-11: 1000 collisions move the
         # target's trace by 9e-8, as the bath says, so the run is written
-        from qollide import product_mixed_state
-
         path = tmp_path / "rho.csv"
-        path.write_text(bath_to_csv(product_mixed_state(2, 0.5) * (1.0 + 9e-11), 2))
+        rho = validate_bath(BathSpec.product_mixed(2, 0.5))
+        path.write_text(bath_to_csv(rho * (1.0 + 9e-11), 2))
         out_path = tmp_path / "traj.csv"
         code, out, err = run(
             capsys, "evolve", "--engine", "collisions", "--bath", "explicit",
@@ -638,10 +636,8 @@ class TestClassify:
         assert counts["displacement"] == 2
 
     def test_explicit_file_same_map_as_named_bath(self, capsys, tmp_path):
-        from qollide import product_mixed_state
-
         path = tmp_path / "rho.csv"
-        path.write_text(bath_to_csv(product_mixed_state(3, 0.3), 3))
+        path.write_text(bath_to_csv(validate_bath(BathSpec.product_mixed(3, 0.3)), 3))
         named = run(capsys, "classify", "--bath", "product", "--N", "3", "--pe", "0.3")
         assert named[0] == 0
         assert run(capsys, "classify", "--bath", "explicit", "--file", str(path)) == named
@@ -801,7 +797,7 @@ class TestPrepare:
         assert code == 0
         assert ladder_path.read_text() == "t,rho_0,rho_1,rho_2\n"
         _, rho = bath_from_csv(state_path.read_text())
-        np.testing.assert_allclose(rho, thermal_hec_state(2, 1.0), atol=1e-6)
+        np.testing.assert_allclose(rho, validate_bath(BathSpec.thermal_hec(2, 1.0)), atol=1e-6)
 
     def test_single_point_grid_writes_final_state(self, capsys, tmp_path):
         # the bath state is the one at t_end even when only t = 0 is recorded
@@ -842,7 +838,7 @@ class TestPrepare:
         )
         assert code == 0
         _, rho = bath_from_csv(state_path.read_text())
-        np.testing.assert_allclose(rho, thermal_hec_state(2, 1.0), atol=1e-6)
+        np.testing.assert_allclose(rho, validate_bath(BathSpec.thermal_hec(2, 1.0)), atol=1e-6)
 
     @pytest.mark.parametrize("n_bar", ["inf", "nan"])
     def test_non_finite_nbar_exit_2(self, capsys, tmp_path, n_bar):

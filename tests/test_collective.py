@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from qollide import (
+    BathSpec,
     ValidationError,
     basis_ordering,
     block_sizes,
     build_collective_ops,
-    dicke_block_state,
     dicke_ladder_transform,
     j_z_diagonal,
+    validate_bath,
 )
 
 from conftest import cached_ops, dense_ops, expectation, symmetric_dicke_vector
@@ -98,7 +99,7 @@ class TestCollectiveOps:
     def test_symmetric_state_moments(self, N):
         dense = dense_ops(N)
         for k in range(N + 1):
-            rho = dicke_block_state(N, k)
+            rho = validate_bath(BathSpec.dicke(N, k))
             re = expectation(dense.J_plus_J_minus, rho).real
             rd = expectation(dense.J_minus_J_plus, rho).real
             assert re == pytest.approx(k * (N - k + 1), abs=1e-12)

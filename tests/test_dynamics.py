@@ -44,7 +44,6 @@ from qollide import (
     steady_temperature,
     temperature_from_populations,
     temperature_trajectory,
-    thermal_hec_state,
     thermalization_time,
     validate_bath,
 )
@@ -1831,7 +1830,7 @@ class TestPrepareThermalDicke:
 
     def test_matches_closed_form_state(self):
         ladder, rho = prepare_thermal_dicke(2, 1.0, 1.0, t_end=15.0, dt=0.002)
-        np.testing.assert_allclose(rho, thermal_hec_state(2, 1.0), atol=1e-6)
+        np.testing.assert_allclose(rho, validate_bath(BathSpec.thermal_hec(2, 1.0)), atol=1e-6)
 
     def test_single_qubit_excited_fraction(self):
         n_bar = 0.5

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qollide import (
+    BathSpec,
     ValidationError,
-    dicke_block_state,
     linalg,
     matrix_exp,
     partial_trace_bath,
+    validate_bath,
     validate_density_matrix,
 )
 from qollide.errors import NumericError
@@ -110,7 +111,7 @@ class TestExpectation:
 
     def test_collective_moment_on_symmetric_state(self):
         # <J+J-> on the k=1 symmetric state of N=4 equals k(N-k+1) = 4
-        val = expectation(dense_ops(4).J_plus_J_minus, dicke_block_state(4, 1))
+        val = expectation(dense_ops(4).J_plus_J_minus, validate_bath(BathSpec.dicke(4, 1)))
         assert val.real == pytest.approx(4.0, abs=1e-12)
         assert abs(val.imag) < 1e-12
 

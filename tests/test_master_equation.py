@@ -15,14 +15,12 @@ from qollide import (
     coefficients_from_state,
     coefficients_product_mixed,
     coefficients_thermal_hec,
-    dicke_block_state,
     dicke_temperature,
     j_z_diagonal,
     lindblad_rhs,
-    product_mixed_state,
     scaling_sweep,
     steady_state,
-    thermal_hec_state,
+    validate_bath,
 )
 from qollide.baths import BathSpec, _gibbs_exponent, thermal_hec_weights
 from qollide.master_equation import thermal_hec_rates
@@ -121,7 +119,7 @@ class TestClosedFormsAgainstBruteForce:
     def test_product(self, N, p_e):
         closed = coefficients_product_mixed(N, p_e, PARAMS)
         brute = coefficients_from_state(
-            product_mixed_state(N, p_e), cached_ops(N), PARAMS
+            validate_bath(BathSpec.product_mixed(N, p_e)), cached_ops(N), PARAMS
         )
         assert closed.r_e == pytest.approx(brute.r_e, abs=1e-12)
         assert closed.r_d == pytest.approx(brute.r_d, abs=1e-12)
@@ -132,7 +130,7 @@ class TestClosedFormsAgainstBruteForce:
     def test_thermal_hec(self, N, n_bar):
         closed = coefficients_thermal_hec(N, n_bar, PARAMS)
         brute = coefficients_from_state(
-            thermal_hec_state(N, n_bar), cached_ops(N), PARAMS
+            validate_bath(BathSpec.thermal_hec(N, n_bar)), cached_ops(N), PARAMS
         )
         assert closed.r_e == pytest.approx(brute.r_e, abs=1e-12)
         assert closed.r_d == pytest.approx(brute.r_d, abs=1e-12)
@@ -144,7 +142,7 @@ class TestClosedFormsAgainstBruteForce:
         # so the two paths agree even where 1 - r^(N+1) rounds to 0
         closed = coefficients_thermal_hec(N, n_bar, PARAMS)
         brute = coefficients_from_state(
-            thermal_hec_state(N, n_bar), cached_ops(N), PARAMS
+            validate_bath(BathSpec.thermal_hec(N, n_bar)), cached_ops(N), PARAMS
         )
         assert brute.r_e == pytest.approx(closed.r_e, rel=1e-12, abs=0.0)
         assert brute.r_d == pytest.approx(closed.r_d, rel=1e-12, abs=0.0)
@@ -154,7 +152,7 @@ class TestClosedFormsAgainstBruteForce:
         for k in range(N + 1):
             closed = coefficients_dicke(N, k, PARAMS)
             brute = coefficients_from_state(
-                dicke_block_state(N, k), cached_ops(N), PARAMS
+                validate_bath(BathSpec.dicke(N, k)), cached_ops(N), PARAMS
             )
             assert closed.r_e == pytest.approx(brute.r_e, abs=1e-12)
             assert closed.r_d == pytest.approx(brute.r_d, abs=1e-12)
@@ -264,9 +262,9 @@ class TestClosedFormsAgainstBruteForce:
     @pytest.mark.parametrize("N", range(1, 7))
     def test_block_diagonal_states_have_no_drive(self, N):
         for rho in (
-            product_mixed_state(N, 0.3),
-            thermal_hec_state(N, 0.9),
-            dicke_block_state(N, N // 2),
+            validate_bath(BathSpec.product_mixed(N, 0.3)),
+            validate_bath(BathSpec.thermal_hec(N, 0.9)),
+            validate_bath(BathSpec.dicke(N, N // 2)),
         ):
             c = coefficients_from_state(rho, cached_ops(N), PARAMS)
             assert abs(c.lam) <= 1e-14
@@ -292,10 +290,10 @@ class TestClosedFormsAgainstBruteForce:
     def test_moment_extraction_at_top_of_size_range(self):
         # moment-only workload at N = 12 must not require the dense
         # 2^N x 2^N operators (the ladder blocks suffice)
-        from qollide import build_collective_ops, thermal_hec_state
+        from qollide import build_collective_ops
 
         ops = build_collective_ops(12)
-        c = coefficients_from_state(thermal_hec_state(12, 1.0), ops, PARAMS)
+        c = coefficients_from_state(validate_bath(BathSpec.thermal_hec(12, 1.0)), ops, PARAMS)
         ref = coefficients_thermal_hec(12, 1.0, PARAMS)
         assert c.r_e == pytest.approx(ref.r_e, abs=1e-10)
         assert c.r_d == pytest.approx(ref.r_d, abs=1e-10)
@@ -307,7 +305,7 @@ class TestClosedFormsAgainstBruteForce:
         spec = BathSpec.dicke(6, 2)
         c = coefficients_for(spec, PARAMS)
         assert (c.r_e, c.r_d) == (10.0, 12.0)
-        spec = BathSpec.explicit(thermal_hec_state(3, 1.0))
+        spec = BathSpec.explicit(validate_bath(BathSpec.thermal_hec(3, 1.0)))
         c = coefficients_for(spec, PARAMS)
         ref = coefficients_thermal_hec(3, 1.0, PARAMS)
         assert c.r_e == pytest.approx(ref.r_e, abs=1e-12)
