@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import BasisOrdering, _check_qubits, basis_ordering, block_sizes
+from .collective import BasisOrdering, _check_qubits, _is_integer, basis_ordering, block_sizes
 from .errors import ValidationError
 from .linalg import check_unit_trace, validate_density_matrix
 from .utils import fmt_complex
@@ -80,6 +80,8 @@ class BathSpec:
             raise ValidationError(
                 f"bath kind: {self.kind!r} not one of {BATH_KINDS}"
             )
+        if not _is_integer(self.N):
+            raise ValidationError(f"N: must be an integer, got {self.N!r}")
         if self.N < 1:
             raise ValidationError(f"N: must be >= 1, got {self.N}")
         field = _REQUIRED[self.kind]
@@ -259,6 +261,8 @@ class CoherenceMap:
 
     def primary(self, i, j):
         """The label of entry ``(i, j)``."""
+        self.basis.check_index(i, "primary")
+        self.basis.check_index(j, "primary")
         order, exc = self.basis.order, self.basis.excitations
         flips = int(order[i] ^ order[j]).bit_count()  # 0 only on the diagonal
         if flips == 2:
@@ -356,6 +360,28 @@ def _parse_header(line):
         raise ValidationError(f"bath csv: cannot parse N from {line!r}") from exc
 
 
+def _entries_line(line):
+    """A body line as the reader parses it: spaces removed, ``J`` read as ``j``."""
+    return line.replace(" ", "").replace("J", "j") if " " in line or "J" in line else line
+
+
+def _loadtxt(lines):
+    """The entries of ``lines`` by one streamed ``np.loadtxt``, one row per line."""
+    with warnings.catch_warnings():
+        # no lines at all is reported as a row-count error by the reader
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype=complex, delimiter=",", ndmin=2, comments=None)
+
+
+def _reads(text):
+    """Whether :func:`_loadtxt` reads ``text`` as one row of as many
+    entries as its commas delimit."""
+    try:
+        return _loadtxt([text]).size == text.count(",") + 1
+    except ValueError:
+        return False
+
+
 def _read_bath(fh):
     """Read the CSV wire format from a seekable text stream.
 
@@ -364,9 +390,12 @@ def _read_bath(fh):
     as ``j``: an entry reads as numpy's complex parse of it without its
     spaces, whatever the other lines hold.  Only when that fails or gives
     the wrong shape is the body read again, counting commas, to say which
-    row is wrong.
+    line is wrong, and then once more, line by line and entry by entry
+    through the same parse, to name the first bad entry.  Lines and
+    columns are counted from 1 over the whole file, header and blank lines
+    included.
     """
-    for line in iter(fh.readline, ""):
+    for number, line in enumerate(iter(fh.readline, ""), 1):
         if line.strip():
             break
     else:
@@ -374,30 +403,31 @@ def _read_bath(fh):
     N = _parse_header(line.rstrip("\n"))
     _check_qubits(N, "bath csv")  # before the body is read
     dim = 2**N
-    start = fh.tell()
-    rows = (
-        ln.replace(" ", "").replace("J", "j") if " " in ln or "J" in ln else ln
-        for ln in fh
-        if not ln.isspace()
-    )
+    start, first = fh.tell(), number + 1
     error = None
     try:
-        with warnings.catch_warnings():
-            # an empty body is reported as a row-count error below
-            warnings.simplefilter("ignore", UserWarning)
-            rho = np.loadtxt(rows, dtype=complex, delimiter=",", ndmin=2, comments=None)
+        rho = _loadtxt(_entries_line(ln) for ln in fh if not ln.isspace())
         if rho.shape == (dim, dim):
             return N, rho
     except ValueError as exc:
         error = exc
     # a UnicodeDecodeError, which is a ValueError, is raised again by this read
     fh.seek(start)
-    widths = [ln.count(",") + 1 for ln in fh if not ln.isspace()]
+    widths = [(n, ln.count(",") + 1) for n, ln in enumerate(fh, first) if not ln.isspace()]
     if len(widths) != dim:
         raise ValidationError(f"bath csv: expected {dim} rows for N={N}, got {len(widths)}")
-    for i, width in enumerate(widths):
+    for n, width in widths:
         if width != dim:
-            raise ValidationError(f"bath csv: row {i} has {width} entries, expected {dim}")
+            raise ValidationError(f"bath csv: line {n} has {width} entries, expected {dim}")
+    fh.seek(start)
+    for n, ln in enumerate(fh, first):
+        entries = _entries_line(ln).rstrip("\n")
+        if not ln.isspace() and not _reads(entries):
+            for column, token in enumerate(entries.split(","), 1):
+                if not _reads(token):
+                    raise ValidationError(
+                        f"bath csv: bad entry: {token!r} at line {n}, column {column}"
+                    )
     raise ValidationError(f"bath csv: bad entry: {error}") from error
 
 

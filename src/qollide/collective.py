@@ -29,8 +29,16 @@ from .errors import ValidationError
 MAX_QUBITS = 12
 
 
+def _is_integer(N):
+    """Whether ``N`` is an integer: a Python ``int`` or a numpy integer."""
+    return isinstance(N, (int, np.integer))
+
+
 def _check_qubits(N, name):
-    """Reject an ``N`` outside ``1..MAX_QUBITS``, naming the caller."""
+    """Reject an ``N`` that is not an integer in ``1..MAX_QUBITS``, naming
+    the caller."""
+    if not _is_integer(N):
+        raise ValidationError(f"{name}: N={N!r} is not an integer")
     if not 1 <= N <= MAX_QUBITS:
         raise ValidationError(f"{name}: N={N} outside allowed range 1..{MAX_QUBITS}")
 
@@ -80,8 +88,14 @@ class BasisOrdering:
             raise ValidationError(f"block_slice: k={k} out of range 0..{self.N}")
         return slice(self.offsets[k], self.offsets[k + 1])
 
+    def check_index(self, s, name):
+        """Reject a canonical index outside ``0..dim-1``, naming the caller."""
+        if not 0 <= s < self.dim:
+            raise ValidationError(f"{name}: index {s} out of range 0..{self.dim - 1}")
+
     def state_label(self, s):
         """Pattern string like ``'gge'`` (qubit 1 first) of canonical index s."""
+        self.check_index(s, "state_label")
         b = int(self.order[s])
         return "".join(
             "e" if (b >> (self.N - i)) & 1 else "g" for i in range(1, self.N + 1)

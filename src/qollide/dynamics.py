@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .baths import _check_k, _symmetric_state, check_n_bar, ladder_weights, validate_bath
-from .collective import basis_ordering, build_collective_ops
+from .collective import _is_integer, basis_ordering, build_collective_ops
 from .errors import NumericError, ValidationError
 from .linalg import validate_density_matrix
 from .master_equation import _FAMILY_FORMS, _check_closed_form_n, dicke_rates
@@ -784,6 +784,8 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     those steps.  Such a grid of more than :data:`MAX_RECORDS` steps is
     refused before it is propagated.
     """
+    if not _is_integer(N):
+        raise ValidationError(f"N: must be an integer, got {N!r}")
     if N < 1:
         raise ValidationError(f"N: must be >= 1, got {N}")
     check_n_bar(n_bar)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baths import _REQUIRED, BathSpec, _check_k, _check_p_e, _gibbs_exponent, validate_bath
-from .collective import build_collective_ops, j_z_diagonal
+from .collective import _is_integer, build_collective_ops, j_z_diagonal
 from .errors import NumericError, ValidationError
 
 # Target-qubit operators in the (|e>, |g>) basis.
@@ -53,10 +53,13 @@ MAX_SWEEP_N = 2**53
 
 
 def _check_closed_form_n(Ns, name="N"):
-    """Hold every N of a closed form to ``1..MAX_SWEEP_N``, before any of
-    them is turned into a float; an array's ends are read without
-    iterating it."""
-    low, high = (Ns.min(), Ns.max()) if isinstance(Ns, np.ndarray) else (min(Ns), max(Ns))
+    """Hold every N of a closed form to the integers in ``1..MAX_SWEEP_N``,
+    before any of them is turned into a float; an array is judged by its
+    dtype and its ends, without iterating it."""
+    array = isinstance(Ns, np.ndarray)
+    if not (Ns.dtype.kind in "iu" if array else all(map(_is_integer, Ns))):
+        raise ValidationError(f"{name}: all N must be integers")
+    low, high = (Ns.min(), Ns.max()) if array else (min(Ns), max(Ns))
     if low < 1:
         raise ValidationError(f"{name}: all N must be >= 1")
     if high > MAX_SWEEP_N:

@@ -43,17 +43,6 @@ from conftest import (
 from test_collective import canonical_index
 
 
-def _kron_product_state(N, p_e):
-    """Oracle: the Kronecker product of ``N`` single-qubit states
-    ``diag(1 - p_e, p_e)`` (qubit 1 most significant, excited as bit 1),
-    permuted from binary to canonical order."""
-    rho = np.ones((1, 1))
-    for _ in range(N):
-        rho = np.kron(rho, np.diag([1.0 - p_e, p_e]))
-    order = basis_ordering(N).order
-    return rho[np.ix_(order, order)].astype(complex)
-
-
 class TestProductMixed:
     def test_ground(self):
         np.testing.assert_allclose(
@@ -75,14 +64,6 @@ class TestProductMixed:
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
             validate_bath(BathSpec.product_mixed(2, 1.2))
-
-    @pytest.mark.parametrize("N", range(1, 9))
-    @pytest.mark.parametrize("p_e", [0.0, 0.2, 1 / 3, 0.5, 0.9, 1.0])
-    def test_kronecker_product_of_qubits(self, N, p_e):
-        np.testing.assert_allclose(
-            validate_bath(BathSpec.product_mixed(N, p_e)), _kron_product_state(N, p_e),
-            rtol=1e-14, atol=0,
-        )
 
 
 class TestThermalHec:
@@ -175,6 +156,17 @@ def _block_fill(N, weights):
         rho[start : start + size, start : start + size] = w / size
         start += size
     return rho
+
+
+def _kron_product_state(N, p_e):
+    """Oracle: the Kronecker product of ``N`` single-qubit states
+    ``diag(1 - p_e, p_e)`` (qubit 1 most significant, excited as bit 1),
+    permuted from binary to canonical order."""
+    rho = np.ones((1, 1))
+    for _ in range(N):
+        rho = np.kron(rho, np.diag([1.0 - p_e, p_e]))
+    order = basis_ordering(N).order
+    return rho[np.ix_(order, order)].astype(complex)
 
 
 def assert_same_state(rho, want):
@@ -300,8 +292,8 @@ class TestValidateBath:
 
 def _named_specs(N, rng):
     yield BathSpec.product_mixed(N, float(rng.uniform()))
-    yield BathSpec.product_mixed(N, 0.0)
-    yield BathSpec.product_mixed(N, 1.0)
+    for p_e in (0.0, 0.2, 1 / 3, 0.5, 1.0):
+        yield BathSpec.product_mixed(N, p_e)
     yield BathSpec.thermal_hec(N, float(rng.exponential(2.0)))
     yield BathSpec.thermal_hec(N, 0.0)
     yield BathSpec.dicke(N, int(rng.integers(0, N + 1)))
@@ -368,6 +360,13 @@ def operator_patterns(N):
 
 
 class TestClassification:
+    @pytest.mark.parametrize("i, j, bad", [(-1, 0, -1), (0, -1, -1), (8, 0, 8), (0, 8, 8)])
+    def test_primary_refuses_out_of_range_index(self, i, j, bad):
+        # (-1, 0) would otherwise read as (7, 0), |eee> against |ggg>
+        with pytest.raises(ValidationError) as info:
+            classify_coherences(3).primary(i, j)
+        assert str(info.value) == f"primary: index {bad} out of range 0..7"
+
     def test_n2_equal_excitation_pair_is_effective(self):
         ops = cached_ops(2)
         cmap = classify_coherences(2)
@@ -740,13 +739,22 @@ class TestBathCsv:
     @pytest.mark.parametrize(
         "body, message",
         [
-            ("1+0j,0+0j\n0+0j\n", "bath csv: row 1 has 1 entries, expected 2"),
-            ("1+0j,0+0j\n0+0j,abc\n", ("bath csv: bad entry: ", "'abc'")),
-            ("1+0j,0+0j\n0+0j,1+0j # note\n", ("bath csv: bad entry: ", "'1+0j#note'")),
+            ("1+0j,0+0j\n0+0j\n", "bath csv: line 3 has 1 entries, expected 2"),
+            ("1+0j,0+0j\n0+0j,abc\n", "bath csv: bad entry: 'abc' at line 3, column 2"),
+            ("1+0j,0+0j\n0+0j,1+0j # note\n",
+             "bath csv: bad entry: '1+0j#note' at line 3, column 2"),
+            ("1+0j,\n0+0j,1+0j\n", "bath csv: bad entry: '' at line 2, column 2"),
             ("1+0j,0+0j\n0+0j,0+0j\n0+0j,0+0j\n", "bath csv: expected 2 rows for N=1, got 3"),
             ("", "bath csv: expected 2 rows for N=1, got 0"),
+            # lines counted over the whole file, blank ones included
+            ("\n\n1+0j,0+0j\n0+0j,abc\n", "bath csv: bad entry: 'abc' at line 5, column 2"),
+            ("\n\n1+0j,0+0j\n0+0j\n", "bath csv: line 5 has 1 entries, expected 2"),
+            ("  \n1+0j,0+0j\n\t\n0 + 0j, 1+2J x\n",
+             "bath csv: bad entry: '1+2jx' at line 5, column 2"),
+            ("abc,0+0j\n\n0+0j,x\n", "bath csv: bad entry: 'abc' at line 2, column 1"),
         ],
-        ids=["ragged", "bad-token", "no-comments", "row-count", "no-rows"],
+        ids=["ragged", "bad-token", "no-comments", "empty-entry", "row-count", "no-rows",
+             "blank-lines-bad-token", "blank-lines-ragged", "blank-lines-spaced", "first-bad"],
     )
     def test_malformed_body_messages(self, body, message, tmp_path):
         text = "N=1,basis=excitation-sorted\n" + body
@@ -755,11 +763,13 @@ class TestBathCsv:
         for read in (lambda: bath_from_csv(text), lambda: load_bath_csv(path)):
             with pytest.raises(ValidationError) as info:
                 read()
-            if isinstance(message, tuple):  # a bad entry: the prefix and the token
-                prefix, token = message
-                assert str(info.value).startswith(prefix) and token in str(info.value)
-            else:
-                assert str(info.value) == message
+            assert str(info.value) == message
+
+    def test_lines_counted_from_the_file_start(self, tmp_path):
+        text = "\n \nN=1,basis=excitation-sorted\n1+0j,0+0j\n\n0+0j,1+0j,0\n"
+        with pytest.raises(ValidationError) as info:
+            bath_from_csv(text)
+        assert str(info.value) == "bath csv: line 6 has 3 entries, expected 2"
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError, match="empty input"):

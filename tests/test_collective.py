@@ -62,6 +62,13 @@ class TestBasisOrdering:
         labels = [basis.state_label(s) for s in range(4)]
         assert labels == ["gg", "ge", "eg", "ee"]
 
+    @pytest.mark.parametrize("s", [-1, -8, 8, 9])
+    def test_state_label_refuses_out_of_range_index(self, s):
+        # a negative index would wrap to the end of the basis
+        with pytest.raises(ValidationError) as info:
+            basis_ordering(3).state_label(s)
+        assert str(info.value) == f"state_label: index {s} out of range 0..7"
+
 
 class TestCollectiveOps:
     def test_single_qubit_lowering(self):

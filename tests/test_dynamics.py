@@ -21,6 +21,7 @@ from qollide import (
     NumericError,
     ValidationError,
     analytic_trajectory,
+    classify_coherences,
     coefficients_dicke,
     coefficients_for,
     coefficients_product_mixed,
@@ -1388,6 +1389,54 @@ class TestPropagateRows:
         step_mat = dynamics._rk4_step_matrix(dynamics._lindblad_generator(c), 0.01)
         want = _gap_power_oracle(step_mat, rho0.ravel(), [0, 3, 7, 10])
         assert traj.states.reshape(-1, 4).tobytes() == want.tobytes()
+
+
+#: Every entry point that takes a bath size, called with ``N``, and the
+#: one refusal a non-integer ``N`` gets there.
+N_ENTRY_POINTS = {
+    "BathSpec": (lambda N: BathSpec(N=N, kind="dicke", k=1), "N: must be an integer, got {!r}"),
+    "validate_bath": (lambda N: validate_bath(BathSpec.dicke(N, 1)),
+                      "N: must be an integer, got {!r}"),
+    "collision_superoperator": (lambda N: collision_superoperator(BathSpec.dicke(N, 1), PARAMS),
+                                "N: must be an integer, got {!r}"),
+    "classify_coherences": (classify_coherences, "basis_ordering: N={!r} is not an integer"),
+    "ladder_history": (lambda N: ladder_history(N, 0.5, 1.0, 1.0, 0.1),
+                       "N: must be an integer, got {!r}"),
+    "coefficients_product_mixed": (lambda N: coefficients_product_mixed(N, 0.3, PARAMS),
+                                   "N: all N must be integers"),
+    "coefficients_thermal_hec": (lambda N: coefficients_thermal_hec(N, 0.5, PARAMS),
+                                 "N: all N must be integers"),
+    "coefficients_dicke": (lambda N: coefficients_dicke(N, 1, PARAMS),
+                           "N: all N must be integers"),
+    "dicke_temperature": (lambda N: dicke_temperature(N, 1), "N: all N must be integers"),
+    "scaling_sweep": (lambda N: scaling_sweep("dicke", [8, N], PARAMS, k_rule="quarter"),
+                      "N_list: all N must be integers"),
+    "scaling_sweep-array": (
+        lambda N: scaling_sweep("dicke", np.array([8, N]), PARAMS, k_rule="quarter"),
+        "N_list: all N must be integers",
+    ),
+}
+
+
+class TestIntegerN:
+    """A bath size that is not an integer is refused with one
+    :class:`ValidationError`, not rounded, run as a float or left to a
+    ``TypeError``; numpy integers are integers."""
+
+    @pytest.mark.parametrize("entry", N_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "N", [4.5, 4.0, np.float64(3.0), "4"], ids=["4.5", "4.0", "np-3.0", "str"]
+    )
+    def test_non_integer_refused(self, entry, N):
+        call, message = N_ENTRY_POINTS[entry]
+        with pytest.raises(ValidationError) as info:
+            call(N)
+        assert str(info.value) == message.format(N)
+
+    @pytest.mark.parametrize("entry", N_ENTRY_POINTS)
+    def test_numpy_integer_accepted(self, entry):
+        call, _ = N_ENTRY_POINTS[entry]
+        call(np.int64(4))
 
 
 class TestOverflowRefused:
