@@ -62,11 +62,8 @@ from .linalg import (
 from .master_equation import (
     CollisionParams,
     MeqCoefficients,
-    coefficients_dicke,
     coefficients_for,
     coefficients_from_state,
-    coefficients_product_mixed,
-    coefficients_thermal_hec,
     lindblad_rhs,
 )
 

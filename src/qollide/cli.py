@@ -71,14 +71,14 @@ from .dynamics import (
     scaling_sweep,
 )
 from .errors import NumericError, ValidationError
-from .master_equation import _FAMILY_FORMS, CollisionParams, coefficients_for, dicke_rates
+from .master_equation import _FAMILY_RATES, CollisionParams, coefficients_for, dicke_rates
 
 DEFAULT_PARAMS = {"g": 0.1, "tau": 1.0, "p": 100.0, "omega0": 1.0}
 
 ENGINES = ("analytic", "ode", "collisions")
 MODES = ("exact", "second-order")
 SCHEMES = ("deterministic", "stochastic")
-FAMILIES = tuple(_FAMILY_FORMS)
+FAMILIES = tuple(_FAMILY_RATES)
 K_RULES = ("quarter", "half-minus-one")
 
 #: The flag, and its type, that gives each named family its parameter.

@@ -29,7 +29,7 @@ from .baths import _check_k, _symmetric_state, check_n_bar, ladder_weights, vali
 from .collective import _is_integer, basis_ordering, build_collective_ops
 from .errors import NumericError, ValidationError
 from .linalg import validate_density_matrix
-from .master_equation import _FAMILY_FORMS, _check_closed_form_n, dicke_rates
+from .master_equation import _FAMILY_RATES, _check_closed_form_n, dicke_rates
 from .master_equation import lindblad_rhs
 
 #: Residual coherence above which trajectory temperatures are flagged.
@@ -524,7 +524,7 @@ def collision_superoperator(bath, params, mode="exact"):
     mode = mode.replace("-", "_")
     if mode not in ("exact", "second_order"):
         raise ValidationError(f"mode: must be 'exact' or 'second_order', got {mode!r}")
-    if bath.kind in _FAMILY_FORMS:
+    if bath.kind in _FAMILY_RATES:
         two_j, two_m, w = ladder_weights(bath)
         # 4 c_m^2 and 4 c_{m-1}^2, exact in integers
         x = 0.5 * params.g_tau * np.sqrt(
@@ -963,7 +963,7 @@ def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None):
         raise ValidationError("N_list: must not be empty")
     _check_closed_form_n(N_list, "N_list")  # before a value can overflow int64
     Ns = np.array(N_list, dtype=np.int64)
-    if family not in _FAMILY_FORMS:
+    if family not in _FAMILY_RATES:
         raise ValidationError(
             f"family: must be 'product', 'thermal-hec' or 'dicke', got {family!r}"
         )
@@ -972,9 +972,8 @@ def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None):
     if value is None:
         raise ValidationError(f"{name}: required for the {family} family")
     k = _sweep_k(k_rule, Ns) if family == "dicke" else None
-    _, rates = _FAMILY_FORMS[family]
     # dicke: products of exact float factors, rounded once as float() of the ints
-    r_e, r_d = rates(Ns.astype(float), value if k is None else k.astype(float))
+    r_e, r_d = _FAMILY_RATES[family](Ns.astype(float), value if k is None else k.astype(float))
 
     rate = _relaxation_rate(params.mu, r_e, r_d)
     t_q = np.full(len(Ns), math.inf)

@@ -220,13 +220,6 @@ def product_mixed_rates(N, p_e):
     return N * p_e + 0.0, N * (1.0 - p_e)  # + 0.0: rate 0.0 for p_e = -0.0
 
 
-def coefficients_product_mixed(N, p_e, params):
-    """Closed form for a product bath: ``r_e = N p_e``, ``r_d = N (1-p_e)``."""
-    _check_closed_form_n([N])
-    r_e, r_d = product_mixed_rates(N, p_e)
-    return MeqCoefficients(0.0j, 0.0j, r_e, r_d, params.mu, params.pg_tau)
-
-
 def _langevin(y):
     """``coth(y) - 1/y`` elementwise for ``y >= 0`` (``inf`` included), from
     nonnegative terms only: below 1, ``y (y / sinh y) sum_n 2n y^(2n-2) /
@@ -242,8 +235,10 @@ def _langevin(y):
 
 
 def thermal_hec_rates(N, n_bar):
-    """Rates ``(r_e, r_d)`` of :func:`coefficients_thermal_hec` for an int N
-    or an array of N, in O(1) per N: ``r_d - r_e = -2<J_z>`` and
+    """Rates of the collectively thermalized bath, ``r_e = sum_{k=1..N}
+    (1-r) r^k k (N-k+1) / (1 - r^(N+1))`` with ``r = n_bar/(n_bar+1)`` and
+    ``r_d`` the same sum with ``r^(k-1)``, for an int N or an array of N.
+    They cost O(1) per N: ``r_d - r_e = -2<J_z>`` and
     ``r_e = r r_d`` close the sums to ``r_d = (n_bar+1) D``, ``r_e = n_bar D``
     with ``D = (N+1) L((N+1)x/2) - L(x/2)``, ``L(y) = coth(y) - 1/y`` and the
     Gibbs exponent ``x = log1p(1/n_bar)`` (``D = N`` at ``n_bar = 0``).
@@ -256,14 +251,6 @@ def thermal_hec_rates(N, n_bar):
     return n_bar * D, (n_bar + 1.0) * D
 
 
-def coefficients_thermal_hec(N, n_bar, params):
-    """Closed form for the collectively thermalized bath: ``r_e = sum_{k=1..N}
-    (1-r) r^k k (N-k+1) / (1 - r^(N+1))``, ``r_d`` the same sum with
-    ``r^(k-1)`` (the one-N case of :func:`thermal_hec_rates`)."""
-    _check_closed_form_n([N])
-    return MeqCoefficients(0.0j, 0.0j, *thermal_hec_rates(N, n_bar), params.mu, params.pg_tau)
-
-
 def dicke_rates(N, k):
     """``(k(N-k+1), (k+1)(N-k))`` for ints or arrays of N and k.  Exact for
     ints; float arrays of integers below 2**53 give the same bits, one
@@ -271,32 +258,38 @@ def dicke_rates(N, k):
     return k * (N - k + 1), (k + 1) * (N - k)
 
 
-def coefficients_dicke(N, k, params):
-    """Closed form for a symmetric k-excitation bath:
-    ``r_e = k(N-k+1)``, ``r_d = (k+1)(N-k)``."""
-    _check_closed_form_n([N])
-    _check_k(N, k)
-    r_e, r_d = dicke_rates(N, k)
-    return MeqCoefficients(0.0j, 0.0j, float(r_e), float(r_d), params.mu, params.pg_tau)
-
-
-#: Each named family's one-N closed form ``(N, value, params)`` and its rates
-#: ``(N, value)`` for an int N or an array of N; ``value`` is ``p_e``, ``n_bar`` or ``k``.
-_FAMILY_FORMS = {
-    "product": (coefficients_product_mixed, product_mixed_rates),
-    "thermal-hec": (coefficients_thermal_hec, thermal_hec_rates),
-    "dicke": (coefficients_dicke, dicke_rates),
+#: Each named family's rates ``(N, value)`` for an int N or an array of N;
+#: ``value`` is ``p_e``, ``n_bar`` or ``k``.
+_FAMILY_RATES = {
+    "product": product_mixed_rates,
+    "thermal-hec": thermal_hec_rates,
+    "dicke": dicke_rates,
 }
 
 
 def coefficients_for(spec, params):
-    """Coefficients for a :class:`BathSpec`: closed forms for the named
-    families, the block-structured trace for explicit matrices."""
+    """Coefficients for a :class:`BathSpec`.
+
+    A named family takes its closed form, after N is held to
+    ``1..MAX_SWEEP_N`` (and a dicke ``k`` to ``0..N``):
+
+    * product: ``r_e = N p_e``, ``r_d = N (1-p_e)``;
+    * thermal-hec: ``r_e = sum_k w_k k(N-k+1)``, ``r_d = sum_k w_{k-1}
+      k(N-k+1)`` over the Gibbs block weights ``w_k`` (closed in O(1) by
+      :func:`thermal_hec_rates`);
+    * dicke: ``r_e = k(N-k+1)``, ``r_d = (k+1)(N-k)``.
+
+    An explicit matrix takes the block-structured trace of
+    :func:`coefficients_from_state`.
+    """
     if not isinstance(spec, BathSpec):
         raise ValidationError("coefficients_for: expected a BathSpec")
-    if spec.kind in _FAMILY_FORMS:
-        closed_form, _ = _FAMILY_FORMS[spec.kind]
-        return closed_form(spec.N, getattr(spec, _REQUIRED[spec.kind]), params)
+    if spec.kind in _FAMILY_RATES:
+        _check_closed_form_n([spec.N])
+        if spec.kind == "dicke":
+            _check_k(spec.N, spec.k)
+        r_e, r_d = _FAMILY_RATES[spec.kind](spec.N, getattr(spec, _REQUIRED[spec.kind]))
+        return MeqCoefficients(0.0j, 0.0j, r_e, r_d, params.mu, params.pg_tau)
     rho = validate_bath(spec)
     return coefficients_from_state(rho, build_collective_ops(spec.N), params)
 

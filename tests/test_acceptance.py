@@ -18,10 +18,8 @@ from qollide import (
     CollisionParams,
     analytic_trajectory,
     classify_coherences,
-    coefficients_dicke,
+    coefficients_for,
     coefficients_from_state,
-    coefficients_product_mixed,
-    coefficients_thermal_hec,
     collision_chain,
     evolve_analytic,
     ground_state,
@@ -56,7 +54,7 @@ def test_criterion_1_coefficient_oracle_equivalence():
     for N in range(1, 9):
         ops = cached_ops(N)
         for p_e in (0.0, 0.2, 0.5):
-            closed = coefficients_product_mixed(N, p_e, PARAMS)
+            closed = coefficients_for(BathSpec.product_mixed(N, p_e), PARAMS)
             rho = validate_bath(BathSpec.product_mixed(N, p_e))
             brute = coefficients_from_state(rho, ops, PARAMS)
             worst = max(
@@ -68,7 +66,7 @@ def test_criterion_1_coefficient_oracle_equivalence():
             )
             cases += 1
         for n_bar in (0.0, 0.5, 1.0, 2.0):
-            closed = coefficients_thermal_hec(N, n_bar, PARAMS)
+            closed = coefficients_for(BathSpec.thermal_hec(N, n_bar), PARAMS)
             rho = validate_bath(BathSpec.thermal_hec(N, n_bar))
             brute = coefficients_from_state(rho, ops, PARAMS)
             worst = max(
@@ -80,7 +78,7 @@ def test_criterion_1_coefficient_oracle_equivalence():
             )
             cases += 1
         for k in range(N + 1):
-            closed = coefficients_dicke(N, k, PARAMS)
+            closed = coefficients_for(BathSpec.dicke(N, k), PARAMS)
             rho = validate_bath(BathSpec.dicke(N, k))
             brute = coefficients_from_state(rho, ops, PARAMS)
             worst = max(
@@ -109,8 +107,8 @@ def test_criterion_2_thermal_equivalence():
     for N in range(1, 9):
         for n_bar in (0.5, 1.0, 2.0):
             p_e = n_bar / (2.0 * n_bar + 1.0)  # Gibbs weight for one qubit
-            c_mix = coefficients_product_mixed(N, p_e, PARAMS)
-            c_hec = coefficients_thermal_hec(N, n_bar, PARAMS)
+            c_mix = coefficients_for(BathSpec.product_mixed(N, p_e), PARAMS)
+            c_hec = coefficients_for(BathSpec.thermal_hec(N, n_bar), PARAMS)
             worst_temp = max(
                 worst_temp,
                 abs(steady_temperature(c_mix) - steady_temperature(c_hec)),
@@ -173,11 +171,11 @@ def test_criterion_4_decay_time_regression(tmp_path):
     """
     tol = 1e-10
     cases = [
-        (coefficients_product_mixed(4, 0.2, PARAMS), 1.0 / 4.0, "mixed N=4"),
-        (coefficients_product_mixed(8, 0.2, PARAMS), 1.0 / 8.0, "mixed N=8"),
-        (coefficients_dicke(4, 1, PARAMS), 1.0 / 10.0, "dicke N=4 k=1"),
-        (coefficients_dicke(8, 2, PARAMS), 1.0 / 32.0, "dicke N=8 k=2"),
-        (coefficients_dicke(8, 3, PARAMS), 1.0 / 38.0, "dicke N=8 k=3"),
+        (coefficients_for(BathSpec.product_mixed(4, 0.2), PARAMS), 1.0 / 4.0, "mixed N=4"),
+        (coefficients_for(BathSpec.product_mixed(8, 0.2), PARAMS), 1.0 / 8.0, "mixed N=8"),
+        (coefficients_for(BathSpec.dicke(4, 1), PARAMS), 1.0 / 10.0, "dicke N=4 k=1"),
+        (coefficients_for(BathSpec.dicke(8, 2), PARAMS), 1.0 / 32.0, "dicke N=8 k=2"),
+        (coefficients_for(BathSpec.dicke(8, 3), PARAMS), 1.0 / 38.0, "dicke N=8 k=3"),
     ]
     worst = 0.0
     for c, expected_mu_t, _name in cases:
@@ -207,7 +205,7 @@ def test_criterion_5_temperature_regression(tmp_path):
     worst_estimate = 0.0
     for N, estimate in ((4, 2.5), (8, 9.5), (12, 20.5)):
         k = N // 2 - 1
-        c = coefficients_dicke(N, k, PARAMS)
+        c = coefficients_for(BathSpec.dicke(N, k), PARAMS)
         exact = -1.0 / math.log(
             (k * (N - k + 1)) / ((k + 1) * (N - k))
         )
@@ -240,7 +238,7 @@ def test_criterion_6_collision_model_convergence():
             scheme="deterministic",
         )
         ana = analytic_trajectory(
-            ground_state(), coefficients_dicke(4, 1, params), traj.times
+            ground_state(), coefficients_for(BathSpec.dicke(4, 1), params), traj.times
         )
         devs.append(float(np.max(np.abs(traj.excited_pop - ana.excited_pop))))
     ratios = [devs[0] / devs[1], devs[1] / devs[2]]
@@ -339,9 +337,9 @@ def test_criterion_9_pointwise_advantage():
     """For N = 8, the symmetric k=3 bath heats the qubit at least as much as
     the steady-temperature-matched incoherent bath at every grid point, and
     by more than 10% at mu*t = t_mix/2."""
-    c_d = coefficients_dicke(8, 3, PARAMS)
+    c_d = coefficients_for(BathSpec.dicke(8, 3), PARAMS)
     p_e = c_d.r_e / (c_d.r_e + c_d.r_d)
-    c_m = coefficients_product_mixed(8, p_e, PARAMS)
+    c_m = coefficients_for(BathSpec.product_mixed(8, p_e), PARAMS)
     assert abs(steady_temperature(c_d) - steady_temperature(c_m)) < 1e-12
     t_mix = thermalization_time(c_m)
     ts = np.linspace(0.0, 8.0 * t_mix, 801)

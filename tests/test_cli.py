@@ -1481,10 +1481,10 @@ class TestZeroTimeGrid:
         assert outputs == {TRAJECTORY_HEADER + "0,0,0,1,0,0,0,0\n"}
 
     def test_increasing_grid_unchanged(self, capsys):
-        from qollide import CollisionParams, analytic_trajectory, coefficients_dicke, ground_state
+        from qollide import BathSpec, CollisionParams, analytic_trajectory, coefficients_for, ground_state
 
         code, out, _ = run(capsys, "evolve", *DICKE_4_1, "--t-end", "0.3", "--n-points", "7")
-        c = coefficients_dicke(4, 1, CollisionParams(g=0.1, tau=1.0, p=100.0))
+        c = coefficients_for(BathSpec.dicke(4, 1), CollisionParams(g=0.1, tau=1.0, p=100.0))
         want = analytic_trajectory(ground_state(), c, np.linspace(0.0, 0.3, 7)).to_csv()
         assert code == 0 and out == want
 

@@ -22,10 +22,7 @@ from qollide import (
     ValidationError,
     analytic_trajectory,
     classify_coherences,
-    coefficients_dicke,
     coefficients_for,
-    coefficients_product_mixed,
-    coefficients_thermal_hec,
     collision_chain,
     collision_superoperator,
     dicke_max_noninverted_k,
@@ -69,7 +66,7 @@ PARAMS = CollisionParams(g=0.1, tau=1.0, p=100.0)  # mu = 1
 class TestClosedFormLaws:
     def test_thermalization_time_product(self):
         for N in (2, 4, 8):
-            c = coefficients_product_mixed(N, 0.3, PARAMS)
+            c = coefficients_for(BathSpec.product_mixed(N, 0.3), PARAMS)
             assert thermalization_time(c) == pytest.approx(
                 1.0 / (PARAMS.mu * N), rel=1e-12
             )
@@ -77,13 +74,13 @@ class TestClosedFormLaws:
     def test_thermalization_time_dicke_formula(self):
         for N in (4, 8, 12):
             for k in range(N + 1):
-                c = coefficients_dicke(N, k, PARAMS)
+                c = coefficients_for(BathSpec.dicke(N, k), PARAMS)
                 expected = 1.0 / (PARAMS.mu * (N + 2 * k * N - 2 * k * k))
                 assert thermalization_time(c) == pytest.approx(expected, rel=1e-12)
 
     def test_quarter_excitation_special_case(self):
         # N=8, k=2: 1/(32 mu), which equals [mu (N + 3 N^2 / 8)]^-1 at k=N/4
-        c = coefficients_dicke(8, 2, PARAMS)
+        c = coefficients_for(BathSpec.dicke(8, 2), PARAMS)
         assert thermalization_time(c) == pytest.approx(1.0 / (32.0 * PARAMS.mu))
         assert thermalization_time(c) == pytest.approx(
             1.0 / (PARAMS.mu * (8 + 3 * 64 / 8))
@@ -94,7 +91,7 @@ class TestClosedFormLaws:
         assert thermalization_time(c) == math.inf
 
     def test_steady_state_values(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         np.testing.assert_allclose(
             steady_state(c), np.diag([0.4, 0.6]), atol=1e-15
         )
@@ -106,7 +103,7 @@ class TestClosedFormLaws:
     def test_steady_temperature_thermal_product(self):
         # p_e/p_g = exp(-1) is a Gibbs weight at temperature 1
         p_e = math.exp(-1.0) / (1.0 + math.exp(-1.0))
-        c = coefficients_product_mixed(5, p_e, PARAMS)
+        c = coefficients_for(BathSpec.product_mixed(5, p_e), PARAMS)
         assert steady_temperature(c) == pytest.approx(1.0, abs=1e-12)
 
     def test_dicke_temperature_values(self):
@@ -201,24 +198,24 @@ class TestTemperatureArrayForm:
 
 class TestEvolveAnalytic:
     def test_initial_condition(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         rho0 = qubit_state(0.3, 0.1 + 0.05j)
         np.testing.assert_allclose(evolve_analytic(rho0, c, 0.0), rho0, atol=1e-15)
 
     def test_long_time_reaches_steady_state(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         t = 100.0 * thermalization_time(c)
         out = evolve_analytic(excited_state(), c, t)
         np.testing.assert_allclose(out, steady_state(c), atol=1e-10)
 
     def test_reference_point(self):
         # ground-state init, r_e=4, r_d=6 at t = t_q: (4/10)(1 - 1/e)
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         out = evolve_analytic(ground_state(), c, thermalization_time(c))
         assert out[0, 0].real == pytest.approx(0.25284822353142306, abs=1e-15)
 
     def test_coherence_half_rate(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         t_q = thermalization_time(c)
         rho0 = qubit_state(0.5, 0.25j)
         out = evolve_analytic(rho0, c, 2.0 * t_q)
@@ -247,14 +244,14 @@ class TestEvolveAnalytic:
     def test_matches_generator_derivative(self):
         # two-sided difference quotient of the closed form reproduces the
         # master-equation right-hand side
-        c = coefficients_thermal_hec(5, 0.8, PARAMS)
+        c = coefficients_for(BathSpec.thermal_hec(5, 0.8), PARAMS)
         rho0 = qubit_state(0.35, 0.12 - 0.07j)
         h = 1e-6
         num = (evolve_analytic(rho0, c, h) - evolve_analytic(rho0, c, -h)) / (2 * h)
         np.testing.assert_allclose(num, lindblad_rhs(rho0, c), atol=1e-7)
 
     def test_monotone_heating_from_ground(self):
-        c = coefficients_dicke(8, 3, PARAMS)
+        c = coefficients_for(BathSpec.dicke(8, 3), PARAMS)
         ts = np.linspace(0.0, 5 * thermalization_time(c), 200)
         traj = analytic_trajectory(ground_state(), c, ts)
         assert np.all(np.diff(traj.excited_pop) > 0)
@@ -263,20 +260,20 @@ class TestEvolveAnalytic:
 
 class TestTemperatureTrajectory:
     def test_limits(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         t_q = thermalization_time(c)
         out = temperature_trajectory(c, [0.0, 50 * t_q])
         assert out[0] == 0.0
         assert out[1] == pytest.approx(steady_temperature(c), abs=1e-12)
 
     def test_reference_point(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         out = temperature_trajectory(c, [thermalization_time(c)])
         assert out[0] == pytest.approx(0.92295286901853, abs=1e-13)
 
     def test_matches_rate_ratio_expression(self):
         # [ln((1 + r_d/r_e)/(1 - exp(-t/t_q)) - 1)]^-1, written directly
-        c = coefficients_dicke(8, 3, PARAMS)
+        c = coefficients_for(BathSpec.dicke(8, 3), PARAMS)
         t_q = thermalization_time(c)
         ts = np.linspace(0.01 * t_q, 10 * t_q, 50)
         expected = [
@@ -333,7 +330,7 @@ class TestEntropy:
     def test_steady_entropy_bounded_by_ln2(self):
         prev = 0.0
         for k in (0, 1, 2, 3):
-            c = coefficients_dicke(8, k, PARAMS)
+            c = coefficients_for(BathSpec.dicke(8, k), PARAMS)
             s = entropy(steady_state(c))
             assert s <= math.log(2.0) + 1e-15
             assert s >= prev  # approaches ln 2 as r_e/r_d -> 1
@@ -342,7 +339,7 @@ class TestEntropy:
 
 class TestIntegrateMaster:
     def test_matches_analytic_for_thermal_channel(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         t_q = thermalization_time(c)
         traj = integrate_master(ground_state(), c, 3 * t_q, t_q / 100.0)
         ana = analytic_trajectory(ground_state(), c, traj.times)
@@ -366,7 +363,7 @@ class TestIntegrateMaster:
         assert abs(np.trace(final) - 1.0) < 1e-12
 
     def test_error_quartic_in_step(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         t_q = thermalization_time(c)
         errs = []
         for dt in (t_q / 40.0, t_q / 80.0):
@@ -376,7 +373,7 @@ class TestIntegrateMaster:
         assert 10.0 < errs[0] / errs[1] < 24.0  # classical 4th-order scheme
 
     def test_invalid_dt(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         with pytest.raises(ValidationError):
             integrate_master(ground_state(), c, 1.0, -0.1)
 
@@ -390,7 +387,7 @@ class TestIntegrateMaster:
         ],
     )
     def test_non_finite_grid_rejected_by_every_engine(self, t_end, dt, fragment):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         with pytest.raises(ValidationError, match=fragment):
             integrate_master(ground_state(), c, t_end, dt)
         with pytest.raises(ValidationError, match=fragment):
@@ -404,13 +401,13 @@ class TestIntegrateMaster:
             ladder_history(3, 1.0, gamma0, 1.0, 0.1)
 
     def test_advisory_on_coarse_step(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         with pytest.warns(UserWarning, match="t_q/20"):
             integrate_master(ground_state(), c, 0.2, 0.05)
 
     def test_population_negativity_refused(self):
         # a step far too long for the rates keeps the trace but not the populations
-        c = coefficients_dicke(4, 1, CollisionParams(g=0.1, tau=1.0, p=1e3))
+        c = coefficients_for(BathSpec.dicke(4, 1), CollisionParams(g=0.1, tau=1.0, p=1e3))
         with pytest.warns(UserWarning, match="t_q/20"):
             with pytest.raises(
                 NumericError,
@@ -433,7 +430,7 @@ class TestIntegrateMaster:
             return rows
 
         monkeypatch.setattr(dynamics, "_propagate", negative)
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         with pytest.raises(
             NumericError,
             match=f"^integrate_master: population negativity -1.500e-10 at step {step}; reduce dt$",
@@ -450,7 +447,7 @@ class TestIntegrateMaster:
             return rows
 
         monkeypatch.setattr(dynamics, "_propagate", broken)
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         with pytest.raises(NumericError, match="^integrate_master: trace drift nan at step 10$"):
             integrate_master(ground_state(), c, 0.01, 0.001, n_records=3)
 
@@ -513,8 +510,8 @@ class TestIntegrateMaster:
         reference = _perfbench_reference()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            integrate_master(ground_state(), coefficients_dicke(8, 3, PARAMS), 0.18, 3e-5)
-            integrate_master(ground_state(), coefficients_dicke(4, 1, PARAMS), 1.0, 0.001)
+            integrate_master(ground_state(), coefficients_for(BathSpec.dicke(8, 3), PARAMS), 0.18, 3e-5)
+            integrate_master(ground_state(), coefficients_for(BathSpec.dicke(4, 1), PARAMS), 1.0, 0.001)
             for seed in (1, 2, 4242):
                 rho4 = reference.random_bath(np.random.default_rng([seed, 0]), 4)
                 c = coefficients_for(BathSpec.explicit(rho4), PARAMS)
@@ -532,7 +529,7 @@ class TestIntegrateMaster:
             return rows
 
         monkeypatch.setattr(dynamics, "_propagate", drifted)
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         with pytest.raises(NumericError, match=f"^integrate_master: trace drift 2.000e-08 at step {step}$"):
             integrate_master(ground_state(), c, 0.01, 0.001, n_records=3)
 
@@ -558,7 +555,7 @@ class TestCollisionChain:
         gt = 0.05
         params = CollisionParams(g=gt, tau=1.0, p=1.0 / gt**2)  # mu = 1
         bath = BathSpec.dicke(4, 1)
-        c = coefficients_dicke(4, 1, params)
+        c = coefficients_for(BathSpec.dicke(4, 1), params)
         t_q = thermalization_time(c)
         traj = collision_chain(
             ground_state(), bath, params, t_end=t_q, dt=0.02 / params.p
@@ -575,7 +572,7 @@ class TestCollisionChain:
             traj = collision_chain(
                 ground_state(), bath, params, t_end=0.2, dt=0.02 / params.p
             )
-            c = coefficients_dicke(4, 1, params)
+            c = coefficients_for(BathSpec.dicke(4, 1), params)
             ana = analytic_trajectory(ground_state(), c, traj.times)
             devs.append(np.max(np.abs(traj.excited_pop - ana.excited_pop)))
         assert 3.0 < devs[0] / devs[1] < 5.0
@@ -711,7 +708,7 @@ class TestCollisionChain:
         # integrator's (dt)^4 for these settings
         gt = 0.1
         params = CollisionParams(g=gt, tau=1.0, p=1.0 / gt**2)
-        c = coefficients_dicke(4, 1, params)
+        c = coefficients_for(BathSpec.dicke(4, 1), params)
         t_q = thermalization_time(c)
         chain = collision_chain(
             ground_state(), BathSpec.dicke(4, 1), params, t_q, 0.02 / params.p
@@ -988,11 +985,10 @@ class TestLadderCollisionMap:
     def test_second_order_rates(self, N):
         # Phi[gg,ee] = (g tau)^2 r_d and Phi[ee,gg] = (g tau)^2 r_e
         from qollide.baths import _REQUIRED
-        from qollide.master_equation import _FAMILY_FORMS
+        from qollide.master_equation import _FAMILY_RATES
 
         for spec in _named_specs(N):
-            _, rates = _FAMILY_FORMS[spec.kind]
-            r_e, r_d = rates(N, getattr(spec, _REQUIRED[spec.kind]))
+            r_e, r_d = _FAMILY_RATES[spec.kind](N, getattr(spec, _REQUIRED[spec.kind]))
             for g_tau in (0.1, 1.3):
                 phi = collision_superoperator(spec, _params(g_tau), mode="second_order")
                 np.testing.assert_allclose(
@@ -1119,7 +1115,7 @@ class TestPropagatorOracles:
 
     @pytest.mark.parametrize("n_records", RECORD_CASES)
     def test_master_equation_matches_step_loop(self, n_records):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         traj = integrate_master(ground_state(), c, 0.01, 0.001, n_records)
         times, states = _rk4_oracle(ground_state(), c, 0.01, 0.001, n_records)
         assert traj.times.tolist() == times.tolist()
@@ -1152,7 +1148,7 @@ class TestPropagatorOracles:
             return lindblad_rhs(rho, c)
 
         monkeypatch.setattr(dyn, "lindblad_rhs", counted)
-        integrate_master(ground_state(), coefficients_dicke(4, 1, PARAMS), 0.1, 0.001)
+        integrate_master(ground_state(), coefficients_for(BathSpec.dicke(4, 1), PARAMS), 0.1, 0.001)
         assert len(calls) == 4
 
     @pytest.mark.parametrize("n_records", RECORD_CASES)
@@ -1402,12 +1398,8 @@ N_ENTRY_POINTS = {
     "classify_coherences": (classify_coherences, "basis_ordering: N={!r} is not an integer"),
     "ladder_history": (lambda N: ladder_history(N, 0.5, 1.0, 1.0, 0.1),
                        "N: must be an integer, got {!r}"),
-    "coefficients_product_mixed": (lambda N: coefficients_product_mixed(N, 0.3, PARAMS),
-                                   "N: all N must be integers"),
-    "coefficients_thermal_hec": (lambda N: coefficients_thermal_hec(N, 0.5, PARAMS),
-                                 "N: all N must be integers"),
-    "coefficients_dicke": (lambda N: coefficients_dicke(N, 1, PARAMS),
-                           "N: all N must be integers"),
+    "coefficients_for": (lambda N: coefficients_for(BathSpec.thermal_hec(N, 0.5), PARAMS),
+                         "N: must be an integer, got {!r}"),
     "dicke_temperature": (lambda N: dicke_temperature(N, 1), "N: all N must be integers"),
     "scaling_sweep": (lambda N: scaling_sweep("dicke", [8, N], PARAMS, k_rule="quarter"),
                       "N_list: all N must be integers"),
@@ -1519,7 +1511,7 @@ class TestLongTimes:
     numpy warning (the suite turns a ``RuntimeWarning`` into an error)."""
 
     def test_analytic_states_reach_the_fixed_point(self):
-        c = coefficients_dicke(2, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(2, 1), PARAMS)
         far = 1e4 * thermalization_time(c)  # exp(-1e4) underflows to 0 already
         rho0 = qubit_state(0.3, 0.1 + 0.05j)
         states = analytic_trajectory(rho0, c, [0.0, far, 5e307, 1e308]).states
@@ -1527,13 +1519,13 @@ class TestLongTimes:
         assert states[3, 0, 0] == c.r_e / (c.r_e + c.r_d) and states[3, 0, 1] == 0.0
 
     def test_temperature_trajectory(self):
-        c = coefficients_dicke(2, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(2, 1), PARAMS)
         far = 1e4 * thermalization_time(c)
         out = temperature_trajectory(c, [far, 1e308])
         assert out[1] == out[0] == temperature_trajectory(c, [far])[0]
 
     def test_scaled_time_overflow_written_as_inf(self):
-        c = coefficients_dicke(2, 1, CollisionParams(g=0.1, tau=1.0, p=1e20))
+        c = coefficients_for(BathSpec.dicke(2, 1), CollisionParams(g=0.1, tau=1.0, p=1e20))
         rows = analytic_trajectory(ground_state(), c, [0.0, 1e300]).to_csv().splitlines()
         assert rows[2].split(",")[:2] == ["1.0000000000000001e+300", "inf"]
 
@@ -2017,9 +2009,9 @@ class TestPointwiseAdvantage:
     def test_dicke_dominates_matched_incoherent_bath(self):
         # same steady temperature, but the symmetric bath heats faster at
         # every instant
-        c_d = coefficients_dicke(8, 3, PARAMS)
+        c_d = coefficients_for(BathSpec.dicke(8, 3), PARAMS)
         p_e = c_d.r_e / (c_d.r_e + c_d.r_d)
-        c_m = coefficients_product_mixed(8, p_e, PARAMS)
+        c_m = coefficients_for(BathSpec.product_mixed(8, p_e), PARAMS)
         assert steady_temperature(c_d) == pytest.approx(
             steady_temperature(c_m), rel=1e-12
         )
@@ -2032,7 +2024,7 @@ class TestPointwiseAdvantage:
 
 class TestTrajectory:
     def test_csv_header_and_shape(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         traj = analytic_trajectory(ground_state(), c, np.linspace(0, 1, 5))
         lines = traj.to_csv().splitlines()
         assert lines[0] == TRAJECTORY_CSV_HEADER
@@ -2040,13 +2032,13 @@ class TestTrajectory:
         assert len(lines[1].split(",")) == 8
 
     def test_scaled_time_column(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         traj = analytic_trajectory(ground_state(), c, [0.0, 0.5])
         row = traj.to_csv().splitlines()[2].split(",")
         assert float(row[1]) == pytest.approx(PARAMS.mu * 0.5, rel=1e-15)
 
     def test_coherence_flag(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         flagged = analytic_trajectory(qubit_state(0.5, 0.2), c, [0.0, 0.1])
         clean = analytic_trajectory(ground_state(), c, [0.0, 0.1])
         assert flagged.has_coherence and not clean.has_coherence
@@ -2208,7 +2200,7 @@ class TestPostProcessingOracles:
             assert_same_bits(evolve_analytic(rho0, c, t), _analytic_oracle(rho0, c, t))
 
     def test_analytic_zero_and_one_record(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         for times in ([], [0.25]):
             traj = analytic_trajectory(qubit_state(0.5, 0.2j), c, times)
             expected = [_analytic_oracle(qubit_state(0.5, 0.2j), c, t) for t in times]
@@ -2216,7 +2208,7 @@ class TestPostProcessingOracles:
             assert traj.to_csv() == _per_record_oracle(times, expected, c.mu)[2]
 
     def test_temperature_trajectory_matches_pointwise_loop(self):
-        c = coefficients_dicke(8, 3, PARAMS)
+        c = coefficients_for(BathSpec.dicke(8, 3), PARAMS)
         t_q = thermalization_time(c)
         grid = np.linspace(0.0, 5.0 * t_q, 60).reshape(3, 4, 5)
         expected = np.empty(grid.shape)
@@ -2240,7 +2232,7 @@ def _sweep_row_oracle(family, N, params, p_e, n_bar, k_rule):
             raise ValidationError(f"p_e: must be in [0, 1], got {p_e}")
         r_e, r_d = N * p_e, N * (1.0 - p_e)
     elif family == "thermal-hec":
-        c = coefficients_thermal_hec(N, n_bar, params)
+        c = coefficients_for(BathSpec.thermal_hec(N, n_bar), params)
         r_e, r_d = c.r_e, c.r_d
     else:
         k = N // 4 if k_rule == "quarter" else (N - 1) // 2
@@ -2345,13 +2337,13 @@ class TestSweepOracle:
         self.check("dicke", [5, 17, 2, 2], params, k_rule="quarter")
         self.check("thermal-hec", [5, 17, 2, 2], params, n_bar=2.5)
 
-    def test_coefficients_thermal_hec_is_the_one_n_case(self):
-        # the closed form on one int N has the bits of the same N in an array
+    def test_one_n_thermal_hec_coefficients_are_the_array_rates(self):
+        # coefficients_for on one int N has the bits of the same N in an array
         Ns = np.array([1, 2, 7, 64, 300, 2**40, 2**53])
         for n_bar in (0.0, 0.5, 12.0, 1e9, 1e300):
             r_e, r_d = thermal_hec_rates(Ns, n_bar)
             for i, N in enumerate(Ns.tolist()):
-                c = coefficients_thermal_hec(N, n_bar, PARAMS)
+                c = coefficients_for(BathSpec.thermal_hec(N, n_bar), PARAMS)
                 assert_same_bits(np.array([c.r_e, c.r_d]), np.array([r_e[i], r_d[i]]))
 
     def test_thermal_rates_are_o1_per_n(self):
@@ -2429,7 +2421,7 @@ class TestTimeGridLimits:
         assert _step_count(2.0**53 - 1.0, 1.0) == 2**53 - 1
 
     def test_every_engine_checks_the_step_limit(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         with pytest.raises(ValidationError, match="t_end/dt"):
             integrate_master(ground_state(), c, 1e300, 1e-300, n_records=3)
         with pytest.raises(ValidationError, match="t_end/dt"):
@@ -2464,7 +2456,7 @@ class TestTimeGridLimits:
         assert _record_indices(5, 10**9) == [0, 1, 2, 3, 4, 5]
 
     def test_every_step_recorded_over_the_limit_rejected(self):
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         with pytest.raises(ValidationError, match="records exceed"):
             integrate_master(ground_state(), c, 1e3, 1e-4)
 

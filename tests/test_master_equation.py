@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,11 +11,8 @@ from qollide import (
     CollisionParams,
     MeqCoefficients,
     ValidationError,
-    coefficients_dicke,
     coefficients_for,
     coefficients_from_state,
-    coefficients_product_mixed,
-    coefficients_thermal_hec,
     dicke_temperature,
     j_z_diagonal,
     lindblad_rhs,
@@ -117,7 +115,7 @@ class TestClosedFormsAgainstBruteForce:
     @pytest.mark.parametrize("N", range(1, 7))
     @pytest.mark.parametrize("p_e", [0.0, 0.2, 0.5, 1.0])
     def test_product(self, N, p_e):
-        closed = coefficients_product_mixed(N, p_e, PARAMS)
+        closed = coefficients_for(BathSpec.product_mixed(N, p_e), PARAMS)
         brute = coefficients_from_state(
             validate_bath(BathSpec.product_mixed(N, p_e)), cached_ops(N), PARAMS
         )
@@ -128,7 +126,7 @@ class TestClosedFormsAgainstBruteForce:
     @pytest.mark.parametrize("N", range(1, 7))
     @pytest.mark.parametrize("n_bar", [0.0, 0.5, 1.0, 2.0])
     def test_thermal_hec(self, N, n_bar):
-        closed = coefficients_thermal_hec(N, n_bar, PARAMS)
+        closed = coefficients_for(BathSpec.thermal_hec(N, n_bar), PARAMS)
         brute = coefficients_from_state(
             validate_bath(BathSpec.thermal_hec(N, n_bar)), cached_ops(N), PARAMS
         )
@@ -140,7 +138,7 @@ class TestClosedFormsAgainstBruteForce:
     def test_thermal_hec_large_n_bar(self, N, n_bar):
         # the state's weights and the closed form share one Gibbs exponent,
         # so the two paths agree even where 1 - r^(N+1) rounds to 0
-        closed = coefficients_thermal_hec(N, n_bar, PARAMS)
+        closed = coefficients_for(BathSpec.thermal_hec(N, n_bar), PARAMS)
         brute = coefficients_from_state(
             validate_bath(BathSpec.thermal_hec(N, n_bar)), cached_ops(N), PARAMS
         )
@@ -150,7 +148,7 @@ class TestClosedFormsAgainstBruteForce:
     @pytest.mark.parametrize("N", range(1, 7))
     def test_dicke_all_k(self, N):
         for k in range(N + 1):
-            closed = coefficients_dicke(N, k, PARAMS)
+            closed = coefficients_for(BathSpec.dicke(N, k), PARAMS)
             brute = coefficients_from_state(
                 validate_bath(BathSpec.dicke(N, k)), cached_ops(N), PARAMS
             )
@@ -158,30 +156,30 @@ class TestClosedFormsAgainstBruteForce:
             assert closed.r_d == pytest.approx(brute.r_d, abs=1e-12)
 
     def test_dicke_reference_values(self):
-        c = coefficients_dicke(8, 3, PARAMS)
+        c = coefficients_for(BathSpec.dicke(8, 3), PARAMS)
         assert (c.r_e, c.r_d) == (18.0, 20.0)
-        c = coefficients_dicke(8, 2, PARAMS)
+        c = coefficients_for(BathSpec.dicke(8, 2), PARAMS)
         assert (c.r_e, c.r_d) == (14.0, 18.0)
-        c = coefficients_dicke(8, 0, PARAMS)
+        c = coefficients_for(BathSpec.dicke(8, 0), PARAMS)
         assert (c.r_e, c.r_d) == (0.0, 8.0)
-        c = coefficients_dicke(8, 8, PARAMS)
+        c = coefficients_for(BathSpec.dicke(8, 8), PARAMS)
         assert (c.r_e, c.r_d) == (8.0, 0.0)
 
     def test_single_qubit_thermal(self):
         n_bar = 1.7
-        c = coefficients_thermal_hec(1, n_bar, PARAMS)
+        c = coefficients_for(BathSpec.thermal_hec(1, n_bar), PARAMS)
         assert c.r_e == pytest.approx(n_bar / (2 * n_bar + 1), abs=1e-14)
         assert c.r_d == pytest.approx((n_bar + 1) / (2 * n_bar + 1), abs=1e-14)
 
     def test_thermal_ground_limit(self):
-        c = coefficients_thermal_hec(5, 0.0, PARAMS)
+        c = coefficients_for(BathSpec.thermal_hec(5, 0.0), PARAMS)
         assert c.r_e == 0.0
         assert c.r_d == pytest.approx(5.0, abs=1e-14)
 
     @pytest.mark.parametrize("n_bar", [math.inf, -math.inf, math.nan, -0.5])
     def test_thermal_rejects_non_finite_or_negative_n_bar(self, n_bar):
         with pytest.raises(ValidationError, match="n_bar: must be finite and >= 0"):
-            coefficients_thermal_hec(4, n_bar, PARAMS)
+            coefficients_for(BathSpec.thermal_hec(4, n_bar), PARAMS)
 
     @pytest.mark.parametrize("N, n_bar", THERMAL_EXACT_CASES)
     def test_thermal_rates_match_exact_sums(self, N, n_bar):
@@ -189,7 +187,7 @@ class TestClosedFormsAgainstBruteForce:
         # a few ulp (a term-by-term float sum is off by 3.3e-14 at
         # n_bar = 1e3 and by 8e-4 at 1e14)
         r_e, r_d, _ = thermal_hec_exact(N, n_bar)
-        c = coefficients_thermal_hec(N, n_bar, PARAMS)
+        c = coefficients_for(BathSpec.thermal_hec(N, n_bar), PARAMS)
         for got, exact in ((c.r_e, r_e), (c.r_d, r_d)):
             assert abs(got - exact) <= 4e-15 * exact  # so exactly 0 where exact is
 
@@ -223,7 +221,7 @@ class TestClosedFormsAgainstBruteForce:
     @given(n_bar=st.floats(0.0, 50.0), N=st.integers(1, 10))
     @settings(max_examples=60, deadline=None)
     def test_thermal_ratio_is_gibbs_factor(self, n_bar, N):
-        c = coefficients_thermal_hec(N, n_bar, PARAMS)
+        c = coefficients_for(BathSpec.thermal_hec(N, n_bar), PARAMS)
         r = n_bar / (n_bar + 1.0)
         assert c.r_e == pytest.approx(r * c.r_d, rel=1e-12, abs=1e-12)
 
@@ -240,7 +238,7 @@ class TestClosedFormsAgainstBruteForce:
         expected = sum(
             d[k] * (N - k + 1) ** 2 * math.comb(N, k - 1) for k in range(1, N + 1)
         )
-        c = coefficients_thermal_hec(N, n_bar, PARAMS)
+        c = coefficients_for(BathSpec.thermal_hec(N, n_bar), PARAMS)
         assert c.r_e == pytest.approx(expected, abs=1e-12)
 
     def test_cyclic_trace_equality_random_state(self, rng):
@@ -282,7 +280,7 @@ class TestClosedFormsAgainstBruteForce:
     @pytest.mark.parametrize("n_bar", [0.1, 0.5, 1.0, 2.0])
     def test_effective_emission_rate_consistency(self, N, n_bar):
         # mu r_e / n = mu r_d / (n+1): one emission rate describes both
-        c = coefficients_thermal_hec(N, n_bar, PARAMS)
+        c = coefficients_for(BathSpec.thermal_hec(N, n_bar), PARAMS)
         assert c.mu * c.r_e / n_bar == pytest.approx(
             c.mu * c.r_d / (n_bar + 1.0), rel=1e-12
         )
@@ -294,7 +292,7 @@ class TestClosedFormsAgainstBruteForce:
 
         ops = build_collective_ops(12)
         c = coefficients_from_state(validate_bath(BathSpec.thermal_hec(12, 1.0)), ops, PARAMS)
-        ref = coefficients_thermal_hec(12, 1.0, PARAMS)
+        ref = coefficients_for(BathSpec.thermal_hec(12, 1.0), PARAMS)
         assert c.r_e == pytest.approx(ref.r_e, abs=1e-10)
         assert c.r_d == pytest.approx(ref.r_d, abs=1e-10)
         # only the ladder blocks are stored: no dense operator is ever built
@@ -307,7 +305,7 @@ class TestClosedFormsAgainstBruteForce:
         assert (c.r_e, c.r_d) == (10.0, 12.0)
         spec = BathSpec.explicit(validate_bath(BathSpec.thermal_hec(3, 1.0)))
         c = coefficients_for(spec, PARAMS)
-        ref = coefficients_thermal_hec(3, 1.0, PARAMS)
+        ref = coefficients_for(BathSpec.thermal_hec(3, 1.0), PARAMS)
         assert c.r_e == pytest.approx(ref.r_e, abs=1e-12)
 
     @pytest.mark.parametrize("spec", [None, "dicke", ("dicke", 6, 2), {"kind": "dicke"}])
@@ -316,20 +314,42 @@ class TestClosedFormsAgainstBruteForce:
             coefficients_for(spec, PARAMS)
         assert str(info.value) == "coefficients_for: expected a BathSpec"
 
-    @pytest.mark.parametrize(
-        "spec, closed_form",
-        [
-            (BathSpec.product_mixed(7, 0.3), lambda: coefficients_product_mixed(7, 0.3, PARAMS)),
-            (BathSpec.product_mixed(7, -0.0), lambda: coefficients_product_mixed(7, -0.0, PARAMS)),
-            (BathSpec.thermal_hec(7, 0.731), lambda: coefficients_thermal_hec(7, 0.731, PARAMS)),
-            (BathSpec.dicke(7, 3), lambda: coefficients_dicke(7, 3, PARAMS)),
-            (BathSpec.dicke(2**53, 5), lambda: coefficients_dicke(2**53, 5, PARAMS)),
-        ],
-    )
-    def test_named_kinds_are_their_closed_forms(self, spec, closed_form):
-        got, want = coefficients_for(spec, PARAMS), closed_form()
-        assert got.to_json_dict() == want.to_json_dict()
-        assert [math.copysign(1.0, v) for v in (got.r_e, got.r_d)] == [1.0, 1.0]
+    @pytest.mark.parametrize("N", [*range(1, 65), 100, 200, 2**53])
+    def test_product_is_n_p_e(self, N):
+        # r_e = N p_e is one rounding of the exact product; r_d = N (1-p_e)
+        # is two, so within an ulp or two; -0.0 gives rates +0.0
+        for p_e in (0.0, -0.0, 0.25, 0.3, 1 / 3, 0.5, 1.0):
+            c = coefficients_for(BathSpec.product_mixed(N, p_e), PARAMS)
+            assert c.r_e == float(N * Fraction(p_e))
+            assert c.r_d == pytest.approx(float(N * (1 - Fraction(p_e))), rel=2**-52, abs=0.0)
+            assert [math.copysign(1.0, v) for v in (c.r_e, c.r_d)] == [1.0, 1.0]
+            assert (c.lam, c.eps, c.mu, c.pg_tau) == (0, 0, PARAMS.mu, PARAMS.pg_tau)
+
+    @pytest.mark.parametrize("N", [*range(1, 65), 100, 200, 2**53])
+    def test_dicke_is_the_ladder_matrix_element(self, N):
+        # <J+J-> and <J-J+> on |j, m>, j = N/2 and m = k - N/2, from the spin
+        # algebra: (j+m)(j-m+1) and (j-m)(j+m+1), exact in Fractions
+        j = Fraction(N, 2)
+        for k in sorted({0, 1, min(2, N), N // 4, N // 2, N - 1, N}):
+            m = k - j
+            c = coefficients_for(BathSpec.dicke(N, k), PARAMS)
+            assert (c.r_e, c.r_d) == (float((j + m) * (j - m + 1)), float((j - m) * (j + m + 1)))
+            assert (c.lam, c.eps, c.mu, c.pg_tau) == (0, 0, PARAMS.mu, PARAMS.pg_tau)
+
+    @pytest.mark.parametrize("N", [*range(1, 65), 100, 200])
+    def test_thermal_hec_is_the_gibbs_sum(self, N):
+        # r_e = sum_k r^k k(N-k+1) / sum_k r^k and r_d the same with
+        # (k+1)(N-k), r = n/(n+1), in Fractions at rational n_bar
+        for n_bar in (Fraction(1, 4), Fraction(1, 2), 1, 3, Fraction(25, 2), 1000):
+            r = Fraction(n_bar) / (n_bar + 1)
+            weights = [r**k for k in range(N + 1)]
+            norm = sum(weights)
+            r_e = sum(w * k * (N - k + 1) for k, w in enumerate(weights)) / norm
+            r_d = sum(w * (k + 1) * (N - k) for k, w in enumerate(weights)) / norm
+            c = coefficients_for(BathSpec.thermal_hec(N, float(n_bar)), PARAMS)
+            assert c.r_e == pytest.approx(float(r_e), rel=1e-15, abs=0.0)
+            assert c.r_d == pytest.approx(float(r_d), rel=1e-15, abs=0.0)
+            assert (c.lam, c.eps, c.mu, c.pg_tau) == (0, 0, PARAMS.mu, PARAMS.pg_tau)
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -364,9 +384,9 @@ class TestClosedFormsAgainstBruteForce:
 class TestLindbladRhs:
     @pytest.mark.parametrize("N", range(1, 9))
     def test_steady_state_is_fixed_point(self, N):
-        sets = [coefficients_product_mixed(N, 0.3, PARAMS)]
-        sets += [coefficients_thermal_hec(N, nb, PARAMS) for nb in (0.5, 1.0, 2.0)]
-        sets += [coefficients_dicke(N, k, PARAMS) for k in range(N + 1)]
+        sets = [coefficients_for(BathSpec.product_mixed(N, 0.3), PARAMS)]
+        sets += [coefficients_for(BathSpec.thermal_hec(N, nb), PARAMS) for nb in (0.5, 1.0, 2.0)]
+        sets += [coefficients_for(BathSpec.dicke(N, k), PARAMS) for k in range(N + 1)]
         for c in sets:
             if c.r_e + c.r_d <= 0.0:
                 continue
@@ -375,7 +395,7 @@ class TestLindbladRhs:
 
     def test_excited_state_decay_rate(self):
         # d rho_ee / dt at rho = |e><e| is mu r_e - mu (r_e + r_d)
-        c = coefficients_dicke(4, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         out = lindblad_rhs(np.diag([1.0, 0.0]).astype(complex), c)
         expected = c.mu * c.r_e - c.mu * (c.r_e + c.r_d)
         assert out[0, 0].real == pytest.approx(expected, rel=1e-12)
@@ -402,7 +422,7 @@ class TestLindbladRhs:
 
     def test_coherence_decay_rate(self):
         # off-diagonal element decays at half the population rate
-        c = coefficients_dicke(6, 2, PARAMS)
+        c = coefficients_for(BathSpec.dicke(6, 2), PARAMS)
         rho = np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex)
         out = lindblad_rhs(rho, c)
         assert out[0, 1].real == pytest.approx(
@@ -410,7 +430,7 @@ class TestLindbladRhs:
         )
 
     def test_wrong_shape(self):
-        c = coefficients_dicke(2, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(2, 1), PARAMS)
         with pytest.raises(ValidationError):
             lindblad_rhs(np.eye(3) / 3.0, c)
 
@@ -449,19 +469,20 @@ class TestClosedFormNRange:
 
     @pytest.mark.parametrize("N", [0, 2**53 + 1, 10**400])
     @pytest.mark.parametrize(
-        "closed_form",
+        "closed_form, below_one",
         [
-            lambda N: coefficients_product_mixed(N, 0.2, PARAMS),
-            lambda N: coefficients_thermal_hec(N, 1.0, PARAMS),
-            lambda N: coefficients_dicke(N, 0, PARAMS),
-            lambda N: dicke_temperature(N, 0),
+            # a BathSpec refuses N < 1 itself, before coefficients_for sees it
+            (lambda N: coefficients_for(BathSpec.product_mixed(N, 0.2), PARAMS), "N: must be >= 1, got 0"),
+            (lambda N: coefficients_for(BathSpec.thermal_hec(N, 1.0), PARAMS), "N: must be >= 1, got 0"),
+            (lambda N: coefficients_for(BathSpec.dicke(N, 0), PARAMS), "N: must be >= 1, got 0"),
+            (lambda N: dicke_temperature(N, 0), "N: all N must be >= 1"),
         ],
         ids=["product", "thermal-hec", "dicke", "dicke-temperature"],
     )
-    def test_outside_rejected(self, N, closed_form):
-        bound = ">= 1" if N < 1 else "<= 2\\*\\*53"
-        with pytest.raises(ValidationError, match=f"^N: all N must be {bound}$"):
+    def test_outside_rejected(self, N, closed_form, below_one):
+        with pytest.raises(ValidationError) as info:
             closed_form(N)
+        assert str(info.value) == (below_one if N < 1 else "N: all N must be <= 2**53")
 
     def test_array_ends_read_without_iterating(self):
         from qollide.master_equation import _check_closed_form_n
@@ -490,7 +511,7 @@ class TestClosedFormNRange:
         assert str(info.value) == "N_list: all N must be <= 2**53"
 
     def test_largest_n_answered(self):
-        c = coefficients_dicke(2**53, 1, PARAMS)
+        c = coefficients_for(BathSpec.dicke(2**53, 1), PARAMS)
         assert (c.r_e, c.r_d) == (float(2**53), float(2 * (2**53 - 1)))
-        assert coefficients_product_mixed(2**53, 0.5, PARAMS).r_e == 2.0**52
+        assert coefficients_for(BathSpec.product_mixed(2**53, 0.5), PARAMS).r_e == 2.0**52
         assert math.isfinite(dicke_temperature(2**53, 1))
