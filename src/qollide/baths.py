@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import BasisOrdering, _check_qubits, _is_integer, basis_ordering, block_sizes
+from .collective import BasisOrdering, _check_n, _check_qubits, _is_integer, basis_ordering
+from .collective import block_sizes
 from .errors import ValidationError
 from .linalg import check_unit_trace, validate_density_matrix
 from .utils import fmt_complex
@@ -80,10 +81,7 @@ class BathSpec:
             raise ValidationError(
                 f"bath kind: {self.kind!r} not one of {BATH_KINDS}"
             )
-        if not _is_integer(self.N):
-            raise ValidationError(f"N: must be an integer, got {self.N!r}")
-        if self.N < 1:
-            raise ValidationError(f"N: must be >= 1, got {self.N}")
+        _check_n(self.N)
         field = _REQUIRED[self.kind]
         if getattr(self, field) is None:
             article = "an" if self.kind == "explicit" else "a"
@@ -139,7 +137,9 @@ def _check_p_e(p_e):
 
 
 def _check_k(N, k):
-    """Reject an excitation count outside ``0..N``."""
+    """Reject an excitation count that is not an integer in ``0..N``."""
+    if not _is_integer(k):
+        raise ValidationError(f"k: must be an integer, got {k!r}")
     if not 0 <= k <= N:
         raise ValidationError(f"k: must be in 0..{N}, got {k}")
 

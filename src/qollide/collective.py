@@ -34,6 +34,14 @@ def _is_integer(N):
     return isinstance(N, (int, np.integer))
 
 
+def _check_n(N):
+    """Reject an ``N`` that is not an integer ``>= 1``."""
+    if not _is_integer(N):
+        raise ValidationError(f"N: must be an integer, got {N!r}")
+    if N < 1:
+        raise ValidationError(f"N: must be >= 1, got {N}")
+
+
 def _check_qubits(N, name):
     """Reject an ``N`` that is not an integer in ``1..MAX_QUBITS``, naming
     the caller."""
@@ -45,8 +53,7 @@ def _check_qubits(N, name):
 
 def block_sizes(N):
     """Sizes ``[C(N,0), ..., C(N,N)]`` of the excitation blocks (Pascal row)."""
-    if N < 1:
-        raise ValidationError(f"block_sizes: N must be >= 1, got {N}")
+    _check_n(N)
     return [comb(N, k) for k in range(N + 1)]
 
 

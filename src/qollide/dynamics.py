@@ -26,11 +26,11 @@ from functools import cached_property
 import numpy as np
 
 from .baths import _check_k, _symmetric_state, check_n_bar, ladder_weights, validate_bath
-from .collective import _is_integer, basis_ordering, build_collective_ops
+from .collective import _check_n, basis_ordering, build_collective_ops
 from .errors import NumericError, ValidationError
 from .linalg import validate_density_matrix
 from .master_equation import _FAMILY_RATES, _check_closed_form_n, dicke_rates
-from .master_equation import lindblad_rhs
+from .master_equation import _qubit_matrix, lindblad_rhs
 
 #: Residual coherence above which trajectory temperatures are flagged.
 COHERENCE_FLAG_TOL = 1e-6
@@ -176,7 +176,9 @@ def dicke_temperature(N, k):
 
 
 def dicke_max_noninverted_k(N):
-    """Largest excitation count with a positive steady temperature."""
+    """Largest excitation count with a positive steady temperature, for an
+    int N or an integer array of N in ``1..MAX_SWEEP_N``."""
+    _check_closed_form_n(N if isinstance(N, np.ndarray) else [N])
     return (N + 1) // 2 - 1
 
 
@@ -211,15 +213,16 @@ def _exp_each(x):
     return np.fromiter(map(math.exp, x.tolist()), dtype=float, count=len(x))
 
 
-def _analytic_states(rho0, c, times):
+def _analytic_states(rho0, c, times, name):
     """Closed-form target states at the 1-D ``times``, stacked ``(n, 2, 2)``.
 
     ``rho_ee(t) = (r_e + c0 exp(-t/t_q)) / (r_e + r_d)`` with
     ``c0 = r_d rho_ee(0) - r_e rho_gg(0)``; the coherence decays with twice
     the thermalization time.  Without coupling every state is ``rho0``.
+    A ``rho0`` that is not 2x2 is refused naming the caller ``name``.
     """
+    rho0 = _qubit_matrix(rho0, name)
     _require_thermal_only(c)
-    rho0 = np.asarray(rho0, dtype=complex)
     t_q = thermalization_time(c)
     if t_q == math.inf:
         return np.repeat(rho0[None], len(times), axis=0)
@@ -234,7 +237,7 @@ def _analytic_states(rho0, c, times):
 def evolve_analytic(rho0, c, t):
     """Closed-form target state at time ``t`` for the thermal-only channel
     (the one-time case of :func:`analytic_trajectory`)."""
-    return _analytic_states(rho0, c, np.array([t], dtype=float))[0]
+    return _analytic_states(rho0, c, np.array([t], dtype=float), "evolve_analytic")[0]
 
 
 def temperature_trajectory(c, t_grid):
@@ -320,7 +323,8 @@ def analytic_trajectory(rho0, c, times):
     """Trajectory of the closed-form states (see :func:`evolve_analytic`)
     on the given grid, built as one ``(n, 2, 2)`` stack."""
     times = np.asarray(times, dtype=float)
-    return Trajectory.from_states(times, _analytic_states(rho0, c, times), c.mu)
+    states = _analytic_states(rho0, c, times, "analytic_trajectory")
+    return Trajectory.from_states(times, states, c.mu)
 
 
 def _step_count(t_end, dt):
@@ -436,6 +440,7 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
     indicates a numeric problem), then for a population below -1e-10 (a
     step too long for the rates).
     """
+    rho0 = _qubit_matrix(rho0, "integrate_master")
     n_steps = _step_count(t_end, dt)
     t_q = thermalization_time(c)
     if math.isfinite(t_q) and dt > t_q / 20.0:
@@ -452,7 +457,7 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
         )
     record = _record_indices(n_steps, n_records)
     step_mat = _rk4_step_matrix(_lindblad_generator(c), dt)
-    vec0 = np.asarray(rho0, dtype=complex).ravel()
+    vec0 = rho0.ravel()
     steps = [*record, n_steps]
     rows = _propagate(step_mat, vec0, steps)
     _check_trace(rows, steps, "integrate_master")
@@ -662,6 +667,7 @@ def collision_chain(
     one accuracy advisory.  A state that overflowed is refused in either
     mode.
     """
+    rho0 = _qubit_matrix(rho0, "collision_chain")
     n_steps = _step_count(t_end, dt)
     p_dt = params.p * dt
     if p_dt > 1.0:
@@ -683,7 +689,7 @@ def collision_chain(
         )
     phi = collision_superoperator(bath, params, mode=mode)
     times = np.array([dt * i for i in record])
-    vec0 = np.asarray(rho0, dtype=complex).ravel()
+    vec0 = rho0.ravel()
 
     bath_trace = _bath_trace(bath)
 
@@ -784,10 +790,7 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     those steps.  Such a grid of more than :data:`MAX_RECORDS` steps is
     refused before it is propagated.
     """
-    if not _is_integer(N):
-        raise ValidationError(f"N: must be an integer, got {N!r}")
-    if N < 1:
-        raise ValidationError(f"N: must be >= 1, got {N}")
+    _check_n(N)
     check_n_bar(n_bar)
     if not 0.0 < gamma0 < math.inf:
         raise ValidationError(f"gamma0: must be finite and positive, got {gamma0}")

@@ -294,6 +294,14 @@ def coefficients_for(spec, params):
     return coefficients_from_state(rho, build_collective_ops(spec.N), params)
 
 
+def _qubit_matrix(rho, name):
+    """``rho`` as a complex array, refused naming ``name`` unless it is 2x2."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValidationError(f"{name}: expected a 2x2 state, got {rho.shape}")
+    return rho
+
+
 def lindblad_rhs(rho_q, c):
     """Right-hand side of the target-qubit master equation.
 
@@ -301,11 +309,7 @@ def lindblad_rhs(rho_q, c):
     eps* s- rho s-) + (mu r_d/2)(2 s- rho s+ - {s+s-, rho}) + (mu r_e/2)
     (2 s+ rho s- - {s-s+, rho})``.  Trace-free, Hermiticity preserving.
     """
-    rho_q = np.asarray(rho_q, dtype=complex)
-    if rho_q.shape != (2, 2):
-        raise ValidationError(
-            f"lindblad_rhs: expected a 2x2 state, got {rho_q.shape}"
-        )
+    rho_q = _qubit_matrix(rho_q, "lindblad_rhs")
     out = np.zeros((2, 2), dtype=complex)
     if c.lam != 0:
         h_eff = c.lam * SIGMA_PLUS + np.conj(c.lam) * SIGMA_MINUS

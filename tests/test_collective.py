@@ -35,9 +35,11 @@ class TestBlockSizes:
         for N in range(1, 9):
             assert sum(block_sizes(N)) == 2**N
 
-    def test_invalid_n(self):
-        with pytest.raises(ValidationError):
-            block_sizes(0)
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_invalid_n(self, N):
+        with pytest.raises(ValidationError) as info:
+            block_sizes(N)
+        assert str(info.value) == f"N: must be >= 1, got {N}"
 
 
 class TestBasisOrdering:

@@ -21,6 +21,7 @@ from qollide import (
     NumericError,
     ValidationError,
     analytic_trajectory,
+    block_sizes,
     classify_coherences,
     coefficients_for,
     collision_chain,
@@ -1400,6 +1401,8 @@ N_ENTRY_POINTS = {
                        "N: must be an integer, got {!r}"),
     "coefficients_for": (lambda N: coefficients_for(BathSpec.thermal_hec(N, 0.5), PARAMS),
                          "N: must be an integer, got {!r}"),
+    "block_sizes": (block_sizes, "N: must be an integer, got {!r}"),
+    "dicke_max_noninverted_k": (dicke_max_noninverted_k, "N: all N must be integers"),
     "dicke_temperature": (lambda N: dicke_temperature(N, 1), "N: all N must be integers"),
     "scaling_sweep": (lambda N: scaling_sweep("dicke", [8, N], PARAMS, k_rule="quarter"),
                       "N_list: all N must be integers"),
@@ -1429,6 +1432,84 @@ class TestIntegerN:
     def test_numpy_integer_accepted(self, entry):
         call, _ = N_ENTRY_POINTS[entry]
         call(np.int64(4))
+
+    @pytest.mark.parametrize(
+        "Ns, message",
+        [
+            (0, "N: all N must be >= 1"),
+            (-3, "N: all N must be >= 1"),
+            (2**53 + 1, "N: all N must be <= 2**53"),
+            (np.array([4.0, 8.0]), "N: all N must be integers"),
+            (np.array([8, 0, 4]), "N: all N must be >= 1"),
+            (np.array([8, 2**53 + 1]), "N: all N must be <= 2**53"),
+        ],
+        ids=["zero", "negative", "above", "array-float", "array-below", "array-above"],
+    )
+    def test_max_noninverted_k_range_refused(self, Ns, message):
+        with pytest.raises(ValidationError) as info:
+            dicke_max_noninverted_k(Ns)
+        assert str(info.value) == message
+
+
+#: Every entry point that takes a dicke ``k``, called with ``k`` at N = 4.
+K_ENTRY_POINTS = {
+    "validate_bath": lambda k: validate_bath(BathSpec.dicke(4, k)),
+    "coefficients_for": lambda k: coefficients_for(BathSpec.dicke(4, k), PARAMS),
+    "dicke_temperature": lambda k: dicke_temperature(4, k),
+    "collision_superoperator": lambda k: collision_superoperator(BathSpec.dicke(4, k), PARAMS),
+}
+
+
+class TestIntegerK:
+    """A dicke excitation count that is not an integer is refused with one
+    :class:`ValidationError` at every entry point; numpy integers are
+    integers."""
+
+    @pytest.mark.parametrize("entry", K_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "k", [1.5, 1.0, np.float64(2.0), math.nan, "1"], ids=["1.5", "1.0", "np-2.0", "nan", "str"]
+    )
+    def test_non_integer_refused(self, entry, k):
+        with pytest.raises(ValidationError) as info:
+            K_ENTRY_POINTS[entry](k)
+        assert str(info.value) == f"k: must be an integer, got {k!r}"
+
+    @pytest.mark.parametrize("entry", K_ENTRY_POINTS)
+    def test_numpy_integer_accepted(self, entry):
+        call = K_ENTRY_POINTS[entry]
+        np.testing.assert_equal(call(np.int64(1)), call(1))
+
+
+DICKE_4_1 = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
+
+#: Every engine that takes an initial target state, called with ``rho0``.
+ENGINES = {
+    "evolve_analytic": lambda rho0: evolve_analytic(rho0, DICKE_4_1, 1.0),
+    "analytic_trajectory": lambda rho0: analytic_trajectory(rho0, DICKE_4_1, [0.0, 1.0]),
+    "integrate_master": lambda rho0: integrate_master(rho0, DICKE_4_1, 0.1, 0.001),
+    "collision_chain": lambda rho0: collision_chain(rho0, BathSpec.dicke(4, 1), PARAMS, 0.1, 0.001),
+}
+
+
+class TestInitialStateShape:
+    """Every engine refuses an initial state that is not 2x2 with one
+    :class:`ValidationError` naming it, before any other check."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "rho0", [np.eye(3) / 3, np.eye(4) / 4, np.full(4, 0.5), np.ones((1, 1))],
+        ids=["3x3", "4x4", "vector-4", "1x1"],
+    )
+    def test_not_2x2_refused(self, engine, rho0):
+        with pytest.raises(ValidationError) as info:
+            ENGINES[engine](rho0)
+        assert str(info.value) == f"{engine}: expected a 2x2 state, got {rho0.shape}"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_nested_list_is_the_array(self, engine):
+        rho0 = [[0.25, 0.1j], [-0.1j, 0.75]]
+        got, want = ENGINES[engine](rho0), ENGINES[engine](np.array(rho0))
+        assert_same_bits(getattr(got, "states", got), getattr(want, "states", want))
 
 
 class TestOverflowRefused:
@@ -1958,7 +2039,8 @@ class TestScalingSweep:
         assert res.rows[0].k == 2  # largest non-inverted block
 
     def test_half_rule_is_the_largest_noninverted_block(self):
-        Ns = list(range(-3, 40)) + [2**53 - 1, 2**53]
+        # N < 1 is refused (TestIntegerN.test_max_noninverted_k_range_refused)
+        Ns = list(range(1, 40)) + [2**53 - 1, 2**53]
         want = [(N - 1) // 2 for N in Ns]
         assert [dynamics._sweep_k("half-minus-one", N) for N in Ns] == want
         assert [dicke_max_noninverted_k(N) for N in Ns] == want

@@ -1,8 +1,11 @@
-"""The lint of ``src/qollide``: every name a module imports is used in it.
+"""The lint of ``src/qollide``: every name a module imports is used in it,
+and the package exports exactly the names listed here.
 
 An attribute access ``np.zeros`` uses ``np`` through the ``Name`` node at
 its root, so reading ``Name`` nodes covers attribute uses too.
-``__init__.py`` is left out: its imports are the package's exports.
+``__init__.py`` is left out of the lint: its imports are the package's
+exports, which :data:`PUBLIC_NAMES` pins, so that adding or removing one is
+a change to this file.
 """
 
 import ast
@@ -42,3 +45,28 @@ def test_unused_imports_of_a_known_source():
         "x = np.zeros(os.sep)\n"
     )
     assert unused_imports(source) == [(4, "b"), (4, "d")]
+
+
+#: Every name ``qollide/__init__.py`` exports, sorted.
+PUBLIC_NAMES = [
+    "BasisOrdering", "BathSpec", "CoherenceMap", "CollectiveOps", "CollisionParams",
+    "LadderState", "MeqCoefficients", "NumericError", "QollideError", "SweepResult",
+    "SweepRow", "Trajectory", "ValidationError", "analytic_trajectory", "basis_ordering",
+    "bath_from_csv", "bath_to_csv", "block_sizes", "build_collective_ops",
+    "classify_coherences", "coefficients_for", "coefficients_from_state", "collision_chain",
+    "collision_superoperator", "dicke_ladder_transform", "dicke_max_noninverted_k",
+    "dicke_temperature", "entropy", "evolve_analytic", "excited_state", "fit_loglog_slope",
+    "ground_state", "integrate_master", "j_z_diagonal", "ladder_history", "lindblad_rhs",
+    "load_bath_csv", "matrix_exp", "partial_trace_bath", "prepare_thermal_dicke",
+    "qubit_state", "save_bath_csv", "scaling_sweep", "steady_state", "steady_temperature",
+    "temperature_from_populations", "temperature_trajectory", "thermalization_time",
+    "validate_bath", "validate_density_matrix",
+]
+
+
+def test_public_names_pinned():
+    with open(os.path.join(SRC, "__init__.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    exported = [a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names]
+    assert sorted(exported) == PUBLIC_NAMES
