@@ -271,7 +271,7 @@ def coefficients_for(spec, params):
     """Coefficients for a :class:`BathSpec`.
 
     A named family takes its closed form, after N is held to
-    ``1..MAX_SWEEP_N`` (and a dicke ``k`` to ``0..N``):
+    ``1..MAX_SWEEP_N`` (and a dicke ``k`` to the integers ``0..N``):
 
     * product: ``r_e = N p_e``, ``r_d = N (1-p_e)``;
     * thermal-hec: ``r_e = sum_k w_k k(N-k+1)``, ``r_d = sum_k w_{k-1}
