@@ -12,6 +12,10 @@ dynamics:
 * ``dicke``: a single fully symmetric state with ``k`` excitations, i.e.
   one uniformly filled block ``U_k / C(N,k)``.
 
+Each family is stated once, as a :class:`Family` record in
+:data:`FAMILIES`: its parameter, its CLI flag, its parameter check, its
+spin-ladder weights and its closed-form rates.
+
 Coherence classification
 ------------------------
 An off-diagonal entry ``(i, j)`` of a bath state matters to the reduced
@@ -38,26 +42,144 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
-from .collective import BasisOrdering, _check_n, _check_qubits, _is_integer, basis_ordering
-from .collective import block_sizes
+from .collective import BasisOrdering, _check_n, _check_qubits, _is_integer, _shown
+from .collective import basis_ordering, block_sizes
 from .errors import ValidationError
 from .linalg import check_unit_trace, validate_density_matrix
 from .utils import fmt_complex
-
-BATH_KINDS = ("product", "thermal-hec", "dicke", "explicit")
-
-#: The parameter each bath kind requires.
-_REQUIRED = {"product": "p_e", "thermal-hec": "n_bar", "dicke": "k", "explicit": "rho"}
 
 LABEL_POPULATION = "population"
 LABEL_DISPLACEMENT = "displacement"
 LABEL_SQUEEZING = "squeezing"
 LABEL_HEC = "hec"
 LABEL_INEFFECTIVE = "ineffective"
+
+
+def check_n_bar(n_bar):
+    """Reject a mean photon number that is negative or not finite."""
+    if not 0.0 <= n_bar < math.inf:
+        raise ValidationError(f"n_bar: must be finite and >= 0, got {n_bar}")
+
+
+def _check_p_e(p_e):
+    """Reject an excited probability outside [0, 1] (NaN included)."""
+    if not 0.0 <= p_e <= 1.0:
+        raise ValidationError(f"p_e: must be in [0, 1], got {p_e}")
+
+
+def _check_k(N, k):
+    """Reject an excitation count that is not an integer in ``0..N``."""
+    if not _is_integer(k):
+        raise ValidationError(f"k: must be an integer, got {k!r}")
+    if not 0 <= k <= N:
+        raise ValidationError(f"k: must be in 0..{_shown(N)}, got {_shown(k)}")
+
+
+def _gibbs_exponent(n_bar):
+    """``x = log1p(1/n_bar)``, so ``r = n_bar/(n_bar+1) = exp(-x)``; ``+inf``
+    at ``n_bar = 0`` (or ``-0``) and wherever ``1/n_bar`` overflows."""
+    check_n_bar(n_bar)
+    return math.log1p(1.0 / n_bar) if n_bar else math.inf
+
+
+def thermal_hec_weights(N, n_bar):
+    """Block traces ``w_k = norm r^k``, ``k = 0..N``, of the thermal-hec state,
+    with ``r^k = exp(-k x)`` and ``norm = expm1(-x)/expm1(-(N+1)x)`` from one
+    Gibbs exponent ``x``, so they sum to 1 to rounding at every ``n_bar``."""
+    x = _gibbs_exponent(n_bar)
+    weights = np.full(N + 1, math.expm1(-x) / math.expm1(-(N + 1) * x))
+    weights[1:] *= np.exp(-x * np.arange(1, N + 1))  # k = 0 apart: inf * 0
+    return weights
+
+
+def _product_weights(N, p_e):
+    """Ladder weights of a product state.  It fills excitation block ``k``
+    with ``p^k (1-p)^(N-k)``, so it weighs each ``(j, m)`` of the triangle
+    ``|m| <= j`` by that times ``d_j = C(N, N/2-j) - C(N, N/2-j-1)``
+    (Schur-Weyl), the multiplicities taken from exact ints; its weights are
+    normalized by their sum."""
+    row = block_sizes(N)
+    d_j = np.array([float(a - b) for a, b in zip(row[: N // 2 + 1], [0, *row])])
+    # ladder j = N/2 - depth holds m = k - N/2 for depth <= k <= N - depth
+    k = np.arange(N + 1)
+    depth, k = np.nonzero(np.abs(2 * k - N) <= N - 2 * np.arange(N // 2 + 1)[:, None])
+    w = d_j[depth] * p_e**k * (1.0 - p_e) ** (N - k)
+    return N - 2 * depth, 2 * k - N, w / w.sum()
+
+
+def product_mixed_rates(N, p_e):
+    """``(r_e, r_d) = (N p_e, N (1-p_e))`` for an int N or an array of N."""
+    _check_p_e(p_e)
+    return N * p_e + 0.0, N * (1.0 - p_e)  # + 0.0: rate 0.0 for p_e = -0.0
+
+
+def _langevin(y):
+    """``coth(y) - 1/y`` elementwise for ``y >= 0`` (``inf`` included), from
+    nonnegative terms only: below 1, ``y (y / sinh y) sum_n 2n y^(2n-2) /
+    (2n+1)!`` by Horner; above, ``(1 - 1/y) + 2q/(1 - q)``, ``q = exp(-2y)``."""
+    small = np.minimum(y, 1.0)
+    big = np.maximum(y, 1.0)
+    series = np.zeros_like(small)
+    for n in range(9, 0, -1):
+        series = series * small * small + 2 * n / math.factorial(2 * n + 1)
+    q = np.exp(-2.0 * big)
+    above = (1.0 - 1.0 / big) + 2.0 * q / (1.0 - q)
+    return np.where(y < 1.0, small * series * (small / np.sinh(small)), above)
+
+
+def thermal_hec_rates(N, n_bar):
+    """Rates of the collectively thermalized bath, ``r_e = sum_{k=1..N}
+    (1-r) r^k k (N-k+1) / (1 - r^(N+1))`` with ``r = n_bar/(n_bar+1)`` and
+    ``r_d`` the same sum with ``r^(k-1)``, for an int N or an array of N.
+    They cost O(1) per N: ``r_d - r_e = -2<J_z>`` and
+    ``r_e = r r_d`` close the sums to ``r_d = (n_bar+1) D``, ``r_e = n_bar D``
+    with ``D = (N+1) L((N+1)x/2) - L(x/2)``, ``L(y) = coth(y) - 1/y`` and the
+    Gibbs exponent ``x = log1p(1/n_bar)`` (``D = N`` at ``n_bar = 0``).
+    """
+    x = _gibbs_exponent(n_bar)
+    n_bar = n_bar + 0.0  # rate 0.0, not -0.0, for n_bar = -0.0
+    N = np.asarray(N, dtype=float)
+    D = (N + 1.0) * _langevin((N + 1.0) * (x / 2.0)) - _langevin(x / 2.0)
+    D = np.minimum(D, N)  # D < N exactly; (N+1) L near 1 can round above
+    return n_bar * D, (n_bar + 1.0) * D
+
+
+def dicke_rates(N, k):
+    """``(k(N-k+1), (k+1)(N-k))`` for ints or arrays of N and k.  Exact for
+    ints; float arrays of integers below 2**53 give the same bits, one
+    rounding of the exact product."""
+    return k * (N - k + 1), (k + 1) * (N - k)
+
+
+#: A named bath family, as one frozen record: the :class:`BathSpec`
+#: ``field`` that holds its parameter, the CLI ``flag`` and its type
+#: ``conv`` that give it, the parameter ``check`` run before the qubit cap,
+#: the spin-ladder ``weights`` ``(two_j, two_m, w)`` with no cap (see
+#: :func:`ladder_weights`) and the closed-form ``rates`` ``(r_e, r_d)``.
+#: Each callable takes ``(N, value)``; the rates take an int N or an array
+#: of N.
+Family = make_dataclass("Family", "field flag conv check weights rates".split(), frozen=True)
+
+#: The named families, one record each.  Dicke and thermal-hec states are
+#: symmetric (``j = N/2``, ``m = k - N/2``); a thermal-hec ``n_bar`` is
+#: checked by its weights, after the cap.
+FAMILIES = {
+    "product": Family(
+        "p_e", "pe", float, lambda N, p_e: _check_p_e(p_e), _product_weights, product_mixed_rates
+    ),
+    "thermal-hec": Family("n_bar", "nbar", float, lambda N, n_bar: None, lambda N, n_bar: (
+        np.full(N + 1, N), 2 * np.arange(N + 1) - N, thermal_hec_weights(N, n_bar)
+    ), thermal_hec_rates),
+    "dicke": Family("k", "k", int, _check_k, lambda N, k: (
+        np.array([N]), np.array([2 * k - N]), np.ones(1)
+    ), dicke_rates),
+}
+
+BATH_KINDS = (*FAMILIES, "explicit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +204,7 @@ class BathSpec:
                 f"bath kind: {self.kind!r} not one of {BATH_KINDS}"
             )
         _check_n(self.N)
-        field = _REQUIRED[self.kind]
+        field = FAMILIES[self.kind].field if self.kind in FAMILIES else "rho"
         if getattr(self, field) is None:
             article = "an" if self.kind == "explicit" else "a"
             raise ValidationError(f"{field}: required for {article} {self.kind} bath")
@@ -118,47 +240,9 @@ class BathSpec:
         """Provenance dict for JSON output: kind, N and the kind's parameter
         (none for an explicit matrix)."""
         d = {"kind": self.kind, "N": self.N}
-        if self.kind != "explicit":
-            field = _REQUIRED[self.kind]
-            d[field] = getattr(self, field)
+        if self.kind in FAMILIES:
+            d[FAMILIES[self.kind].field] = getattr(self, FAMILIES[self.kind].field)
         return d
-
-
-def check_n_bar(n_bar):
-    """Reject a mean photon number that is negative or not finite."""
-    if not 0.0 <= n_bar < math.inf:
-        raise ValidationError(f"n_bar: must be finite and >= 0, got {n_bar}")
-
-
-def _check_p_e(p_e):
-    """Reject an excited probability outside [0, 1] (NaN included)."""
-    if not 0.0 <= p_e <= 1.0:
-        raise ValidationError(f"p_e: must be in [0, 1], got {p_e}")
-
-
-def _check_k(N, k):
-    """Reject an excitation count that is not an integer in ``0..N``."""
-    if not _is_integer(k):
-        raise ValidationError(f"k: must be an integer, got {k!r}")
-    if not 0 <= k <= N:
-        raise ValidationError(f"k: must be in 0..{N}, got {k}")
-
-
-def _gibbs_exponent(n_bar):
-    """``x = log1p(1/n_bar)``, so ``r = n_bar/(n_bar+1) = exp(-x)``; ``+inf``
-    at ``n_bar = 0`` (or ``-0``) and wherever ``1/n_bar`` overflows."""
-    check_n_bar(n_bar)
-    return math.log1p(1.0 / n_bar) if n_bar else math.inf
-
-
-def thermal_hec_weights(N, n_bar):
-    """Block traces ``w_k = norm r^k``, ``k = 0..N``, of the thermal-hec state,
-    with ``r^k = exp(-k x)`` and ``norm = expm1(-x)/expm1(-(N+1)x)`` from one
-    Gibbs exponent ``x``, so they sum to 1 to rounding at every ``n_bar``."""
-    x = _gibbs_exponent(n_bar)
-    weights = np.full(N + 1, math.expm1(-x) / math.expm1(-(N + 1) * x))
-    weights[1:] *= np.exp(-x * np.arange(1, N + 1))  # k = 0 apart: inf * 0
-    return weights
 
 
 def _symmetric_state(basis, weights):
@@ -171,55 +255,29 @@ def _symmetric_state(basis, weights):
     return rho
 
 
-def check_named_bath(spec):
-    """Check a named family's parameter and the qubit cap without building
-    its state or its basis: a product's ``p_e`` or a dicke ``k`` first,
-    then the cap, then a thermal-hec ``n_bar``.  Every named bath is
-    checked here and only here."""
-    if spec.kind == "product":
-        _check_p_e(spec.p_e)
-    elif spec.kind == "dicke":
-        _check_k(spec.N, spec.k)
-    _check_qubits(spec.N, "basis_ordering")
-    if spec.kind == "thermal-hec":
-        check_n_bar(spec.n_bar)
-
-
 def ladder_weights(spec):
-    """Spin-ladder weights ``(two_j, two_m, w)`` of a named family, checked
-    by :func:`check_named_bath`: the state is ``sum w |j,m><j,m|`` over
-    ladder states, a ladder of multiplicity ``d_j`` counted ``d_j`` times.
-
-    Dicke and thermal-hec states are symmetric (``j = N/2``, ``m = k -
-    N/2``).  A product state fills excitation block ``k`` with ``p^k
-    (1-p)^(N-k)``, so it weighs each ``(j, m)`` of the triangle ``|m| <= j``
-    by that times ``d_j = C(N, N/2-j) - C(N, N/2-j-1)`` (Schur-Weyl), the
-    multiplicities taken from exact ints; its weights are normalized by
-    their sum.  Nothing ``2^N``-sized is built.
+    """Spin-ladder weights ``(two_j, two_m, w)`` of a named family: the
+    state is ``sum w |j,m><j,m|`` over ladder states, a ladder of
+    multiplicity ``d_j`` counted ``d_j`` times.  The family's parameter
+    check runs first, then the qubit cap, then its :data:`FAMILIES`
+    weights: the one check of a named bath before its state, its collision
+    map or its classification.  Nothing ``2^N``-sized is built.
     """
-    check_named_bath(spec)
-    N = spec.N
-    k = np.arange(N + 1)
-    if spec.kind == "dicke":
-        return np.array([N]), np.array([2 * spec.k - N]), np.ones(1)
-    if spec.kind == "thermal-hec":
-        return np.full(N + 1, N), 2 * k - N, thermal_hec_weights(N, spec.n_bar)
-    row = block_sizes(N)
-    d_j = np.array([float(a - b) for a, b in zip(row[: N // 2 + 1], [0, *row])])
-    # ladder j = N/2 - depth holds m = k - N/2 for depth <= k <= N - depth
-    depth, k = np.nonzero(np.abs(2 * k - N) <= N - 2 * np.arange(N // 2 + 1)[:, None])
-    w = d_j[depth] * spec.p_e**k * (1.0 - spec.p_e) ** (N - k)
-    return N - 2 * depth, 2 * k - N, w / w.sum()
+    family = FAMILIES[spec.kind]
+    value = getattr(spec, family.field)
+    family.check(spec.N, value)
+    _check_qubits(spec.N, "basis_ordering")
+    return family.weights(spec.N, value)
 
 
 def validate_bath(spec):
     """Materialize a :class:`BathSpec` into a validated density matrix.
 
-    A named family is checked by :func:`check_named_bath`, then filled in
-    the canonical basis: a product bath is diagonal with ``p_e^k
-    (1-p_e)^(N-k)`` on every k-excitation state, and a thermal-hec or dicke
-    bath is the symmetric mixture of its :func:`thermal_hec_weights` or of
-    the one block ``k``.  These are Hermitian with nonnegative weights on
+    A named family is checked by :func:`ladder_weights`, then filled in the
+    canonical basis: a product bath is diagonal with ``p_e^k (1-p_e)^(N-k)``
+    on every k-excitation state, and a thermal-hec or dicke bath is the
+    symmetric mixture of its ladder weights, block ``k`` holding the weight
+    of ``m = k - N/2``.  These are Hermitian with nonnegative weights on
     diagonal entries or uniformly filled blocks, so they are positive for
     every parameter the checks accept, and their weights sum to 1 to
     rounding; only the trace is checked.  Explicit matrices get the full
@@ -231,15 +289,13 @@ def validate_bath(spec):
     if spec.kind == "explicit":
         _check_qubits(spec.N, name)  # before the validation temporaries
         return validate_density_matrix(np.asarray(spec.rho, dtype=complex), name=name)
-    check_named_bath(spec)
+    _, two_m, w = ladder_weights(spec)
     N, basis = spec.N, basis_ordering(spec.N)
     if spec.kind == "product":
         exc = basis.excitations.astype(float)
         rho = np.diag((spec.p_e**exc * (1.0 - spec.p_e) ** (N - exc)).astype(complex))
-    elif spec.kind == "thermal-hec":
-        rho = _symmetric_state(basis, thermal_hec_weights(N, spec.n_bar))
     else:
-        rho = _symmetric_state(basis, np.eye(N + 1)[spec.k])
+        rho = _symmetric_state(basis, np.bincount((two_m + N) // 2, w, N + 1))
     check_unit_trace(rho, name=name)
     return rho
 

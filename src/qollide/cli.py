@@ -54,8 +54,8 @@ import warnings
 
 import numpy as np
 
-from .baths import _REQUIRED, BATH_KINDS, BathSpec, bath_to_csv, check_named_bath
-from .baths import classify_coherences, load_bath_csv, validate_bath
+from .baths import BATH_KINDS, FAMILIES, BathSpec, bath_to_csv, classify_coherences
+from .baths import dicke_rates, ladder_weights, load_bath_csv, validate_bath
 from .collective import basis_ordering
 from .dynamics import (
     _check_record_count,
@@ -71,18 +71,14 @@ from .dynamics import (
     scaling_sweep,
 )
 from .errors import NumericError, ValidationError
-from .master_equation import _FAMILY_RATES, CollisionParams, coefficients_for, dicke_rates
+from .master_equation import CollisionParams, coefficients_for
 
 DEFAULT_PARAMS = {"g": 0.1, "tau": 1.0, "p": 100.0, "omega0": 1.0}
 
 ENGINES = ("analytic", "ode", "collisions")
 MODES = ("exact", "second-order")
 SCHEMES = ("deterministic", "stochastic")
-FAMILIES = tuple(_FAMILY_RATES)
 K_RULES = ("quarter", "half-minus-one")
-
-#: The flag, and its type, that gives each named family its parameter.
-_FAMILY_FLAGS = {"product": ("pe", float), "thermal-hec": ("nbar", float), "dicke": ("k", int)}
 
 
 def _unreadable(name, path, exc):
@@ -240,9 +236,9 @@ def _bath_from(args, config):
             )
         return BathSpec.explicit(rho)
     N = _get(args, config, "N", int, required=True)
-    flag, conv = _FAMILY_FLAGS[kind]
-    value = _get(args, config, flag, conv, required=True)
-    return BathSpec(N=N, kind=kind, **{_REQUIRED[kind]: value})
+    family = FAMILIES[kind]
+    value = _get(args, config, family.flag, family.conv, required=True)
+    return BathSpec(N=N, kind=kind, **{family.field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -318,22 +314,18 @@ def cmd_evolve(args, config):
 
 
 def cmd_sweep(args, config):
-    family = _get(args, config, "family", str, required=True, choices=FAMILIES)
+    family = _get(args, config, "family", str, required=True, choices=tuple(FAMILIES))
     n_list = parse_n_range(_get(args, config, "N", str, required=True))
     params = _params_from(args, config)
-    p_e = _get(args, config, "pe", float)
-    n_bar = _get(args, config, "nbar", float)
-    k_rule = _get(args, config, "krule", str, choices=K_RULES)
+    # only the family's own parameter is read; a dicke sweep takes a rule for each N's k
+    if family == "dicke":
+        name, value = "k_rule", _get(args, config, "krule", str, required=True, choices=K_RULES)
+    else:
+        record = FAMILIES[family]
+        name, value = record.field, _get(args, config, record.flag, record.conv, required=True)
     out_path = _get(args, config, "out", str)
     slopes_path = _get(args, config, "slopes_out", str)
-    result = scaling_sweep(
-        family,
-        n_list,
-        params,
-        p_e=p_e,
-        n_bar=n_bar,
-        k_rule=k_rule,
-    )
+    result = scaling_sweep(family, n_list, params, **{name: value})
     _write((out_path, result.to_csv()), (slopes_path, _json(result.slopes_dict())))
     return 0
 
@@ -344,7 +336,7 @@ def cmd_classify(args, config):
     if spec.kind == "explicit":
         validate_bath(spec)
     else:  # classified by N alone: its 2^N x 2^N state is never built
-        check_named_bath(spec)
+        ladder_weights(spec)
     cmap = classify_coherences(spec.N)
     _write((out_path, _json(cmap.to_json_dict())))
     return 0

@@ -34,21 +34,30 @@ def _is_integer(N):
     return isinstance(N, (int, np.integer))
 
 
+def _shown(n):
+    """``str(n)`` for a refusal's text; an int too long to print in decimal
+    is shown by its sign and bit length."""
+    try:
+        return str(n)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"{'-' if n < 0 else ''}<int of {abs(n).bit_length()} bits>"
+
+
 def _check_n(N):
     """Reject an ``N`` that is not an integer ``>= 1``."""
     if not _is_integer(N):
         raise ValidationError(f"N: must be an integer, got {N!r}")
     if N < 1:
-        raise ValidationError(f"N: must be >= 1, got {N}")
+        raise ValidationError(f"N: must be >= 1, got {_shown(N)}")
 
 
 def _check_qubits(N, name):
-    """Reject an ``N`` that is not an integer in ``1..MAX_QUBITS``, naming
-    the caller."""
+    """Reject an ``N`` that is not an integer in ``1..MAX_QUBITS``; a cap
+    refusal names the caller."""
     if not _is_integer(N):
-        raise ValidationError(f"{name}: N={N!r} is not an integer")
+        raise ValidationError(f"N: must be an integer, got {N!r}")
     if not 1 <= N <= MAX_QUBITS:
-        raise ValidationError(f"{name}: N={N} outside allowed range 1..{MAX_QUBITS}")
+        raise ValidationError(f"{name}: N={_shown(N)} outside allowed range 1..{MAX_QUBITS}")
 
 
 def block_sizes(N):

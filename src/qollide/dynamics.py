@@ -25,12 +25,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .baths import _check_k, _symmetric_state, check_n_bar, ladder_weights, validate_bath
+from .baths import FAMILIES, _check_k, _symmetric_state, check_n_bar, dicke_rates, ladder_weights
+from .baths import validate_bath
 from .collective import _check_n, basis_ordering, build_collective_ops
 from .errors import NumericError, ValidationError
 from .linalg import validate_density_matrix
-from .master_equation import _FAMILY_RATES, _check_closed_form_n, dicke_rates
-from .master_equation import _qubit_matrix, lindblad_rhs
+from .master_equation import _check_closed_form_n, _check_one_n, _qubit_matrix, lindblad_rhs
 
 #: Residual coherence above which trajectory temperatures are flagged.
 COHERENCE_FLAG_TOL = 1e-6
@@ -169,7 +169,7 @@ def dicke_temperature(N, k):
     bath qubits in the ground state); see :func:`dicke_max_noninverted_k`.
     Returns +inf at the balanced point and negative values when inverted.
     """
-    _check_closed_form_n([N])
+    _check_one_n(N)
     _check_k(N, k)
     r_e, r_d = dicke_rates(N, k)
     return temperature_from_populations(float(r_e), float(r_d))
@@ -178,7 +178,7 @@ def dicke_temperature(N, k):
 def dicke_max_noninverted_k(N):
     """Largest excitation count with a positive steady temperature, for an
     int N or an integer array of N in ``1..MAX_SWEEP_N``."""
-    _check_closed_form_n(N if isinstance(N, np.ndarray) else [N])
+    (_check_closed_form_n if isinstance(N, np.ndarray) else _check_one_n)(N)
     return (N + 1) // 2 - 1
 
 
@@ -529,7 +529,7 @@ def collision_superoperator(bath, params, mode="exact"):
     mode = mode.replace("-", "_")
     if mode not in ("exact", "second_order"):
         raise ValidationError(f"mode: must be 'exact' or 'second_order', got {mode!r}")
-    if bath.kind in _FAMILY_RATES:
+    if bath.kind in FAMILIES:
         two_j, two_m, w = ladder_weights(bath)
         # 4 c_m^2 and 4 c_{m-1}^2, exact in integers
         x = 0.5 * params.g_tau * np.sqrt(
@@ -966,17 +966,17 @@ def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None):
         raise ValidationError("N_list: must not be empty")
     _check_closed_form_n(N_list, "N_list")  # before a value can overflow int64
     Ns = np.array(N_list, dtype=np.int64)
-    if family not in _FAMILY_RATES:
+    if family not in FAMILIES:
         raise ValidationError(
             f"family: must be 'product', 'thermal-hec' or 'dicke', got {family!r}"
         )
-    name, value = {"product": ("p_e", p_e), "thermal-hec": ("n_bar", n_bar),
-                   "dicke": ("k_rule", k_rule)}[family]
+    name = "k_rule" if family == "dicke" else FAMILIES[family].field  # a rule for each N's k
+    value = {"p_e": p_e, "n_bar": n_bar, "k_rule": k_rule}[name]
     if value is None:
         raise ValidationError(f"{name}: required for the {family} family")
     k = _sweep_k(k_rule, Ns) if family == "dicke" else None
     # dicke: products of exact float factors, rounded once as float() of the ints
-    r_e, r_d = _FAMILY_RATES[family](Ns.astype(float), value if k is None else k.astype(float))
+    r_e, r_d = FAMILIES[family].rates(Ns.astype(float), value if k is None else k.astype(float))
 
     rate = _relaxation_rate(params.mu, r_e, r_d)
     t_q = np.full(len(Ns), math.inf)

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import _REQUIRED, BathSpec, _check_k, _check_p_e, _gibbs_exponent, validate_bath
-from .collective import _is_integer, build_collective_ops, j_z_diagonal
+from .baths import FAMILIES, BathSpec, validate_bath
+from .collective import _check_n, _is_integer, build_collective_ops, j_z_diagonal
 from .errors import NumericError, ValidationError
 
 # Target-qubit operators in the (|e>, |g>) basis.
@@ -52,10 +52,17 @@ _RATE_TOL = 1e-9
 MAX_SWEEP_N = 2**53
 
 
+def _check_one_n(N):
+    """Hold one N of a closed form to the integers in ``1..MAX_SWEEP_N``."""
+    _check_n(N)
+    if N > MAX_SWEEP_N:
+        raise ValidationError("N: must be <= 2**53")
+
+
 def _check_closed_form_n(Ns, name="N"):
-    """Hold every N of a closed form to the integers in ``1..MAX_SWEEP_N``,
-    before any of them is turned into a float; an array is judged by its
-    dtype and its ends, without iterating it."""
+    """Hold every N of a sequence for a closed form to the integers in
+    ``1..MAX_SWEEP_N``, before any of them is turned into a float; an array
+    is judged by its dtype and its ends, without iterating it."""
     array = isinstance(Ns, np.ndarray)
     if not (Ns.dtype.kind in "iu" if array else all(map(_is_integer, Ns))):
         raise ValidationError(f"{name}: all N must be integers")
@@ -214,69 +221,17 @@ def coefficients_from_state(rho_b, ops, params):
     return MeqCoefficients(lam, eps, r_e, r_d, params.mu, params.pg_tau)
 
 
-def product_mixed_rates(N, p_e):
-    """``(r_e, r_d) = (N p_e, N (1-p_e))`` for an int N or an array of N."""
-    _check_p_e(p_e)
-    return N * p_e + 0.0, N * (1.0 - p_e)  # + 0.0: rate 0.0 for p_e = -0.0
-
-
-def _langevin(y):
-    """``coth(y) - 1/y`` elementwise for ``y >= 0`` (``inf`` included), from
-    nonnegative terms only: below 1, ``y (y / sinh y) sum_n 2n y^(2n-2) /
-    (2n+1)!`` by Horner; above, ``(1 - 1/y) + 2q/(1 - q)``, ``q = exp(-2y)``."""
-    small = np.minimum(y, 1.0)
-    big = np.maximum(y, 1.0)
-    series = np.zeros_like(small)
-    for n in range(9, 0, -1):
-        series = series * small * small + 2 * n / math.factorial(2 * n + 1)
-    q = np.exp(-2.0 * big)
-    above = (1.0 - 1.0 / big) + 2.0 * q / (1.0 - q)
-    return np.where(y < 1.0, small * series * (small / np.sinh(small)), above)
-
-
-def thermal_hec_rates(N, n_bar):
-    """Rates of the collectively thermalized bath, ``r_e = sum_{k=1..N}
-    (1-r) r^k k (N-k+1) / (1 - r^(N+1))`` with ``r = n_bar/(n_bar+1)`` and
-    ``r_d`` the same sum with ``r^(k-1)``, for an int N or an array of N.
-    They cost O(1) per N: ``r_d - r_e = -2<J_z>`` and
-    ``r_e = r r_d`` close the sums to ``r_d = (n_bar+1) D``, ``r_e = n_bar D``
-    with ``D = (N+1) L((N+1)x/2) - L(x/2)``, ``L(y) = coth(y) - 1/y`` and the
-    Gibbs exponent ``x = log1p(1/n_bar)`` (``D = N`` at ``n_bar = 0``).
-    """
-    x = _gibbs_exponent(n_bar)
-    n_bar = n_bar + 0.0  # rate 0.0, not -0.0, for n_bar = -0.0
-    N = np.asarray(N, dtype=float)
-    D = (N + 1.0) * _langevin((N + 1.0) * (x / 2.0)) - _langevin(x / 2.0)
-    D = np.minimum(D, N)  # D < N exactly; (N+1) L near 1 can round above
-    return n_bar * D, (n_bar + 1.0) * D
-
-
-def dicke_rates(N, k):
-    """``(k(N-k+1), (k+1)(N-k))`` for ints or arrays of N and k.  Exact for
-    ints; float arrays of integers below 2**53 give the same bits, one
-    rounding of the exact product."""
-    return k * (N - k + 1), (k + 1) * (N - k)
-
-
-#: Each named family's rates ``(N, value)`` for an int N or an array of N;
-#: ``value`` is ``p_e``, ``n_bar`` or ``k``.
-_FAMILY_RATES = {
-    "product": product_mixed_rates,
-    "thermal-hec": thermal_hec_rates,
-    "dicke": dicke_rates,
-}
-
-
 def coefficients_for(spec, params):
     """Coefficients for a :class:`BathSpec`.
 
-    A named family takes its closed form, after N is held to
-    ``1..MAX_SWEEP_N`` (and a dicke ``k`` to the integers ``0..N``):
+    A named family takes the closed-form rates of its
+    :data:`~qollide.baths.FAMILIES` record, after N is held to
+    ``1..MAX_SWEEP_N`` and its parameter is checked:
 
     * product: ``r_e = N p_e``, ``r_d = N (1-p_e)``;
     * thermal-hec: ``r_e = sum_k w_k k(N-k+1)``, ``r_d = sum_k w_{k-1}
       k(N-k+1)`` over the Gibbs block weights ``w_k`` (closed in O(1) by
-      :func:`thermal_hec_rates`);
+      :func:`~qollide.baths.thermal_hec_rates`);
     * dicke: ``r_e = k(N-k+1)``, ``r_d = (k+1)(N-k)``.
 
     An explicit matrix takes the block-structured trace of
@@ -284,11 +239,12 @@ def coefficients_for(spec, params):
     """
     if not isinstance(spec, BathSpec):
         raise ValidationError("coefficients_for: expected a BathSpec")
-    if spec.kind in _FAMILY_RATES:
-        _check_closed_form_n([spec.N])
-        if spec.kind == "dicke":
-            _check_k(spec.N, spec.k)
-        r_e, r_d = _FAMILY_RATES[spec.kind](spec.N, getattr(spec, _REQUIRED[spec.kind]))
+    if spec.kind in FAMILIES:
+        family = FAMILIES[spec.kind]
+        value = getattr(spec, family.field)
+        _check_one_n(spec.N)
+        family.check(spec.N, value)
+        r_e, r_d = family.rates(spec.N, value)
         return MeqCoefficients(0.0j, 0.0j, r_e, r_d, params.mu, params.pg_tau)
     rho = validate_bath(spec)
     return coefficients_from_state(rho, build_collective_ops(spec.N), params)

@@ -340,6 +340,37 @@ class TestNamedFamiliesCheckedFromParameters:
         assert eigvalsh_oracle_accepts(rho)
 
 
+class TestRatesAsLadderMoments:
+    """The two physics paths of a named family agree at any N: its
+    closed-form rates equal the moments of its spin-ladder weights, ``r_e =
+    sum w (j+m)(j-m+1)`` and ``r_d = sum w (j-m)(j+m+1)``.  The weights
+    carry no qubit cap, so this reaches far past the sector engine's N."""
+
+    CASES = {
+        "product": ((0.0, 0.1, 0.5, 0.9, 1.0), (1, 2, 3, 7, 12, 64, 255, 500)),
+        "thermal-hec": ((0.0, 0.25, 1.0, 3.0, 1000.0), (1, 2, 3, 7, 12, 64, 1000, 4096)),
+        "dicke": (None, (1, 2, 3, 7, 12, 64, 1000, 4095, 4096)),
+    }
+
+    @pytest.mark.parametrize("kind", CASES)
+    def test_rates_are_ladder_moments(self, kind):
+        from qollide.baths import FAMILIES
+
+        family = FAMILIES[kind]
+        values, Ns = self.CASES[kind]
+        for N in Ns:
+            for value in values or sorted({0, 1, N // 4, N // 2, N - 1, N}):
+                two_j, two_m, w = family.weights(N, value)
+                want = np.array([(two_j + two_m) * (two_j - two_m + 2),
+                                 (two_j - two_m) * (two_j + two_m + 2)]) / 4.0 @ w
+                np.testing.assert_allclose(
+                    family.rates(N, value), want, rtol=2e-15, atol=0, err_msg=f"{N}, {value}"
+                )
+                np.testing.assert_allclose(w.sum(), 1.0, rtol=1e-14, atol=0)
+                if kind == "dicke":  # both from exact integers
+                    assert tuple(map(float, family.rates(N, value))) == tuple(want)
+
+
 def operator_patterns(N):
     """``{label: mask}`` of the off-diagonal entries where the label's
     operators, or their adjoints, have a nonzero dense element."""

@@ -47,7 +47,7 @@ from qollide import (
     validate_bath,
 )
 from qollide import dynamics
-from qollide.master_equation import thermal_hec_rates
+from qollide.baths import thermal_hec_rates
 from qollide.dynamics import (
     MAX_RECORDS,
     SWEEP_CSV_HEADER,
@@ -985,11 +985,11 @@ class TestLadderCollisionMap:
     @pytest.mark.parametrize("N", range(1, 13))
     def test_second_order_rates(self, N):
         # Phi[gg,ee] = (g tau)^2 r_d and Phi[ee,gg] = (g tau)^2 r_e
-        from qollide.baths import _REQUIRED
-        from qollide.master_equation import _FAMILY_RATES
+        from qollide.baths import FAMILIES
 
         for spec in _named_specs(N):
-            r_e, r_d = _FAMILY_RATES[spec.kind](N, getattr(spec, _REQUIRED[spec.kind]))
+            family = FAMILIES[spec.kind]
+            r_e, r_d = family.rates(N, getattr(spec, family.field))
             for g_tau in (0.1, 1.3):
                 phi = collision_superoperator(spec, _params(g_tau), mode="second_order")
                 np.testing.assert_allclose(
@@ -1396,14 +1396,14 @@ N_ENTRY_POINTS = {
                       "N: must be an integer, got {!r}"),
     "collision_superoperator": (lambda N: collision_superoperator(BathSpec.dicke(N, 1), PARAMS),
                                 "N: must be an integer, got {!r}"),
-    "classify_coherences": (classify_coherences, "basis_ordering: N={!r} is not an integer"),
+    "classify_coherences": (classify_coherences, "N: must be an integer, got {!r}"),
     "ladder_history": (lambda N: ladder_history(N, 0.5, 1.0, 1.0, 0.1),
                        "N: must be an integer, got {!r}"),
     "coefficients_for": (lambda N: coefficients_for(BathSpec.thermal_hec(N, 0.5), PARAMS),
                          "N: must be an integer, got {!r}"),
     "block_sizes": (block_sizes, "N: must be an integer, got {!r}"),
-    "dicke_max_noninverted_k": (dicke_max_noninverted_k, "N: all N must be integers"),
-    "dicke_temperature": (lambda N: dicke_temperature(N, 1), "N: all N must be integers"),
+    "dicke_max_noninverted_k": (dicke_max_noninverted_k, "N: must be an integer, got {!r}"),
+    "dicke_temperature": (lambda N: dicke_temperature(N, 1), "N: must be an integer, got {!r}"),
     "scaling_sweep": (lambda N: scaling_sweep("dicke", [8, N], PARAMS, k_rule="quarter"),
                       "N_list: all N must be integers"),
     "scaling_sweep-array": (
@@ -1436,9 +1436,9 @@ class TestIntegerN:
     @pytest.mark.parametrize(
         "Ns, message",
         [
-            (0, "N: all N must be >= 1"),
-            (-3, "N: all N must be >= 1"),
-            (2**53 + 1, "N: all N must be <= 2**53"),
+            (0, "N: must be >= 1, got 0"),
+            (-3, "N: must be >= 1, got -3"),
+            (2**53 + 1, "N: must be <= 2**53"),
             (np.array([4.0, 8.0]), "N: all N must be integers"),
             (np.array([8, 0, 4]), "N: all N must be >= 1"),
             (np.array([8, 2**53 + 1]), "N: all N must be <= 2**53"),
@@ -1448,6 +1448,26 @@ class TestIntegerN:
     def test_max_noninverted_k_range_refused(self, Ns, message):
         with pytest.raises(ValidationError) as info:
             dicke_max_noninverted_k(Ns)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: BathSpec(N=-10**5000, kind="dicke", k=1),
+             "N: must be >= 1, got -<int of 16610 bits>"),
+            (lambda: classify_coherences(-10**5000),
+             "basis_ordering: N=-<int of 16610 bits> outside allowed range 1..12"),
+            (lambda: validate_bath(BathSpec.dicke(4, 10**5000)),
+             "k: must be in 0..4, got <int of 16610 bits>"),
+            (lambda: dicke_temperature(-10**5000, 1), "N: must be >= 1, got -<int of 16610 bits>"),
+        ],
+        ids=["BathSpec", "classify_coherences", "validate_bath-k", "dicke_temperature"],
+    )
+    def test_int_too_long_to_print_refused(self, call, message):
+        # str() of an int past 4300 digits raises ValueError; the refusal
+        # shows its bit length instead
+        with pytest.raises(ValidationError) as info:
+            call()
         assert str(info.value) == message
 
 

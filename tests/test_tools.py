@@ -21,6 +21,36 @@ def test_same_outputs_on_the_checkout_itself():
     assert proc.stdout == "6 commands, 0 with a difference or a failed check\n"
 
 
+def test_same_values_on_the_checkout_itself():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "same_values.py"), ROOT, ROOT],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "2376 calls, 0 with a difference\n"
+
+
+def test_same_values_reports_the_first_difference(tmp_path):
+    # a tree whose refusal of a dicke k out of range reads differently
+    shutil.copytree(os.path.join(ROOT, "src", "qollide"), tmp_path / "src" / "qollide",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "qollide" / "baths.py"
+    source = path.read_text()
+    assert source.count('f"k: must be in 0..') == 1
+    path.write_text(source.replace('f"k: must be in 0..', 'f"k: must lie in 0..'))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "same_values.py"), ROOT, str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "first difference: ladder_weights N=1 dicke k=2",
+        "  parent: ValidationError: k: must be in 0..1, got 2",
+        "  change: ValidationError: k: must lie in 0..1, got 2",
+        "2376 calls, 216 with a difference",
+    ]
+
+
 @pytest.fixture(scope="module")
 def same_outputs():
     spec = importlib.util.spec_from_file_location(

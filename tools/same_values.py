@@ -1,0 +1,125 @@
+"""Compare the library's results on a grid of named-bath calls between two source trees.
+
+    python3 tools/same_values.py PARENT CHANGE
+
+PARENT and CHANGE are roots of qollide checkouts.  Each tree's ``src/`` is
+imported in a process of its own, with BLAS pinned to one thread, which
+makes every call of the grid and prints one line per call: its label, the
+sha256 of what it gave, and a short summary.  What a call gave is its
+result's bytes (the dtype, shape and data of each array; each field of a
+coefficient record) or its error's type and text, with the text of any
+warning it issued.  The first call whose line differs between the trees
+is printed with both summaries, then the count of calls; the exit code is
+1 if any call differs, else 0.
+
+The grid crosses the product, thermal-hec and dicke baths at N = 1..13
+and 64, with ``p_e`` in {-0.0, 0, 0.1, 0.5, 1, 1.5, nan}, ``n_bar`` in
+{-0.0, 0, 0.25, 1, 1e9, -1, inf, nan} and ``k`` in {0, 1, N//4, N//2, N,
+N+1, -1}, with ``ladder_weights``, ``validate_bath`` (N <= 10),
+``coefficients_for`` and ``collision_superoperator`` in both modes, the
+last two under each of two sets of collision parameters.  Specs are built
+with the ``BathSpec`` classmethods, so any tree that has them can be
+compared.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+import warnings
+
+import numpy as np
+
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, TOOLS)
+
+import bench_trees  # noqa: E402
+
+NS = (*range(1, 14), 64)
+P_E = (-0.0, 0.0, 0.1, 0.5, 1.0, 1.5, float("nan"))
+N_BAR = (-0.0, 0.0, 0.25, 1.0, 1e9, -1.0, float("inf"), float("nan"))
+PARAMS = ({"g": 0.1, "tau": 1.0, "p": 100.0}, {"g": 0.25, "tau": 0.8, "p": 3.0})
+
+
+def _encode(value):
+    """The bytes of a result: a tuple item by item, a dataclass field by
+    field, anything else as a numpy array's dtype, shape and data."""
+    if isinstance(value, tuple):
+        return b"(" + b",".join(map(_encode, value)) + b")"
+    if dataclasses.is_dataclass(value):
+        return _encode(tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
+    array = np.ascontiguousarray(value)
+    return f"{array.dtype.str}{array.shape}".encode() + array.tobytes()
+
+
+def grid():
+    """Yield ``(label, call)`` for every call of the grid."""
+    from qollide import BathSpec, CollisionParams, coefficients_for, collision_superoperator
+    from qollide import validate_bath
+    from qollide.baths import ladder_weights
+
+    params = [CollisionParams(**p) for p in PARAMS]
+    for N in NS:
+        specs = [(f"product p_e={p!r}", BathSpec.product_mixed(N, p)) for p in P_E]
+        specs += [(f"thermal-hec n_bar={n!r}", BathSpec.thermal_hec(N, n)) for n in N_BAR]
+        specs += [(f"dicke k={k}", BathSpec.dicke(N, k))
+                  for k in (0, 1, N // 4, N // 2, N, N + 1, -1)]
+        for name, spec in specs:
+            head = f"N={N} {name}"
+            yield f"ladder_weights {head}", lambda s=spec: ladder_weights(s)
+            if N <= 10:
+                yield f"validate_bath {head}", lambda s=spec: validate_bath(s)
+            for i, p in enumerate(params):
+                tail = f"{head} params={i}"
+                yield f"coefficients_for {tail}", lambda s=spec, p=p: coefficients_for(s, p)
+                for mode in ("exact", "second_order"):
+                    yield (f"collision_superoperator {tail} {mode}",
+                           lambda s=spec, p=p, m=mode: collision_superoperator(s, p, mode=m))
+
+
+def print_values():
+    """Make every call of :func:`grid` and print its line."""
+    for label, call in grid():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                data, summary = _encode(call()), "result"
+            except Exception as exc:  # a refusal is a value to compare
+                data = f"{type(exc).__name__}: {exc}".encode()
+                summary = " ".join(data.decode().split())  # one line
+        for w in caught:
+            data += f"\nwarning: {w.category.__name__}: {w.message}".encode()
+        print(f"{label}\t{hashlib.sha256(data).hexdigest()}\t{summary}")
+
+
+def run_tree(src):
+    """The lines :func:`print_values` prints against the package in ``src``,
+    each split into its three fields."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import same_values; same_values.print_values()"],
+        env={**bench_trees.environment(src), "PYTHONPATH": os.pathsep.join((src, TOOLS))},
+        capture_output=True, text=True, check=False,
+    )
+    if proc.returncode:
+        raise SystemExit(f"{src}: the grid failed:\n{proc.stderr}")
+    return [line.split("\t") for line in proc.stdout.splitlines()]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="root of the parent checkout")
+    parser.add_argument("change", help="root of the changed checkout")
+    args = parser.parse_args(argv)
+    parent, change = (run_tree(src) for src in bench_trees.sources(parser, args).values())
+    differ = [(a, b) for a, b in zip(parent, change) if a[1] != b[1]]
+    if differ:
+        (label, _, before), (_, _, after) = differ[0]
+        print(f"first difference: {label}\n  parent: {before}\n  change: {after}")
+    print(f"{len(parent)} calls, {len(differ)} with a difference")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
