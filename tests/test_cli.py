@@ -581,7 +581,8 @@ class TestSweep:
         assert want[0] == 0
         assert run(capsys, *argv, *others) == want
         config = tmp_path / "other.cfg"
-        config.write_text("".join(f"{key[2:]} = {value}\n" for key, value in zip(others[::2], others[1::2])))
+        pairs = zip(others[::2], others[1::2])
+        config.write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in pairs))
         assert run(capsys, *argv, "--config", str(config)) == want
 
     def test_undefined_slope_serializes_as_null(self, capsys, tmp_path):
