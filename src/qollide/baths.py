@@ -42,7 +42,6 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -50,7 +49,7 @@ from .collective import BasisOrdering, _check_n, _check_qubits, _is_integer, _sh
 from .collective import basis_ordering, block_sizes
 from .errors import ValidationError
 from .linalg import check_unit_trace, validate_density_matrix
-from .utils import fmt_complex
+from .utils import Record, fmt_complex
 
 LABEL_POPULATION = "population"
 LABEL_DISPLACEMENT = "displacement"
@@ -155,14 +154,23 @@ def dicke_rates(N, k):
     return k * (N - k + 1), (k + 1) * (N - k)
 
 
-#: A named bath family, as one frozen record: the :class:`BathSpec`
-#: ``field`` that holds its parameter, the CLI ``flag`` and its type
-#: ``conv`` that give it, the parameter ``check`` run before the qubit cap,
-#: the spin-ladder ``weights`` ``(two_j, two_m, w)`` with no cap (see
-#: :func:`ladder_weights`) and the closed-form ``rates`` ``(r_e, r_d)``.
-#: Each callable takes ``(N, value)``; the rates take an int N or an array
-#: of N.
-Family = make_dataclass("Family", "field flag conv check weights rates".split(), frozen=True)
+class Family(Record, frozen=True, eq=True):
+    """A named bath family, as one frozen record: the :class:`BathSpec`
+    ``field`` that holds its parameter, the CLI ``flag`` and its type
+    ``conv`` that give it, the parameter ``check`` run before the qubit cap,
+    the spin-ladder ``weights`` ``(two_j, two_m, w)`` with no cap (see
+    :func:`ladder_weights`) and the closed-form ``rates`` ``(r_e, r_d)``.
+    Each callable takes ``(N, value)``; the rates take an int N or an array
+    of N.
+    """
+
+    field: str
+    flag: str
+    conv: type
+    check: object
+    weights: object
+    rates: object
+
 
 #: The named families, one record each.  Dicke and thermal-hec states are
 #: symmetric (``j = N/2``, ``m = k - N/2``); a thermal-hec ``n_bar`` is
@@ -182,8 +190,7 @@ FAMILIES = {
 BATH_KINDS = (*FAMILIES, "explicit")
 
 
-@dataclass(frozen=True, eq=False)
-class BathSpec:
+class BathSpec(Record, frozen=True):
     """Declarative description of a bath state (kind plus parameters).
 
     The parameter the kind needs is required: ``p_e`` (product), ``n_bar``
@@ -300,8 +307,7 @@ def validate_bath(spec):
     return rho
 
 
-@dataclass(frozen=True, eq=False)
-class CoherenceMap:
+class CoherenceMap(Record, frozen=True):
     """Per-entry classification of an N-qubit bath state in the canonical
     ``basis``, by the bit-pattern rule of the module docstring.
 

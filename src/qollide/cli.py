@@ -7,7 +7,8 @@ command-line flags win over config entries.  A config key must name an
 option of some subcommand (another subcommand's key is accepted, unused).
 Flag and config values are text until the run reads them, so a malformed
 one of either is one ``error:`` line, as is a parser failure (an unknown
-flag, a missing value or subcommand).
+flag, a missing value or subcommand).  A flag is spelled in full, as a
+config key is: a prefix such as ``--kr`` is an unrecognized argument.
 Output files are UTF-8 with LF line endings and all floats carry 17
 significant digits, so identical inputs produce byte-identical files.
 Every float option reads ``-0`` as ``0`` (a refused one echoes ``0.0``).
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import math
@@ -252,7 +252,7 @@ def cmd_coeffs(args, config):
     coeffs = coefficients_for(spec, params)
     payload = {
         "bath": spec.describe(),
-        "params": dataclasses.asdict(params),
+        "params": params.as_dict(),
         "coefficients": coeffs.to_json_dict(),
     }
     _write((out_path, _json(payload)))
@@ -483,10 +483,11 @@ def build_parser():
         prog="qollide",
         description="Collision-model thermalization of a target qubit by "
         "N-qubit bath clusters",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (text, names) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=text)
+        sub = subs.add_parser(command, help=text, allow_abbrev=False)
         for name in ("config", *names):
             sub.add_argument("--" + name.replace("_", "-"), help=_OPTIONS[name])
     return parser

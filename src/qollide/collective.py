@@ -18,12 +18,12 @@ The permutation to and from the raw binary ordering is exposed through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .errors import ValidationError
+from .utils import Record
 
 #: Largest N of any ``2**N``-sized basis, state or operator.
 MAX_QUBITS = 12
@@ -66,8 +66,7 @@ def block_sizes(N):
     return [comb(N, k) for k in range(N + 1)]
 
 
-@dataclass(frozen=True, eq=False)
-class BasisOrdering:
+class BasisOrdering(Record, frozen=True):
     """Permutation between binary and excitation-sorted basis orderings.
 
     Attributes
@@ -134,8 +133,7 @@ def basis_ordering(N):
     return BasisOrdering(N, order, position, sizes, offsets, excitations)
 
 
-@dataclass(frozen=True, eq=False)
-class CollectiveOps:
+class CollectiveOps(Record, frozen=True):
     """Collective spin operators of ``N`` bath qubits in the canonical basis.
 
     ``ladder[k - 1]`` is the sub-block of ``J-`` mapping excitation block

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,6 +30,7 @@ from .collective import _check_n, basis_ordering, build_collective_ops
 from .errors import NumericError, ValidationError
 from .linalg import validate_density_matrix
 from .master_equation import _check_closed_form_n, _check_one_n, _qubit_matrix, lindblad_rhs
+from .utils import Record
 
 #: Residual coherence above which trajectory temperatures are flagged.
 COHERENCE_FLAG_TOL = 1e-6
@@ -264,8 +264,7 @@ def temperature_trajectory(c, t_grid):
 # trajectories
 
 
-@dataclass(eq=False)
-class Trajectory:
+class Trajectory(Record):
     """Recorded time evolution of the target qubit.
 
     ``temperature`` is computed from the populations only; records with
@@ -734,8 +733,7 @@ def collision_chain(
 # thermal preparation of the collective bath
 
 
-@dataclass(frozen=True, eq=False)
-class LadderState:
+class LadderState(Record, frozen=True):
     """Populations of the fully symmetric ladder states, indexed by the
     excitation count ``k = 0..N`` (``m = k - N/2``)."""
 
@@ -870,8 +868,7 @@ def _check_sweep_points(count):
         )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record, frozen=True, eq=True):
     N: int
     k: int
     r_e: float
@@ -880,8 +877,7 @@ class SweepRow:
     T_q: float
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
+class SweepResult(Record, frozen=True):
     """Sweep columns, one entry per N in input order; ``k`` is None for
     families without a block index."""
 

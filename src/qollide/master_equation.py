@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .baths import FAMILIES, BathSpec, validate_bath
 from .collective import _check_n, _is_integer, build_collective_ops, j_z_diagonal
 from .errors import NumericError, ValidationError
+from .utils import Record
 
 # Target-qubit operators in the (|e>, |g>) basis.
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -73,8 +73,7 @@ def _check_closed_form_n(Ns, name="N"):
         raise ValidationError(f"{name}: all N must be <= 2**53")
 
 
-@dataclass(frozen=True)
-class CollisionParams:
+class CollisionParams(Record, frozen=True, eq=True):
     """Physical collision parameters (rates in inverse time units).
 
     ``g`` is the qubit-qubit coupling, ``tau`` the duration of a single
@@ -110,7 +109,7 @@ class CollisionParams:
             warnings.warn(
                 f"g*tau = {self.g * self.tau:.3g} exceeds {GT_ADVISORY}; the "
                 "second-order collision expansion may be inaccurate",
-                stacklevel=3,  # past the generated __init__ to its caller
+                stacklevel=3,  # past Record.__init__ to its caller
             )
 
     @property
@@ -128,8 +127,7 @@ class CollisionParams:
         return self.p * self.g * self.tau
 
 
-@dataclass(frozen=True)
-class MeqCoefficients:
+class MeqCoefficients(Record, frozen=True, eq=True):
     """Coefficient tuple driving the target-qubit master equation."""
 
     lam: complex

@@ -1528,14 +1528,12 @@ class TestBathFlags:
         ],
     )
     def test_named_kind_reads_its_flag(self, capsys, flags, spec):
-        import dataclasses
-
         from qollide import CollisionParams, coefficients_for
 
         params = CollisionParams(g=0.1, tau=1.0, p=100.0)
         want = {
             "bath": spec.describe(),
-            "params": dataclasses.asdict(params),
+            "params": {"g": 0.1, "tau": 1.0, "p": 100.0, "omega0": 1.0},
             "coefficients": coefficients_for(spec, params).to_json_dict(),
         }
         code, out, err = run(capsys, "coeffs", "--bath", *flags)
@@ -1716,6 +1714,31 @@ class TestOptionTable:
     )
     def test_parser_failure_is_one_line(self, capsys, argv, line):
         assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize(
+        "argv, rest",
+        [
+            (["sweep", "--family", "dicke", "--N", "4:8:4", "--kr", "quarter"], "--kr quarter"),
+            (["sweep", "--family", "dicke", "--N", "4:8:4", "--k", "2"], "--k 2"),
+            (["coeffs", *DICKE_4_1, "--ou", "x.json"], "--ou x.json"),
+        ],
+        ids=["sweep-krule-prefix", "sweep-k-is-not-krule", "coeffs-out-prefix"],
+    )
+    def test_flag_prefix_refused(self, capsys, tmp_path, monkeypatch, argv, rest):
+        # a flag is spelled in full, as a config key is
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv) == (2, "", f"error: unrecognized arguments: {rest}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_full_flags_read(self, capsys, tmp_path):
+        sweep = ["sweep", "--family", "dicke", "--N", "4:8:4"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("krule = quarter\n")
+        by_flag = run(capsys, *sweep, "--krule", "quarter")
+        assert by_flag[0] == 0 and by_flag == run(capsys, *sweep, "--config", str(cfg))
+        out = tmp_path / "x.json"
+        assert run(capsys, "coeffs", *DICKE_4_1, "--out", str(out)) == (0, "", "")
+        assert out.read_text() == run(capsys, "coeffs", *DICKE_4_1)[1]
 
     def test_malformed_flag_reported_in_read_order(self, capsys):
         # the bath kind is read before N, so its refusal comes first

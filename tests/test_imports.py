@@ -1,5 +1,6 @@
 """The lint of ``src/qollide``: every name a module imports is used in it,
-and the package exports exactly the names listed here.
+no module compiles code at run time, and the package exports exactly the
+names listed here.
 
 An attribute access ``np.zeros`` uses ``np`` through the ``Name`` node at
 its root, so reading ``Name`` nodes covers attribute uses too.
@@ -10,6 +11,8 @@ a change to this file.
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -34,6 +37,22 @@ def unused_imports(source):
 def test_no_unused_import(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+@pytest.mark.parametrize("module", [*MODULES, "__init__.py"])
+def test_no_code_compiled_at_run_time(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        names = {node.id for node in ast.walk(ast.parse(fh.read())) if isinstance(node, ast.Name)}
+    assert names.isdisjoint({"exec", "eval", "compile"})
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the records are utils.Record subclasses; dataclasses would compile
+    # their methods in every process
+    code = "import sys, qollide.cli; print(sorted({'dataclasses', 'qollide.cli'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['qollide.cli']\n", "")
 
 
 def test_unused_imports_of_a_known_source():

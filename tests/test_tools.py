@@ -51,6 +51,30 @@ def test_same_values_reports_the_first_difference(tmp_path):
     ]
 
 
+def test_same_values_encodes_a_dataclass_and_a_record_alike():
+    import dataclasses
+
+    from qollide.utils import Record
+
+    spec = importlib.util.spec_from_file_location(
+        "same_values", os.path.join(ROOT, "tools", "same_values.py")
+    )
+    same_values = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_values)
+
+    class Params(Record, frozen=True, eq=True):
+        g: float
+        tau: float
+        omega0: float = 1.0
+
+    OldParams = dataclasses.make_dataclass("Params", ["g", "tau", ("omega0", float, 1.0)],
+                                           frozen=True)
+    encoded = same_values._encode(Params(0.1, 2.0))
+    assert encoded == same_values._encode(OldParams(0.1, 2.0))
+    assert encoded == same_values._encode((0.1, 2.0, 1.0))
+    assert encoded != same_values._encode(Params(0.1, 2.0, 3.0))
+
+
 @pytest.fixture(scope="module")
 def same_outputs():
     spec = importlib.util.spec_from_file_location(

@@ -44,12 +44,18 @@ PARAMS = ({"g": 0.1, "tau": 1.0, "p": 100.0}, {"g": 0.25, "tau": 0.8, "p": 3.0})
 
 
 def _encode(value):
-    """The bytes of a result: a tuple item by item, a dataclass field by
-    field, anything else as a numpy array's dtype, shape and data."""
+    """The bytes of a result: a tuple item by item, a record field by field
+    in declaration order (a ``qollide.utils.Record`` by its ``_fields``, a
+    dataclass, as older trees build them, by ``dataclasses.fields``), so
+    equal values give equal bytes whichever builds the record, and anything
+    else as a numpy array's dtype, shape and data."""
     if isinstance(value, tuple):
         return b"(" + b",".join(map(_encode, value)) + b")"
-    if dataclasses.is_dataclass(value):
-        return _encode(tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
+    names = getattr(type(value), "_fields", None)
+    if names is None and dataclasses.is_dataclass(value):
+        names = [f.name for f in dataclasses.fields(value)]
+    if names is not None:
+        return _encode(tuple(getattr(value, name) for name in names))
     array = np.ascontiguousarray(value)
     return f"{array.dtype.str}{array.shape}".encode() + array.tobytes()
 
