@@ -41,8 +41,6 @@ class Record:
     methods, and :attr:`_fields` is its field tuple.
     """
 
-    _fields = ()
-
     def __init_subclass__(cls, frozen=False, eq=False):
         super().__init_subclass__()
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))

@@ -60,7 +60,7 @@ class TestCollisionParams:
     def test_perturbative_advisory(self):
         with pytest.warns(UserWarning, match="g\\*tau") as record:
             CollisionParams(g=0.5, tau=1.0, p=1.0)
-        assert record[0].filename == __file__  # the caller, not the dataclass __init__
+        assert record[0].filename == __file__  # the caller, not Record.__init__
 
     @pytest.mark.parametrize(
         "kwargs",
