@@ -45,9 +45,8 @@ import warnings
 
 import numpy as np
 
-from .collective import BasisOrdering, _check_n, _check_qubits, _is_integer, _shown
-from .collective import basis_ordering, block_sizes
-from .errors import ValidationError
+from .collective import BasisOrdering, basis_ordering, block_sizes
+from .errors import ValidationError, check_finite, check_integer, check_n
 from .linalg import check_unit_trace, validate_density_matrix
 from .utils import Record, fmt_complex
 
@@ -58,30 +57,16 @@ LABEL_HEC = "hec"
 LABEL_INEFFECTIVE = "ineffective"
 
 
-def check_n_bar(n_bar):
-    """Reject a mean photon number that is negative or not finite."""
-    if not 0.0 <= n_bar < math.inf:
-        raise ValidationError(f"n_bar: must be finite and >= 0, got {n_bar}")
-
-
 def _check_p_e(p_e):
     """Reject an excited probability outside [0, 1] (NaN included)."""
     if not 0.0 <= p_e <= 1.0:
         raise ValidationError(f"p_e: must be in [0, 1], got {p_e}")
 
 
-def _check_k(N, k):
-    """Reject an excitation count that is not an integer in ``0..N``."""
-    if not _is_integer(k):
-        raise ValidationError(f"k: must be an integer, got {k!r}")
-    if not 0 <= k <= N:
-        raise ValidationError(f"k: must be in 0..{_shown(N)}, got {_shown(k)}")
-
-
 def _gibbs_exponent(n_bar):
     """``x = log1p(1/n_bar)``, so ``r = n_bar/(n_bar+1) = exp(-x)``; ``+inf``
     at ``n_bar = 0`` (or ``-0``) and wherever ``1/n_bar`` overflows."""
-    check_n_bar(n_bar)
+    check_finite(n_bar, "n_bar", allow_zero=True)
     return math.log1p(1.0 / n_bar) if n_bar else math.inf
 
 
@@ -182,7 +167,7 @@ FAMILIES = {
     "thermal-hec": Family("n_bar", "nbar", float, lambda N, n_bar: None, lambda N, n_bar: (
         np.full(N + 1, N), 2 * np.arange(N + 1) - N, thermal_hec_weights(N, n_bar)
     ), thermal_hec_rates),
-    "dicke": Family("k", "k", int, _check_k, lambda N, k: (
+    "dicke": Family("k", "k", int, lambda N, k: check_integer(k, "k", 0, N), lambda N, k: (
         np.array([N]), np.array([2 * k - N]), np.ones(1)
     ), dicke_rates),
 }
@@ -210,7 +195,7 @@ class BathSpec(Record, frozen=True):
             raise ValidationError(
                 f"bath kind: {self.kind!r} not one of {BATH_KINDS}"
             )
-        _check_n(self.N)
+        check_n(self.N)
         field = FAMILIES[self.kind].field if self.kind in FAMILIES else "rho"
         if getattr(self, field) is None:
             article = "an" if self.kind == "explicit" else "a"
@@ -273,7 +258,7 @@ def ladder_weights(spec):
     family = FAMILIES[spec.kind]
     value = getattr(spec, family.field)
     family.check(spec.N, value)
-    _check_qubits(spec.N, "basis_ordering")
+    check_n(spec.N, "basis_ordering")
     return family.weights(spec.N, value)
 
 
@@ -294,7 +279,7 @@ def validate_bath(spec):
     """
     name = f"{spec.kind} bath"
     if spec.kind == "explicit":
-        _check_qubits(spec.N, name)  # before the validation temporaries
+        check_n(spec.N, name)  # before the validation temporaries
         return validate_density_matrix(np.asarray(spec.rho, dtype=complex), name=name)
     _, two_m, w = ladder_weights(spec)
     N, basis = spec.N, basis_ordering(spec.N)
@@ -463,7 +448,7 @@ def _read_bath(fh):
     else:
         raise ValidationError("bath csv: empty input")
     N = _parse_header(line.rstrip("\n"))
-    _check_qubits(N, "bath csv")  # before the body is read
+    check_n(N, "bath csv")  # before the body is read
     dim = 2**N
     start, first = fh.tell(), number + 1
     error = None

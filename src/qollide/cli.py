@@ -16,19 +16,20 @@ An ``--n-points`` of zero or less records nothing: the trajectory or
 ladder CSV is its header alone, written after the same checks as any other
 run, and ``prepare`` still writes the bath state at ``--t-end``, the same
 bytes for any ``--n-points``.  A failing ``prepare`` writes neither file.
-Every ``2**N``-sized structure, the ``prepare`` state included, is capped
-at ``N <= 12`` before it is built; a bath CSV's header ``N`` is held to
-that cap before its rows are read.
-Every engine, the analytic one included, keeps at most 1,000,000 records,
-and at ``--t-end 0`` every engine writes the one row at ``t = 0``.  The
-closed forms (``coeffs`` for a named family, ``sweep``) take ``N`` in
-``1..2**53``, and a sweep at most 1,000,000 values of N, counted before
-its list is built.  Collision rates that overflow a float are refused, and
-so is a relaxation rate ``mu (r_e + r_d)`` that overflows, before any state
-or row is computed.  ``classify`` maps a bath by its ``N`` alone, after
-checking a named family's parameter or validating an explicit matrix.  A
-stochastic run is held to 4e9 Bernoulli draws, each trajectory counted as
-720 more, about a minute of work; a state that overflows exits 3.
+Every size limit is defined in :mod:`qollide.errors` and listed, with its
+refusal, in the table that opens README's "Scale limits": the qubit cap
+``N <= 12`` of every ``2**N``-sized structure (the ``prepare`` state
+included), ``N <= 2**53`` of the closed forms (``coeffs`` for a named
+family, ``sweep``), the time-grid steps, the records of every engine (the
+analytic one included) and the values of N of a sweep, and the draws of a
+stochastic run.  Each is checked before anything of that size is built: a
+bath CSV's header ``N`` before its rows are read, a sweep's range before
+its list.  At ``--t-end 0`` every engine writes the one row at ``t = 0``.
+Collision rates that overflow a float are refused, and so is a relaxation
+rate ``mu (r_e + r_d)`` that overflows, before any state or row is
+computed.  ``classify`` maps a bath by its ``N`` alone, after checking a
+named family's parameter or validating an explicit matrix.  A state that
+overflows exits 3.
 
 Exit codes: 0 success; 2 configuration error, an output that cannot be
 written, or a run too large for the available memory; 3 numeric invariant
@@ -46,7 +47,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import stat
 import sys
@@ -58,8 +58,6 @@ from .baths import BATH_KINDS, FAMILIES, BathSpec, bath_to_csv, classify_coheren
 from .baths import dicke_rates, ladder_weights, load_bath_csv, validate_bath
 from .collective import basis_ordering
 from .dynamics import (
-    _check_record_count,
-    _check_sweep_points,
     _csv_text,
     _distinct_sorted,
     _ladder_bath,
@@ -70,7 +68,7 @@ from .dynamics import (
     qubit_state,
     scaling_sweep,
 )
-from .errors import NumericError, ValidationError
+from .errors import TOO_MANY_POINTS, NumericError, ValidationError, check_count, check_finite
 from .master_equation import CollisionParams, coefficients_for
 
 DEFAULT_PARAMS = {"g": 0.1, "tau": 1.0, "p": 100.0, "omega0": 1.0}
@@ -202,10 +200,11 @@ def parse_n_range(text):
                 raise ValueError
             if step < 1 or stop < start:
                 raise ValueError
-            _check_sweep_points((stop - start) // step + 1)  # len() overflows past sys.maxsize
+            # counted, not taken by len(), which overflows past sys.maxsize
+            check_count((stop - start) // step + 1, TOO_MANY_POINTS)
             return list(range(start, stop + 1, step))
         values = s.split(",")
-        _check_sweep_points(len(values))
+        check_count(len(values), TOO_MANY_POINTS)
         return [int(v) for v in values]
     except ValidationError:
         raise
@@ -264,11 +263,10 @@ def cmd_evolve(args, config):
     spec = _bath_from(args, config)
     params = _params_from(args, config)
     t_end = _get(args, config, "t_end", float, required=True)
-    if not 0.0 <= t_end < math.inf:
-        raise ValidationError(f"t_end: must be finite and >= 0, got {t_end}")
+    check_finite(t_end, "t_end", allow_zero=True)
     dt = _get(args, config, "dt", float)
-    if dt is not None and not math.isfinite(dt):
-        raise ValidationError(f"dt: must be finite, got {dt}")
+    if dt is not None:
+        check_finite(dt, "dt")
     n_points = _get(args, config, "n_points", int, 101 if engine == "analytic" else None)
     mode = _get(args, config, "mode", str, "exact", choices=MODES)
     scheme = _get(args, config, "scheme", str, "deterministic", choices=SCHEMES)
@@ -291,7 +289,7 @@ def cmd_evolve(args, config):
         # a negative count records nothing, and a repeated time (t_end = 0)
         # is recorded once, as on the stepped engines
         n_points = max(n_points, 0)
-        _check_record_count(n_points)
+        check_count(n_points)
         times = _distinct_sorted(np.linspace(0.0, t_end, n_points))
         traj = analytic_trajectory(rho0, coeffs, times)
     elif engine == "ode":

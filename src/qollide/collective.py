@@ -22,47 +22,12 @@ from math import comb
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_n
 from .utils import Record
-
-#: Largest N of any ``2**N``-sized basis, state or operator.
-MAX_QUBITS = 12
-
-
-def _is_integer(N):
-    """Whether ``N`` is an integer: a Python ``int`` or a numpy integer."""
-    return isinstance(N, (int, np.integer))
-
-
-def _shown(n):
-    """``str(n)`` for a refusal's text; an int too long to print in decimal
-    is shown by its sign and bit length."""
-    try:
-        return str(n)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        return f"{'-' if n < 0 else ''}<int of {abs(n).bit_length()} bits>"
-
-
-def _check_n(N):
-    """Reject an ``N`` that is not an integer ``>= 1``."""
-    if not _is_integer(N):
-        raise ValidationError(f"N: must be an integer, got {N!r}")
-    if N < 1:
-        raise ValidationError(f"N: must be >= 1, got {_shown(N)}")
-
-
-def _check_qubits(N, name):
-    """Reject an ``N`` that is not an integer in ``1..MAX_QUBITS``; a cap
-    refusal names the caller."""
-    if not _is_integer(N):
-        raise ValidationError(f"N: must be an integer, got {N!r}")
-    if not 1 <= N <= MAX_QUBITS:
-        raise ValidationError(f"{name}: N={_shown(N)} outside allowed range 1..{MAX_QUBITS}")
-
 
 def block_sizes(N):
     """Sizes ``[C(N,0), ..., C(N,N)]`` of the excitation blocks (Pascal row)."""
-    _check_n(N)
+    check_n(N)
     return [comb(N, k) for k in range(N + 1)]
 
 
@@ -119,7 +84,7 @@ class BasisOrdering(Record, frozen=True):
 
 def basis_ordering(N):
     """Build the :class:`BasisOrdering` for ``1 <= N <= MAX_QUBITS`` qubits."""
-    _check_qubits(N, "basis_ordering")
+    check_n(N, "basis_ordering")
     sizes = tuple(block_sizes(N))
     binary = np.arange(2**N, dtype=np.intp)
     count = np.bitwise_count(binary).astype(np.intp)
@@ -151,7 +116,7 @@ class CollectiveOps(Record, frozen=True):
 
 def build_collective_ops(N):
     """Construct :class:`CollectiveOps` for ``N`` qubits (``N <= MAX_QUBITS``)."""
-    _check_qubits(N, "build_collective_ops")
+    check_n(N, "build_collective_ops")
     basis = basis_ordering(N)
     sizes, offsets = basis.sizes, basis.offsets
     bits = 1 << np.arange(N, dtype=np.intp)

@@ -24,12 +24,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .baths import FAMILIES, _check_k, _symmetric_state, check_n_bar, dicke_rates, ladder_weights
-from .baths import validate_bath
-from .collective import _check_n, basis_ordering, build_collective_ops
-from .errors import NumericError, ValidationError
+from . import errors
+from .baths import FAMILIES, _symmetric_state, dicke_rates, ladder_weights, validate_bath
+from .collective import basis_ordering, build_collective_ops
+from .errors import TOO_MANY_POINTS, NumericError, ValidationError, check_count, check_finite
+from .errors import check_integer, check_n, check_ns
 from .linalg import validate_density_matrix
-from .master_equation import _check_closed_form_n, _check_one_n, _qubit_matrix, lindblad_rhs
+from .master_equation import _qubit_matrix, lindblad_rhs
 from .utils import Record
 
 #: Residual coherence above which trajectory temperatures are flagged.
@@ -37,17 +38,6 @@ COHERENCE_FLAG_TOL = 1e-6
 
 #: Lowest population an integrated state may hold (ode engine and ladder).
 MIN_POPULATION = -1e-10
-
-#: Time grids are limited to fewer steps than this (float steps stay exact).
-MAX_STEPS = 2**53
-
-#: Trajectories and ladder histories hold at most this many records.
-MAX_RECORDS = 10**6
-
-#: Work limit of a stochastic collision run, in Bernoulli draws, with each
-#: trajectory counted as 720 draws more: at about 12.5 ns a draw and 9 us a
-#: trajectory (2-vCPU machine) an accepted run takes under a minute.
-_MAX_DRAWS = 4 * 10**9
 
 #: Bernoulli draws per chunk of a stochastic collision stream.
 _DRAW_CHUNK = 1 << 16
@@ -169,8 +159,8 @@ def dicke_temperature(N, k):
     bath qubits in the ground state); see :func:`dicke_max_noninverted_k`.
     Returns +inf at the balanced point and negative values when inverted.
     """
-    _check_one_n(N)
-    _check_k(N, k)
+    check_n(N, closed_form=True)
+    check_integer(k, "k", 0, N)
     r_e, r_d = dicke_rates(N, k)
     return temperature_from_populations(float(r_e), float(r_d))
 
@@ -178,7 +168,7 @@ def dicke_temperature(N, k):
 def dicke_max_noninverted_k(N):
     """Largest excitation count with a positive steady temperature, for an
     int N or an integer array of N in ``1..MAX_SWEEP_N``."""
-    (_check_closed_form_n if isinstance(N, np.ndarray) else _check_one_n)(N)
+    check_ns(N) if isinstance(N, np.ndarray) else check_n(N, closed_form=True)
     return (N + 1) // 2 - 1
 
 
@@ -329,36 +319,27 @@ def analytic_trajectory(rho0, c, times):
 def _step_count(t_end, dt):
     """Number of whole steps ``dt`` up to ``t_end``, after checking that
     ``dt`` is finite and positive, ``t_end`` finite and nonnegative, and
-    their ratio below :data:`MAX_STEPS`."""
-    if not 0.0 < dt < math.inf:
-        raise ValidationError(f"dt: must be finite and positive, got {dt}")
-    if not 0.0 <= t_end < math.inf:
-        raise ValidationError(f"t_end: must be finite and >= 0, got {t_end}")
-    if not t_end / dt < MAX_STEPS:
+    their ratio below :data:`~qollide.errors.MAX_STEPS`."""
+    check_finite(dt, "dt")
+    check_finite(t_end, "t_end", allow_zero=True)
+    if not t_end / dt < errors.MAX_STEPS:
         raise ValidationError(
             f"t_end/dt: {t_end / dt:.3g} steps exceed the limit of 2**53; increase dt"
         )
     return int(math.floor(t_end / dt + 1e-9))
 
 
-def _check_record_count(count):
-    """Refuse a grid of more than :data:`MAX_RECORDS` records, before it is
-    allocated; every engine's grid is held to this one limit."""
-    if count > MAX_RECORDS:
-        raise ValidationError(
-            f"n_records: {count} records exceed the limit of {MAX_RECORDS}; "
-            "record fewer points"
-        )
-
-
 def _record_indices(n_steps, n_records):
     """Sorted steps to record: all ``n_steps + 1`` of them for ``n_records``
     None, else ``n_records`` evenly spaced ones (all of them again once
-    ``n_records`` exceeds ``n_steps``).  At most :data:`MAX_RECORDS`."""
-    if n_records is not None and n_records <= 0:
-        return []
+    ``n_records`` exceeds ``n_steps``).  At most
+    :data:`~qollide.errors.MAX_RECORDS`, counted before any is allocated."""
+    if n_records is not None:
+        check_integer(n_records, "n_records")
+        if n_records <= 0:
+            return []
     count = n_steps + 1 if n_records is None else min(n_records, n_steps + 1)
-    _check_record_count(count)
+    check_count(count)
     if count == n_steps + 1:
         return list(range(count))
     idx = _distinct_sorted(np.round(np.linspace(0, n_steps, n_records)).astype(int))
@@ -652,9 +633,9 @@ def collision_chain(
     deterministic step matrix between records, and for each stochastic
     realization ``Phi^m``, with ``m`` its number of collisions so far.  The
     run is checked before ``Phi`` is built; a stochastic run whose
-    trajectories times (draws per trajectory + 720) exceed ``_MAX_DRAWS`` is
-    refused there.  The recorded states are checked
-    after, against the trace the bath predicts: an exact collision
+    trajectories times (draws per trajectory + 720) exceed
+    :data:`~qollide.errors.MAX_DRAWS` is refused there.  The recorded
+    states are checked after, against the trace the bath predicts: an exact collision
     multiplies the target's trace by ``Tr(rho_B)``, which a validated bath
     may miss 1 by up to ``TOL_TRACE``, so record ``i`` should have trace
     ``(1 + p dt (Tr(rho_B) - 1))^i`` (deterministic) or ``Tr(rho_B)`` to
@@ -677,14 +658,18 @@ def collision_chain(
         raise ValidationError(
             f"scheme: must be 'deterministic' or 'stochastic', got {scheme!r}"
         )
-    if scheme == "stochastic" and n_trajectories < 1:
-        raise ValidationError("n_trajectories: must be >= 1")
+    if scheme == "stochastic":
+        check_integer(n_trajectories, "n_trajectories")
+        check_integer(seed, "seed")
+        if n_trajectories < 1:
+            raise ValidationError("n_trajectories: must be >= 1")
     record = _record_indices(n_steps, n_records)
     last = record[-1] if record else 0  # draws per stochastic trajectory
-    if scheme == "stochastic" and n_trajectories * (last + 720) > _MAX_DRAWS:
+    limit = errors.MAX_DRAWS
+    if scheme == "stochastic" and n_trajectories * (last + 720) > limit:
         raise ValidationError(
             f"n_trajectories: {n_trajectories} trajectories x ({last} draws + 720 per trajectory)"
-            f" exceed the limit of {_MAX_DRAWS:.3g} draws; reduce the trajectories or t_end/dt"
+            f" exceed the limit of {limit:.3g} draws; reduce the trajectories or t_end/dt"
         )
     phi = collision_superoperator(bath, params, mode=mode)
     times = np.array([dt * i for i in record])
@@ -785,23 +770,20 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     keeps every population nonnegative, so only the recorded and the final
     states are checked; otherwise every step is checked, so that a
     transient negativity is caught too, and the records are taken from
-    those steps.  Such a grid of more than :data:`MAX_RECORDS` steps is
-    refused before it is propagated.
+    those steps.  Such a grid of more than :data:`~qollide.errors.MAX_RECORDS`
+    steps is refused before it is propagated.
     """
-    _check_n(N)
-    check_n_bar(n_bar)
-    if not 0.0 < gamma0 < math.inf:
-        raise ValidationError(f"gamma0: must be finite and positive, got {gamma0}")
+    check_n(N)
+    check_finite(n_bar, "n_bar", allow_zero=True)
+    check_finite(gamma0, "gamma0")
     n_steps = _step_count(t_end, dt)
     step_mat = _rk4_step_matrix(_ladder_generator(N, n_bar, gamma0), dt)
     pops0 = np.zeros(N + 1)
     pops0[0] = 1.0
     negative = bool(np.any(step_mat < 0.0))
-    if negative and n_steps >= MAX_RECORDS:
-        raise ValidationError(
-            f"dt: the ladder step map at dt={dt:.3g} has a negative entry, so all {n_steps + 1}"
-            f" steps would be checked, over the limit of {MAX_RECORDS}; reduce dt"
-        )
+    if negative:
+        check_count(n_steps + 1, f"dt: the ladder step map at dt={dt:.3g} has a negative entry,"
+                    " so all {} steps would be checked, over the limit of {}; reduce dt")
     record = _record_indices(n_steps, n_records)
     checked = _record_indices(n_steps, None) if negative else record
     steps = [*(step for step in checked if step < n_steps), n_steps]
@@ -857,15 +839,6 @@ def prepare_thermal_dicke(N, n_bar, gamma0, t_end, dt):
 
 # ---------------------------------------------------------------------------
 # scaling sweeps
-
-
-def _check_sweep_points(count):
-    """Refuse a sweep of more than :data:`MAX_RECORDS` values of N, before
-    its N list is built."""
-    if count > MAX_RECORDS:
-        raise ValidationError(
-            f"N: {count} points exceed the limit of {MAX_RECORDS}; sweep fewer N"
-        )
 
 
 class SweepRow(Record, frozen=True, eq=True):
@@ -955,12 +928,12 @@ def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None):
     is computed for all N at once, O(1) per N, with the bits of the one-N
     closed forms (the family's rates, :func:`thermalization_time`,
     :func:`steady_temperature`).  ``N_list`` is a sequence of at most
-    :data:`MAX_RECORDS` values in ``1..MAX_SWEEP_N``.
+    :data:`~qollide.errors.MAX_RECORDS` values in ``1..MAX_SWEEP_N``.
     """
-    _check_sweep_points(len(N_list))
+    check_count(len(N_list), TOO_MANY_POINTS)
     if not len(N_list):
         raise ValidationError("N_list: must not be empty")
-    _check_closed_form_n(N_list, "N_list")  # before a value can overflow int64
+    check_ns(N_list, "N_list")  # before a value can overflow int64
     Ns = np.array(N_list, dtype=np.int64)
     if family not in FAMILIES:
         raise ValidationError(

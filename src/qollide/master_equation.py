@@ -30,8 +30,8 @@ import warnings
 import numpy as np
 
 from .baths import FAMILIES, BathSpec, validate_bath
-from .collective import _check_n, _is_integer, build_collective_ops, j_z_diagonal
-from .errors import NumericError, ValidationError
+from .collective import build_collective_ops, j_z_diagonal
+from .errors import NumericError, ValidationError, check_finite, check_n
 from .utils import Record
 
 # Target-qubit operators in the (|e>, |g>) basis.
@@ -46,31 +46,6 @@ for _op in (SIGMA_PLUS, SIGMA_MINUS, PROJ_E, PROJ_G):
 GT_ADVISORY = 0.3
 
 _RATE_TOL = 1e-9
-
-#: Largest N of a closed form or a sweep: every N, k and k(N-k+1) factor is
-#: then an exact float.
-MAX_SWEEP_N = 2**53
-
-
-def _check_one_n(N):
-    """Hold one N of a closed form to the integers in ``1..MAX_SWEEP_N``."""
-    _check_n(N)
-    if N > MAX_SWEEP_N:
-        raise ValidationError("N: must be <= 2**53")
-
-
-def _check_closed_form_n(Ns, name="N"):
-    """Hold every N of a sequence for a closed form to the integers in
-    ``1..MAX_SWEEP_N``, before any of them is turned into a float; an array
-    is judged by its dtype and its ends, without iterating it."""
-    array = isinstance(Ns, np.ndarray)
-    if not (Ns.dtype.kind in "iu" if array else all(map(_is_integer, Ns))):
-        raise ValidationError(f"{name}: all N must be integers")
-    low, high = (Ns.min(), Ns.max()) if array else (min(Ns), max(Ns))
-    if low < 1:
-        raise ValidationError(f"{name}: all N must be >= 1")
-    if high > MAX_SWEEP_N:
-        raise ValidationError(f"{name}: all N must be <= 2**53")
 
 
 class CollisionParams(Record, frozen=True, eq=True):
@@ -88,14 +63,9 @@ class CollisionParams(Record, frozen=True, eq=True):
     omega0: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.g < math.inf:
-            raise ValidationError(f"g: must be finite and >= 0, got {self.g}")
+        check_finite(self.g, "g", allow_zero=True)
         for field in ("tau", "p", "omega0"):
-            value = getattr(self, field)
-            if not 0.0 < value < math.inf:
-                raise ValidationError(
-                    f"{field}: must be finite and positive, got {value}"
-                )
+            check_finite(getattr(self, field), field)
         try:
             finite = math.isfinite(self.mu) and math.isfinite(self.pg_tau)
         except OverflowError:  # float ** raises where * gives inf
@@ -240,7 +210,7 @@ def coefficients_for(spec, params):
     if spec.kind in FAMILIES:
         family = FAMILIES[spec.kind]
         value = getattr(spec, family.field)
-        _check_one_n(spec.N)
+        check_n(spec.N, closed_form=True)
         family.check(spec.N, value)
         r_e, r_d = family.rates(spec.N, value)
         return MeqCoefficients(0.0j, 0.0j, r_e, r_d, params.mu, params.pg_tau)

@@ -646,14 +646,14 @@ class TestBathCsv:
             assert str(info.value) == f"bath csv: N={N} outside allowed range 1..12"
 
     def test_header_cap_checked_before_the_body(self, monkeypatch, tmp_path):
-        from qollide import collective
+        from qollide import errors
 
         def unreachable(*args, **kwargs):
             raise AssertionError("body read before the header cap")
 
         path = tmp_path / "rho.csv"
         save_bath_csv(path, np.eye(8) / 8.0, 3)
-        monkeypatch.setattr(collective, "MAX_QUBITS", 2)
+        monkeypatch.setattr(errors, "MAX_QUBITS", 2)
         monkeypatch.setattr(np, "loadtxt", unreachable)
         with pytest.raises(ValidationError, match=r"^bath csv: N=3 outside allowed range 1\.\.2$"):
             load_bath_csv(path)

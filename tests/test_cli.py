@@ -344,6 +344,8 @@ class TestEvolve:
             ("collisions", "inf", "0.1", "t_end: must be finite"),
             ("analytic", "inf", None, "t_end: must be finite"),
             ("analytic", "1", "nan", "dt: must be finite"),
+            ("analytic", "1", "0", "dt: must be finite and positive, got 0.0"),
+            ("analytic", "1", "-1", "dt: must be finite and positive, got -1.0"),
         ],
     )
     def test_non_finite_time_grid_exit_2(self, capsys, engine, t_end, dt, fragment):
@@ -370,7 +372,8 @@ class TestEvolve:
         assert_config_error(result, "1000000001 records exceed the limit of 1000000")
 
     def test_every_engine_held_to_the_record_limit(self, capsys, monkeypatch):
-        import qollide.dynamics as dynamics
+        import qollide.errors as errors
+        from qollide import ValidationError
 
         real = np.linspace
 
@@ -378,7 +381,7 @@ class TestEvolve:
             assert num <= 10, "grid allocated before the record limit"
             return real(start, stop, num, *args, **kwargs)
 
-        monkeypatch.setattr(dynamics, "MAX_RECORDS", 10)
+        monkeypatch.setattr(errors, "MAX_RECORDS", 10)
         monkeypatch.setattr(np, "linspace", no_over_limit_grid)
         bath = ["--bath", "dicke", "--N", "4", "--k", "1", "--t-end", "1"]
         for engine in ("analytic", "ode", "collisions"):
@@ -392,6 +395,20 @@ class TestEvolve:
         # the analytic default of 101 points is over this limit too
         result = run(capsys, "evolve", *bath)
         assert_config_error(result, "n_records: 101 records exceed the limit of 10")
+        # the ladder of prepare, and the points of a sweep, in the list or
+        # the range that parse_n_range reads
+        prepare = ["prepare", "--N", "3", "--nbar", "1"]
+        result = run(capsys, *prepare, "--gamma0", "1", "--t-end", "1", "--dt", "0.01",
+                     "--n-points", "11")
+        assert_config_error(result, "n_records: 11 records exceed the limit of 10")
+        result = run(capsys, *prepare, "--gamma0", "10", "--t-end", "10", "--dt", "1")
+        assert_config_error(result, "so all 11 steps would be checked, over the limit of 10")
+        for text in ("1:11", ",".join(["4"] * 11)):
+            result = run(capsys, "sweep", "--family", "dicke", "--krule", "quarter", "--N", text)
+            assert_config_error(result, "N: 11 points exceed the limit of 10; sweep fewer N")
+            with pytest.raises(ValidationError, match="^N: 11 points exceed the limit of 10;"):
+                parse_n_range(text)
+        assert len(parse_n_range("1:10")) == 10
 
     @pytest.mark.parametrize("scheme", ["deterministic", "stochastic"])
     def test_collisions_grid_refused_before_the_map(self, capsys, monkeypatch, scheme):
@@ -1473,10 +1490,10 @@ class TestSweepPointCap:
         assert_config_error(result, f"N: {10**30} points exceed the limit")
 
     def test_limit_shared_with_library(self, capsys, monkeypatch):
-        import qollide.dynamics as dynamics
+        import qollide.errors as errors
         from qollide import CollisionParams, ValidationError, scaling_sweep
 
-        monkeypatch.setattr(dynamics, "MAX_RECORDS", 3)
+        monkeypatch.setattr(errors, "MAX_RECORDS", 3)
         params = CollisionParams(g=0.1, tau=1.0, p=100.0)
         assert len(scaling_sweep("product", range(1, 4), params, p_e=0.2).N) == 3
         for N_list in (range(1, 5), [4, 3, 2, 1]):

@@ -46,10 +46,9 @@ from qollide import (
     thermalization_time,
     validate_bath,
 )
-from qollide import dynamics
+from qollide import dynamics, errors
 from qollide.baths import thermal_hec_rates
 from qollide.dynamics import (
-    MAX_RECORDS,
     SWEEP_CSV_HEADER,
     TRAJECTORY_CSV_HEADER,
     SweepRow,
@@ -58,6 +57,7 @@ from qollide.dynamics import (
     _record_indices,
     _step_count,
 )
+from qollide.errors import MAX_RECORDS
 
 from conftest import cached_ops, dense_ops, fmt_float, random_density_matrix
 
@@ -680,8 +680,6 @@ class TestCollisionChain:
     def test_one_qubit_cap_for_both_modes(self, monkeypatch):
         # both modes share the qubit cap N <= 12, applied when the bath is
         # validated, before the collective operators are built
-        from qollide import collective
-
         def refuse(N):
             raise AssertionError(f"operators built for N={N}")
 
@@ -695,7 +693,7 @@ class TestCollisionChain:
                 collision_chain(
                     ground_state(), BathSpec.dicke(13, 1), params, 0.1, 0.1, mode=mode
                 )
-        monkeypatch.setattr(collective, "MAX_QUBITS", 2)
+        monkeypatch.setattr(errors, "MAX_QUBITS", 2)
         explicit = BathSpec.explicit(np.diag([1.0, 0.0, 0.0, 0.0]))
         for mode in ("exact", "second_order"):
             with pytest.raises(ValidationError, match=r"^basis_ordering: N=3 outside allowed range 1\.\.2$"):
@@ -1208,7 +1206,7 @@ class TestPropagatorOracles:
         def unreachable(*args):
             raise AssertionError("propagated")
 
-        monkeypatch.setattr(dynamics, "MAX_RECORDS", 10)
+        monkeypatch.setattr(errors, "MAX_RECORDS", 10)
         monkeypatch.setattr(dynamics, "_propagate", unreachable)
         # 20 steps of a step map with a negative entry
         with pytest.raises(
@@ -1500,6 +1498,48 @@ class TestIntegerK:
         np.testing.assert_equal(call(np.int64(1)), call(1))
 
 
+class TestIntegerCounts:
+    """A record count, a trajectory count or a stream seed that is not an
+    integer is refused with one :class:`ValidationError`, not truncated or
+    left to a ``TypeError``; numpy integers are integers."""
+
+    STOCHASTIC = {"scheme": "stochastic", "n_trajectories": 2, "seed": 0}
+    CALLS = {
+        "integrate_master": lambda **kw: integrate_master(ground_state(), DICKE_4_1, 0.1, 0.001, **kw),
+        "collision_chain": lambda **kw: collision_chain(
+            ground_state(), BathSpec.dicke(4, 1), PARAMS, 0.1, 0.001, **kw),
+        "ladder_history": lambda **kw: ladder_history(4, 1.0, 1.0, 0.1, 0.001, **kw),
+    }
+
+    @pytest.mark.parametrize(
+        "entry, kwargs, message",
+        [
+            ("integrate_master", {"n_records": 2.5}, "n_records: must be an integer, got 2.5"),
+            ("collision_chain", {"n_records": 2.5}, "n_records: must be an integer, got 2.5"),
+            ("ladder_history", {"n_records": 2.5}, "n_records: must be an integer, got 2.5"),
+            ("collision_chain", {**STOCHASTIC, "n_trajectories": 2.5},
+             "n_trajectories: must be an integer, got 2.5"),
+            ("collision_chain", {**STOCHASTIC, "seed": 1.5}, "seed: must be an integer, got 1.5"),
+            ("collision_chain", {**STOCHASTIC, "seed": "a"}, "seed: must be an integer, got 'a'"),
+        ],
+        ids=["ode-records", "collisions-records", "ladder-records", "trajectories",
+             "float-seed", "str-seed"],
+    )
+    def test_non_integer_refused(self, entry, kwargs, message):
+        with pytest.raises(ValidationError) as info:
+            self.CALLS[entry](**kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("entry", CALLS)
+    def test_numpy_integers_accepted(self, entry):
+        kwargs = {**self.STOCHASTIC, "n_records": 3} if entry == "collision_chain" else {"n_records": 3}
+        as_numpy = {name: np.int64(v) if isinstance(v, int) else v for name, v in kwargs.items()}
+        numpy_result, int_result = (self.CALLS[entry](**kw) for kw in (as_numpy, kwargs))
+        if entry != "ladder_history":  # a Trajectory, compared by its fields
+            numpy_result, int_result = numpy_result.as_dict(), int_result.as_dict()
+        np.testing.assert_equal(numpy_result, int_result)
+
+
 DICKE_4_1 = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
 
 #: Every engine that takes an initial target state, called with ``rho0``.
@@ -1719,7 +1759,7 @@ class TestRunCheckedBeforeMap:
     @pytest.mark.parametrize("scheme", ["deterministic", "stochastic"])
     @pytest.mark.parametrize("n_records", [None, 20])
     def test_record_grid(self, monkeypatch, scheme, n_records):
-        monkeypatch.setattr(dynamics, "MAX_RECORDS", 10)
+        monkeypatch.setattr(errors, "MAX_RECORDS", 10)
         with pytest.raises(ValidationError, match="^n_records: 11 records exceed the limit of 10;"):
             collision_chain(
                 ground_state(), self.BATH, self.PARAMS, 0.1, 0.01, scheme=scheme,
@@ -1769,7 +1809,7 @@ class TestRunCheckedBeforeMap:
     def test_stochastic_work_limit_edge(self, monkeypatch):
         # 10 steps recorded to the last: a trajectory counts as 10 + 720 draws
         monkeypatch.setattr(dynamics, "collision_superoperator", collision_superoperator)
-        monkeypatch.setattr(dynamics, "_MAX_DRAWS", 2 * 730)
+        monkeypatch.setattr(errors, "MAX_DRAWS", 2 * 730)
         run = functools.partial(
             collision_chain, ground_state(), self.BATH, self.PARAMS, 0.1, 0.01, n_records=3
         )
@@ -1784,10 +1824,10 @@ class TestRunCheckedBeforeMap:
         # once the grid passes
         monkeypatch.setattr(dynamics, "collision_superoperator", collision_superoperator)
         bad = BathSpec.explicit(np.eye(2))  # trace 2
-        monkeypatch.setattr(dynamics, "MAX_RECORDS", 10)
+        monkeypatch.setattr(errors, "MAX_RECORDS", 10)
         with pytest.raises(ValidationError, match="^n_records: 11 records exceed"):
             collision_chain(ground_state(), bad, self.PARAMS, 0.1, 0.01)
-        monkeypatch.setattr(dynamics, "MAX_RECORDS", 11)
+        monkeypatch.setattr(errors, "MAX_RECORDS", 11)
         with pytest.raises(ValidationError, match="^explicit bath: trace check failed"):
             collision_chain(ground_state(), bad, self.PARAMS, 0.1, 0.01)
 
@@ -2537,7 +2577,7 @@ class TestTimeGridLimits:
             _record_indices(MAX_RECORDS, None)
         with pytest.raises(ValidationError, match="records exceed"):
             _record_indices(10**12, 10**7)
-        monkeypatch.setattr(dynamics, "MAX_RECORDS", 10)
+        monkeypatch.setattr(errors, "MAX_RECORDS", 10)
         assert _record_indices(9, None) == list(range(10))
         assert len(_record_indices(100, 10)) == 10
         with pytest.raises(ValidationError, match="11 records exceed the limit of 10;"):

@@ -1,6 +1,7 @@
 """The lint of ``src/qollide``: every name a module imports is used in it,
-no module compiles code at run time, and the package exports exactly the
-names listed here.
+no module compiles code at run time, every limit is assigned in
+``errors.py`` alone and the checks it replaced are gone, and the package
+exports exactly the names listed here.
 
 An attribute access ``np.zeros`` uses ``np`` through the ``Name`` node at
 its root, so reading ``Name`` nodes covers attribute uses too.
@@ -44,6 +45,39 @@ def test_no_code_compiled_at_run_time(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         names = {node.id for node in ast.walk(ast.parse(fh.read())) if isinstance(node, ast.Name)}
     assert names.isdisjoint({"exec", "eval", "compile"})
+
+
+def module_level_assignments(source):
+    """Names assigned by the top-level statements of ``source``."""
+    names = set()
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("module", [*MODULES, "__init__.py"])
+def test_limits_assigned_in_errors_alone(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        limits = {name for name in module_level_assignments(fh.read()) if name.startswith("MAX_")}
+    expected = {"MAX_QUBITS", "MAX_SWEEP_N", "MAX_STEPS", "MAX_RECORDS", "MAX_DRAWS"}
+    assert limits == (expected if module == "errors.py" else set())
+
+
+#: The per-module checks that ``errors.py`` replaced.
+REMOVED_CHECKS = {
+    "_check_n", "_check_qubits", "_is_integer", "_shown", "_check_one_n", "_check_closed_form_n",
+    "_check_record_count", "_check_sweep_points",
+}
+
+
+@pytest.mark.parametrize("module", [*MODULES, "__init__.py"])
+def test_removed_checks_neither_defined_nor_imported(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.alias))}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert names.isdisjoint(REMOVED_CHECKS)
 
 
 def test_cli_import_loads_no_dataclasses():

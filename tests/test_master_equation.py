@@ -367,12 +367,12 @@ class TestClosedFormsAgainstBruteForce:
 
     @pytest.mark.parametrize("call", ["coefficients_for", "collision_superoperator"])
     def test_qubit_cap_before_explicit_validation(self, monkeypatch, call):
-        from qollide import baths, collective, dynamics
+        from qollide import baths, dynamics, errors
 
         def unreachable(rho, name="density matrix"):
             raise AssertionError("validated before the qubit cap")
 
-        monkeypatch.setattr(collective, "MAX_QUBITS", 2)
+        monkeypatch.setattr(errors, "MAX_QUBITS", 2)
         monkeypatch.setattr(baths, "validate_density_matrix", unreachable)
         run = {"coefficients_for": coefficients_for, "collision_superoperator": dynamics.collision_superoperator}
         with pytest.raises(ValidationError) as info:
@@ -484,26 +484,26 @@ class TestClosedFormNRange:
         assert str(info.value) == (below_one if N < 1 else "N: must be <= 2**53")
 
     def test_array_ends_read_without_iterating(self):
-        from qollide.master_equation import _check_closed_form_n
+        from qollide.errors import check_ns
 
         class NoIter(np.ndarray):
             def __iter__(self):
                 raise AssertionError("iterated")
 
         Ns = np.arange(1, 10**6 + 1).view(NoIter)
-        _check_closed_form_n(Ns, "N_list")
+        check_ns(Ns, "N_list")
         for bad, bound in ((0, ">= 1"), (2**53 + 1, "<= 2**53")):
             Ns[5] = bad
             with pytest.raises(ValidationError) as info:
-                _check_closed_form_n(Ns, "N_list")
+                check_ns(Ns, "N_list")
             assert str(info.value) == f"N_list: all N must be {bound}"
 
     @pytest.mark.parametrize("big", [2**63, 2**64 + 1, 10**400])
     def test_list_beyond_int64_refused(self, big):
-        from qollide.master_equation import _check_closed_form_n
+        from qollide.errors import check_ns
 
         with pytest.raises(ValidationError) as info:
-            _check_closed_form_n([3, big, 1], "N_list")
+            check_ns([3, big, 1], "N_list")
         assert str(info.value) == "N_list: all N must be <= 2**53"
         with pytest.raises(ValidationError) as info:
             scaling_sweep("dicke", [3, big, 1], PARAMS, k_rule="quarter")

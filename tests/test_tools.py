@@ -27,17 +27,17 @@ def test_same_values_on_the_checkout_itself():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "2376 calls, 0 with a difference\n"
+    assert proc.stdout == "2469 calls, 0 with a difference\n"
 
 
 def test_same_values_reports_the_first_difference(tmp_path):
     # a tree whose refusal of a dicke k out of range reads differently
     shutil.copytree(os.path.join(ROOT, "src", "qollide"), tmp_path / "src" / "qollide",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    path = tmp_path / "src" / "qollide" / "baths.py"
+    path = tmp_path / "src" / "qollide" / "errors.py"
     source = path.read_text()
-    assert source.count('f"k: must be in 0..') == 1
-    path.write_text(source.replace('f"k: must be in 0..', 'f"k: must lie in 0..'))
+    assert source.count('f"{name}: must be in {low}..') == 1
+    path.write_text(source.replace('f"{name}: must be in {low}..', 'f"{name}: must lie in {low}..'))
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "same_values.py"), ROOT, str(tmp_path)],
         capture_output=True, text=True, timeout=300,
@@ -47,7 +47,7 @@ def test_same_values_reports_the_first_difference(tmp_path):
         "first difference: ladder_weights N=1 dicke k=2",
         "  parent: ValidationError: k: must be in 0..1, got 2",
         "  change: ValidationError: k: must lie in 0..1, got 2",
-        "2376 calls, 216 with a difference",
+        "2469 calls, 216 with a difference",
     ]
 
 

@@ -20,6 +20,15 @@ N+1, -1}, with ``ladder_weights``, ``validate_bath`` (N <= 10),
 last two under each of two sets of collision parameters.  Specs are built
 with the ``BathSpec`` classmethods, so any tree that has them can be
 compared.
+
+It then meets the limits at their boundaries.  The single-N entry points
+(``BathSpec``, ``basis_ordering``, ``build_collective_ops``,
+``classify_coherences``, ``dicke_temperature``, ``dicke_max_noninverted_k``
+and ``coefficients_for``) take N in {-1, 0, 1, 12, 13, 2**53, 2**53+1,
+4.5, "4", np.int64(4)}; ``scaling_sweep`` and ``dicke_max_noninverted_k``
+take integer lists and arrays, valid or holding 0, 2**53+1 or a float;
+and every engine, ``scaling_sweep`` and ``parse_n_range`` are asked for
+one record or sweep point over the limit of 1,000,000.
 """
 
 import argparse
@@ -41,6 +50,9 @@ NS = (*range(1, 14), 64)
 P_E = (-0.0, 0.0, 0.1, 0.5, 1.0, 1.5, float("nan"))
 N_BAR = (-0.0, 0.0, 0.25, 1.0, 1e9, -1.0, float("inf"), float("nan"))
 PARAMS = ({"g": 0.1, "tau": 1.0, "p": 100.0}, {"g": 0.25, "tau": 0.8, "p": 3.0})
+LIMIT_NS = (-1, 0, 1, 12, 13, 2**53, 2**53 + 1, 4.5, "4", np.int64(4))
+LIMIT_LISTS = ([4, 8, 12], [4, 0, 8], [4, 2**53 + 1, 8], [4, 4.5, 8])
+OVER_LIMIT = 10**6 + 1
 
 
 def _encode(value):
@@ -83,6 +95,52 @@ def grid():
                 for mode in ("exact", "second_order"):
                     yield (f"collision_superoperator {tail} {mode}",
                            lambda s=spec, p=p, m=mode: collision_superoperator(s, p, mode=m))
+    yield from limit_grid(params[0])
+
+
+def limit_grid(params):
+    """Yield ``(label, call)`` for every call at the limits (see the module
+    docstring)."""
+    from qollide import basis_ordering, build_collective_ops, classify_coherences
+    from qollide import BathSpec, coefficients_for, collision_chain, dicke_max_noninverted_k
+    from qollide import dicke_temperature, ground_state, integrate_master, ladder_history
+    from qollide import scaling_sweep
+    from qollide.cli import parse_n_range
+
+    single = {
+        # a spec by its fields that are not None: None has no fixed bytes
+        "BathSpec": lambda N: tuple(BathSpec.dicke(N, 1).describe().items()),
+        "basis_ordering": basis_ordering,
+        "build_collective_ops": build_collective_ops,
+        "classify_coherences": classify_coherences,
+        "dicke_temperature": lambda N: dicke_temperature(N, 1),
+        "dicke_max_noninverted_k": dicke_max_noninverted_k,
+        "coefficients_for": lambda N: coefficients_for(BathSpec.product_mixed(N, 0.5), params),
+    }
+    for name, call in single.items():
+        for N in LIMIT_NS:
+            yield f"{name} N={N!r}", lambda c=call, N=N: c(N)
+    for Ns in (*LIMIT_LISTS, *map(np.array, LIMIT_LISTS)):
+        label = f"{type(Ns).__name__} {Ns!r}"
+        yield f"scaling_sweep {label}", lambda Ns=Ns: scaling_sweep(
+            "dicke", Ns, params, k_rule="half-minus-one")
+        yield f"dicke_max_noninverted_k {label}", lambda Ns=Ns: dicke_max_noninverted_k(Ns)
+    over = {
+        "scaling_sweep": lambda: scaling_sweep(
+            "dicke", range(1, OVER_LIMIT + 1), params, k_rule="quarter"),
+        "parse_n_range range": lambda: parse_n_range(f"1:{OVER_LIMIT}"),
+        "parse_n_range list": lambda: parse_n_range(",".join(["4"] * OVER_LIMIT)),
+        "integrate_master": lambda: integrate_master(
+            ground_state(), coefficients_for(BathSpec.dicke(4, 1), params), 1.0, 1e-7,
+            n_records=OVER_LIMIT),
+        "collision_chain": lambda: collision_chain(
+            ground_state(), BathSpec.dicke(4, 1), params, 1.0, 1e-7, n_records=OVER_LIMIT),
+        "ladder_history": lambda: ladder_history(3, 1.0, 1.0, 1.0, 1e-7, n_records=OVER_LIMIT),
+        # every step checked: the step map at dt = 1 has a negative entry
+        "ladder_history steps": lambda: ladder_history(3, 1.0, 1e6, OVER_LIMIT - 1, 1.0),
+    }
+    for name, call in over.items():
+        yield f"{name} over the record limit", call
 
 
 def print_values():
