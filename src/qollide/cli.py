@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import os
 import stat
@@ -523,8 +524,17 @@ def main(argv=None):
 
 
 def console_main():
+    """The process entry of ``qollide``, ``python -m qollide`` and ``python -m
+    qollide.cli``: run :func:`main` and exit with its code.
+
+    ``gc.freeze()`` first moves every object the imports made into the
+    collector's permanent generation, so neither the collections of the run
+    nor the last one at interpreter exit walk them; the OS reclaims them
+    with the process.  :func:`main` itself leaves the collector alone.
+    """
+    gc.freeze()
     raise SystemExit(main())
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console_main()

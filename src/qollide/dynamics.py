@@ -55,9 +55,10 @@ def _csv_text(header, row, cols):
     ``cols``, formatted by the ``%`` template ``row``.
 
     Rows are formatted :data:`_CSV_CHUNK` at a time, one ``%`` operation per
-    chunk; adding ``0.0`` writes ``-0.0`` as ``0``.
+    chunk; adding ``0.0`` writes ``-0.0`` as ``0``.  The sum is taken in
+    place, so ``cols`` is overwritten: pass an array built for the call.
     """
-    cols = cols + 0.0
+    np.add(cols, 0.0, out=cols)
     parts = [header + "\n"]
     for start in range(0, len(cols), _CSV_CHUNK):
         chunk = cols[start : start + _CSV_CHUNK]

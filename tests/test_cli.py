@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import json
 import math
@@ -1201,14 +1202,19 @@ class TestUnwritableOutputs:
                 ["coeffs", *DICKE_4_1],
                 ["evolve", "--engine", "analytic", *DICKE_4_1, "--t-end", "5", "--dt", "0.001"],
             ):
-                with open("/dev/full", "w") as full:
-                    proc = subprocess.run(
-                        [sys.executable, "-m", "qollide", *argv], stdout=full,
-                        stderr=subprocess.PIPE, text=True, env=env, timeout=60,
-                    )
-                assert (proc.returncode, proc.stderr) == (
-                    2, "error: output: cannot write <stdout>: No space left on device\n"
-                )
+                for module in MODULE_ENTRIES:
+                    with open("/dev/full", "w") as full:
+                        proc = subprocess.run(
+                            [sys.executable, "-m", module, *argv], stdout=full,
+                            stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+                        )
+                    assert (proc.returncode, proc.stderr) == (
+                        2, "error: output: cannot write <stdout>: No space left on device\n"
+                    ), module
+
+
+#: The two ``python -m`` entries; both run ``cli.console_main``.
+MODULE_ENTRIES = ("qollide", "qollide.cli")
 
 
 def _module_env():
@@ -1271,14 +1277,42 @@ def test_cli_run_imports_no_masked_arrays(tmp_path, argv, loads_random):
 
 
 def test_module_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "qollide", "coeffs", "--bath", "dicke", "--N", "4", "--k", "1"],
-        capture_output=True,
-        text=True,
-        env=_module_env(),
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["coefficients"]["r_e"] == 4.0
+    procs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "coeffs", "--bath", "dicke", "--N", "4", "--k", "1"],
+            capture_output=True,
+            env=_module_env(),
+        )
+        for module in MODULE_ENTRIES
+    ]
+    results = [(proc.returncode, proc.stdout, proc.stderr) for proc in procs]
+    assert results[0] == results[1]
+    assert results[0][0::2] == (0, b"")
+    assert json.loads(procs[0].stdout)["coefficients"]["r_e"] == 4.0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["coeffs", "--bath", "dicke", "--N", "4", "--k", "1"], 0),
+     (["coeffs", "--bath", "dicke", "--N", "4", "--k", "9"], 2)],
+    ids=["success", "refused"],
+)
+def test_main_leaves_the_collector_unfrozen(capsys, argv, code):
+    # main is what in-process callers run; only the process entry freezes
+    frozen = gc.get_freeze_count()
+    assert run(capsys, *argv)[0] == code
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_main_freezes_before_main(monkeypatch):
+    import qollide.cli as cli
+
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert (calls, exc.value.code) == (["freeze", "main"], 3)
 
 
 def test_advisory_is_one_warning_line():

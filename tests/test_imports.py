@@ -1,7 +1,9 @@
 """The lint of ``src/qollide``: every name a module imports is used in it,
 no module compiles code at run time, every limit is assigned in
 ``errors.py`` alone and the checks it replaced are gone, and the package
-exports exactly the names listed here.
+exports exactly the names listed here.  Only the process entry,
+``cli.console_main``, touches the garbage collector, so importing the
+library never changes the collector of its importer.
 
 An attribute access ``np.zeros`` uses ``np`` through the ``Name`` node at
 its root, so reading ``Name`` nodes covers attribute uses too.
@@ -78,6 +80,44 @@ def test_removed_checks_neither_defined_nor_imported(module):
     names = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.alias))}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert names.isdisjoint(REMOVED_CHECKS)
+
+
+def collector_uses(source):
+    """Whether ``source`` imports ``gc``, and the sorted ``(top-level
+    definition, name)`` of each ``gc.<name>`` it reads; the definition is
+    ``""`` at module level."""
+    tree = ast.parse(source)
+    imports = any(
+        isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "gc"
+        for node in ast.walk(tree)
+    )
+    uses = []
+    for top in tree.body:
+        owner = getattr(top, "name", "")
+        uses += [(owner, node.attr) for node in ast.walk(top) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "gc"]
+    return imports, sorted(uses)
+
+
+@pytest.mark.parametrize("module", [*MODULES, "__init__.py"])
+def test_only_the_process_entry_touches_the_collector(module):
+    # cli imports gc and console_main freezes it; no module collects,
+    # disables or retunes the collector
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        found = collector_uses(fh.read())
+    assert found == ((True, [("console_main", "freeze")]) if module == "cli.py" else (False, []))
+
+
+def test_collector_uses_of_a_known_source():
+    source = (
+        "import gc as g\n"
+        "def f():\n"
+        "    gc.collect()\n"
+        "gc.disable()\n"
+    )
+    assert collector_uses(source) == (True, [("", "disable"), ("f", "collect")])
+    assert collector_uses("from gc import freeze\n") == (True, [])
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -142,19 +142,46 @@ def test_same_outputs_reports_each_differing_csv(tmp_path):
 def test_command_costs_on_the_cheap_workload():
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "command_costs.py"), ROOT, ROOT,
-         "--workload", "closed-form", "--reps", "1"],
+         "--workload", "closed-form", "--reps", "2"],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     header, units, *lines = proc.stdout.splitlines()
-    assert header.split() == ["command", "cpu_ms", "cpu_ms", "diff", "rss_mb", "rss_mb", "diff"]
-    assert units.split() == ["parent", "change", "parent", "change"]
+    assert header.split() == [
+        "command", "cpu_ms", "cpu_ms", "diff", "raw_ms", "raw_ms", "lower", "rss_mb", "rss_mb",
+        "diff",
+    ]
+    assert units.split() == ["parent", "change"] * 3
     assert len(lines) == 6  # the workload's commands, none failed
     (line,) = [line for line in lines if line.startswith("closed-form/coeffs-thermal-hec-64 ")]
-    cpu_p, cpu_c, cpu_d, rss_p, rss_c, rss_d = map(float, line.split()[1:])
+    *cpu, lower, rss_p, rss_c, rss_d = line.split()[1:]
+    cpu_p, cpu_c, cpu_d, raw_p, raw_c = map(float, cpu)
+    rss_p, rss_c, rss_d = map(float, (rss_p, rss_c, rss_d))
     # a cold CLI process takes tens of milliseconds and tens of megabytes
-    assert 10.0 < min(cpu_p, cpu_c) and 10.0 < min(rss_p, rss_c) < 1000.0
+    assert 10.0 < min(cpu_p, cpu_c, raw_p, raw_c) and 10.0 < min(rss_p, rss_c) < 1000.0
     assert abs(cpu_d - (cpu_c - cpu_p)) <= 0.1 and abs(rss_d - (rss_c - rss_p)) <= 0.01
+    wins, pairs = map(int, lower.split("/"))
+    assert pairs == 2 and 0 <= wins <= pairs
+
+
+def test_command_costs_row_of_known_samples():
+    spec = importlib.util.spec_from_file_location(
+        "command_costs", os.path.join(ROOT, "tools", "command_costs.py")
+    )
+    command_costs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(command_costs)
+    # (rescaled s, measured s, max RSS KiB) per repetition: the change's
+    # measured CPU is lower in the first and third pairs only, although its
+    # rescaled CPU is higher in every pair
+    samples = {
+        "parent": [(0.100, 0.120, 30720), (0.100, 0.100, 30720), (0.100, 0.140, 31744)],
+        "change": [(0.150, 0.110, 30720), (0.110, 0.130, 31744), (0.120, 0.130, 31744)],
+    }
+    fields = command_costs.row("w/c", samples).split()
+    assert fields == ["w/c", "100.0", "120.0", "+20.0", "120.0", "130.0", "2/3", "30.00",
+                      "31.00", "+1.00"]
+    header = command_costs.HEADER.splitlines()[0]
+    assert len(header.split()) == len(fields)
 
 
 def test_command_costs_rescales_cpu_by_the_probe():
