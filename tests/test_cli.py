@@ -34,6 +34,9 @@ from conftest import fmt_float
 
 TRAJECTORY_HEADER = "t,mu_t,rho_ee,rho_gg,re_rho_eg,im_rho_eg,temperature,entropy\n"
 
+#: The two ``python -m`` entries; both run ``cli.console_main``.
+MODULE_ENTRIES = ("qollide", "qollide.cli")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -1213,10 +1216,6 @@ class TestUnwritableOutputs:
                     ), module
 
 
-#: The two ``python -m`` entries; both run ``cli.console_main``.
-MODULE_ENTRIES = ("qollide", "qollide.cli")
-
-
 def _module_env():
     """The environment of a child Python that imports qollide from ``src``."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -1287,7 +1286,7 @@ def test_module_entry_point(tmp_path):
     ]
     results = [(proc.returncode, proc.stdout, proc.stderr) for proc in procs]
     assert results[0] == results[1]
-    assert results[0][0::2] == (0, b"")
+    assert (procs[0].returncode, procs[0].stderr) == (0, b"")
     assert json.loads(procs[0].stdout)["coefficients"]["r_e"] == 4.0
 
 

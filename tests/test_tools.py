@@ -154,13 +154,13 @@ def test_command_costs_on_the_cheap_workload():
     assert units.split() == ["parent", "change"] * 3
     assert len(lines) == 6  # the workload's commands, none failed
     (line,) = [line for line in lines if line.startswith("closed-form/coeffs-thermal-hec-64 ")]
-    *cpu, lower, rss_p, rss_c, rss_d = line.split()[1:]
-    cpu_p, cpu_c, cpu_d, raw_p, raw_c = map(float, cpu)
-    rss_p, rss_c, rss_d = map(float, (rss_p, rss_c, rss_d))
+    fields = line.split()[1:]
+    cpu_p, cpu_c, cpu_d, raw_p, raw_c = map(float, fields[:5])
+    rss_p, rss_c, rss_d = map(float, fields[6:])
     # a cold CLI process takes tens of milliseconds and tens of megabytes
     assert 10.0 < min(cpu_p, cpu_c, raw_p, raw_c) and 10.0 < min(rss_p, rss_c) < 1000.0
     assert abs(cpu_d - (cpu_c - cpu_p)) <= 0.1 and abs(rss_d - (rss_c - rss_p)) <= 0.01
-    wins, pairs = map(int, lower.split("/"))
+    wins, pairs = map(int, fields[5].split("/"))
     assert pairs == 2 and 0 <= wins <= pairs
 
 
