@@ -59,6 +59,8 @@ from .baths import BATH_KINDS, FAMILIES, BathSpec, bath_to_csv, classify_coheren
 from .baths import dicke_rates, ladder_weights, load_bath_csv, validate_bath
 from .collective import basis_ordering
 from .dynamics import (
+    K_RULES,
+    SCHEMES,
     _csv_text,
     _distinct_sorted,
     _ladder_bath,
@@ -76,8 +78,6 @@ DEFAULT_PARAMS = {"g": 0.1, "tau": 1.0, "p": 100.0, "omega0": 1.0}
 
 ENGINES = ("analytic", "ode", "collisions")
 MODES = ("exact", "second-order")
-SCHEMES = ("deterministic", "stochastic")
-K_RULES = ("quarter", "half-minus-one")
 
 
 def _unreadable(name, path, exc):
@@ -129,7 +129,7 @@ def _get(args, config, name, conv=str, default=None, required=False, choices=Non
     if conv is float and value is not None:
         value += 0.0  # -0 reads as 0
     if choices is not None and value is not None and value not in choices:
-        raise ValidationError(f"{name}: must be one of {choices}, got {value!r}")
+        raise ValidationError(f"{name}: must be one of {tuple(choices)}, got {value!r}")
     return value
 
 
@@ -313,7 +313,7 @@ def cmd_evolve(args, config):
 
 
 def cmd_sweep(args, config):
-    family = _get(args, config, "family", str, required=True, choices=tuple(FAMILIES))
+    family = _get(args, config, "family", str, required=True, choices=FAMILIES)
     n_list = parse_n_range(_get(args, config, "N", str, required=True))
     params = _params_from(args, config)
     # only the family's own parameter is read; a dicke sweep takes a rule for each N's k
@@ -433,7 +433,7 @@ _OPTIONS = {
     "omega0": "qubit frequency",
     "engine": f"one of {', '.join(ENGINES)}",
     "family": f"one of {', '.join(FAMILIES)}",
-    "krule": "quarter or half-minus-one",
+    "krule": " or ".join(K_RULES),
     "gamma0": "single-qubit emission rate",
     "t_end": "final time",
     "dt": "time step (evolve's ode and collisions engines, prepare)",
@@ -442,7 +442,7 @@ _OPTIONS = {
     "init_eg_re": "initial coherence, real part",
     "init_eg_im": "initial coherence, imaginary part",
     "mode": "collision propagator: exact or second-order",
-    "scheme": "deterministic or stochastic",
+    "scheme": " or ".join(SCHEMES),
     "seed": "stochastic stream seed",
     "trajectories": "stochastic averages",
     "out": "output path (default stdout)",

@@ -26,8 +26,9 @@ from .errors import ValidationError, check_n
 from .utils import Record
 
 def block_sizes(N):
-    """Sizes ``[C(N,0), ..., C(N,N)]`` of the excitation blocks (Pascal row)."""
-    check_n(N)
+    """Sizes ``[C(N,0), ..., C(N,N)]`` of the excitation blocks (Pascal row),
+    for ``1 <= N <= MAX_LADDER_N``."""
+    check_n(N, ladder_for="block_sizes")
     return [comb(N, k) for k in range(N + 1)]
 
 

@@ -39,6 +39,13 @@ COHERENCE_FLAG_TOL = 1e-6
 #: Lowest population an integrated state may hold (ode engine and ladder).
 MIN_POPULATION = -1e-10
 
+#: Largest trace or normalization drift a stepped state may show (ode
+#: engine, exact collisions, ladder).
+TOL_DRIFT = 1e-8
+
+#: The collision schemes of :func:`collision_chain`.
+SCHEMES = ("deterministic", "stochastic")
+
 #: Bernoulli draws per chunk of a stochastic collision stream.
 _DRAW_CHUNK = 1 << 16
 
@@ -90,28 +97,27 @@ def excited_state():
 # closed-form laws
 
 
-def _relaxation_rate(mu, r_e, r_d):
-    """The populations' relaxation rate ``mu (r_e + r_d)``, of float rates or
-    of arrays of them; refused where it overflows a float."""
-    with np.errstate(over="ignore"):
-        rate = mu * (r_e + r_d)
+@np.errstate(over="ignore")  # an overflowing rate is refused; a tiny one's inverse is inf
+def _thermalization_times(mu, r_e, r_d):
+    """Relaxation times ``1 / (mu (r_e + r_d))`` of float rates or of arrays
+    of them; infinite where the bath does not couple (both rates zero, or
+    zero coupling strength) or the rate is too small for its inverse to be
+    a float.  A rate that overflows a float is refused."""
+    rate = mu * (r_e + r_d)
     if not np.all(rate < math.inf):
         raise ValidationError(
             f"mu*(r_e + r_d): the relaxation rate overflows a float at mu = {mu:.3g}; "
             "lower p or g*tau"
         )
-    return rate
+    t_q = np.full(np.shape(rate), math.inf)
+    np.divide(1.0, rate, out=t_q, where=rate > 0.0)
+    return t_q
 
 
 def thermalization_time(c):
-    """Characteristic relaxation time 1 / (mu (r_e + r_d)); infinite when the
-    bath does not couple (both rates zero, or zero coupling strength) or the
-    rate is too small for its inverse to be a float.  A rate that overflows
-    a float is refused."""
-    rate = _relaxation_rate(c.mu, c.r_e, c.r_d)
-    if rate <= 0.0:
-        return math.inf
-    return 1.0 / rate
+    """Characteristic relaxation time 1 / (mu (r_e + r_d)) of one coefficient
+    set (see :func:`_thermalization_times`)."""
+    return float(_thermalization_times(c.mu, c.r_e, c.r_d))
 
 
 def steady_state(c):
@@ -417,9 +423,9 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
     ``+-2i pg_tau |lam|``, so the RK4 step leaves its stability region near
     ``dt pg_tau |lam| = sqrt(2)``; the advisory keeps a margin of about 3
     below that edge.  Every recorded state and the final state are checked
-    for trace drift beyond 1e-8 (the generator is traceless, so drift
-    indicates a numeric problem), then for a population below -1e-10 (a
-    step too long for the rates).
+    for trace drift beyond :data:`TOL_DRIFT` (the generator is traceless,
+    so drift indicates a numeric problem), then for a population below
+    :data:`MIN_POPULATION` (a step too long for the rates).
     """
     rho0 = _qubit_matrix(rho0, "integrate_master")
     n_steps = _step_count(t_end, dt)
@@ -443,34 +449,32 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
     rows = _propagate(step_mat, vec0, steps)
     _check_trace(rows, steps, "integrate_master")
     lowest = np.minimum(rows[:, 0].real, rows[:, 3].real)
-    bad = np.flatnonzero(lowest < MIN_POPULATION)
-    if bad.size:
-        raise NumericError(
-            f"integrate_master: population negativity {lowest[bad[0]]:.3e} "
-            f"at step {steps[bad[0]]}; reduce dt"
-        )
-    times = np.array([step * dt for step in record])
+    _refuse_first(steps, (lowest < MIN_POPULATION, lowest,
+                          "integrate_master: population negativity {:.3e} at step {}; reduce dt"))
+    times = np.asarray(record) * dt
     return Trajectory.from_states(times, rows[:-1].reshape(-1, 2, 2), c.mu)
 
 
-def _trace_drift(rows, expected=1.0):
-    """``|Re Tr rho - expected| + |Im Tr rho|`` of each row-major
-    vectorized qubit state in ``rows``."""
+def _refuse_first(steps, *checks):
+    """Raise :class:`NumericError` at the earliest of ``steps`` where a
+    check fails; at one step, the check listed first.  A check is
+    ``(failed, values, text)``: a boolean per step, a value per step, and
+    the refusal, formatted with the failing step's value and the step."""
+    hits = np.argwhere(np.transpose([failed for failed, _, _ in checks]))
+    if len(hits):
+        at, which = hits[0]
+        _, values, text = checks[which]
+        raise NumericError(text.format(values[at], steps[at]))
+
+
+def _check_trace(rows, steps, name, expected=1.0, tol=TOL_DRIFT):
+    """The drift ``|Re Tr rho - expected| + |Im Tr rho|`` of each row-major
+    vectorized qubit state in ``rows`` (taken at ``steps``); raise
+    :class:`NumericError` at the first that is nan or beyond ``tol``."""
     traces = rows[:, 0] + rows[:, 3]
-    return np.abs(traces.real - expected) + np.abs(traces.imag)
-
-
-def _check_trace(rows, steps, name, expected=1.0, tol=1e-8):
-    """Raise :class:`NumericError` at the first state of ``rows`` (taken
-    at ``steps``) whose trace is nan or drifts beyond ``tol`` from
-    ``expected``."""
-    drift = _trace_drift(rows, expected)
-    bad = np.flatnonzero(~(drift <= tol))
-    if bad.size:
-        first = bad[0]
-        raise NumericError(
-            f"{name}: trace drift {drift[first]:.3e} at step {steps[first]}"
-        )
+    drift = np.abs(traces.real - expected) + np.abs(traces.imag)
+    _refuse_first(steps, (~(drift <= tol), drift, name + ": trace drift {:.3e} at step {}"))
+    return drift
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +646,7 @@ def collision_chain(
     ``(1 + p dt (Tr(rho_B) - 1))^i`` (deterministic) or ``Tr(rho_B)`` to
     the mean collision count (stochastic; the mean of ``Tr(rho_B)^m``
     differs by about ``Var(m) log(Tr(rho_B))^2 / 2``, below 1e-11 for any
-    count a run can reach).  In exact mode a drift beyond 1e-8
+    count a run can reach).  In exact mode a drift beyond :data:`TOL_DRIFT`
     from it raises :class:`NumericError`, as in :func:`integrate_master`;
     second-order collisions add to the trace, so a drift beyond 1% gives
     one accuracy advisory.  A state that overflowed is refused in either
@@ -655,9 +659,9 @@ def collision_chain(
         raise ValidationError(
             f"p*dt: collision probability per step is {p_dt:.3g} > 1; reduce dt"
         )
-    if scheme not in ("deterministic", "stochastic"):
+    if scheme not in SCHEMES:
         raise ValidationError(
-            f"scheme: must be 'deterministic' or 'stochastic', got {scheme!r}"
+            f"scheme: must be {' or '.join(map(repr, SCHEMES))}, got {scheme!r}"
         )
     if scheme == "stochastic":
         check_integer(n_trajectories, "n_trajectories")
@@ -673,7 +677,7 @@ def collision_chain(
             f" exceed the limit of {limit:.3g} draws; reduce the trajectories or t_end/dt"
         )
     phi = collision_superoperator(bath, params, mode=mode)
-    times = np.array([dt * i for i in record])
+    times = np.asarray(record) * dt
     vec0 = rho0.ravel()
 
     bath_trace = _bath_trace(bath)
@@ -699,11 +703,12 @@ def collision_chain(
         recorded = total / n_trajectories
         expected = bath_trace ** (counted / n_trajectories)
 
-    exact = mode.replace("-", "_") == "exact"
+    exact = mode == "exact"
     # second-order collisions add to the trace: only a state that is not
     # finite is refused, and a drift beyond 1% is an advisory
-    _check_trace(recorded, record, "collision_chain", expected, 1e-8 if exact else math.inf)
-    worst = _trace_drift(recorded, expected).max(initial=0.0)
+    drift = _check_trace(recorded, record, "collision_chain", expected,
+                         TOL_DRIFT if exact else math.inf)
+    worst = drift.max(initial=0.0)
     if not exact and worst > 1e-2:
         warnings.warn(
             f"second-order collisions moved the trace by {worst:.3g}, more "
@@ -727,17 +732,20 @@ class LadderState(Record, frozen=True):
     populations: np.ndarray
 
     def __post_init__(self):
+        check_n(self.N)
         pops = np.asarray(self.populations, dtype=float)
         if pops.shape != (self.N + 1,):
             raise ValidationError(
                 f"LadderState: expected {self.N + 1} populations, got shape "
                 f"{pops.shape}"
             )
-        if pops.min() < -1e-10:
+        if not np.all(np.isfinite(pops)):
+            raise ValidationError("LadderState: populations must be finite")
+        if pops.min() < MIN_POPULATION:
             raise ValidationError(
                 f"LadderState: negative population {pops.min():.3e}"
             )
-        if abs(pops.sum() - 1.0) > 1e-8:
+        if not abs(pops.sum() - 1.0) <= TOL_DRIFT:
             raise ValidationError(
                 f"LadderState: populations sum to {pops.sum():.12g}, not 1"
             )
@@ -772,9 +780,10 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     states are checked; otherwise every step is checked, so that a
     transient negativity is caught too, and the records are taken from
     those steps.  Such a grid of more than :data:`~qollide.errors.MAX_RECORDS`
-    steps is refused before it is propagated.
+    steps is refused before it is propagated, and an N above
+    :data:`~qollide.errors.MAX_LADDER_N` before anything is built.
     """
-    check_n(N)
+    check_n(N, ladder_for="ladder_history")
     check_finite(n_bar, "n_bar", allow_zero=True)
     check_finite(gamma0, "gamma0")
     n_steps = _step_count(t_end, dt)
@@ -794,23 +803,17 @@ def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
     rows[-1] = _propagate(step_mat, pops0, [n_steps])[0]
     lowest = rows.min(axis=1)
     drift = rows.sum(axis=1) - 1.0
-    bad = np.flatnonzero((lowest < MIN_POPULATION) | ~(np.abs(drift) <= 1e-8))  # nan included
-    if bad.size:
-        first = bad[0]
-        if lowest[first] < MIN_POPULATION:
-            raise NumericError(
-                f"ladder integration: population negativity "
-                f"{lowest[first]:.3e} at step {steps[first]}; reduce dt"
-            )
-        raise NumericError(
-            f"ladder integration: normalization drift "
-            f"{drift[first]:.3e} at step {steps[first]}"
-        )
+    _refuse_first(
+        steps,
+        (lowest < MIN_POPULATION, lowest,
+         "ladder integration: population negativity {:.3e} at step {}; reduce dt"),
+        (~(np.abs(drift) <= TOL_DRIFT), drift,  # nan included
+         "ladder integration: normalization drift {:.3e} at step {}"),
+    )
     # every step checked: row i holds step i; else the records are the rows
     # up to the final state, which is the last of them when it is recorded
     history = rows[record] if negative else rows[: len(record)]
-    times = np.array([step * dt for step in record])
-    return times, history, rows[-1]
+    return np.asarray(record) * dt, history, rows[-1]
 
 
 def _ladder_bath(basis, pops):
@@ -903,19 +906,22 @@ def fit_loglog_slope(xs, ys):
     ys = np.asarray(ys, dtype=float)
     if len(xs) < 2 or np.all(xs == xs[0]):
         raise ValidationError("fit_loglog_slope: need at least two distinct x values")
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0) or not np.all(np.isfinite(ys)):
+    if not all(np.all((0.0 < v) & (v < math.inf)) for v in (xs, ys)):  # nan included
         raise ValidationError("fit_loglog_slope: values must be finite and positive")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
+#: A dicke sweep's rules for each N's block index, by name.
+K_RULES = {"quarter": lambda N: N // 4, "half-minus-one": dicke_max_noninverted_k}
+
+
 def _sweep_k(k_rule, N):
     """Dicke block index of every N (an int or an integer array)."""
-    if k_rule == "quarter":
-        return N // 4
-    if k_rule == "half-minus-one":
-        return dicke_max_noninverted_k(N)
+    for name, rule in K_RULES.items():
+        if k_rule == name:
+            return rule(N)
     raise ValidationError(
-        f"k_rule: must be 'quarter' or 'half-minus-one', got {k_rule!r}"
+        f"k_rule: must be {' or '.join(map(repr, K_RULES))}, got {k_rule!r}"
     )
 
 
@@ -948,9 +954,7 @@ def scaling_sweep(family, N_list, params, p_e=None, n_bar=None, k_rule=None):
     # dicke: products of exact float factors, rounded once as float() of the ints
     r_e, r_d = FAMILIES[family].rates(Ns.astype(float), value if k is None else k.astype(float))
 
-    rate = _relaxation_rate(params.mu, r_e, r_d)
-    t_q = np.full(len(Ns), math.inf)
-    np.divide(1.0, rate, out=t_q, where=rate > 0.0)
+    t_q = _thermalization_times(params.mu, r_e, r_d)
     T_q = _temperatures(r_e, r_d)
 
     slopes = []

@@ -28,6 +28,11 @@ class NumericError(QollideError, RuntimeError):
 #: Largest N of any ``2**N``-sized basis, state or operator.
 MAX_QUBITS = 12
 
+#: Largest N of a spin ladder of ``N + 1`` populations (``ladder_history``,
+#: ``block_sizes``): its dense step map is ``(N+1)**2`` floats, and product
+#: multiplicities still fit a float below N = 1035.
+MAX_LADDER_N = 1024
+
 #: Largest N of a closed form or a sweep: every N, k and k(N-k+1) factor is
 #: then an exact float.
 MAX_SWEEP_N = 2**53
@@ -59,9 +64,10 @@ def _decimal(n):
 
 
 def check_integer(value, name, low=None, high=None):
-    """Refuse a ``value`` that is not an integer (a Python or numpy int), or
-    one below ``low`` or outside ``low..high``, where given."""
-    if not isinstance(value, (int, np.integer)):
+    """Refuse a ``value`` that is not an integer (a Python or numpy int; a
+    ``bool`` is not one), or one below ``low`` or outside ``low..high``,
+    where given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name}: must be an integer, got {value!r}")
     if high is not None and not low <= value <= high:
         raise ValidationError(f"{name}: must be in {low}..{_decimal(high)}, got {_decimal(value)}")
@@ -69,11 +75,12 @@ def check_integer(value, name, low=None, high=None):
         raise ValidationError(f"{name}: must be >= {low}, got {_decimal(value)}")
 
 
-def check_n(N, qubits_for=None, closed_form=False):
+def check_n(N, qubits_for=None, closed_form=False, ladder_for=None):
     """Refuse an N that is not an integer ``>= 1``.  With ``qubits_for``,
     the caller's name, N is held to ``1..MAX_QUBITS`` and a refusal of its
-    range names the caller; a ``closed_form`` N is held to
-    ``MAX_SWEEP_N``."""
+    range names the caller; with ``ladder_for`` an N above
+    ``MAX_LADDER_N`` is refused the same way; a ``closed_form`` N is held
+    to ``MAX_SWEEP_N``."""
     if qubits_for is None:
         check_integer(N, "N", 1)
     else:
@@ -82,6 +89,10 @@ def check_n(N, qubits_for=None, closed_form=False):
             raise ValidationError(
                 f"{qubits_for}: N={_decimal(N)} outside allowed range 1..{MAX_QUBITS}"
             )
+    if ladder_for is not None and N > MAX_LADDER_N:
+        raise ValidationError(
+            f"{ladder_for}: N={_decimal(N)} outside allowed range 1..{MAX_LADDER_N}"
+        )
     if closed_form and N > MAX_SWEEP_N:
         raise ValidationError("N: must be <= 2**53")
 
@@ -92,7 +103,7 @@ def check_ns(Ns, name="N"):
     is judged by its dtype and its ends, without iterating it."""
     array = isinstance(Ns, np.ndarray)
     if not (Ns.dtype.kind in "iu" if array else
-            all(isinstance(N, (int, np.integer)) for N in Ns)):
+            all(isinstance(N, (int, np.integer)) and not isinstance(N, bool) for N in Ns)):
         raise ValidationError(f"{name}: all N must be integers")
     low, high = (Ns.min(), Ns.max()) if array else (min(Ns), max(Ns))
     if low < 1:

@@ -631,6 +631,13 @@ class TestBathCsv:
             f"bath csv: header must be 'N=<n>,basis=excitation-sorted', got {header!r}"
         )
 
+    def test_header_n_not_an_integer(self):
+        with pytest.raises(ValidationError) as info:
+            bath_from_csv("N=abc,basis=excitation-sorted\n1,0\n0,1\n")
+        assert str(info.value) == (
+            "bath csv: cannot parse N from 'N=abc,basis=excitation-sorted'"
+        )
+
     def test_header_spaces_ignored(self):
         n, rho = bath_from_csv(" N = 1 , basis = excitation-sorted \n1,0\n0,1\n")
         assert n == 1 and np.array_equal(rho, np.eye(2))

@@ -72,6 +72,13 @@ class TestBasisOrdering:
         assert str(info.value) == f"state_label: index {s} out of range 0..7"
 
 
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_block_slice_refuses_out_of_range_k(self, k):
+        with pytest.raises(ValidationError) as info:
+            basis_ordering(3).block_slice(k)
+        assert str(info.value) == f"block_slice: k={k} out of range 0..3"
+
+
 class TestCollectiveOps:
     def test_single_qubit_lowering(self):
         ops = build_collective_ops(1)

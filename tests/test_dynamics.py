@@ -46,7 +46,7 @@ from qollide import (
     thermalization_time,
     validate_bath,
 )
-from qollide import dynamics, errors
+from qollide import collective, dynamics, errors
 from qollide.baths import thermal_hec_rates
 from qollide.dynamics import (
     SWEEP_CSV_HEADER,
@@ -90,6 +90,11 @@ class TestClosedFormLaws:
     def test_no_coupling_sentinel(self):
         c = MeqCoefficients(0j, 0j, 0.0, 0.0, 1.0, 1.0)
         assert thermalization_time(c) == math.inf
+
+    def test_steady_state_without_rates_refused(self):
+        with pytest.raises(ValidationError) as info:
+            steady_state(MeqCoefficients(0j, 0j, 0.0, 0.0, 1.0, 1.0))
+        assert str(info.value) == "steady_state: r_e + r_d must be positive"
 
     def test_steady_state_values(self):
         c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
@@ -1408,7 +1413,13 @@ N_ENTRY_POINTS = {
         lambda N: scaling_sweep("dicke", np.array([8, N]), PARAMS, k_rule="quarter"),
         "N_list: all N must be integers",
     ),
+    "LadderState": (lambda N: LadderState(N, np.eye(5)[0]), "N: must be an integer, got {!r}"),
 }
+
+#: Values of N that are not integers, by test id.  numpy reads ``[8, True]``
+#: as the integer array ``[8, 1]``, so ``True`` is not tried on the array
+#: entry.
+NON_INTEGER_N = {"4.5": 4.5, "4.0": 4.0, "np-3.0": np.float64(3.0), "str": "4", "bool": True}
 
 
 class TestIntegerN:
@@ -1416,10 +1427,11 @@ class TestIntegerN:
     :class:`ValidationError`, not rounded, run as a float or left to a
     ``TypeError``; numpy integers are integers."""
 
-    @pytest.mark.parametrize("entry", N_ENTRY_POINTS)
-    @pytest.mark.parametrize(
-        "N", [4.5, 4.0, np.float64(3.0), "4"], ids=["4.5", "4.0", "np-3.0", "str"]
-    )
+    @pytest.mark.parametrize("N, entry", [
+        pytest.param(N, entry, id=f"{name}-{entry}")
+        for name, N in NON_INTEGER_N.items() for entry in N_ENTRY_POINTS
+        if not (N is True and entry == "scaling_sweep-array")
+    ])
     def test_non_integer_refused(self, entry, N):
         call, message = N_ENTRY_POINTS[entry]
         with pytest.raises(ValidationError) as info:
@@ -1521,9 +1533,10 @@ class TestIntegerCounts:
              "n_trajectories: must be an integer, got 2.5"),
             ("collision_chain", {**STOCHASTIC, "seed": 1.5}, "seed: must be an integer, got 1.5"),
             ("collision_chain", {**STOCHASTIC, "seed": "a"}, "seed: must be an integer, got 'a'"),
+            ("ladder_history", {"n_records": True}, "n_records: must be an integer, got True"),
         ],
         ids=["ode-records", "collisions-records", "ladder-records", "trajectories",
-             "float-seed", "str-seed"],
+             "float-seed", "str-seed", "bool-records"],
     )
     def test_non_integer_refused(self, entry, kwargs, message):
         with pytest.raises(ValidationError) as info:
@@ -2045,6 +2058,51 @@ class TestPrepareThermalDicke:
         with pytest.raises(ValidationError):
             LadderState(2, np.array([1.2, -0.2, 0.0]))
 
+    @pytest.mark.parametrize(
+        "pops, message",
+        [
+            ([math.nan, 0.5, 0.5], "LadderState: populations must be finite"),
+            ([math.inf, -math.inf, 1.0], "LadderState: populations must be finite"),
+            ([0.5, math.nan, 0.5], "LadderState: populations must be finite"),
+            ([0.5, 0.5], "LadderState: expected 3 populations, got shape (2,)"),
+        ],
+        ids=["nan-first", "inf", "nan-middle", "shape"],
+    )
+    def test_ladder_state_refusals(self, pops, message):
+        with pytest.raises(ValidationError) as info:
+            LadderState(2, pops)
+        assert str(info.value) == message
+
+
+class TestLadderLimit:
+    """``ladder_history`` and ``block_sizes`` take N up to ``MAX_LADDER_N``
+    and refuse a larger one, naming themselves, before anything is built."""
+
+    def test_limit_value(self):
+        assert errors.MAX_LADDER_N == 1024
+
+    def test_ladder_history_at_the_limit(self):
+        # gamma0 small enough that the one-step map is nonnegative
+        times, history, final = ladder_history(1024, 0.5, 1e-6, 0.1, 0.1)
+        assert times.tolist() == [0.0, 0.1] and history.shape == (2, 1025)
+        assert final.tobytes() == history[-1].tobytes()
+
+    def test_block_sizes_at_the_limit(self):
+        sizes = block_sizes(1024)
+        assert len(sizes) == 1025 and sum(sizes) == 2**1024
+
+    @pytest.mark.parametrize("entry", ["ladder_history", "block_sizes"])
+    @pytest.mark.parametrize("N", [1025, 2000, 10**5000], ids=["1025", "2000", "huge"])
+    def test_above_the_limit(self, entry, N, monkeypatch):
+        monkeypatch.setattr(dynamics, "_ladder_generator", None)  # nothing is built
+        monkeypatch.setattr(collective, "comb", None)
+        call = {"ladder_history": lambda: ladder_history(N, 0.5, 1.0, 1.0, 0.1),
+                "block_sizes": lambda: block_sizes(N)}[entry]
+        shown = "<int of 16610 bits>" if N == 10**5000 else N
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == f"{entry}: N={shown} outside allowed range 1..1024"
+
 
 class TestScalingSweep:
     def test_rows_contents(self):
@@ -2190,6 +2248,11 @@ class TestTrajectory:
             Trajectory.from_states(
                 [0.0, 0.0], [ground_state(), ground_state()], 1.0
             )
+
+    def test_states_not_matching_times_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            Trajectory.from_states([0.0, 1.0], [ground_state()], 1.0)
+        assert str(info.value) == "Trajectory: states shape (1, 2, 2) does not match 2 records"
 
 
 # ---------------------------------------------------------------------------
@@ -2544,6 +2607,16 @@ class TestSweepOracle:
             scaling_sweep("product", [4, 2**53 + 1], PARAMS, p_e=0.5)
         row = scaling_sweep("dicke", [2**53], PARAMS, k_rule="quarter").rows[0]
         assert row == _sweep_row_oracle("dicke", 2**53, PARAMS, None, None, "quarter")
+
+
+class TestFitRefusesNonFiniteX:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refused_before_the_fit(self, bad, capfd):
+        # np.polyfit on a nan x prints LAPACK's DLASCL complaint to stderr
+        with pytest.raises(ValidationError) as info:
+            fit_loglog_slope([bad, 2.0, 3.0], [1.0, 2.0, 3.0])
+        assert str(info.value) == "fit_loglog_slope: values must be finite and positive"
+        assert capfd.readouterr().err == ""
 
 
 class TestFitNeedsTwoDistinctN:

@@ -144,6 +144,12 @@ class TestValidateDensityMatrix:
         with pytest.raises(ValidationError, match="positivity"):
             validate_density_matrix(bad)
 
+    @pytest.mark.parametrize("bad", [np.ones(4), np.ones((1, 2, 2))], ids=["1-D", "3-D"])
+    def test_not_a_matrix_refused(self, bad):
+        with pytest.raises(ValidationError) as info:
+            validate_density_matrix(bad)
+        assert str(info.value) == f"expected a matrix, got array of shape {bad.shape}"
+
     def test_non_square_named(self):
         with pytest.raises(ValidationError):
             validate_density_matrix(np.ones((2, 3)))

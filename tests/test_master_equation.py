@@ -89,6 +89,19 @@ class TestMeqCoefficients:
         with pytest.raises(ValidationError, match="r_e"):
             MeqCoefficients(0j, 0j, -0.5, 1.0, 1.0, 1.0)
 
+    def test_negative_mu_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            MeqCoefficients(0j, 0j, 1.0, 1.0, -0.5, 1.0)
+        assert str(info.value) == "mu: must be >= 0, got -0.5"
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_state_of_another_size_rejected(self, dim):
+        with pytest.raises(ValidationError) as info:
+            coefficients_from_state(np.eye(dim) / dim, cached_ops(2), PARAMS)
+        assert str(info.value) == (
+            f"coefficients_from_state: state shape ({dim}, {dim}) does not match N=2"
+        )
+
     def test_rounding_negative_clamped(self):
         c = MeqCoefficients(0j, 0j, -1e-15, 1.0, 1.0, 1.0)
         assert c.r_e == 0.0
