@@ -917,9 +917,8 @@ K_RULES = {"quarter": lambda N: N // 4, "half-minus-one": dicke_max_noninverted_
 
 def _sweep_k(k_rule, N):
     """Dicke block index of every N (an int or an integer array)."""
-    for name, rule in K_RULES.items():
-        if k_rule == name:
-            return rule(N)
+    if isinstance(k_rule, str) and k_rule in K_RULES:
+        return K_RULES[k_rule](N)
     raise ValidationError(
         f"k_rule: must be {' or '.join(map(repr, K_RULES))}, got {k_rule!r}"
     )

@@ -81,18 +81,10 @@ def check_n(N, qubits_for=None, closed_form=False, ladder_for=None):
     range names the caller; with ``ladder_for`` an N above
     ``MAX_LADDER_N`` is refused the same way; a ``closed_form`` N is held
     to ``MAX_SWEEP_N``."""
-    if qubits_for is None:
-        check_integer(N, "N", 1)
-    else:
-        check_integer(N, "N")
-        if not 1 <= N <= MAX_QUBITS:
-            raise ValidationError(
-                f"{qubits_for}: N={_decimal(N)} outside allowed range 1..{MAX_QUBITS}"
-            )
-    if ladder_for is not None and N > MAX_LADDER_N:
-        raise ValidationError(
-            f"{ladder_for}: N={_decimal(N)} outside allowed range 1..{MAX_LADDER_N}"
-        )
+    check_integer(N, "N", 1 if qubits_for is None else None)
+    for caller, high in ((qubits_for, MAX_QUBITS), (ladder_for, MAX_LADDER_N)):
+        if caller is not None and not 1 <= N <= high:
+            raise ValidationError(f"{caller}: N={_decimal(N)} outside allowed range 1..{high}")
     if closed_form and N > MAX_SWEEP_N:
         raise ValidationError("N: must be <= 2**53")
 
