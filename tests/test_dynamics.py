@@ -2114,6 +2114,15 @@ class TestScalingSweep:
         assert r0.t_q == pytest.approx(0.1, rel=1e-12)
         assert r0.T_q == pytest.approx(2.4663034623764313, abs=1e-12)
 
+    def test_rate_too_small_to_invert_gives_infinite_t_q(self):
+        # mu = 1e-320: 1 / rate overflows, as in thermalization_time, with no
+        # numpy overflow warning (an error under this suite's filter)
+        params = CollisionParams(g=1e-160, tau=1.0, p=1.0)
+        res = scaling_sweep("product", [4, 8], params, p_e=0.5)
+        assert res.t_q.tolist() == [math.inf, math.inf]
+        c = coefficients_for(BathSpec.product_mixed(4, 0.5), params)
+        assert thermalization_time(c) == math.inf
+
     def test_product_time_slope_is_exactly_minus_one(self):
         res = scaling_sweep("product", range(2, 33, 2), PARAMS, p_e=0.2)
         assert res.slope_t_q == pytest.approx(-1.0, abs=0.01)
