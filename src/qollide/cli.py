@@ -15,7 +15,9 @@ Every float option reads ``-0`` as ``0`` (a refused one echoes ``0.0``).
 An ``--n-points`` of zero or less records nothing: the trajectory or
 ladder CSV is its header alone, written after the same checks as any other
 run, and ``prepare`` still writes the bath state at ``--t-end``, the same
-bytes for any ``--n-points``.  A failing ``prepare`` writes neither file.
+bytes for any ``--n-points``.  ``prepare`` solves the ladder's rate
+equations exactly, so its ``--dt`` sets only the times of the ladder rows.
+A failing ``prepare`` writes neither file.
 Every size limit is defined in :mod:`qollide.errors` and listed, with its
 refusal, in the table that opens README's "Scale limits": the qubit cap
 ``N <= 12`` of every ``2**N``-sized structure (the ``prepare`` state
@@ -351,9 +353,9 @@ def cmd_prepare(args, config):
     out_ladder = _get(args, config, "out_ladder", str)
     out_state = _get(args, config, "out_state", str)
 
-    basis = basis_ordering(N)  # the qubit cap, before integrating
-    # the bath state is always the one at t_end, however many ladder rows
-    # are recorded (none for a zero-length grid)
+    basis = basis_ordering(N)  # the qubit cap, before the ladder is solved
+    # the bath state is always the one at t_end, a product of its own
+    # however many ladder rows are recorded (none for a zero-length grid)
     times, history, final = ladder_history(
         N, n_bar, gamma0, t_end, dt, n_records=n_points
     )

@@ -754,66 +754,67 @@ class LadderState(Record, frozen=True):
         object.__setattr__(self, "populations", pops)
 
 
-def _ladder_generator(N, n_bar, gamma0):
-    """Rate matrix of the ladder populations under collective emission and
-    absorption: down rate ``gamma0 (n+1) k(N-k+1)``, up rate
-    ``gamma0 n (k+1)(N-k)``.  Each column loses what it passes on; adding
-    the three diagonals leaves every zero entry ``+0.0``."""
-    k = np.arange(N + 1.0)  # floats: products of integer inputs cannot wrap
-    down = gamma0 * (n_bar + 1.0) * k[1:] * (N - k[1:] + 1)
-    up = gamma0 * n_bar * (k[:-1] + 1) * (N - k[:-1])
-    loss = -np.append(0.0, down) - np.append(up, 0.0)
-    return np.diag(loss) + np.diag(down, 1) + np.diag(up, -1)
+def _ladder_rates(N, n_bar):
+    """Ladder rates of collective emission and absorption in units of
+    ``gamma0 (n_bar + 1)``, k = 1..N: ``down[k-1] = k (N-k+1)`` from ``k``,
+    and ``up[k-1] = r down[k-1]`` into ``k``, with ``r = n_bar/(n_bar+1) =
+    pi_k/pi_{k-1}``.  Returns ``(r, down, up)``, with no ``-0.0``."""
+    k = np.arange(1, N + 1.0)  # floats: products of integer inputs cannot wrap
+    r = n_bar / (n_bar + 1.0) + 0.0  # + 0.0: n_bar = -0.0 gives r = +0.0
+    down = k * (N - k + 1)
+    return r, down, r * down
 
 
 def ladder_history(N, n_bar, gamma0, t_end, dt, n_records=None):
-    """Integrate the ladder rate equations from the collective ground state.
+    """Solve the ladder rate equations exactly from the collective ground
+    state, at whole steps ``dt`` up to ``t_end``.
 
-    Fixed-step classical RK4; the rate equations are linear with a constant
-    generator, so the step is one (N+1)x(N+1) map applied through its
-    powers between records.  Returns ``(times, populations, final)``: one
-    row per record, and the populations at ``t_end``, one power of the whole
-    step count whichever steps are recorded (a record at ``t_end`` is that
-    same state).  Raises :class:`NumericError` on population negativity (step
-    too large) or normalization drift.  An entrywise nonnegative step map
-    keeps every population nonnegative, so only the recorded and the final
-    states are checked; otherwise every step is checked, so that a
-    transient negativity is caught too, and the records are taken from
-    those steps.  Such a grid of more than :data:`~qollide.errors.MAX_RECORDS`
-    steps is refused before it is propagated, and an N above
-    :data:`~qollide.errors.MAX_LADDER_N` before anything is built.
+    Under detailed balance, ``pi_k ∝ r^k``, the generator symmetrized by
+    ``sqrt(pi)`` is ``Q diag(lam) Q^T``, so ``p_k(t) = r^(k/2) sum_i Q_ki
+    exp(lam_i t) Q_0i``: one ``eigh`` of ``N + 1`` rows, then one product
+    per record; ``dt`` sets only the grid.  Returns ``(times, populations,
+    final)``: one row per record, and the state at the last step, a product
+    of its own however the steps are recorded (a record there is that same
+    state).  The stationary ``lam`` is 0 and the ``t = 0`` row is ``[1, 0,
+    ...]``, exactly.  Population negativity or normalization drift of any
+    of them, a rounding guard, raises :class:`NumericError`; an N above
+    :data:`~qollide.errors.MAX_LADDER_N` is refused before anything is built.
     """
     check_n(N, ladder_for="ladder_history")
     check_finite(n_bar, "n_bar", allow_zero=True)
     check_finite(gamma0, "gamma0")
     n_steps = _step_count(t_end, dt)
-    step_mat = _rk4_step_matrix(_ladder_generator(N, n_bar, gamma0), dt)
-    pops0 = np.zeros(N + 1)
-    pops0[0] = 1.0
-    negative = bool(np.any(step_mat < 0.0))
-    if negative:
-        check_count(n_steps + 1, f"dt: the ladder step map at dt={dt:.3g} has a negative entry,"
-                    " so all {} steps would be checked, over the limit of {}; reduce dt")
-    record = _record_indices(n_steps, n_records)
-    checked = _record_indices(n_steps, None) if negative else record
-    steps = [*(step for step in checked if step < n_steps), n_steps]
-    rows = _propagate(step_mat, pops0, steps)
-    # the state at t_end is one power of the whole step count, whichever
-    # steps are recorded; a record at n_steps is that same state
-    rows[-1] = _propagate(step_mat, pops0, [n_steps])[0]
+    steps = np.array([*_record_indices(n_steps, n_records), n_steps])
+    r, down, up = _ladder_rates(N, n_bar)
+    loss = np.append(0.0, down) + np.append(up, 0.0)
+    # the generator symmetrized by sqrt(pi), in the lower triangle eigh reads
+    lam, vecs = np.linalg.eigh(np.diag(np.sqrt(up * down), -1) - np.diag(loss))
+    lam[-1] = 0.0  # the stationary mode, the largest, exactly
+    scaled = vecs * (np.sqrt(r) ** np.arange(N + 1.0))[:, None]  # r^(k/2) Q_ki
+
+    def populations(steps):
+        # lam is in units of gamma0 (n_bar + 1); times lam comes first, so
+        # lam = 0 stays 0 at any time, and an overflow is a mode decayed to 0
+        with np.errstate(over="ignore"):
+            modes = np.exp(np.multiply.outer(steps * dt, lam) * gamma0 * (n_bar + 1.0)) * vecs[0]
+        rows = modes @ scaled.T
+        rows[steps == 0] = np.eye(1, N + 1)  # not the rounded Q Q^T
+        return rows
+
+    # the final state is a product of its own, so its bytes do not depend on
+    # the records; a record at the last step is that same array
+    rows = populations(steps)
+    rows[steps == n_steps] = populations(steps[-1:])
     lowest = rows.min(axis=1)
     drift = rows.sum(axis=1) - 1.0
     _refuse_first(
         steps,
         (lowest < MIN_POPULATION, lowest,
-         "ladder integration: population negativity {:.3e} at step {}; reduce dt"),
+         "ladder integration: population negativity {:.3e} at step {}"),
         (~(np.abs(drift) <= TOL_DRIFT), drift,  # nan included
          "ladder integration: normalization drift {:.3e} at step {}"),
     )
-    # every step checked: row i holds step i; else the records are the rows
-    # up to the final state, which is the last of them when it is recorded
-    history = rows[record] if negative else rows[: len(record)]
-    return np.asarray(record) * dt, history, rows[-1]
+    return steps[:-1] * dt, rows[:-1], rows[-1]
 
 
 def _ladder_bath(basis, pops):
@@ -828,7 +829,8 @@ def prepare_thermal_dicke(N, n_bar, gamma0, t_end, dt):
     """Thermalize the collective ladder and map it to the product basis.
 
     Starting from ``|g...g>`` the dynamics stays inside the fully symmetric
-    ladder, so an (N+1)-dimensional rate equation suffices.  For
+    ladder, so an (N+1)-dimensional rate equation, solved exactly by
+    :func:`ladder_history`, suffices.  For
     ``t_end >> 1/gamma0`` consecutive populations approach the Gibbs ratio
     ``n_bar/(n_bar+1)`` and the product-basis image coincides with the
     thermal-hec bath, ``validate_bath(BathSpec.thermal_hec(N, n_bar))``.

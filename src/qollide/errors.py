@@ -29,8 +29,8 @@ class NumericError(QollideError, RuntimeError):
 MAX_QUBITS = 12
 
 #: Largest N of a spin ladder of ``N + 1`` populations (``ladder_history``,
-#: ``block_sizes``): its dense step map is ``(N+1)**2`` floats, and product
-#: multiplicities still fit a float below N = 1035.
+#: ``block_sizes``): its eigendecomposition is ``(N+1)**2`` floats, and
+#: product multiplicities still fit a float below N = 1035.
 MAX_LADDER_N = 1024
 
 #: Largest N of a closed form or a sweep: every N, k and k(N-k+1) factor is
@@ -115,7 +115,7 @@ def check_finite(value, name, allow_zero=False):
 
 
 def check_count(count, refusal=TOO_MANY_RECORDS):
-    """Refuse a ``count`` of records, sweep points or checked steps above
+    """Refuse a ``count`` of records or sweep points above
     :data:`MAX_RECORDS`, before anything of that size is built;
     ``refusal``, formatted with the count and the limit, is its text."""
     if count > MAX_RECORDS:

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1157,94 +1158,53 @@ class TestPropagatorOracles:
 
     @pytest.mark.parametrize("n_records", RECORD_CASES)
     def test_ladder_matches_step_loop(self, n_records):
-        from qollide.dynamics import _ladder_generator
-
-        gen = _ladder_generator(3, 0.7, 1.0)
-        times, history, final = ladder_history(3, 0.7, 1.0, 0.5, 0.05, n_records)
-        want, want_final, _ = _ladder_oracle(gen, 0.5, 0.05, n_records)
-        assert len(times) == len(want)
-        assert np.max(np.abs(history - want), initial=0.0) <= 1e-12
-        assert np.max(np.abs(final - want_final)) <= 1e-12
+        # an RK4 step loop at a stable dt misses the exact ladder by its
+        # O(dt^4) error: within 20 dt^4, and about 16 times less at dt/2
+        gen = _ladder_generator_oracle(3, 0.7, 1.0)
+        errs = []
+        for dt in (0.05, 0.025):
+            times, history, final = ladder_history(3, 0.7, 1.0, 0.5, dt, n_records)
+            want, want_final, negative_at = _ladder_oracle(gen, 0.5, dt, n_records)
+            assert negative_at is None and len(times) == len(want)
+            errs.append(max(np.max(np.abs(history - want), initial=0.0),
+                            np.max(np.abs(final - want_final))))
+            assert errs[-1] <= 20 * dt**4
+        assert errs[0] >= 12 * errs[1]
 
     def test_ladder_zero_time(self):
         times, history, final = ladder_history(2, 1.0, 1.0, 0.0, 0.1, n_records=1)
         assert times.tolist() == [0.0]
         assert history.tolist() == [[1.0, 0.0, 0.0]] == [final.tolist()]
 
-    def test_ladder_negativity_reported_at_first_recorded_step(self):
-        from qollide.dynamics import _ladder_generator
-
-        _, _, step = _ladder_oracle(_ladder_generator(6, 1.0, 1.0), 10.0, 1.0)
-        assert step is not None
-        with pytest.raises(NumericError, match=f"negativity .* at step {step};"):
-            prepare_thermal_dicke(6, 1.0, 1.0, t_end=10.0, dt=1.0)
-
     def test_ladder_final_state_checked_without_records(self, monkeypatch):
-        # a nonnegative step map: only the records and the final state are
-        # checked, so a drifted final state is caught with no records
-        real = dynamics._propagate
-
-        def drifted(step_mat, vec0, steps):
-            rows = real(step_mat, vec0, steps)
-            rows[-1, 0] += 1e-6  # the final state, asked for last
-            return rows
-
-        monkeypatch.setattr(dynamics, "_propagate", drifted)
+        # no state passes a negative tolerance, so the refusal names the
+        # first checked step: with no records, the final state
+        monkeypatch.setattr(dynamics, "TOL_DRIFT", -1.0)
         with pytest.raises(NumericError, match="normalization drift .* at step 10$"):
             ladder_history(3, 0.7, 1.0, t_end=0.5, dt=0.05, n_records=0)
-
-    @pytest.mark.parametrize("n_records", RECORD_CASES)
-    def test_ladder_negative_step_map_checked_at_every_step(self, n_records):
-        from qollide.dynamics import _ladder_generator
-
-        _, _, step = _ladder_oracle(_ladder_generator(6, 1.0, 1.0), 10.0, 1.0)
-        assert step is not None and step < 10
-        with pytest.raises(NumericError, match=f"negativity .* at step {step};"):
-            ladder_history(6, 1.0, 1.0, t_end=10.0, dt=1.0, n_records=n_records)
+        with pytest.raises(NumericError, match="normalization drift .* at step 0$"):
+            ladder_history(3, 0.7, 1.0, t_end=0.5, dt=0.05, n_records=2)
 
     @pytest.mark.parametrize("n_records", [None, 0, 3])
-    def test_ladder_negative_step_map_over_limit_refused_before_propagation(
-        self, monkeypatch, n_records
-    ):
-        real = dynamics._propagate
-
-        def unreachable(*args):
-            raise AssertionError("propagated")
-
+    def test_ladder_held_only_to_the_records_it_keeps(self, monkeypatch, n_records):
+        # a 20-step grid at any dt: only a record count over the limit is
+        # refused
         monkeypatch.setattr(errors, "MAX_RECORDS", 10)
-        monkeypatch.setattr(dynamics, "_propagate", unreachable)
-        # 20 steps of a step map with a negative entry
-        with pytest.raises(
-            ValidationError,
-            match=r"^dt: the ladder step map at dt=0\.3 has a negative entry, so all 21 "
-            r"steps would be checked, over the limit of 10; reduce dt$",
-        ):
-            ladder_history(2, 1.0, 1.0, 6.0, 0.3, n_records)
-        # a nonnegative step map is held only to the records it keeps
-        monkeypatch.setattr(dynamics, "_propagate", real)
-        if n_records is not None:
-            times, _, _ = ladder_history(2, 1.0, 1.0, 0.2, 0.01, n_records)
+        if n_records is None:
+            with pytest.raises(ValidationError, match=r"^n_records: 21 records exceed the limit of 10;"):
+                ladder_history(2, 1.0, 1.0, 6.0, 0.3, n_records)
+        else:
+            times, _, _ = ladder_history(2, 1.0, 1.0, 6.0, 0.3, n_records)
             assert len(times) == n_records
 
     @pytest.mark.parametrize("n_records", RECORD_CASES)
-    def test_ladder_negative_step_map_records_from_every_step(self, n_records):
-        # this step map has a negative entry, yet keeps the populations
-        # nonnegative: the records are rows of the every-step history
-        from qollide.dynamics import _ladder_generator, _rk4_step_matrix
-
-        assert np.any(_rk4_step_matrix(_ladder_generator(2, 1.0, 1.0), 0.3) < 0.0)
+    def test_ladder_records_are_rows_of_every_step(self, n_records):
         _, every, every_final = ladder_history(2, 1.0, 1.0, 6.0, 0.3)
         times, history, final = ladder_history(2, 1.0, 1.0, 6.0, 0.3, n_records)
         record = _record_indices(20, n_records)
         assert times.tolist() == [0.3 * i for i in record]
-        assert np.array_equal(history, every[record])
-        assert np.array_equal(final, every_final)
-        want, want_final, negative_at = _ladder_oracle(
-            _ladder_generator(2, 1.0, 1.0), 6.0, 0.3, n_records
-        )
-        assert negative_at is None
-        assert np.max(np.abs(history - want), initial=0.0) <= 1e-12
-        assert np.max(np.abs(final - want_final)) <= 1e-12
+        np.testing.assert_allclose(history, every[record], rtol=0, atol=1e-15)
+        assert final.tobytes() == every_final.tobytes() == every[-1].tobytes()
 
     @pytest.mark.parametrize("n_records", RECORD_CASES)
     def test_deterministic_chain_matches_step_loop(self, n_records):
@@ -1304,19 +1264,36 @@ def _ladder_generator_oracle(N, n_bar, gamma0):
     return gen
 
 
+def _ladder_rates_oracle(N, n_bar):
+    """The ladder rates in units of ``gamma0 (n_bar + 1)``, one excitation
+    count at a time: down from ``k``, up from ``k - 1``, for k = 1..N."""
+    r = abs(n_bar) / (abs(n_bar) + 1.0)  # n_bar >= 0; -0.0 gives +0.0
+    down = [float(k * (N - k + 1)) for k in range(1, N + 1)]
+    up = [r * float(k * (N - k + 1)) for k in range(1, N + 1)]
+    return r, np.array(down), np.array(up)
+
+
 class TestLadderGeneratorOracle:
+    """The rate arrays the exact ladder reads: the same bits as a loop over
+    the excitation counts, and, scaled by ``gamma0 (n_bar + 1)``, the rate
+    matrix built one count at a time."""
+
     @pytest.mark.parametrize("N", range(1, 13))
     @pytest.mark.parametrize("n_bar", [0.0, -0.0, 0.3, 2.0, 1])
     @pytest.mark.parametrize("gamma0", [1.0, 0.37, 3])
     def test_same_bits_as_loop(self, N, n_bar, gamma0):
-        from qollide.dynamics import _ladder_generator
-
-        gen = _ladder_generator(N, n_bar, gamma0)
+        r, down, up = dynamics._ladder_rates(N, n_bar)
+        want_r, want_down, want_up = _ladder_rates_oracle(N, n_bar)
+        assert r == want_r and not math.copysign(1.0, r) < 0
+        for got, want in ((down, want_down), (up, want_up)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            # tobytes tells -0.0 from 0.0, which == does not
+            assert got.tobytes() == want.tobytes()
+            assert not np.any(np.signbit(got) & (got == 0.0))
+        gen = np.diag(down, 1) + np.diag(up, -1)
+        gen -= np.diag(gen.sum(axis=0))  # each column loses what it passes on
         want = _ladder_generator_oracle(N, n_bar, gamma0)
-        assert gen.dtype == want.dtype and gen.shape == want.shape
-        # tobytes tells -0.0 from 0.0, which == does not
-        assert gen.tobytes() == want.tobytes()
-        assert not np.any(np.signbit(gen) & (gen == 0.0))
+        np.testing.assert_allclose(gamma0 * (n_bar + 1.0) * gen, want, rtol=1e-15, atol=0)
 
 
 def _gap_power_oracle(step_mat, vec0, steps):
@@ -1610,11 +1587,6 @@ class TestOverflowRefused:
                 ground_state(), BathSpec.dicke(5, 2), params, 0.05, 0.001,
                 mode="second-order", scheme=scheme, n_trajectories=20, n_records=5,
             )
-
-    def test_ladder(self):
-        # the step map is nan: not negative, so the records are the states checked
-        with pytest.raises(NumericError, match="^ladder integration: normalization drift nan at step 10$"):
-            ladder_history(3, 0.2, 1e300, 2.0, 0.05, n_records=5)
 
 
 class TestRelaxationRateOverflow:
@@ -2043,9 +2015,11 @@ class TestPrepareThermalDicke:
                 n_bar / (n_bar + 1.0), abs=1e-6
             )
 
-    def test_large_step_detected(self):
-        with pytest.raises(NumericError):
-            prepare_thermal_dicke(6, 1.0, 1.0, t_end=10.0, dt=1.0)
+    def test_large_step_is_exact(self):
+        # dt sets only the grid: one step of 10 gives the state at t = 10
+        coarse, _ = prepare_thermal_dicke(6, 1.0, 1.0, t_end=10.0, dt=1.0)
+        fine, _ = prepare_thermal_dicke(6, 1.0, 1.0, t_end=10.0, dt=0.001)
+        np.testing.assert_allclose(coarse.populations, fine.populations, rtol=0, atol=1e-14)
 
     def test_history_short_run(self):
         times, history, _ = ladder_history(3, 1.0, 1.0, t_end=0.0, dt=0.1)
@@ -2082,8 +2056,7 @@ class TestLadderLimit:
         assert errors.MAX_LADDER_N == 1024
 
     def test_ladder_history_at_the_limit(self):
-        # gamma0 small enough that the one-step map is nonnegative
-        times, history, final = ladder_history(1024, 0.5, 1e-6, 0.1, 0.1)
+        times, history, final = ladder_history(1024, 0.5, 1.0, 0.1, 0.1)
         assert times.tolist() == [0.0, 0.1] and history.shape == (2, 1025)
         assert final.tobytes() == history[-1].tobytes()
 
@@ -2094,14 +2067,20 @@ class TestLadderLimit:
     @pytest.mark.parametrize("entry", ["ladder_history", "block_sizes"])
     @pytest.mark.parametrize("N", [1025, 2000, 10**5000], ids=["1025", "2000", "huge"])
     def test_above_the_limit(self, entry, N, monkeypatch):
-        monkeypatch.setattr(dynamics, "_ladder_generator", None)  # nothing is built
+        monkeypatch.setattr(np.linalg, "eigh", None)  # nothing is decomposed
         monkeypatch.setattr(collective, "comb", None)
         call = {"ladder_history": lambda: ladder_history(N, 0.5, 1.0, 1.0, 0.1),
                 "block_sizes": lambda: block_sizes(N)}[entry]
         shown = "<int of 16610 bits>" if N == 10**5000 else N
-        with pytest.raises(ValidationError) as info:
-            call()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as info:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert str(info.value) == f"{entry}: N={shown} outside allowed range 1..1024"
+        assert peak < 64 * 1024  # nothing of the ladder's size is built
 
 
 class TestScalingSweep:
@@ -2685,8 +2664,12 @@ class TestTimeGridLimits:
             integrate_master(ground_state(), c, 1e3, 1e-4)
 
 
-class TestPrepareChecksStepMapOnce:
-    def test_nonnegative_step_map_records_no_steps(self, monkeypatch):
+class TestPrepareRecordsNoSteps:
+    """``prepare_thermal_dicke`` asks the ladder for its final state alone,
+    at any ``dt``."""
+
+    @pytest.mark.parametrize("N, dt", [(1, 0.001), (6, 1.0)])
+    def test_records_no_steps(self, monkeypatch, N, dt):
         seen = []
         real = dynamics._record_indices
 
@@ -2695,30 +2678,16 @@ class TestPrepareChecksStepMapOnce:
             return real(n_steps, n_records)
 
         monkeypatch.setattr(dynamics, "_record_indices", spy)
-        ladder, _ = prepare_thermal_dicke(1, 0.5, 1.0, t_end=30.0, dt=0.001)
+        ladder, _ = prepare_thermal_dicke(N, 0.5, 1.0, t_end=10.0, dt=dt)
         assert seen == [0]
-        *_, final = ladder_history(1, 0.5, 1.0, t_end=30.0, dt=0.001, n_records=0)
+        *_, final = ladder_history(N, 0.5, 1.0, t_end=10.0, dt=dt, n_records=0)
         assert np.array_equal(ladder.populations, np.clip(final, 0.0, None))
-
-    def test_negative_step_map_checks_every_step(self, monkeypatch):
-        seen = []
-        real = dynamics._record_indices
-
-        def spy(n_steps, n_records):
-            seen.append(n_records)
-            return real(n_steps, n_records)
-
-        monkeypatch.setattr(dynamics, "_record_indices", spy)
-        with pytest.raises(NumericError):
-            prepare_thermal_dicke(6, 1.0, 1.0, t_end=10.0, dt=1.0)
-        # the requested (no) records, then every step for the check
-        assert seen == [0, None]
 
     @pytest.mark.parametrize(
         "N, n_bar, t_end, dt", [(1, 0.5, 30.0, 0.001), (4, 1.3, 10.0, 0.002), (8, 0.5, 5.0, 0.01)]
     )
     def test_agrees_with_every_step_history(self, N, n_bar, t_end, dt):
-        # the one matrix power agrees with the step-by-step products to rounding
+        # the final state's own product agrees with every step's to rounding
         ladder, _ = prepare_thermal_dicke(N, n_bar, 1.0, t_end=t_end, dt=dt)
         _, history, _ = ladder_history(N, n_bar, 1.0, t_end=t_end, dt=dt)
         assert np.all(history >= -1e-10)

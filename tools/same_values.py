@@ -27,8 +27,10 @@ It then meets the limits at their boundaries.  The single-N entry points
 and ``coefficients_for``) take N in {-1, 0, 1, 12, 13, 2**53, 2**53+1,
 4.5, "4", np.int64(4)}; ``scaling_sweep`` and ``dicke_max_noninverted_k``
 take integer lists and arrays, valid or holding 0, 2**53+1 or a float;
-and every engine, ``scaling_sweep`` and ``parse_n_range`` are asked for
-one record or sweep point over the limit of 1,000,000.
+``ladder_history`` takes N = 1024 and 1025, either side of its limit, on a
+grid of three records; and every engine, ``scaling_sweep`` and
+``parse_n_range`` are asked for one record or sweep point over the limit
+of 1,000,000.
 """
 
 import argparse
@@ -120,6 +122,8 @@ def limit_grid(params):
     for name, call in single.items():
         for N in LIMIT_NS:
             yield f"{name} N={N!r}", lambda c=call, N=N: c(N)
+    for N in (1024, 1025):  # MAX_LADDER_N and one more
+        yield f"ladder_history N={N}", lambda N=N: ladder_history(N, 0.5, 1.0, 0.1, 0.05, 3)
     for Ns in (*LIMIT_LISTS, *map(np.array, LIMIT_LISTS)):
         label = f"{type(Ns).__name__} {Ns!r}"
         yield f"scaling_sweep {label}", lambda Ns=Ns: scaling_sweep(
@@ -136,8 +140,6 @@ def limit_grid(params):
         "collision_chain": lambda: collision_chain(
             ground_state(), BathSpec.dicke(4, 1), params, 1.0, 1e-7, n_records=OVER_LIMIT),
         "ladder_history": lambda: ladder_history(3, 1.0, 1.0, 1.0, 1e-7, n_records=OVER_LIMIT),
-        # every step checked: the step map at dt = 1 has a negative entry
-        "ladder_history steps": lambda: ladder_history(3, 1.0, 1e6, OVER_LIMIT - 1, 1.0),
     }
     for name, call in over.items():
         yield f"{name} over the record limit", call
