@@ -42,6 +42,7 @@ from __future__ import annotations
 import io
 import math
 import warnings
+from operator import mul
 
 import numpy as np
 
@@ -378,20 +379,45 @@ def classify_coherences(N):
 BATH_CSV_BASIS = "excitation-sorted"
 
 
+def _run_starts(flat, width):
+    """Where the runs of equal entries of ``flat``'s rows of ``width`` start:
+    at each row start and at each entry unequal to the one before it, so a
+    NaN is a run of its own and ``-0.0`` joins a run of ``0.0``."""
+    starts = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::width] = True
+    return np.flatnonzero(starts)
+
+
 def bath_to_csv(rho, N):
     """Serialize a bath matrix in canonical order to the CSV wire format.
 
-    Each distinct value is formatted once: bath states repeat few values
-    (a ladder state has ``N + 2`` of them, counting zero).  Values that
-    compare equal format identically, ``-0.0`` included, and NaNs are kept
-    apart, so the text is the same as entry by entry.
+    ``N`` is held to ``1..MAX_QUBITS`` and ``rho`` to ``2^N x 2^N``, as the
+    reader holds them, before any text is built.  Each row is written by
+    runs of equal entries, and each distinct run value is formatted once:
+    a ladder state has about three runs a row and ``N + 2`` values,
+    counting zero.  Values that compare equal format identically, ``-0.0``
+    included, and NaNs are kept apart, so the text is the same as entry by
+    entry.  One row's runs are held at a time.
     """
+    check_n(N, "bath csv")
+    dim = 2**N
     rho = np.asarray(rho, dtype=complex)
-    values, inverse = np.unique(rho.ravel(), return_inverse=True, equal_nan=False)
-    cells = np.array([fmt_complex(z) for z in values], dtype=object)
-    rows = cells[inverse].reshape(rho.shape).tolist()
-    lines = [f"N={N},basis={BATH_CSV_BASIS}", *(",".join(row) for row in rows)]
-    return "\n".join(lines) + "\n"
+    if rho.shape != (dim, dim):
+        raise ValidationError(
+            f"bath csv: expected a {dim}x{dim} matrix for N={N}, got shape {rho.shape}"
+        )
+    flat = rho.ravel()
+    first = _run_starts(flat, dim)
+    values, inverse = np.unique(flat[first], return_inverse=True, equal_nan=False)
+    cells = np.array([fmt_complex(z) + "," for z in values], dtype=object)
+    runs = cells[inverse].tolist()
+    lengths = np.diff(first, append=flat.size).tolist()
+    bounds = np.searchsorted(first, np.arange(0, flat.size + 1, dim)).tolist()
+    lines = [f"N={N},basis={BATH_CSV_BASIS}"]
+    lines += ["".join(map(mul, runs[a:b], lengths[a:b]))[:-1] for a, b in zip(bounds, bounds[1:])]
+    lines.append("")  # the final newline, without a copy of the whole text
+    return "\n".join(lines)
 
 
 def _parse_header(line):
@@ -486,8 +512,11 @@ def bath_from_csv(text):
 
 
 def save_bath_csv(path, rho, N):
+    """Write ``bath_to_csv(rho, N)`` to ``path``; a refused bath leaves
+    ``path`` as it was, because the text is built before the file opens."""
+    text = bath_to_csv(rho, N)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(bath_to_csv(rho, N))
+        fh.write(text)
 
 
 def load_bath_csv(path):

@@ -682,14 +682,20 @@ class TestBathCsv:
             lines.append(",".join(fmt_complex(z) for z in row))
         return "\n".join(lines) + "\n"
 
+    @classmethod
+    def _assert_per_entry(cls, text, rho, N):
+        """``text`` is the reference writer's, compared line by line: a
+        failure names the first line that differs, without a diff of the text."""
+        assert text.split("\n") == cls._per_entry_csv(rho, N).split("\n")
+
     def test_writer_matches_per_entry_full_rank(self, rng):
         rho = random_density_matrix(rng, 2**5)
-        assert bath_to_csv(rho, 5) == self._per_entry_csv(rho, 5)
+        self._assert_per_entry(bath_to_csv(rho, 5), rho, 5)
 
     def test_writer_matches_per_entry_ladder_state(self):
         _, rho = prepare_thermal_dicke(8, 0.5, 1.0, t_end=5.0, dt=0.01)
         assert len(np.unique(rho)) < 20
-        assert bath_to_csv(rho, 8) == self._per_entry_csv(rho, 8)
+        self._assert_per_entry(bath_to_csv(rho, 8), rho, 8)
 
     def test_writer_matches_per_entry_signed_zeros_and_non_finite(self):
         z = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
@@ -698,8 +704,116 @@ class TestBathCsv:
              complex(-0.0, 0.25), complex(0.25, -0.0)]
         rho = np.array(z + z[:3], dtype=complex).reshape(4, 4)
         text = bath_to_csv(rho, 2)
-        assert text == self._per_entry_csv(rho, 2)
+        self._assert_per_entry(text, rho, 2)
         assert "-0j" not in text and ",-0+" not in text
+
+    def test_writer_run_does_not_cross_a_row(self):
+        # row r ends with the value row r + 1 starts with
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 2:] = rho[1, :3] = 0.125
+        rho[2, 3] = rho[3, 0] = complex(np.nan, 1.0)
+        text = bath_to_csv(rho, 2)
+        self._assert_per_entry(text, rho, 2)
+        assert text.splitlines()[1:3] == [
+            "0+0j,0+0j,0.125+0j,0.125+0j", "0.125+0j,0.125+0j,0.125+0j,0+0j"
+        ]
+
+    @pytest.mark.parametrize("value", [0.0, 1 / 64, complex(-0.0, -0.0), np.nan, -np.inf])
+    def test_writer_matches_per_entry_all_equal(self, value):
+        rho = np.full((64, 64), value, dtype=complex)
+        self._assert_per_entry(bath_to_csv(rho, 6), rho, 6)
+
+    def test_writer_matches_per_entry_runs_of_signed_zeros(self):
+        zeros = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)], dtype=complex)
+        rho = np.concatenate([np.tile(zeros, 8), np.repeat(zeros, [1, 3, 12, 16])]).reshape(8, 8)
+        text = bath_to_csv(rho, 3)
+        self._assert_per_entry(text, rho, 3)
+        assert set(text.splitlines()[1:]) == {",".join(["0+0j"] * 8)}
+
+    def test_writer_matches_per_entry_runs_of_special_values(self):
+        specials = [np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.225073858507201e-308,
+                    complex(1e-310, -1e-310), complex(np.nan, -np.inf)]
+        runs = np.repeat(np.array(specials, dtype=complex), [1, 2, 3, 5, 7, 11, 13, 22])
+        rho = np.concatenate([runs, runs[::-1]]).reshape(16, 8)
+        rho = np.concatenate([rho, rho[::-1]], axis=1)
+        self._assert_per_entry(bath_to_csv(rho, 4), rho, 4)
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_writer_matches_per_entry_named_states(self, N, rng):
+        for spec in _named_specs(N, rng):
+            rho = validate_bath(spec)
+            self._assert_per_entry(bath_to_csv(rho, N), rho, N)
+
+    @pytest.mark.parametrize("N, n_bar, t_end", [(1, 0.5, 0.3), (3, 2.0, 1.0), (6, 0.1, 40.0)])
+    def test_writer_matches_per_entry_prepared_states(self, N, n_bar, t_end):
+        _, rho = prepare_thermal_dicke(N, n_bar, 1.0, t_end=t_end, dt=0.01)
+        self._assert_per_entry(bath_to_csv(rho, N), rho, N)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda N: st.tuples(st.just(N), st.lists(
+        st.sampled_from([0.0, complex(-0.0, -0.0), 0.25, complex(0.25, -0.125), np.nan]),
+        min_size=4**N, max_size=4**N))))
+    def test_writer_matches_per_entry_few_values(self, drawn):
+        N, entries = drawn
+        rho = np.array(entries, dtype=complex).reshape(2**N, 2**N)
+        self._assert_per_entry(bath_to_csv(rho, N), rho, N)
+
+    def test_writer_memory_is_about_its_text(self):
+        # the per-entry writer peaked at 57 MiB for these 8.7 MiB of text
+        _, rho = prepare_thermal_dicke(10, 0.5, 1.0, t_end=5.0, dt=0.01)
+        tracemalloc.start()
+        try:
+            text = bath_to_csv(rho, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 8 * 2**20
+        assert peak < 3 * len(text)
+
+    @pytest.mark.parametrize(
+        "N, message",
+        [
+            (0, "bath csv: N=0 outside allowed range 1..12"),
+            (13, "bath csv: N=13 outside allowed range 1..12"),
+            (1.0, "N: must be an integer, got 1.0"),
+            (True, "N: must be an integer, got True"),
+        ],
+    )
+    def test_writer_refuses_an_n_the_reader_refuses(self, N, message):
+        with pytest.raises(ValidationError) as info:
+            bath_to_csv(np.ones((1, 1)), N)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "shape, N",
+        [((4, 4), 3), ((8, 8), 2), ((2, 4), 1), ((4, 2), 2), ((4,), 1), ((2, 2, 2), 1),
+         ((0, 0), 1)],
+    )
+    def test_writer_refuses_a_shape_other_than_2_to_the_n(self, shape, N):
+        dim = 2**N
+        with pytest.raises(ValidationError) as info:
+            bath_to_csv(np.zeros(shape), N)
+        assert str(info.value) == (
+            f"bath csv: expected a {dim}x{dim} matrix for N={N}, got shape {shape}"
+        )
+
+    @pytest.mark.parametrize(
+        "rho, N, error",
+        [
+            ([["x", "y"], ["z", "w"]], 1, ValueError),
+            (np.eye(4) / 4.0, 3, ValidationError),
+            (np.ones((1, 1)), 0, ValidationError),
+        ],
+        ids=["not-numbers", "shape", "N"],
+    )
+    def test_refused_save_keeps_the_file(self, rho, N, error, tmp_path):
+        path = tmp_path / "rho.csv"
+        save_bath_csv(path, np.eye(2) / 2.0, 1)
+        before = path.read_bytes()
+        with pytest.raises(error):
+            save_bath_csv(path, rho, N)
+        assert path.read_bytes() == before
+        assert load_bath_csv(path)[0] == 1
 
     def test_file_and_text_readers_bit_identical(self, rng, tmp_path):
         rho = random_density_matrix(rng, 2**6)

@@ -15,11 +15,12 @@ is printed with both summaries, then the count of calls; the exit code is
 The grid crosses the product, thermal-hec and dicke baths at N = 1..13
 and 64, with ``p_e`` in {-0.0, 0, 0.1, 0.5, 1, 1.5, nan}, ``n_bar`` in
 {-0.0, 0, 0.25, 1, 1e9, -1, inf, nan} and ``k`` in {0, 1, N//4, N//2, N,
-N+1, -1}, with ``ladder_weights``, ``validate_bath`` (N <= 10),
-``coefficients_for`` and ``collision_superoperator`` in both modes, the
-last two under each of two sets of collision parameters.  Specs are built
-with the ``BathSpec`` classmethods, so any tree that has them can be
-compared.
+N+1, -1}, with ``ladder_weights``, ``validate_bath`` and the
+``bath_to_csv`` text of its state (N <= 10), ``coefficients_for`` and
+``collision_superoperator`` in both modes, the last two under each of two
+sets of collision parameters.  Specs are built with the ``BathSpec``
+classmethods, so any tree that has them can be compared.  The text of
+``prepare_thermal_dicke``'s state at N = 4 and 10 follows.
 
 It then meets the limits at their boundaries.  The single-N entry points
 (``BathSpec``, ``basis_ordering``, ``build_collective_ops``,
@@ -58,11 +59,14 @@ OVER_LIMIT = 10**6 + 1
 
 
 def _encode(value):
-    """The bytes of a result: a tuple item by item, a record field by field
-    in declaration order (a ``qollide.utils.Record`` by its ``_fields``, a
-    dataclass, as older trees build them, by ``dataclasses.fields``), so
-    equal values give equal bytes whichever builds the record, and anything
-    else as a numpy array's dtype, shape and data."""
+    """The bytes of a result: a string as UTF-8, a tuple item by item, a
+    record field by field in declaration order (a ``qollide.utils.Record``
+    by its ``_fields``, a dataclass, as older trees build them, by
+    ``dataclasses.fields``), so equal values give equal bytes whichever
+    builds the record, and anything else as a numpy array's dtype, shape
+    and data."""
+    if isinstance(value, str):
+        return value.encode()
     if isinstance(value, tuple):
         return b"(" + b",".join(map(_encode, value)) + b")"
     names = getattr(type(value), "_fields", None)
@@ -76,8 +80,8 @@ def _encode(value):
 
 def grid():
     """Yield ``(label, call)`` for every call of the grid."""
-    from qollide import BathSpec, CollisionParams, coefficients_for, collision_superoperator
-    from qollide import validate_bath
+    from qollide import BathSpec, CollisionParams, bath_to_csv, coefficients_for
+    from qollide import collision_superoperator, prepare_thermal_dicke, validate_bath
     from qollide.baths import ladder_weights
 
     params = [CollisionParams(**p) for p in PARAMS]
@@ -91,12 +95,16 @@ def grid():
             yield f"ladder_weights {head}", lambda s=spec: ladder_weights(s)
             if N <= 10:
                 yield f"validate_bath {head}", lambda s=spec: validate_bath(s)
+                yield f"bath_to_csv {head}", lambda s=spec: bath_to_csv(validate_bath(s), s.N)
             for i, p in enumerate(params):
                 tail = f"{head} params={i}"
                 yield f"coefficients_for {tail}", lambda s=spec, p=p: coefficients_for(s, p)
                 for mode in ("exact", "second_order"):
                     yield (f"collision_superoperator {tail} {mode}",
                            lambda s=spec, p=p, m=mode: collision_superoperator(s, p, mode=m))
+    for N in (4, 10):
+        yield f"bath_to_csv prepare_thermal_dicke N={N}", lambda N=N: bath_to_csv(
+            prepare_thermal_dicke(N, 0.5, 1.0, 3.0, 1e-4)[1], N)
     yield from limit_grid(params[0])
 
 
