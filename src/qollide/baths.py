@@ -402,7 +402,10 @@ def bath_to_csv(rho, N):
     """
     check_n(N, "bath csv")
     dim = 2**N
-    rho = np.asarray(rho, dtype=complex)
+    try:
+        rho = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bath csv: entries must be numbers ({exc})") from None
     if rho.shape != (dim, dim):
         raise ValidationError(
             f"bath csv: expected a {dim}x{dim} matrix for N={N}, got shape {rho.shape}"

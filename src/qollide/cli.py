@@ -16,7 +16,8 @@ An ``--n-points`` of zero or less records nothing: the trajectory or
 ladder CSV is its header alone, written after the same checks as any other
 run, and ``prepare`` still writes the bath state at ``--t-end``, the same
 bytes for any ``--n-points``.  ``prepare`` solves the ladder's rate
-equations exactly, so its ``--dt`` sets only the times of the ladder rows.
+equations exactly, and ``evolve``'s ``ode`` engine the master equation,
+so their ``--dt`` sets only the times of the rows.
 A failing ``prepare`` writes neither file.
 Every size limit is defined in :mod:`qollide.errors` and listed, with its
 refusal, in the table that opens README's "Scale limits": the qubit cap

@@ -29,7 +29,7 @@ from .baths import FAMILIES, _symmetric_state, dicke_rates, ladder_weights, vali
 from .collective import basis_ordering, build_collective_ops
 from .errors import TOO_MANY_POINTS, NumericError, ValidationError, check_count, check_finite
 from .errors import check_integer, check_n, check_ns
-from .linalg import validate_density_matrix
+from .linalg import matrix_exp, validate_density_matrix
 from .master_equation import _qubit_matrix, lindblad_rhs
 from .utils import Record
 
@@ -366,13 +366,15 @@ def _distinct_sorted(values):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused as nan, below
-def _propagate(step_mat, vec0, steps):
+def _propagate(step_mat, vec0, steps, power=None):
     """Apply a constant one-step map ``step_mat`` to ``vec0``.
 
     Returns the states after ``i`` steps for every ``i`` in the sorted
     ``steps``, one row each.  Consecutive steps are joined by one cached
-    matrix power per distinct gap, so the cost is O(len(steps) log steps),
-    not O(steps).
+    map per distinct gap, ``power(step_mat, gap)``, by default the matrix
+    power, so the cost is O(len(steps) log steps), not O(steps).
+    :func:`integrate_master` passes ``dt`` times its generator as
+    ``step_mat``, and its exponential as ``power``.
     """
     vec = np.asarray(vec0)
     rows = np.empty((len(steps), len(vec)), dtype=np.result_type(step_mat, vec))
@@ -382,7 +384,7 @@ def _propagate(step_mat, vec0, steps):
         gap = target - done
         if gap:
             if gap not in powers:
-                powers[gap] = np.linalg.matrix_power(step_mat, gap)
+                powers[gap] = (power or np.linalg.matrix_power)(step_mat, gap)
             vec = powers[gap] @ vec
             done = target
         rows[pos] = vec
@@ -391,66 +393,61 @@ def _propagate(step_mat, vec0, steps):
     return rows
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused once propagated
-def _rk4_step_matrix(gen, dt):
-    """One classical RK4 step of ``dx/dt = gen @ x``, which for a constant
-    generator is exactly the degree-4 Taylor polynomial of ``exp(dt gen)``."""
-    h = dt * np.asarray(gen)
-    eye = np.eye(len(h), dtype=h.dtype)
-    return eye + h @ (eye + h @ (eye + h @ (eye + h / 4.0) / 3.0) / 2.0)
-
-
 def _lindblad_generator(c):
     """4x4 generator of :func:`lindblad_rhs` on the row-major vectorized
     target state, one column per basis matrix."""
-    gen = np.zeros((4, 4), dtype=complex)
-    for col in range(4):
-        basis_mat = np.zeros(4, dtype=complex)
-        basis_mat[col] = 1.0
-        gen[:, col] = lindblad_rhs(basis_mat.reshape(2, 2), c).ravel()
-    return gen
+    basis = np.eye(4, dtype=complex)
+    return np.column_stack([lindblad_rhs(b.reshape(2, 2), c).ravel() for b in basis])
+
+
+#: The row-major vectorized qubit state ``(ee, eg, ge, gg)`` in trace
+#: coordinates ``(ee + gg, eg, ge, ee - gg)``, and back.
+_TO_TRACE = np.array([[1.0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, -1]])
+_FROM_TRACE = np.array([[0.5, 0, 0, 0.5], [0, 1, 0, 0], [0, 0, 1, 0], [0.5, 0, 0, -0.5]])
+
+
+def _exp_power(h, gap):
+    """``exp(h)**gap``, taken as ``exp(gap h)``; all nan where that is not
+    finite, which the caller's trace check refuses."""
+    try:
+        return matrix_exp(gap * h, tol=1e-17)
+    except NumericError:
+        return np.full(h.shape, np.nan)
 
 
 def integrate_master(rho0, c, t_end, dt, n_records=None):
-    """Fixed-step 4th-order integration of the full master equation.
+    """Exact solution of the full master equation at whole steps ``dt`` up
+    to ``t_end``.
 
     Unlike the analytic path this supports nonzero drive and squeezing
-    coefficients.  The equation is linear and autonomous, so the classical
-    RK4 step is one constant 4x4 map, built once from :func:`lindblad_rhs`
-    and applied through its powers between records.  A step longer than
-    ``t_q/20``, or than ``1/(2 pg_tau |lam|)`` for the drive, gives an
-    accuracy advisory, one for each.  The drive's generator eigenvalues are
-    ``+-2i pg_tau |lam|``, so the RK4 step leaves its stability region near
-    ``dt pg_tau |lam| = sqrt(2)``; the advisory keeps a margin of about 3
-    below that edge.  Every recorded state and the final state are checked
-    for trace drift beyond :data:`TOL_DRIFT` (the generator is traceless,
-    so drift indicates a numeric problem), then for a population below
-    :data:`MIN_POPULATION` (a step too long for the rates).
+    coefficients.  The equation is linear and autonomous, so the state
+    after ``n`` steps is ``exp(n dt L) rho0``.  The 4x4 generator ``L`` is
+    built once from :func:`lindblad_rhs` and taken to the trace coordinates
+    ``(Tr rho, rho_eg, rho_ge, rho_ee - rho_gg)``, where its trace row, 0
+    for a traceless generator, is set to exactly 0.  Consecutive records
+    are joined by one :func:`~qollide.linalg.matrix_exp` per distinct gap
+    of ``n`` steps (one for evenly spaced records), whose trace row is
+    exactly ``e_0``: every state keeps the trace of ``rho0``, and ``dt``
+    sets only the grid.  The ``t = 0`` record is ``rho0`` itself.  Every
+    recorded state and the final state are checked for trace drift beyond
+    :data:`TOL_DRIFT` (a map that is not finite is refused there, as
+    nan), then for a population below :data:`MIN_POPULATION`; both are
+    rounding guards.
     """
     rho0 = _qubit_matrix(rho0, "integrate_master")
     n_steps = _step_count(t_end, dt)
-    t_q = thermalization_time(c)
-    if math.isfinite(t_q) and dt > t_q / 20.0:
-        warnings.warn(
-            f"dt = {dt:.3g} exceeds t_q/20 = {t_q / 20.0:.3g}; accuracy advisory",
-            stacklevel=2,
-        )
-    drive = c.pg_tau * abs(c.lam)
-    if dt * drive > 0.5:
-        warnings.warn(
-            f"dt = {dt:.3g} exceeds 1/(2 pg_tau |lam|) = {0.5 / drive:.3g} "
-            "for the drive; accuracy advisory",
-            stacklevel=2,
-        )
+    thermalization_time(c)  # an overflowing relaxation rate is refused
     record = _record_indices(n_steps, n_records)
-    step_mat = _rk4_step_matrix(_lindblad_generator(c), dt)
-    vec0 = rho0.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by matrix_exp
+        h = _TO_TRACE @ (dt * _lindblad_generator(c)) @ _FROM_TRACE
+    h[0] = 0.0  # the trace row of a traceless generator, exactly
     steps = [*record, n_steps]
-    rows = _propagate(step_mat, vec0, steps)
+    rows = _propagate(h, _TO_TRACE @ rho0.ravel(), steps, _exp_power) @ _FROM_TRACE
+    rows[np.equal(steps, 0)] = rho0.ravel()
     _check_trace(rows, steps, "integrate_master")
     lowest = np.minimum(rows[:, 0].real, rows[:, 3].real)
     _refuse_first(steps, (lowest < MIN_POPULATION, lowest,
-                          "integrate_master: population negativity {:.3e} at step {}; reduce dt"))
+                          "integrate_master: population negativity {:.3e} at step {}"))
     times = np.asarray(record) * dt
     return Trajectory.from_states(times, rows[:-1].reshape(-1, 2, 2), c.mu)
 

@@ -11,11 +11,14 @@ state.  An eigendecomposition runs only to confirm and report a failure.
 Bath states are stored densely, which is adequate at the documented limit of
 N <= 12 bath qubits, but the engines work on their excitation blocks and
 never assemble a ``2**N x 2**N`` operator.
-:func:`matrix_exp` and :func:`partial_trace_bath` are kept as the dense
-reference that the block-structured collision map is checked against.
+:func:`matrix_exp` is the ``ode`` engine's exponential of its 4x4
+generator; it and :func:`partial_trace_bath` are also the dense reference
+that the block-structured collision map is checked against.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -67,28 +70,35 @@ def matrix_exp(a, tol=1e-12, max_terms=64):
 
     The input is scaled by ``2**-s`` until its infinity norm is below 1/2,
     the series is summed until the current term drops below ``tol`` (scaled
-    by the number of squarings), and the result is squared ``s`` times.
-    For anti-Hermitian input the result is unitary to within ``tol``.
+    by the number of squarings, and at least :data:`_TERM_FLOOR`), and the
+    result is squared ``s`` times.  The norm is taken of the input scaled by
+    a power of two first, so no row sum overflows.  For anti-Hermitian
+    input the result is unitary to within ``tol``.
 
     Raises
     ------
     ValidationError
         If the input is not square.
     NumericError
-        If the series has not converged after ``max_terms`` terms.
+        If the series has not converged after ``max_terms`` terms, or the
+        input or the squared result is not finite.  Any finite input gives
+        a result or this error, without a numpy warning.
     """
     a = as_complex_matrix(a)
     n, m = a.shape
     if n != m:
         raise ValidationError(f"matrix_exp: input must be square, got {a.shape}")
-    norm = np.linalg.norm(a, np.inf)
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-    x = a / (2.0**squarings)
+    peak = max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0))
+    if not peak < math.inf:
+        raise NumericError(f"matrix_exp: input is not finite (largest entry {peak})")
+    # the norm as f * 2**k, from the input scaled to entries below 1
+    shift = max(0, math.frexp(peak)[1])
+    f, k = math.frexp(float(np.linalg.norm(a * 2.0**-shift, np.inf)))
+    squarings = max(0, k + shift + (f > 0.5))  # ceil(log2(norm / 0.5))
+    x = a * 2.0**-squarings
     term = np.eye(n, dtype=complex)
     total = np.eye(n, dtype=complex)
-    threshold = max(tol * 2.0 ** (-squarings), 1e-300)
+    threshold = max(tol * 2.0**-squarings, _TERM_FLOOR)
     for order in range(1, max_terms + 1):
         term = term @ x / order
         total += term
@@ -99,9 +109,17 @@ def matrix_exp(a, tol=1e-12, max_terms=64):
             f"matrix_exp: series not converged after {max_terms} terms "
             f"(scaled norm {np.linalg.norm(x, np.inf):.3g})"
         )
-    for _ in range(squarings):
-        total = total @ total
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for _ in range(squarings):
+            total = total @ total
+    if not np.isfinite(total).all():
+        raise NumericError(f"matrix_exp: the result is not finite after {squarings} squarings")
     return total
+
+
+#: Smallest term at which the series stops: a term of the scaled series
+#: (norm <= 1/2) is below ``0.5**61 / 61!``, under 1e-100, by term 61.
+_TERM_FLOOR = 1e-100
 
 
 def check_unit_trace(rho, *, name="rho"):

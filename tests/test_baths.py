@@ -798,9 +798,22 @@ class TestBathCsv:
         )
 
     @pytest.mark.parametrize(
+        "rho, message",
+        [
+            ([["x", "y"], ["z", "w"]], "complex() arg is a malformed string"),
+            ([[1.0, {}], [0.0, 1.0]], "must be real number, not dict"),
+        ],
+        ids=["strings", "dict"],
+    )
+    def test_writer_refuses_entries_that_are_not_numbers(self, rho, message):
+        with pytest.raises(ValidationError) as info:
+            bath_to_csv(rho, 1)
+        assert str(info.value) == f"bath csv: entries must be numbers ({message})"
+
+    @pytest.mark.parametrize(
         "rho, N, error",
         [
-            ([["x", "y"], ["z", "w"]], 1, ValueError),
+            ([["x", "y"], ["z", "w"]], 1, ValidationError),
             (np.eye(4) / 4.0, 3, ValidationError),
             (np.ones((1, 1)), 0, ValidationError),
         ],

@@ -369,15 +369,22 @@ class TestIntegrateMaster:
         np.testing.assert_allclose(final, final.conj().T, atol=1e-12)
         assert abs(np.trace(final) - 1.0) < 1e-12
 
-    def test_error_quartic_in_step(self):
+    def test_states_do_not_depend_on_step(self):
+        # records are joined by exact exponentials, so dt sets only the
+        # grid; 4e13 steps of 1e-12 t_q are one exponential per gap too,
+        # where powers of a step map that close to the identity would carry
+        # its rounding, relative 1e-16 / (dt / t_q), into the steady state
         c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         t_q = thermalization_time(c)
-        errs = []
-        for dt in (t_q / 40.0, t_q / 80.0):
-            traj = integrate_master(ground_state(), c, 2 * t_q, dt)
+        dt = t_q / 40.0
+        coarse = integrate_master(ground_state(), c, 2 * t_q, dt)
+        fine = integrate_master(ground_state(), c, 2 * t_q, dt / 64.0)
+        assert fine.times[::64].tolist() == coarse.times.tolist()
+        assert np.max(np.abs(fine.states[::64] - coarse.states)) <= 1e-12
+        for step in (1e-12 * t_q, dt, 10.0 * t_q):
+            traj = integrate_master(ground_state(), c, 40.0 * t_q, step, n_records=11)
             ana = analytic_trajectory(ground_state(), c, traj.times)
-            errs.append(np.max(np.abs(traj.states - ana.states)))
-        assert 10.0 < errs[0] / errs[1] < 24.0  # classical 4th-order scheme
+            assert np.max(np.abs(traj.states - ana.states)) <= 1e-13
 
     def test_invalid_dt(self):
         c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
@@ -407,49 +414,55 @@ class TestIntegrateMaster:
         with pytest.raises(ValidationError, match="gamma0: must be finite"):
             ladder_history(3, 1.0, gamma0, 1.0, 0.1)
 
-    def test_advisory_on_coarse_step(self):
+    def test_no_warning_at_long_steps(self):
+        # a step of 10 t_q, and a step of 1/(pg_tau |lam|) for a drive
+        # of pg_tau |lam| = 100, run silent
         c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
-        with pytest.warns(UserWarning, match="t_q/20"):
-            integrate_master(ground_state(), c, 0.2, 0.05)
+        driven = MeqCoefficients(1.0 + 0.0j, 0.0j, 1.0, 2.0, 1.0, 100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            integrate_master(ground_state(), c, 1.0, 10.0 * thermalization_time(c))
+            integrate_master(ground_state(), driven, 0.1, 0.01)
 
-    def test_population_negativity_refused(self):
-        # a step far too long for the rates keeps the trace but not the populations
+    def test_step_far_beyond_t_q_gives_steady_state(self):
+        # a step of 50 t_q lands on the steady state diag(0.4, 0.6)
         c = coefficients_for(BathSpec.dicke(4, 1), CollisionParams(g=0.1, tau=1.0, p=1e3))
-        with pytest.warns(UserWarning, match="t_q/20"):
-            with pytest.raises(
-                NumericError,
-                match=r"^integrate_master: population negativity -9\.631e\+04 at step 1; reduce dt$",
-            ):
-                integrate_master(ground_state(), c, 1.0, 0.5)
+        traj = integrate_master(ground_state(), c, 1.0, 0.5)
+        assert traj.states[1:, 0, 0].tolist() == [0.40000000000000013] * 2
+        np.testing.assert_allclose(traj.states[1:], [steady_state(c)] * 2, atol=1e-15)
 
     @pytest.mark.parametrize(
         "row, entry, step",
         [(0, 0, 0), (1, 3, 5), (2, 0, 10), (-1, 3, 10)],
     )
     def test_negativity_of_each_checked_state(self, monkeypatch, row, entry, step):
-        # rows: the records (steps 0, 5 and 10), then the final state; the
-        # trace is kept, so only the population check sees the change
+        # rows: the records (steps 0, 5 and 10), then the final state, in
+        # trace coordinates (Tr, eg, ge, ee - gg); the trace is kept, so
+        # only the population check sees the change.  The t = 0 record is
+        # rho0 itself, so a negative step 0 comes from rho0.
         real = dynamics._propagate
+        y3 = -1.0 - 3e-10 if entry == 0 else 1.0 + 3e-10
 
-        def negative(step_mat, vec0, steps):
-            rows = real(step_mat, vec0, steps)
-            rows[row, entry], rows[row, 3 - entry] = -1.5e-10, 1.0 + 1.5e-10
+        def negative(*args):
+            rows = real(*args)
+            rows[row] = [1.0, 0.0, 0.0, y3]
             return rows
 
         monkeypatch.setattr(dynamics, "_propagate", negative)
+        rho0 = ground_state() if step else np.diag([-1.5e-10, 1.0 + 1.5e-10]).astype(complex)
         c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         with pytest.raises(
             NumericError,
-            match=f"^integrate_master: population negativity -1.500e-10 at step {step}; reduce dt$",
+            match=f"^integrate_master: population negativity -1.500e-10 at step {step}$",
         ):
-            integrate_master(ground_state(), c, 0.01, 0.001, n_records=3)
+            integrate_master(rho0, c, 0.01, 0.001, n_records=3)
 
     def test_nan_trace_reported_before_negativity(self, monkeypatch):
         real = dynamics._propagate
 
-        def broken(step_mat, vec0, steps):
-            rows = real(step_mat, vec0, steps)
-            rows[0] = [-1.0, 0.0, 0.0, 2.0]  # negative, trace kept
+        def broken(*args):
+            rows = real(*args)  # in trace coordinates (Tr, eg, ge, ee - gg)
+            rows[1] = [1.0, 0.0, 0.0, -3.0]  # negative at step 5, trace kept
             rows[2] = np.nan
             return rows
 
@@ -461,9 +474,7 @@ class TestIntegrateMaster:
     @pytest.mark.parametrize("seed", range(8))
     def test_driven_baths_at_the_advised_step_pass(self, seed):
         # random full-rank explicit baths drive and squeeze the target; at
-        # dt = t_q/20 from a pure state no population comes near the bound,
-        # and dt pg_tau |lam| (0.05 to 0.23 here) stays inside the drive
-        # advisory
+        # dt = t_q/20 from a pure state no population comes near the bound
         rng = np.random.default_rng(seed)
         N = 1 + seed % 4
         c = coefficients_for(BathSpec.explicit(random_density_matrix(rng, 2**N)), PARAMS)
@@ -476,40 +487,21 @@ class TestIntegrateMaster:
             traj = integrate_master(np.outer(v, v.conj()), c, 5.0 * t_q, t_q / 20.0)
         assert traj.states[:, 0, 0].real.min() > 0.0 < traj.states[:, 1, 1].real.min()
 
-    def test_drive_advisory(self):
-        # drive pg_tau |lam| = 100 limits the step to 5e-3; t_q/20 = 1/60 does
-        # not, and a step of 5e-3 is silent
-        c = MeqCoefficients(1.0 + 0.0j, 0.0j, 1.0, 2.0, 1.0, 100.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            integrate_master(ground_state(), c, 0.1, 0.005)
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            integrate_master(ground_state(), c, 0.1, 0.01)
-        assert [str(w.message) for w in seen] == [
-            "dt = 0.01 exceeds 1/(2 pg_tau |lam|) = 0.005 for the drive; accuracy advisory"
-        ]
-
-    def test_drive_advisory_before_each_driven_failure(self):
-        # g tau = 0.01 at p = 1e4: mu = 1 but pg_tau = 100, so at dt = t_q/25,
-        # inside the t_q/20 advisory, the drive makes some runs drift
+    def test_driven_runs_match_eig_oracle(self):
+        # g tau = 0.01 at p = 1e4: mu = 1 but pg_tau = 100, a drive a
+        # fixed-order step at dt = t_q/25 could not follow
         params = CollisionParams(g=0.01, tau=1.0, p=1e4)
-        failures = 0
         for seed in range(40):
             rng = np.random.default_rng(seed)
             bath = _random_pure_state(rng, 2 ** (1 + seed % 4))
             c = coefficients_for(BathSpec.explicit(bath), params)
             t_q = thermalization_time(c)
-            with warnings.catch_warnings(record=True) as seen:
-                warnings.simplefilter("always")
-                try:
-                    integrate_master(_random_pure_state(rng, 2), c, 5.0 * t_q, t_q / 25.0)
-                except NumericError as exc:
-                    failures += 1
-                    assert str(exc).startswith("integrate_master: trace drift")
-                    assert [str(w.message).endswith("for the drive; accuracy advisory")
-                            for w in seen] == [True]
-        assert failures >= 3  # six of the 40 drift on a 2-vCPU x86 machine
+            rho0 = _random_pure_state(rng, 2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                traj = integrate_master(rho0, c, 5.0 * t_q, t_q / 25.0)
+            want = _eig_oracle(rho0, c, traj.times)
+            assert np.max(np.abs(traj.states - want)) <= 1e-12
 
     def test_default_parameter_runs_silent(self):
         # named baths have no drive; the benchmark's ode-explicit run on its
@@ -527,18 +519,39 @@ class TestIntegrateMaster:
 
     @pytest.mark.parametrize("row, step", [(0, 0), (2, 10), (-1, 10)])
     def test_trace_drift_refused(self, monkeypatch, row, step):
-        # rows: the records (steps 0, 5 and 10), then the final state
+        # rows: the records (steps 0, 5 and 10), then the final state, in
+        # trace coordinates, whose entry 0 is the trace; the t = 0 record is
+        # rho0 itself, so a drift at step 0 comes from rho0
         real = dynamics._propagate
 
-        def drifted(step_mat, vec0, steps):
-            rows = real(step_mat, vec0, steps)
+        def drifted(*args):
+            rows = real(*args)
             rows[row, 0] += 2e-8
             return rows
 
         monkeypatch.setattr(dynamics, "_propagate", drifted)
+        rho0 = ground_state()
+        rho0[1, 1] += 2e-8 if step == 0 else 0.0
         c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         with pytest.raises(NumericError, match=f"^integrate_master: trace drift 2.000e-08 at step {step}$"):
-            integrate_master(ground_state(), c, 0.01, 0.001, n_records=3)
+            integrate_master(rho0, c, 0.01, 0.001, n_records=3)
+
+    def test_trace_exact_over_long_runs(self):
+        # the step map's trace row is exactly e_0 in every power: 1e15
+        # steps keep the trace, and a step of 1e99 t_q lands on the steady state
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
+        for t_end, dt in ((2.5e12, 0.0025), (1e99, 1e98)):
+            traj = integrate_master(ground_state(), c, t_end, dt, n_records=3)
+            traces = traj.states[:, 0, 0] + traj.states[:, 1, 1]
+            assert np.max(np.abs(traces - 1.0)) <= 1e-15
+        np.testing.assert_allclose(traj.states[1:], [steady_state(c)] * 2, atol=1e-15)
+
+    def test_zero_time_record_is_rho0(self):
+        # the trace coordinates round 0.2 - 0.8 and back; the record does not
+        c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
+        rho0 = qubit_state(0.2, 0.1 - 0.05j)
+        traj = integrate_master(rho0, c, 0.01, 0.001, n_records=3)
+        assert traj.states[0].tobytes() == rho0.tobytes()
 
 
 class TestCollisionChain:
@@ -727,27 +740,23 @@ class TestCollisionChain:
 
 
 # ---------------------------------------------------------------------------
-# step-by-step oracles: the engines apply powers of a one-step map, these
-# apply the same fixed-step schemes one step at a time
+# oracles: the engines apply powers of a one-step map; these solve the
+# master equation by eigendecomposition, or apply the same fixed-step
+# schemes one step at a time
 
 
-def _rk4_oracle(rho0, c, t_end, dt, n_records=None):
-    rho = np.asarray(rho0, dtype=complex).copy()
+def _eig_oracle(rho0, c, times):
+    """``exp(t L) rho0`` at each of ``times``, from ``np.linalg.eig`` of the
+    row-major generator built column by column from :func:`lindblad_rhs`."""
+    gen = np.column_stack([lindblad_rhs(b.reshape(2, 2), c).ravel() for b in np.eye(4, dtype=complex)])
+    w, v = np.linalg.eig(gen)
+    coeff = np.linalg.solve(v, np.asarray(rho0, dtype=complex).ravel())
+    return ((np.exp(np.outer(times, w)) * coeff) @ v.T).reshape(-1, 2, 2)
+
+
+def _step_grid(t_end, dt, n_records=None):
     n_steps = int(math.floor(t_end / dt + 1e-9))
-    record = set(_record_indices(n_steps, n_records))
-    times, states = [], []
-    for step in range(n_steps + 1):
-        if step in record:
-            times.append(step * dt)
-            states.append(rho.copy())
-        if step == n_steps:
-            break
-        k1 = lindblad_rhs(rho, c)
-        k2 = lindblad_rhs(rho + 0.5 * dt * k1, c)
-        k3 = lindblad_rhs(rho + 0.5 * dt * k2, c)
-        k4 = lindblad_rhs(rho + dt * k3, c)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return np.array(times), np.array(states).reshape(-1, 2, 2)
+    return np.array(_record_indices(n_steps, n_records), dtype=float) * dt
 
 
 def _ladder_oracle(gen, t_end, dt, n_records=None):
@@ -1119,22 +1128,33 @@ class TestPropagatorOracles:
         assert _record_indices(10, 4) == [0, 3, 7, 10]
 
     @pytest.mark.parametrize("n_records", RECORD_CASES)
-    def test_master_equation_matches_step_loop(self, n_records):
+    def test_master_equation_matches_closed_form(self, n_records):
         c = coefficients_for(BathSpec.dicke(4, 1), PARAMS)
         traj = integrate_master(ground_state(), c, 0.01, 0.001, n_records)
-        times, states = _rk4_oracle(ground_state(), c, 0.01, 0.001, n_records)
+        times = _step_grid(0.01, 0.001, n_records)
+        states = analytic_trajectory(ground_state(), c, times).states
         assert traj.times.tolist() == times.tolist()
         assert traj.states.shape == states.shape
-        assert np.max(np.abs(traj.states - states), initial=0.0) <= 1e-12
+        assert np.max(np.abs(traj.states - states), initial=0.0) <= 1e-13
 
     @pytest.mark.parametrize("n_records", RECORD_CASES)
     def test_driven_squeezed_master_equation(self, n_records):
         c = MeqCoefficients(0.3 - 0.2j, 0.4 + 0.2j, 0.8, 1.2, 1.0, 2.0)
         rho0 = qubit_state(0.2, 0.1 - 0.05j)
         traj = integrate_master(rho0, c, 0.1, 0.01, n_records)
-        times, states = _rk4_oracle(rho0, c, 0.1, 0.01, n_records)
+        times = _step_grid(0.1, 0.01, n_records)
+        states = _eig_oracle(rho0, c, times)
         assert traj.times.tolist() == times.tolist()
-        assert np.max(np.abs(traj.states - states), initial=0.0) <= 1e-12
+        assert traj.states.shape == states.shape
+        assert np.max(np.abs(traj.states - states), initial=0.0) <= 1e-13
+
+    def test_benchmark_grid_matches_closed_form(self):
+        # the ode-dicke workload: dicke N=8 k=3, 6000 steps of 3e-5, 201 records
+        c = coefficients_for(BathSpec.dicke(8, 3), PARAMS)
+        traj = integrate_master(ground_state(), c, 6000 * 3e-5, 3e-5, 201)
+        ana = analytic_trajectory(ground_state(), c, traj.times)
+        assert len(traj) == 201
+        assert np.max(np.abs(traj.states - ana.states)) <= 1e-13
 
     def test_master_equation_zero_time(self):
         c = MeqCoefficients(0.3j, 0.1, 0.8, 1.2, 1.0, 1.0)
@@ -1358,13 +1378,29 @@ class TestPropagateRows:
         )
         assert len(traj) == 0
 
-    def test_integrate_master_rows_and_final(self):
-        # the records are the rows of the grid without the final step
+    def test_integrate_master_rows_and_final(self, monkeypatch):
+        # the records are the rows of the grid without the final step, each
+        # reached from the one before by exp(gap h) in trace coordinates,
+        # taken back, and the t = 0 record is rho0 itself
+        real, seen = dynamics._propagate, []
+
+        def spied(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, "_propagate", spied)
         c = MeqCoefficients(0.3 - 0.2j, 0.4 + 0.2j, 0.8, 1.2, 1.0, 2.0)
         rho0 = qubit_state(0.2, 0.1 - 0.05j)
         traj = integrate_master(rho0, c, 0.1, 0.01, n_records=4)
-        step_mat = dynamics._rk4_step_matrix(dynamics._lindblad_generator(c), 0.01)
-        want = _gap_power_oracle(step_mat, rho0.ravel(), [0, 3, 7, 10])
+        [(h, vec0, steps, power)] = seen
+        assert (steps, power) == ([0, 3, 7, 10, 10], dynamics._exp_power)
+        assert h[0].tolist() == [0.0, 0.0, 0.0, 0.0]  # the trace row
+        assert vec0.tolist() == [1.0, 0.1 - 0.05j, 0.1 + 0.05j, 0.2 - 0.8]
+        want = [vec0]
+        for gap in (3, 4, 3):
+            want.append(dynamics._exp_power(h, gap) @ want[-1])
+        want = np.array(want) @ dynamics._FROM_TRACE
+        want[0] = rho0.ravel()
         assert traj.states.reshape(-1, 4).tobytes() == want.tobytes()
 
 
@@ -1572,10 +1608,16 @@ class TestOverflowRefused:
         assert np.isnan(rows[2]).all()
 
     def test_integrate_master(self):
+        # mu = 1e298: a step of 0.01 is a finite step map, which lands on the
+        # steady state; a step of 1e10 overflows the generator times dt,
+        # and that step map is refused as nan
         c = coefficients_for(BathSpec.dicke(4, 1), CollisionParams(g=0.1, tau=1.0, p=1e300))
-        with pytest.warns(UserWarning, match="accuracy advisory"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate_master(ground_state(), c, 0.5, 0.01, n_records=2)
+            np.testing.assert_allclose(traj.states[1], steady_state(c), atol=1e-15)
             with pytest.raises(NumericError, match="^integrate_master: trace drift nan at step 1$"):
-                integrate_master(ground_state(), c, 0.5, 0.01)
+                integrate_master(ground_state(), c, 5e10, 1e10)
 
     @pytest.mark.parametrize("scheme", ["deterministic", "stochastic"])
     def test_second_order_collisions(self, scheme):
@@ -1618,7 +1660,7 @@ class TestRelaxationRateOverflow:
             temperature_trajectory(self.COEFFS, [0.0, 1.0])
 
     def test_integrate_master(self):
-        # refused before the t_q/20 advisory and before the step map
+        # refused before the step map, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=self.MESSAGE):

@@ -24,11 +24,13 @@ from qollide import (
     QollideError,
     analytic_trajectory,
     coefficients_for,
+    integrate_master,
     ladder_history,
     prepare_thermal_dicke,
     scaling_sweep,
+    thermalization_time,
 )
-from qollide.dynamics import TOL_DRIFT
+from qollide.dynamics import TOL_DRIFT, _lindblad_generator
 from qollide.errors import MAX_LADDER_N, MAX_QUBITS, MAX_SWEEP_N
 
 
@@ -131,6 +133,54 @@ def _finite_states(trajectory):
     assert np.all(np.isfinite(trajectory.states))
 
 
+def _explicit(seed, N):
+    """A random pure explicit bath of N qubits: it drives and squeezes."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2**N) + 1j * rng.normal(size=2**N)
+    v /= np.linalg.norm(v)
+    return BathSpec.explicit(np.outer(v, v.conj()))
+
+
+#: Named baths, and random explicit ones with drive and squeezing.
+MEQ_SPECS = st.one_of(SPECS, st.builds(_explicit, st.integers(0, 2**32 - 1), st.integers(1, 4)))
+#: Whole steps up to 2**52, uniform in log2.
+STEP_COUNTS = st.floats(0.0, 52.0).map(lambda e: round(2.0**e))
+
+
+def _integrate(spec, g, tau, p, rho0, t_end, n_steps, n_records):
+    """``integrate_master`` over ``n_steps`` steps of ``t_end / n_steps``
+    (a step of 1 at ``t_end = 0``), with the state it started from.
+
+    A run whose relaxation rate is finite and whose step ``dt`` keeps ``dt
+    ||L||_inf <= 1e99`` must not be refused, where the problem has an
+    answer in floats: ``t_end ||L||_inf <= 1e6``, or ``||L||_inf`` within
+    1e6 of the relaxation rate.  Beyond that a drive turns the state
+    through more than 1e6 radians before it is damped, and the rounding of
+    ``pg_tau`` alone moves the state by ``t_end ||L||_inf 1e-16``."""
+    c = coefficients_for(spec, _params(g, tau, p))
+    dt = t_end / n_steps if t_end else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.abs(_lindblad_generator(c)).sum(axis=1).max()
+        step_norm = dt * norm
+        try:
+            rate = 1.0 / thermalization_time(c)
+            must_run = step_norm <= 1e99 and (t_end * norm <= 1e6 or norm <= 1e6 * rate)
+        except QollideError:
+            must_run = False
+    try:
+        return integrate_master(rho0, c, t_end, dt, n_records), rho0
+    except QollideError as exc:
+        assert not must_run, f"refused at dt ||L|| = {step_norm:.3g}: {exc}"
+        raise
+
+
+def _traces_kept(result):
+    trajectory, rho0 = result
+    _finite_states(trajectory)
+    traces = trajectory.states[:, 0, 0] + trajectory.states[:, 1, 1]
+    assert np.max(np.abs(traces - np.trace(rho0)), initial=0.0) <= 1e-15
+
+
 ENTRY_POINTS = {
     "ladder_history": (
         # every step recorded: only a short grid, so that no draw allocates
@@ -182,6 +232,21 @@ ENTRY_POINTS = {
           1e-300, 5),
          (BathSpec.dicke(4, 4), 1.0, 1.0, 1e300, np.diag([0.0, 1.0]), 1e300, 20)],
         40,
+    ),
+    "integrate_master": (
+        # every step recorded only on a short grid, as for the ladder
+        st.tuples(MEQ_SPECS, COUPLING, RATE, RATE, RHO0, T_END, STEP_COUNTS, N_RECORDS).filter(
+            lambda args: args[7] is not None or args[6] < 1e3
+        ),
+        _integrate,
+        _traces_kept,
+        [(BathSpec.dicke(8, 3), 0.1, 1.0, 100.0, np.diag([0.0, 1.0]), 0.18, 6000, 201),
+         (BathSpec.dicke(4, 1), 0.1, 1.0, 100.0, np.eye(2) / 2.0, 2.5e12, 10**15, 3),
+         (BathSpec.dicke(4, 1), 0.1, 1.0, 100.0, np.diag([0.0, 1.0]), 1e99, 10, 3),
+         (BathSpec.dicke(4, 1), 0.1, 1.0, 1e300, np.full((2, 2), 0.5), 1e300, 2**52, 5),
+         (_explicit(7, 3), 1e150, 1.0, 1e-300, np.diag([1.0, 0.0]), 1e300, 2**52, 20),
+         (_explicit(3, 2), 0.01, 1.0, 1e4, np.full((2, 2), 0.5), 1e6, 2**40, 4)],
+        60,
     ),
 }
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,35 @@ class TestMatrixExp:
     def test_non_convergence_raises(self):
         with pytest.raises(NumericError):
             matrix_exp(np.eye(2), max_terms=1)
+
+    @given(seed=st.integers(0, 2**31 - 1), scale=st.floats(0.0, 1023.0))
+    @settings(max_examples=40, deadline=None)
+    def test_finite_input_gives_result_or_numeric_error(self, seed, scale):
+        # entries up to 2**1023: no row-sum overflow, no int(inf) squarings,
+        # no numpy warning; a result is finite
+        rng = np.random.default_rng(seed)
+        a = (rng.uniform(-1.0, 1.0, (4, 4)) + 1j * rng.uniform(-1.0, 1.0, (4, 4))) * 2.0**scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = matrix_exp(a)
+            except NumericError:
+                return
+        assert np.isfinite(out).all()
+
+    def test_extremes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the row sums of 1e308 overflow a float: refused, not a warning
+            with pytest.raises(NumericError, match="^matrix_exp: the result is not finite after 1026 squarings$"):
+                matrix_exp(np.array([[-1e308, 1e308], [1e308, -1e308]]))
+            with pytest.raises(NumericError, match="^matrix_exp: input is not finite"):
+                matrix_exp(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+            # 952 squarings: the series stops at the 1e-100 floor, and the
+            # exact first row survives every square
+            out = matrix_exp(np.array([[0.0, 0.0], [2.0**950, -(2.0**950)]]))
+        assert out[0].tolist() == [1.0, 0.0]
+        np.testing.assert_allclose(out[1], [1.0, 0.0], atol=1e-15)
 
 
 class TestExpectation:

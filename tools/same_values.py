@@ -20,7 +20,11 @@ N+1, -1}, with ``ladder_weights``, ``validate_bath`` and the
 ``collision_superoperator`` in both modes, the last two under each of two
 sets of collision parameters.  Specs are built with the ``BathSpec``
 classmethods, so any tree that has them can be compared.  The text of
-``prepare_thermal_dicke``'s state at N = 4 and 10 follows.
+``prepare_thermal_dicke``'s state at N = 4 and 10 follows.  Then
+``integrate_master`` runs each named family at N = 4 (the first set of
+collision parameters) with ``dt`` in {t_q/40, t_q, 100 t_q}, over 200
+steps with 11 records, one driven and squeezed coefficient set with every
+step recorded, and 1e9 steps of t_q/40 on the dicke bath with 3 records.
 
 It then meets the limits at their boundaries.  The single-N entry points
 (``BathSpec``, ``basis_ordering``, ``build_collective_ops``,
@@ -105,7 +109,31 @@ def grid():
     for N in (4, 10):
         yield f"bath_to_csv prepare_thermal_dicke N={N}", lambda N=N: bath_to_csv(
             prepare_thermal_dicke(N, 0.5, 1.0, 3.0, 1e-4)[1], N)
+    yield from master_grid(params[0])
     yield from limit_grid(params[0])
+
+
+def master_grid(params):
+    """Yield ``(label, call)`` for every ``integrate_master`` call (see the
+    module docstring)."""
+    from qollide import BathSpec, MeqCoefficients, coefficients_for, ground_state
+    from qollide import integrate_master, qubit_state, thermalization_time
+
+    specs = {"product p_e=0.3": BathSpec.product_mixed(4, 0.3),
+             "thermal-hec n_bar=0.5": BathSpec.thermal_hec(4, 0.5),
+             "dicke k=1": BathSpec.dicke(4, 1)}
+    for name, spec in specs.items():
+        c = coefficients_for(spec, params)
+        t_q = thermalization_time(c)
+        for step, dt in (("t_q/40", t_q / 40.0), ("t_q", t_q), ("100 t_q", 100.0 * t_q)):
+            yield f"integrate_master N=4 {name} dt={step}", lambda c=c, dt=dt: integrate_master(
+                ground_state(), c, 200 * dt, dt, 11)
+    driven = MeqCoefficients(0.3 - 0.2j, 0.4 + 0.2j, 0.8, 1.2, 1.0, 2.0)
+    yield "integrate_master driven", lambda: integrate_master(
+        qubit_state(0.2, 0.1 - 0.05j), driven, 0.1, 0.01)
+    dicke = coefficients_for(specs["dicke k=1"], params)
+    yield "integrate_master N=4 dicke k=1 1e9 steps", lambda: integrate_master(
+        ground_state(), dicke, 2.5e6, 0.0025, 3)
 
 
 def limit_grid(params):
