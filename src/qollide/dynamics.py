@@ -372,9 +372,10 @@ def _propagate(step_mat, vec0, steps, power=None):
     Returns the states after ``i`` steps for every ``i`` in the sorted
     ``steps``, one row each.  Consecutive steps are joined by one cached
     map per distinct gap, ``power(step_mat, gap)``, by default the matrix
-    power, so the cost is O(len(steps) log steps), not O(steps).
-    :func:`integrate_master` passes ``dt`` times its generator as
-    ``step_mat``, and its exponential as ``power``.
+    power, so the cost is O(len(steps) log steps), not O(steps).  Both
+    engines pass maps in trace coordinates (:func:`_trace_map`):
+    :func:`collision_chain` its one-step map, :func:`integrate_master`
+    ``dt`` times its generator, with its exponential as ``power``.
     """
     vec = np.asarray(vec0)
     rows = np.empty((len(steps), len(vec)), dtype=np.result_type(step_mat, vec))
@@ -400,10 +401,21 @@ def _lindblad_generator(c):
     return np.column_stack([lindblad_rhs(b.reshape(2, 2), c).ravel() for b in basis])
 
 
-#: The row-major vectorized qubit state ``(ee, eg, ge, gg)`` in trace
-#: coordinates ``(ee + gg, eg, ge, ee - gg)``, and back.
-_TO_TRACE = np.array([[1.0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, -1]])
-_FROM_TRACE = np.array([[0.5, 0, 0, 0.5], [0, 1, 0, 0], [0, 0, 1, 0], [0.5, 0, 0, -0.5]])
+def _trace_coordinates(a, back=False):
+    """The last axis of ``a``, a row-major vectorized qubit state ``(ee, eg,
+    ge, gg)``, in the trace coordinates ``(ee + gg, eg, ge, ee - gg)``; with
+    ``back``, the inverse."""
+    # sums, not a product with a 0/1 matrix: the stochastic scheme calls no
+    # other gemm, and the first in a process adds about 0.5 MiB of RSS
+    a = np.array(a, dtype=complex)
+    first, last = (0.5 if back else 1.0) * a[..., [0, 3]].T
+    a[..., 0], a[..., 3] = first + last, first - last
+    return a
+
+
+def _trace_map(m):
+    """The row-major one-step map or generator ``m`` in trace coordinates."""
+    return _trace_coordinates(_trace_coordinates(m.T).T, back=True)
 
 
 def _exp_power(h, gap):
@@ -439,10 +451,11 @@ def integrate_master(rho0, c, t_end, dt, n_records=None):
     thermalization_time(c)  # an overflowing relaxation rate is refused
     record = _record_indices(n_steps, n_records)
     with np.errstate(over="ignore", invalid="ignore"):  # refused by matrix_exp
-        h = _TO_TRACE @ (dt * _lindblad_generator(c)) @ _FROM_TRACE
+        h = _trace_map(dt * _lindblad_generator(c))
     h[0] = 0.0  # the trace row of a traceless generator, exactly
     steps = [*record, n_steps]
-    rows = _propagate(h, _TO_TRACE @ rho0.ravel(), steps, _exp_power) @ _FROM_TRACE
+    rows = _propagate(h, _trace_coordinates(rho0.ravel()), steps, _exp_power)
+    rows = _trace_coordinates(rows, back=True)
     rows[np.equal(steps, 0)] = rho0.ravel()
     _check_trace(rows, steps, "integrate_master")
     lowest = np.minimum(rows[:, 0].real, rows[:, 3].real)
@@ -464,12 +477,12 @@ def _refuse_first(steps, *checks):
         raise NumericError(text.format(values[at], steps[at]))
 
 
-def _check_trace(rows, steps, name, expected=1.0, tol=TOL_DRIFT):
-    """The drift ``|Re Tr rho - expected| + |Im Tr rho|`` of each row-major
+def _check_trace(rows, steps, name, tol=TOL_DRIFT):
+    """The drift ``|Re Tr rho - 1| + |Im Tr rho|`` of each row-major
     vectorized qubit state in ``rows`` (taken at ``steps``); raise
     :class:`NumericError` at the first that is nan or beyond ``tol``."""
     traces = rows[:, 0] + rows[:, 3]
-    drift = np.abs(traces.real - expected) + np.abs(traces.imag)
+    drift = np.abs(traces.real - 1.0) + np.abs(traces.imag)
     _refuse_first(steps, (~(drift <= tol), drift, name + ": trace drift {:.3e} at step {}"))
     return drift
 
@@ -547,15 +560,6 @@ def collision_superoperator(bath, params, mode="exact"):
     return phi
 
 
-def _bath_trace(bath):
-    """``Tr(rho_B)`` of a bath that passed :func:`validate_bath`, without
-    building it again: an explicit matrix's trace may miss 1 by up to
-    ``TOL_TRACE``; the named families' weights sum to 1 to rounding."""
-    if bath.kind == "explicit":
-        return float(np.trace(np.asarray(bath.rho)).real)
-    return 1.0
-
-
 def _trajectory_streams(seed):
     """``(rng, reset)``: one Philox ``Generator``, and ``reset(i)``, which
     sets it to trajectory ``i``'s stream, keyed by ``(seed mod 2**64, i)``
@@ -631,23 +635,21 @@ def collision_chain(
     ``(seed, trajectory index)`` so results are reproducible regardless of
     scheduling.
 
-    Both schemes are applied through powers of a constant one-step map: the
-    deterministic step matrix between records, and for each stochastic
-    realization ``Phi^m``, with ``m`` its number of collisions so far.  The
-    run is checked before ``Phi`` is built; a stochastic run whose
-    trajectories times (draws per trajectory + 720) exceed
-    :data:`~qollide.errors.MAX_DRAWS` is refused there.  The recorded
-    states are checked after, against the trace the bath predicts: an exact collision
-    multiplies the target's trace by ``Tr(rho_B)``, which a validated bath
-    may miss 1 by up to ``TOL_TRACE``, so record ``i`` should have trace
-    ``(1 + p dt (Tr(rho_B) - 1))^i`` (deterministic) or ``Tr(rho_B)`` to
-    the mean collision count (stochastic; the mean of ``Tr(rho_B)^m``
-    differs by about ``Var(m) log(Tr(rho_B))^2 / 2``, below 1e-11 for any
-    count a run can reach).  In exact mode a drift beyond :data:`TOL_DRIFT`
-    from it raises :class:`NumericError`, as in :func:`integrate_master`;
-    second-order collisions add to the trace, so a drift beyond 1% gives
-    one accuracy advisory.  A state that overflowed is refused in either
-    mode.
+    Both schemes are applied through powers of a constant one-step map in
+    the trace coordinates of :func:`integrate_master`: the deterministic
+    step matrix between records, and for each stochastic realization
+    ``Phi^m``, with ``m`` its number of collisions so far.  The run is
+    checked before ``Phi`` is built; a stochastic run whose trajectories
+    times (draws per trajectory + 720) exceed
+    :data:`~qollide.errors.MAX_DRAWS` is refused there.  An exact collision
+    preserves the trace, so in exact mode the map's trace row is set to
+    exactly ``e_0``: every record keeps the trace of ``rho0``, whatever
+    the trace of an accepted explicit bath, and the ``t = 0`` record is
+    ``rho0`` itself.  A drift beyond :data:`TOL_DRIFT` raises
+    :class:`NumericError`, as in :func:`integrate_master`; second-order
+    collisions add to the trace, so their map keeps its trace row and a
+    drift beyond 1% gives one accuracy advisory.  A state that overflowed
+    is refused in either mode.
     """
     rho0 = _qubit_matrix(rho0, "collision_chain")
     n_steps = _step_count(t_end, dt)
@@ -674,37 +676,34 @@ def collision_chain(
             f" exceed the limit of {limit:.3g} draws; reduce the trajectories or t_end/dt"
         )
     phi = collision_superoperator(bath, params, mode=mode)
-    times = np.asarray(record) * dt
-    vec0 = rho0.ravel()
-
-    bath_trace = _bath_trace(bath)
+    if scheme == "deterministic":
+        phi = (1.0 - p_dt) * np.eye(4) + p_dt * phi
+    phi = _trace_map(phi)
+    exact = mode == "exact"
+    if exact:
+        phi[0] = (1.0, 0.0, 0.0, 0.0)  # the trace row of a trace-preserving map, exactly
+    vec0 = _trace_coordinates(rho0.ravel())
 
     if scheme == "deterministic":
-        step_mat = (1.0 - p_dt) * np.eye(4, dtype=complex) + p_dt * phi
-        recorded = _propagate(step_mat, vec0, record)
-        expected = (1.0 + p_dt * (bath_trace - 1.0)) ** np.array(record, dtype=float)
+        rows = _propagate(phi, vec0, record)
     else:
         # a trajectory's state after i steps is Phi^m rho0, m the number of
         # collisions drawn in its first i steps
         powers = vec0[None, :]
-        total = np.zeros((len(record), 4), dtype=complex)
-        counted = np.zeros(len(record), dtype=np.int64)
+        rows = np.zeros((len(record), 4), dtype=complex)
         for m in _collision_counts(seed, n_trajectories, record, p_dt):
             extra = m.max(initial=0) + 1 - len(powers)  # counts are cumulative
             if extra > 0:
-                more = _propagate(phi, powers[-1], range(1, extra + 1))
-                powers = np.concatenate([powers, more])
+                powers = np.concatenate([powers, _propagate(phi, powers[-1], range(1, extra + 1))])
             for states in powers[m]:  # one trajectory at a time: the sum rounds in order
-                total += states
-            counted += m.sum(axis=0)
-        recorded = total / n_trajectories
-        expected = bath_trace ** (counted / n_trajectories)
+                rows += states
+        rows /= n_trajectories
+    recorded = _trace_coordinates(rows, back=True)
+    recorded[np.equal(record, 0)] = rho0.ravel()
 
-    exact = mode == "exact"
     # second-order collisions add to the trace: only a state that is not
     # finite is refused, and a drift beyond 1% is an advisory
-    drift = _check_trace(recorded, record, "collision_chain", expected,
-                         TOL_DRIFT if exact else math.inf)
+    drift = _check_trace(recorded, record, "collision_chain", TOL_DRIFT if exact else math.inf)
     worst = drift.max(initial=0.0)
     if not exact and worst > 1e-2:
         warnings.warn(
@@ -713,8 +712,7 @@ def collision_chain(
             "accuracy advisory",
             stacklevel=2,
         )
-    states = recorded.reshape(len(record), 2, 2)
-    return Trajectory.from_states(times, states, params.mu)
+    return Trajectory.from_states(np.asarray(record) * dt, recorded.reshape(-1, 2, 2), params.mu)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,10 @@ MAX_RECORDS = 10**6
 
 #: Work limit of a stochastic collision run, in Bernoulli draws, with each
 #: trajectory counted as 720 draws more: at about 12.5 ns a draw and 9 us a
-#: trajectory (2-vCPU machine) an accepted run takes under a minute.
+#: trajectory (2-vCPU machine) the draws of an accepted run take under a
+#: minute.  It does not bound the table of collision-map powers, one state
+#: per collision count up to the largest one drawn: at ``p dt = 1`` that is
+#: about 2 us and 110 bytes a draw (1e7 draws took 15 s and 1.3 GB).
 MAX_DRAWS = 4 * 10**9
 
 #: The refusals of more than :data:`MAX_RECORDS` records, and of a sweep

@@ -478,28 +478,32 @@ class TestEvolve:
                 "--out", str(out_path),
             )
         assert (code, out) == (0, "")
-        # trace 2.453348574741912; a 50-digit replay gives 2.45334857474170787
+        # trace 2.4533485747415282; a 50-digit replay gives 2.45334857474170787
         assert out_path.read_text().splitlines()[-1] == (
-            "1,1.0000000000000002,1.1651714594399392,1.2881771153019728,0,0,9.9641412045377979,0"
+            "1,1.0000000000000002,1.1651714594397566,1.2881771153017716,0,0,9.9641412045377376,0"
         )
 
     def test_exact_collision_trace_drift_exit_3(self, capsys, tmp_path, monkeypatch):
-        real = dynamics.collision_superoperator
-        monkeypatch.setattr(
-            dynamics, "collision_superoperator", lambda *a, **k: 1.001 * real(*a, **k)
-        )
+        real = dynamics._propagate
+
+        def drifted(*args):
+            rows = real(*args)
+            rows[1:, 0] *= 1.001  # the trace coordinate, after t = 0
+            return rows
+
+        monkeypatch.setattr(dynamics, "_propagate", drifted)
         out_path = tmp_path / "traj.csv"
         code, out, err = run(
             capsys, "evolve", "--engine", "collisions", "--bath", "dicke", "--N", "4",
             "--k", "1", "--t-end", "0.01", "--dt", "0.001", "--out", str(out_path),
         )
         assert (code, out) == (3, "")
-        assert "collision_chain: trace drift" in err and "at step 1" in err
+        assert err == "numeric error: collision_chain: trace drift 1.000e-03 at step 1\n"
         assert not out_path.exists()
 
-    def test_exact_collisions_follow_the_bath_trace(self, capsys, tmp_path):
-        # a bath accepted with trace 1 + 9e-11: 1000 collisions move the
-        # target's trace by 9e-8, as the bath says, so the run is written
+    def test_exact_collisions_keep_the_trace_off_a_bath_trace(self, capsys, tmp_path):
+        # a bath accepted with trace 1 + 9e-11: the target's trace stays 1,
+        # as on the analytic and ode engines
         path = tmp_path / "rho.csv"
         rho = validate_bath(BathSpec.product_mixed(2, 0.5))
         path.write_text(bath_to_csv(rho * (1.0 + 9e-11), 2))
@@ -510,7 +514,9 @@ class TestEvolve:
             "--out", str(out_path),
         )
         assert (code, out, err) == (0, "", "")
-        assert len(out_path.read_text().splitlines()) == 4
+        rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
+        assert rows.shape == (3, 8)
+        assert np.abs(rows[:, 2] + rows[:, 3] - 1.0).max() <= 1e-15
 
 
 class TestSweep:
@@ -1365,9 +1371,18 @@ _RATE_REFUSED = (
          "2.4663034623764299,0.6730116670092563\n"
          "2500000,2500000.0000000005,0.39999999999999997,0.60000000000000009,0,0,"
          "2.4663034623764299,0.6730116670092563\n", ""),
+        # 1e11 steps of exact collisions, three records: the trace stays exact, and the
+        # state is the map's fixed point Phi[ee,gg] / (Phi[gg,ee] + Phi[ee,gg])
+        (["evolve", "--engine", "collisions", "--bath", "dicke", "--N", "4", "--k", "1",
+          "--t-end", "2.5e8", "--dt", "0.0025", "--n-points", "3"], 0,
+         TRAJECTORY_HEADER + "0,0,0,1,0,0,0,0\n"
+         "125000000,125000000.00000003,0.40160642775087918,0.59839357224912082,0,0,"
+         "2.5076727801003882,0.67365764352768298\n"
+         "250000000,250000000.00000006,0.40160642775087918,0.59839357224912082,0,0,"
+         "2.5076727801003882,0.67365764352768298\n", ""),
     ],
     ids=["analytic-rate", "ode-rate", "sweep-rate", "long-time", "long-mu-t", "ode-long-step",
-         "ode-long-run"],
+         "ode-long-run", "collisions-long-run"],
 )
 def test_module_output_pinned(argv, code, stdout, stderr):
     # the stderr a user sees, numpy warnings included, shows only in a child

@@ -1156,6 +1156,25 @@ class TestPropagatorOracles:
         assert len(traj) == 201
         assert np.max(np.abs(traj.states - ana.states)) <= 1e-13
 
+    def test_collision_grid_matches_50_digit_powers(self):
+        # the collisions-deterministic workload: dicke N=4 k=1, 200k steps
+        # of 1e-5, 201 records, against powers of its step map (1 - p dt) +
+        # p dt Phi taken in 50 digits from the float Phi, on the populations,
+        # which the coherences do not reach
+        mpmath = pytest.importorskip("mpmath")
+        bath, dt = BathSpec.dicke(4, 1), 1e-5
+        traj = collision_chain(ground_state(), bath, PARAMS, 200_000 * dt, dt, n_records=201)
+        phi = collision_superoperator(bath, PARAMS).real[np.ix_([0, 3], [0, 3])]
+        with mpmath.workdps(50):
+            p_dt = mpmath.mpf(PARAMS.p) * mpmath.mpf(dt)
+            step = (1 - p_dt) * mpmath.eye(2) + p_dt * mpmath.matrix(phi.tolist())
+            gap, vec, want = step**1000, mpmath.matrix([0, 1]), []
+            for _ in range(201):
+                want.append([float(vec[0]), float(vec[1])])
+                vec = gap * vec
+        got = traj.states[:, [0, 1], [0, 1]].real
+        assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_master_equation_zero_time(self):
         c = MeqCoefficients(0.3j, 0.1, 0.8, 1.2, 1.0, 1.0)
         rho0 = qubit_state(0.2, 0.1)
@@ -1316,6 +1335,38 @@ class TestLadderGeneratorOracle:
         np.testing.assert_allclose(gamma0 * (n_bar + 1.0) * gen, want, rtol=1e-15, atol=0)
 
 
+#: The row-major vectorized qubit state ``(ee, eg, ge, gg)`` in trace
+#: coordinates ``(ee + gg, eg, ge, ee - gg)``, and back, as matrices.
+TO_TRACE = np.array([[1.0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, -1]])
+FROM_TRACE = np.array([[0.5, 0, 0, 0.5], [0, 1, 0, 0], [0, 0, 1, 0], [0.5, 0, 0, -0.5]])
+
+
+class TestTraceCoordinates:
+    """The change of basis, by sums and differences, against the matrices."""
+
+    def test_equals_the_matrix_products(self, rng):
+        for _ in range(50):
+            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            vecs = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+            got = dynamics._trace_map(m)
+            assert got.tobytes() == (TO_TRACE @ m @ FROM_TRACE).tobytes()
+            assert dynamics._trace_coordinates(vecs[0]).tobytes() == (TO_TRACE @ vecs[0]).tobytes()
+            back = dynamics._trace_coordinates(vecs, back=True)
+            assert back.tobytes() == (vecs @ FROM_TRACE).tobytes()
+
+    def test_round_trip_and_input_kept(self, rng):
+        vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        kept = vec.copy()
+        there = dynamics._trace_coordinates(vec)
+        np.testing.assert_allclose(dynamics._trace_coordinates(there, back=True), vec,
+                                   rtol=0, atol=1e-15)
+        assert vec.tobytes() == kept.tobytes()
+
+    def test_trace_preserving_map_has_trace_row_e0(self):
+        phi = collision_superoperator(BathSpec.dicke(4, 1), PARAMS)
+        np.testing.assert_allclose(dynamics._trace_map(phi)[0], [1, 0, 0, 0], rtol=0, atol=1e-15)
+
+
 def _gap_power_oracle(step_mat, vec0, steps):
     """The state at each of the sorted ``steps``, reached from the previous
     one by ``matrix_power`` of the gap, with no cache."""
@@ -1399,7 +1450,7 @@ class TestPropagateRows:
         want = [vec0]
         for gap in (3, 4, 3):
             want.append(dynamics._exp_power(h, gap) @ want[-1])
-        want = np.array(want) @ dynamics._FROM_TRACE
+        want = np.array(want) @ FROM_TRACE
         want[0] = rho0.ravel()
         assert traj.states.reshape(-1, 4).tobytes() == want.tobytes()
 
@@ -1741,14 +1792,23 @@ class TestStochasticDraws:
         assert np.array_equal(traj.states[0], ground_state())
 
 
-def _per_trajectory_chain(vec0, phi, p_dt, record, seed, n_traj, chunk):
+def _exact_trace_map(bath, params):
+    """The exact collision map in trace coordinates, with its trace row set
+    to ``e_0``, as the engine builds it."""
+    phi = dynamics._trace_map(collision_superoperator(bath, params))
+    phi[0] = (1.0, 0.0, 0.0, 0.0)
+    return phi
+
+
+def _per_trajectory_chain(rho0, phi, p_dt, record, seed, n_traj, chunk):
     """The stochastic engine as one loop over trajectories: a fresh
     ``Philox(key=...)`` per trajectory, drawn ``chunk`` uniforms at a time,
     its collision counts read off a cumulative sum of every draw at each
-    record.  Test-only oracle of the blocked engine, bit for bit."""
+    record, its states the powers of ``phi`` (in trace coordinates) on
+    ``rho0``'s.  Test-only oracle of the blocked engine, bit for bit."""
     last = record[-1] if record else 0
     ends = np.array(record, dtype=np.int64) - 1  # each record's last draw
-    powers = vec0[None, :]
+    powers = dynamics._trace_coordinates(rho0.ravel())[None, :]
     total = np.zeros((len(record), 4), dtype=complex)
     for traj in range(n_traj):
         key = np.array([int(seed) % 2**64, traj], dtype=np.uint64)
@@ -1767,7 +1827,9 @@ def _per_trajectory_chain(vec0, phi, p_dt, record, seed, n_traj, chunk):
             more = dynamics._propagate(phi, powers[-1], range(1, extra + 1))
             powers = np.concatenate([powers, more])
         total += powers[m]
-    return total / n_traj
+    states = dynamics._trace_coordinates(total / n_traj, back=True)
+    states[np.equal(record, 0)] = rho0.ravel()
+    return states
 
 
 class TestRunCheckedBeforeMap:
@@ -1895,9 +1957,9 @@ class TestCollisionTraceCheck:
     def test_exact_drift_reported_at_its_step(self, monkeypatch, row, step):
         real = dynamics._propagate
 
-        def drifted(step_mat, vec0, steps):
-            rows = real(step_mat, vec0, steps)
-            rows[row, 3] -= 2e-8
+        def drifted(*args):
+            rows = real(*args)
+            rows[row, 0] -= 2e-8  # the trace coordinate
             return rows
 
         monkeypatch.setattr(dynamics, "_propagate", drifted)
@@ -1905,27 +1967,28 @@ class TestCollisionTraceCheck:
             collision_chain(ground_state(), BathSpec.dicke(2, 1), PARAMS, 0.01, 0.001, n_records=3)
 
     @pytest.mark.parametrize("scheme", ["deterministic", "stochastic"])
-    def test_bath_trace_within_tolerance_accepted(self, scheme):
-        # an accepted bath with trace 1 + 9e-11 multiplies the target's trace
-        # by that much per collision: about 1000 collisions move it by 9e-8,
-        # which is the input's trace, not a numeric fault
+    @pytest.mark.parametrize("off", [9e-11, -9e-11])
+    def test_bath_off_trace_keeps_the_target_trace(self, scheme, off):
+        # an accepted bath with trace 1 +- 9e-11 does not move the target's
+        # trace: an exact collision map's trace row is e_0
         rho_b = random_density_matrix(np.random.default_rng(7), 4)
-        rho_b *= (1.0 + 9e-11) / np.trace(rho_b).real
+        rho_b *= (1.0 + off) / np.trace(rho_b).real
         traj = collision_chain(
             ground_state(), BathSpec.explicit(rho_b), PARAMS, 10.0, 1e-3,
             scheme=scheme, n_trajectories=2, n_records=3,
         )
-        assert 5e-8 < np.trace(traj.states[-1]).real - 1.0 < 1.5e-7
+        traces = np.trace(traj.states, axis1=1, axis2=2)
+        assert np.abs(traces - 1.0).max() <= 1e-15
 
     def test_drift_from_the_bath_trace_refused(self, monkeypatch):
-        # the check follows Tr(rho_B), so a fault on top of it still shows
+        # a fault in the trace still shows on a bath off trace 1
         rho_b = random_density_matrix(np.random.default_rng(7), 4)
         rho_b *= (1.0 + 9e-11) / np.trace(rho_b).real
         real = dynamics._propagate
 
-        def drifted(step_mat, vec0, steps):
-            rows = real(step_mat, vec0, steps)
-            rows[-1, 3] += 2e-8
+        def drifted(*args):
+            rows = real(*args)
+            rows[-1, 0] += 2e-8  # the trace coordinate
             return rows
 
         monkeypatch.setattr(dynamics, "_propagate", drifted)
@@ -1945,8 +2008,32 @@ class TestCollisionTraceCheck:
             "truncated collision map is not trace-preserving; accuracy advisory"
         ]
         trace = np.trace(traj.states[-1]).real
-        assert trace == 2.453348574741912
+        assert trace == 2.4533485747415282  # the step map's own trace row, in trace coordinates
         assert abs(trace / _second_order_trace_replay() - 1.0) < 1.1e-13
+
+    def test_trace_exact_over_long_runs(self):
+        # the step map's trace row is exactly e_0 in every power: 1e15 steps
+        # keep the trace and end at the map's fixed point
+        bath = BathSpec.dicke(4, 1)
+        phi = collision_superoperator(bath, PARAMS)
+        fixed = (phi[0, 3] / (phi[3, 0] + phi[0, 3])).real
+        rho0 = qubit_state(0.2, 0.1)
+        traj = collision_chain(rho0, bath, PARAMS, 2.5e12, 0.0025, n_records=3)
+        traces = np.trace(traj.states, axis1=1, axis2=2)
+        assert np.abs(traces - np.trace(rho0)).max() <= 1e-15
+        assert abs(traj.states[-1, 0, 0] - fixed) <= 1e-15
+
+    @pytest.mark.parametrize("mode", ["exact", "second_order"])
+    @pytest.mark.parametrize("scheme", ["deterministic", "stochastic"])
+    def test_zero_time_record_is_rho0(self, scheme, mode):
+        # the trace coordinates round 0.3 - 0.7 and back, and the mean of
+        # three copies of 0.3 is not 0.3; the record does neither
+        rho0 = qubit_state(0.3, 0.1 - 0.05j)
+        traj = collision_chain(
+            rho0, BathSpec.dicke(4, 1), PARAMS, 0.01, 0.001, mode=mode, scheme=scheme,
+            n_trajectories=3, n_records=3,
+        )
+        assert traj.states[0].tobytes() == rho0.tobytes()
 
     def test_second_order_small_growth_silent(self):
         # a short run on a product bath grows the trace by about 2e-4
@@ -1978,12 +2065,10 @@ class TestBlockedStochasticEngine:
     @pytest.mark.parametrize("n_records", (None, 0, 1, 4, 101))
     @pytest.mark.parametrize("seed", (7, 2**40 + 3, 2**64 + 5))
     def test_equals_per_trajectory_loop(self, monkeypatch, chunk, n_records, seed):
-        from qollide import collision_superoperator
-
         monkeypatch.setattr(dynamics, "_DRAW_CHUNK", chunk)
         rho0 = qubit_state(0.1, 0.2)
         record = _record_indices(self.N_STEPS, n_records)
-        phi = collision_superoperator(self.BATH, self.PARAMS)
+        phi = _exact_trace_map(self.BATH, self.PARAMS)
         b = self.block(chunk, record)
         # one trajectory, a block and one either side, and several blocks
         counts = sorted({n for n in (1, b - 1, b, b + 1, 2 * b + 1) if 1 <= n <= 2500})
@@ -1993,7 +2078,7 @@ class TestBlockedStochasticEngine:
                 seed=seed, n_trajectories=n_traj, n_records=n_records,
             )
             want = _per_trajectory_chain(
-                rho0.ravel(), phi, self.PARAMS.p * 0.01, record, seed, n_traj, chunk
+                rho0, phi, self.PARAMS.p * 0.01, record, seed, n_traj, chunk
             )
             got = traj.states.reshape(-1, 4)
             assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
@@ -2002,16 +2087,14 @@ class TestBlockedStochasticEngine:
         # 150 steps in chunks of 64: each trajectory has its own block and
         # three chunks, records fall on and across chunk ends
         monkeypatch.setattr(dynamics, "_DRAW_CHUNK", 64)
-        from qollide import collision_superoperator
-
         rho0 = qubit_state(0.3, 0.1j)
         traj = collision_chain(
             rho0, self.BATH, self.PARAMS, 1.5, 0.01, scheme="stochastic",
             seed=11, n_trajectories=9, n_records=11,
         )
         record = _record_indices(150, 11)
-        phi = collision_superoperator(self.BATH, self.PARAMS)
-        want = _per_trajectory_chain(rho0.ravel(), phi, self.PARAMS.p * 0.01, record, 11, 9, 64)
+        phi = _exact_trace_map(self.BATH, self.PARAMS)
+        want = _per_trajectory_chain(rho0, phi, self.PARAMS.p * 0.01, record, 11, 9, 64)
         assert traj.states.reshape(-1, 4).tobytes() == want.tobytes()
 
     def test_reset_stream_equals_fresh_philox(self):

@@ -1,7 +1,8 @@
 """Every library entry point at its limits: for any accepted argument it
 returns a result in its documented ranges or raises a
 :class:`QollideError`, and no warning escapes but the documented ``g*tau``
-advisory of the collision parameters drawn.
+advisory of the collision parameters drawn and the second-order trace
+advisory of ``collision_chain``.
 
 ``ENTRY_POINTS`` holds one row per entry point: a strategy for its
 arguments (N drawn uniformly in log2 up to the entry's limit, the rates
@@ -21,9 +22,11 @@ from hypothesis import strategies as st
 from qollide import (
     BathSpec,
     CollisionParams,
+    NumericError,
     QollideError,
     analytic_trajectory,
     coefficients_for,
+    collision_chain,
     integrate_master,
     ladder_history,
     prepare_thermal_dicke,
@@ -181,6 +184,44 @@ def _traces_kept(result):
     assert np.max(np.abs(traces - np.trace(rho0)), initial=0.0) <= 1e-15
 
 
+#: Named baths up to the collision map's N, and random explicit ones.
+COLLISION_SPECS = st.one_of(
+    st.builds(BathSpec.product_mixed, _sizes(MAX_QUBITS), UNIT),
+    st.builds(BathSpec.thermal_hec, _sizes(MAX_QUBITS), N_BAR),
+    st.builds(_dicke, _sizes(MAX_QUBITS), UNIT),
+    st.builds(_explicit, st.integers(0, 2**32 - 1), st.integers(1, 4)),
+)
+#: A collision probability per step, its ends included.
+P_DT = st.one_of(st.sampled_from([0.0, 1.0]), _log_uniform(1e-300, 1.0))
+MODES = st.sampled_from(["exact", "second_order"])
+
+
+def _collide(spec, g, tau, p_dt, rho0, t_end, n_steps, n_records, mode, scheme):
+    """``collision_chain`` over ``n_steps`` steps of ``t_end / n_steps`` (a
+    step of 1 at ``t_end = 0``) with ``p dt = p_dt``, on three trajectories
+    when stochastic, with the second-order advisory silenced.  An exact run
+    is not refused as a numeric fault: its map keeps the trace."""
+    dt = t_end / n_steps if t_end else 1.0
+    params = _params(g, tau, p_dt / dt)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "second-order collisions moved the trace", UserWarning)
+        try:
+            trajectory = collision_chain(rho0, spec, params, t_end, dt, mode, scheme,
+                                         n_trajectories=3, n_records=n_records)
+        except NumericError:
+            assert mode != "exact"
+            raise
+    return trajectory, rho0, mode
+
+
+def _collided(result):
+    trajectory, rho0, mode = result
+    if mode == "exact":
+        _traces_kept((trajectory, rho0))
+    else:
+        _finite_states(trajectory)
+
+
 ENTRY_POINTS = {
     "ladder_history": (
         # every step recorded: only a short grid, so that no draw allocates
@@ -246,6 +287,30 @@ ENTRY_POINTS = {
          (BathSpec.dicke(4, 1), 0.1, 1.0, 1e300, np.full((2, 2), 0.5), 1e300, 2**52, 5),
          (_explicit(7, 3), 1e150, 1.0, 1e-300, np.diag([1.0, 0.0]), 1e300, 2**52, 20),
          (_explicit(3, 2), 0.01, 1.0, 1e4, np.full((2, 2), 0.5), 1e6, 2**40, 4)],
+        60,
+    ),
+    "collision_chain": (
+        # deterministic step counts to 2**52, every step recorded only on a
+        # short grid; stochastic runs draw at most 200 steps
+        st.one_of(
+            st.tuples(COLLISION_SPECS, COUPLING, RATE, P_DT, RHO0, T_END, STEP_COUNTS,
+                      N_RECORDS, MODES, st.just("deterministic")).filter(
+                lambda args: args[7] is not None or args[6] < 1e3),
+            st.tuples(COLLISION_SPECS, COUPLING, RATE, P_DT, RHO0, T_END, st.integers(1, 200),
+                      N_RECORDS, MODES, st.just("stochastic")),
+        ),
+        _collide,
+        _collided,
+        [(BathSpec.dicke(4, 1), 0.1, 1.0, 0.25, np.diag([0.0, 1.0]), 2.5e6, 10**9, 3,
+          "exact", "deterministic"),
+         (BathSpec.dicke(4, 1), 0.1, 1.0, 0.25, np.full((2, 2), 0.5), 2.5e12, 10**15, 3,
+          "exact", "deterministic"),
+         (BathSpec.dicke(8, 3), 0.1, 1.0, 0.1, np.diag([0.0, 1.0]), 1.0, 1000, 11,
+          "second_order", "deterministic"),
+         (_explicit(7, 4), 0.5, 1.0, 1.0, np.eye(2) / 2.0, 1e300, 2**52, 5, "exact",
+          "deterministic"),
+         (_explicit(3, 2), 0.1, 1.0, 0.5, np.diag([1.0, 0.0]), 1.0, 200, None, "exact",
+          "stochastic")],
         60,
     ),
 }

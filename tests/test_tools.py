@@ -27,7 +27,7 @@ def test_same_values_on_the_checkout_itself():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "2703 calls, 0 with a difference\n"
+    assert proc.stdout == "2712 calls, 0 with a difference\n"
 
 
 def test_same_values_reports_the_first_difference(tmp_path):
@@ -47,7 +47,7 @@ def test_same_values_reports_the_first_difference(tmp_path):
         "first difference: ladder_weights N=1 dicke k=2",
         "  parent: ValidationError: k: must be in 0..1, got 2",
         "  change: ValidationError: k: must lie in 0..1, got 2",
-        "2703 calls, 236 with a difference",
+        "2712 calls, 236 with a difference",
     ]
 
 

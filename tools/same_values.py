@@ -25,6 +25,10 @@ classmethods, so any tree that has them can be compared.  The text of
 collision parameters) with ``dt`` in {t_q/40, t_q, 100 t_q}, over 200
 steps with 11 records, one driven and squeezed coefficient set with every
 step recorded, and 1e9 steps of t_q/40 on the dicke bath with 3 records.
+``collision_chain`` runs each named family at N = 4 in both modes and a
+full-rank explicit bath of 3 qubits, deterministically over 200 steps with
+11 records, the dicke bath over 1e9 steps with 3 records, and one short
+stochastic run of 20 trajectories.
 
 It then meets the limits at their boundaries.  The single-N entry points
 (``BathSpec``, ``basis_ordering``, ``build_collective_ops``,
@@ -110,6 +114,7 @@ def grid():
         yield f"bath_to_csv prepare_thermal_dicke N={N}", lambda N=N: bath_to_csv(
             prepare_thermal_dicke(N, 0.5, 1.0, 3.0, 1e-4)[1], N)
     yield from master_grid(params[0])
+    yield from collision_grid(params[0])
     yield from limit_grid(params[0])
 
 
@@ -134,6 +139,31 @@ def master_grid(params):
     dicke = coefficients_for(specs["dicke k=1"], params)
     yield "integrate_master N=4 dicke k=1 1e9 steps", lambda: integrate_master(
         ground_state(), dicke, 2.5e6, 0.0025, 3)
+
+
+def collision_grid(params):
+    """Yield ``(label, call)`` for every ``collision_chain`` call (see the
+    module docstring)."""
+    from qollide import BathSpec, collision_chain, ground_state
+
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho_b = a @ a.conj().T
+    specs = {"product p_e=0.3": BathSpec.product_mixed(4, 0.3),
+             "thermal-hec n_bar=0.5": BathSpec.thermal_hec(4, 0.5),
+             "dicke k=1": BathSpec.dicke(4, 1)}
+    for name, spec in specs.items():
+        for mode in ("exact", "second_order"):
+            yield f"collision_chain N=4 {name} {mode}", lambda s=spec, m=mode: collision_chain(
+                ground_state(), s, params, 0.2, 1e-3, mode=m, n_records=11)
+    yield "collision_chain N=3 explicit", lambda: collision_chain(
+        ground_state(), BathSpec.explicit(rho_b / np.trace(rho_b)), params, 0.2, 1e-3,
+        n_records=11)
+    yield "collision_chain N=4 dicke k=1 1e9 steps", lambda: collision_chain(
+        ground_state(), specs["dicke k=1"], params, 2.5e6, 0.0025, n_records=3)
+    yield "collision_chain N=4 dicke k=1 stochastic", lambda: collision_chain(
+        ground_state(), specs["dicke k=1"], params, 0.2, 1e-3, scheme="stochastic", seed=7,
+        n_trajectories=20, n_records=11)
 
 
 def limit_grid(params):
